@@ -1,12 +1,13 @@
 """Randomly relaxed projection methods for stochastic fixed point problems.
 
-The iteration core builds a half-space cut each step and applies a relaxed
-projection with a randomly drawn relaxation, which may exceed 2 when its
-damping E[lam (2 - lam)] stays nonnegative.  On top of that core sit a
-relaxed fixed point driver with stochastic errors, a stochastic gradient
-method, and an extrapolated randomly activated block-iterative solver for
-common fixed point and feasibility problems, together with the signal and
-image restoration experiments.
+Every method runs one loop skeleton, ``x_{n+1} = step(n, x_n)``, which owns
+the divergence guard, the stop rule, the trace and its optional dB column;
+each method supplies only its step.  The steps are a relaxed fixed point
+iteration with stochastic errors, a stochastic gradient method, and an
+extrapolated randomly activated block-iterative solver for common fixed
+point and feasibility problems, whose random relaxation may exceed 2 when
+its damping E[lam (2 - lam)] stays nonnegative.  The signal and image
+restoration experiments are built on the block solver.
 """
 
 from .block import (
@@ -22,7 +23,6 @@ from .block import (
 from .diagnostics import (
     RunSummary,
     aggregate_runs,
-    bin_by_elapsed,
     estimate_reference_solution,
     fejer_audit,
     normalized_error_db,
@@ -57,13 +57,7 @@ from .fixedpoint import (
     run_km_averaged,
     run_sgd,
 )
-from .geometry import (
-    CutStep,
-    HalfSpaceCut,
-    apply_update,
-    compute_cut_step,
-    fejer_decrement,
-)
+from .geometry import fejer_decrement
 from .operators import (
     FqneOperator,
     InequalityConstraint,
@@ -86,8 +80,6 @@ from .relaxation import (
     RelaxationStrategy,
     TwoPoint,
     UniformInterval,
-    moments,
-    sample,
     strategy_from_config,
     strategy_label,
     validate_for_algorithm,

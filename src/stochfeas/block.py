@@ -19,24 +19,20 @@ built-in rules are deterministic functions of the residuals, so no draw
 occurs for them.  Relaxations come from a stream separate from the index
 and noise streams, which realizes the required independence of lam from the
 sigma-algebra of the evaluations.
-
-Within one iteration the M operator applications may run in parallel after
-the indices are drawn (pass an executor); results are combined in index
-order, so outputs are bit-identical to the serial run.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import relaxation as rx
-from .exceptions import ConfigurationError, InvariantViolationError, NumericError, UsageError
-from .fixedpoint import DIVERGENCE_NORM, _check_schedule_certificate
+from .diagnostics import audit_fejer_step
+from .exceptions import ConfigurationError, InvariantViolationError, UsageError
+from .fixedpoint import _check_schedule_certificate, _iterate
 from .geometry import as_point
 from .operators import OperatorFamily, sample_index
 from .rngstreams import substream
@@ -97,9 +93,7 @@ class BlockConfig:
 
     ``error_schedule`` switches to the error-tolerant variant, which uses
     the averaged point directly (no extrapolation) and restricts the
-    relaxation support to ]0, 2[.  ``cut_tolerance`` is the slack allowed in
-    the cut-validity condition; no supported method instantiates a nonzero
-    value, so it is pinned to zero.
+    relaxation support to ]0, 2[.
     """
 
     batch_size: int
@@ -113,15 +107,12 @@ class BlockConfig:
     stop_patience: int = 25
     record_every: int = 1
     collect_records: bool = False
-    cut_tolerance: float = 0.0
 
     def __post_init__(self):
         if self.batch_size < 1:
             raise ConfigurationError("batch size M must be >= 1")
         if self.stop_patience < 1:
             raise ConfigurationError("stop_patience must be >= 1")
-        if self.cut_tolerance != 0.0:
-            raise ConfigurationError("nonzero cut tolerances are not supported")
         if not (0.0 < self.delta < 1.0 / self.batch_size):
             raise ConfigurationError(
                 f"delta in ]0, 1/M[ violated: delta={self.delta}, M={self.batch_size}"
@@ -144,7 +135,7 @@ class BlockConfig:
                 raise ConfigurationError(
                     f"error-tolerant variant requires support in ]0, 2[: {report.reason}"
                 )
-            damping = rx.moments(self.relaxation).damping
+            damping = self.relaxation.moments().damping
             if damping <= 0.0:
                 raise ConfigurationError(
                     f"error-tolerant variant requires E[lam(2-lam)] > 0, got {damping:.6g}"
@@ -206,7 +197,6 @@ def run_block(
     reference_solution=None,
     fejer_points: Optional[Sequence] = None,
     index_override=None,
-    executor=None,
 ) -> BlockResult:
     """Run the block iteration from ``x0``.
 
@@ -219,48 +209,28 @@ def run_block(
 
     is checked and violations are counted into the result.
     ``index_override`` is a testing hook mapping the iteration number to the
-    M indices to use instead of random draws.  ``executor`` optionally maps
-    the M operator evaluations of one iteration in parallel.
+    M indices to use instead of random draws.
     """
-    x = as_point(x0, "x0").copy()
     m = cfg.batch_size
     idx_rng = substream(cfg.seed, "index")
     relax_rng = substream(cfg.seed, "relaxation")
     noise_rng = substream(cfg.seed, "noise") if cfg.error_schedule is not None else None
     zs = [as_point(z, "fejer point") for z in fejer_points] if fejer_points else []
-
-    ref = None
-    ref_denom = 0.0
-    if reference_solution is not None:
-        ref = as_point(reference_solution, "reference solution")
-        ref_denom = float(np.linalg.norm(x - ref))
-        if ref_denom == 0.0:
-            raise UsageError("x0 equals the reference solution; dB column undefined")
-
-    trace = ConvergenceTrace()
     records: Optional[list] = [] if cfg.collect_records else None
     violations = 0
     worst = 0.0
-    stop_reason = "max_iters"
-    # the residual only samples M random operators, so a single quiet
-    # iteration proves nothing; require stop_patience consecutive ones
-    quiet = 0
     # weights under the uniform rule do not depend on the residuals
     uniform_beta = np.full(m, 1.0 / m) if cfg.weight_rule == UNIFORM_OVER_BATCH else None
-    start = time.perf_counter()
-    n = -1
-    for n in range(cfg.max_iters):
+
+    def step(n, x):
+        nonlocal violations, worst
         if index_override is not None:
             ks = tuple(index_override(n))
             if len(ks) != m:
                 raise UsageError("index_override must supply exactly M indices")
         else:
             ks = tuple(sample_index(family, idx_rng) for _ in range(m))
-        if executor is None:
-            ps = [np.asarray(family.apply(k, x), dtype=np.float64) for k in ks]
-        else:
-            ps = [np.asarray(p, dtype=np.float64)
-                  for p in executor.map(lambda k: family.apply(k, x), ks)]
+        ps = [np.asarray(family.apply(k, x), dtype=np.float64) for k in ks]
         if noise_rng is not None:
             ps = [p + cfg.error_schedule.sample(n, x.shape[0], noise_rng) for p in ps]
         # the averaged point enters only through p - x; forming the weighted
@@ -268,71 +238,38 @@ def run_block(
         # drawn operator fixes x
         diffs = [p - x for p in ps]
         r = np.array([math.sqrt(float(d @ d)) for d in diffs])
-        residual = float(r.max())
         if uniform_beta is not None:
             beta = uniform_beta
         else:
             beta = compute_weights(r, cfg.delta, cfg.weight_rule)
-        step = beta[0] * diffs[0]
+        avg_step = beta[0] * diffs[0]
         for i in range(1, m):
-            step += beta[i] * diffs[i]
-        pmx = math.sqrt(float(step @ step))
+            avg_step += beta[i] * diffs[i]
+        pmx = math.sqrt(float(avg_step @ avg_step))
         if cfg.error_schedule is None:
             extrap = extrapolation_parameter(r, beta, pmx)
             if extrap < 1.0 - _EXTRAPOLATION_SLACK:
                 raise InvariantViolationError(
                     f"extrapolation {extrap!r} below 1 at iteration {n}"
                 )
-            a = x + extrap * step
+            a = x + extrap * avg_step
         else:
             extrap = 1.0
-            a = x + step
-        lam = rx.sample(cfg.relaxation, relax_rng)
+            a = x + avg_step
+        lam = cfg.relaxation.sample(relax_rng)
         x_next = x + lam * (a - x)
-        _check_finite(x_next, n)
-
         if zs:
-            d_vec = x - a
-            d_sq = float(d_vec @ d_vec)
-            for z in zs:
-                diff = x - z
-                dist_sq = float(diff @ diff)
-                dec = dist_sq - float((x_next - z) @ (x_next - z)) \
-                    - lam * (2.0 - lam) * d_sq
-                tol = 1e-9 * (1.0 + dist_sq)
-                if dec < -tol:
-                    violations += 1
-                    worst = max(worst, -dec - tol)
-
-        quiet = quiet + 1 if residual < cfg.atol else 0
-        stopping = quiet >= cfg.stop_patience
-        if n % cfg.record_every == 0 or stopping:
-            db = None
-            if ref is not None:
-                db = _db(float(np.linalg.norm(x - ref)), ref_denom)
-            trace.append(n, time.perf_counter() - start, residual, db, lam, extrap)
+            count, deficit = audit_fejer_step(x, x_next, lam, x - a, zs)
+            violations += count
+            worst = max(worst, deficit)
         if records is not None:
-            rec = BlockIterationRecord(n, ks, beta, x + step, extrap, a, lam)
+            rec = BlockIterationRecord(n, ks, beta, x + avg_step, extrap, a, lam)
             rec.validate(cfg.delta, r)
             records.append(rec)
-        x = x_next
-        if stopping:
-            stop_reason = "atol"
-            break
+        return x_next, float(r.max()), lam, extrap
 
-    trace.footer.update(stop_reason=stop_reason, atol=cfg.atol, iterations_run=n + 1)
+    # the residual only samples M random operators, so a single quiet
+    # iteration proves nothing; require stop_patience consecutive ones
+    x, trace = _iterate(step, x0, cfg.max_iters, cfg.atol, cfg.record_every,
+                        patience=cfg.stop_patience, reference=reference_solution)
     return BlockResult(x, trace, records, violations, worst)
-
-
-def _check_finite(x: np.ndarray, n: int) -> None:
-    # NaN/Inf propagate into the squared norm, so one reduction covers both
-    norm_sq = float(x @ x)
-    if not math.isfinite(norm_sq) or norm_sq > DIVERGENCE_NORM ** 2:
-        raise NumericError(f"iterate diverged at iteration {n}")
-
-
-def _db(num: float, den: float) -> float:
-    if num == 0.0:
-        return -300.0
-    val = 20.0 * np.log10(num / den)
-    return float(max(val, -300.0))

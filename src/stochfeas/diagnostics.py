@@ -6,17 +6,23 @@ never over wall-clock, so aggregated outputs are deterministic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .exceptions import ReferenceSolutionError, UsageError
-from .geometry import CutStep, as_point, fejer_decrement, require_same_dim
+from .geometry import as_point, fejer_decrement, require_same_dim
 from .trace import ConvergenceTrace
 
 DB_FLOOR = -300.0
+
+
+def ratio_db(num: float, den: float) -> float:
+    """20 log10(num / den), clamped at -300 dB; ``num == 0`` gives the floor."""
+    if num == 0.0:
+        return DB_FLOOR
+    return float(max(20.0 * np.log10(num / den), DB_FLOOR))
 
 
 def normalized_error_db(x_n, x0, x_inf) -> float:
@@ -33,10 +39,7 @@ def normalized_error_db(x_n, x0, x_inf) -> float:
     den = float(np.linalg.norm(x0 - x_inf))
     if den == 0.0:
         raise UsageError("x0 equals x_inf; normalized error undefined")
-    num = float(np.linalg.norm(x_n - x_inf))
-    if num == 0.0:
-        return DB_FLOOR
-    return max(20.0 * math.log10(num / den), DB_FLOOR)
+    return ratio_db(float(np.linalg.norm(x_n - x_inf)), den)
 
 
 def estimate_reference_solution(runner, budget_iters: int,
@@ -132,65 +135,49 @@ def aggregate_runs(traces: Sequence[ConvergenceTrace]) -> AveragedTrace:
     return AveragedTrace(grid, elapsed, residual, db_mean, lam, extrap, db_min, db_max)
 
 
-def bin_by_elapsed(traces: Sequence[ConvergenceTrace], bin_width: float = 0.01):
-    """Join traces on elapsed-time bins for wall-clock plots.
+def audit_fejer_step(x, x_next, lam: float, d, zs, rel_tol: float = 1e-9) -> tuple[int, float]:
+    """Audit one step ``x_next = x - lam d`` against every point z in ``zs``.
 
-    Returns (bin_starts, mean_db) where each trace contributes its last dB
-    value recorded inside a bin; bins some trace never reached are cut off.
-    Wall-clock joins are machine-dependent and never used for acceptance;
-    iteration-indexed averaging is the deterministic default.
+    The decrement
+
+        ||x - z||^2 - ||x_next - z||^2 - lam (2 - lam) ||d||^2
+
+    must be >= -rel_tol (1 + ||x - z||^2).  Returns (violation count, worst
+    deficit beyond tolerance).  Points must already be validated float64
+    arrays of one shape.
     """
-    if not traces:
-        raise UsageError("bin_by_elapsed needs at least one trace")
-    if bin_width <= 0.0:
-        raise UsageError("bin width must be positive")
-    cols = []
-    for t in traces:
-        if t.db_column() is None:
-            raise UsageError("elapsed-time binning needs dB columns")
-        cols.append((np.array([r.elapsed for r in t.rows]), t.db_column()))
-    horizon = min(c[0][-1] for c in cols)
-    n_bins = int(horizon / bin_width)
-    if n_bins == 0:
-        raise UsageError("bin width exceeds the common time horizon")
-    starts = np.arange(n_bins) * bin_width
-    means = np.empty(n_bins)
-    for b in range(n_bins):
-        edge = starts[b] + bin_width
-        vals = []
-        for elapsed, db in cols:
-            idx = np.searchsorted(elapsed, edge, side="right") - 1
-            vals.append(db[idx] if idx >= 0 else db[0])
-        means[b] = np.mean(sorted(vals))
-    return starts, means
+    violations = 0
+    worst = 0.0
+    for z in zs:
+        dec = fejer_decrement(x, x_next, z, lam, d)
+        tol = rel_tol * (1.0 + float((x - z) @ (x - z)))
+        if dec < -tol:
+            violations += 1
+            worst = max(worst, -dec - tol)
+    return violations, worst
 
 
 def fejer_audit(x0, records, z_points, rel_tol: float = 1e-9) -> tuple[int, float]:
     """Replay block-iteration records and audit the descent inequality.
 
     For each record the update is reconstructed as
-    ``x_next = x + lam (a - x)`` with direction ``d = x - a``, and for every
-    supplied z the decrement
-
-        ||x - z||^2 - ||x_next - z||^2 - lam (2 - lam) ||d||^2
-
-    must be >= -rel_tol (1 + ||x - z||^2).  Returns (violation count, worst
-    deficit beyond tolerance).
+    ``x_next = x + lam (a - x)`` with direction ``d = x - a`` and audited by
+    :func:`audit_fejer_step`.  Returns (violation count, worst deficit
+    beyond tolerance).
     """
     x = as_point(x0, "x0").copy()
     zs = [as_point(z, "z") for z in z_points]
+    for z in zs:
+        require_same_dim(x, z, "fejer_audit")
     violations = 0
     worst = 0.0
     for rec in records:
         a = np.asarray(rec.a, dtype=np.float64)
+        require_same_dim(a, x, "fejer_audit")
         x_next = x + rec.lam * (a - x)
-        step = CutStep(0.0, x - a)
-        for z in zs:
-            dec = fejer_decrement(x, x_next, z, rec.lam, step)
-            tol = rel_tol * (1.0 + float((x - z) @ (x - z)))
-            if dec < -tol:
-                violations += 1
-                worst = max(worst, -dec - tol)
+        count, deficit = audit_fejer_step(x, x_next, rec.lam, x - a, zs, rel_tol)
+        violations += count
+        worst = max(worst, deficit)
         x = x_next
     return violations, worst
 

@@ -268,14 +268,6 @@ def desk_image_problem(seed: int = 0) -> ImageProblem:
     return generate_image_problem(n=64, seed=seed, blur_std=DESK_IMAGE_BLUR_STD)
 
 
-def load_signal_ground_truth(path, n: int) -> np.ndarray:
-    """Raw little-endian float32 vector loader for user-supplied signals."""
-    data = np.fromfile(path, dtype="<f4")
-    if data.size != n:
-        raise UsageError(f"signal file holds {data.size} samples, expected {n}")
-    return data.astype(np.float64)
-
-
 # ---------------------------------------------------------------------------
 # Image problem.
 # ---------------------------------------------------------------------------
@@ -407,35 +399,6 @@ def generate_image_problem(n: int = 256, seed: int = 0, blur_std: float = 8.0) -
     mask = symmetrize_fourier_mask(low)
     target = np.where(mask, np.fft.fft2(xbar), 0.0 + 0.0j)
     return ImageProblem(n, xi, kernel, observations, xbar, mask, target, contains, seed)
-
-
-def load_image_ground_truth(path) -> np.ndarray:
-    """Binary 8-bit PGM (P5) loader for user-supplied images."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    tokens = []
-    i = 0
-    while len(tokens) < 4 and i < len(data):
-        # skip whitespace and comment lines
-        while i < len(data) and data[i: i + 1].isspace():
-            i += 1
-        if i < len(data) and data[i: i + 1] == b"#":
-            while i < len(data) and data[i: i + 1] != b"\n":
-                i += 1
-            continue
-        start = i
-        while i < len(data) and not data[i: i + 1].isspace():
-            i += 1
-        tokens.append(data[start:i])
-    if len(tokens) < 4 or tokens[0] != b"P5":
-        raise UsageError("expected binary PGM (P5) image")
-    width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    if maxval != 255:
-        raise UsageError(f"expected 8-bit PGM, got maxval {maxval}")
-    pixels = np.frombuffer(data[i + 1: i + 1 + width * height], dtype=np.uint8)
-    if pixels.size != width * height:
-        raise UsageError("truncated PGM payload")
-    return pixels.reshape(height, width).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Randomly relaxed fixed point drivers.
 
-Three iterations on top of one loop skeleton:
+Three iterations on top of one loop skeleton, which the block iteration of
+:mod:`stochfeas.block` shares:
 
 * relaxed iteration with stochastic errors for a nonexpansive T,
       x_{n+1} = x_n + mu_n (T x_n + e_n - x_n),     mu_n in ]0, 1[;
@@ -26,6 +27,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import relaxation as rx
+from .diagnostics import ratio_db
 from .exceptions import ConfigurationError, NumericError, UsageError
 from .geometry import as_point
 from .operators import OperatorFamily, sample_index
@@ -103,12 +105,7 @@ def _check_schedule_certificate(schedule) -> None:
 
 @dataclass
 class KmConfig:
-    """Configuration of the relaxed fixed point runs.
-
-    ``cut_tolerance`` is the per-iteration slack allowed in the cut-validity
-    condition.  No supported method instantiates it with a nonzero value, so
-    it is pinned to zero and rejected otherwise.
-    """
+    """Configuration of the relaxed fixed point runs."""
 
     mu_strategy: rx.RelaxationStrategy
     max_iters: int
@@ -116,15 +113,12 @@ class KmConfig:
     error_schedule: object = field(default_factory=ZeroErrors)
     atol: float = 1e-10
     record_every: int = 1
-    cut_tolerance: float = 0.0
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ConfigurationError("max_iters must be >= 1")
         if self.record_every < 1:
             raise ConfigurationError("record_every must be >= 1")
-        if self.cut_tolerance != 0.0:
-            raise ConfigurationError("nonzero cut tolerances are not supported")
         _check_schedule_certificate(self.error_schedule)
 
     def validate_plain(self):
@@ -238,40 +232,64 @@ def quadratic_family(center, offsets) -> GradientFamily:
 # Drivers.
 # ---------------------------------------------------------------------------
 
-def _guard(x: np.ndarray, n: int) -> None:
-    # NaN/Inf propagate into the squared norm, so one reduction covers both
-    norm_sq = float(x @ x)
-    if not math.isfinite(norm_sq) or norm_sq > DIVERGENCE_NORM ** 2:
-        raise NumericError(f"iterate diverged at iteration {n}")
+def _iterate(step, x0, max_iters: int, atol: float, record_every: int,
+             patience: int = 1, reference=None) -> tuple[np.ndarray, ConvergenceTrace]:
+    """The loop every driver runs: ``x_{n+1}, residual, lam, L = step(n, x_n)``.
+
+    The run stops after ``patience`` consecutive iterations with
+    ``residual < atol``.  Row n of the trace is written when
+    ``n % record_every == 0`` or on the stopping iteration; it holds the
+    residual, relaxation and extrapolation of step n and, when a
+    ``reference`` point is given, the dB distance of x_n to it.
+    """
+    x = as_point(x0, "x0").copy()
+    ref = None
+    if reference is not None:
+        ref = as_point(reference, "reference solution")
+        ref_denom = float(np.linalg.norm(x - ref))
+        if ref_denom == 0.0:
+            raise UsageError("x0 equals the reference solution; dB column undefined")
+    trace = ConvergenceTrace()
+    stop_reason = "max_iters"
+    quiet = 0
+    limit_sq = DIVERGENCE_NORM ** 2
+    start = time.perf_counter()
+    n = -1
+    for n in range(max_iters):
+        x_next, residual, lam, extrap = step(n, x)
+        # NaN/Inf propagate into the squared norm, so one reduction covers both
+        norm_sq = float(x_next @ x_next)
+        if not math.isfinite(norm_sq) or norm_sq > limit_sq:
+            raise NumericError(f"iterate diverged at iteration {n}")
+        quiet = quiet + 1 if residual < atol else 0
+        stopping = quiet >= patience
+        if n % record_every == 0 or stopping:
+            db = None if ref is None else ratio_db(float(np.linalg.norm(x - ref)), ref_denom)
+            trace.append(n, time.perf_counter() - start, residual, db, lam, extrap)
+        x = x_next
+        if stopping:
+            stop_reason = "atol"
+            break
+    trace.footer.update(stop_reason=stop_reason, atol=atol, iterations_run=n + 1)
+    return x, trace
 
 
 def _relaxed_loop(T, cfg: KmConfig, x0) -> tuple[np.ndarray, ConvergenceTrace]:
-    x = as_point(x0, "x0").copy()
     noise_rng = substream(cfg.seed, "noise")
     mu_rng = substream(cfg.seed, "relaxation")
-    trace = ConvergenceTrace()
-    start = time.perf_counter()
-    stop_reason = "max_iters"
-    n = -1
-    for n in range(cfg.max_iters):
-        tx = np.asarray(T(x), dtype=np.float64)
-        step = tx - x
-        residual = math.sqrt(float(step @ step))
+
+    def step(n, x):
+        d = np.asarray(T(x), dtype=np.float64) - x
+        residual = math.sqrt(float(d @ d))
         e = cfg.error_schedule.sample(n, x.shape[0], noise_rng)
-        mu = rx.sample(cfg.mu_strategy, mu_rng)
+        mu = cfg.mu_strategy.sample(mu_rng)
         if e is not None:
-            step = step + e
-        x = x + mu * step
-        _guard(x, n)
-        if n % cfg.record_every == 0 or residual < cfg.atol:
-            trace.append(n, time.perf_counter() - start, residual, None, mu, 1.0)
-        if residual < cfg.atol:
-            stop_reason = "atol"
-            break
-    trace.footer.update(
-        stop_reason=stop_reason, atol=cfg.atol, iterations_run=n + 1,
-        errors=cfg.error_schedule.describe() if hasattr(cfg.error_schedule, "describe") else "custom",
-    )
+            d = d + e
+        return x + mu * d, residual, mu, 1.0
+
+    x, trace = _iterate(step, x0, cfg.max_iters, cfg.atol, cfg.record_every)
+    trace.footer["errors"] = (cfg.error_schedule.describe()
+                              if hasattr(cfg.error_schedule, "describe") else "custom")
     return x, trace
 
 
@@ -294,30 +312,20 @@ def run_sgd(cfg: SgdConfig, x0) -> tuple[np.ndarray, ConvergenceTrace]:
     The trace residual column holds ||grad f(x_n)|| when the family declares
     its mean gradient, else the norm of the sampled gradient.
     """
-    x = as_point(x0, "x0").copy()
+    x0 = as_point(x0, "x0")
     family = cfg.gradient_family
-    family.spot_check_unbiased(x, substream(cfg.seed, "validation"), cfg.spot_check_samples)
+    family.spot_check_unbiased(x0, substream(cfg.seed, "validation"), cfg.spot_check_samples)
     idx_rng = substream(cfg.seed, "index")
-    trace = ConvergenceTrace()
-    start = time.perf_counter()
-    stop_reason = "max_iters"
     mean_grad = family.mean_gradient
-    n = -1
-    for n in range(cfg.max_iters):
+
+    def step(n, x):
         gamma = cfg.step_size(n)
-        k = family.draw(idx_rng)
-        g = family.gradient(k, x)
+        g = family.gradient(family.draw(idx_rng), x)
         if mean_grad is not None:
             gf = np.asarray(mean_grad(x), dtype=np.float64)
             residual = math.sqrt(float(gf @ gf))
         else:
             residual = math.sqrt(float(g @ g))
-        x = x - gamma * g
-        _guard(x, n)
-        if n % cfg.record_every == 0 or residual < cfg.atol:
-            trace.append(n, time.perf_counter() - start, residual, None, gamma, 1.0)
-        if residual < cfg.atol:
-            stop_reason = "atol"
-            break
-    trace.footer.update(stop_reason=stop_reason, atol=cfg.atol, iterations_run=n + 1)
-    return x, trace
+        return x - gamma * g, residual, gamma, 1.0
+
+    return _iterate(step, x0, cfg.max_iters, cfg.atol, cfg.record_every)

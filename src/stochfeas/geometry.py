@@ -1,32 +1,18 @@
-"""Single-iteration geometry: half-space cuts and relaxed projection steps.
+"""Point coercion and the Fejer decrement of one relaxed step.
 
-One iteration builds an affine half-space ``H = {z : <z, t*> <= eta}``,
-computes the projection step coefficient
-
-    alpha = (<x, t*> - eta) / ||t*||^2   if t* != 0 and <x, t*> > eta,
-    alpha = 0                            otherwise,
-
-sets the direction ``d = alpha * t*``, and moves ``x_next = x - lam * d``.
-With ``lam = 1`` the move is the exact metric projection of ``x`` onto
-``H``.  All functions are pure and safe for concurrent use.
+Every solver moves ``x_next = x - lam * d`` along some direction ``d``; for
+a projector P the direction ``d = x - P(x)`` with ``lam = 1`` lands on the
+projection.  :func:`fejer_decrement` measures how far such a step falls
+short of the descent inequality against a point ``z``.
 
 Points are dense 1-D float64 arrays; images enter flattened row-major.
 """
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
-
 import numpy as np
 
 from .exceptions import UsageError
-
-logger = logging.getLogger(__name__)
-
-# Below this squared norm a cut normal is treated as zero to avoid overflow
-# in alpha; such cuts are reported as degenerate events.
-_DEGENERATE_NORM_SQ = 1e-300
 
 
 def as_point(x, name: str = "point") -> np.ndarray:
@@ -44,87 +30,19 @@ def require_same_dim(a: np.ndarray, b: np.ndarray, what: str) -> None:
         raise UsageError(f"dimension mismatch in {what}: {a.shape} vs {b.shape}")
 
 
-@dataclass(frozen=True)
-class HalfSpaceCut:
-    """The pair (t*, eta) defining the half-space {z : <z, t*> <= eta}."""
-
-    t_star: np.ndarray
-    eta: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "t_star", as_point(self.t_star, "cut normal"))
-        if not np.isfinite(self.eta):
-            raise UsageError("cut offset eta must be finite")
-        object.__setattr__(self, "eta", float(self.eta))
-
-    def contains(self, z, slack: float = 0.0) -> bool:
-        z = as_point(z, "z")
-        require_same_dim(z, self.t_star, "HalfSpaceCut.contains")
-        return float(z @ self.t_star) <= self.eta + slack
-
-
-@dataclass(frozen=True)
-class CutStep:
-    """Projection step: coefficient alpha >= 0 and direction d = alpha * t*."""
-
-    alpha: float
-    d: np.ndarray
-
-
-def compute_cut_step(x, cut: HalfSpaceCut) -> CutStep:
-    """Compute the relaxed-projection step of ``x`` against ``cut``.
-
-    Returns ``CutStep(alpha, d)`` with ``x - d`` equal to the metric
-    projection of ``x`` onto the half-space when the cut normal is nonzero.
-    The comparison ``<x, t*> > eta`` is strict with no tolerance; ties give
-    ``alpha = 0``.  The zero-normal branch is an exact comparison on
-    ``||t*||^2 == 0``; squared norms below 1e-300 are treated as zero and
-    logged as degenerate cuts.
-    """
-    x = as_point(x, "x")
-    require_same_dim(x, cut.t_star, "compute_cut_step")
-    norm_sq = float(cut.t_star @ cut.t_star)
-    if norm_sq == 0.0:
-        return CutStep(0.0, np.zeros_like(x))
-    if norm_sq < _DEGENERATE_NORM_SQ:
-        logger.warning("degenerate cut: 0 < ||t*||^2 = %.3e < 1e-300, treated as zero", norm_sq)
-        return CutStep(0.0, np.zeros_like(x))
-    slack = float(x @ cut.t_star) - cut.eta
-    if slack <= 0.0:
-        return CutStep(0.0, np.zeros_like(x))
-    alpha = slack / norm_sq
-    return CutStep(alpha, alpha * cut.t_star)
-
-
-def apply_update(x, lam: float, step: CutStep) -> np.ndarray:
-    """Apply the relaxed update ``x - lam * step.d`` componentwise."""
-    x = as_point(x, "x")
-    if not (np.isfinite(lam) and lam > 0.0):
-        raise UsageError(f"relaxation must be a positive finite real, got {lam}")
-    d = as_point(step.d, "step direction")
-    require_same_dim(x, d, "apply_update")
-    return x - lam * d
-
-
-def fejer_decrement(x, x_next, z, lam: float, step: CutStep) -> float:
+def fejer_decrement(x, x_next, z, lam: float, d) -> float:
     """Return ``||x - z||^2 - ||x_next - z||^2 - lam (2 - lam) ||d||^2``.
 
-    For ``x_next`` produced by :func:`apply_update` with a cut whose
-    half-space contains ``z``, the value is nonnegative up to roundoff:
-    expanding the update gives
+    For ``x_next = x - lam d`` the update expands to
 
         ||x_next - z||^2 = ||x - z||^2 - lam (2 - lam) ||d||^2
-                           + 2 lam <z + d - x, d>
+                           + 2 lam <z + d - x, d>,
 
-    and the cross term is <= 0 whenever <z, t*> <= eta.
+    so the value is nonnegative up to roundoff whenever the cross term is
+    <= 0, as it is for ``d = x - P(x)`` with P the projection onto a convex
+    set containing ``z``.  Arguments are float64 arrays of one shape; the
+    callers validate them once, not on every step.
     """
-    x = as_point(x, "x")
-    x_next = as_point(x_next, "x_next")
-    z = as_point(z, "z")
-    require_same_dim(x, z, "fejer_decrement")
-    require_same_dim(x_next, z, "fejer_decrement")
-    d = np.asarray(step.d, dtype=np.float64)
-    require_same_dim(d, x, "fejer_decrement")
     dist_sq = float((x - z) @ (x - z))
     next_sq = float((x_next - z) @ (x_next - z))
     return dist_sq - next_sq - lam * (2.0 - lam) * float(d @ d)

@@ -11,7 +11,7 @@ which algorithms accept the strategy:
 
 Moments are always computed in closed form; sampling exists only to drive
 iterations.  Strategies are immutable and shareable across threads; the
-generators passed to :func:`sample` are single-owner.
+generators passed to their ``sample`` methods are single-owner.
 """
 
 from __future__ import annotations
@@ -166,16 +166,6 @@ class UniformInterval(RelaxationStrategy):
 
     def to_config(self):
         return {"kind": "uniform", "lo": self.lo, "hi": self.hi, "cap": self.cap}
-
-
-def moments(strategy: RelaxationStrategy) -> RelaxationMoments:
-    """Closed-form moments of a strategy (never estimated by sampling)."""
-    return strategy.moments()
-
-
-def sample(strategy: RelaxationStrategy, rng: np.random.Generator) -> float:
-    """Draw one relaxation value from the strategy's dedicated stream."""
-    return strategy.sample(rng)
 
 
 def validate_for_algorithm(

@@ -159,14 +159,14 @@ def test_criterion_06_relaxation_statistics():
     uniform = rx.UniformInterval(1.5, 2.3)
     for strategy in (two_point, uniform):
         rng = substream(31415, "relaxation")
-        mean = np.mean([rx.sample(strategy, rng) for _ in range(10 ** 5)])
+        mean = np.mean([strategy.sample(rng) for _ in range(10 ** 5)])
         assert abs(mean - 1.9) < 0.01 * 1.9
-    assert rx.moments(two_point).damping == pytest.approx(
+    assert two_point.moments().damping == pytest.approx(
         2 * 1.9 - (2.3 ** 2 + 1.5 ** 2) / 2, abs=1e-12)
-    assert rx.moments(two_point).damping == pytest.approx(0.03, abs=1e-12)
-    assert rx.moments(uniform).damping == pytest.approx(
+    assert two_point.moments().damping == pytest.approx(0.03, abs=1e-12)
+    assert uniform.moments().damping == pytest.approx(
         2 * 1.9 - (1.5 ** 2 + 1.5 * 2.3 + 2.3 ** 2) / 3, abs=1e-12)
-    assert rx.moments(uniform).damping == pytest.approx(0.1366666666666667, abs=1e-12)
+    assert uniform.moments().damping == pytest.approx(0.1366666666666667, abs=1e-12)
     _report(6, "means within 1%; dampings 0.03 and 0.136667 to 1e-12")
 
 
@@ -243,7 +243,7 @@ def test_criterion_09_linear_rate():
     x0 = np.array([1.0, 1.0])
     delta = 0.4
     for strategy in (rx.Constant(1.0, cap=2.0), rx.TwoPoint(2.3, 0.5, 1.5)):
-        m = rx.moments(strategy)
+        m = strategy.moments()
         chi = 1.0 - m.damping * delta * m.second_moment / (strategy.cap ** 2 * nu)
         assert 0.0 < chi < 1.0
         ratios = []

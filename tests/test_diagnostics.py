@@ -155,33 +155,3 @@ class TestFejerAudit:
         count, worst = fejer_audit(np.array([1.0, 0.0]), [rec], [np.zeros(2)])
         assert count == 1
         assert worst > 0
-
-
-class TestElapsedBinning:
-    def test_bins_join_on_time(self):
-        from stochfeas.diagnostics import bin_by_elapsed
-
-        t1 = ConvergenceTrace()
-        t2 = ConvergenceTrace()
-        for i in range(10):
-            t1.append(i, 0.011 * i, 1.0, -float(i), 1.0, 1.0)
-            t2.append(i, 0.013 * i, 1.0, -2.0 * i, 1.0, 1.0)
-        starts, means = bin_by_elapsed([t1, t2], bin_width=0.02)
-        assert starts[0] == 0.0
-        assert means.shape == starts.shape
-        assert np.all(np.diff(means) <= 0)  # both traces decrease over time
-
-    def test_binning_validates_inputs(self):
-        from stochfeas.diagnostics import bin_by_elapsed
-
-        with pytest.raises(UsageError):
-            bin_by_elapsed([], 0.01)
-        t = ConvergenceTrace()
-        t.append(0, 0.0, 1.0, 0.0, 1.0, 1.0)
-        t.append(1, 1.0, 1.0, -1.0, 1.0, 1.0)
-        with pytest.raises(UsageError):
-            bin_by_elapsed([t], -0.1)
-        t_nodb = ConvergenceTrace()
-        t_nodb.append(0, 0.0, 1.0, None, 1.0, 1.0)
-        with pytest.raises(UsageError):
-            bin_by_elapsed([t_nodb], 0.01)

@@ -67,7 +67,7 @@ class TestKm:
         mu_rng = substream(17, "relaxation")
         prev = np.linalg.norm(x - z)
         for _ in range(300):
-            mu = rx.sample(cfg.mu_strategy, mu_rng)
+            mu = cfg.mu_strategy.sample(mu_rng)
             x = x + mu * (rotation(x) - x)
             dist = np.linalg.norm(x - z)
             assert dist <= prev + 1e-10
@@ -205,13 +205,3 @@ class TestErrorSchedules:
         for n in range(200):
             e = sched.sample(n, 8, noise_rng)
             assert np.linalg.norm(e) <= 2.0 / (n + 1) ** 1.25 + 1e-15
-
-
-def test_cut_tolerance_pinned_to_zero():
-    from stochfeas.block import BlockConfig
-    from stochfeas import relaxation as rx
-    with pytest.raises(ConfigurationError):
-        KmConfig(rx.Constant(0.5, cap=2.0), max_iters=10, seed=0, cut_tolerance=1e-3)
-    with pytest.raises(ConfigurationError):
-        BlockConfig(batch_size=1, delta=0.5, relaxation=rx.Constant(1.0),
-                    max_iters=10, seed=0, cut_tolerance=0.1)

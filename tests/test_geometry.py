@@ -1,125 +1,32 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from stochfeas.exceptions import UsageError
-from stochfeas.geometry import (
-    CutStep,
-    HalfSpaceCut,
-    apply_update,
-    compute_cut_step,
-    fejer_decrement,
-)
-
-from conftest import halfspace_proj_oracle
-
-
-def test_unit_normal_cut():
-    step = compute_cut_step([2.0, 0.0], HalfSpaceCut([1.0, 0.0], 1.0))
-    assert step.alpha == 1.0
-    np.testing.assert_array_equal(step.d, [1.0, 0.0])
-
-
-def test_zero_normal_branch():
-    step = compute_cut_step([5.0, 5.0], HalfSpaceCut([0.0, 0.0], -3.0))
-    assert step.alpha == 0.0
-    np.testing.assert_array_equal(step.d, [0.0, 0.0])
-
-
-def test_derived_cut_matches_projection_oracle():
-    x = np.array([3.0, 4.0])
-    cut = HalfSpaceCut([0.0, 2.0], 2.0)
-    step = compute_cut_step(x, cut)
-    assert step.alpha == pytest.approx(1.5, abs=0)
-    np.testing.assert_allclose(step.d, [0.0, 3.0], atol=0)
-    # x - d must equal the metric projection onto {z : z2 <= 1}
-    np.testing.assert_allclose(x - step.d, [3.0, 1.0], atol=1e-15)
-    np.testing.assert_allclose(x - step.d, halfspace_proj_oracle([0.0, 2.0], 2.0, x),
-                               rtol=1e-12)
+from stochfeas.geometry import fejer_decrement
+from stochfeas.operators import halfspace_projector
 
 
 def test_tie_gives_zero_step():
-    # <x, t*> == eta exactly: strict comparison, alpha = 0
-    step = compute_cut_step([1.0, 0.0], HalfSpaceCut([1.0, 0.0], 1.0))
-    assert step.alpha == 0.0
-
-
-def test_projection_is_optimal_among_feasible(rng):
-    for _ in range(50):
-        dim = rng.integers(2, 8)
-        t = rng.normal(size=dim)
-        eta = rng.normal()
-        x = rng.normal(size=dim) * 3
-        step = compute_cut_step(x, HalfSpaceCut(t, eta))
-        proj = x - step.d
-        assert float(proj @ t) <= eta + 1e-10 * (1 + abs(eta))
-        # variational inequality <x - proj, z - proj> <= 0 over feasible z
-        for _ in range(20):
-            z = rng.normal(size=dim) * 3
-            excess = z @ t - eta
-            if excess > 0:
-                z = z - excess * t / (t @ t)
-            assert float((x - proj) @ (z - proj)) <= 1e-9 * (1 + np.linalg.norm(x - proj))
-
-
-def test_idempotence(rng):
-    for _ in range(50):
-        dim = rng.integers(1, 6)
-        t = rng.normal(size=dim)
-        cut = HalfSpaceCut(t, rng.normal())
-        x = rng.normal(size=dim) * 5
-        step = compute_cut_step(x, cut)
-        again = compute_cut_step(x - step.d, cut)
-        assert again.alpha * np.linalg.norm(t) <= 1e-12 * np.linalg.norm(t) * (
-            1 + np.linalg.norm(x))
-
-
-def test_degenerate_tiny_normal_treated_as_zero():
-    t = np.array([1e-200, 0.0])  # squared norm 1e-400 underflows past the guard
-    step = compute_cut_step([1.0, 0.0], HalfSpaceCut(t, -1.0))
-    assert step.alpha == 0.0
-
-
-def test_dimension_and_finiteness_errors():
-    with pytest.raises(UsageError):
-        compute_cut_step([1.0, 2.0], HalfSpaceCut([1.0, 2.0, 3.0], 0.0))
-    with pytest.raises(UsageError):
-        HalfSpaceCut([np.nan, 1.0], 0.0)
-    with pytest.raises(UsageError):
-        HalfSpaceCut([1.0, 1.0], np.inf)
-
-
-def test_apply_update_examples():
-    np.testing.assert_array_equal(
-        apply_update([1.0, 1.0], 1.0, CutStep(0.0, np.zeros(2))), [1.0, 1.0])
-    np.testing.assert_array_equal(
-        apply_update([2.0, 0.0], 2.0, CutStep(1.0, np.array([1.0, 0.0]))), [0.0, 0.0])
-    np.testing.assert_allclose(
-        apply_update([3.0, 4.0], 1.5, CutStep(1.5, np.array([0.0, 3.0]))),
-        [3.0, -0.5], atol=0)
-
-
-def test_apply_update_rejects_bad_lambda():
-    step = CutStep(0.0, np.zeros(2))
-    for lam in (0.0, -1.0, np.nan, np.inf):
-        with pytest.raises(UsageError):
-            apply_update([1.0, 1.0], lam, step)
+    # <x, a> == b exactly: the comparison is strict with no tolerance, so the
+    # projector returns x itself and the step d = x - P(x) is exactly zero
+    x = np.array([1.0, 0.0])
+    np.testing.assert_array_equal(x - halfspace_projector(np.array([1.0, 0.0]), 1.0)(x), [0.0, 0.0])
 
 
 def test_fejer_decrement_examples():
     z = np.zeros(2)
     x = np.array([2.0, 0.0])
-    cut = HalfSpaceCut([1.0, 0.0], 0.0)
-    step = compute_cut_step(x, cut)
-    x_next = apply_update(x, 1.0, step)
+    d = x - halfspace_projector(np.array([1.0, 0.0]), 0.0)(x)
+    np.testing.assert_array_equal(d, [2.0, 0.0])
+    x_next = x - 1.0 * d
     np.testing.assert_allclose(x_next, [0.0, 0.0], atol=0)
     # hand expansion: 4 - 0 - 1*1*4 = 0
-    assert fejer_decrement(x, x_next, z, 1.0, step) == pytest.approx(0.0, abs=1e-15)
+    assert fejer_decrement(x, x_next, z, 1.0, d) == pytest.approx(0.0, abs=1e-15)
     # z = (-1, 0): 9 - 1 - 4 = 4
-    assert fejer_decrement(x, x_next, [-1.0, 0.0], 1.0, step) == pytest.approx(4.0, abs=1e-12)
+    assert fejer_decrement(x, x_next, np.array([-1.0, 0.0]), 1.0, d) == pytest.approx(4.0, abs=1e-12)
     # degenerate: everything equal, zero step
-    assert fejer_decrement(z, z, z, 0.7, CutStep(0.0, np.zeros(2))) == 0.0
+    assert fejer_decrement(z, z, z, 0.7, np.zeros(2)) == 0.0
 
 
 @settings(max_examples=200, deadline=None)
@@ -129,18 +36,20 @@ def test_fejer_decrement_examples():
     lam=st.floats(min_value=1e-6, max_value=2.0),
 )
 def test_pathwise_fejer_property(data, dim, lam):
-    """For z inside the cut half-space and lam in ]0, 2], the decrement is
-    nonnegative up to 1e-10 (1 + ||x - z||^2)."""
+    """For d = x - P(x) with P the projection onto a half-space containing
+    z and lam in ]0, 2], the decrement is nonnegative up to
+    1e-10 (1 + ||x - z||^2)."""
     finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
     x = np.array(data.draw(st.lists(finite, min_size=dim, max_size=dim)))
     t = np.array(data.draw(st.lists(finite, min_size=dim, max_size=dim)))
     z = np.array(data.draw(st.lists(finite, min_size=dim, max_size=dim)))
     eta_slack = data.draw(st.floats(min_value=0, max_value=5))
-    eta = float(z @ t) + eta_slack  # guarantees <z, t*> <= eta
-    cut = HalfSpaceCut(t, eta)
-    step = compute_cut_step(x, cut)
-    x_next = apply_update(x, lam, step) if lam > 0 else x
-    dec = fejer_decrement(x, x_next, z, lam, step)
+    eta = float(z @ t) + eta_slack  # guarantees <z, t> <= eta
+    # a half-space needs a normal whose squared norm does not underflow
+    assume(float(t @ t) > 1e-300)
+    d = x - halfspace_projector(t, eta)(x)
+    x_next = x - lam * d
+    dec = fejer_decrement(x, x_next, z, lam, d)
     dist_sq = float((x - z) @ (x - z))
     assert dec >= -1e-10 * (1.0 + dist_sq)
 
@@ -156,9 +65,9 @@ def test_update_identity_with_cross_term(data, dim, lam):
     t = np.array(data.draw(st.lists(finite, min_size=dim, max_size=dim)))
     z = np.array(data.draw(st.lists(finite, min_size=dim, max_size=dim)))
     eta = data.draw(finite)
-    step = compute_cut_step(x, HalfSpaceCut(t, eta))
-    x_next = apply_update(x, lam, step)
-    d = step.d
+    assume(float(t @ t) > 1e-300)
+    d = x - halfspace_projector(t, eta)(x)
+    x_next = x - lam * d
     lhs = float((x_next - z) @ (x_next - z))
     rhs = float((x - z) @ (x - z)) - lam * (2 - lam) * float(d @ d) \
         + 2 * lam * float((z + d - x) @ d)

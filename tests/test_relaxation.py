@@ -9,14 +9,14 @@ from stochfeas.rngstreams import substream
 
 
 def test_constant_moments():
-    m = rx.moments(rx.Constant(1.9))
+    m = rx.Constant(1.9).moments()
     assert m.mean == pytest.approx(1.9, abs=0)
     assert m.second_moment == pytest.approx(3.61, rel=1e-15)
     assert m.damping == pytest.approx(0.19, rel=1e-12)
 
 
 def test_two_point_moments():
-    m = rx.moments(rx.TwoPoint(2.3, 0.5, 1.5))
+    m = rx.TwoPoint(2.3, 0.5, 1.5).moments()
     assert m.mean == pytest.approx(1.9, abs=1e-15)
     assert m.second_moment == pytest.approx((2.3 ** 2 + 1.5 ** 2) / 2, abs=0)
     assert m.damping == pytest.approx(0.03, abs=1e-14)
@@ -24,13 +24,13 @@ def test_two_point_moments():
 
 def test_two_point_mean_matches_monte_carlo():
     rng = np.random.default_rng(99)
-    draws = np.array([rx.sample(rx.TwoPoint(2.3, 0.5, 1.5), rng) for _ in range(10 ** 6)])
+    draws = np.array([rx.TwoPoint(2.3, 0.5, 1.5).sample(rng) for _ in range(10 ** 6)])
     sigma = draws.std() / len(draws) ** 0.5
     assert abs(draws.mean() - 1.9) < 3 * sigma + 1e-4
 
 
 def test_uniform_moments():
-    m = rx.moments(rx.UniformInterval(1.5, 2.3))
+    m = rx.UniformInterval(1.5, 2.3).moments()
     assert m.mean == pytest.approx(1.9, abs=1e-15)
     assert m.second_moment == pytest.approx(10.99 / 3, rel=1e-14)
     assert m.damping == pytest.approx(2 * 1.9 - 10.99 / 3, abs=1e-12)
@@ -38,7 +38,7 @@ def test_uniform_moments():
 
 def test_uniform_moments_match_monte_carlo():
     rng = np.random.default_rng(7)
-    draws = np.array([rx.sample(rx.UniformInterval(1.5, 2.3), rng) for _ in range(10 ** 5)])
+    draws = np.array([rx.UniformInterval(1.5, 2.3).sample(rng) for _ in range(10 ** 5)])
     assert abs(draws.mean() - 1.9) < 0.01 * 1.9
     assert draws.min() >= 1.5 and draws.max() <= 2.3
     sigma2 = (draws ** 2).std() / len(draws) ** 0.5
@@ -48,14 +48,14 @@ def test_uniform_moments_match_monte_carlo():
 def test_damping_identity_exact():
     for s in (rx.Constant(0.3), rx.Constant(2.0), rx.TwoPoint(2.3, 0.25, 0.5),
               rx.UniformInterval(0.1, 1.9)):
-        m = rx.moments(s)
+        m = s.moments()
         assert m.damping == 2.0 * m.mean - m.second_moment  # bitwise, by construction
 
 
 @settings(max_examples=100, deadline=None)
 @given(a=st.floats(0.01, 3.0), p=st.floats(0.0, 1.0), b=st.floats(0.01, 3.0))
 def test_two_point_jensen(a, p, b):
-    m = rx.moments(rx.TwoPoint(a, p, b, cap=3.0))
+    m = rx.TwoPoint(a, p, b, cap=3.0).moments()
     assert m.second_moment >= m.mean ** 2 - 1e-12
 
 
@@ -90,13 +90,13 @@ def test_validate_super_relaxed_boundary():
 
 def test_constant_sampling():
     rng = np.random.default_rng(0)
-    assert all(rx.sample(rx.Constant(1.9), rng) == 1.9 for _ in range(10))
+    assert all(rx.Constant(1.9).sample(rng) == 1.9 for _ in range(10))
 
 
 def test_two_point_sampling_frequency():
     rng = np.random.default_rng(5)
     s = rx.TwoPoint(2.3, 0.5, 1.5)
-    draws = np.array([rx.sample(s, rng) for _ in range(10 ** 5)])
+    draws = np.array([s.sample(rng) for _ in range(10 ** 5)])
     frac = float(np.mean(draws == 2.3))
     assert abs(frac - 0.5) < 0.01 * 0.5
 
@@ -106,7 +106,7 @@ def test_bounded_by_two_samples_stay_inside():
     for s in (rx.Constant(1.0), rx.UniformInterval(0.5, 1.99), rx.TwoPoint(1.9, 0.3, 0.1)):
         assert rx.validate_for_algorithm(s, rx.ALGORITHM_BOUNDED_BY_TWO).accepted
         for _ in range(1000):
-            v = rx.sample(s, rng)
+            v = s.sample(rng)
             assert 0.0 < v < 2.0
 
 
@@ -137,7 +137,7 @@ def test_serialization_round_trip():
     for s in (rx.Constant(1.9), rx.TwoPoint(2.3, 0.5, 1.5), rx.UniformInterval(1.5, 2.3)):
         back = rx.strategy_from_config(s.to_config())
         assert back == type(s)(**{k: v for k, v in s.__dict__.items()})
-        assert rx.moments(back) == rx.moments(s)
+        assert back.moments() == s.moments()
 
 
 def test_serialization_example_form():
@@ -154,10 +154,10 @@ def test_stream_separation_isolates_relaxation_draws():
     s = rx.UniformInterval(1.5, 2.3)
     seed = 42
     lam_rng = substream(seed, "relaxation")
-    baseline = [rx.sample(s, lam_rng) for _ in range(100)]
+    baseline = [s.sample(lam_rng) for _ in range(100)]
 
     idx_rng = substream(seed, "index")
     idx_rng.random(12345)  # heavy, unrelated consumption
     lam_rng2 = substream(seed, "relaxation")
-    again = [rx.sample(s, lam_rng2) for _ in range(100)]
+    again = [s.sample(lam_rng2) for _ in range(100)]
     assert baseline == again
