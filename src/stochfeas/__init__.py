@@ -70,6 +70,7 @@ from .operators import (
     project_fourier_support,
     project_hyperslab,
     sample_index,
+    sample_indices,
     subgradient_projector,
     subgradient_projector_operator,
     symmetrize_fourier_mask,

@@ -3,8 +3,9 @@
 One iteration over a family (T_k) of firmly quasinonexpansive operators:
 
 1. draw M indices k_1..k_M i.i.d. from the family's index distribution;
-2. evaluate p_i = T_{k_i} x (plus an error term e_i in the error-tolerant
-   variant) and the residual norms r_i = ||p_i - x||;
+2. evaluate the steps p_i - x = T_{k_i} x - x (plus an error term e_i in
+   the error-tolerant variant) and the residual norms r_i = ||p_i - x||,
+   all M at once through ``OperatorFamily.evaluate``;
 3. form weights beta_i summing to 1 with beta_i >= delta on every index
    attaining the maximal residual;
 4. average p = sum_i beta_i p_i and extrapolate,
@@ -34,7 +35,7 @@ from .diagnostics import audit_fejer_step
 from .exceptions import ConfigurationError, InvariantViolationError, UsageError
 from .fixedpoint import _check_schedule_certificate, _iterate
 from .geometry import as_point
-from .operators import OperatorFamily, sample_index
+from .operators import OperatorFamily, sample_indices
 from .rngstreams import substream
 from .trace import ConvergenceTrace
 
@@ -225,26 +226,24 @@ def run_block(
     def step(n, x):
         nonlocal violations, worst
         if index_override is not None:
-            ks = tuple(index_override(n))
-            if len(ks) != m:
+            ks = np.asarray(index_override(n))
+            if ks.shape != (m,):
                 raise UsageError("index_override must supply exactly M indices")
         else:
-            ks = tuple(sample_index(family, idx_rng) for _ in range(m))
-        ps = [np.asarray(family.apply(k, x), dtype=np.float64) for k in ks]
-        if noise_rng is not None:
-            ps = [p + cfg.error_schedule.sample(n, x.shape[0], noise_rng) for p in ps]
-        # the averaged point enters only through p - x; forming the weighted
-        # step directly keeps the indicator branch [p = x] exact when every
+            ks = sample_indices(family, idx_rng, m)
+        # the averaged point enters only through p - x; working with the
+        # steps directly keeps the indicator branch [p = x] exact when every
         # drawn operator fixes x
-        diffs = [p - x for p in ps]
-        r = np.array([math.sqrt(float(d @ d)) for d in diffs])
+        steps, r = family.evaluate(ks, x)
+        if noise_rng is not None:
+            for d in steps:
+                d += cfg.error_schedule.sample(n, x.shape[0], noise_rng)
+            r = np.array([math.sqrt(float(d @ d)) for d in steps])
         if uniform_beta is not None:
             beta = uniform_beta
         else:
             beta = compute_weights(r, cfg.delta, cfg.weight_rule)
-        avg_step = beta[0] * diffs[0]
-        for i in range(1, m):
-            avg_step += beta[i] * diffs[i]
+        avg_step = beta @ steps
         pmx = math.sqrt(float(avg_step @ avg_step))
         if cfg.error_schedule is None:
             extrap = extrapolation_parameter(r, beta, pmx)
@@ -263,7 +262,7 @@ def run_block(
             violations += count
             worst = max(worst, deficit)
         if records is not None:
-            rec = BlockIterationRecord(n, ks, beta, x + avg_step, extrap, a, lam)
+            rec = BlockIterationRecord(n, tuple(ks.tolist()), beta, x + avg_step, extrap, a, lam)
             rec.validate(cfg.delta, r)
             records.append(rec)
         return x_next, float(r.max()), lam, extrap

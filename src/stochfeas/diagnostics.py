@@ -103,7 +103,8 @@ def aggregate_runs(traces: Sequence[ConvergenceTrace]) -> AveragedTrace:
     """Arithmetic mean per iteration index across traces (plus dB envelope).
 
     All traces must share the same iteration grid; aggregation is invariant
-    under permutation of the traces.
+    under permutation of the traces.  The dB mean and envelope are None
+    unless every trace has a dB column.
     """
     if not traces:
         raise UsageError("aggregate_runs needs at least one trace")
@@ -128,8 +129,6 @@ def aggregate_runs(traces: Sequence[ConvergenceTrace]) -> AveragedTrace:
         db_mean = column_mean(db_cols)
         db_min = stacked.min(axis=0)
         db_max = stacked.max(axis=0)
-    elif any(c is not None for c in db_cols):
-        raise UsageError("cannot aggregate traces with and without dB columns")
     else:
         db_mean = db_min = db_max = None
     return AveragedTrace(grid, elapsed, residual, db_mean, lam, extrap, db_min, db_max)

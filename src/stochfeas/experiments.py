@@ -127,17 +127,18 @@ class SignalProblem:
     def build_family(self) -> OperatorFamily:
         """All n*p hyperslab projectors, uniform index distribution.
 
-        Projectors share the per-filter base row (rolled per coordinate) and
-        the per-filter squared norm, so the family stays lightweight.
+        Member k*n + j is the slab of filter k at coordinate j.  Projectors
+        share the per-filter base row (rolled per coordinate) and the
+        per-filter squared norm, so the family stays lightweight.
         """
+        bases = np.stack([np.roll(self.kernels[k][::-1], 1) for k in range(self.p)])
         members = []
-        for k in range(self.p):
-            base = np.roll(self.kernels[k][::-1], 1)
+        for k, base in enumerate(bases):
             norm_sq = float(base @ base)
             for j in range(self.n):
                 members.append(_SlabMember(base, norm_sq, j,
                                            float(self.observations[k, j]), self.eta))
-        return OperatorFamily(members)
+        return _SlabFamily(members, bases, self.observations, self.eta)
 
     def max_violation(self, x) -> float:
         """max_{k,j} of dist((L_k x - r_k)_j, [-eta, eta]); <= 0 means feasible."""
@@ -192,6 +193,38 @@ class _SlabMember(FqneOperator):
 
     def _fixed(self, x):
         return self.lo <= self._dot(x) <= self.hi
+
+
+class _SlabFamily(OperatorFamily):
+    """The hyperslab family of a signal problem, with batched evaluation.
+
+    The normal of member k*n + j, row j of filter k's circulant matrix, is
+    the length-n window at offset 2nk + n - j of the base rows laid out
+    twice each, [b_0 b_0 b_1 b_1 ...] (2pn floats).  Evaluating M members
+    gathers their M windows and takes all inner products in one
+    matrix-vector product.
+    """
+
+    def __init__(self, members, bases, observations, eta):
+        super().__init__(members)
+        p, n = bases.shape
+        doubled = np.concatenate([bases, bases], axis=1).ravel()
+        self._windows = np.lib.stride_tricks.sliding_window_view(doubled, n)
+        k, j = np.divmod(np.arange(p * n), n)
+        self._offsets = 2 * n * k + n - j
+        self._norm_sq = np.array([m.norm_sq for m in members])
+        self._norm = np.sqrt(self._norm_sq)
+        self._lo = (observations - eta).ravel()
+        self._hi = (observations + eta).ravel()
+
+    def evaluate(self, ks, x):
+        ks = np.asarray(ks)
+        rows = self._windows[self._offsets[ks]]
+        v = rows @ x
+        # the step is s a with s the signed distance back into the slab over
+        # ||a||^2; a member whose slab holds x gets s = v - v = 0, a zero row
+        s = (np.minimum(np.maximum(v, self._lo[ks]), self._hi[ks]) - v) / self._norm_sq[ks]
+        return s[:, None] * rows, np.abs(s) * self._norm[ks]
 
 
 def piecewise_polynomial_signal(n: int, rng: np.random.Generator,
@@ -467,11 +500,7 @@ def run_experiment(problem, block_cfg: BlockConfig, relaxation_label: str,
         refs.append(reference)
         results.append(res)
 
-    averaged = None
-    if traces and all(t.db_column() is not None for t in traces):
-        averaged = aggregate_runs(traces)
-    elif traces and all(t.db_column() is None for t in traces):
-        averaged = aggregate_runs(traces)
+    averaged = aggregate_runs(traces) if traces else None
     return ExperimentResult(relaxation_label, seeds, traces, finals, refs, averaged, results)
 
 

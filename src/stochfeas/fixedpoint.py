@@ -30,7 +30,7 @@ from . import relaxation as rx
 from .diagnostics import ratio_db
 from .exceptions import ConfigurationError, NumericError, UsageError
 from .geometry import as_point
-from .operators import OperatorFamily, sample_index
+from .operators import OperatorFamily, sample_index, sample_indices
 from .rngstreams import substream
 from .trace import ConvergenceTrace
 
@@ -184,6 +184,14 @@ class GradientFamily:
     def draw(self, rng) -> int:
         return sample_index(self._family, rng)
 
+    def draws(self, rng):
+        """Endless index draws from ``rng``, taken 1024 uniforms at a time.
+
+        Yields the same sequence as repeated ``draw(rng)`` calls.
+        """
+        while True:
+            yield from sample_indices(self._family, rng, 1024).tolist()
+
     def gradient(self, k: int, x: np.ndarray) -> np.ndarray:
         return np.asarray(self._family.apply(k, x), dtype=np.float64)
 
@@ -193,8 +201,8 @@ class GradientFamily:
         if self.mean_gradient is None:
             return
         acc = np.zeros_like(x0)
-        for _ in range(samples):
-            acc += self.gradient(self.draw(rng), x0)
+        for k in sample_indices(self._family, rng, samples).tolist():
+            acc += self.gradient(k, x0)
         acc /= samples
         target = np.asarray(self.mean_gradient(x0), dtype=np.float64)
         dev = float(np.linalg.norm(acc - target))
@@ -315,12 +323,12 @@ def run_sgd(cfg: SgdConfig, x0) -> tuple[np.ndarray, ConvergenceTrace]:
     x0 = as_point(x0, "x0")
     family = cfg.gradient_family
     family.spot_check_unbiased(x0, substream(cfg.seed, "validation"), cfg.spot_check_samples)
-    idx_rng = substream(cfg.seed, "index")
+    indices = family.draws(substream(cfg.seed, "index"))
     mean_grad = family.mean_gradient
 
     def step(n, x):
         gamma = cfg.step_size(n)
-        g = family.gradient(family.draw(idx_rng), x)
+        g = family.gradient(next(indices), x)
         if mean_grad is not None:
             gf = np.asarray(mean_grad(x), dtype=np.float64)
             residual = math.sqrt(float(gf @ gf))

@@ -17,6 +17,7 @@ supplied maps and is not checked at runtime.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -177,29 +178,27 @@ def validate_fourier_mask(mask) -> np.ndarray:
     return mask
 
 
-def project_fourier_support(target_spectrum, mask, x) -> np.ndarray:
-    """Replace the DFT of ``x`` on the masked frequencies by ``target_spectrum``.
-
-    ``x`` is a real 2-D grid.  The output is real; the imaginary residue of
-    the inverse transform is verified against 1e-9 (relative to the grid
-    scale) before being discarded.
-    """
-    mask = validate_fourier_mask(mask)
+def _validate_fourier_target(target_spectrum, mask) -> np.ndarray:
     target = np.asarray(target_spectrum, dtype=np.complex128)
     if target.shape != mask.shape:
         raise UsageError("target spectrum and mask shapes differ")
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != mask.shape:
-        raise UsageError(f"grid shape {x.shape} does not match mask shape {mask.shape}")
-    if not np.all(np.isfinite(x)):
-        raise UsageError("grid contains non-finite entries")
     mu, mv = _mirror_indices(*mask.shape)
     mirrored = np.conj(target[mu, mv])
     scale = max(1.0, float(np.max(np.abs(target[mask]), initial=0.0)))
     if np.max(np.abs((target - mirrored)[mask]), initial=0.0) > 1e-9 * scale:
         raise UsageError("target spectrum is not conjugate-symmetric on the mask")
+    return target
+
+
+def _project_fourier_core(values, mask, x) -> np.ndarray:
+    """The projection itself: ``values`` are the validated target on ``mask``."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != mask.shape:
+        raise UsageError(f"grid shape {x.shape} does not match mask shape {mask.shape}")
+    if not np.all(np.isfinite(x)):
+        raise UsageError("grid contains non-finite entries")
     spectrum = np.fft.fft2(x)
-    spectrum[mask] = target[mask]
+    spectrum[mask] = values
     out = np.fft.ifft2(spectrum)
     residue = float(np.max(np.abs(out.imag)))
     tol = 1e-9 * max(1.0, float(np.max(np.abs(out.real))))
@@ -208,18 +207,36 @@ def project_fourier_support(target_spectrum, mask, x) -> np.ndarray:
     return np.ascontiguousarray(out.real)
 
 
-def fourier_support_projector(target_spectrum, mask, grid_shape=None) -> FqneOperator:
-    """Fourier-support projector acting on row-major flattened grids."""
+def project_fourier_support(target_spectrum, mask, x) -> np.ndarray:
+    """Replace the DFT of ``x`` on the masked frequencies by ``target_spectrum``.
+
+    ``x`` is a real 2-D grid.  The output is real; the imaginary residue of
+    the inverse transform is verified against 1e-9 (relative to the grid
+    scale) before being discarded.
+    """
     mask = validate_fourier_mask(mask)
+    target = _validate_fourier_target(target_spectrum, mask)
+    return _project_fourier_core(target[mask], mask, x)
+
+
+def fourier_support_projector(target_spectrum, mask, grid_shape=None) -> FqneOperator:
+    """Fourier-support projector acting on row-major flattened grids.
+
+    The mask and target are validated once here and kept as read-only
+    private copies; each application checks only the grid it is given.
+    """
+    mask = validate_fourier_mask(mask).copy()
+    values = _validate_fourier_target(target_spectrum, mask)[mask]
+    mask.flags.writeable = False
+    values.flags.writeable = False
     shape = mask.shape if grid_shape is None else grid_shape
 
     def apply(x):
-        return project_fourier_support(target_spectrum, mask, np.reshape(x, shape)).ravel()
+        return _project_fourier_core(values, mask, np.reshape(x, shape)).ravel()
 
     def fix(x):
         spec = np.fft.fft2(np.reshape(x, shape))
-        return bool(np.allclose(spec[mask], np.asarray(target_spectrum)[mask],
-                                rtol=1e-9, atol=1e-9))
+        return bool(np.allclose(spec[mask], values, rtol=1e-9, atol=1e-9))
 
     return FqneOperator(apply, fix_test=fix, name="proj_fourier")
 
@@ -233,6 +250,12 @@ class OperatorFamily:
 
     Members may be ``FqneOperator`` instances or plain callables.  Weights
     default to uniform; they must be nonnegative and sum to 1 within 1e-12.
+
+    ``evaluate(ks, x)`` is the batched entry point of the block iteration:
+    it returns the steps T_k x - x of the members ``ks`` at one point x, one
+    row each, and their Euclidean norms.  A member that fixes x must give an
+    exact zero row.  The generic version applies the members one by one;
+    families with structure (see ``experiments.SignalProblem``) override it.
     """
 
     def __init__(self, members: Sequence, weights=None):
@@ -263,9 +286,27 @@ class OperatorFamily:
     def apply(self, k: int, x: np.ndarray) -> np.ndarray:
         return self.members[k](x)
 
+    def evaluate(self, ks, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Steps ``T_k x - x`` for each k in ``ks`` (shape (M, n)) and their norms (M,)."""
+        steps = np.empty((len(ks), x.shape[0]))
+        norms = np.empty(len(ks))
+        for i, k in enumerate(ks):
+            d = np.subtract(self.apply(k, x), x, out=steps[i])
+            norms[i] = math.sqrt(float(d @ d))
+        return steps, norms
+
+
+def sample_indices(family: OperatorFamily, rng: np.random.Generator, m: int) -> np.ndarray:
+    """Draw ``m`` i.i.d. indices from the family's distribution.
+
+    Inverse CDF on ``rng.random(m)``, which yields the same uniforms as m
+    scalar ``rng.random()`` calls.  A one-member family draws nothing.
+    """
+    if len(family) == 1:
+        return np.zeros(m, dtype=np.intp)
+    return np.searchsorted(family._cum, rng.random(m), side="right")
+
 
 def sample_index(family: OperatorFamily, rng: np.random.Generator) -> int:
-    """Draw one index from the family's distribution (inverse CDF on one uniform)."""
-    if len(family) == 1:
-        return 0
-    return int(np.searchsorted(family._cum, rng.random(), side="right"))
+    """Draw one index from the family's distribution."""
+    return int(sample_indices(family, rng, 1)[0])

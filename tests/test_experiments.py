@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from stochfeas import relaxation as rx
-from stochfeas.block import BlockConfig
-from stochfeas.exceptions import UsageError
+from stochfeas import experiments
+from stochfeas.block import BlockConfig, run_block
+from stochfeas.exceptions import ReferenceSolutionError, UsageError
 from stochfeas.experiments import (
     canonical_strategies,
     circ_conv,
@@ -17,6 +18,8 @@ from stochfeas.experiments import (
 )
 from stochfeas.operators import sample_index
 from stochfeas.rngstreams import substream
+
+from conftest import reference_block_step
 
 
 class TestCanonicalStrategies:
@@ -78,6 +81,45 @@ class TestSignalProblem:
         if np.linalg.norm(move) > 0:
             cosine = float(move @ a) / (np.linalg.norm(move) * np.linalg.norm(a))
             assert abs(abs(cosine) - 1.0) < 1e-10
+
+    def test_batched_evaluate_matches_members(self, rng):
+        prob = generate_signal_problem(n=32, p=3, seed=5)
+        family = prob.build_family()
+        ks = np.arange(len(family))
+        truth = prob.ground_truth
+        # the truth lies inside every slab; L_k has unit row sums, so a shift
+        # by 5 puts every inner product above (or below) its slab
+        points = [(truth, len(family)), (truth + 5.0, 0), (truth - 5.0, 0),
+                  (np.zeros(32), None), (rng.normal(size=32), None)]
+        for x, expected_held in points:
+            steps, norms = family.evaluate(ks, x)
+            held = 0
+            for k in ks:
+                p = family.apply(k, x)
+                if p is x:
+                    held += 1
+                    assert np.all(steps[k] == 0.0) and norms[k] == 0.0
+                else:
+                    np.testing.assert_allclose(x + steps[k], p, rtol=1e-12,
+                                               atol=1e-12 * np.abs(p).max())
+                    assert norms[k] == pytest.approx(np.linalg.norm(p - x), rel=1e-12)
+            if expected_held is not None:
+                assert held == expected_held
+
+    def test_run_block_matches_member_replay(self):
+        prob = generate_signal_problem(n=48, p=3, eta=0.1, std_range=(2.0, 5.0), seed=6)
+        family = prob.build_family()
+        cfg = BlockConfig(batch_size=4, delta=0.1, relaxation=rx.TwoPoint(2.3, 0.5, 1.5),
+                          max_iters=60, seed=21, atol=0.0)
+        res = run_block(family, cfg, np.zeros(48))
+        idx_rng = substream(21, "index")
+        lam_rng = substream(21, "relaxation")
+        x = np.zeros(48)
+        for n in range(60):
+            ks = [sample_index(family, idx_rng) for _ in range(4)]
+            ps = [family.apply(k, x) for k in ks]
+            x, _ = reference_block_step(x, ps, np.full(4, 0.25), cfg.relaxation.sample(lam_rng))
+        np.testing.assert_allclose(res.final, x, rtol=1e-12, atol=1e-12 * np.abs(x).max())
 
     def test_invalid_ranges_rejected(self):
         with pytest.raises(UsageError):
@@ -188,6 +230,26 @@ class TestRunExperiment:
             t.append(i, 0.0, 1.0, db, 1.0, 1.0)
         assert iterations_to_db(t, -60.0) == 3
         assert iterations_to_db(t, -100.0) is None
+
+    def test_average_kept_when_one_repeat_lacks_a_reference(self, monkeypatch):
+        prob = generate_signal_problem(n=64, p=3, seed=10)
+        cfg = BlockConfig(batch_size=4, delta=0.1, relaxation=rx.Constant(1.0),
+                          max_iters=60, seed=10)
+        calls = []
+        estimate = experiments.estimate_reference_solution
+
+        def first_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise ReferenceSolutionError("no reference")
+            return estimate(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "estimate_reference_solution", first_fails)
+        result = run_experiment(prob, cfg, "const1", repeats=2)
+        assert result.references[0] is None and result.references[1] is not None
+        assert result.averaged is not None
+        assert result.averaged.db_mean is None
+        assert result.averaged.db_min is None and result.averaged.db_max is None
 
     def test_unknown_label_rejected(self):
         prob = generate_signal_problem(n=64, p=2, seed=0)

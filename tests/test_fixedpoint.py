@@ -192,6 +192,20 @@ class TestSgd:
         np.testing.assert_array_equal(f1, f2)
         assert [r.residual for r in t1.rows] == [r.residual for r in t2.rows]
 
+    def test_indices_equal_scalar_draw_replay(self):
+        rng = np.random.default_rng(3)
+        fam = quadratic_family(rng.uniform(-1, 1, size=3), rng.uniform(-0.3, 0.3, size=(7, 3)))
+        # 2500 steps cross two refills of the bulk index buffer
+        cfg = SgdConfig(beta=1.0, nu=0.75, max_iters=2500, seed=17, gradient_family=fam,
+                        spot_check_samples=100)
+        final, _ = run_sgd(cfg, np.zeros(3))
+        from stochfeas.rngstreams import substream
+        idx_rng = substream(17, "index")
+        x = np.zeros(3)
+        for n in range(2500):
+            x = x - cfg.step_size(n) * fam.gradient(fam.draw(idx_rng), x)
+        np.testing.assert_array_equal(final, x)
+
 
 class TestErrorSchedules:
     def test_zero_schedule(self):

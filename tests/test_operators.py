@@ -13,6 +13,7 @@ from stochfeas.operators import (
     project_fourier_support,
     project_hyperslab,
     sample_index,
+    sample_indices,
     subgradient_projector,
     symmetrize_fourier_mask,
     validate_fourier_mask,
@@ -242,6 +243,22 @@ class TestFourierSupport:
         assert closed[7, 6]
         validate_fourier_mask(closed)
 
+    def test_operator_validates_once_and_keeps_private_copies(self, rng):
+        truth, mask, target = self.make_case()
+        bad = target.copy()
+        bad[1, 1] += 1000.0j
+        with pytest.raises(UsageError):
+            fourier_support_projector(bad, mask)
+        op = fourier_support_projector(target, mask)
+        x = rng.uniform(0, 10, size=truth.shape)
+        before = op(x.ravel())
+        np.testing.assert_array_equal(before, project_fourier_support(target, mask, x).ravel())
+        target[:] = 0.0  # the caller's arrays no longer reach the operator
+        mask[:] = False
+        np.testing.assert_array_equal(op(x.ravel()), before)
+        with pytest.raises(UsageError):
+            op(np.full(x.size, np.nan))
+
     def test_flat_operator_round_trip(self, rng):
         truth, mask, target = self.make_case()
         op = fourier_support_projector(target, mask)
@@ -269,6 +286,20 @@ class TestIndexSampling:
         draws = np.array([sample_index(fam, rng) for _ in range(10 ** 5)])
         assert abs(np.mean(draws == 0) - 0.9) < 0.01 * 0.9
 
+    def test_bulk_draws_equal_scalar_draws(self):
+        fam = OperatorFamily([lambda x: x] * 7, weights=np.arange(1, 8) / 28.0)
+        scalar_rng, bulk_rng = np.random.default_rng(5), np.random.default_rng(5)
+        scalar = [sample_index(fam, scalar_rng) for _ in range(10 * 16)]
+        bulk = np.concatenate([sample_indices(fam, bulk_rng, 16) for _ in range(10)])
+        assert bulk.tolist() == scalar
+        assert scalar_rng.random() == bulk_rng.random()
+
+    def test_single_member_bulk_draws_consume_nothing(self):
+        fam = OperatorFamily([lambda x: x])
+        rng = np.random.default_rng(3)
+        assert sample_indices(fam, rng, 16).tolist() == [0] * 16
+        assert rng.random() == np.random.default_rng(3).random()
+
     def test_weight_validation(self):
         with pytest.raises(UsageError):
             OperatorFamily([])
@@ -278,3 +309,19 @@ class TestIndexSampling:
             OperatorFamily([lambda x: x] * 2, weights=[0.7, 0.7])
         with pytest.raises(UsageError):
             OperatorFamily([lambda x: x] * 2, weights=[1.2, -0.2])
+
+
+class TestEvaluate:
+    def test_generic_evaluate_equals_member_steps(self, rng):
+        normals = rng.normal(size=(5, 3))
+        fam = OperatorFamily([box_projector(-0.5, 0.5)]
+                             + [lambda x, a=a: x - 0.3 * a for a in normals])
+        x = rng.normal(size=3)
+        ks = [0, 3, 3, 1, 5]
+        steps, norms = fam.evaluate(ks, x)
+        expected = np.array([fam.apply(k, x) - x for k in ks])
+        np.testing.assert_array_equal(steps, expected)
+        np.testing.assert_array_equal(norms, [np.sqrt(d @ d) for d in expected])
+        inside = np.zeros(3)
+        steps, norms = fam.evaluate([0, 0], inside)
+        assert not np.any(steps) and not np.any(norms)
