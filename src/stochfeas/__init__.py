@@ -72,7 +72,6 @@ from .operators import (
     sample_index,
     sample_indices,
     subgradient_projector,
-    subgradient_projector_operator,
     symmetrize_fourier_mask,
 )
 from .relaxation import (

@@ -19,9 +19,8 @@ the true image with 95% confidence (generation records whether it actually
 does on this noise draw).
 
 Ground truths are deterministic seeded built-ins (a piecewise-polynomial
-signal, a synthetic grayscale image); loaders accept user-supplied ground
-truth instead (raw float32 little-endian vectors for signals, 8-bit binary
-PGM for images).  Convolution boundary handling is circular throughout.
+signal, a synthetic grayscale image).  Convolution boundary handling is
+circular throughout.
 """
 
 from __future__ import annotations
@@ -39,13 +38,12 @@ from .exceptions import ReferenceSolutionError, UsageError
 from .geometry import as_point
 from .operators import (
     FqneOperator,
-    InequalityConstraint,
     OperatorFamily,
+    _subgradient_step,
     box_projector,
     fourier_support_projector,
     project_box,
     project_fourier_support,
-    subgradient_projector_operator,
     symmetrize_fourier_mask,
 )
 from .rngstreams import substream
@@ -155,7 +153,9 @@ class _SlabMember(FqneOperator):
 
     The normal is row j of the circulant blur matrix, i.e. the shared base
     row rotated by j; inner products and the projection step use two slice
-    dots instead of materializing the rotated row.
+    dots instead of materializing the rotated row.  A family holds p*n
+    members, so each keeps only its five fields: the projection and the
+    fixed-set test are methods and the name is derived when read.
     """
 
     __slots__ = ("base", "norm_sq", "j", "lo", "hi")
@@ -166,7 +166,10 @@ class _SlabMember(FqneOperator):
         self.j = j
         self.lo = r - eta
         self.hi = r + eta
-        super().__init__(self._project, fix_test=self._fixed, name=f"slab[{j}]")
+
+    @property
+    def name(self):
+        return f"slab[{self.j}]"
 
     def _dot(self, x):
         j = self.j
@@ -175,7 +178,7 @@ class _SlabMember(FqneOperator):
         # row_j[m] = base[(m - j) % n]
         return float(base[: n - j] @ x[j:]) + float(base[n - j:] @ x[:j])
 
-    def _project(self, x):
+    def __call__(self, x):
         v = self._dot(x)
         if v > self.hi:
             c = (v - self.hi) / self.norm_sq
@@ -191,7 +194,7 @@ class _SlabMember(FqneOperator):
         out[:j] -= c * base[n - j:]
         return out
 
-    def _fixed(self, x):
+    def fix_test(self, x):
         return self.lo <= self._dot(x) <= self.hi
 
 
@@ -319,38 +322,44 @@ class ImageProblem:
 
     def __post_init__(self):
         self._kernel_fft = np.fft.fft2(self.kernel)
+        self._kernel_fft_conj = np.conj(self._kernel_fft)
         self._obs_fft = np.stack([np.fft.fft2(self.observations[k]) for k in range(4)])
 
     @property
     def dim(self) -> int:
         return self.n * self.n
 
-    def blur_flat(self, x: np.ndarray) -> np.ndarray:
-        spec = np.fft.fft2(x.reshape(self.n, self.n)) * self._kernel_fft
-        return np.real(np.fft.ifft2(spec)).ravel()
+    def _spectrum(self, x: np.ndarray) -> np.ndarray:
+        return np.fft.fft2(x.reshape(self.n, self.n))
 
-    def blur_adjoint_flat(self, y: np.ndarray) -> np.ndarray:
-        spec = np.fft.fft2(y.reshape(self.n, self.n)) * np.conj(self._kernel_fft)
-        return np.real(np.fft.ifft2(spec)).ravel()
+    def _ball_residual(self, k: int, spectrum: np.ndarray) -> np.ndarray:
+        """K X - Y_k, the spectrum of L x - r_k, from the spectrum X of x."""
+        return self._kernel_fft * spectrum - self._obs_fft[k]
 
-    def _residual_fft(self, k: int, x: np.ndarray) -> np.ndarray:
-        return self._kernel_fft * np.fft.fft2(x.reshape(self.n, self.n)) - self._obs_fft[k]
+    def _ball_value(self, res_hat: np.ndarray) -> float:
+        return float(np.vdot(res_hat, res_hat).real) / self.dim - self.xi
 
     def ball_value(self, k: int, x: np.ndarray) -> float:
         """f_k(x) = ||r_k - L x||^2 - xi on flattened points (via Parseval)."""
-        res_hat = self._residual_fft(k, x)
-        return float(np.vdot(res_hat, res_hat).real) / self.dim - self.xi
+        return self._ball_value(self._ball_residual(k, self._spectrum(x)))
 
-    def ball_constraint(self, k: int) -> InequalityConstraint:
-        def value(x):
-            return self.ball_value(k, x)
+    def _project_ball(self, k: int, x: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+        """Subgradient projection onto ball k at a validated ``x`` whose
+        ``fft2`` is ``spectrum`` (read only)."""
+        res_hat = self._ball_residual(k, spectrum)
+        # the subgradient 2 L^T (L x - r_k), fused in the frequency domain
+        return _subgradient_step(
+            x, self._ball_value(res_hat),
+            lambda: 2.0 * np.real(np.fft.ifft2(self._kernel_fft_conj * res_hat)).ravel(),
+            f"ball[{k}]")
 
-        def subgrad(x):
-            # 2 L^T (L x - r_k), fused in the frequency domain
-            res_hat = self._residual_fft(k, x)
-            return 2.0 * np.real(np.fft.ifft2(np.conj(self._kernel_fft) * res_hat)).ravel()
+    def _ball_projector(self, k: int) -> FqneOperator:
+        def apply(x):
+            x = as_point(x, "x")
+            return self._project_ball(k, x, self._spectrum(x))
 
-        return InequalityConstraint(value, subgrad, name=f"ball[{k}]")
+        return FqneOperator(apply, fix_test=lambda x: self.ball_value(k, as_point(x)) <= 0.0,
+                            name=f"G[ball[{k}]]")
 
     def build_family(self, fourier_weight: float = 1.0) -> OperatorFamily:
         """Four ball subgradient projectors, the pixel box, the Fourier mask.
@@ -361,15 +370,15 @@ class ImageProblem:
         sampling the spectrum constraint more often speeds up unit-relaxation
         runs on small instances, where it is the binding constraint.
         """
-        members = [subgradient_projector_operator(self.ball_constraint(k)) for k in range(4)]
+        members = [self._ball_projector(k) for k in range(4)]
         members.append(box_projector(0.0, PIXEL_MAX))
         members.append(fourier_support_projector(self.target_spectrum, self.mask))
         if fourier_weight == 1.0:
-            return OperatorFamily(members)
+            return _ImageFamily(self, members)
         if fourier_weight <= 0.0:
             raise UsageError("fourier_weight must be positive")
         weights = np.array([1.0] * 5 + [float(fourier_weight)])
-        return OperatorFamily(members, weights=weights / weights.sum())
+        return _ImageFamily(self, members, weights=weights / weights.sum())
 
     def finalize(self, x: np.ndarray) -> np.ndarray:
         """Terminal cleanup: project onto the Fourier set, then the box.
@@ -392,6 +401,53 @@ class ImageProblem:
                                           + np.maximum(-x, 0.0))),
             "fourier_relative_deviation": fourier_dev / max(1.0, target_norm),
         }
+
+
+_BOX, _FOURIER = 4, 5   # member indices after the four balls
+
+
+class _ImageFamily(OperatorFamily):
+    """The image problem's family, with one forward FFT per batch.
+
+    ``evaluate`` transforms x at most once, and only when a ball or the
+    Fourier member is drawn: each ball forms its residual spectrum from the
+    shared transform, and the Fourier member overwrites a copy of it on the
+    mask.  A member drawn twice is evaluated once and its row copied.  Each
+    row is the member's own ``(T_k x) - x``, bit for bit, because a member's
+    call runs the same spectral function on its own transform.
+    """
+
+    def __init__(self, problem: ImageProblem, members, weights=None):
+        super().__init__(members, weights)
+        self._problem = problem
+
+    def evaluate(self, ks, x):
+        x = as_point(x, "x")
+        ks = np.asarray(ks).tolist()
+        steps = np.empty((len(ks), x.shape[0]))
+        norms = np.empty(len(ks))
+        first = {}
+        spectrum = None
+        for i, k in enumerate(ks):
+            if k in first:
+                # rows must stay independent: the error-tolerant variant
+                # adds noise to each row in place
+                steps[i] = steps[first[k]]
+                norms[i] = norms[first[k]]
+                continue
+            first[k] = i
+            if k == _BOX:
+                p = self.members[k](x)
+            else:
+                if spectrum is None:
+                    spectrum = self._problem._spectrum(x)
+                if k == _FOURIER:
+                    p = self.members[k].project_spectrum(spectrum.copy())
+                else:
+                    p = self._problem._project_ball(k, x, spectrum)
+            d = np.subtract(p, x, out=steps[i])
+            norms[i] = math.sqrt(float(d @ d))
+        return steps, norms
 
 
 def confidence_radius(n: int) -> float:

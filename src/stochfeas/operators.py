@@ -31,6 +31,8 @@ class FqneOperator:
     """A firmly quasinonexpansive map with an optional fixed-set membership test.
 
     ``fix_test`` is used only by tests and audits, never by solvers.
+    Subclasses may define ``__call__``, ``fix_test`` and ``name`` on the
+    class instead of passing them per instance.
     """
 
     __slots__ = ("_apply", "fix_test", "name")
@@ -70,25 +72,24 @@ def subgradient_projector(constraint: InequalityConstraint, x) -> np.ndarray:
     respect to that set follows.
     """
     x = as_point(x, "x")
-    fx = float(constraint.value(x))
+    return _subgradient_step(x, float(constraint.value(x)),
+                             lambda: constraint.subgradient(x), constraint.name)
+
+
+def _subgradient_step(x: np.ndarray, fx: float, subgradient: Callable[[], np.ndarray],
+                      name: str = "") -> np.ndarray:
+    """The subgradient projector at a validated ``x`` whose value f(x) = ``fx``
+    is known; ``subgradient()`` gives s(x) and is called only when fx > 0."""
     if fx <= 0.0:
         return x
-    s = as_point(constraint.subgradient(x), "subgradient")
+    s = as_point(subgradient(), "subgradient")
     require_same_dim(s, x, "subgradient_projector")
     norm_sq = float(s @ s)
     if norm_sq == 0.0:
         raise DegenerateConstraintError(
-            f"constraint {constraint.name or '?'}: f(x) = {fx} > 0 but s(x) = 0"
+            f"constraint {name or '?'}: f(x) = {fx} > 0 but s(x) = 0"
         )
     return x - (fx / norm_sq) * s
-
-
-def subgradient_projector_operator(constraint: InequalityConstraint) -> FqneOperator:
-    return FqneOperator(
-        lambda x: subgradient_projector(constraint, x),
-        fix_test=lambda x: float(constraint.value(as_point(x))) <= 0.0,
-        name=f"G[{constraint.name}]" if constraint.name else "G[f]",
-    )
 
 
 def project_box(lo, hi, x) -> np.ndarray:
@@ -102,9 +103,20 @@ def project_box(lo, hi, x) -> np.ndarray:
 
 
 def box_projector(lo, hi) -> FqneOperator:
+    """Box projector on 1-D points; the bounds are checked once, here."""
+    lo = np.asarray(lo, dtype=np.float64)
+    hi = np.asarray(hi, dtype=np.float64)
+    if lo.ndim > 1 or hi.ndim > 1:
+        raise UsageError("box bounds must be scalars or 1-D arrays")
+    if np.any(lo > hi):
+        raise UsageError("box bounds require lo <= hi componentwise")
+
+    def apply(x):
+        return np.minimum(np.maximum(as_point(x, "x"), lo), hi)
+
     return FqneOperator(
-        lambda x: project_box(lo, hi, x),
-        fix_test=lambda x: bool(np.all(x >= np.asarray(lo)) and np.all(x <= np.asarray(hi))),
+        apply,
+        fix_test=lambda x: bool(np.all(x >= lo) and np.all(x <= hi)),
         name="proj_box",
     )
 
@@ -197,7 +209,15 @@ def _project_fourier_core(values, mask, x) -> np.ndarray:
         raise UsageError(f"grid shape {x.shape} does not match mask shape {mask.shape}")
     if not np.all(np.isfinite(x)):
         raise UsageError("grid contains non-finite entries")
-    spectrum = np.fft.fft2(x)
+    return _fourier_from_spectrum(values, mask, np.fft.fft2(x))
+
+
+def _fourier_from_spectrum(values, mask, spectrum) -> np.ndarray:
+    """Overwrite ``spectrum`` with ``values`` on ``mask`` and return the real inverse.
+
+    The imaginary residue of the inverse transform is verified against 1e-9
+    (relative to the grid scale) before being discarded.
+    """
     spectrum[mask] = values
     out = np.fft.ifft2(spectrum)
     residue = float(np.max(np.abs(out.imag)))
@@ -219,26 +239,43 @@ def project_fourier_support(target_spectrum, mask, x) -> np.ndarray:
     return _project_fourier_core(target[mask], mask, x)
 
 
-def fourier_support_projector(target_spectrum, mask, grid_shape=None) -> FqneOperator:
+class _FourierSupportProjector(FqneOperator):
     """Fourier-support projector acting on row-major flattened grids.
 
-    The mask and target are validated once here and kept as read-only
-    private copies; each application checks only the grid it is given.
+    The mask and target are validated once, at construction, and kept as
+    read-only private copies; each application checks only the grid it is
+    given.  ``project_spectrum`` starts from the grid's spectrum instead, for
+    callers that share one forward transform among several operators.
     """
-    mask = validate_fourier_mask(mask).copy()
-    values = _validate_fourier_target(target_spectrum, mask)[mask]
-    mask.flags.writeable = False
-    values.flags.writeable = False
-    shape = mask.shape if grid_shape is None else grid_shape
 
-    def apply(x):
-        return _project_fourier_core(values, mask, np.reshape(x, shape)).ravel()
+    __slots__ = ("_mask", "_values", "_shape")
 
-    def fix(x):
-        spec = np.fft.fft2(np.reshape(x, shape))
-        return bool(np.allclose(spec[mask], values, rtol=1e-9, atol=1e-9))
+    def __init__(self, target_spectrum, mask, grid_shape=None):
+        mask = validate_fourier_mask(mask).copy()
+        values = _validate_fourier_target(target_spectrum, mask)[mask]
+        mask.flags.writeable = False
+        values.flags.writeable = False
+        self._mask = mask
+        self._values = values
+        self._shape = mask.shape if grid_shape is None else grid_shape
+        self.name = "proj_fourier"
 
-    return FqneOperator(apply, fix_test=fix, name="proj_fourier")
+    def __call__(self, x):
+        return _project_fourier_core(self._values, self._mask, np.reshape(x, self._shape)).ravel()
+
+    def project_spectrum(self, spectrum) -> np.ndarray:
+        """The flattened projection of the grid whose ``fft2`` is ``spectrum``
+        (overwritten); the grid itself is not checked."""
+        return _fourier_from_spectrum(self._values, self._mask, spectrum).ravel()
+
+    def fix_test(self, x):
+        spec = np.fft.fft2(np.reshape(x, self._shape))
+        return bool(np.allclose(spec[self._mask], self._values, rtol=1e-9, atol=1e-9))
+
+
+def fourier_support_projector(target_spectrum, mask, grid_shape=None) -> FqneOperator:
+    """Fourier-support projector acting on row-major flattened grids."""
+    return _FourierSupportProjector(target_spectrum, mask, grid_shape)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +292,9 @@ class OperatorFamily:
     it returns the steps T_k x - x of the members ``ks`` at one point x, one
     row each, and their Euclidean norms.  A member that fixes x must give an
     exact zero row.  The generic version applies the members one by one;
-    families with structure (see ``experiments.SignalProblem``) override it.
+    families with structure override it: the signal problem's hyperslabs
+    (``experiments._SlabFamily``) and the image problem's spectral members
+    (``experiments._ImageFamily``, one shared ``fft2`` per call).
     """
 
     def __init__(self, members: Sequence, weights=None):

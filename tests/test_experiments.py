@@ -1,10 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
 from stochfeas import relaxation as rx
 from stochfeas import experiments
 from stochfeas.block import BlockConfig, run_block
-from stochfeas.exceptions import ReferenceSolutionError, UsageError
+from stochfeas.exceptions import (
+    DegenerateConstraintError,
+    NumericError,
+    ReferenceSolutionError,
+    UsageError,
+)
 from stochfeas.experiments import (
     canonical_strategies,
     circ_conv,
@@ -16,6 +23,7 @@ from stochfeas.experiments import (
     iterations_to_db,
     run_experiment,
 )
+from stochfeas.fixedpoint import DecayingNoise
 from stochfeas.operators import sample_index
 from stochfeas.rngstreams import substream
 
@@ -73,6 +81,8 @@ class TestSignalProblem:
         # member (k, j) projects onto the slab with normal = row j of L_k
         k, j = 1, 17
         member = family.member(k * prob.n + j)
+        assert member.name == f"slab[{j}]"
+        assert member.fix_test(prob.ground_truth) and not member.fix_test(prob.ground_truth + 5.0)
         out = member(x)
         a, lo, hi = prob.slab_bounds(k, j)
         assert lo - 1e-12 <= float(a @ out) <= hi + 1e-12
@@ -200,6 +210,106 @@ class TestImageProblem:
     def test_divisibility_validation(self):
         with pytest.raises(UsageError):
             generate_image_problem(n=60, seed=0)
+
+
+class TestImageFamilyEvaluate:
+    """The batched ``evaluate`` of the image family against its own members."""
+
+    @staticmethod
+    def family():
+        prob = generate_image_problem(n=32, seed=1, blur_std=1.0)
+        assert all(prob.ball_contains_truth)
+        return prob, prob.build_family(fourier_weight=2.0)
+
+    def test_equals_member_replay(self, rng):
+        prob, fam = self.family()
+        truth = prob.ground_truth.ravel()
+        points = [truth, truth + rng.uniform(-0.5, 0.5, size=prob.dim),
+                  np.zeros(prob.dim), rng.uniform(-20.0, 280.0, size=prob.dim)]
+        inside = {prob.ball_value(k, x) <= 0.0 for x in points for k in range(4)}
+        assert inside == {True, False}
+        # the Fourier member first, so a ball drawn after it must still see
+        # the untouched spectrum
+        batches = [list(range(6)), [5, 0, 5, 1], [4, 3], [2]]
+        for x in points:
+            for ks in batches:
+                steps, norms = fam.evaluate(ks, x)
+                for i, k in enumerate(ks):
+                    d = fam.member(k)(x) - x
+                    assert np.array_equal(steps[i], d)
+                    assert norms[i] == math.sqrt(float(d @ d))
+
+    def test_repeated_index_gives_equal_independent_rows(self, rng):
+        prob, fam = self.family()
+        x = rng.uniform(-20.0, 280.0, size=prob.dim)
+        for k in range(6):
+            steps, norms = fam.evaluate([k, k], x)
+            assert np.any(steps[0])
+            assert np.array_equal(steps[0], steps[1]) and norms[0] == norms[1]
+            steps[0] += 1.0
+            assert np.array_equal(steps[1], fam.member(k)(x) - x)
+
+    def test_all_fixed_batch_gives_exact_zero_rows(self):
+        prob, fam = self.family()
+        steps, norms = fam.evaluate([0, 1, 2, 3, 4, 4, 0], prob.ground_truth.ravel())
+        assert not np.any(steps) and not np.any(norms)
+
+    def test_one_forward_transform_per_evaluate(self, monkeypatch, rng):
+        prob, fam = self.family()
+        x = rng.uniform(-20.0, 280.0, size=prob.dim)
+        calls = []
+        fft2 = np.fft.fft2
+
+        def counting(a, *args, **kwargs):
+            calls.append(1)
+            return fft2(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft2", counting)
+        for ks, expected in (([0, 1, 2, 3, 4, 5], 1), ([5, 5], 1), ([0, 5], 1),
+                             ([3, 3], 1), ([4, 4], 0)):
+            calls.clear()
+            fam.evaluate(ks, x)
+            assert len(calls) == expected
+
+    def test_checks_survive_batching(self, monkeypatch):
+        prob, fam = self.family()
+        bad = np.zeros(prob.dim)
+        bad[7] = np.nan
+        for k in range(6):
+            with pytest.raises(UsageError):
+                fam.evaluate([k], bad)
+        ifft2 = np.fft.ifft2
+        with monkeypatch.context() as m:
+            m.setattr(np.fft, "ifft2", lambda a, *args, **kwargs: ifft2(a, *args, **kwargs) + 1.0j)
+            with pytest.raises(NumericError):
+                fam.evaluate([0, 5], np.zeros(prob.dim))
+        # a violated ball whose subgradient vanishes
+        monkeypatch.setattr(prob, "_kernel_fft_conj", np.zeros_like(prob._kernel_fft_conj))
+        with pytest.raises(DegenerateConstraintError):
+            fam.evaluate([4, 0], np.zeros(prob.dim))
+        with pytest.raises(DegenerateConstraintError):
+            fam.member(0)(np.zeros(prob.dim))
+
+    def test_error_tolerant_run_matches_member_replay(self):
+        prob, fam = self.family()
+        schedule = DecayingNoise(c=100.0, q=1.5)
+        cfg = BlockConfig(batch_size=3, delta=0.1, relaxation=rx.UniformInterval(0.5, 1.5),
+                          max_iters=30, seed=17, atol=0.0, error_schedule=schedule)
+        res = run_block(fam, cfg, np.zeros(prob.dim))
+        idx_rng = substream(17, "index")
+        noise_rng = substream(17, "noise")
+        lam_rng = substream(17, "relaxation")
+        x = np.zeros(prob.dim)
+        residuals = []
+        for n in range(30):
+            ks = [sample_index(fam, idx_rng) for _ in range(3)]
+            steps = np.array([fam.member(k)(x) - x + schedule.sample(n, prob.dim, noise_rng)
+                              for k in ks])
+            residuals.append(max(math.sqrt(float(d @ d)) for d in steps))
+            a = x + np.full(3, 1.0 / 3.0) @ steps
+            x = x + cfg.relaxation.sample(lam_rng) * (a - x)
+        assert np.array_equal(res.final, x)
+        assert np.array_equal(res.trace.residuals(), residuals)
 
 
 class TestRunExperiment:

@@ -103,6 +103,12 @@ class TestBoxProjector:
     def test_bad_bounds(self):
         with pytest.raises(UsageError):
             project_box([0.0, 2.0], [1.0, 1.0], [0.5, 0.5])
+        # the operator checks its bounds once, when built, and x on every call
+        with pytest.raises(UsageError):
+            box_projector([0.0, 2.0], [1.0, 1.0])
+        op = box_projector(0.0, 1.0)
+        with pytest.raises(UsageError):
+            op(np.array([0.5, np.inf]))
 
 
 class TestHyperslabProjector:
