@@ -59,11 +59,8 @@ from .fixedpoint import (
 )
 from .geometry import fejer_decrement
 from .operators import (
-    FqneOperator,
     InequalityConstraint,
     OperatorFamily,
-    box_projector,
-    fourier_support_projector,
     halfspace_projector,
     hyperslab_projector,
     project_box,

@@ -5,7 +5,7 @@ One iteration over a family (T_k) of firmly quasinonexpansive operators:
 1. draw M indices k_1..k_M i.i.d. from the family's index distribution;
 2. evaluate the steps p_i - x = T_{k_i} x - x (plus an error term e_i in
    the error-tolerant variant) and the residual norms r_i = ||p_i - x||,
-   all M at once through ``OperatorFamily.evaluate``;
+   all M at once through the family's ``evaluate``;
 3. form weights beta_i summing to 1 with beta_i >= delta on every index
    attaining the maximal residual;
 4. average p = sum_i beta_i p_i and extrapolate,
@@ -35,7 +35,7 @@ from .diagnostics import audit_fejer_step
 from .exceptions import ConfigurationError, InvariantViolationError, UsageError
 from .fixedpoint import _check_schedule_certificate, _iterate
 from .geometry import as_point
-from .operators import OperatorFamily, sample_indices
+from .operators import _IndexedFamily, sample_indices
 from .rngstreams import substream
 from .trace import ConvergenceTrace
 
@@ -192,7 +192,7 @@ class BlockResult:
 
 
 def run_block(
-    family: OperatorFamily,
+    family: _IndexedFamily,
     cfg: BlockConfig,
     x0,
     reference_solution=None,

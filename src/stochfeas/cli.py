@@ -65,8 +65,8 @@ _CONFIG_KEYS = {
 _DEFAULT_M = {"toy": 2, "km": 1, "sgd": 1, "signal": 16, "image": 2}
 _DEFAULT_ITERS = {"toy": 200, "km": 2000, "sgd": 100_000, "signal": 4000, "image": 20_000}
 _SCALES = {
-    "signal": {"desk": dict(n=256, p=10), "paper": dict(n=1024, p=20)},
-    "image": {"desk": dict(n=64), "paper": dict(n=256)},
+    "signal": {"paper": dict(n=1024, p=20)},
+    "image": {"paper": dict(n=256)},
 }
 
 
@@ -216,11 +216,6 @@ def _validate(cfg: RunConfig) -> None:
             else {"const1": rx.Constant(1.0)}
     else:
         strategy = _parse_relaxation(cfg.relaxation)
-        report = rx.validate_for_algorithm(
-            strategy, rx.ALGORITHM_BLOCK_ITERATIVE, require_positive_damping=True
-        )
-        if not report.accepted:
-            raise ConfigurationError(f"relaxation rejected for block iteration: {report.reason}")
         cfg.strategies = {rx.strategy_label(strategy): strategy}
     # constructing a BlockConfig validates M, delta, and the relaxation jointly
     BlockConfig(batch_size=cfg.M, delta=cfg.delta,
@@ -249,8 +244,8 @@ def _toy_problem():
     """Two half-spaces x1 <= 0 and x2 <= 0 in R^2; the solution set is the
     nonpositive quadrant and the limit from (1, 1) is the origin."""
     family = OperatorFamily([
-        halfspace_projector(np.array([1.0, 0.0]), 0.0, name="x1<=0"),
-        halfspace_projector(np.array([0.0, 1.0]), 0.0, name="x2<=0"),
+        halfspace_projector(np.array([1.0, 0.0]), 0.0),
+        halfspace_projector(np.array([0.0, 1.0]), 0.0),
     ])
     zs = [np.zeros(2), np.array([-0.5, 0.0]), np.array([0.0, -0.5]),
           np.array([-1.0, -1.0]), np.array([-0.25, -0.75])]

@@ -16,6 +16,7 @@ from .geometry import as_point, fejer_decrement, require_same_dim
 from .trace import ConvergenceTrace
 
 DB_FLOOR = -300.0
+_FEJER_RTOL = 1e-9   # relative tolerance of the Fejer descent audit
 
 
 def ratio_db(num: float, den: float) -> float:
@@ -134,14 +135,14 @@ def aggregate_runs(traces: Sequence[ConvergenceTrace]) -> AveragedTrace:
     return AveragedTrace(grid, elapsed, residual, db_mean, lam, extrap, db_min, db_max)
 
 
-def audit_fejer_step(x, x_next, lam: float, d, zs, rel_tol: float = 1e-9) -> tuple[int, float]:
+def audit_fejer_step(x, x_next, lam: float, d, zs) -> tuple[int, float]:
     """Audit one step ``x_next = x - lam d`` against every point z in ``zs``.
 
     The decrement
 
         ||x - z||^2 - ||x_next - z||^2 - lam (2 - lam) ||d||^2
 
-    must be >= -rel_tol (1 + ||x - z||^2).  Returns (violation count, worst
+    must be >= -1e-9 (1 + ||x - z||^2).  Returns (violation count, worst
     deficit beyond tolerance).  Points must already be validated float64
     arrays of one shape.
     """
@@ -149,14 +150,14 @@ def audit_fejer_step(x, x_next, lam: float, d, zs, rel_tol: float = 1e-9) -> tup
     worst = 0.0
     for z in zs:
         dec = fejer_decrement(x, x_next, z, lam, d)
-        tol = rel_tol * (1.0 + float((x - z) @ (x - z)))
+        tol = _FEJER_RTOL * (1.0 + float((x - z) @ (x - z)))
         if dec < -tol:
             violations += 1
             worst = max(worst, -dec - tol)
     return violations, worst
 
 
-def fejer_audit(x0, records, z_points, rel_tol: float = 1e-9) -> tuple[int, float]:
+def fejer_audit(x0, records, z_points) -> tuple[int, float]:
     """Replay block-iteration records and audit the descent inequality.
 
     For each record the update is reconstructed as
@@ -174,7 +175,7 @@ def fejer_audit(x0, records, z_points, rel_tol: float = 1e-9) -> tuple[int, floa
         a = np.asarray(rec.a, dtype=np.float64)
         require_same_dim(a, x, "fejer_audit")
         x_next = x + rec.lam * (a - x)
-        count, deficit = audit_fejer_step(x, x_next, rec.lam, x - a, zs, rel_tol)
+        count, deficit = audit_fejer_step(x, x_next, rec.lam, x - a, zs)
         violations += count
         worst = max(worst, deficit)
         x = x_next

@@ -37,16 +37,16 @@ from .diagnostics import AveragedTrace, aggregate_runs, estimate_reference_solut
 from .exceptions import ReferenceSolutionError, UsageError
 from .geometry import as_point
 from .operators import (
-    FqneOperator,
-    OperatorFamily,
+    _IndexedFamily,
+    _fourier_from_spectrum,
     _subgradient_step,
-    box_projector,
-    fourier_support_projector,
+    _validate_fourier_target,
     project_box,
     project_fourier_support,
     symmetrize_fourier_mask,
+    validate_fourier_mask,
 )
-from .rngstreams import substream
+from .rngstreams import derive_seed, substream
 from .trace import ConvergenceTrace
 
 UNIFORM_NOISE_HIGH = 5.0
@@ -122,21 +122,15 @@ class SignalProblem:
         r = float(self.observations[k, j])
         return a, r - self.eta, r + self.eta
 
-    def build_family(self) -> OperatorFamily:
+    def build_family(self) -> _IndexedFamily:
         """All n*p hyperslab projectors, uniform index distribution.
 
-        Member k*n + j is the slab of filter k at coordinate j.  Projectors
-        share the per-filter base row (rolled per coordinate) and the
-        per-filter squared norm, so the family stays lightweight.
+        Member k*n + j is the slab of filter k at coordinate j.  The family
+        keeps only the p base rows (rolled per coordinate when evaluated)
+        and the per-member bounds and squared norms.
         """
         bases = np.stack([np.roll(self.kernels[k][::-1], 1) for k in range(self.p)])
-        members = []
-        for k, base in enumerate(bases):
-            norm_sq = float(base @ base)
-            for j in range(self.n):
-                members.append(_SlabMember(base, norm_sq, j,
-                                           float(self.observations[k, j]), self.eta))
-        return _SlabFamily(members, bases, self.observations, self.eta)
+        return _SlabFamily(bases, self.observations, self.eta)
 
     def max_violation(self, x) -> float:
         """max_{k,j} of dist((L_k x - r_k)_j, [-eta, eta]); <= 0 means feasible."""
@@ -148,57 +142,7 @@ class SignalProblem:
         return worst
 
 
-class _SlabMember(FqneOperator):
-    """Hyperslab projector for one (filter, coordinate) pair.
-
-    The normal is row j of the circulant blur matrix, i.e. the shared base
-    row rotated by j; inner products and the projection step use two slice
-    dots instead of materializing the rotated row.  A family holds p*n
-    members, so each keeps only its five fields: the projection and the
-    fixed-set test are methods and the name is derived when read.
-    """
-
-    __slots__ = ("base", "norm_sq", "j", "lo", "hi")
-
-    def __init__(self, base, norm_sq, j, r, eta):
-        self.base = base
-        self.norm_sq = norm_sq
-        self.j = j
-        self.lo = r - eta
-        self.hi = r + eta
-
-    @property
-    def name(self):
-        return f"slab[{self.j}]"
-
-    def _dot(self, x):
-        j = self.j
-        base = self.base
-        n = base.shape[0]
-        # row_j[m] = base[(m - j) % n]
-        return float(base[: n - j] @ x[j:]) + float(base[n - j:] @ x[:j])
-
-    def __call__(self, x):
-        v = self._dot(x)
-        if v > self.hi:
-            c = (v - self.hi) / self.norm_sq
-        elif v < self.lo:
-            c = (v - self.lo) / self.norm_sq
-        else:
-            return x
-        j = self.j
-        base = self.base
-        n = base.shape[0]
-        out = x.copy()
-        out[j:] -= c * base[: n - j]
-        out[:j] -= c * base[n - j:]
-        return out
-
-    def fix_test(self, x):
-        return self.lo <= self._dot(x) <= self.hi
-
-
-class _SlabFamily(OperatorFamily):
+class _SlabFamily(_IndexedFamily):
     """The hyperslab family of a signal problem, with batched evaluation.
 
     The normal of member k*n + j, row j of filter k's circulant matrix, is
@@ -208,14 +152,14 @@ class _SlabFamily(OperatorFamily):
     matrix-vector product.
     """
 
-    def __init__(self, members, bases, observations, eta):
-        super().__init__(members)
+    def __init__(self, bases, observations, eta):
         p, n = bases.shape
+        super().__init__(p * n)
         doubled = np.concatenate([bases, bases], axis=1).ravel()
         self._windows = np.lib.stride_tricks.sliding_window_view(doubled, n)
         k, j = np.divmod(np.arange(p * n), n)
         self._offsets = 2 * n * k + n - j
-        self._norm_sq = np.array([m.norm_sq for m in members])
+        self._norm_sq = np.repeat([float(b @ b) for b in bases], n)
         self._norm = np.sqrt(self._norm_sq)
         self._lo = (observations - eta).ravel()
         self._hi = (observations + eta).ravel()
@@ -230,16 +174,20 @@ class _SlabFamily(OperatorFamily):
         return s[:, None] * rows, np.abs(s) * self._norm[ks]
 
 
-def piecewise_polynomial_signal(n: int, rng: np.random.Generator,
-                                segments: int = 6, max_degree: int = 3) -> np.ndarray:
-    """Seeded piecewise-polynomial test signal scaled to [-1, 1]."""
-    cuts = np.sort(rng.choice(np.arange(1, n), size=segments - 1, replace=False))
+_SIGNAL_SEGMENTS = 6
+_SIGNAL_MAX_DEGREE = 3
+
+
+def piecewise_polynomial_signal(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Seeded piecewise-polynomial test signal scaled to [-1, 1]: six pieces
+    of degree at most 3."""
+    cuts = np.sort(rng.choice(np.arange(1, n), size=_SIGNAL_SEGMENTS - 1, replace=False))
     bounds = np.concatenate(([0], cuts, [n]))
     x = np.empty(n)
-    for s in range(segments):
+    for s in range(_SIGNAL_SEGMENTS):
         lo, hi = int(bounds[s]), int(bounds[s + 1])
         t = np.linspace(-1.0, 1.0, hi - lo)
-        deg = int(rng.integers(0, max_degree + 1))
+        deg = int(rng.integers(0, _SIGNAL_MAX_DEGREE + 1))
         coeffs = rng.uniform(-1.0, 1.0, size=deg + 1)
         x[lo:hi] = np.polyval(coeffs, t)
     peak = float(np.max(np.abs(x)))
@@ -353,15 +301,7 @@ class ImageProblem:
             lambda: 2.0 * np.real(np.fft.ifft2(self._kernel_fft_conj * res_hat)).ravel(),
             f"ball[{k}]")
 
-    def _ball_projector(self, k: int) -> FqneOperator:
-        def apply(x):
-            x = as_point(x, "x")
-            return self._project_ball(k, x, self._spectrum(x))
-
-        return FqneOperator(apply, fix_test=lambda x: self.ball_value(k, as_point(x)) <= 0.0,
-                            name=f"G[ball[{k}]]")
-
-    def build_family(self, fourier_weight: float = 1.0) -> OperatorFamily:
+    def build_family(self, fourier_weight: float = 1.0) -> _IndexedFamily:
         """Four ball subgradient projectors, the pixel box, the Fourier mask.
 
         ``fourier_weight`` sets the relative sampling weight of the
@@ -370,15 +310,12 @@ class ImageProblem:
         sampling the spectrum constraint more often speeds up unit-relaxation
         runs on small instances, where it is the binding constraint.
         """
-        members = [self._ball_projector(k) for k in range(4)]
-        members.append(box_projector(0.0, PIXEL_MAX))
-        members.append(fourier_support_projector(self.target_spectrum, self.mask))
         if fourier_weight == 1.0:
-            return _ImageFamily(self, members)
+            return _ImageFamily(self)
         if fourier_weight <= 0.0:
             raise UsageError("fourier_weight must be positive")
         weights = np.array([1.0] * 5 + [float(fourier_weight)])
-        return _ImageFamily(self, members, weights=weights / weights.sum())
+        return _ImageFamily(self, weights=weights / weights.sum())
 
     def finalize(self, x: np.ndarray) -> np.ndarray:
         """Terminal cleanup: project onto the Fourier set, then the box.
@@ -392,11 +329,11 @@ class ImageProblem:
 
     def feasibility_report(self, x: np.ndarray) -> dict:
         x = as_point(x, "x")
-        spec = np.fft.fft2(x.reshape(self.n, self.n))
+        spec = self._spectrum(x)
         target_norm = float(np.linalg.norm(self.target_spectrum[self.mask]))
         fourier_dev = float(np.linalg.norm(spec[self.mask] - self.target_spectrum[self.mask]))
         return {
-            "ball_values": [self.ball_value(k, x) for k in range(4)],
+            "ball_values": [self._ball_value(self._ball_residual(k, spec)) for k in range(4)],
             "box_violation": float(np.max(np.maximum(x - PIXEL_MAX, 0.0)
                                           + np.maximum(-x, 0.0))),
             "fourier_relative_deviation": fourier_dev / max(1.0, target_norm),
@@ -406,20 +343,28 @@ class ImageProblem:
 _BOX, _FOURIER = 4, 5   # member indices after the four balls
 
 
-class _ImageFamily(OperatorFamily):
-    """The image problem's family, with one forward FFT per batch.
+class _ImageFamily(_IndexedFamily):
+    """The image problem's six members, with one forward FFT per batch.
 
-    ``evaluate`` transforms x at most once, and only when a ball or the
-    Fourier member is drawn: each ball forms its residual spectrum from the
-    shared transform, and the Fourier member overwrites a copy of it on the
-    mask.  A member drawn twice is evaluated once and its row copied.  Each
-    row is the member's own ``(T_k x) - x``, bit for bit, because a member's
-    call runs the same spectral function on its own transform.
+    Members 0-3 are the ball subgradient projectors, 4 the pixel box and 5
+    the Fourier-support projector.  The Fourier mask and target are
+    validated once, here, and kept as read-only private copies.
+    ``evaluate`` checks x once and transforms it at most once, and only
+    when a ball or the Fourier member is drawn: each ball forms its residual
+    spectrum from the shared transform, and the Fourier member overwrites a
+    copy of it on the mask.  A member drawn twice is evaluated once and its
+    row copied.
     """
 
-    def __init__(self, problem: ImageProblem, members, weights=None):
-        super().__init__(members, weights)
+    def __init__(self, problem: ImageProblem, weights=None):
+        super().__init__(6, weights)
+        mask = validate_fourier_mask(problem.mask).copy()
+        values = _validate_fourier_target(problem.target_spectrum, mask)[mask]
+        mask.flags.writeable = False
+        values.flags.writeable = False
         self._problem = problem
+        self._mask = mask
+        self._values = values
 
     def evaluate(self, ks, x):
         x = as_point(x, "x")
@@ -437,12 +382,12 @@ class _ImageFamily(OperatorFamily):
                 continue
             first[k] = i
             if k == _BOX:
-                p = self.members[k](x)
+                p = np.minimum(np.maximum(x, 0.0), PIXEL_MAX)
             else:
                 if spectrum is None:
                     spectrum = self._problem._spectrum(x)
                 if k == _FOURIER:
-                    p = self.members[k].project_spectrum(spectrum.copy())
+                    p = _fourier_from_spectrum(self._values, self._mask, spectrum.copy()).ravel()
                 else:
                     p = self._problem._project_ball(k, x, spectrum)
             d = np.subtract(p, x, out=steps[i])
@@ -508,7 +453,7 @@ class ExperimentResult:
 def run_experiment(problem, block_cfg: BlockConfig, relaxation_label: str,
                    repeats: int = 1, compute_reference: bool = True,
                    strategy: Optional[rx.RelaxationStrategy] = None,
-                   family: Optional[OperatorFamily] = None) -> ExperimentResult:
+                   family: Optional[_IndexedFamily] = None) -> ExperimentResult:
     """Run one relaxation strategy over ``repeats`` seeds from x0 = 0.
 
     ``relaxation_label`` selects one of the canonical strategies unless an
@@ -535,7 +480,7 @@ def run_experiment(problem, block_cfg: BlockConfig, relaxation_label: str,
 
     seeds, traces, finals, refs, results = [], [], [], [], []
     for rep in range(repeats):
-        run_seed = _experiment_seed(block_cfg.seed, relaxation_label, rep)
+        run_seed = derive_seed(block_cfg.seed, relaxation_label, rep)
         cfg = replace(block_cfg, relaxation=strategy, seed=run_seed)
         reference = None
         if compute_reference:
@@ -558,12 +503,6 @@ def run_experiment(problem, block_cfg: BlockConfig, relaxation_label: str,
 
     averaged = aggregate_runs(traces) if traces else None
     return ExperimentResult(relaxation_label, seeds, traces, finals, refs, averaged, results)
-
-
-def _experiment_seed(base_seed: int, label: str, repeat: int) -> int:
-    from .rngstreams import derive_seed
-
-    return derive_seed(base_seed, label, repeat)
 
 
 def iterations_to_db(trace: ConvergenceTrace, threshold_db: float) -> Optional[int]:

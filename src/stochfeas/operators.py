@@ -9,7 +9,11 @@ quasinonexpansiveness inequality
 
     ||T x - z||^2 + ||T x - x||^2 <= ||x - z||^2   for all z in Fix T.
 
-Operators are immutable after construction and safe to apply concurrently;
+A family applies its operators through ``evaluate``, which returns the
+steps T_k x - x of the drawn members at one point.  ``OperatorFamily``
+holds plain callables; the signal and image experiments define families
+whose ``evaluate`` works on the problem's arrays directly.  Families are
+immutable after construction and safe to evaluate concurrently;
 index-sampling generators are single-owner.  The demiclosedness of Id - T
 at 0, assumed by the convergence theory, is an analytic property of the
 supplied maps and is not checked at runtime.
@@ -19,36 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .exceptions import DegenerateConstraintError, NumericError, UsageError
 from .geometry import as_point, require_same_dim
-
-
-class FqneOperator:
-    """A firmly quasinonexpansive map with an optional fixed-set membership test.
-
-    ``fix_test`` is used only by tests and audits, never by solvers.
-    Subclasses may define ``__call__``, ``fix_test`` and ``name`` on the
-    class instead of passing them per instance.
-    """
-
-    __slots__ = ("_apply", "fix_test", "name")
-
-    def __init__(self, apply: Callable[[np.ndarray], np.ndarray],
-                 fix_test: Optional[Callable[[np.ndarray], bool]] = None,
-                 name: str = ""):
-        self._apply = apply
-        self.fix_test = fix_test
-        self.name = name
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self._apply(x)
-
-    def __repr__(self):
-        return f"FqneOperator({self.name or self._apply!r})"
 
 
 @dataclass(frozen=True)
@@ -102,25 +82,6 @@ def project_box(lo, hi, x) -> np.ndarray:
     return np.minimum(np.maximum(x, lo), hi)
 
 
-def box_projector(lo, hi) -> FqneOperator:
-    """Box projector on 1-D points; the bounds are checked once, here."""
-    lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
-    if lo.ndim > 1 or hi.ndim > 1:
-        raise UsageError("box bounds must be scalars or 1-D arrays")
-    if np.any(lo > hi):
-        raise UsageError("box bounds require lo <= hi componentwise")
-
-    def apply(x):
-        return np.minimum(np.maximum(as_point(x, "x"), lo), hi)
-
-    return FqneOperator(
-        apply,
-        fix_test=lambda x: bool(np.all(x >= lo) and np.all(x <= hi)),
-        name="proj_box",
-    )
-
-
 def project_hyperslab(a, lo: float, hi: float, x) -> np.ndarray:
     """Project ``x`` onto the hyperslab {z : lo <= <a, z> <= hi}.
 
@@ -142,18 +103,15 @@ def project_hyperslab(a, lo: float, hi: float, x) -> np.ndarray:
     return x
 
 
-def hyperslab_projector(a, lo: float, hi: float, name: str = "proj_slab") -> FqneOperator:
+def hyperslab_projector(a, lo: float, hi: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Projector onto {z : lo <= <a, z> <= hi}."""
     a = as_point(a, "a")
-    return FqneOperator(
-        lambda x: project_hyperslab(a, lo, hi, x),
-        fix_test=lambda x: lo <= float(a @ as_point(x)) <= hi,
-        name=name,
-    )
+    return lambda x: project_hyperslab(a, lo, hi, x)
 
 
-def halfspace_projector(a, b: float, name: str = "proj_halfspace") -> FqneOperator:
+def halfspace_projector(a, b: float) -> Callable[[np.ndarray], np.ndarray]:
     """Projector onto {z : <a, z> <= b}."""
-    return hyperslab_projector(a, -np.inf, b, name=name)
+    return hyperslab_projector(a, -np.inf, b)
 
 
 # ---------------------------------------------------------------------------
@@ -202,16 +160,6 @@ def _validate_fourier_target(target_spectrum, mask) -> np.ndarray:
     return target
 
 
-def _project_fourier_core(values, mask, x) -> np.ndarray:
-    """The projection itself: ``values`` are the validated target on ``mask``."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != mask.shape:
-        raise UsageError(f"grid shape {x.shape} does not match mask shape {mask.shape}")
-    if not np.all(np.isfinite(x)):
-        raise UsageError("grid contains non-finite entries")
-    return _fourier_from_spectrum(values, mask, np.fft.fft2(x))
-
-
 def _fourier_from_spectrum(values, mask, spectrum) -> np.ndarray:
     """Overwrite ``spectrum`` with ``values`` on ``mask`` and return the real inverse.
 
@@ -236,97 +184,73 @@ def project_fourier_support(target_spectrum, mask, x) -> np.ndarray:
     """
     mask = validate_fourier_mask(mask)
     target = _validate_fourier_target(target_spectrum, mask)
-    return _project_fourier_core(target[mask], mask, x)
-
-
-class _FourierSupportProjector(FqneOperator):
-    """Fourier-support projector acting on row-major flattened grids.
-
-    The mask and target are validated once, at construction, and kept as
-    read-only private copies; each application checks only the grid it is
-    given.  ``project_spectrum`` starts from the grid's spectrum instead, for
-    callers that share one forward transform among several operators.
-    """
-
-    __slots__ = ("_mask", "_values", "_shape")
-
-    def __init__(self, target_spectrum, mask, grid_shape=None):
-        mask = validate_fourier_mask(mask).copy()
-        values = _validate_fourier_target(target_spectrum, mask)[mask]
-        mask.flags.writeable = False
-        values.flags.writeable = False
-        self._mask = mask
-        self._values = values
-        self._shape = mask.shape if grid_shape is None else grid_shape
-        self.name = "proj_fourier"
-
-    def __call__(self, x):
-        return _project_fourier_core(self._values, self._mask, np.reshape(x, self._shape)).ravel()
-
-    def project_spectrum(self, spectrum) -> np.ndarray:
-        """The flattened projection of the grid whose ``fft2`` is ``spectrum``
-        (overwritten); the grid itself is not checked."""
-        return _fourier_from_spectrum(self._values, self._mask, spectrum).ravel()
-
-    def fix_test(self, x):
-        spec = np.fft.fft2(np.reshape(x, self._shape))
-        return bool(np.allclose(spec[self._mask], self._values, rtol=1e-9, atol=1e-9))
-
-
-def fourier_support_projector(target_spectrum, mask, grid_shape=None) -> FqneOperator:
-    """Fourier-support projector acting on row-major flattened grids."""
-    return _FourierSupportProjector(target_spectrum, mask, grid_shape)
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != mask.shape:
+        raise UsageError(f"grid shape {x.shape} does not match mask shape {mask.shape}")
+    if not np.all(np.isfinite(x)):
+        raise UsageError("grid contains non-finite entries")
+    return _fourier_from_spectrum(target[mask], mask, np.fft.fft2(x))
 
 
 # ---------------------------------------------------------------------------
 # Indexed operator families.
 # ---------------------------------------------------------------------------
 
-class OperatorFamily:
-    """A finite indexed family of operators with an index distribution.
+class _IndexedFamily:
+    """The index law of a family of ``count`` operators, and its ``evaluate``.
 
-    Members may be ``FqneOperator`` instances or plain callables.  Weights
-    default to uniform; they must be nonnegative and sum to 1 within 1e-12.
-
-    ``evaluate(ks, x)`` is the batched entry point of the block iteration:
-    it returns the steps T_k x - x of the members ``ks`` at one point x, one
-    row each, and their Euclidean norms.  A member that fixes x must give an
-    exact zero row.  The generic version applies the members one by one;
-    families with structure override it: the signal problem's hyperslabs
-    (``experiments._SlabFamily``) and the image problem's spectral members
-    (``experiments._ImageFamily``, one shared ``fft2`` per call).
+    Weights default to uniform; they must be nonnegative and sum to 1
+    within 1e-12.  ``evaluate(ks, x)`` is the batched entry point of the
+    block iteration: it returns the steps T_k x - x of the members ``ks``
+    at one point x, one row each, and their Euclidean norms.  A member that
+    fixes x must give an exact zero row.
     """
 
-    def __init__(self, members: Sequence, weights=None):
-        members = list(members)
-        if not members:
+    def __init__(self, count: int, weights=None):
+        if count < 1:
             raise UsageError("operator family needs at least one member")
-        self.members = members
         if weights is None:
-            weights = np.full(len(members), 1.0 / len(members))
+            weights = np.full(count, 1.0 / count)
         else:
             weights = np.asarray(weights, dtype=np.float64)
-            if weights.shape != (len(members),):
+            if weights.shape != (count,):
                 raise UsageError("index weights must match the number of members")
             if np.any(weights < 0.0):
                 raise UsageError("index weights must be nonnegative")
             if abs(float(weights.sum()) - 1.0) > 1e-12:
                 raise UsageError(f"index weights sum to {weights.sum()!r}, not 1")
+        self._count = count
         self.weights = weights
         self._cum = np.cumsum(weights)
         self._cum[-1] = 1.0
 
     def __len__(self):
-        return len(self.members)
+        return self._count
 
-    def member(self, k: int):
-        return self.members[k]
+    def evaluate(self, ks, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Steps ``T_k x - x`` for each k in ``ks`` (shape (M, n)) and their norms (M,)."""
+        raise NotImplementedError
+
+
+class OperatorFamily(_IndexedFamily):
+    """A finite indexed family of callables x -> T x, with an index distribution.
+
+    ``evaluate`` applies the drawn members one by one.  The signal and image
+    experiments use their own families instead, whose ``evaluate`` works on
+    the problem's arrays (``experiments._SlabFamily``, one matrix-vector
+    product per batch, and ``experiments._ImageFamily``, one shared
+    ``fft2`` per batch).
+    """
+
+    def __init__(self, members: Sequence, weights=None):
+        members = list(members)
+        super().__init__(len(members), weights)
+        self.members = members
 
     def apply(self, k: int, x: np.ndarray) -> np.ndarray:
         return self.members[k](x)
 
-    def evaluate(self, ks, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Steps ``T_k x - x`` for each k in ``ks`` (shape (M, n)) and their norms (M,)."""
+    def evaluate(self, ks, x):
         steps = np.empty((len(ks), x.shape[0]))
         norms = np.empty(len(ks))
         for i, k in enumerate(ks):
@@ -335,7 +259,7 @@ class OperatorFamily:
         return steps, norms
 
 
-def sample_indices(family: OperatorFamily, rng: np.random.Generator, m: int) -> np.ndarray:
+def sample_indices(family: _IndexedFamily, rng: np.random.Generator, m: int) -> np.ndarray:
     """Draw ``m`` i.i.d. indices from the family's distribution.
 
     Inverse CDF on ``rng.random(m)``, which yields the same uniforms as m
@@ -346,6 +270,6 @@ def sample_indices(family: OperatorFamily, rng: np.random.Generator, m: int) -> 
     return np.searchsorted(family._cum, rng.random(m), side="right")
 
 
-def sample_index(family: OperatorFamily, rng: np.random.Generator) -> int:
+def sample_index(family: _IndexedFamily, rng: np.random.Generator) -> int:
     """Draw one index from the family's distribution."""
     return int(sample_indices(family, rng, 1)[0])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,10 +25,35 @@ from stochfeas.experiments import (
     run_experiment,
 )
 from stochfeas.fixedpoint import DecayingNoise
-from stochfeas.operators import sample_index
+from stochfeas.operators import (
+    InequalityConstraint,
+    project_box,
+    project_fourier_support,
+    project_hyperslab,
+    sample_index,
+    subgradient_projector,
+)
 from stochfeas.rngstreams import substream
 
 from conftest import reference_block_step
+
+
+def step_of(family, k, x):
+    """The step T_k x - x of one member, from a one-index ``evaluate`` call."""
+    return family.evaluate([k], x)[0][0]
+
+
+def count_fft2(monkeypatch):
+    """Patch ``np.fft.fft2`` to record its calls; returns the record."""
+    calls = []
+    fft2 = np.fft.fft2
+
+    def counting(a, *args, **kwargs):
+        calls.append(1)
+        return fft2(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft2", counting)
+    return calls
 
 
 class TestCanonicalStrategies:
@@ -80,10 +106,10 @@ class TestSignalProblem:
         x = rng.normal(size=32)
         # member (k, j) projects onto the slab with normal = row j of L_k
         k, j = 1, 17
-        member = family.member(k * prob.n + j)
-        assert member.name == f"slab[{j}]"
-        assert member.fix_test(prob.ground_truth) and not member.fix_test(prob.ground_truth + 5.0)
-        out = member(x)
+        member = k * prob.n + j
+        assert not np.any(step_of(family, member, prob.ground_truth))
+        assert np.any(step_of(family, member, prob.ground_truth + 5.0))
+        out = x + step_of(family, member, x)
         a, lo, hi = prob.slab_bounds(k, j)
         assert lo - 1e-12 <= float(a @ out) <= hi + 1e-12
         # projection moves along the normal only
@@ -105,7 +131,7 @@ class TestSignalProblem:
             steps, norms = family.evaluate(ks, x)
             held = 0
             for k in ks:
-                p = family.apply(k, x)
+                p = project_hyperslab(*prob.slab_bounds(*divmod(int(k), prob.n)), x)
                 if p is x:
                     held += 1
                     assert np.all(steps[k] == 0.0) and norms[k] == 0.0
@@ -127,7 +153,7 @@ class TestSignalProblem:
         x = np.zeros(48)
         for n in range(60):
             ks = [sample_index(family, idx_rng) for _ in range(4)]
-            ps = [family.apply(k, x) for k in ks]
+            ps = [x + step_of(family, k, x) for k in ks]
             x, _ = reference_block_step(x, ps, np.full(4, 0.25), cfg.relaxation.sample(lam_rng))
         np.testing.assert_allclose(res.final, x, rtol=1e-12, atol=1e-12 * np.abs(x).max())
 
@@ -186,7 +212,7 @@ class TestImageProblem:
         flat = prob.ground_truth.ravel()
         assert flat.min() >= 0.0 and flat.max() <= 255.0
         fam = prob.build_family()
-        np.testing.assert_allclose(fam.member(5)(flat), flat, atol=1e-8)
+        np.testing.assert_allclose(step_of(fam, 5, flat), 0.0, atol=1e-8)
 
     def test_ball_value_never_increases_under_projector(self, rng):
         prob = generate_image_problem(n=32, seed=7)
@@ -194,7 +220,7 @@ class TestImageProblem:
         for k in range(4):
             x = rng.uniform(-20, 280, size=prob.dim)
             before = prob.ball_value(k, x)
-            after = prob.ball_value(k, fam.member(k)(x))
+            after = prob.ball_value(k, x + step_of(fam, k, x))
             assert after <= before + 1e-9 * (1 + abs(before))
 
     def test_fourier_drift_after_box(self, rng):
@@ -207,13 +233,23 @@ class TestImageProblem:
         assert report["box_violation"] == 0.0
         assert report["fourier_relative_deviation"] >= 0.0
 
+    def test_feasibility_report_transforms_once(self, monkeypatch, rng):
+        prob = generate_image_problem(n=32, seed=9)
+        x = rng.uniform(0.0, 255.0, size=prob.dim)
+        ball_values = [prob.ball_value(k, x) for k in range(4)]
+        calls = count_fft2(monkeypatch)
+        report = prob.feasibility_report(x)
+        assert len(calls) == 1
+        assert report["ball_values"] == ball_values
+
     def test_divisibility_validation(self):
         with pytest.raises(UsageError):
             generate_image_problem(n=60, seed=0)
 
 
 class TestImageFamilyEvaluate:
-    """The batched ``evaluate`` of the image family against its own members."""
+    """The batched ``evaluate`` of the image family against one-member calls
+    and against the public projectors."""
 
     @staticmethod
     def family():
@@ -235,9 +271,55 @@ class TestImageFamilyEvaluate:
             for ks in batches:
                 steps, norms = fam.evaluate(ks, x)
                 for i, k in enumerate(ks):
-                    d = fam.member(k)(x) - x
+                    d = step_of(fam, k, x)
                     assert np.array_equal(steps[i], d)
                     assert norms[i] == math.sqrt(float(d @ d))
+
+    def test_rows_match_public_oracles(self, rng):
+        prob, fam = self.family()
+        n = prob.n
+        # L^T is the circular convolution with the index-reversed kernel
+        adjoint = np.roll(prob.kernel[::-1, ::-1], 1, axis=(0, 1))
+
+        def ball(k):
+            def subgradient(x):
+                residual = circ_conv(x.reshape(n, n), prob.kernel) - prob.observations[k]
+                return 2.0 * circ_conv(residual, adjoint).ravel()
+            return InequalityConstraint(lambda x: prob.ball_value(k, x), subgradient)
+
+        truth = prob.ground_truth.ravel()
+        points = [truth, truth + rng.uniform(-0.5, 0.5, size=prob.dim),
+                  np.zeros(prob.dim), rng.uniform(-20.0, 280.0, size=prob.dim)]
+        held = moved = 0
+        for x in points:
+            steps, _ = fam.evaluate(list(range(6)), x)
+            for k in range(4):
+                p = subgradient_projector(ball(k), x)
+                if p is x:
+                    held += 1
+                    assert not np.any(steps[k])
+                else:
+                    moved += 1
+                    np.testing.assert_allclose(x + steps[k], p, rtol=1e-12,
+                                               atol=1e-12 * np.abs(p).max())
+            assert np.array_equal(steps[4], project_box(0.0, 255.0, x) - x)
+            fourier = project_fourier_support(prob.target_spectrum, prob.mask, x.reshape(n, n))
+            assert np.array_equal(steps[5], fourier.ravel() - x)
+        assert held and moved
+
+    def test_validates_once_and_keeps_private_copies(self, rng):
+        prob, fam = self.family()
+        bad = replace(prob, target_spectrum=prob.target_spectrum.copy())
+        bad.target_spectrum[1, 1] += 1000.0j  # breaks conjugate symmetry on the mask
+        with pytest.raises(UsageError):
+            bad.build_family()
+        x = rng.uniform(0.0, 255.0, size=prob.dim)
+        before = step_of(fam, 5, x)
+        prob.target_spectrum[:] = 0.0  # the problem's arrays no longer reach the family
+        prob.mask[:] = False
+        np.testing.assert_array_equal(step_of(fam, 5, x), before)
+        with pytest.raises(UsageError):
+            fam.evaluate([5], np.full(prob.dim, np.nan))
 
     def test_repeated_index_gives_equal_independent_rows(self, rng):
         prob, fam = self.family()
@@ -247,7 +329,7 @@ class TestImageFamilyEvaluate:
             assert np.any(steps[0])
             assert np.array_equal(steps[0], steps[1]) and norms[0] == norms[1]
             steps[0] += 1.0
-            assert np.array_equal(steps[1], fam.member(k)(x) - x)
+            assert np.array_equal(steps[1], step_of(fam, k, x))
 
     def test_all_fixed_batch_gives_exact_zero_rows(self):
         prob, fam = self.family()
@@ -257,14 +339,7 @@ class TestImageFamilyEvaluate:
     def test_one_forward_transform_per_evaluate(self, monkeypatch, rng):
         prob, fam = self.family()
         x = rng.uniform(-20.0, 280.0, size=prob.dim)
-        calls = []
-        fft2 = np.fft.fft2
-
-        def counting(a, *args, **kwargs):
-            calls.append(1)
-            return fft2(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.fft, "fft2", counting)
+        calls = count_fft2(monkeypatch)
         for ks, expected in (([0, 1, 2, 3, 4, 5], 1), ([5, 5], 1), ([0, 5], 1),
                              ([3, 3], 1), ([4, 4], 0)):
             calls.clear()
@@ -288,7 +363,7 @@ class TestImageFamilyEvaluate:
         with pytest.raises(DegenerateConstraintError):
             fam.evaluate([4, 0], np.zeros(prob.dim))
         with pytest.raises(DegenerateConstraintError):
-            fam.member(0)(np.zeros(prob.dim))
+            fam.evaluate([0], np.zeros(prob.dim))
 
     def test_error_tolerant_run_matches_member_replay(self):
         prob, fam = self.family()
@@ -303,7 +378,7 @@ class TestImageFamilyEvaluate:
         residuals = []
         for n in range(30):
             ks = [sample_index(fam, idx_rng) for _ in range(3)]
-            steps = np.array([fam.member(k)(x) - x + schedule.sample(n, prob.dim, noise_rng)
+            steps = np.array([step_of(fam, k, x) + schedule.sample(n, prob.dim, noise_rng)
                               for k in ks])
             residuals.append(max(math.sqrt(float(d @ d)) for d in steps))
             a = x + np.full(3, 1.0 / 3.0) @ steps
