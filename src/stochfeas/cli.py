@@ -8,19 +8,15 @@ and names the first violated one on rejection.  Per-run traces go to
 ``summary.json``.
 
 Exit codes: 0 success, 2 config rejection, 3 numeric failure, 4 invariant
-violation.  ``STOCHFEAS_THREADS`` caps the worker threads used to dispatch
-independent (strategy, seed) runs; artifacts are byte-identical for any
-setting apart from the elapsed-time columns.
+violation.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -38,7 +34,6 @@ from .exceptions import (
 )
 from .experiments import (
     DESK_IMAGE_FOURIER_WEIGHT,
-    ExperimentResult,
     canonical_strategies,
     desk_image_problem,
     desk_signal_problem,
@@ -56,18 +51,20 @@ EXIT_NUMERIC = 3
 EXIT_INVARIANT = 4
 
 _COMMANDS = ("toy", "km", "sgd", "signal", "image")
-_CONFIG_KEYS = {
-    "command", "seed", "M", "delta", "relaxation", "iters", "repeats",
-    "output_dir", "scale", "nu", "beta", "weight_rule", "noise_c", "noise_q",
-    "dump_records",
+# The type a config-file value must have, by key; a float key also takes an integer.
+_CONFIG_TYPES = {
+    "command": str, "seed": int, "M": int, "delta": float, "relaxation": (str, dict),
+    "iters": int, "repeats": int, "output_dir": str, "scale": str, "nu": float,
+    "beta": float, "weight_rule": str, "noise_c": float, "noise_q": float,
+    "dump_records": bool,
+}
+_CHOICES = {
+    "scale": ("desk", "paper"),
+    "weight_rule": (UNIFORM_OVER_BATCH, MAX_RESIDUAL_CONCENTRATED),
 }
 
 _DEFAULT_M = {"toy": 2, "km": 1, "sgd": 1, "signal": 16, "image": 2}
 _DEFAULT_ITERS = {"toy": 200, "km": 2000, "sgd": 100_000, "signal": 4000, "image": 20_000}
-_SCALES = {
-    "signal": {"paper": dict(n=1024, p=20)},
-    "image": {"paper": dict(n=256)},
-}
 
 
 @dataclass
@@ -111,15 +108,12 @@ def parse_relaxation_shorthand(spec: str) -> rx.RelaxationStrategy:
 def _parse_relaxation(value) -> rx.RelaxationStrategy:
     """Flags use the shorthand grammar; config files may also use the tagged
     object form, e.g. {"kind": "two_point", "a": 2.3, "p_a": 0.5, "b": 1.5}."""
-    if isinstance(value, str):
-        return parse_relaxation_shorthand(value)
     if isinstance(value, dict):
         try:
             return rx.strategy_from_config(value)
         except UsageError as exc:
             raise ConfigurationError(str(exc)) from exc
-    raise ConfigurationError(f"relaxation must be a shorthand string or tagged object, "
-                             f"got {type(value).__name__}")
+    return parse_relaxation_shorthand(value)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -135,9 +129,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--iters", type=int, default=None)
         p.add_argument("--repeats", type=int, default=None)
         p.add_argument("--output-dir", dest="output_dir", type=str, default=None)
-        p.add_argument("--scale", type=str, default=None, choices=("desk", "paper"))
+        p.add_argument("--scale", type=str, default=None, choices=_CHOICES["scale"])
         p.add_argument("--weight-rule", dest="weight_rule", type=str, default=None,
-                       choices=(UNIFORM_OVER_BATCH, MAX_RESIDUAL_CONCENTRATED))
+                       choices=_CHOICES["weight_rule"])
         p.add_argument("--dump-records", dest="dump_records", action="store_const",
                        const=True, default=None)
         if name == "sgd":
@@ -147,6 +141,20 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--noise-c", dest="noise_c", type=float, default=None)
             p.add_argument("--noise-q", dest="noise_q", type=float, default=None)
     return parser
+
+
+def _check_file_value(key: str, value):
+    """A config-file value as its flag would give it; rejects a wrong type or choice."""
+    kinds = _CONFIG_TYPES[key]
+    if kinds is float and type(value) is int:
+        value = float(value)
+    if not isinstance(value, kinds) or (isinstance(value, bool) and kinds is not bool):
+        names = " or ".join(k.__name__ for k in (kinds if isinstance(kinds, tuple) else (kinds,)))
+        raise ConfigurationError(f"config key {key!r} must be {names}, got {value!r}")
+    if key in _CHOICES and value not in _CHOICES[key]:
+        raise ConfigurationError(
+            f"config key {key!r} must be one of {list(_CHOICES[key])}, got {value!r}")
+    return value
 
 
 def parse_and_validate(argv) -> RunConfig:
@@ -161,22 +169,25 @@ def parse_and_validate(argv) -> RunConfig:
     if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
-        unknown = set(file_cfg) - _CONFIG_KEYS
+        if not isinstance(file_cfg, dict):
+            raise ConfigurationError("config file must hold a JSON object")
+        unknown = set(file_cfg) - set(_CONFIG_TYPES)
         if unknown:
             raise ConfigurationError(
-                f"unknown config keys {sorted(unknown)}; valid keys: {sorted(_CONFIG_KEYS)}"
+                f"unknown config keys {sorted(unknown)}; valid keys: {sorted(_CONFIG_TYPES)}"
             )
+        file_cfg = {key: _check_file_value(key, value) for key, value in file_cfg.items()}
         if file_cfg.get("command", command) != command:
             raise ConfigurationError(
                 f"config file is for command {file_cfg['command']!r}, invoked {command!r}"
             )
         values.update(file_cfg)
-    for key in ("seed", "M", "delta", "relaxation", "iters", "repeats", "scale",
-                "nu", "beta", "noise_c", "noise_q", "dump_records", "output_dir",
-                "weight_rule"):
+    for key in _CONFIG_TYPES:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
+    if values["M"] < 1:
+        raise ConfigurationError(f"batch size M must be >= 1, got {values['M']}")
     if "delta" not in values:
         values["delta"] = 0.5 / values["M"]
     cfg = RunConfig(**{k: v for k, v in values.items()
@@ -192,35 +203,40 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigurationError("iters must be >= 1")
 
     if cfg.command == "sgd":
-        # constructor raises on hypothesis violations, e.g. "nu in ]2/3, 1]"
-        SgdConfig(beta=cfg.beta, nu=cfg.nu, max_iters=cfg.iters, seed=cfg.seed,
-                  gradient_family=_sgd_family())
-        cfg.strategies = {}
-        return
-
+        cfg.strategies = {f"nu{cfg.nu:g}": None}
+    elif cfg.relaxation is not None or cfg.command == "km":
+        strategy = _parse_relaxation("const:0.5" if cfg.relaxation is None else cfg.relaxation)
+        cfg.strategies = {rx.strategy_label(strategy): strategy}
+    elif cfg.command == "toy":
+        cfg.strategies = {"const1": rx.Constant(1.0)}
+    else:
+        cfg.strategies = dict(canonical_strategies())
+    # the config constructor raises on hypothesis violations, e.g. "nu in ]2/3, 1]"
+    solver = _solver_config(cfg, next(iter(cfg.strategies.values())), cfg.seed)
     if cfg.command == "km":
-        strategy = _parse_relaxation(cfg.relaxation or "const:0.5")
-        kwargs = {}
+        solver.validate_plain()
+
+
+def _solver_config(cfg: RunConfig, strategy, seed: int):
+    """The command's KmConfig, SgdConfig or BlockConfig for one run."""
+    if cfg.command == "sgd":
+        return SgdConfig(beta=cfg.beta, nu=cfg.nu, max_iters=cfg.iters, seed=seed,
+                         gradient_family=_sgd_family(),
+                         record_every=max(1, cfg.iters // 2000))
+    if cfg.command == "km":
+        noise = {}
         if cfg.noise_c is not None or cfg.noise_q is not None:
             if cfg.noise_c is None or cfg.noise_q is None:
                 raise ConfigurationError("noise_c and noise_q must be given together")
-            kwargs["error_schedule"] = DecayingNoise(cfg.noise_c, cfg.noise_q)
-        km = KmConfig(mu_strategy=strategy, max_iters=cfg.iters, seed=cfg.seed, **kwargs)
-        km.validate_plain()
-        cfg.strategies = {rx.strategy_label(strategy): strategy}
-        return
-
-    # block-based commands: toy, signal, image
-    if cfg.relaxation is None:
-        cfg.strategies = dict(canonical_strategies()) if cfg.command != "toy" \
-            else {"const1": rx.Constant(1.0)}
-    else:
-        strategy = _parse_relaxation(cfg.relaxation)
-        cfg.strategies = {rx.strategy_label(strategy): strategy}
-    # constructing a BlockConfig validates M, delta, and the relaxation jointly
-    BlockConfig(batch_size=cfg.M, delta=cfg.delta,
-                relaxation=next(iter(cfg.strategies.values())),
-                max_iters=cfg.iters, seed=cfg.seed, weight_rule=cfg.weight_rule)
+            noise["error_schedule"] = DecayingNoise(cfg.noise_c, cfg.noise_q)
+        return KmConfig(mu_strategy=strategy, max_iters=cfg.iters, seed=seed,
+                        atol=1e-12, **noise)
+    stopping = {} if cfg.command == "toy" else dict(
+        atol=1e-9 if cfg.command == "image" else 1e-12, stop_patience=50,
+        record_every=max(1, cfg.iters // 4000))
+    return BlockConfig(batch_size=cfg.M, delta=cfg.delta, relaxation=strategy,
+                       max_iters=cfg.iters, seed=seed, weight_rule=cfg.weight_rule,
+                       collect_records=cfg.dump_records, **stopping)
 
 
 def _sgd_family():
@@ -228,16 +244,6 @@ def _sgd_family():
     center = rng.uniform(-1.0, 1.0, size=8)
     offsets = rng.uniform(-0.25, 0.25, size=(10, 8))
     return quadratic_family(center, offsets)
-
-
-def _worker_count() -> int:
-    env = os.environ.get("STOCHFEAS_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigurationError(f"STOCHFEAS_THREADS must be an integer, got {env!r}")
-    return 1
 
 
 def _toy_problem():
@@ -252,145 +258,67 @@ def _toy_problem():
     return family, np.array([1.0, 1.0]), zs
 
 
-def _run_toy(cfg: RunConfig, label: str, strategy, seed: int):
+def _run_single(command: str, solver):
+    """One toy, km or sgd run: (trace, final error in dB or None, BlockResult or None)."""
+    if command == "sgd":
+        return run_sgd(solver, np.zeros(8))[1], None, None
+    if command == "km":
+        rot = np.array([[0.0, -1.0], [1.0, 0.0]])
+        return run_km(lambda x: rot @ x, solver, np.array([1.0, 0.0]))[1], None, None
     family, x0, zs = _toy_problem()
-    bc = BlockConfig(batch_size=cfg.M, delta=cfg.delta, relaxation=strategy,
-                     max_iters=cfg.iters, seed=seed, weight_rule=cfg.weight_rule,
-                     collect_records=cfg.dump_records)
-    start = time.perf_counter()
-    res = run_block(family, bc, x0, reference_solution=np.zeros(2), fejer_points=zs)
-    wall = time.perf_counter() - start
-    summary = RunSummary(
-        seed=seed, iterations_run=int(res.trace.footer["iterations_run"]),
-        final_residual=res.trace.final_residual(),
-        final_norm_err_db=normalized_error_db(res.final, x0, np.zeros(2)),
-        invariant_violations=res.fejer_violations,
-        worst_violation=res.worst_fejer_violation,
-        wall_clock=wall, stop_reason=res.trace.footer["stop_reason"],
-        strategy=label, command="toy",
-    )
-    return res.trace, summary, res.records
+    res = run_block(family, solver, x0, reference_solution=np.zeros(2), fejer_points=zs)
+    return res.trace, normalized_error_db(res.final, x0, np.zeros(2)), res
 
 
-def _run_km_cmd(cfg: RunConfig, label: str, strategy, seed: int):
-    rot = np.array([[0.0, -1.0], [1.0, 0.0]])
-    kwargs = {}
-    if cfg.noise_c is not None and cfg.noise_q is not None:
-        kwargs["error_schedule"] = DecayingNoise(cfg.noise_c, cfg.noise_q)
-    km = KmConfig(mu_strategy=strategy, max_iters=cfg.iters, seed=seed,
-                  atol=1e-12, **kwargs)
-    start = time.perf_counter()
-    final, trace = run_km(lambda x: rot @ x, km, np.array([1.0, 0.0]))
-    wall = time.perf_counter() - start
-    summary = RunSummary(
+def _summary(cfg: RunConfig, label: str, seed: int, trace, final_db, res,
+             wall: float) -> RunSummary:
+    """The summary.json line of one run; ``res`` is its BlockResult, if any."""
+    return RunSummary(
         seed=seed, iterations_run=int(trace.footer["iterations_run"]),
-        final_residual=trace.final_residual(), final_norm_err_db=None,
-        invariant_violations=0, worst_violation=0.0, wall_clock=wall,
-        stop_reason=trace.footer["stop_reason"], strategy=label, command="km",
+        final_residual=trace.final_residual(), final_norm_err_db=final_db,
+        invariant_violations=0 if res is None else res.fejer_violations,
+        worst_violation=0.0 if res is None else res.worst_fejer_violation,
+        wall_clock=wall, stop_reason=trace.footer["stop_reason"],
+        strategy=label, command=cfg.command,
     )
-    return trace, summary, None
-
-
-def _run_sgd_cmd(cfg: RunConfig, seed: int):
-    sc = SgdConfig(beta=cfg.beta, nu=cfg.nu, max_iters=cfg.iters, seed=seed,
-                   gradient_family=_sgd_family(),
-                   record_every=max(1, cfg.iters // 2000))
-    start = time.perf_counter()
-    final, trace = run_sgd(sc, np.zeros(8))
-    wall = time.perf_counter() - start
-    summary = RunSummary(
-        seed=seed, iterations_run=int(trace.footer["iterations_run"]),
-        final_residual=trace.final_residual(), final_norm_err_db=None,
-        invariant_violations=0, worst_violation=0.0, wall_clock=wall,
-        stop_reason=trace.footer["stop_reason"], strategy=f"nu{cfg.nu:g}", command="sgd",
-    )
-    return trace, summary, None
-
-
-def _experiment_summaries(cfg: RunConfig, label: str, result: ExperimentResult, wall: float):
-    out = []
-    for i, seed in enumerate(result.seeds):
-        trace = result.traces[i]
-        db = trace.db_column()
-        res = result.results[i]
-        out.append(RunSummary(
-            seed=seed, iterations_run=int(trace.footer["iterations_run"]),
-            final_residual=trace.final_residual(),
-            final_norm_err_db=None if db is None else float(db[-1]),
-            invariant_violations=res.fejer_violations,
-            worst_violation=res.worst_fejer_violation,
-            wall_clock=wall / max(1, len(result.seeds)),
-            stop_reason=trace.footer["stop_reason"], strategy=label, command=cfg.command,
-        ))
-    return out
 
 
 def execute(cfg: RunConfig) -> int:
     """Run the configured command, write artifacts, and return the exit code."""
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    summaries = []
+    runs, averaged = [], []  # (summary, trace, BlockResult or None), (label, averaged trace)
 
     try:
-        workers = _worker_count()
-
-        def dispatch(jobs):
-            if workers == 1 or len(jobs) <= 1:
-                return [job() for job in jobs]
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                return [f.result() for f in [pool.submit(job) for job in jobs]]
-
-        if cfg.command in ("toy", "km"):
-            runner = _run_toy if cfg.command == "toy" else _run_km_cmd
-            jobs = []
-            for label, strategy in sorted(cfg.strategies.items()):
+        problem, family = _build_problem(cfg) if cfg.command in ("signal", "image") else (None, None)
+        for label, strategy in sorted(cfg.strategies.items()):
+            if family is None:
                 for rep in range(cfg.repeats):
-                    seed = derive_seed(cfg.seed, label, rep)
-                    jobs.append(lambda l=label, s=strategy, sd=seed:
-                                (l, sd, runner(cfg, l, s, sd)))
-            for label, seed, (trace, summary, records) in dispatch(jobs):
-                trace.write_csv(out_dir / f"{cfg.command}_{label}_{seed}.csv")
-                if records is not None:
-                    _write_records(
-                        out_dir / f"{cfg.command}_{label}_{seed}_records.jsonl", records)
-                summaries.append(summary)
-        elif cfg.command == "sgd":
-            jobs = []
-            for rep in range(cfg.repeats):
-                seed = derive_seed(cfg.seed, "sgd", rep)
-                jobs.append(lambda sd=seed: (sd, _run_sgd_cmd(cfg, sd)))
-            label = f"nu{cfg.nu:g}"
-            for seed, (trace, summary, _) in dispatch(jobs):
-                trace.write_csv(out_dir / f"sgd_{label}_{seed}.csv")
-                summaries.append(summary)
-        else:
-            problem, family = _build_problem(cfg)
-            base = BlockConfig(
-                batch_size=cfg.M, delta=cfg.delta,
-                relaxation=next(iter(cfg.strategies.values())),
-                max_iters=cfg.iters, seed=cfg.seed, weight_rule=cfg.weight_rule,
-                atol=1e-9 if cfg.command == "image" else 1e-12, stop_patience=50,
-                record_every=max(1, cfg.iters // 4000),
-                collect_records=cfg.dump_records,
-            )
-            jobs = [
-                (lambda l=label, s=strategy:
-                 (l, time.perf_counter(),
-                  run_experiment(problem, base, l, repeats=cfg.repeats, strategy=s,
-                                 family=family)))
-                for label, strategy in sorted(cfg.strategies.items())
-            ]
-            for label, started, result in dispatch(jobs):
-                wall = time.perf_counter() - started
-                for i, seed in enumerate(result.seeds):
-                    result.traces[i].write_csv(out_dir / f"{cfg.command}_{label}_{seed}.csv")
-                    if cfg.dump_records and result.results[i].records is not None:
-                        _write_records(
-                            out_dir / f"{cfg.command}_{label}_{seed}_records.jsonl",
-                            result.results[i].records)
+                    seed = derive_seed(cfg.seed, "sgd" if cfg.command == "sgd" else label, rep)
+                    solver = _solver_config(cfg, strategy, seed)
+                    started = time.perf_counter()
+                    trace, final_db, res = _run_single(cfg.command, solver)
+                    wall = time.perf_counter() - started
+                    runs.append((_summary(cfg, label, seed, trace, final_db, res, wall), trace, res))
+            else:
+                started = time.perf_counter()
+                result = run_experiment(problem, _solver_config(cfg, strategy, cfg.seed), label,
+                                        repeats=cfg.repeats, strategy=strategy, family=family)
+                wall = (time.perf_counter() - started) / len(result.seeds)
+                for seed, trace, res in zip(result.seeds, result.traces, result.results):
+                    db = trace.db_column()
+                    final_db = None if db is None else float(db[-1])
+                    runs.append((_summary(cfg, label, seed, trace, final_db, res, wall), trace, res))
                 if result.averaged is not None:
-                    result.averaged.write_csv(out_dir / f"{cfg.command}_{label}_avg.csv")
-                summaries.extend(_experiment_summaries(cfg, label, result, wall))
+                    averaged.append((label, result.averaged))
+
+        for summary, trace, res in runs:
+            stem = f"{cfg.command}_{summary.strategy}_{summary.seed}"
+            trace.write_csv(out_dir / f"{stem}.csv")
+            if res is not None and res.records is not None:
+                _write_records(out_dir / f"{stem}_records.jsonl", res.records)
+        for label, avg in averaged:
+            avg.write_csv(out_dir / f"{cfg.command}_{label}_avg.csv")
     except (ConfigurationError, UsageError) as exc:
         _emit_error("config", exc)
         return EXIT_CONFIG
@@ -401,7 +329,7 @@ def execute(cfg: RunConfig) -> int:
         _emit_error("invariant", exc)
         return EXIT_INVARIANT
 
-    summaries.sort(key=lambda s: (s.strategy, s.seed))
+    summaries = sorted((run[0] for run in runs), key=lambda s: (s.strategy, s.seed))
     payload = {
         "command": cfg.command,
         "seed": cfg.seed,
@@ -418,16 +346,13 @@ def execute(cfg: RunConfig) -> int:
 def _build_problem(cfg: RunConfig):
     """Return (problem, operator family) for the experiment commands."""
     if cfg.command == "signal":
-        if cfg.scale == "desk":
-            problem = desk_signal_problem(seed=cfg.seed)
-        else:
-            params = _SCALES["signal"]["paper"]
-            problem = generate_signal_problem(n=params["n"], p=params["p"], seed=cfg.seed)
+        problem = (desk_signal_problem(seed=cfg.seed) if cfg.scale == "desk"
+                   else generate_signal_problem(seed=cfg.seed))
         return problem, problem.build_family()
     if cfg.scale == "desk":
         problem = desk_image_problem(seed=cfg.seed)
         return problem, problem.build_family(fourier_weight=DESK_IMAGE_FOURIER_WEIGHT)
-    problem = generate_image_problem(n=_SCALES["image"]["paper"]["n"], seed=cfg.seed)
+    problem = generate_image_problem(seed=cfg.seed)
     return problem, problem.build_family()
 
 
@@ -446,10 +371,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         cfg = parse_and_validate(argv)
-    except (ConfigurationError, UsageError) as exc:
-        _emit_error("config", exc)
-        return EXIT_CONFIG
-    except (OSError, json.JSONDecodeError) as exc:
+    except (ConfigurationError, UsageError, OSError, json.JSONDecodeError) as exc:
         _emit_error("config", exc)
         return EXIT_CONFIG
     return execute(cfg)

@@ -259,16 +259,16 @@ def test_criterion_09_linear_rate():
                    f"<= chi {chi:.4f} + 3se {3 * se:.4f}")
 
 
-def test_criterion_10_determinism(tmp_path, monkeypatch):
+def test_criterion_10_determinism(tmp_path):
     """Identical config+seed gives byte-identical non-timing outputs, and
-    the worker-thread setting does not change them."""
+    the runs of one invocation share no state: a strategy run alone writes
+    the same trace files as it does in the full sweep."""
     args = ["signal", "--scale", "desk", "--iters", "80", "--repeats", "2",
             "--M", "4", "--seed", "21"]
     snapshots = {}
-    for tag, threads in (("a", "1"), ("b", "1"), ("c", "4")):
-        monkeypatch.setenv("STOCHFEAS_THREADS", threads)
+    for tag, extra in (("a", []), ("b", []), ("alone", ["--relaxation", "const:1.9"])):
         dest = tmp_path / tag
-        assert cli_main(args + ["--output-dir", str(dest)]) == 0
+        assert cli_main(args + extra + ["--output-dir", str(dest)]) == 0
         files = {}
         for p in sorted(dest.glob("*.csv")):
             lines = []
@@ -286,6 +286,9 @@ def test_criterion_10_determinism(tmp_path, monkeypatch):
         files["summary.json"] = json.dumps(payload, sort_keys=True)
         snapshots[tag] = files
     assert snapshots["a"] == snapshots["b"]
-    assert snapshots["a"] == snapshots["c"]
-    _report(10, f"{len(snapshots['a'])} artifacts identical across reruns "
-                "and thread settings")
+    alone = {name: text for name, text in snapshots["alone"].items() if name != "summary.json"}
+    assert len(alone) == 3  # two per-run traces and their average
+    assert alone == {name: text for name, text in snapshots["a"].items()
+                     if name.startswith("signal_const1.9_")}
+    _report(10, f"{len(snapshots['a'])} artifacts identical across reruns; "
+                f"the {len(alone)} const1.9 traces identical when run alone")

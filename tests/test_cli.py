@@ -6,6 +6,7 @@ from stochfeas import relaxation as rx
 from stochfeas.cli import (
     EXIT_CONFIG,
     EXIT_OK,
+    _build_problem,
     main,
     parse_and_validate,
     parse_relaxation_shorthand,
@@ -80,6 +81,46 @@ class TestParsing:
             parse_and_validate(["toy", "--config", str(path)])
         assert "seeds" in str(err.value) and "seed" in str(err.value)
 
+    def test_zero_batch_size_rejected(self, tmp_path, capsys):
+        code = main(["signal", "--M", "0", "--output-dir", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert "M must be >= 1" in json.loads(capsys.readouterr().err)["message"]
+
+    @pytest.mark.parametrize("key, value", [
+        ("iters", "100"),            # wrong type
+        ("scale", "huge"),           # not one of the choices
+        ("weight_rule", "largest"),  # not one of the choices
+        ("dump_records", 1),         # an integer is not a boolean
+    ])
+    def test_bad_config_file_value_names_the_key(self, tmp_path, capsys, key, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: value}))
+        code = main(["signal", "--config", str(path), "--output-dir", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert repr(key) in json.loads(capsys.readouterr().err)["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_config_file_must_hold_an_object(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text("[3]")
+        with pytest.raises(ConfigurationError, match="JSON object"):
+            parse_and_validate(["toy", "--config", str(path)])
+
+    def test_config_file_integer_for_float_key(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"M": 2, "delta": 0}))
+        with pytest.raises(ConfigurationError, match="delta in"):
+            parse_and_validate(["signal", "--config", str(path)])
+        path.write_text(json.dumps({"nu": 1}))
+        cfg = parse_and_validate(["sgd", "--config", str(path)])
+        assert cfg.nu == 1.0 and isinstance(cfg.nu, float)
+
+    def test_paper_scale_problem_sizes(self):
+        signal, _ = _build_problem(parse_and_validate(["signal", "--scale", "paper"]))
+        assert (signal.n, signal.p) == (1024, 20)
+        image, _ = _build_problem(parse_and_validate(["image", "--scale", "paper"]))
+        assert image.n == 256
+
 
 class TestToyCommand:
     def test_toy_run_succeeds_with_zero_violations(self, tmp_path):
@@ -122,20 +163,6 @@ class TestDeterminism:
             assert strip_timing(d1 / name) == strip_timing(d2 / name)
         assert summary_without_timing(d1 / "summary.json") == \
             summary_without_timing(d2 / "summary.json")
-
-    def test_thread_count_does_not_change_outputs(self, tmp_path, monkeypatch):
-        args = ["signal", "--scale", "desk", "--iters", "60", "--repeats", "2",
-                "--M", "4", "--seed", "11"]
-        outs = {}
-        for threads in ("1", "4"):
-            monkeypatch.setenv("STOCHFEAS_THREADS", threads)
-            dest = tmp_path / f"t{threads}"
-            assert main(args + ["--output-dir", str(dest)]) == EXIT_OK
-            outs[threads] = {
-                p.name: strip_timing(p) for p in sorted(dest.glob("*.csv"))
-            }
-            outs[threads]["summary"] = summary_without_timing(dest / "summary.json")
-        assert outs["1"] == outs["4"]
 
 
 class TestArtifactLayout:

@@ -60,8 +60,7 @@ def artefact_digest(out_dir) -> str:
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_artefacts_match_golden_digest(name, tmp_path, monkeypatch):
-    monkeypatch.delenv("STOCHFEAS_THREADS", raising=False)
+def test_cli_artefacts_match_golden_digest(name, tmp_path):
     argv, expected = CASES[name]
     out_dir = tmp_path / name
     assert main(argv + ["--seed", "3", "--output-dir", str(out_dir)]) == EXIT_OK
