@@ -6,7 +6,7 @@ each method supplies only its step.  The steps are a relaxed fixed point
 iteration with stochastic errors, a stochastic gradient method, and an
 extrapolated randomly activated block-iterative solver for common fixed
 point and feasibility problems, whose random relaxation may exceed 2 when
-its damping E[lam (2 - lam)] stays nonnegative.  The signal and image
+its damping E[lam (2 - lam)] stays positive.  The signal and image
 restoration experiments are built on the block solver.
 """
 
@@ -51,10 +51,8 @@ from .fixedpoint import (
     GradientFamily,
     KmConfig,
     SgdConfig,
-    ZeroErrors,
     quadratic_family,
     run_km,
-    run_km_averaged,
     run_sgd,
 )
 from .geometry import fejer_decrement
@@ -66,7 +64,6 @@ from .operators import (
     project_box,
     project_fourier_support,
     project_hyperslab,
-    sample_index,
     sample_indices,
     subgradient_projector,
     symmetrize_fourier_mask,
@@ -79,7 +76,6 @@ from .relaxation import (
     UniformInterval,
     strategy_from_config,
     strategy_label,
-    validate_for_algorithm,
 )
 from .trace import ConvergenceTrace, read_trace_csv
 

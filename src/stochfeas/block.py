@@ -33,7 +33,7 @@ import numpy as np
 from . import relaxation as rx
 from .diagnostics import audit_fejer_step
 from .exceptions import ConfigurationError, InvariantViolationError, UsageError
-from .fixedpoint import _check_schedule_certificate, _iterate
+from .fixedpoint import DecayingNoise, _check_schedule_certificate, _iterate
 from .geometry import as_point
 from .operators import _IndexedFamily, sample_indices
 from .rngstreams import substream
@@ -43,7 +43,7 @@ UNIFORM_OVER_BATCH = "uniform_over_batch"
 MAX_RESIDUAL_CONCENTRATED = "max_residual_concentrated"
 
 _ARGMAX_RTOL = 1e-12   # residuals within this relative band of the max count as ties
-_EXTRAPOLATION_SLACK = 1e-9
+_EXTRAPOLATION_SLACK = 1e-9  # a step or record with L below 1 - slack is an invariant violation
 
 
 def compute_weights(residual_norms, delta: float, rule: str) -> np.ndarray:
@@ -92,9 +92,10 @@ def extrapolation_parameter(residual_norms, weights, p_minus_x_norm: float) -> f
 class BlockConfig:
     """Configuration of a block-iterative run.
 
-    ``error_schedule`` switches to the error-tolerant variant, which uses
-    the averaged point directly (no extrapolation) and restricts the
-    relaxation support to ]0, 2[.
+    Every variant needs the damping E[lam (2 - lam)] > 0 and delta in
+    ]0, 1/M[.  ``error_schedule`` switches to the error-tolerant variant,
+    which uses the averaged point directly (no extrapolation), restricts the
+    relaxation support to ]0, 2[ and needs summable errors.
     """
 
     batch_size: int
@@ -103,7 +104,7 @@ class BlockConfig:
     max_iters: int
     seed: int
     weight_rule: str = UNIFORM_OVER_BATCH
-    error_schedule: Optional[object] = None
+    error_schedule: Optional[DecayingNoise] = None
     atol: float = 1e-10
     stop_patience: int = 25
     record_every: int = 1
@@ -124,23 +125,12 @@ class BlockConfig:
             raise ConfigurationError("record_every must be >= 1")
         if self.weight_rule not in (UNIFORM_OVER_BATCH, MAX_RESIDUAL_CONCENTRATED):
             raise ConfigurationError(f"unknown weight rule {self.weight_rule!r}")
-        if self.error_schedule is None:
-            report = rx.validate_for_algorithm(
-                self.relaxation, rx.ALGORITHM_BLOCK_ITERATIVE, require_positive_damping=True
-            )
-            if not report.accepted:
-                raise ConfigurationError(f"relaxation rejected for block iteration: {report.reason}")
-        else:
-            report = rx.validate_for_algorithm(self.relaxation, rx.ALGORITHM_BOUNDED_BY_TWO)
-            if not report.accepted:
-                raise ConfigurationError(
-                    f"error-tolerant variant requires support in ]0, 2[: {report.reason}"
-                )
-            damping = self.relaxation.moments().damping
-            if damping <= 0.0:
-                raise ConfigurationError(
-                    f"error-tolerant variant requires E[lam(2-lam)] > 0, got {damping:.6g}"
-                )
+        damping = self.relaxation.moments().damping
+        if damping <= 0.0:
+            raise ConfigurationError(f"damping E[lam(2-lam)] > 0 violated: got {damping:.6g}")
+        if self.error_schedule is not None:
+            rx.require_support_inside(self.relaxation, 0.0, 2.0,
+                                      "error-tolerant variant: lam_n in ]0, 2[ violated")
             _check_schedule_certificate(self.error_schedule)
 
 
@@ -167,7 +157,7 @@ class BlockIterationRecord:
         ties = r >= rmax * (1.0 - _ARGMAX_RTOL)
         if np.any(w[ties] < delta - 1e-12):
             raise InvariantViolationError("argmax index received weight below delta")
-        if self.extrapolation < 1.0 - 1e-12:
+        if self.extrapolation < 1.0 - _EXTRAPOLATION_SLACK:
             raise InvariantViolationError(f"extrapolation {self.extrapolation} below 1")
 
     def to_json_dict(self) -> dict:

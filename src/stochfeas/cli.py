@@ -1,8 +1,9 @@
 """Command line front end.
 
-Commands: toy | km | sgd | signal | image.  Each command validates its
-configuration against the hypotheses of the target method before running
-and names the first violated one on rejection.  Per-run traces go to
+Commands: toy | km | sgd | signal | image.  Each command takes only the
+flags and config-file keys it reads, validates its configuration against
+the hypotheses of the target method before running and names the first
+violated one on rejection.  Per-run traces go to
 ``<output_dir>/<command>_<strategy>_<seed>.csv``, averaged traces to
 ``<command>_<strategy>_avg.csv``, and a run summary array to
 ``summary.json``.
@@ -62,8 +63,18 @@ _CHOICES = {
     "scale": ("desk", "paper"),
     "weight_rule": (UNIFORM_OVER_BATCH, MAX_RESIDUAL_CONCENTRATED),
 }
+# The keys, as flags and config-file keys, that each command reads.
+_COMMON_KEYS = ("seed", "iters", "repeats", "output_dir")
+_BLOCK_KEYS = ("M", "delta", "weight_rule", "dump_records", "relaxation")
+_COMMAND_KEYS = {
+    "toy": _BLOCK_KEYS,
+    "km": ("relaxation", "noise_c", "noise_q"),
+    "sgd": ("nu", "beta"),
+    "signal": _BLOCK_KEYS + ("scale",),
+    "image": _BLOCK_KEYS + ("scale",),
+}
 
-_DEFAULT_M = {"toy": 2, "km": 1, "sgd": 1, "signal": 16, "image": 2}
+_DEFAULT_M = {"toy": 2, "signal": 16, "image": 2}
 _DEFAULT_ITERS = {"toy": 200, "km": 2000, "sgd": 100_000, "signal": 4000, "image": 20_000}
 
 
@@ -122,24 +133,13 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--M", type=int, default=None)
-        p.add_argument("--delta", type=float, default=None)
-        p.add_argument("--relaxation", type=str, default=None)
-        p.add_argument("--iters", type=int, default=None)
-        p.add_argument("--repeats", type=int, default=None)
-        p.add_argument("--output-dir", dest="output_dir", type=str, default=None)
-        p.add_argument("--scale", type=str, default=None, choices=_CHOICES["scale"])
-        p.add_argument("--weight-rule", dest="weight_rule", type=str, default=None,
-                       choices=_CHOICES["weight_rule"])
-        p.add_argument("--dump-records", dest="dump_records", action="store_const",
-                       const=True, default=None)
-        if name == "sgd":
-            p.add_argument("--nu", type=float, default=None)
-            p.add_argument("--beta", type=float, default=None)
-        if name == "km":
-            p.add_argument("--noise-c", dest="noise_c", type=float, default=None)
-            p.add_argument("--noise-q", dest="noise_q", type=float, default=None)
+        for key in _COMMON_KEYS + _COMMAND_KEYS[name]:
+            flag = "--" + key.replace("_", "-")
+            if key == "dump_records":
+                p.add_argument(flag, dest=key, action="store_const", const=True, default=None)
+            else:
+                p.add_argument(flag, dest=key, default=None, choices=_CHOICES.get(key),
+                               type=str if key == "relaxation" else _CONFIG_TYPES[key])
     return parser
 
 
@@ -165,33 +165,35 @@ def parse_and_validate(argv) -> RunConfig:
     """
     args = _build_parser().parse_args(argv)
     command = args.command
-    values = {"command": command, "M": _DEFAULT_M[command], "iters": _DEFAULT_ITERS[command]}
+    keys = ("command",) + _COMMON_KEYS + _COMMAND_KEYS[command]
+    values = {"command": command, "iters": _DEFAULT_ITERS[command]}
+    if command in _DEFAULT_M:
+        values["M"] = _DEFAULT_M[command]
     if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
         if not isinstance(file_cfg, dict):
             raise ConfigurationError("config file must hold a JSON object")
-        unknown = set(file_cfg) - set(_CONFIG_TYPES)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown config keys {sorted(unknown)}; valid keys: {sorted(_CONFIG_TYPES)}"
-            )
-        file_cfg = {key: _check_file_value(key, value) for key, value in file_cfg.items()}
         if file_cfg.get("command", command) != command:
             raise ConfigurationError(
                 f"config file is for command {file_cfg['command']!r}, invoked {command!r}"
             )
-        values.update(file_cfg)
-    for key in _CONFIG_TYPES:
-        flag = getattr(args, key, None)
+        unread = set(file_cfg) - set(keys)
+        if unread:
+            raise ConfigurationError(
+                f"config keys {sorted(unread)} are not read by command {command!r}; "
+                f"its keys: {sorted(keys)}"
+            )
+        values.update({key: _check_file_value(key, value) for key, value in file_cfg.items()})
+    for key in keys:
+        flag = getattr(args, key)
         if flag is not None:
             values[key] = flag
-    if values["M"] < 1:
-        raise ConfigurationError(f"batch size M must be >= 1, got {values['M']}")
-    if "delta" not in values:
-        values["delta"] = 0.5 / values["M"]
-    cfg = RunConfig(**{k: v for k, v in values.items()
-                       if k in RunConfig.__dataclass_fields__})
+    if "M" in values:
+        if values["M"] < 1:
+            raise ConfigurationError(f"batch size M must be >= 1, got {values['M']}")
+        values.setdefault("delta", 0.5 / values["M"])
+    cfg = RunConfig(**values)
     _validate(cfg)
     return cfg
 
@@ -212,9 +214,7 @@ def _validate(cfg: RunConfig) -> None:
     else:
         cfg.strategies = dict(canonical_strategies())
     # the config constructor raises on hypothesis violations, e.g. "nu in ]2/3, 1]"
-    solver = _solver_config(cfg, next(iter(cfg.strategies.values())), cfg.seed)
-    if cfg.command == "km":
-        solver.validate_plain()
+    _solver_config(cfg, next(iter(cfg.strategies.values())), cfg.seed)
 
 
 def _solver_config(cfg: RunConfig, strategy, seed: int):

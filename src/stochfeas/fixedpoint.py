@@ -1,11 +1,11 @@
 """Randomly relaxed fixed point drivers.
 
-Three iterations on top of one loop skeleton, which the block iteration of
+Two iterations on top of one loop skeleton, which the block iteration of
 :mod:`stochfeas.block` shares:
 
-* relaxed iteration with stochastic errors for a nonexpansive T,
-      x_{n+1} = x_n + mu_n (T x_n + e_n - x_n),     mu_n in ]0, 1[;
-* the alpha-averaged variant, identical recursion with mu_n in ]0, 1/alpha[;
+* relaxed iteration with stochastic errors for an alpha-averaged T,
+      x_{n+1} = x_n + mu_n (T x_n + e_n - x_n),     mu_n in ]0, 1/alpha[,
+  where alpha = 1 is the nonexpansive case, mu_n in ]0, 1[;
 * stochastic gradient descent for a 1/beta-Lipschitz-gradient objective,
       x_{n+1} = x_n - gamma_n grad g_{k_n}(x_n),    gamma_n = 2 beta / (n + 1)^nu,
   with nu in ]2/3, 1] and an unbiased, bounded-variance gradient family.
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -30,7 +30,7 @@ from . import relaxation as rx
 from .diagnostics import ratio_db
 from .exceptions import ConfigurationError, NumericError, UsageError
 from .geometry import as_point
-from .operators import OperatorFamily, sample_index, sample_indices
+from .operators import OperatorFamily, sample_indices
 from .rngstreams import substream
 from .trace import ConvergenceTrace
 
@@ -40,18 +40,6 @@ DIVERGENCE_NORM = 1e12
 # ---------------------------------------------------------------------------
 # Error schedules.
 # ---------------------------------------------------------------------------
-
-class ZeroErrors:
-    """No perturbation; trivially summable."""
-
-    declares_summable = True
-
-    def sample(self, n, dim, rng):
-        return None  # solvers skip the addition entirely
-
-    def describe(self):
-        return "zero"
-
 
 class DecayingNoise:
     """Bounded gaussian-like noise with ||e_n|| <= c / (n + 1)^q.
@@ -85,14 +73,9 @@ class DecayingNoise:
         return f"decaying(c={self.c:g}, q={self.q:g})"
 
 
-def _check_schedule_certificate(schedule) -> None:
-    declared = getattr(schedule, "declares_summable", None)
-    if declared is None:
-        raise ConfigurationError(
-            "error schedule must declare its summability certificate "
-            "(attribute declares_summable)"
-        )
-    if not declared:
+def _check_schedule_certificate(schedule: Optional[DecayingNoise]) -> None:
+    """Reject a schedule whose errors are not summable; None (no errors) passes."""
+    if schedule is not None and not schedule.declares_summable:
         raise ConfigurationError(
             "summability certificate violated: "
             "sum_n sqrt(E mu_n^2 E||e_n||^2) diverges for the configured schedule"
@@ -105,12 +88,18 @@ def _check_schedule_certificate(schedule) -> None:
 
 @dataclass
 class KmConfig:
-    """Configuration of the relaxed fixed point runs."""
+    """Configuration of the relaxed fixed point runs.
+
+    ``alpha`` is the averagedness constant of T (1 for a nonexpansive T);
+    the relaxation must be supported inside ]0, 1/alpha[.  Without an
+    ``error_schedule`` the iteration is error free.
+    """
 
     mu_strategy: rx.RelaxationStrategy
     max_iters: int
     seed: int
-    error_schedule: object = field(default_factory=ZeroErrors)
+    alpha: float = 1.0
+    error_schedule: Optional[DecayingNoise] = None
     atol: float = 1e-10
     record_every: int = 1
 
@@ -119,17 +108,11 @@ class KmConfig:
             raise ConfigurationError("max_iters must be >= 1")
         if self.record_every < 1:
             raise ConfigurationError("record_every must be >= 1")
+        if not (0.0 < self.alpha <= 1.0):
+            raise ConfigurationError(f"alpha in ]0, 1] violated: got {self.alpha}")
+        rx.require_support_inside(self.mu_strategy, 0.0, 1.0 / self.alpha,
+                                  f"mu_n in ]0, 1/alpha[ = ]0, {1.0 / self.alpha:g}[ violated")
         _check_schedule_certificate(self.error_schedule)
-
-    def validate_plain(self):
-        rx.require_support_inside(self.mu_strategy, 0.0, 1.0, "mu_n in ]0, 1[ violated")
-
-    def validate_averaged(self, alpha: float):
-        if not (0.0 < alpha < 1.0):
-            raise ConfigurationError(f"averagedness constant must lie in ]0, 1[, got {alpha}")
-        rx.require_support_inside(
-            self.mu_strategy, 0.0, 1.0 / alpha, f"mu_n in ]0, 1/alpha[ = ]0, {1.0 / alpha:g}[ violated"
-        )
 
 
 @dataclass
@@ -181,13 +164,10 @@ class GradientFamily:
     def __len__(self):
         return len(self._family)
 
-    def draw(self, rng) -> int:
-        return sample_index(self._family, rng)
-
     def draws(self, rng):
         """Endless index draws from ``rng``, taken 1024 uniforms at a time.
 
-        Yields the same sequence as repeated ``draw(rng)`` calls.
+        Yields the same sequence as one-index ``sample_indices`` calls.
         """
         while True:
             yield from sample_indices(self._family, rng, 1024).tolist()
@@ -282,36 +262,24 @@ def _iterate(step, x0, max_iters: int, atol: float, record_every: int,
     return x, trace
 
 
-def _relaxed_loop(T, cfg: KmConfig, x0) -> tuple[np.ndarray, ConvergenceTrace]:
+def run_km(T, cfg: KmConfig, x0) -> tuple[np.ndarray, ConvergenceTrace]:
+    """Relaxed iteration x_{n+1} = x_n + mu_n (T x_n + e_n - x_n) for a
+    ``cfg.alpha``-averaged T, with mu_n supported inside ]0, 1/alpha[."""
+    errors = cfg.error_schedule
     noise_rng = substream(cfg.seed, "noise")
     mu_rng = substream(cfg.seed, "relaxation")
 
     def step(n, x):
         d = np.asarray(T(x), dtype=np.float64) - x
         residual = math.sqrt(float(d @ d))
-        e = cfg.error_schedule.sample(n, x.shape[0], noise_rng)
+        if errors is not None:
+            d = d + errors.sample(n, x.shape[0], noise_rng)
         mu = cfg.mu_strategy.sample(mu_rng)
-        if e is not None:
-            d = d + e
         return x + mu * d, residual, mu, 1.0
 
     x, trace = _iterate(step, x0, cfg.max_iters, cfg.atol, cfg.record_every)
-    trace.footer["errors"] = (cfg.error_schedule.describe()
-                              if hasattr(cfg.error_schedule, "describe") else "custom")
+    trace.footer["errors"] = "zero" if errors is None else errors.describe()
     return x, trace
-
-
-def run_km(T, cfg: KmConfig, x0) -> tuple[np.ndarray, ConvergenceTrace]:
-    """Relaxed iteration x_{n+1} = x_n + mu_n (T x_n + e_n - x_n) for
-    nonexpansive T, with mu_n supported inside ]0, 1[."""
-    cfg.validate_plain()
-    return _relaxed_loop(T, cfg, x0)
-
-
-def run_km_averaged(T, alpha: float, cfg: KmConfig, x0) -> tuple[np.ndarray, ConvergenceTrace]:
-    """Same recursion for an alpha-averaged T, allowing mu_n inside ]0, 1/alpha[."""
-    cfg.validate_averaged(alpha)
-    return _relaxed_loop(T, cfg, x0)
 
 
 def run_sgd(cfg: SgdConfig, x0) -> tuple[np.ndarray, ConvergenceTrace]:

@@ -268,8 +268,3 @@ def sample_indices(family: _IndexedFamily, rng: np.random.Generator, m: int) -> 
     if len(family) == 1:
         return np.zeros(m, dtype=np.intp)
     return np.searchsorted(family._cum, rng.random(m), side="right")
-
-
-def sample_index(family: _IndexedFamily, rng: np.random.Generator) -> int:
-    """Draw one index from the family's distribution."""
-    return int(sample_indices(family, rng, 1)[0])

@@ -2,12 +2,11 @@
 
 A strategy is an immutable distribution with positive support, closed-form
 moments, and a declared cap ``rho >= 2`` bounding its support from above.
-The key derived quantity is the damping ``E[lam (2 - lam)]``, which decides
-which algorithms accept the strategy:
-
-* super-relaxed runs require ``E[lam (2 - lam)] >= 0`` (strictly positive
-  when an inf-positivity margin is demanded),
-* runs with relaxations bounded by 2 require support inside ]0, 2[.
+The key derived quantity is the damping ``E[lam (2 - lam)]``.  Each run's
+config checks its own hypotheses on the strategy when it is built: the block
+iteration needs a positive damping, its error-tolerant variant also support
+inside ]0, 2[, and relaxed KM support inside ]0, 1/alpha[, all through
+:func:`require_support_inside` and :meth:`RelaxationStrategy.moments`.
 
 Moments are always computed in closed form; sampling exists only to drive
 iterations.  Strategies are immutable and shareable across threads; the
@@ -23,13 +22,6 @@ import numpy as np
 
 from .exceptions import ConfigurationError, UsageError
 
-ALGORITHM_SUPER_RELAXED = "super_relaxed"      # random lam, damping >= 0
-ALGORITHM_BOUNDED_BY_TWO = "bounded_by_two"    # support inside ]0, 2[
-ALGORITHM_BLOCK_ITERATIVE = "block_iterative"  # support in ]0, rho], damping margin
-
-_ALGORITHMS = (ALGORITHM_SUPER_RELAXED, ALGORITHM_BOUNDED_BY_TWO, ALGORITHM_BLOCK_ITERATIVE)
-
-
 @dataclass(frozen=True)
 class RelaxationMoments:
     """Closed-form moments: mean E[lam], E[lam^2], and E[lam (2 - lam)]."""
@@ -41,14 +33,6 @@ class RelaxationMoments:
     def __post_init__(self):
         # damping is defined through the identity so it holds exactly
         object.__setattr__(self, "damping", 2.0 * self.mean - self.second_moment)
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    accepted: bool
-    reason: str
-    mu: float       # E[lam (2 - lam)]
-    zeta: float     # E[lam^2]
 
 
 class RelaxationStrategy:
@@ -166,42 +150,6 @@ class UniformInterval(RelaxationStrategy):
 
     def to_config(self):
         return {"kind": "uniform", "lo": self.lo, "hi": self.hi, "cap": self.cap}
-
-
-def validate_for_algorithm(
-    strategy: RelaxationStrategy,
-    algorithm: str,
-    require_positive_damping: bool = False,
-) -> ValidationReport:
-    """Check the side condition the named algorithm imposes on the strategy.
-
-    ``super_relaxed`` and ``block_iterative`` accept iff the damping
-    ``E[lam (2 - lam)]`` is >= 0 (strictly > 0 when
-    ``require_positive_damping`` is set, matching an inf-positivity margin
-    ``mu > 0``).  ``bounded_by_two`` accepts iff the support lies strictly
-    inside ]0, 2[.  The report carries ``mu`` (the damping) and ``zeta``
-    (the second moment) for rate computations.
-    """
-    if algorithm not in _ALGORITHMS:
-        raise UsageError(f"unknown algorithm {algorithm!r}; expected one of {_ALGORITHMS}")
-    m = strategy.moments()
-    lo, hi = strategy.support_bounds()
-    if algorithm == ALGORITHM_BOUNDED_BY_TWO:
-        if hi >= 2.0:
-            return ValidationReport(False, f"support sup {hi} not strictly below 2", m.damping, m.second_moment)
-        if lo <= 0.0:
-            return ValidationReport(False, f"support inf {lo} not strictly positive", m.damping, m.second_moment)
-        return ValidationReport(True, "support inside ]0, 2[", m.damping, m.second_moment)
-    if require_positive_damping:
-        if m.damping <= 0.0:
-            return ValidationReport(
-                False, f"E[lam(2-lam)] = {m.damping:.6g} is not > 0", m.damping, m.second_moment
-            )
-    elif m.damping < 0.0:
-        return ValidationReport(
-            False, f"E[lam(2-lam)] = {m.damping:.6g} < 0", m.damping, m.second_moment
-        )
-    return ValidationReport(True, f"E[lam(2-lam)] = {m.damping:.6g}", m.damping, m.second_moment)
 
 
 def require_support_inside(strategy: RelaxationStrategy, lo: float, hi: float, what: str) -> None:

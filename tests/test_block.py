@@ -6,13 +6,14 @@ from stochfeas.block import (
     MAX_RESIDUAL_CONCENTRATED,
     UNIFORM_OVER_BATCH,
     BlockConfig,
+    BlockIterationRecord,
     compute_weights,
     extrapolation_parameter,
     run_block,
 )
-from stochfeas.exceptions import ConfigurationError, UsageError
+from stochfeas.exceptions import ConfigurationError, InvariantViolationError, UsageError
 from stochfeas.fixedpoint import DecayingNoise
-from stochfeas.operators import OperatorFamily, halfspace_projector
+from stochfeas.operators import OperatorFamily, halfspace_projector, sample_indices
 from stochfeas.rngstreams import substream
 
 from conftest import (
@@ -95,6 +96,15 @@ class TestExtrapolation:
             L = extrapolation_parameter(r, beta, float(np.linalg.norm(p_bar - x)))
             assert L >= 1.0 - 1e-12
 
+    def test_record_check_matches_the_loop_slack(self):
+        # run_block accepts L down to 1 - 1e-9, so collecting records must too
+        rec = BlockIterationRecord(0, (0,), np.array([1.0]), np.zeros(2), 1.0 - 1e-10,
+                                   np.zeros(2), 1.0)
+        rec.validate(0.5, [1.0])
+        rec.extrapolation = 1.0 - 1e-8
+        with pytest.raises(InvariantViolationError, match="below 1"):
+            rec.validate(0.5, [1.0])
+
 
 class TestRunBlock:
     def test_hand_oracle_two_halfspaces_one_step(self):
@@ -117,9 +127,8 @@ class TestRunBlock:
         idx_rng = substream(99, "index")
         lam_rng = substream(99, "relaxation")
         x = np.zeros(6)
-        from stochfeas.operators import sample_index
         for n in range(40):
-            ks = [sample_index(family, idx_rng) for _ in range(3)]
+            ks = [sample_indices(family, idx_rng, 1).item() for _ in range(3)]
             ps = [halfspace_proj_oracle(normals[k], offsets[k], x) for k in ks]
             beta = np.full(3, 1.0 / 3.0)
             lam = cfg.relaxation.sample(lam_rng)
@@ -134,10 +143,9 @@ class TestRunBlock:
                           max_iters=30, seed=4, atol=0.0)
         res = run_block(family, cfg, np.zeros(4))
         idx_rng = substream(4, "index")
-        from stochfeas.operators import sample_index
         x = np.zeros(4)
         for n in range(30):
-            k = sample_index(family, idx_rng)
+            k = sample_indices(family, idx_rng, 1).item()
             x = halfspace_proj_oracle(normals[k], offsets[k], x)
         np.testing.assert_allclose(res.final, x, rtol=1e-13, atol=1e-13)
         assert np.all(res.trace.extrapolations() == 1.0)
@@ -260,6 +268,23 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             BlockConfig(batch_size=2, delta=0.3, relaxation=rx.Constant(2.0),
                         max_iters=10, seed=0)
+
+    @pytest.mark.parametrize("kwargs, hypothesis", [
+        (dict(relaxation=rx.Constant(2.0)), r"E\[lam\(2-lam\)\] > 0 violated: got 0$"),
+        (dict(relaxation=rx.Constant(2.5)), r"E\[lam\(2-lam\)\] > 0 violated: got -1\.25$"),
+        (dict(relaxation=rx.Constant(2.5), error_schedule=DecayingNoise(0.1, 1.5)),
+         r"E\[lam\(2-lam\)\] > 0 violated"),
+        (dict(relaxation=rx.TwoPoint(2.3, 0.5, 1.5), error_schedule=DecayingNoise(0.1, 1.5)),
+         r"lam_n in \]0, 2\[ violated"),
+        (dict(error_schedule=DecayingNoise(0.1, 1.0)), "summability certificate"),
+        (dict(delta=0.5), r"delta in \]0, 1/M\[ violated"),
+        (dict(delta=0.0), r"delta in \]0, 1/M\[ violated"),
+    ], ids=["damping-zero", "damping-negative", "error-tolerant-damping",
+            "error-tolerant-sup-2", "errors-not-summable", "delta-1/M", "delta-0"])
+    def test_violation_names_hypothesis_at_construction(self, kwargs, hypothesis):
+        kwargs = {"relaxation": rx.Constant(1.0), "delta": 0.3, **kwargs}
+        with pytest.raises(ConfigurationError, match=hypothesis):
+            BlockConfig(batch_size=2, max_iters=10, seed=0, **kwargs)
 
 
 def test_records_correct_with_simultaneous_fejer_audit(rng):

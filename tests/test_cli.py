@@ -3,6 +3,7 @@ import json
 import pytest
 
 from stochfeas import relaxation as rx
+from stochfeas.block import UNIFORM_OVER_BATCH
 from stochfeas.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -98,6 +99,41 @@ class TestParsing:
         code = main(["signal", "--config", str(path), "--output-dir", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
         assert repr(key) in json.loads(capsys.readouterr().err)["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sgd", "--relaxation", "const:9"],
+        ["sgd", "--M", "3"],
+        ["sgd", "--dump-records"],
+        ["sgd", "--scale", "paper"],
+        ["km", "--weight-rule", "uniform_over_batch"],
+        ["km", "--dump-records"],
+        ["km", "--M", "0"],
+        ["toy", "--scale", "desk"],
+        ["toy", "--noise-c", "1.0"],
+        ["signal", "--nu", "0.8"],
+    ])
+    def test_flag_the_command_does_not_read_rejected(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            parse_and_validate(argv)
+        assert exc.value.code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("sgd", "relaxation", "const:0.5"),
+        ("sgd", "M", 3),
+        ("km", "dump_records", True),
+        ("km", "weight_rule", UNIFORM_OVER_BATCH),
+        ("toy", "scale", "desk"),
+        ("image", "noise_q", 1.5),
+    ])
+    def test_config_key_the_command_does_not_read_rejected(self, tmp_path, capsys,
+                                                           command, key, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: value}))
+        code = main([command, "--config", str(path), "--output-dir", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert f"[{key!r}] are not read by command {command!r}" in message
         assert not (tmp_path / "out").exists()
 
     def test_config_file_must_hold_an_object(self, tmp_path):
@@ -205,6 +241,10 @@ class TestKmSgdCommands:
     def test_km_rejects_bad_mu(self, tmp_path):
         code = main(["km", "--relaxation", "const:1.5", "--output-dir", str(tmp_path)])
         assert code == EXIT_CONFIG
+        # mu_n = 1 is outside ]0, 1[: rejected before any trace is written
+        code = main(["km", "--relaxation", "const:1.0", "--output-dir", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
 
     def test_sgd_small_run(self, tmp_path):
         code = main(["sgd", "--iters", "2000", "--seed", "6",

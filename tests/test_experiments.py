@@ -30,7 +30,7 @@ from stochfeas.operators import (
     project_box,
     project_fourier_support,
     project_hyperslab,
-    sample_index,
+    sample_indices,
     subgradient_projector,
 )
 from stochfeas.rngstreams import substream
@@ -152,7 +152,7 @@ class TestSignalProblem:
         lam_rng = substream(21, "relaxation")
         x = np.zeros(48)
         for n in range(60):
-            ks = [sample_index(family, idx_rng) for _ in range(4)]
+            ks = [sample_indices(family, idx_rng, 1).item() for _ in range(4)]
             ps = [x + step_of(family, k, x) for k in ks]
             x, _ = reference_block_step(x, ps, np.full(4, 0.25), cfg.relaxation.sample(lam_rng))
         np.testing.assert_allclose(res.final, x, rtol=1e-12, atol=1e-12 * np.abs(x).max())
@@ -377,7 +377,7 @@ class TestImageFamilyEvaluate:
         x = np.zeros(prob.dim)
         residuals = []
         for n in range(30):
-            ks = [sample_index(fam, idx_rng) for _ in range(3)]
+            ks = [sample_indices(fam, idx_rng, 1).item() for _ in range(3)]
             steps = np.array([step_of(fam, k, x) + schedule.sample(n, prob.dim, noise_rng)
                               for k in ks])
             residuals.append(max(math.sqrt(float(d @ d)) for d in steps))
@@ -449,6 +449,6 @@ class TestIndexStreamCoverage:
         prob = generate_signal_problem(n=32, p=4, seed=12)
         family = prob.build_family()
         rng = substream(0, "index")
-        draws = [sample_index(family, rng) for _ in range(2000)]
+        draws = sample_indices(family, rng, 2000).tolist()
         filters = {d // prob.n for d in draws}
         assert filters == set(range(4))

@@ -8,12 +8,11 @@ from stochfeas.fixedpoint import (
     GradientFamily,
     KmConfig,
     SgdConfig,
-    ZeroErrors,
     quadratic_family,
     run_km,
-    run_km_averaged,
     run_sgd,
 )
+from stochfeas.operators import sample_indices
 
 from conftest import halfspace_proj_oracle
 
@@ -30,6 +29,7 @@ class TestKm:
         final, trace = run_km(lambda x: x, cfg, [3.0, -2.0])
         np.testing.assert_array_equal(final, [3.0, -2.0])
         assert np.all(trace.residuals() == 0.0)
+        assert trace.footer["errors"] == "zero"
 
     def test_rotation_converges(self):
         cfg = KmConfig(rx.Constant(0.5, cap=2.0), max_iters=200, seed=7, atol=0.0)
@@ -54,9 +54,22 @@ class TestKm:
         assert max(final[0], final[1], 0.0) < 1e-8  # membership in both half-spaces
 
     def test_support_bound_enforced(self):
-        cfg = KmConfig(rx.Constant(1.0, cap=2.0), max_iters=10, seed=0)
-        with pytest.raises(ConfigurationError):
-            run_km(lambda x: x, cfg, [0.0])
+        with pytest.raises(ConfigurationError, match=r"mu_n in \]0, 1/alpha\[ = \]0, 1\["):
+            KmConfig(rx.Constant(1.0, cap=2.0), max_iters=10, seed=0)
+
+    @pytest.mark.parametrize("kwargs, hypothesis", [
+        (dict(mu_strategy=rx.UniformInterval(0.5, 1.0)), r"mu_n in \]0, 1/alpha\[ = \]0, 1\["),
+        (dict(mu_strategy=rx.Constant(2.0), alpha=0.5), r"mu_n in \]0, 1/alpha\[ = \]0, 2\["),
+        (dict(alpha=0.0), r"alpha in \]0, 1\]"),
+        (dict(alpha=1.5), r"alpha in \]0, 1\]"),
+        (dict(alpha=float("nan")), r"alpha in \]0, 1\]"),
+        (dict(error_schedule=DecayingNoise(1.0, 1.0)), "summability certificate"),
+    ], ids=["mu-sup-1", "mu-sup-1/alpha", "alpha-0", "alpha-above-1", "alpha-nan",
+            "errors-not-summable"])
+    def test_violation_names_hypothesis_at_construction(self, kwargs, hypothesis):
+        kwargs = {"mu_strategy": rx.Constant(0.5), **kwargs}
+        with pytest.raises(ConfigurationError, match=hypothesis):
+            KmConfig(max_iters=10, seed=0, **kwargs)
 
     def test_quasi_fejer_pathwise_error_free(self, rng):
         # for e_n = 0 and mu in ]0,1[, distances to a fixed point never grow
@@ -102,18 +115,17 @@ class TestKm:
 class TestKmAveraged:
     def test_firmly_nonexpansive_projection_with_large_mu(self):
         T = lambda x: halfspace_proj_oracle([1.0, 0.0], 0.0, x)  # 1/2-averaged
-        cfg = KmConfig(rx.Constant(1.5, cap=2.0), max_iters=300, seed=2, atol=0.0)
-        final, _ = run_km_averaged(T, 0.5, cfg, [2.0, 1.0])
+        cfg = KmConfig(rx.Constant(1.5, cap=2.0), max_iters=300, seed=2, alpha=0.5, atol=0.0)
+        final, _ = run_km(T, cfg, [2.0, 1.0])
         assert final[0] < 1e-8
 
     def test_support_violation_rejected(self):
-        cfg = KmConfig(rx.Constant(2.5), max_iters=10, seed=0)
-        with pytest.raises(ConfigurationError):
-            run_km_averaged(lambda x: x, 0.5, cfg, [0.0])
+        with pytest.raises(ConfigurationError, match=r"mu_n in \]0, 1/alpha\[ = \]0, 2\["):
+            KmConfig(rx.Constant(2.5), max_iters=10, seed=0, alpha=0.5)
 
     def test_identity_stationary(self):
-        cfg = KmConfig(rx.Constant(1.2, cap=2.0), max_iters=20, seed=0, atol=0.0)
-        final, _ = run_km_averaged(lambda x: x, 0.7, cfg, [4.0, -1.0])
+        cfg = KmConfig(rx.Constant(1.2, cap=2.0), max_iters=20, seed=0, alpha=0.7, atol=0.0)
+        final, _ = run_km(lambda x: x, cfg, [4.0, -1.0])
         np.testing.assert_array_equal(final, [4.0, -1.0])
 
 
@@ -143,7 +155,7 @@ class TestSgd:
     def test_nu_hypothesis_rejected(self):
         family = GradientFamily([lambda x: x], lambda x: x, 0.0)
         for nu in (0.5, 2.0 / 3.0, 1.01, 0.0):
-            with pytest.raises(ConfigurationError):
+            with pytest.raises(ConfigurationError, match=r"nu in \]2/3, 1\] violated"):
                 SgdConfig(beta=1.0, nu=nu, max_iters=10, seed=0, gradient_family=family)
 
     def test_unbiasedness_spot_check_catches_biased_family(self):
@@ -165,8 +177,8 @@ class TestSgd:
         for _ in range(10):
             x = rng.normal(size=5) * 2
             acc = np.zeros(5)
-            for _ in range(m):
-                acc += fam.gradient(fam.draw(draw_rng), x)
+            for k in sample_indices(fam._family, draw_rng, m).tolist():
+                acc += fam.gradient(k, x)
             acc /= m
             target = fam.mean_gradient(x)
             assert np.linalg.norm(acc - target) <= 4.0 / np.sqrt(m) * sigma
@@ -203,15 +215,12 @@ class TestSgd:
         idx_rng = substream(17, "index")
         x = np.zeros(3)
         for n in range(2500):
-            x = x - cfg.step_size(n) * fam.gradient(fam.draw(idx_rng), x)
+            k = sample_indices(fam._family, idx_rng, 1).item()
+            x = x - cfg.step_size(n) * fam.gradient(k, x)
         np.testing.assert_array_equal(final, x)
 
 
 class TestErrorSchedules:
-    def test_zero_schedule(self):
-        assert ZeroErrors().declares_summable
-        assert ZeroErrors().sample(0, 3, None) is None
-
     def test_decaying_bound_honored(self, rng):
         sched = DecayingNoise(2.0, 1.25)
         from stochfeas.rngstreams import substream

@@ -9,7 +9,6 @@ from stochfeas.operators import (
     project_box,
     project_fourier_support,
     project_hyperslab,
-    sample_index,
     sample_indices,
     subgradient_projector,
     symmetrize_fourier_mask,
@@ -243,25 +242,25 @@ class TestFourierSupport:
 class TestIndexSampling:
     def test_single_member(self, rng):
         fam = OperatorFamily([lambda x: x])
-        assert all(sample_index(fam, rng) == 0 for _ in range(10))
+        assert all(sample_indices(fam, rng, 1).item() == 0 for _ in range(10))
 
     def test_uniform_frequencies(self):
         rng = np.random.default_rng(11)
         fam = OperatorFamily([lambda x: x] * 4)
-        draws = np.array([sample_index(fam, rng) for _ in range(10 ** 5)])
+        draws = sample_indices(fam, rng, 10 ** 5)
         for k in range(4):
             assert abs(np.mean(draws == k) - 0.25) < 0.01 * 0.25 * 4  # 1% of total mass
 
     def test_weighted_frequencies(self):
         rng = np.random.default_rng(13)
         fam = OperatorFamily([lambda x: x] * 2, weights=[0.9, 0.1])
-        draws = np.array([sample_index(fam, rng) for _ in range(10 ** 5)])
+        draws = sample_indices(fam, rng, 10 ** 5)
         assert abs(np.mean(draws == 0) - 0.9) < 0.01 * 0.9
 
     def test_bulk_draws_equal_scalar_draws(self):
         fam = OperatorFamily([lambda x: x] * 7, weights=np.arange(1, 8) / 28.0)
         scalar_rng, bulk_rng = np.random.default_rng(5), np.random.default_rng(5)
-        scalar = [sample_index(fam, scalar_rng) for _ in range(10 * 16)]
+        scalar = [sample_indices(fam, scalar_rng, 1).item() for _ in range(10 * 16)]
         bulk = np.concatenate([sample_indices(fam, bulk_rng, 16) for _ in range(10)])
         assert bulk.tolist() == scalar
         assert scalar_rng.random() == bulk_rng.random()

@@ -59,35 +59,6 @@ def test_two_point_jensen(a, p, b):
     assert m.second_moment >= m.mean ** 2 - 1e-12
 
 
-def test_validate_bounded_by_two():
-    assert rx.validate_for_algorithm(rx.Constant(1.0), rx.ALGORITHM_BOUNDED_BY_TWO).accepted
-    rep = rx.validate_for_algorithm(rx.TwoPoint(2.3, 0.5, 1.5), rx.ALGORITHM_BOUNDED_BY_TWO)
-    assert not rep.accepted and "not strictly below 2" in rep.reason
-
-
-def test_validate_block_iterative():
-    rep = rx.validate_for_algorithm(
-        rx.TwoPoint(2.3, 0.5, 1.5), rx.ALGORITHM_BLOCK_ITERATIVE,
-        require_positive_damping=True)
-    assert rep.accepted
-    assert rep.mu == pytest.approx(0.03, abs=1e-14)
-    assert rep.zeta == pytest.approx(3.77, rel=1e-15)
-
-
-def test_validate_rejects_negative_damping():
-    rep = rx.validate_for_algorithm(rx.Constant(2.5), rx.ALGORITHM_BLOCK_ITERATIVE)
-    assert not rep.accepted
-    assert rep.mu == pytest.approx(-1.25, abs=0)
-
-
-def test_validate_super_relaxed_boundary():
-    # damping exactly zero: accepted without margin, rejected with margin
-    s = rx.Constant(2.0)
-    assert rx.validate_for_algorithm(s, rx.ALGORITHM_SUPER_RELAXED).accepted
-    assert not rx.validate_for_algorithm(
-        s, rx.ALGORITHM_SUPER_RELAXED, require_positive_damping=True).accepted
-
-
 def test_constant_sampling():
     rng = np.random.default_rng(0)
     assert all(rx.Constant(1.9).sample(rng) == 1.9 for _ in range(10))
@@ -104,7 +75,6 @@ def test_two_point_sampling_frequency():
 def test_bounded_by_two_samples_stay_inside():
     rng = np.random.default_rng(3)
     for s in (rx.Constant(1.0), rx.UniformInterval(0.5, 1.99), rx.TwoPoint(1.9, 0.3, 0.1)):
-        assert rx.validate_for_algorithm(s, rx.ALGORITHM_BOUNDED_BY_TWO).accepted
         for _ in range(1000):
             v = s.sample(rng)
             assert 0.0 < v < 2.0
