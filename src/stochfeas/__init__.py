@@ -23,7 +23,6 @@ from .block import (
 from .diagnostics import (
     RunSummary,
     aggregate_runs,
-    estimate_reference_solution,
     fejer_audit,
     normalized_error_db,
 )
@@ -33,6 +32,7 @@ from .experiments import (
     canonical_strategies,
     desk_image_problem,
     desk_signal_problem,
+    estimate_reference_solution,
     generate_image_problem,
     generate_signal_problem,
     iterations_to_db,

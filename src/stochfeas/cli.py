@@ -127,8 +127,16 @@ def _parse_relaxation(value) -> rx.RelaxationStrategy:
     return parse_relaxation_shorthand(value)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises a usage error as a ConfigurationError, so it takes the one
+    rejection path of every other bad value; subparsers inherit the class."""
+
+    def error(self, message):
+        raise ConfigurationError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="stochfeas")
+    parser = _ArgumentParser(prog="stochfeas")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)
@@ -302,15 +310,15 @@ def execute(cfg: RunConfig) -> int:
                     runs.append((_summary(cfg, label, seed, trace, final_db, res, wall), trace, res))
             else:
                 started = time.perf_counter()
-                result = run_experiment(problem, _solver_config(cfg, strategy, cfg.seed), label,
-                                        repeats=cfg.repeats, strategy=strategy, family=family)
+                result = run_experiment(problem, family, _solver_config(cfg, strategy, cfg.seed),
+                                        label, repeats=cfg.repeats)
                 wall = (time.perf_counter() - started) / len(result.seeds)
-                for seed, trace, res in zip(result.seeds, result.traces, result.results):
-                    db = trace.db_column()
+                for seed, res in zip(result.seeds, result.results):
+                    db = res.trace.db_column()
                     final_db = None if db is None else float(db[-1])
-                    runs.append((_summary(cfg, label, seed, trace, final_db, res, wall), trace, res))
-                if result.averaged is not None:
-                    averaged.append((label, result.averaged))
+                    runs.append((_summary(cfg, label, seed, res.trace, final_db, res, wall),
+                                 res.trace, res))
+                averaged.append((label, result.averaged))
 
         for summary, trace, res in runs:
             stem = f"{cfg.command}_{summary.strategy}_{summary.seed}"

@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exceptions import ReferenceSolutionError, UsageError
+from .exceptions import UsageError
 from .geometry import as_point, fejer_decrement, require_same_dim
 from .trace import ConvergenceTrace
 
@@ -41,29 +41,6 @@ def normalized_error_db(x_n, x0, x_inf) -> float:
     if den == 0.0:
         raise UsageError("x0 equals x_inf; normalized error undefined")
     return ratio_db(float(np.linalg.norm(x_n - x_inf)), den)
-
-
-def estimate_reference_solution(runner, budget_iters: int,
-                                residual_tol: float = 1e-12) -> np.ndarray:
-    """Estimate the run's own limit x_inf by an extended run.
-
-    ``runner(max_iters, atol)`` must rerun the exact same seeded
-    configuration and return ``(final_point, trace)``.  The extended budget
-    is 10x the experiment budget; the run may stop earlier once the recorded
-    residual drops below ``residual_tol``.  If the threshold is never
-    reached, a ReferenceSolutionError is raised and callers fall back to
-    residual traces.
-
-    The returned point is run-specific: it is the limit of this seed's own
-    trajectory, which is what normalized-error plots are measured against.
-    """
-    final, trace = runner(10 * budget_iters, residual_tol)
-    if trace.final_residual() >= residual_tol:
-        raise ReferenceSolutionError(
-            f"extended run kept residual {trace.final_residual():.3e} "
-            f">= {residual_tol:.1e}; no reference solution"
-        )
-    return as_point(final, "reference solution")
 
 
 @dataclass

@@ -101,13 +101,10 @@ class KmConfig:
     alpha: float = 1.0
     error_schedule: Optional[DecayingNoise] = None
     atol: float = 1e-10
-    record_every: int = 1
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ConfigurationError("max_iters must be >= 1")
-        if self.record_every < 1:
-            raise ConfigurationError("record_every must be >= 1")
         if not (0.0 < self.alpha <= 1.0):
             raise ConfigurationError(f"alpha in ]0, 1] violated: got {self.alpha}")
         rx.require_support_inside(self.mu_strategy, 0.0, 1.0 / self.alpha,
@@ -124,7 +121,6 @@ class SgdConfig:
     max_iters: int
     seed: int
     gradient_family: "GradientFamily"
-    atol: float = 0.0
     record_every: int = 1
     spot_check_samples: int = 10_000
 
@@ -137,6 +133,9 @@ class SgdConfig:
             raise ConfigurationError("max_iters must be >= 1")
         if self.record_every < 1:
             raise ConfigurationError("record_every must be >= 1")
+        if self.spot_check_samples < 1:
+            raise ConfigurationError(
+                f"spot_check_samples must be >= 1, got {self.spot_check_samples}")
 
     def step_size(self, n: int) -> float:
         return 2.0 * self.beta / (n + 1.0) ** self.nu
@@ -277,7 +276,7 @@ def run_km(T, cfg: KmConfig, x0) -> tuple[np.ndarray, ConvergenceTrace]:
         mu = cfg.mu_strategy.sample(mu_rng)
         return x + mu * d, residual, mu, 1.0
 
-    x, trace = _iterate(step, x0, cfg.max_iters, cfg.atol, cfg.record_every)
+    x, trace = _iterate(step, x0, cfg.max_iters, cfg.atol, 1)
     trace.footer["errors"] = "zero" if errors is None else errors.describe()
     return x, trace
 
@@ -304,4 +303,5 @@ def run_sgd(cfg: SgdConfig, x0) -> tuple[np.ndarray, ConvergenceTrace]:
             residual = math.sqrt(float(g @ g))
         return x - gamma * g, residual, gamma, 1.0
 
-    return _iterate(step, x0, cfg.max_iters, cfg.atol, cfg.record_every)
+    # atol 0: an SGD run always takes its full budget
+    return _iterate(step, x0, cfg.max_iters, 0.0, cfg.record_every)

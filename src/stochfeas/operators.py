@@ -199,7 +199,7 @@ def project_fourier_support(target_spectrum, mask, x) -> np.ndarray:
 class _IndexedFamily:
     """The index law of a family of ``count`` operators, and its ``evaluate``.
 
-    Weights default to uniform; they must be nonnegative and sum to 1
+    Weights default to uniform; they must be finite, nonnegative and sum to 1
     within 1e-12.  ``evaluate(ks, x)`` is the batched entry point of the
     block iteration: it returns the steps T_k x - x of the members ``ks``
     at one point x, one row each, and their Euclidean norms.  A member that
@@ -215,8 +215,8 @@ class _IndexedFamily:
             weights = np.asarray(weights, dtype=np.float64)
             if weights.shape != (count,):
                 raise UsageError("index weights must match the number of members")
-            if np.any(weights < 0.0):
-                raise UsageError("index weights must be nonnegative")
+            if not np.all(np.isfinite(weights) & (weights >= 0.0)):
+                raise UsageError(f"index weights must be finite and nonnegative, got {weights}")
             if abs(float(weights.sum()) - 1.0) > 1e-12:
                 raise UsageError(f"index weights sum to {weights.sum()!r}, not 1")
         self._count = count

@@ -50,9 +50,6 @@ class RelaxationStrategy:
     def sample(self, rng: np.random.Generator) -> float:
         raise NotImplementedError
 
-    def to_config(self) -> dict:
-        raise NotImplementedError
-
     def _check_cap(self, cap: Optional[float]) -> float:
         lo, hi = self.support_bounds()
         if lo <= 0.0:
@@ -86,9 +83,6 @@ class Constant(RelaxationStrategy):
     def sample(self, rng):
         return self.value
 
-    def to_config(self):
-        return {"kind": "constant", "value": self.value, "cap": self.cap}
-
 
 @dataclass(frozen=True)
 class TwoPoint(RelaxationStrategy):
@@ -119,10 +113,6 @@ class TwoPoint(RelaxationStrategy):
     def sample(self, rng):
         return self.value_a if rng.random() < self.prob_a else self.value_b
 
-    def to_config(self):
-        return {"kind": "two_point", "a": self.value_a, "p_a": self.prob_a,
-                "b": self.value_b, "cap": self.cap}
-
 
 @dataclass(frozen=True)
 class UniformInterval(RelaxationStrategy):
@@ -148,9 +138,6 @@ class UniformInterval(RelaxationStrategy):
     def sample(self, rng):
         return self.lo + (self.hi - self.lo) * rng.random()
 
-    def to_config(self):
-        return {"kind": "uniform", "lo": self.lo, "hi": self.hi, "cap": self.cap}
-
 
 def require_support_inside(strategy: RelaxationStrategy, lo: float, hi: float, what: str) -> None:
     """Raise ConfigurationError unless the support lies strictly inside ]lo, hi[."""
@@ -162,7 +149,8 @@ def require_support_inside(strategy: RelaxationStrategy, lo: float, hi: float, w
 
 
 def strategy_from_config(obj: dict) -> RelaxationStrategy:
-    """Build a strategy from its tagged-object serialization."""
+    """Build a strategy from its tagged-object form, as config files give it,
+    e.g. {"kind": "uniform", "lo": 1.5, "hi": 2.3}."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise UsageError("relaxation config must be an object with a 'kind' field")
     kind = obj["kind"]

@@ -7,6 +7,7 @@ Wall-clock limits are asserted where the criterion states them.
 
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -176,15 +177,17 @@ def test_criterion_07_signal_experiment():
     than for M=1 for every strategy. Runtime < 5 min."""
     t0 = time.perf_counter()
     problem = desk_signal_problem(seed=7)
+    family = problem.build_family()
     budgets = {1: 6000, 16: 1200}
     mean_iters = {}
     for m, budget in budgets.items():
         base = BlockConfig(batch_size=m, delta=0.5 / m,
                            relaxation=rx.Constant(1.0), max_iters=budget,
                            seed=123, atol=1e-12, stop_patience=50, record_every=1)
-        for label in canonical_strategies():
-            result = run_experiment(problem, base, label, repeats=10)
-            counts = [iterations_to_db(tr, -60.0) for tr in result.traces]
+        for label, strategy in canonical_strategies().items():
+            result = run_experiment(problem, family, replace(base, relaxation=strategy), label,
+                                    repeats=10)
+            counts = [iterations_to_db(r.trace, -60.0) for r in result.results]
             assert all(c is not None for c in counts), \
                 f"{label} M={m}: some runs never reached -60 dB ({counts})"
             mean_iters[(m, label)] = float(np.mean(counts))

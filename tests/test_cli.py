@@ -114,9 +114,28 @@ class TestParsing:
         ["signal", "--nu", "0.8"],
     ])
     def test_flag_the_command_does_not_read_rejected(self, argv):
-        with pytest.raises(SystemExit) as exc:
+        with pytest.raises(ConfigurationError):
             parse_and_validate(argv)
-        assert exc.value.code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("argv, fragment", [
+        (["sgd", "--M", "3"], "unrecognized arguments: --M 3"),
+        (["signal", "--scale", "huge"], "argument --scale: invalid choice: 'huge'"),
+        (["km", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+    ])
+    def test_usage_error_is_a_config_rejection(self, tmp_path, capsys, argv, fragment):
+        code = main(argv + ["--output-dir", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        line = json.loads(err)
+        assert line["error"] == "config" and fragment in line["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_and_validate(["signal", "--help"])
+        assert exc.value.code == 0
+        assert "--scale" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command, key, value", [
         ("sgd", "relaxation", "const:0.5"),

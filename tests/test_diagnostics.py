@@ -3,13 +3,9 @@ import pytest
 
 from stochfeas import relaxation as rx
 from stochfeas.block import BlockConfig, run_block
-from stochfeas.diagnostics import (
-    aggregate_runs,
-    estimate_reference_solution,
-    fejer_audit,
-    normalized_error_db,
-)
+from stochfeas.diagnostics import aggregate_runs, fejer_audit, normalized_error_db
 from stochfeas.exceptions import ReferenceSolutionError, UsageError
+from stochfeas.experiments import estimate_reference_solution
 from stochfeas.operators import OperatorFamily, halfspace_projector, hyperslab_projector
 from stochfeas.trace import ConvergenceTrace
 
@@ -91,13 +87,9 @@ class TestAggregateRuns:
             aggregate_runs([])
 
 
-def _toy_runner(family, x0, seed, **overrides):
-    def run(max_iters, atol):
-        cfg = BlockConfig(batch_size=2, delta=0.4, relaxation=rx.Constant(1.0),
-                          max_iters=max_iters, seed=seed, atol=atol, **overrides)
-        res = run_block(family, cfg, x0)
-        return res.final, res.trace
-    return run
+def _toy_config(max_iters, seed):
+    return BlockConfig(batch_size=2, delta=0.4, relaxation=rx.Constant(1.0),
+                       max_iters=max_iters, seed=seed, atol=1e-12)
 
 
 class TestEstimateReferenceSolution:
@@ -106,7 +98,7 @@ class TestEstimateReferenceSolution:
             halfspace_projector(np.array([1.0, 0.0]), 0.0),
             halfspace_projector(np.array([0.0, 1.0]), 0.0),
         ])
-        ref = estimate_reference_solution(_toy_runner(family, [1.0, 1.0], seed=3), 100)
+        ref = estimate_reference_solution(family, _toy_config(100, seed=3), [1.0, 1.0])
         np.testing.assert_allclose(ref, [0.0, 0.0], atol=1e-12)
 
     def test_consistent_linear_system_matches_direct_solve(self, rng):
@@ -118,7 +110,7 @@ class TestEstimateReferenceSolution:
         family = OperatorFamily([
             hyperslab_projector(a[i], b[i], b[i]) for i in range(4)
         ])
-        ref = estimate_reference_solution(_toy_runner(family, np.zeros(4), seed=11), 4000)
+        ref = estimate_reference_solution(family, _toy_config(4000, seed=11), np.zeros(4))
         np.testing.assert_allclose(ref, np.linalg.solve(a, b), atol=1e-8)
 
     def test_infeasible_configuration_raises(self):
@@ -128,7 +120,7 @@ class TestEstimateReferenceSolution:
             hyperslab_projector(np.array([1.0, 0.0]), 1.0, 1.0),
         ])
         with pytest.raises(ReferenceSolutionError):
-            estimate_reference_solution(_toy_runner(family, [0.3, 0.0], seed=5), 50)
+            estimate_reference_solution(family, _toy_config(50, seed=5), [0.3, 0.0])
 
 
 class TestFejerAudit:

@@ -392,9 +392,9 @@ class TestRunExperiment:
         prob = generate_signal_problem(n=64, p=3, seed=10)
         cfg = BlockConfig(batch_size=4, delta=0.1, relaxation=rx.Constant(1.0),
                           max_iters=150, seed=10, record_every=1)
-        result = run_experiment(prob, cfg, "const1", repeats=1)
-        assert len(result.traces) == 1
-        db = result.traces[0].db_column()
+        result = run_experiment(prob, prob.build_family(), cfg, "const1", repeats=1)
+        assert len(result.results) == 1
+        db = result.results[0].trace.db_column()
         assert db is not None
         np.testing.assert_array_equal(result.averaged.db_mean, db)
 
@@ -402,9 +402,10 @@ class TestRunExperiment:
         prob = generate_signal_problem(n=64, p=3, seed=11)
         cfg = BlockConfig(batch_size=2, delta=0.2, relaxation=rx.Constant(1.0),
                           max_iters=40, seed=11)
-        r1 = run_experiment(prob, cfg, "const1", repeats=3, compute_reference=False)
+        family = prob.build_family()
+        r1 = run_experiment(prob, family, cfg, "const1", repeats=3)
         assert len(set(r1.seeds)) == 3
-        r2 = run_experiment(prob, cfg, "const1.9", repeats=3, compute_reference=False)
+        r2 = run_experiment(prob, family, cfg, "const1.9", repeats=3)
         assert set(r1.seeds).isdisjoint(set(r2.seeds))
 
     def test_iterations_to_db(self):
@@ -430,18 +431,45 @@ class TestRunExperiment:
             return estimate(*args, **kwargs)
 
         monkeypatch.setattr(experiments, "estimate_reference_solution", first_fails)
-        result = run_experiment(prob, cfg, "const1", repeats=2)
+        result = run_experiment(prob, prob.build_family(), cfg, "const1", repeats=2)
         assert result.references[0] is None and result.references[1] is not None
         assert result.averaged is not None
         assert result.averaged.db_mean is None
         assert result.averaged.db_min is None and result.averaged.db_max is None
 
-    def test_unknown_label_rejected(self):
-        prob = generate_signal_problem(n=64, p=2, seed=0)
-        cfg = BlockConfig(batch_size=2, delta=0.2, relaxation=rx.Constant(1.0),
-                          max_iters=10, seed=0)
-        with pytest.raises(UsageError):
-            run_experiment(prob, cfg, "nope", repeats=1)
+    @pytest.mark.parametrize("max_iters, record_every, stops_early",
+                             [(60, 1, False), (400, 7, True)])
+    def test_recording_pass_is_a_prefix_of_the_reference_pass(self, monkeypatch, max_iters,
+                                                               record_every, stops_early):
+        # the recording pass replays the reference pass's draws, so on their
+        # common rows the residual, lambda and extrapolation columns agree bit
+        # for bit, whether the reference pass stops before the budget or not
+        prob = generate_signal_problem(n=64, p=3, seed=10)
+        cfg = BlockConfig(batch_size=4, delta=0.1, relaxation=rx.UniformInterval(1.5, 2.3),
+                          max_iters=max_iters, seed=10, atol=1e-12, record_every=record_every)
+        passes = []
+
+        def recorded(family, run_cfg, *args, **kwargs):
+            res = run_block(family, run_cfg, *args, **kwargs)
+            passes.append((run_cfg, res.trace))
+            return res
+
+        monkeypatch.setattr(experiments, "run_block", recorded)
+        result = run_experiment(prob, prob.build_family(), cfg, "uniform", repeats=2)
+        assert len(passes) == 4
+        for rep in range(2):
+            (ref_cfg, ref_trace), (rec_cfg, rec_trace) = passes[2 * rep: 2 * rep + 2]
+            assert ref_cfg.seed == rec_cfg.seed == result.seeds[rep]
+            assert ref_cfg.max_iters == 10 * max_iters and rec_cfg.atol == 0.0
+            assert rec_trace is result.results[rep].trace
+            common, ref_rows, rec_rows = np.intersect1d(
+                ref_trace.iterations(), rec_trace.iterations(), return_indices=True)
+            assert common.size >= 2
+            for column in ("residuals", "lambdas", "extrapolations"):
+                ref_col = getattr(ref_trace, column)()[ref_rows]
+                rec_col = getattr(rec_trace, column)()[rec_rows]
+                assert np.array_equal(ref_col, rec_col), column
+            assert (ref_trace.footer["iterations_run"] < max_iters) == stops_early
 
 
 class TestIndexStreamCoverage:

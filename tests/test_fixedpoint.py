@@ -158,6 +158,13 @@ class TestSgd:
             with pytest.raises(ConfigurationError, match=r"nu in \]2/3, 1\] violated"):
                 SgdConfig(beta=1.0, nu=nu, max_iters=10, seed=0, gradient_family=family)
 
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_spot_check_needs_a_sample(self, samples):
+        family = GradientFamily([lambda x: x], lambda x: x, 0.0)
+        with pytest.raises(ConfigurationError, match="spot_check_samples must be >= 1"):
+            SgdConfig(beta=1.0, nu=0.75, max_iters=10, seed=0, gradient_family=family,
+                      spot_check_samples=samples)
+
     def test_unbiasedness_spot_check_catches_biased_family(self):
         biased = GradientFamily([lambda x: x + 1.0], mean_gradient=lambda x: x,
                                 variance_bound=1e-6)

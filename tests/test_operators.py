@@ -280,6 +280,8 @@ class TestIndexSampling:
             OperatorFamily([lambda x: x] * 2, weights=[0.7, 0.7])
         with pytest.raises(UsageError):
             OperatorFamily([lambda x: x] * 2, weights=[1.2, -0.2])
+        with pytest.raises(UsageError, match="finite"):
+            OperatorFamily([lambda x: x] * 2, weights=[float("nan"), 1.0])
 
 
 class TestEvaluate:

@@ -104,9 +104,14 @@ def test_cap_defaults_to_at_least_two():
 
 
 def test_serialization_round_trip():
-    for s in (rx.Constant(1.9), rx.TwoPoint(2.3, 0.5, 1.5), rx.UniformInterval(1.5, 2.3)):
-        back = rx.strategy_from_config(s.to_config())
-        assert back == type(s)(**{k: v for k, v in s.__dict__.items()})
+    for obj, s in (
+        ({"kind": "constant", "value": 1.9}, rx.Constant(1.9)),
+        ({"kind": "two_point", "a": 2.3, "p_a": 0.5, "b": 1.5, "cap": 3.0},
+         rx.TwoPoint(2.3, 0.5, 1.5, cap=3.0)),
+        ({"kind": "uniform", "lo": 1.5, "hi": 2.3}, rx.UniformInterval(1.5, 2.3)),
+    ):
+        back = rx.strategy_from_config(obj)
+        assert back == s
         assert back.moments() == s.moments()
 
 
