@@ -20,12 +20,7 @@ from .block import (
     extrapolation_parameter,
     run_block,
 )
-from .diagnostics import (
-    RunSummary,
-    aggregate_runs,
-    fejer_audit,
-    normalized_error_db,
-)
+from .diagnostics import aggregate_runs, normalized_error_db
 from .experiments import (
     ImageProblem,
     SignalProblem,

@@ -187,7 +187,6 @@ def run_block(
     x0,
     reference_solution=None,
     fejer_points: Optional[Sequence] = None,
-    index_override=None,
 ) -> BlockResult:
     """Run the block iteration from ``x0``.
 
@@ -199,8 +198,6 @@ def run_block(
                             + 1e-9 (1 + ||x - z||^2)
 
     is checked and violations are counted into the result.
-    ``index_override`` is a testing hook mapping the iteration number to the
-    M indices to use instead of random draws.
     """
     m = cfg.batch_size
     idx_rng = substream(cfg.seed, "index")
@@ -215,12 +212,7 @@ def run_block(
 
     def step(n, x):
         nonlocal violations, worst
-        if index_override is not None:
-            ks = np.asarray(index_override(n))
-            if ks.shape != (m,):
-                raise UsageError("index_override must supply exactly M indices")
-        else:
-            ks = sample_indices(family, idx_rng, m)
+        ks = sample_indices(family, idx_rng, m)
         # the averaged point enters only through p - x; working with the
         # steps directly keeps the indicator branch [p = x] exact when every
         # drawn operator fixes x

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import relaxation as rx
 from .block import MAX_RESIDUAL_CONCENTRATED, UNIFORM_OVER_BATCH, BlockConfig, run_block
-from .diagnostics import RunSummary, normalized_error_db
+from .diagnostics import normalized_error_db
 from .exceptions import (
     ConfigurationError,
     InvariantViolationError,
@@ -279,16 +279,21 @@ def _run_single(command: str, solver):
 
 
 def _summary(cfg: RunConfig, label: str, seed: int, trace, final_db, res,
-             wall: float) -> RunSummary:
-    """The summary.json line of one run; ``res`` is its BlockResult, if any."""
-    return RunSummary(
-        seed=seed, iterations_run=int(trace.footer["iterations_run"]),
-        final_residual=trace.final_residual(), final_norm_err_db=final_db,
-        invariant_violations=0 if res is None else res.fejer_violations,
-        worst_violation=0.0 if res is None else res.worst_fejer_violation,
-        wall_clock=wall, stop_reason=trace.footer["stop_reason"],
-        strategy=label, command=cfg.command,
-    )
+             wall: float) -> dict:
+    """The summary.json line of one run; ``res`` is its BlockResult, if any,
+    and ``final_db`` the final iterate's dB against the run's reference."""
+    return {
+        "command": cfg.command,
+        "strategy": label,
+        "seed": seed,
+        "iterations_run": int(trace.footer["iterations_run"]),
+        "final_residual": trace.final_residual(),
+        "final_norm_err_db": final_db,
+        "invariant_violations": 0 if res is None else res.fejer_violations,
+        "worst_violation": 0.0 if res is None else res.worst_fejer_violation,
+        "wall_clock_s": wall,
+        "stop_reason": trace.footer["stop_reason"],
+    }
 
 
 def execute(cfg: RunConfig) -> int:
@@ -313,15 +318,15 @@ def execute(cfg: RunConfig) -> int:
                 result = run_experiment(problem, family, _solver_config(cfg, strategy, cfg.seed),
                                         label, repeats=cfg.repeats)
                 wall = (time.perf_counter() - started) / len(result.seeds)
-                for seed, res in zip(result.seeds, result.results):
-                    db = res.trace.db_column()
-                    final_db = None if db is None else float(db[-1])
+                x0 = np.zeros(problem.ground_truth.size)
+                for seed, ref, res in zip(result.seeds, result.references, result.results):
+                    final_db = None if ref is None else normalized_error_db(res.final, x0, ref)
                     runs.append((_summary(cfg, label, seed, res.trace, final_db, res, wall),
                                  res.trace, res))
                 averaged.append((label, result.averaged))
 
         for summary, trace, res in runs:
-            stem = f"{cfg.command}_{summary.strategy}_{summary.seed}"
+            stem = f"{cfg.command}_{summary['strategy']}_{summary['seed']}"
             trace.write_csv(out_dir / f"{stem}.csv")
             if res is not None and res.records is not None:
                 _write_records(out_dir / f"{stem}_records.jsonl", res.records)
@@ -337,16 +342,12 @@ def execute(cfg: RunConfig) -> int:
         _emit_error("invariant", exc)
         return EXIT_INVARIANT
 
-    summaries = sorted((run[0] for run in runs), key=lambda s: (s.strategy, s.seed))
-    payload = {
-        "command": cfg.command,
-        "seed": cfg.seed,
-        "runs": [s.to_json_dict() for s in summaries],
-    }
+    summaries = sorted((run[0] for run in runs), key=lambda s: (s["strategy"], s["seed"]))
+    payload = {"command": cfg.command, "seed": cfg.seed, "runs": summaries}
     with open(out_dir / "summary.json", "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
-    if any(s.invariant_violations for s in summaries):
+    if any(s["invariant_violations"] for s in summaries):
         return EXIT_INVARIANT
     return EXIT_OK
 

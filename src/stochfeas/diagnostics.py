@@ -133,57 +133,3 @@ def audit_fejer_step(x, x_next, lam: float, d, zs) -> tuple[int, float]:
             worst = max(worst, -dec - tol)
     return violations, worst
 
-
-def fejer_audit(x0, records, z_points) -> tuple[int, float]:
-    """Replay block-iteration records and audit the descent inequality.
-
-    For each record the update is reconstructed as
-    ``x_next = x + lam (a - x)`` with direction ``d = x - a`` and audited by
-    :func:`audit_fejer_step`.  Returns (violation count, worst deficit
-    beyond tolerance).
-    """
-    x = as_point(x0, "x0").copy()
-    zs = [as_point(z, "z") for z in z_points]
-    for z in zs:
-        require_same_dim(x, z, "fejer_audit")
-    violations = 0
-    worst = 0.0
-    for rec in records:
-        a = np.asarray(rec.a, dtype=np.float64)
-        require_same_dim(a, x, "fejer_audit")
-        x_next = x + rec.lam * (a - x)
-        count, deficit = audit_fejer_step(x, x_next, rec.lam, x - a, zs)
-        violations += count
-        worst = max(worst, deficit)
-        x = x_next
-    return violations, worst
-
-
-@dataclass
-class RunSummary:
-    """Per-run outcome line for summary.json."""
-
-    seed: int
-    iterations_run: int
-    final_residual: float
-    final_norm_err_db: Optional[float]
-    invariant_violations: int
-    worst_violation: float
-    wall_clock: float
-    stop_reason: str = ""
-    strategy: str = ""
-    command: str = ""
-
-    def to_json_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "strategy": self.strategy,
-            "seed": self.seed,
-            "iterations_run": self.iterations_run,
-            "final_residual": self.final_residual,
-            "final_norm_err_db": self.final_norm_err_db,
-            "invariant_violations": self.invariant_violations,
-            "worst_violation": self.worst_violation,
-            "wall_clock_s": self.wall_clock,
-            "stop_reason": self.stop_reason,
-        }

@@ -30,11 +30,12 @@ from . import relaxation as rx
 from .diagnostics import ratio_db
 from .exceptions import ConfigurationError, NumericError, UsageError
 from .geometry import as_point
-from .operators import OperatorFamily, sample_indices
+from .operators import _IndexedFamily, sample_indices
 from .rngstreams import substream
 from .trace import ConvergenceTrace
 
 DIVERGENCE_NORM = 1e12
+_SPOT_CHECK_SAMPLES = 10_000   # Monte-Carlo draws of the unbiasedness spot-check
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +123,6 @@ class SgdConfig:
     seed: int
     gradient_family: "GradientFamily"
     record_every: int = 1
-    spot_check_samples: int = 10_000
 
     def __post_init__(self):
         if not (self.beta > 0.0 and math.isfinite(self.beta)):
@@ -133,16 +133,13 @@ class SgdConfig:
             raise ConfigurationError("max_iters must be >= 1")
         if self.record_every < 1:
             raise ConfigurationError("record_every must be >= 1")
-        if self.spot_check_samples < 1:
-            raise ConfigurationError(
-                f"spot_check_samples must be >= 1, got {self.spot_check_samples}")
 
     def step_size(self, n: int) -> float:
         return 2.0 * self.beta / (n + 1.0) ** self.nu
 
 
-class GradientFamily:
-    """Indexed stochastic gradients with a sampler and declared variance bound.
+class GradientFamily(_IndexedFamily):
+    """Indexed stochastic gradients with a uniform index law and declared variance bound.
 
     ``gradients`` maps an index to the callable grad g_k.  ``mean_gradient``
     is the deterministic grad f when available (used for trace residuals and
@@ -151,17 +148,13 @@ class GradientFamily:
     """
 
     def __init__(self, gradients: Sequence[Callable], mean_gradient: Optional[Callable],
-                 variance_bound: float, weights=None):
-        if not gradients:
-            raise UsageError("gradient family needs at least one member")
+                 variance_bound: float):
+        super().__init__(len(gradients))
         if not (variance_bound >= 0.0 and math.isfinite(variance_bound)):
             raise UsageError(f"variance bound must be finite and >= 0, got {variance_bound}")
-        self._family = OperatorFamily(list(gradients), weights=weights)
+        self.gradients = list(gradients)
         self.mean_gradient = mean_gradient
         self.variance_bound = float(variance_bound)
-
-    def __len__(self):
-        return len(self._family)
 
     def draws(self, rng):
         """Endless index draws from ``rng``, taken 1024 uniforms at a time.
@@ -169,23 +162,24 @@ class GradientFamily:
         Yields the same sequence as one-index ``sample_indices`` calls.
         """
         while True:
-            yield from sample_indices(self._family, rng, 1024).tolist()
+            yield from sample_indices(self, rng, 1024).tolist()
 
     def gradient(self, k: int, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self._family.apply(k, x), dtype=np.float64)
+        return np.asarray(self.gradients[k](x), dtype=np.float64)
 
-    def spot_check_unbiased(self, x0: np.ndarray, rng, samples: int) -> None:
+    def spot_check_unbiased(self, x0: np.ndarray, rng) -> None:
         """Monte-Carlo check that the sample mean gradient at x0 is within
-        3 sigma of the declared mean gradient, sigma = sqrt(xi / m)."""
+        3 sigma of the declared mean gradient, sigma = sqrt(xi / m), over
+        m = 10,000 draws."""
         if self.mean_gradient is None:
             return
         acc = np.zeros_like(x0)
-        for k in sample_indices(self._family, rng, samples).tolist():
+        for k in sample_indices(self, rng, _SPOT_CHECK_SAMPLES).tolist():
             acc += self.gradient(k, x0)
-        acc /= samples
+        acc /= _SPOT_CHECK_SAMPLES
         target = np.asarray(self.mean_gradient(x0), dtype=np.float64)
         dev = float(np.linalg.norm(acc - target))
-        bound = 3.0 * math.sqrt(max(self.variance_bound, 1e-300) / samples)
+        bound = 3.0 * math.sqrt(max(self.variance_bound, 1e-300) / _SPOT_CHECK_SAMPLES)
         if dev > bound and self.variance_bound > 0.0:
             raise ConfigurationError(
                 f"unbiasedness spot-check failed at x0: |mean - grad f| = {dev:.3e} "
@@ -289,7 +283,7 @@ def run_sgd(cfg: SgdConfig, x0) -> tuple[np.ndarray, ConvergenceTrace]:
     """
     x0 = as_point(x0, "x0")
     family = cfg.gradient_family
-    family.spot_check_unbiased(x0, substream(cfg.seed, "validation"), cfg.spot_check_samples)
+    family.spot_check_unbiased(x0, substream(cfg.seed, "validation"))
     indices = family.draws(substream(cfg.seed, "index"))
     mean_grad = family.mean_gradient
 

@@ -247,14 +247,11 @@ class OperatorFamily(_IndexedFamily):
         super().__init__(len(members), weights)
         self.members = members
 
-    def apply(self, k: int, x: np.ndarray) -> np.ndarray:
-        return self.members[k](x)
-
     def evaluate(self, ks, x):
         steps = np.empty((len(ks), x.shape[0]))
         norms = np.empty(len(ks))
         for i, k in enumerate(ks):
-            d = np.subtract(self.apply(k, x), x, out=steps[i])
+            d = np.subtract(self.members[k](x), x, out=steps[i])
             norms[i] = math.sqrt(float(d @ d))
         return steps, norms
 

@@ -148,22 +148,36 @@ def require_support_inside(strategy: RelaxationStrategy, lo: float, hi: float, w
         )
 
 
+# The tagged-object kinds: each one's class and its required fields, in
+# constructor order.  Every kind also takes an optional "cap".
+_CONFIG_KINDS = {
+    "constant": (Constant, ("value",)),
+    "two_point": (TwoPoint, ("a", "p_a", "b")),
+    "uniform": (UniformInterval, ("lo", "hi")),
+}
+
+
 def strategy_from_config(obj: dict) -> RelaxationStrategy:
     """Build a strategy from its tagged-object form, as config files give it,
-    e.g. {"kind": "uniform", "lo": 1.5, "hi": 2.3}."""
+    e.g. {"kind": "uniform", "lo": 1.5, "hi": 2.3}.  Every field must be a
+    number; a missing field or one the kind does not take is rejected."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise UsageError("relaxation config must be an object with a 'kind' field")
     kind = obj["kind"]
-    try:
-        if kind == "constant":
-            return Constant(float(obj["value"]), cap=obj.get("cap"))
-        if kind == "two_point":
-            return TwoPoint(float(obj["a"]), float(obj["p_a"]), float(obj["b"]), cap=obj.get("cap"))
-        if kind == "uniform":
-            return UniformInterval(float(obj["lo"]), float(obj["hi"]), cap=obj.get("cap"))
-    except KeyError as exc:
-        raise UsageError(f"relaxation config for kind {kind!r} missing field {exc}") from exc
-    raise UsageError(f"unknown relaxation kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _CONFIG_KINDS:
+        raise UsageError(f"unknown relaxation kind {kind!r}")
+    cls, fields = _CONFIG_KINDS[kind]
+    unknown = sorted(set(obj) - {"kind", "cap", *fields})
+    if unknown:
+        raise UsageError(f"relaxation config for kind {kind!r} has unknown fields {unknown}")
+    for name in fields + ("cap",):
+        if name not in obj:
+            if name != "cap":
+                raise UsageError(f"relaxation config for kind {kind!r} missing field {name!r}")
+        elif type(obj[name]) not in (int, float):
+            raise UsageError(f"relaxation config field {name!r} must be a number, "
+                             f"got {obj[name]!r}")
+    return cls(*(float(obj[name]) for name in fields), cap=obj.get("cap"))
 
 
 def strategy_label(strategy: RelaxationStrategy) -> str:

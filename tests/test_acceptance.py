@@ -83,16 +83,17 @@ def test_criterion_02_extrapolation_bound(fejer_suite):
     _report(2, f"global min L = {global_min!r}, M=1 runs exactly 1")
 
 
-def test_criterion_03_hand_oracle_one_step():
+def test_criterion_03_hand_oracle_one_step(monkeypatch):
     """Two half-spaces from (1, 1), both indices active, uniform weights,
     lam = 1: the extrapolated step lands on (0, 0) within 1e-15."""
+    monkeypatch.setattr("stochfeas.block.sample_indices", lambda family, rng, m: np.arange(2))
     family = OperatorFamily([
         halfspace_projector(np.array([1.0, 0.0]), 0.0),
         halfspace_projector(np.array([0.0, 1.0]), 0.0),
     ])
     cfg = BlockConfig(batch_size=2, delta=0.4, relaxation=rx.Constant(1.0),
                       max_iters=1, seed=0)
-    res = run_block(family, cfg, [1.0, 1.0], index_override=lambda n: (0, 1))
+    res = run_block(family, cfg, [1.0, 1.0])
     err = float(np.max(np.abs(res.final)))
     assert err <= 1e-15
     _report(3, f"one-step error {err:.2e} <= 1e-15")
@@ -132,8 +133,7 @@ def test_criterion_05_sgd_quadratic():
     for seed in range(20):
         fam = quadratic_family(center, offsets)
         cfg = SgdConfig(beta=1.0, nu=0.75, max_iters=100_000, seed=seed,
-                        gradient_family=fam, record_every=10,
-                        spot_check_samples=2000)
+                        gradient_family=fam, record_every=10)
         _, trace = run_sgd(cfg, np.zeros(8))
         res = trace.residuals()
         iters = trace.iterations()

@@ -107,11 +107,11 @@ class TestExtrapolation:
 
 
 class TestRunBlock:
-    def test_hand_oracle_two_halfspaces_one_step(self):
+    def test_hand_oracle_two_halfspaces_one_step(self, monkeypatch):
+        monkeypatch.setattr("stochfeas.block.sample_indices", lambda family, rng, m: np.arange(2))
         cfg = BlockConfig(batch_size=2, delta=0.4, relaxation=rx.Constant(1.0),
                           max_iters=1, seed=0)
-        res = run_block(two_halfspace_family(), cfg, [1.0, 1.0],
-                        index_override=lambda n: (0, 1))
+        res = run_block(two_halfspace_family(), cfg, [1.0, 1.0])
         np.testing.assert_allclose(res.final, [0.0, 0.0], atol=1e-15)
         assert res.trace.extrapolations()[0] == pytest.approx(2.0, rel=1e-15)
 
@@ -210,12 +210,12 @@ class TestRunBlock:
         assert [r.lam for r in r1.trace.rows] == [r.lam for r in r2.trace.rows]
         assert [r.residual for r in r1.trace.rows] == [r.residual for r in r2.trace.rows]
 
-    def test_reference_solution_enables_db_column(self):
+    def test_reference_solution_enables_db_column(self, monkeypatch):
+        monkeypatch.setattr("stochfeas.block.sample_indices", lambda family, rng, m: np.arange(2))
         cfg = BlockConfig(batch_size=2, delta=0.4, relaxation=rx.Constant(1.0),
                           max_iters=5, seed=0, atol=0.0)
         res = run_block(two_halfspace_family(), cfg, [1.0, 1.0],
-                        reference_solution=np.zeros(2),
-                        index_override=lambda n: (0, 1))
+                        reference_solution=np.zeros(2))
         db = res.trace.db_column()
         assert db is not None
         assert db[0] == 0.0           # at x0
@@ -287,7 +287,7 @@ class TestConfigValidation:
             BlockConfig(batch_size=2, max_iters=10, seed=0, **kwargs)
 
 
-def test_records_correct_with_simultaneous_fejer_audit(rng):
+def test_records_correct_with_simultaneous_fejer_points(rng):
     """Records must hold the true averaged point even when the audit hook
     runs in the same iteration."""
     normals, offsets, family, center, margin = random_halfspace_problem(rng)

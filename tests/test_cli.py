@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from stochfeas import relaxation as rx
@@ -8,11 +9,14 @@ from stochfeas.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     _build_problem,
+    _solver_config,
     main,
     parse_and_validate,
     parse_relaxation_shorthand,
 )
+from stochfeas.diagnostics import normalized_error_db
 from stochfeas.exceptions import ConfigurationError
+from stochfeas.experiments import run_experiment
 from stochfeas.trace import read_trace_csv
 
 
@@ -239,6 +243,23 @@ class TestArtifactLayout:
         keys = [(r["strategy"], r["seed"]) for r in payload["runs"]]
         assert keys == sorted(keys)
 
+    def test_final_norm_err_db_is_the_final_iterates(self, tmp_path):
+        """An experiment run reports the dB of x_N, not of the last recorded row."""
+        argv = ["signal", "--scale", "desk", "--M", "4", "--iters", "60", "--repeats", "2",
+                "--seed", "3"]
+        assert main(argv + ["--output-dir", str(tmp_path)]) == EXIT_OK
+        runs = json.load(open(tmp_path / "summary.json"))["runs"]
+        cfg = parse_and_validate(argv)
+        problem, family = _build_problem(cfg)
+        x0 = np.zeros(problem.ground_truth.size)
+        expected = {}
+        for label, strategy in cfg.strategies.items():
+            result = run_experiment(problem, family, _solver_config(cfg, strategy, cfg.seed),
+                                    label, repeats=2)
+            for seed, ref, res in zip(result.seeds, result.references, result.results):
+                expected[label, seed] = normalized_error_db(res.final, x0, ref)
+        assert {(r["strategy"], r["seed"]): r["final_norm_err_db"] for r in runs} == expected
+
     def test_dump_records_writes_jsonl(self, tmp_path):
         code = main(["toy", "--seed", "5", "--iters", "20", "--dump-records",
                      "--output-dir", str(tmp_path)])
@@ -305,6 +326,24 @@ class TestConfigFileRelaxationForms:
         cfg_path.write_text(json.dumps({"relaxation": {"kind": "nope"}}))
         with pytest.raises(ConfigurationError):
             parse_and_validate(["signal", "--config", str(cfg_path)])
+
+    @pytest.mark.parametrize("relaxation, field", [
+        ({"kind": "constant", "value": "abc"}, "value"),
+        ({"kind": "constant", "value": None}, "value"),
+        ({"kind": "constant", "value": True}, "value"),
+        ({"kind": "uniform", "lo": 1.5, "hi": 2.3, "typo": 9}, "typo"),
+        ({"kind": "uniform", "lo": 1.5, "hi": 2.3, "cap": None}, "cap"),
+        ({"kind": "two_point", "a": 2.3, "p_a": 0.5}, "b"),
+    ], ids=["string", "null", "boolean", "unknown-field", "null-cap", "missing-field"])
+    def test_bad_tagged_field_is_a_config_rejection(self, tmp_path, capsys, relaxation, field):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"relaxation": relaxation}))
+        code = main(["signal", "--config", str(path), "--output-dir", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert repr(field) in json.loads(err)["message"]
+        assert not (tmp_path / "out").exists()
 
     def test_dump_records_for_experiment_command(self, tmp_path):
         code = main(["signal", "--iters", "25", "--repeats", "1", "--M", "2",

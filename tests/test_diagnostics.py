@@ -3,7 +3,7 @@ import pytest
 
 from stochfeas import relaxation as rx
 from stochfeas.block import BlockConfig, run_block
-from stochfeas.diagnostics import aggregate_runs, fejer_audit, normalized_error_db
+from stochfeas.diagnostics import aggregate_runs, audit_fejer_step, normalized_error_db
 from stochfeas.exceptions import ReferenceSolutionError, UsageError
 from stochfeas.experiments import estimate_reference_solution
 from stochfeas.operators import OperatorFamily, halfspace_projector, hyperslab_projector
@@ -129,21 +129,22 @@ class TestFejerAudit:
         zs = sample_solution_points(rng, center, margin)
         for lam in (rx.Constant(1.0), rx.Constant(1.9)):
             cfg = BlockConfig(batch_size=4, delta=0.1, relaxation=lam,
-                              max_iters=400, seed=17, atol=0.0, collect_records=True)
-            res = run_block(family, cfg, np.zeros(10))
-            count, worst = fejer_audit(np.zeros(10), res.records, zs)
-            assert count == 0
-            assert worst == 0.0
+                              max_iters=400, seed=17, atol=0.0)
+            res = run_block(family, cfg, np.zeros(10), fejer_points=zs)
+            assert res.fejer_violations == 0
+            assert res.worst_fejer_violation == 0.0
 
     def test_detects_fabricated_violation(self):
-        from stochfeas.block import BlockIterationRecord
-
-        # a step that expands the distance to z without any damping term
-        rec = BlockIterationRecord(
-            iteration=0, indices=(0,), weights=np.array([1.0]),
-            p=np.array([5.0, 0.0]), extrapolation=1.0,
-            a=np.array([5.0, 0.0]), lam=1.0,
-        )
-        count, worst = fejer_audit(np.array([1.0, 0.0]), [rec], [np.zeros(2)])
+        # a step from (1, 0) to a = (5, 0) that expands the distance to z = 0
+        # without any damping term
+        x, a = np.array([1.0, 0.0]), np.array([5.0, 0.0])
+        count, worst = audit_fejer_step(x, a, 1.0, x - a, [np.zeros(2)])
         assert count == 1
         assert worst > 0
+        # T x = 2 x fixes 0 but is not quasinonexpansive: each step from
+        # (1, 0) doubles the distance to 0, and run_block counts each one
+        cfg = BlockConfig(batch_size=1, delta=0.5, relaxation=rx.Constant(1.0),
+                          max_iters=3, seed=0, atol=0.0)
+        res = run_block(OperatorFamily([lambda x: 2.0 * x]), cfg, x, fejer_points=[np.zeros(2)])
+        assert res.fejer_violations == 3
+        assert res.worst_fejer_violation > 0

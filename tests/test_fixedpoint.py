@@ -158,18 +158,11 @@ class TestSgd:
             with pytest.raises(ConfigurationError, match=r"nu in \]2/3, 1\] violated"):
                 SgdConfig(beta=1.0, nu=nu, max_iters=10, seed=0, gradient_family=family)
 
-    @pytest.mark.parametrize("samples", [0, -5])
-    def test_spot_check_needs_a_sample(self, samples):
-        family = GradientFamily([lambda x: x], lambda x: x, 0.0)
-        with pytest.raises(ConfigurationError, match="spot_check_samples must be >= 1"):
-            SgdConfig(beta=1.0, nu=0.75, max_iters=10, seed=0, gradient_family=family,
-                      spot_check_samples=samples)
-
     def test_unbiasedness_spot_check_catches_biased_family(self):
         biased = GradientFamily([lambda x: x + 1.0], mean_gradient=lambda x: x,
                                 variance_bound=1e-6)
         cfg = SgdConfig(beta=1.0, nu=0.75, max_iters=10, seed=0,
-                        gradient_family=biased, spot_check_samples=100)
+                        gradient_family=biased)
         with pytest.raises(ConfigurationError):
             run_sgd(cfg, [0.0, 0.0])
 
@@ -204,8 +197,7 @@ class TestSgd:
 
     def test_determinism(self):
         fam = quadratic_family(np.zeros(3), np.array([[0.1, 0, 0], [-0.1, 0, 0]]))
-        cfg = SgdConfig(beta=1.0, nu=0.75, max_iters=500, seed=9, gradient_family=fam,
-                        spot_check_samples=10)
+        cfg = SgdConfig(beta=1.0, nu=0.75, max_iters=500, seed=9, gradient_family=fam)
         f1, t1 = run_sgd(cfg, np.ones(3))
         f2, t2 = run_sgd(cfg, np.ones(3))
         np.testing.assert_array_equal(f1, f2)
@@ -215,14 +207,13 @@ class TestSgd:
         rng = np.random.default_rng(3)
         fam = quadratic_family(rng.uniform(-1, 1, size=3), rng.uniform(-0.3, 0.3, size=(7, 3)))
         # 2500 steps cross two refills of the bulk index buffer
-        cfg = SgdConfig(beta=1.0, nu=0.75, max_iters=2500, seed=17, gradient_family=fam,
-                        spot_check_samples=100)
+        cfg = SgdConfig(beta=1.0, nu=0.75, max_iters=2500, seed=17, gradient_family=fam)
         final, _ = run_sgd(cfg, np.zeros(3))
         from stochfeas.rngstreams import substream
         idx_rng = substream(17, "index")
         x = np.zeros(3)
         for n in range(2500):
-            k = sample_indices(fam._family, idx_rng, 1).item()
+            k = sample_indices(fam, idx_rng, 1).item()
             x = x - cfg.step_size(n) * fam.gradient(k, x)
         np.testing.assert_array_equal(final, x)
 

@@ -292,7 +292,7 @@ class TestEvaluate:
         x = rng.normal(size=3)
         ks = [0, 3, 3, 1, 5]
         steps, norms = fam.evaluate(ks, x)
-        expected = np.array([fam.apply(k, x) - x for k in ks])
+        expected = np.array([fam.members[k](x) - x for k in ks])
         np.testing.assert_array_equal(steps, expected)
         np.testing.assert_array_equal(norms, [np.sqrt(d @ d) for d in expected])
         inside = np.zeros(3)
