@@ -297,9 +297,9 @@ def _summary(cfg: RunConfig, label: str, seed: int, trace, final_db, res,
 
 
 def execute(cfg: RunConfig) -> int:
-    """Run the configured command, write artifacts, and return the exit code."""
+    """Run the configured command, write artifacts into the existing
+    ``cfg.output_dir``, and return the exit code."""
     out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     runs, averaged = [], []  # (summary, trace, BlockResult or None), (label, averaged trace)
 
     try:
@@ -380,6 +380,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         cfg = parse_and_validate(argv)
+        Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
     except (ConfigurationError, UsageError, OSError, json.JSONDecodeError) as exc:
         _emit_error("config", exc)
         return EXIT_CONFIG

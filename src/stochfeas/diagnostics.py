@@ -6,8 +6,7 @@ never over wall-clock, so aggregated outputs are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,46 +42,17 @@ def normalized_error_db(x_n, x0, x_inf) -> float:
     return ratio_db(float(np.linalg.norm(x_n - x_inf)), den)
 
 
-@dataclass
-class AveragedTrace:
-    """Pointwise mean over runs on a common iteration grid, with envelope."""
-
-    iterations: np.ndarray
-    elapsed_mean: np.ndarray
-    residual_mean: np.ndarray
-    db_mean: Optional[np.ndarray]
-    lambda_mean: np.ndarray
-    extrapolation_mean: np.ndarray
-    db_min: Optional[np.ndarray]
-    db_max: Optional[np.ndarray]
-
-    def write_csv(self, path) -> None:
-        import csv
-
-        from .trace import CSV_HEADER, format_float
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER + ("db_min", "db_max"))
-            for i in range(self.iterations.size):
-                writer.writerow([
-                    int(self.iterations[i]),
-                    format_float(self.elapsed_mean[i]),
-                    format_float(self.residual_mean[i]),
-                    "" if self.db_mean is None else format_float(self.db_mean[i]),
-                    format_float(self.lambda_mean[i]),
-                    format_float(self.extrapolation_mean[i]),
-                    "" if self.db_min is None else format_float(self.db_min[i]),
-                    "" if self.db_max is None else format_float(self.db_max[i]),
-                ])
+class AveragedTrace(ConvergenceTrace):
+    """Pointwise mean over runs on a common iteration grid: the trace columns
+    hold the means, and ``db_min`` and ``db_max`` the dB envelope."""
 
 
 def aggregate_runs(traces: Sequence[ConvergenceTrace]) -> AveragedTrace:
     """Arithmetic mean per iteration index across traces (plus dB envelope).
 
     All traces must share the same iteration grid; aggregation is invariant
-    under permutation of the traces.  The dB mean and envelope are None
-    unless every trace has a dB column.
+    under permutation of the traces.  The dB mean and envelope cells are
+    empty unless every trace has a dB column.
     """
     if not traces:
         raise UsageError("aggregate_runs needs at least one trace")
@@ -91,25 +61,23 @@ def aggregate_runs(traces: Sequence[ConvergenceTrace]) -> AveragedTrace:
         if not np.array_equal(t.iterations(), grid):
             raise UsageError("traces have mismatched iteration grids")
 
-    def column_mean(rows):
+    def mean(name):
         # sort per iteration before summing so the result is exactly
         # permutation-invariant over traces
-        stacked = np.sort(np.vstack(rows), axis=0)
+        stacked = np.sort(np.vstack([t.column(name) for t in traces]), axis=0)
         return stacked.sum(axis=0) / stacked.shape[0]
 
-    elapsed = column_mean([[r.elapsed for r in t.rows] for t in traces])
-    residual = column_mean([t.residuals() for t in traces])
-    lam = column_mean([t.lambdas() for t in traces])
-    extrap = column_mean([t.extrapolations() for t in traces])
     db_cols = [t.db_column() for t in traces]
     if all(c is not None for c in db_cols):
         stacked = np.vstack(db_cols)
-        db_mean = column_mean(db_cols)
-        db_min = stacked.min(axis=0)
-        db_max = stacked.max(axis=0)
+        db_mean, db_min, db_max = mean("norm_err_db"), stacked.min(axis=0), stacked.max(axis=0)
     else:
-        db_mean = db_min = db_max = None
-    return AveragedTrace(grid, elapsed, residual, db_mean, lam, extrap, db_min, db_max)
+        db_mean = db_min = db_max = [None] * grid.size
+    return AveragedTrace({
+        "iter": grid, "elapsed_s": mean("elapsed_s"), "residual": mean("residual"),
+        "norm_err_db": db_mean, "lambda": mean("lambda"),
+        "extrapolation": mean("extrapolation"), "db_min": db_min, "db_max": db_max,
+    })
 
 
 def audit_fejer_step(x, x_next, lam: float, d, zs) -> tuple[int, float]:

@@ -68,7 +68,11 @@ class DecayingNoise:
         norm = float(np.linalg.norm(g))
         if norm > 1.0:
             g /= norm
-        return (self.c / (n + 1.0) ** self.q) * g
+        try:
+            bound = self.c / (n + 1.0) ** self.q
+        except OverflowError:
+            bound = 0.0   # (n + 1)^q is above every float, so the bound is below every float
+        return bound * g
 
     def describe(self):
         return f"decaying(c={self.c:g}, q={self.q:g})"

@@ -55,8 +55,8 @@ class RelaxationStrategy:
         if lo <= 0.0:
             raise UsageError(f"relaxation support must be positive, got inf {lo}")
         cap = max(2.0, hi) if cap is None else float(cap)
-        if cap < 2.0:
-            raise UsageError(f"declared cap rho must be >= 2, got {cap}")
+        if not (np.isfinite(cap) and cap >= 2.0):
+            raise UsageError(f"declared cap rho must be finite and >= 2, got {cap}")
         if hi > cap:
             raise UsageError(f"support sup {hi} exceeds declared cap {cap}")
         return cap
@@ -160,7 +160,7 @@ _CONFIG_KINDS = {
 def strategy_from_config(obj: dict) -> RelaxationStrategy:
     """Build a strategy from its tagged-object form, as config files give it,
     e.g. {"kind": "uniform", "lo": 1.5, "hi": 2.3}.  Every field must be a
-    number; a missing field or one the kind does not take is rejected."""
+    finite number; a missing field or one the kind does not take is rejected."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise UsageError("relaxation config must be an object with a 'kind' field")
     kind = obj["kind"]
@@ -174,8 +174,8 @@ def strategy_from_config(obj: dict) -> RelaxationStrategy:
         if name not in obj:
             if name != "cap":
                 raise UsageError(f"relaxation config for kind {kind!r} missing field {name!r}")
-        elif type(obj[name]) not in (int, float):
-            raise UsageError(f"relaxation config field {name!r} must be a number, "
+        elif type(obj[name]) not in (int, float) or not np.isfinite(obj[name]):
+            raise UsageError(f"relaxation config field {name!r} must be a finite number, "
                              f"got {obj[name]!r}")
     return cls(*(float(obj[name]) for name in fields), cap=obj.get("cap"))
 

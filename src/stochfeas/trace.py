@@ -1,10 +1,14 @@
 """Per-iteration convergence traces and their CSV serialization.
 
 Schema: ``iter,elapsed_s,residual,norm_err_db,lambda,extrapolation``.
-The dB column is empty when no reference solution was supplied.  Floats are
-serialized with 17 significant digits so they round-trip exactly.  Footer
-metadata (stop reason, thresholds) is appended as ``#``-prefixed comment
-lines, which the reader skips.
+A trace stores one sequence per CSV column in ``columns``, a dict keyed by
+the header names in header order; cell ``i`` of every column belongs to row
+``i``.  A ``None`` cell is written empty: the dB column holds ``None`` when
+no reference solution was supplied.  Floats are serialized with 17
+significant digits so they round-trip exactly.  Footer metadata (stop
+reason, thresholds) is appended as ``#``-prefixed comment lines, which the
+reader skips.  An averaged trace (``diagnostics.AveragedTrace``) is a trace
+with two more columns and numpy arrays as columns; the same writer writes it.
 """
 
 from __future__ import annotations
@@ -26,108 +30,103 @@ def format_float(x: float) -> str:
 
 
 @dataclass
-class TraceRow:
-    iteration: int
-    elapsed: float
-    residual: float
-    norm_err_db: Optional[float]
-    lam: float
-    extrapolation: float
-
-
-@dataclass
 class ConvergenceTrace:
     """Append-only record of a single run.
 
     Rows are appended by the owning run only; iterations must be strictly
-    increasing and every recorded value finite (a missing dB column is
+    increasing and every recorded value finite (a missing dB cell is
     allowed, a non-finite one is not).
     """
 
-    rows: list = field(default_factory=list)
+    columns: dict = field(default_factory=lambda: {name: [] for name in CSV_HEADER})
     footer: dict = field(default_factory=dict)
 
     def append(self, iteration, elapsed, residual, norm_err_db, lam, extrapolation):
-        if self.rows and iteration <= self.rows[-1].iteration:
-            raise UsageError(
-                f"trace iterations must increase: {iteration} after {self.rows[-1].iteration}"
-            )
+        cols = self.columns
+        its = cols["iter"]
+        if its and iteration <= its[-1]:
+            raise UsageError(f"trace iterations must increase: {iteration} after {its[-1]}")
         finite = (math.isfinite(elapsed) and math.isfinite(residual)
                   and math.isfinite(lam) and math.isfinite(extrapolation)
                   and (norm_err_db is None or math.isfinite(norm_err_db)))
         if not finite:
             raise UsageError(f"non-finite trace value at iteration {iteration}")
-        self.rows.append(
-            TraceRow(int(iteration), float(elapsed), float(residual),
-                     None if norm_err_db is None else float(norm_err_db),
-                     float(lam), float(extrapolation))
-        )
+        its.append(int(iteration))
+        cols["elapsed_s"].append(float(elapsed))
+        cols["residual"].append(float(residual))
+        cols["norm_err_db"].append(None if norm_err_db is None else float(norm_err_db))
+        cols["lambda"].append(float(lam))
+        cols["extrapolation"].append(float(extrapolation))
 
     def __len__(self):
-        return len(self.rows)
+        return len(self.columns["iter"])
+
+    def column(self, name: str) -> Optional[np.ndarray]:
+        """The named column as an array (int64 for ``iter``), or None when
+        its cells are empty."""
+        col = self.columns[name]
+        if len(col) and col[0] is None:
+            return None
+        return np.array(col, dtype=np.int64 if name == "iter" else float)
 
     def iterations(self) -> np.ndarray:
-        return np.array([r.iteration for r in self.rows], dtype=np.int64)
+        return self.column("iter")
 
     def residuals(self) -> np.ndarray:
-        return np.array([r.residual for r in self.rows])
+        return self.column("residual")
 
     def db_column(self) -> Optional[np.ndarray]:
-        if not self.rows or self.rows[0].norm_err_db is None:
-            return None
-        return np.array([r.norm_err_db for r in self.rows])
+        return self.column("norm_err_db") if len(self) else None
 
     def lambdas(self) -> np.ndarray:
-        return np.array([r.lam for r in self.rows])
+        return self.column("lambda")
 
     def extrapolations(self) -> np.ndarray:
-        return np.array([r.extrapolation for r in self.rows])
+        return self.column("extrapolation")
 
     def final_residual(self) -> float:
-        if not self.rows:
+        if not len(self):
             raise UsageError("empty trace has no final residual")
-        return self.rows[-1].residual
+        return self.columns["residual"][-1]
 
     def write_csv(self, path) -> None:
+        # format whole columns first: faster than formatting row by row
+        iters, *floats = self.columns.values()
+        cells = [[int(i) for i in iters]]
+        cells += [["" if c is None else format_float(c) for c in col] for col in floats]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER)
-            for r in self.rows:
-                writer.writerow([
-                    r.iteration,
-                    format_float(r.elapsed),
-                    format_float(r.residual),
-                    "" if r.norm_err_db is None else format_float(r.norm_err_db),
-                    format_float(r.lam),
-                    format_float(r.extrapolation),
-                ])
+            writer.writerow(self.columns)
+            writer.writerows(zip(*cells))
             for key in sorted(self.footer):
                 fh.write(f"# {key}={self.footer[key]}\n")
 
 
 def read_trace_csv(path) -> ConvergenceTrace:
+    """Read a per-run trace CSV; a malformed row is a UsageError naming its line."""
     trace = ConvergenceTrace()
+    linenos, body = [], []
     with open(path, newline="") as fh:
-        lines = [ln for ln in fh]
-    footer = {}
-    body = []
-    for ln in lines:
-        if ln.startswith("#"):
-            key, _, val = ln[1:].strip().partition("=")
-            footer[key.strip()] = val.strip()
-        else:
-            body.append(ln)
+        for lineno, ln in enumerate(fh, 1):
+            if ln.startswith("#"):
+                key, _, val = ln[1:].strip().partition("=")
+                trace.footer[key.strip()] = val.strip()
+            else:
+                linenos.append(lineno)
+                body.append(ln)
     reader = csv.reader(body)
-    header = tuple(next(reader))
+    header = tuple(next(reader, ()))
     if header != CSV_HEADER:
         raise UsageError(f"unexpected trace header {header}")
-    for row in reader:
+    for lineno, row in zip(linenos[1:], reader):
         if not row:
             continue
-        trace.append(
-            int(row[0]), float(row[1]), float(row[2]),
-            None if row[3] == "" else float(row[3]),
-            float(row[4]), float(row[5]),
-        )
-    trace.footer = footer
+        try:
+            if len(row) != len(CSV_HEADER):
+                raise UsageError(f"{len(row)} cells, expected {len(CSV_HEADER)}")
+            trace.append(int(row[0]), float(row[1]), float(row[2]),
+                         None if row[3] == "" else float(row[3]),
+                         float(row[4]), float(row[5]))
+        except ValueError as exc:
+            raise UsageError(f"{path}, line {lineno}: {exc}") from None
     return trace

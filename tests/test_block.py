@@ -207,8 +207,8 @@ class TestRunBlock:
         r1 = run_block(family, cfg, np.zeros(10))
         r2 = run_block(family, cfg, np.zeros(10))
         np.testing.assert_array_equal(r1.final, r2.final)
-        assert [r.lam for r in r1.trace.rows] == [r.lam for r in r2.trace.rows]
-        assert [r.residual for r in r1.trace.rows] == [r.residual for r in r2.trace.rows]
+        assert r1.trace.columns["lambda"] == r2.trace.columns["lambda"]
+        assert r1.trace.columns["residual"] == r2.trace.columns["residual"]
 
     def test_reference_solution_enables_db_column(self, monkeypatch):
         monkeypatch.setattr("stochfeas.block.sample_indices", lambda family, rng, m: np.arange(2))

@@ -135,6 +135,18 @@ class TestParsing:
         assert line["error"] == "config" and fragment in line["message"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "path-under-file"])
+    def test_output_dir_on_a_file_is_a_config_rejection(self, tmp_path, capsys, under):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / "out" if under else blocker
+        code = main(["toy", "--iters", "5", "--output-dir", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "config"
+        assert blocker.read_text() == ""
+
     def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             parse_and_validate(["signal", "--help"])
@@ -204,8 +216,8 @@ class TestToyCommand:
         csvs = sorted(tmp_path.glob("toy_*.csv"))
         trace = read_trace_csv(csvs[0])
         from stochfeas.trace import format_float
-        for row in trace.rows:
-            assert float(format_float(row.lam)) == row.lam
+        for lam in trace.columns["lambda"]:
+            assert float(format_float(lam)) == lam
 
 
 class TestDeterminism:
@@ -286,6 +298,14 @@ class TestKmSgdCommands:
         assert code == EXIT_CONFIG
         assert not (tmp_path / "out").exists()
 
+    def test_km_noise_bound_below_every_float(self, tmp_path):
+        # (n + 1)^q overflows from n = 1: the error bound c / (n + 1)^q is zero
+        code = main(["km", "--noise-c", "1", "--noise-q", "1e308", "--iters", "50",
+                     "--output-dir", str(tmp_path)])
+        assert code == EXIT_OK
+        (run,) = json.load(open(tmp_path / "summary.json"))["runs"]
+        assert run["iterations_run"] == 50
+
     def test_sgd_small_run(self, tmp_path):
         code = main(["sgd", "--iters", "2000", "--seed", "6",
                      "--output-dir", str(tmp_path)])
@@ -334,7 +354,9 @@ class TestConfigFileRelaxationForms:
         ({"kind": "uniform", "lo": 1.5, "hi": 2.3, "typo": 9}, "typo"),
         ({"kind": "uniform", "lo": 1.5, "hi": 2.3, "cap": None}, "cap"),
         ({"kind": "two_point", "a": 2.3, "p_a": 0.5}, "b"),
-    ], ids=["string", "null", "boolean", "unknown-field", "null-cap", "missing-field"])
+        ({"kind": "constant", "value": 1.9, "cap": float("nan")}, "cap"),
+    ], ids=["string", "null", "boolean", "unknown-field", "null-cap", "missing-field",
+            "nan-cap"])
     def test_bad_tagged_field_is_a_config_rejection(self, tmp_path, capsys, relaxation, field):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"relaxation": relaxation}))

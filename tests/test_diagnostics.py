@@ -51,28 +51,28 @@ class TestAggregateRuns:
     def test_single_trace_is_itself(self):
         t = make_trace([0.0, -10.0, -20.0])
         avg = aggregate_runs([t])
-        np.testing.assert_array_equal(avg.db_mean, [0.0, -10.0, -20.0])
-        np.testing.assert_array_equal(avg.db_min, avg.db_max)
+        np.testing.assert_array_equal(avg.db_column(), [0.0, -10.0, -20.0])
+        np.testing.assert_array_equal(avg.column("db_min"), avg.column("db_max"))
 
     def test_symmetric_traces_cancel(self):
         c = np.array([0.0, -5.0, -12.5])
         avg = aggregate_runs([make_trace(c), make_trace(-c)])
-        np.testing.assert_allclose(avg.db_mean, np.zeros(3), atol=0)
-        np.testing.assert_array_equal(avg.db_min, -np.abs(c))
-        np.testing.assert_array_equal(avg.db_max, np.abs(c))
+        np.testing.assert_allclose(avg.db_column(), np.zeros(3), atol=0)
+        np.testing.assert_array_equal(avg.column("db_min"), -np.abs(c))
+        np.testing.assert_array_equal(avg.column("db_max"), np.abs(c))
 
     def test_mean_matches_manual_recompute(self, rng):
         cols = rng.normal(size=(10, 7))
         traces = [make_trace(list(cols[i])) for i in range(10)]
         avg = aggregate_runs(traces)
-        np.testing.assert_allclose(avg.db_mean, cols.mean(axis=0), atol=1e-12)
+        np.testing.assert_allclose(avg.db_column(), cols.mean(axis=0), atol=1e-12)
 
     def test_permutation_invariance(self, rng):
         cols = rng.normal(size=(5, 4))
         traces = [make_trace(list(c)) for c in cols]
         a = aggregate_runs(traces)
         b = aggregate_runs(traces[::-1])
-        np.testing.assert_array_equal(a.db_mean, b.db_mean)
+        np.testing.assert_array_equal(a.db_column(), b.db_column())
 
     def test_mismatched_grids_rejected(self):
         t1 = make_trace([0.0, -1.0])

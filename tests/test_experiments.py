@@ -396,7 +396,7 @@ class TestRunExperiment:
         assert len(result.results) == 1
         db = result.results[0].trace.db_column()
         assert db is not None
-        np.testing.assert_array_equal(result.averaged.db_mean, db)
+        np.testing.assert_array_equal(result.averaged.db_column(), db)
 
     def test_distinct_seeds_per_repeat_and_label(self):
         prob = generate_signal_problem(n=64, p=3, seed=11)
@@ -434,8 +434,9 @@ class TestRunExperiment:
         result = run_experiment(prob, prob.build_family(), cfg, "const1", repeats=2)
         assert result.references[0] is None and result.references[1] is not None
         assert result.averaged is not None
-        assert result.averaged.db_mean is None
-        assert result.averaged.db_min is None and result.averaged.db_max is None
+        assert result.averaged.db_column() is None
+        assert result.averaged.column("db_min") is None
+        assert result.averaged.column("db_max") is None
 
     @pytest.mark.parametrize("max_iters, record_every, stops_early",
                              [(60, 1, False), (400, 7, True)])

@@ -92,8 +92,8 @@ class TestKm:
         f1, t1 = run_km(rotation, cfg, [1.0, 0.0])
         f2, t2 = run_km(rotation, cfg, [1.0, 0.0])
         np.testing.assert_array_equal(f1, f2)
-        assert [r.residual for r in t1.rows] == [r.residual for r in t2.rows]
-        assert [r.lam for r in t1.rows] == [r.lam for r in t2.rows]
+        assert t1.columns["residual"] == t2.columns["residual"]
+        assert t1.columns["lambda"] == t2.columns["lambda"]
 
     def test_noise_certificate_rejected_when_not_summable(self):
         with pytest.raises(ConfigurationError):
@@ -148,9 +148,8 @@ class TestSgd:
         cfg = SgdConfig(beta=0.7, nu=0.8, max_iters=50, seed=1,
                         gradient_family=family)
         _, trace = run_sgd(cfg, [1.0])
-        for row in trace.rows:
-            n = row.iteration
-            assert row.lam == 2.0 * 0.7 / (n + 1.0) ** 0.8  # bitwise equality
+        for n, lam in zip(trace.columns["iter"], trace.columns["lambda"]):
+            assert lam == 2.0 * 0.7 / (n + 1.0) ** 0.8  # bitwise equality
 
     def test_nu_hypothesis_rejected(self):
         family = GradientFamily([lambda x: x], lambda x: x, 0.0)
@@ -201,7 +200,7 @@ class TestSgd:
         f1, t1 = run_sgd(cfg, np.ones(3))
         f2, t2 = run_sgd(cfg, np.ones(3))
         np.testing.assert_array_equal(f1, f2)
-        assert [r.residual for r in t1.rows] == [r.residual for r in t2.rows]
+        assert t1.columns["residual"] == t2.columns["residual"]
 
     def test_indices_equal_scalar_draw_replay(self):
         rng = np.random.default_rng(3)

@@ -97,6 +97,18 @@ def test_invalid_strategies_rejected():
         rx.Constant(1.0, cap=1.5)  # cap below 2
 
 
+@pytest.mark.parametrize("cap", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("build", [
+    lambda cap: rx.Constant(1.0, cap=cap),
+    lambda cap: rx.TwoPoint(2.3, 0.5, 1.5, cap=cap),
+    lambda cap: rx.UniformInterval(1.5, 2.3, cap=cap),
+], ids=["constant", "two_point", "uniform"])
+def test_non_finite_cap_rejected(build, cap):
+    # criterion 9 bounds lambda^2 by cap^2, which needs a finite cap
+    with pytest.raises(UsageError, match="cap"):
+        build(cap)
+
+
 def test_cap_defaults_to_at_least_two():
     assert rx.Constant(1.0).cap == 2.0
     assert rx.TwoPoint(2.3, 0.5, 1.5).cap == 2.3
