@@ -155,7 +155,11 @@ def _check_file_value(key: str, value):
     """A config-file value as its flag would give it; rejects a wrong type or choice."""
     kinds = _CONFIG_TYPES[key]
     if kinds is float and type(value) is int:
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigurationError(
+                f"config key {key!r} must be float, got an integer beyond the float range") from None
     if not isinstance(value, kinds) or (isinstance(value, bool) and kinds is not bool):
         names = " or ".join(k.__name__ for k in (kinds if isinstance(kinds, tuple) else (kinds,)))
         raise ConfigurationError(f"config key {key!r} must be {names}, got {value!r}")

@@ -15,6 +15,7 @@ generators passed to their ``sample`` methods are single-owner.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -157,6 +158,14 @@ _CONFIG_KINDS = {
 }
 
 
+def _is_finite_number(value) -> bool:
+    """True for an int or float that converts to a finite float."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:   # an int beyond the float range
+        return False
+
+
 def strategy_from_config(obj: dict) -> RelaxationStrategy:
     """Build a strategy from its tagged-object form, as config files give it,
     e.g. {"kind": "uniform", "lo": 1.5, "hi": 2.3}.  Every field must be a
@@ -174,7 +183,7 @@ def strategy_from_config(obj: dict) -> RelaxationStrategy:
         if name not in obj:
             if name != "cap":
                 raise UsageError(f"relaxation config for kind {kind!r} missing field {name!r}")
-        elif type(obj[name]) not in (int, float) or not np.isfinite(obj[name]):
+        elif not _is_finite_number(obj[name]):
             raise UsageError(f"relaxation config field {name!r} must be a finite number, "
                              f"got {obj[name]!r}")
     return cls(*(float(obj[name]) for name in fields), cap=obj.get("cap"))

@@ -96,6 +96,7 @@ class TestParsing:
         ("scale", "huge"),           # not one of the choices
         ("weight_rule", "largest"),  # not one of the choices
         ("dump_records", 1),         # an integer is not a boolean
+        pytest.param("delta", 10 ** 400, id="delta-beyond-float"),
     ])
     def test_bad_config_file_value_names_the_key(self, tmp_path, capsys, key, value):
         path = tmp_path / "cfg.json"
@@ -355,8 +356,9 @@ class TestConfigFileRelaxationForms:
         ({"kind": "uniform", "lo": 1.5, "hi": 2.3, "cap": None}, "cap"),
         ({"kind": "two_point", "a": 2.3, "p_a": 0.5}, "b"),
         ({"kind": "constant", "value": 1.9, "cap": float("nan")}, "cap"),
+        ({"kind": "constant", "value": 1.9, "cap": 10 ** 400}, "cap"),
     ], ids=["string", "null", "boolean", "unknown-field", "null-cap", "missing-field",
-            "nan-cap"])
+            "nan-cap", "huge-cap"])
     def test_bad_tagged_field_is_a_config_rejection(self, tmp_path, capsys, relaxation, field):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"relaxation": relaxation}))
