@@ -14,12 +14,12 @@ One iteration over a family (T_k) of firmly quasinonexpansive operators:
 5. draw the relaxation lam and update x <- x + lam (a - x).
 
 The error-tolerant variant skips the extrapolation (a = p) and requires
-relaxations supported inside ]0, 2[.  Draw order per iteration is fixed as
-indices, then errors, then weights, then relaxation; weights under the two
+relaxations supported inside ]0, 2[.  Indices, errors and relaxations each
+come from their own substream of the run's seed; indices and relaxations
+are drawn in chunks of 1024 iterations ahead of use.  Weights under the two
 built-in rules are deterministic functions of the residuals, so no draw
-occurs for them.  Relaxations come from a stream separate from the index
-and noise streams, which realizes the required independence of lam from the
-sigma-algebra of the evaluations.
+occurs for them.  Draws never cross streams, so however far ahead a stream
+is drawn, lam stays independent of the sigma-algebra of the evaluations.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .diagnostics import audit_fejer_step
 from .exceptions import ConfigurationError, InvariantViolationError, UsageError
 from .fixedpoint import DecayingNoise, _check_schedule_certificate, _iterate
 from .geometry import as_point
-from .operators import _IndexedFamily, sample_indices
+from .operators import _IndexedFamily
 from .rngstreams import substream
 from .trace import ConvergenceTrace
 
@@ -82,10 +82,13 @@ def extrapolation_parameter(residual_norms, weights, p_minus_x_norm: float) -> f
         raise UsageError("residuals and weights must have equal length")
     if p_minus_x_norm < 0.0:
         raise UsageError("p_minus_x_norm must be nonnegative")
-    indicator = 1.0 if p_minus_x_norm == 0.0 else 0.0
-    num = float(w @ (r * r)) + indicator
-    den = p_minus_x_norm * p_minus_x_norm + indicator
-    return num / den
+    return _extrapolation(r, w, p_minus_x_norm)
+
+
+def _extrapolation(r: np.ndarray, w: np.ndarray, pmx: float) -> float:
+    """L = (sum_i w_i r_i^2 + [p = x]) / (||p - x||^2 + [p = x]) on checked arrays."""
+    indicator = 1.0 if pmx == 0.0 else 0.0
+    return (float(w @ (r * r)) + indicator) / (pmx * pmx + indicator)
 
 
 @dataclass
@@ -200,8 +203,8 @@ def run_block(
     is checked and violations are counted into the result.
     """
     m = cfg.batch_size
-    idx_rng = substream(cfg.seed, "index")
-    relax_rng = substream(cfg.seed, "relaxation")
+    batches = family.draws(substream(cfg.seed, "index"), m)
+    lams = cfg.relaxation.draws(substream(cfg.seed, "relaxation"))
     noise_rng = substream(cfg.seed, "noise") if cfg.error_schedule is not None else None
     zs = [as_point(z, "fejer point") for z in fejer_points] if fejer_points else []
     records: Optional[list] = [] if cfg.collect_records else None
@@ -210,9 +213,9 @@ def run_block(
     # weights under the uniform rule do not depend on the residuals
     uniform_beta = np.full(m, 1.0 / m) if cfg.weight_rule == UNIFORM_OVER_BATCH else None
 
-    def step(n, x):
+    def step(n, x, want):
         nonlocal violations, worst
-        ks = sample_indices(family, idx_rng, m)
+        ks = next(batches)
         # the averaged point enters only through p - x; working with the
         # steps directly keeps the indicator branch [p = x] exact when every
         # drawn operator fixes x
@@ -228,7 +231,7 @@ def run_block(
         avg_step = beta @ steps
         pmx = math.sqrt(float(avg_step @ avg_step))
         if cfg.error_schedule is None:
-            extrap = extrapolation_parameter(r, beta, pmx)
+            extrap = _extrapolation(r, beta, pmx)
             if extrap < 1.0 - _EXTRAPOLATION_SLACK:
                 raise InvariantViolationError(
                     f"extrapolation {extrap!r} below 1 at iteration {n}"
@@ -237,7 +240,7 @@ def run_block(
         else:
             extrap = 1.0
             a = x + avg_step
-        lam = cfg.relaxation.sample(relax_rng)
+        lam = next(lams)
         x_next = x + lam * (a - x)
         if zs:
             count, deficit = audit_fejer_step(x, x_next, lam, x - a, zs)
@@ -247,7 +250,7 @@ def run_block(
             rec = BlockIterationRecord(n, tuple(ks.tolist()), beta, x + avg_step, extrap, a, lam)
             rec.validate(cfg.delta, r)
             records.append(rec)
-        return x_next, float(r.max()), lam, extrap
+        return x_next, float(r.max()) if want else None, lam, extrap
 
     # the residual only samples M random operators, so a single quiet
     # iteration proves nothing; require stop_patience consecutive ones

@@ -10,11 +10,12 @@ Two iterations on top of one loop skeleton, which the block iteration of
       x_{n+1} = x_n - gamma_n grad g_{k_n}(x_n),    gamma_n = 2 beta / (n + 1)^nu,
   with nu in ]2/3, 1] and an unbiased, bounded-variance gradient family.
 
-Relaxation draws come from the run's "relaxation" substream and noise draws
-from the "noise" substream, so mu_n is independent of the noise sigma-algebra
-by stream separation.  Draw order per iteration is fixed: error first, then
-relaxation.  A run is single-threaded and owns its streams; distinct runs
-never share state.
+Relaxation draws come from the run's "relaxation" substream, noise draws
+from the "noise" substream and gradient indices from the "index" substream.
+Relaxations and indices are drawn in chunks of 1024 ahead of use; draws never
+cross streams, so mu_n is independent of the noise sigma-algebra by stream
+separation, however far ahead a stream is drawn.  A run is single-threaded
+and owns its streams; distinct runs never share state.
 """
 
 from __future__ import annotations
@@ -148,7 +149,8 @@ class GradientFamily(_IndexedFamily):
     ``gradients`` maps an index to the callable grad g_k.  ``mean_gradient``
     is the deterministic grad f when available (used for trace residuals and
     the unbiasedness spot-check).  ``variance_bound`` is the declared xi with
-    E||grad g_k(x) - grad f(x)||^2 <= xi.
+    E||grad g_k(x) - grad f(x)||^2 <= xi.  :func:`quadratic_family` builds
+    the array form of one family, without callables.
     """
 
     def __init__(self, gradients: Sequence[Callable], mean_gradient: Optional[Callable],
@@ -159,14 +161,6 @@ class GradientFamily(_IndexedFamily):
         self.gradients = list(gradients)
         self.mean_gradient = mean_gradient
         self.variance_bound = float(variance_bound)
-
-    def draws(self, rng):
-        """Endless index draws from ``rng``, taken 1024 uniforms at a time.
-
-        Yields the same sequence as one-index ``sample_indices`` calls.
-        """
-        while True:
-            yield from sample_indices(self, rng, 1024).tolist()
 
     def gradient(self, k: int, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.gradients[k](x), dtype=np.float64)
@@ -195,6 +189,24 @@ class GradientFamily(_IndexedFamily):
             )
 
 
+class _QuadraticFamily(GradientFamily):
+    """The family of :func:`quadratic_family`, held as arrays: ``center`` c
+    and the recentred ``offsets`` w_k, one row each."""
+
+    def __init__(self, center: np.ndarray, offsets: np.ndarray):
+        # no callables to hold: gradient and mean_gradient are methods here
+        _IndexedFamily.__init__(self, offsets.shape[0])
+        self.center = center
+        self.offsets = offsets
+        self.variance_bound = float(np.max(np.sum(offsets ** 2, axis=1)))
+
+    def gradient(self, k: int, x: np.ndarray) -> np.ndarray:
+        return x - self.center - self.offsets[k]
+
+    def mean_gradient(self, x: np.ndarray) -> np.ndarray:
+        return x - self.center
+
+
 def quadratic_family(center, offsets) -> GradientFamily:
     """Built-in family for f(x) = ||x - c||^2 / 2 with grad g_k(x) = x - c - w_k.
 
@@ -205,12 +217,7 @@ def quadratic_family(center, offsets) -> GradientFamily:
     offsets = np.asarray(offsets, dtype=np.float64)
     if offsets.ndim != 2 or offsets.shape[1] != center.shape[0]:
         raise UsageError("offsets must be a (K, dim) array matching the center")
-    offsets = offsets - offsets.mean(axis=0)
-    xi = float(np.max(np.sum(offsets ** 2, axis=1)))
-    gradients = [
-        (lambda w: (lambda x: x - center - w))(offsets[k]) for k in range(offsets.shape[0])
-    ]
-    return GradientFamily(gradients, lambda x: x - center, xi)
+    return _QuadraticFamily(center, offsets - offsets.mean(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +226,12 @@ def quadratic_family(center, offsets) -> GradientFamily:
 
 def _iterate(step, x0, max_iters: int, atol: float, record_every: int,
              patience: int = 1, reference=None) -> tuple[np.ndarray, ConvergenceTrace]:
-    """The loop every driver runs: ``x_{n+1}, residual, lam, L = step(n, x_n)``.
+    """The loop every driver runs: ``x_{n+1}, residual, lam, L = step(n, x_n, want)``.
 
-    The run stops after ``patience`` consecutive iterations with
-    ``residual < atol``.  Row n of the trace is written when
+    The step computes its residual only when ``want`` is true, and may
+    return None for it otherwise; the loop wants it whenever ``atol > 0`` and
+    on every recorded row.  The run stops after ``patience`` consecutive
+    iterations with ``residual < atol``.  Row n of the trace is written when
     ``n % record_every == 0`` or on the stopping iteration; it holds the
     residual, relaxation and extrapolation of step n and, when a
     ``reference`` point is given, the dB distance of x_n to it.
@@ -237,19 +246,26 @@ def _iterate(step, x0, max_iters: int, atol: float, record_every: int,
     trace = ConvergenceTrace()
     stop_reason = "max_iters"
     quiet = 0
+    stopping = False
+    checks_atol = atol > 0.0   # no residual falls below an atol <= 0
     limit_sq = DIVERGENCE_NORM ** 2
     start = time.perf_counter()
     n = -1
     for n in range(max_iters):
-        x_next, residual, lam, extrap = step(n, x)
+        record = n % record_every == 0
+        x_next, residual, lam, extrap = step(n, x, record or checks_atol)
         # NaN/Inf propagate into the squared norm, so one reduction covers both
         norm_sq = float(x_next @ x_next)
         if not math.isfinite(norm_sq) or norm_sq > limit_sq:
             raise NumericError(f"iterate diverged at iteration {n}")
-        quiet = quiet + 1 if residual < atol else 0
-        stopping = quiet >= patience
-        if n % record_every == 0 or stopping:
-            db = None if ref is None else ratio_db(float(np.linalg.norm(x - ref)), ref_denom)
+        if checks_atol:
+            quiet = quiet + 1 if residual < atol else 0
+            stopping = quiet >= patience
+        if record or stopping:
+            db = None
+            if ref is not None:
+                d = x - ref
+                db = ratio_db(math.sqrt(float(d @ d)), ref_denom)
             trace.append(n, time.perf_counter() - start, residual, db, lam, extrap)
         x = x_next
         if stopping:
@@ -264,14 +280,15 @@ def run_km(T, cfg: KmConfig, x0) -> tuple[np.ndarray, ConvergenceTrace]:
     ``cfg.alpha``-averaged T, with mu_n supported inside ]0, 1/alpha[."""
     errors = cfg.error_schedule
     noise_rng = substream(cfg.seed, "noise")
-    mu_rng = substream(cfg.seed, "relaxation")
+    mus = cfg.mu_strategy.draws(substream(cfg.seed, "relaxation"))
 
-    def step(n, x):
+    def step(n, x, want):
+        # run_km records every row, so the residual is always wanted
         d = np.asarray(T(x), dtype=np.float64) - x
         residual = math.sqrt(float(d @ d))
         if errors is not None:
             d = d + errors.sample(n, x.shape[0], noise_rng)
-        mu = cfg.mu_strategy.sample(mu_rng)
+        mu = next(mus)
         return x + mu * d, residual, mu, 1.0
 
     x, trace = _iterate(step, x0, cfg.max_iters, cfg.atol, 1)
@@ -289,16 +306,17 @@ def run_sgd(cfg: SgdConfig, x0) -> tuple[np.ndarray, ConvergenceTrace]:
     family = cfg.gradient_family
     family.spot_check_unbiased(x0, substream(cfg.seed, "validation"))
     indices = family.draws(substream(cfg.seed, "index"))
+    gradient = family.gradient
     mean_grad = family.mean_gradient
+    step_size = cfg.step_size
 
-    def step(n, x):
-        gamma = cfg.step_size(n)
-        g = family.gradient(next(indices), x)
-        if mean_grad is not None:
-            gf = np.asarray(mean_grad(x), dtype=np.float64)
+    def step(n, x, want):
+        gamma = step_size(n)
+        g = gradient(next(indices), x)
+        residual = None
+        if want:
+            gf = g if mean_grad is None else np.asarray(mean_grad(x), dtype=np.float64)
             residual = math.sqrt(float(gf @ gf))
-        else:
-            residual = math.sqrt(float(g @ g))
         return x - gamma * g, residual, gamma, 1.0
 
     # atol 0: an SGD run always takes its full budget

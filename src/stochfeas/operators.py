@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -226,6 +226,17 @@ class _IndexedFamily:
 
     def __len__(self):
         return self._count
+
+    def draws(self, rng: np.random.Generator, m: Optional[int] = None):
+        """Endless i.i.d. index draws from ``rng``: single indices when ``m``
+        is None, else batches of shape (m,), sampled 1024 draws at a time.
+
+        Yields the same sequence as one ``sample_indices(self, rng, m or 1)``
+        call per draw.
+        """
+        while True:
+            ks = sample_indices(self, rng, 1024 * (m or 1))
+            yield from (ks.tolist() if m is None else ks.reshape(1024, m))
 
     def evaluate(self, ks, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Steps ``T_k x - x`` for each k in ``ks`` (shape (M, n)) and their norms (M,)."""

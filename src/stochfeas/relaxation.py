@@ -9,8 +9,9 @@ inside ]0, 2[, and relaxed KM support inside ]0, 1/alpha[, all through
 :func:`require_support_inside` and :meth:`RelaxationStrategy.moments`.
 
 Moments are always computed in closed form; sampling exists only to drive
-iterations.  Strategies are immutable and shareable across threads; the
-generators passed to their ``sample`` methods are single-owner.
+iterations, which take their draws from :meth:`RelaxationStrategy.draws`,
+1024 at a time.  Strategies are immutable and shareable across threads; the
+generators passed to their ``sample`` and ``draws`` methods are single-owner.
 """
 
 from __future__ import annotations
@@ -48,8 +49,15 @@ class RelaxationStrategy:
     def moments(self) -> RelaxationMoments:
         raise NotImplementedError
 
-    def sample(self, rng: np.random.Generator) -> float:
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` i.i.d. draws as an array; draw i is a function of uniform i
+        of one ``rng.random(size)`` call (a constant draws nothing)."""
         raise NotImplementedError
+
+    def draws(self, rng: np.random.Generator):
+        """Endless i.i.d. draws from ``rng``, sampled 1024 at a time."""
+        while True:
+            yield from self.sample(rng, 1024).tolist()
 
     def _check_cap(self, cap: Optional[float]) -> float:
         lo, hi = self.support_bounds()
@@ -81,8 +89,8 @@ class Constant(RelaxationStrategy):
     def moments(self):
         return RelaxationMoments(self.value, self.value ** 2)
 
-    def sample(self, rng):
-        return self.value
+    def sample(self, rng, size):
+        return np.full(size, self.value)
 
 
 @dataclass(frozen=True)
@@ -111,8 +119,8 @@ class TwoPoint(RelaxationStrategy):
         second = p * self.value_a ** 2 + (1.0 - p) * self.value_b ** 2
         return RelaxationMoments(mean, second)
 
-    def sample(self, rng):
-        return self.value_a if rng.random() < self.prob_a else self.value_b
+    def sample(self, rng, size):
+        return np.where(rng.random(size) < self.prob_a, self.value_a, self.value_b)
 
 
 @dataclass(frozen=True)
@@ -136,8 +144,8 @@ class UniformInterval(RelaxationStrategy):
         second = (self.lo ** 2 + self.lo * self.hi + self.hi ** 2) / 3.0
         return RelaxationMoments(mean, second)
 
-    def sample(self, rng):
-        return self.lo + (self.hi - self.lo) * rng.random()
+    def sample(self, rng, size):
+        return self.lo + (self.hi - self.lo) * rng.random(size)
 
 
 def require_support_inside(strategy: RelaxationStrategy, lo: float, hi: float, what: str) -> None:

@@ -2,13 +2,17 @@
 
 The oracles here deliberately avoid the library's own code paths: distance
 to an intersection of half-spaces comes from Dykstra's alternating scheme,
-and the reference block update is a straight-line transcription kept free
-of the solver's bookkeeping.
+the reference block update is a straight-line transcription kept free
+of the solver's bookkeeping, and relaxation draws are transcribed one
+``rng.random()`` at a time rather than taken from the solvers' chunks.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 
+from stochfeas import relaxation as rx
 from stochfeas.operators import OperatorFamily, halfspace_projector
 
 
@@ -64,6 +68,22 @@ def sample_solution_points(rng, center, margin, count=5):
         u *= rng.uniform(0.0, 0.9) * margin / np.linalg.norm(u)
         pts.append(center + u)
     return pts
+
+
+def scalar_relaxation(strategy, rng):
+    """One relaxation draw from ``rng``, transcribed from the strategy's law."""
+    if isinstance(strategy, rx.Constant):
+        return strategy.value
+    if isinstance(strategy, rx.TwoPoint):
+        return strategy.value_a if rng.random() < strategy.prob_a else strategy.value_b
+    if isinstance(strategy, rx.UniformInterval):
+        return strategy.lo + (strategy.hi - strategy.lo) * rng.random()
+    raise TypeError(f"no transcription for {strategy!r}")
+
+
+def force_indices(monkeypatch, family, ks):
+    """Make every index batch that ``run_block`` draws from ``family`` equal ``ks``."""
+    monkeypatch.setattr(family, "draws", lambda rng, m=None: itertools.repeat(np.asarray(ks)))
 
 
 def reference_block_step(x, ps, beta, lam):

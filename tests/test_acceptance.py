@@ -26,7 +26,7 @@ from stochfeas.experiments import (
 from stochfeas.fixedpoint import DecayingNoise, KmConfig, SgdConfig, quadratic_family, run_km, run_sgd
 from stochfeas.operators import OperatorFamily, halfspace_projector
 
-from conftest import random_halfspace_problem, sample_solution_points
+from conftest import force_indices, random_halfspace_problem, sample_solution_points
 
 ROT90 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -86,14 +86,15 @@ def test_criterion_02_extrapolation_bound(fejer_suite):
 def test_criterion_03_hand_oracle_one_step(monkeypatch):
     """Two half-spaces from (1, 1), both indices active, uniform weights,
     lam = 1: the extrapolated step lands on (0, 0) within 1e-15."""
-    monkeypatch.setattr("stochfeas.block.sample_indices", lambda family, rng, m: np.arange(2))
     family = OperatorFamily([
         halfspace_projector(np.array([1.0, 0.0]), 0.0),
         halfspace_projector(np.array([0.0, 1.0]), 0.0),
     ])
+    force_indices(monkeypatch, family, [0, 1])
     cfg = BlockConfig(batch_size=2, delta=0.4, relaxation=rx.Constant(1.0),
-                      max_iters=1, seed=0)
+                      max_iters=1, seed=0, collect_records=True)
     res = run_block(family, cfg, [1.0, 1.0])
+    assert res.records[0].indices == (0, 1)
     err = float(np.max(np.abs(res.final)))
     assert err <= 1e-15
     _report(3, f"one-step error {err:.2e} <= 1e-15")
@@ -160,7 +161,7 @@ def test_criterion_06_relaxation_statistics():
     uniform = rx.UniformInterval(1.5, 2.3)
     for strategy in (two_point, uniform):
         rng = substream(31415, "relaxation")
-        mean = np.mean([strategy.sample(rng) for _ in range(10 ** 5)])
+        mean = np.mean(strategy.sample(rng, 10 ** 5))
         assert abs(mean - 1.9) < 0.01 * 1.9
     assert two_point.moments().damping == pytest.approx(
         2 * 1.9 - (2.3 ** 2 + 1.5 ** 2) / 2, abs=1e-12)

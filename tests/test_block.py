@@ -18,10 +18,12 @@ from stochfeas.rngstreams import substream
 
 from conftest import (
     dykstra_distance,
+    force_indices,
     halfspace_proj_oracle,
     random_halfspace_problem,
     reference_block_step,
     sample_solution_points,
+    scalar_relaxation,
 )
 
 
@@ -108,10 +110,12 @@ class TestExtrapolation:
 
 class TestRunBlock:
     def test_hand_oracle_two_halfspaces_one_step(self, monkeypatch):
-        monkeypatch.setattr("stochfeas.block.sample_indices", lambda family, rng, m: np.arange(2))
+        family = two_halfspace_family()
+        force_indices(monkeypatch, family, [0, 1])
         cfg = BlockConfig(batch_size=2, delta=0.4, relaxation=rx.Constant(1.0),
-                          max_iters=1, seed=0)
-        res = run_block(two_halfspace_family(), cfg, [1.0, 1.0])
+                          max_iters=1, seed=0, collect_records=True)
+        res = run_block(family, cfg, [1.0, 1.0])
+        assert res.records[0].indices == (0, 1)
         np.testing.assert_allclose(res.final, [0.0, 0.0], atol=1e-15)
         assert res.trace.extrapolations()[0] == pytest.approx(2.0, rel=1e-15)
 
@@ -131,7 +135,7 @@ class TestRunBlock:
             ks = [sample_indices(family, idx_rng, 1).item() for _ in range(3)]
             ps = [halfspace_proj_oracle(normals[k], offsets[k], x) for k in ks]
             beta = np.full(3, 1.0 / 3.0)
-            lam = cfg.relaxation.sample(lam_rng)
+            lam = scalar_relaxation(cfg.relaxation, lam_rng)
             x, L = reference_block_step(x, ps, beta, lam)
         np.testing.assert_allclose(res.final, x, rtol=1e-12, atol=1e-12)
 
@@ -211,11 +215,12 @@ class TestRunBlock:
         assert r1.trace.columns["residual"] == r2.trace.columns["residual"]
 
     def test_reference_solution_enables_db_column(self, monkeypatch):
-        monkeypatch.setattr("stochfeas.block.sample_indices", lambda family, rng, m: np.arange(2))
+        family = two_halfspace_family()
+        force_indices(monkeypatch, family, [0, 1])
         cfg = BlockConfig(batch_size=2, delta=0.4, relaxation=rx.Constant(1.0),
-                          max_iters=5, seed=0, atol=0.0)
-        res = run_block(two_halfspace_family(), cfg, [1.0, 1.0],
-                        reference_solution=np.zeros(2))
+                          max_iters=5, seed=0, atol=0.0, collect_records=True)
+        res = run_block(family, cfg, [1.0, 1.0], reference_solution=np.zeros(2))
+        assert [rec.indices for rec in res.records] == [(0, 1)] * 5
         db = res.trace.db_column()
         assert db is not None
         assert db[0] == 0.0           # at x0

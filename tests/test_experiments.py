@@ -35,7 +35,7 @@ from stochfeas.operators import (
 )
 from stochfeas.rngstreams import substream
 
-from conftest import reference_block_step
+from conftest import reference_block_step, scalar_relaxation
 
 
 def step_of(family, k, x):
@@ -154,7 +154,8 @@ class TestSignalProblem:
         for n in range(60):
             ks = [sample_indices(family, idx_rng, 1).item() for _ in range(4)]
             ps = [x + step_of(family, k, x) for k in ks]
-            x, _ = reference_block_step(x, ps, np.full(4, 0.25), cfg.relaxation.sample(lam_rng))
+            x, _ = reference_block_step(x, ps, np.full(4, 0.25),
+                                        scalar_relaxation(cfg.relaxation, lam_rng))
         np.testing.assert_allclose(res.final, x, rtol=1e-12, atol=1e-12 * np.abs(x).max())
 
     def test_invalid_ranges_rejected(self):
@@ -382,7 +383,7 @@ class TestImageFamilyEvaluate:
                               for k in ks])
             residuals.append(max(math.sqrt(float(d @ d)) for d in steps))
             a = x + np.full(3, 1.0 / 3.0) @ steps
-            x = x + cfg.relaxation.sample(lam_rng) * (a - x)
+            x = x + scalar_relaxation(cfg.relaxation, lam_rng) * (a - x)
         assert np.array_equal(res.final, x)
         assert np.array_equal(res.trace.residuals(), residuals)
 

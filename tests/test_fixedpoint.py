@@ -14,7 +14,7 @@ from stochfeas.fixedpoint import (
 )
 from stochfeas.operators import sample_indices
 
-from conftest import halfspace_proj_oracle
+from conftest import halfspace_proj_oracle, scalar_relaxation
 
 ROT90 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -80,7 +80,7 @@ class TestKm:
         mu_rng = substream(17, "relaxation")
         prev = np.linalg.norm(x - z)
         for _ in range(300):
-            mu = cfg.mu_strategy.sample(mu_rng)
+            mu = scalar_relaxation(cfg.mu_strategy, mu_rng)
             x = x + mu * (rotation(x) - x)
             dist = np.linalg.norm(x - z)
             assert dist <= prev + 1e-10

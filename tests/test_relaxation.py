@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,8 @@ from hypothesis import strategies as st
 from stochfeas import relaxation as rx
 from stochfeas.exceptions import UsageError
 from stochfeas.rngstreams import substream
+
+from conftest import scalar_relaxation
 
 
 def test_constant_moments():
@@ -24,7 +28,7 @@ def test_two_point_moments():
 
 def test_two_point_mean_matches_monte_carlo():
     rng = np.random.default_rng(99)
-    draws = np.array([rx.TwoPoint(2.3, 0.5, 1.5).sample(rng) for _ in range(10 ** 6)])
+    draws = rx.TwoPoint(2.3, 0.5, 1.5).sample(rng, 10 ** 6)
     sigma = draws.std() / len(draws) ** 0.5
     assert abs(draws.mean() - 1.9) < 3 * sigma + 1e-4
 
@@ -38,7 +42,7 @@ def test_uniform_moments():
 
 def test_uniform_moments_match_monte_carlo():
     rng = np.random.default_rng(7)
-    draws = np.array([rx.UniformInterval(1.5, 2.3).sample(rng) for _ in range(10 ** 5)])
+    draws = rx.UniformInterval(1.5, 2.3).sample(rng, 10 ** 5)
     assert abs(draws.mean() - 1.9) < 0.01 * 1.9
     assert draws.min() >= 1.5 and draws.max() <= 2.3
     sigma2 = (draws ** 2).std() / len(draws) ** 0.5
@@ -61,13 +65,23 @@ def test_two_point_jensen(a, p, b):
 
 def test_constant_sampling():
     rng = np.random.default_rng(0)
-    assert all(rx.Constant(1.9).sample(rng) == 1.9 for _ in range(10))
+    assert rx.Constant(1.9).sample(rng, 10).tolist() == [1.9] * 10
+
+
+@pytest.mark.parametrize("strategy", [
+    rx.Constant(1.9), rx.TwoPoint(2.3, 0.3, 1.5), rx.UniformInterval(1.5, 2.3),
+], ids=["constant", "two_point", "uniform"])
+def test_draws_equal_scalar_transcription(strategy):
+    # 2500 draws cross two chunk boundaries of draws()
+    chunked = list(itertools.islice(strategy.draws(np.random.default_rng(8)), 2500))
+    rng = np.random.default_rng(8)
+    assert chunked == [scalar_relaxation(strategy, rng) for _ in range(2500)]
 
 
 def test_two_point_sampling_frequency():
     rng = np.random.default_rng(5)
     s = rx.TwoPoint(2.3, 0.5, 1.5)
-    draws = np.array([s.sample(rng) for _ in range(10 ** 5)])
+    draws = s.sample(rng, 10 ** 5)
     frac = float(np.mean(draws == 2.3))
     assert abs(frac - 0.5) < 0.01 * 0.5
 
@@ -75,9 +89,8 @@ def test_two_point_sampling_frequency():
 def test_bounded_by_two_samples_stay_inside():
     rng = np.random.default_rng(3)
     for s in (rx.Constant(1.0), rx.UniformInterval(0.5, 1.99), rx.TwoPoint(1.9, 0.3, 0.1)):
-        for _ in range(1000):
-            v = s.sample(rng)
-            assert 0.0 < v < 2.0
+        v = s.sample(rng, 1000)
+        assert np.all((0.0 < v) & (v < 2.0))
 
 
 def test_invalid_strategies_rejected():
@@ -141,10 +154,10 @@ def test_stream_separation_isolates_relaxation_draws():
     s = rx.UniformInterval(1.5, 2.3)
     seed = 42
     lam_rng = substream(seed, "relaxation")
-    baseline = [s.sample(lam_rng) for _ in range(100)]
+    baseline = list(itertools.islice(s.draws(lam_rng), 100))
 
     idx_rng = substream(seed, "index")
     idx_rng.random(12345)  # heavy, unrelated consumption
     lam_rng2 = substream(seed, "relaxation")
-    again = [s.sample(lam_rng2) for _ in range(100)]
+    again = list(itertools.islice(s.draws(lam_rng2), 100))
     assert baseline == again
