@@ -88,7 +88,7 @@ def extrapolation_parameter(residual_norms, weights, p_minus_x_norm: float) -> f
 def _extrapolation(r: np.ndarray, w: np.ndarray, pmx: float) -> float:
     """L = (sum_i w_i r_i^2 + [p = x]) / (||p - x||^2 + [p = x]) on checked arrays."""
     indicator = 1.0 if pmx == 0.0 else 0.0
-    return (float(w @ (r * r)) + indicator) / (pmx * pmx + indicator)
+    return (float(w.dot(r * r)) + indicator) / (pmx * pmx + indicator)
 
 
 @dataclass
@@ -229,7 +229,7 @@ def run_block(
         else:
             beta = compute_weights(r, cfg.delta, cfg.weight_rule)
         avg_step = beta @ steps
-        pmx = math.sqrt(float(avg_step @ avg_step))
+        pmx = math.sqrt(float(avg_step.dot(avg_step)))
         if cfg.error_schedule is None:
             extrap = _extrapolation(r, beta, pmx)
             if extrap < 1.0 - _EXTRAPOLATION_SLACK:

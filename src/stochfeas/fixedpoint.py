@@ -246,7 +246,6 @@ def _iterate(step, x0, max_iters: int, atol: float, record_every: int,
     trace = ConvergenceTrace()
     stop_reason = "max_iters"
     quiet = 0
-    stopping = False
     checks_atol = atol > 0.0   # no residual falls below an atol <= 0
     limit_sq = DIVERGENCE_NORM ** 2
     start = time.perf_counter()
@@ -254,13 +253,14 @@ def _iterate(step, x0, max_iters: int, atol: float, record_every: int,
     for n in range(max_iters):
         record = n % record_every == 0
         x_next, residual, lam, extrap = step(n, x, record or checks_atol)
-        # NaN/Inf propagate into the squared norm, so one reduction covers both
-        norm_sq = float(x_next @ x_next)
+        # NaN/Inf propagate into the squared norm, so one reduction covers both;
+        # ndarray.dot is bit-equal to @ on 1-D float64 and cheaper per call
+        norm_sq = float(x_next.dot(x_next))
         if not math.isfinite(norm_sq) or norm_sq > limit_sq:
             raise NumericError(f"iterate diverged at iteration {n}")
         if checks_atol:
             quiet = quiet + 1 if residual < atol else 0
-            stopping = quiet >= patience
+        stopping = quiet >= patience
         if record or stopping:
             db = None
             if ref is not None:
@@ -316,7 +316,7 @@ def run_sgd(cfg: SgdConfig, x0) -> tuple[np.ndarray, ConvergenceTrace]:
         residual = None
         if want:
             gf = g if mean_grad is None else np.asarray(mean_grad(x), dtype=np.float64)
-            residual = math.sqrt(float(gf @ gf))
+            residual = math.sqrt(float(gf.dot(gf)))
         return x - gamma * g, residual, gamma, 1.0
 
     # atol 0: an SGD run always takes its full budget
