@@ -16,7 +16,7 @@ One iteration over a family (T_k) of firmly quasinonexpansive operators:
 The error-tolerant variant skips the extrapolation (a = p) and requires
 relaxations supported inside ]0, 2[.  Indices, errors and relaxations each
 come from their own substream of the run's seed; indices and relaxations
-are drawn in chunks of 1024 iterations ahead of use.  Weights under the two
+are drawn in chunks of up to 1024 iterations ahead of use.  Weights under the two
 built-in rules are deterministic functions of the residuals, so no draw
 occurs for them.  Draws never cross streams, so however far ahead a stream
 is drawn, lam stays independent of the sigma-algebra of the evaluations.

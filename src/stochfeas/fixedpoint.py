@@ -12,10 +12,10 @@ Two iterations on top of one loop skeleton, which the block iteration of
 
 Relaxation draws come from the run's "relaxation" substream, noise draws
 from the "noise" substream and gradient indices from the "index" substream.
-Relaxations and indices are drawn in chunks of 1024 ahead of use; draws never
-cross streams, so mu_n is independent of the noise sigma-algebra by stream
-separation, however far ahead a stream is drawn.  A run is single-threaded
-and owns its streams; distinct runs never share state.
+Relaxations and indices are drawn in chunks of up to 1024 ahead of use;
+draws never cross streams, so mu_n is independent of the noise sigma-algebra
+by stream separation, however far ahead a stream is drawn.  A run is
+single-threaded and owns its streams; distinct runs never share state.
 """
 
 from __future__ import annotations

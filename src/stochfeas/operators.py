@@ -229,14 +229,18 @@ class _IndexedFamily:
 
     def draws(self, rng: np.random.Generator, m: Optional[int] = None):
         """Endless i.i.d. index draws from ``rng``: single indices when ``m``
-        is None, else batches of shape (m,), sampled 1024 draws at a time.
+        is None, else batches of shape (m,).
 
         Yields the same sequence as one ``sample_indices(self, rng, m or 1)``
-        call per draw.
+        call per draw.  Chunks double from 16 to 1024 draws: an index costs
+        about 0.13 us in bulk at 2,560 members, so one first chunk of 1024
+        batches of 16 would cost a short run 2 ms for indices it never uses.
         """
+        size = 16
         while True:
-            ks = sample_indices(self, rng, 1024 * (m or 1))
-            yield from (ks.tolist() if m is None else ks.reshape(1024, m))
+            ks = sample_indices(self, rng, size * (m or 1))
+            yield from (ks.tolist() if m is None else ks.reshape(size, m))
+            size = min(2 * size, 1024)
 
     def evaluate(self, ks, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Steps ``T_k x - x`` for each k in ``ks`` (shape (M, n)) and their norms (M,)."""

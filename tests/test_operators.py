@@ -265,6 +265,17 @@ class TestIndexSampling:
         assert bulk.tolist() == scalar
         assert scalar_rng.random() == bulk_rng.random()
 
+    @pytest.mark.parametrize("m", [None, 3])
+    def test_chunked_draws_equal_scalar_draws(self, m):
+        # 1100 draws cross the first 1024-draw chunk
+        fam = OperatorFamily([lambda x: x] * 7, weights=np.arange(1, 8) / 28.0)
+        chunked = fam.draws(np.random.default_rng(5), m)
+        scalar_rng = np.random.default_rng(5)
+        for _ in range(1100):
+            scalar = [sample_indices(fam, scalar_rng, 1).item() for _ in range(m or 1)]
+            ks = next(chunked)
+            assert (ks if m is None else ks.tolist()) == (scalar[0] if m is None else scalar)
+
     def test_single_member_bulk_draws_consume_nothing(self):
         fam = OperatorFamily([lambda x: x])
         rng = np.random.default_rng(3)
