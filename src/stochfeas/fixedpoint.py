@@ -232,9 +232,10 @@ def _iterate(step, x0, max_iters: int, atol: float, record_every: int,
     return None for it otherwise; the loop wants it whenever ``atol > 0`` and
     on every recorded row.  The run stops after ``patience`` consecutive
     iterations with ``residual < atol``.  Row n of the trace is written when
-    ``n % record_every == 0`` or on the stopping iteration; it holds the
-    residual, relaxation and extrapolation of step n and, when a
-    ``reference`` point is given, the dB distance of x_n to it.
+    ``n % record_every == 0`` and on the last iteration, whether the budget
+    ends there or the stop rule fires; it holds the residual, relaxation and
+    extrapolation of step n and, when a ``reference`` point is given, the
+    dB distance of x_n to it.
     """
     x = as_point(x0, "x0").copy()
     ref = None
@@ -250,8 +251,9 @@ def _iterate(step, x0, max_iters: int, atol: float, record_every: int,
     limit_sq = DIVERGENCE_NORM ** 2
     start = time.perf_counter()
     n = -1
+    last = max_iters - 1
     for n in range(max_iters):
-        record = n % record_every == 0
+        record = n % record_every == 0 or n == last
         x_next, residual, lam, extrap = step(n, x, record or checks_atol)
         # NaN/Inf propagate into the squared norm, so one reduction covers both;
         # ndarray.dot is bit-equal to @ on 1-D float64 and cheaper per call

@@ -214,6 +214,15 @@ class TestRunBlock:
         assert r1.trace.columns["lambda"] == r2.trace.columns["lambda"]
         assert r1.trace.columns["residual"] == r2.trace.columns["residual"]
 
+    @pytest.mark.parametrize("budget", [7, 8])
+    def test_last_row_is_the_last_iteration(self, rng, budget):
+        normals, offsets, family, center, margin = random_halfspace_problem(rng)
+        cfg = BlockConfig(batch_size=2, delta=0.3, relaxation=rx.Constant(1.0),
+                          max_iters=budget, seed=3, atol=0.0, record_every=2)
+        res = run_block(family, cfg, np.zeros(10))
+        assert res.trace.footer["iterations_run"] == budget
+        assert res.trace.iterations().tolist() == sorted({*range(0, budget, 2), budget - 1})
+
     def test_reference_solution_enables_db_column(self, monkeypatch):
         family = two_halfspace_family()
         force_indices(monkeypatch, family, [0, 1])

@@ -202,6 +202,17 @@ class TestSgd:
         np.testing.assert_array_equal(f1, f2)
         assert t1.columns["residual"] == t2.columns["residual"]
 
+    @pytest.mark.parametrize("budget", [7, 8])
+    def test_last_row_is_the_last_iteration(self, budget):
+        # record_every=2: a budget of 7 ends on a recorded row anyway, one of
+        # 8 ends on iteration 7, which only the last-iteration rule records
+        fam = quadratic_family(np.zeros(3), np.array([[0.1, 0, 0], [-0.1, 0, 0]]))
+        cfg = SgdConfig(beta=1.0, nu=0.75, max_iters=budget, seed=9, gradient_family=fam,
+                        record_every=2)
+        _, trace = run_sgd(cfg, np.ones(3))
+        assert trace.footer["iterations_run"] == budget
+        assert trace.iterations().tolist() == sorted({*range(0, budget, 2), budget - 1})
+
     def test_indices_equal_scalar_draw_replay(self):
         rng = np.random.default_rng(3)
         fam = quadratic_family(rng.uniform(-1, 1, size=3), rng.uniform(-0.3, 0.3, size=(7, 3)))
