@@ -13,6 +13,12 @@ One iteration over a family (T_k) of firmly quasinonexpansive operators:
        a = x + L (p - x);
 5. draw the relaxation lam and update x <- x + lam (a - x).
 
+An iteration whose drawn steps are all zero leaves x unchanged (p = x,
+so L = 1 and a = x): it consumes its relaxation draw and skips the
+arithmetic of steps 3-5, unless records are collected or errors added.
+The run starts from x0 + 0.0: the full update turns a -0.0 coordinate
+into +0.0, so with none in x0 both paths give the same bits.
+
 The error-tolerant variant skips the extrapolation (a = p) and requires
 relaxations supported inside ]0, 2[.  Indices, errors and relaxations each
 come from their own substream of the run's seed; indices and relaxations
@@ -208,6 +214,8 @@ def run_block(
     noise_rng = substream(cfg.seed, "noise") if cfg.error_schedule is not None else None
     zs = [as_point(z, "fejer point") for z in fejer_points] if fejer_points else []
     records: Optional[list] = [] if cfg.collect_records else None
+    # records and errors need the full arithmetic of every iteration
+    skips_noops = records is None and noise_rng is None
     violations = 0
     worst = 0.0
     # weights under the uniform rule do not depend on the residuals
@@ -220,6 +228,10 @@ def run_block(
         # steps directly keeps the indicator branch [p = x] exact when every
         # drawn operator fixes x
         steps, r = family.evaluate(ks, x)
+        # the norms are the cheap test; the rows confirm it, because the
+        # norm of a nonzero row can underflow to 0
+        if skips_noops and not r.any() and not steps.any():
+            return x, 0.0, next(lams), 1.0
         if noise_rng is not None:
             for d in steps:
                 d += cfg.error_schedule.sample(n, x.shape[0], noise_rng)
@@ -252,6 +264,7 @@ def run_block(
             records.append(rec)
         return x_next, float(r.max()) if want else None, lam, extrap
 
+    x0 = as_point(x0, "x0") + 0.0   # -0.0 -> +0.0, see the module docstring
     # the residual only samples M random operators, so a single quiet
     # iteration proves nothing; require stop_patience consecutive ones
     x, trace = _iterate(step, x0, cfg.max_iters, cfg.atol, cfg.record_every,

@@ -170,7 +170,11 @@ class _SlabFamily(_IndexedFamily):
         v = rows @ x
         # the step is s a with s the signed distance back into the slab over
         # ||a||^2; a member whose slab holds x gets s = v - v = 0, a zero row
-        s = (np.minimum(np.maximum(v, self._lo[ks]), self._hi[ks]) - v) / self._norm_sq[ks]
+        s = np.minimum(np.maximum(v, self._lo[ks]), self._hi[ks]) - v
+        if not s.any():
+            # fresh arrays: the error-tolerant variant adds noise to the rows in place
+            return np.zeros((len(ks), x.shape[0])), np.zeros(len(ks))
+        s /= self._norm_sq[ks]
         return s[:, None] * rows, np.abs(s) * self._norm[ks]
 
 

@@ -188,7 +188,6 @@ class GradientFamily(_IndexedFamily):
                 f"zero-variance family deviates from mean gradient by {dev:.3e}"
             )
 
-
 class _QuadraticFamily(GradientFamily):
     """The family of :func:`quadratic_family`, held as arrays: ``center`` c
     and the recentred ``offsets`` w_k, one row each."""
@@ -205,7 +204,6 @@ class _QuadraticFamily(GradientFamily):
 
     def mean_gradient(self, x: np.ndarray) -> np.ndarray:
         return x - self.center
-
 
 def quadratic_family(center, offsets) -> GradientFamily:
     """Built-in family for f(x) = ||x - c||^2 / 2 with grad g_k(x) = x - c - w_k.
@@ -235,10 +233,13 @@ def _iterate(step, x0, max_iters: int, atol: float, record_every: int,
     ``n % record_every == 0`` and on the last iteration, whether the budget
     ends there or the stop rule fires; it holds the residual, relaxation and
     extrapolation of step n and, when a ``reference`` point is given, the
-    dB distance of x_n to it.
+    dB distance of x_n to it.  A step that leaves x unchanged may return x
+    itself: the loop then skips the divergence guard, which x passed one
+    iteration earlier (the guard still checks x0 at n = 0), and reuses the
+    dB value last computed for x.
     """
     x = as_point(x0, "x0").copy()
-    ref = None
+    ref = db_x = None
     if reference is not None:
         ref = as_point(reference, "reference solution")
         ref_denom = float(np.linalg.norm(x - ref))
@@ -255,19 +256,21 @@ def _iterate(step, x0, max_iters: int, atol: float, record_every: int,
     for n in range(max_iters):
         record = n % record_every == 0 or n == last
         x_next, residual, lam, extrap = step(n, x, record or checks_atol)
-        # NaN/Inf propagate into the squared norm, so one reduction covers both;
-        # ndarray.dot is bit-equal to @ on 1-D float64 and cheaper per call
-        norm_sq = float(x_next.dot(x_next))
-        if not math.isfinite(norm_sq) or norm_sq > limit_sq:
-            raise NumericError(f"iterate diverged at iteration {n}")
+        if x_next is not x or n == 0:
+            # NaN/Inf propagate into the squared norm, so one reduction covers
+            # both; ndarray.dot is bit-equal to @ on 1-D float64 and cheaper
+            norm_sq = float(x_next.dot(x_next))
+            if not math.isfinite(norm_sq) or norm_sq > limit_sq:
+                raise NumericError(f"iterate diverged at iteration {n}")
         if checks_atol:
             quiet = quiet + 1 if residual < atol else 0
         stopping = quiet >= patience
         if record or stopping:
-            db = None
-            if ref is not None:
+            if ref is None:
+                db = None
+            elif x is not db_x:
                 d = x - ref
-                db = ratio_db(math.sqrt(float(d @ d)), ref_denom)
+                db, db_x = ratio_db(math.sqrt(float(d @ d)), ref_denom), x
             trace.append(n, time.perf_counter() - start, residual, db, lam, extrap)
         x = x_next
         if stopping:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,12 @@ from stochfeas.block import (
     extrapolation_parameter,
     run_block,
 )
-from stochfeas.exceptions import ConfigurationError, InvariantViolationError, UsageError
+from stochfeas.exceptions import (
+    ConfigurationError,
+    InvariantViolationError,
+    NumericError,
+    UsageError,
+)
 from stochfeas.fixedpoint import DecayingNoise
 from stochfeas.operators import OperatorFamily, halfspace_projector, sample_indices
 from stochfeas.rngstreams import substream
@@ -234,6 +241,40 @@ class TestRunBlock:
         assert db is not None
         assert db[0] == 0.0           # at x0
         assert db[1] == -300.0        # x1 is exactly the reference
+
+
+class TestNoOpIterations:
+    """An iteration whose drawn steps are all zero returns x itself; the
+    same run with records takes the full arithmetic on every iteration."""
+
+    @staticmethod
+    def both_paths(family, x0, **fields):
+        cfg = BlockConfig(batch_size=1, delta=0.5, relaxation=rx.Constant(1.5),
+                          max_iters=6, seed=4, atol=0.0, **fields)
+        plain = run_block(family, cfg, x0)
+        full = run_block(family, replace(cfg, collect_records=True), x0)
+        return plain, full
+
+    @pytest.mark.parametrize("x0", [[-0.0, -1.0], [-0.0, 1.0]], ids=["all-noop", "mixed"])
+    def test_negative_zero_x0_matches_full_path(self, x0):
+        plain, full = self.both_paths(two_halfspace_family(), np.array(x0))
+        assert plain.final.tobytes() == full.final.tobytes()
+        assert not np.signbit(plain.final[0])
+        assert plain.trace.columns["residual"] == full.trace.columns["residual"]
+
+    def test_nonzero_step_with_underflowing_norm_is_applied(self):
+        # ||d||^2 = 1e-400 underflows, so the norm reads 0 while the row does not
+        family = OperatorFamily([lambda x: x + np.array([1e-200, 0.0])])
+        plain, full = self.both_paths(family, np.zeros(2))
+        assert plain.final[0] > 0.0
+        assert plain.final.tobytes() == full.final.tobytes()
+
+    def test_noop_iteration_zero_beyond_divergence_limit_raises(self):
+        # (-1e13, -1e13) lies in both half-spaces, so iteration 0 leaves x0 as is
+        cfg = BlockConfig(batch_size=2, delta=0.3, relaxation=rx.Constant(1.0),
+                          max_iters=5, seed=0)
+        with pytest.raises(NumericError, match="iteration 0"):
+            run_block(two_halfspace_family(), cfg, [-1e13, -1e13])
 
 
 class TestErrorTolerantVariant:

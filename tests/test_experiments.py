@@ -7,6 +7,7 @@ import pytest
 from stochfeas import relaxation as rx
 from stochfeas import experiments
 from stochfeas.block import BlockConfig, run_block
+from stochfeas.diagnostics import ratio_db
 from stochfeas.exceptions import (
     DegenerateConstraintError,
     NumericError,
@@ -386,6 +387,74 @@ class TestImageFamilyEvaluate:
             x = x + scalar_relaxation(cfg.relaxation, lam_rng) * (a - x)
         assert np.array_equal(res.final, x)
         assert np.array_equal(res.trace.residuals(), residuals)
+
+
+class TestNoOpIterations:
+    @pytest.mark.parametrize("kind, m, label, record_every", [
+        ("signal", 1, "twopoint", 1), ("signal", 16, "const1.9", 3), ("image", 2, "uniform", 2)])
+    def test_records_take_the_full_path_bit_equal(self, kind, m, label, record_every):
+        if kind == "signal":
+            prob = experiments.desk_signal_problem(seed=3)
+            fam = prob.build_family()
+        else:
+            prob = experiments.desk_image_problem(seed=3)
+            fam = prob.build_family(fourier_weight=experiments.DESK_IMAGE_FOURIER_WEIGHT)
+        truth = np.ravel(prob.ground_truth)
+        cfg = BlockConfig(batch_size=m, delta=0.5 / m, relaxation=canonical_strategies()[label],
+                          max_iters=300 if kind == "signal" else 100, seed=5, atol=0.0,
+                          record_every=record_every)
+        plain = run_block(fam, cfg, np.zeros(truth.size), reference_solution=truth)
+        full = run_block(fam, replace(cfg, collect_records=True), np.zeros(truth.size),
+                         reference_solution=truth)
+        assert len(full.records) == cfg.max_iters   # one record per iteration, no-ops too
+        residuals = plain.trace.residuals()
+        assert np.any(residuals == 0.0) and np.any(residuals > 0.0)
+        assert plain.final.tobytes() == full.final.tobytes()
+        for name, column in plain.trace.columns.items():
+            if name != "elapsed_s":
+                assert column == full.trace.columns[name], name
+        # the dB cells of no-op rows are reused, so replay x_n from the records
+        xs = [np.zeros(truth.size)]
+        for rec in full.records:
+            xs.append(xs[-1] + rec.lam * (rec.a - xs[-1]))
+        assert xs[-1].tobytes() == plain.final.tobytes()
+        dist = [math.sqrt(float((x - truth) @ (x - truth))) for x in xs]
+        assert plain.trace.columns["norm_err_db"] == [
+            ratio_db(dist[n], dist[0]) for n in plain.trace.columns["iter"]]
+
+    def test_all_held_batch_gives_fresh_zero_rows(self):
+        prob = experiments.desk_signal_problem(seed=3)
+        fam = prob.build_family()
+        ks = np.arange(0, len(fam), 97)
+        for _ in range(2):
+            steps, norms = fam.evaluate(ks, prob.ground_truth)
+            assert steps.shape == (ks.size, prob.n) and not steps.any() and not norms.any()
+            steps += 1.0   # the error-tolerant variant adds its noise in place
+
+    def test_error_tolerant_signal_run_matches_replay(self):
+        # batched and one-row evaluations differ in the last bit, so the
+        # replay evaluates whole batches and only redoes the update
+        prob = experiments.desk_signal_problem(seed=3)
+        fam = prob.build_family()
+        schedule = DecayingNoise(c=0.5, q=1.5)
+        cfg = BlockConfig(batch_size=4, delta=0.1, relaxation=rx.UniformInterval(0.5, 1.5),
+                          max_iters=40, seed=9, atol=0.0, error_schedule=schedule)
+        res = run_block(fam, cfg, np.zeros(prob.n))
+        idx_rng = substream(9, "index")
+        noise_rng = substream(9, "noise")
+        lam_rng = substream(9, "relaxation")
+        x = np.zeros(prob.n)
+        residuals, held = [], 0
+        for n in range(40):
+            steps = fam.evaluate(sample_indices(fam, idx_rng, 4), x)[0]
+            held += not steps.any()
+            steps = steps + [schedule.sample(n, prob.n, noise_rng) for _ in range(4)]
+            residuals.append(max(math.sqrt(float(d @ d)) for d in steps))
+            a = x + np.full(4, 0.25) @ steps
+            x = x + scalar_relaxation(cfg.relaxation, lam_rng) * (a - x)
+        assert np.array_equal(res.final, x)
+        assert np.array_equal(res.trace.residuals(), residuals)
+        assert held > 0   # some batches held x before their noise
 
 
 class TestRunExperiment:
