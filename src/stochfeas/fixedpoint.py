@@ -171,10 +171,7 @@ class GradientFamily(_IndexedFamily):
         m = 10,000 draws."""
         if self.mean_gradient is None:
             return
-        acc = np.zeros_like(x0)
-        for k in sample_indices(self, rng, _SPOT_CHECK_SAMPLES).tolist():
-            acc += self.gradient(k, x0)
-        acc /= _SPOT_CHECK_SAMPLES
+        acc = self._sample_mean(sample_indices(self, rng, _SPOT_CHECK_SAMPLES), x0)
         target = np.asarray(self.mean_gradient(x0), dtype=np.float64)
         dev = float(np.linalg.norm(acc - target))
         bound = 3.0 * math.sqrt(max(self.variance_bound, 1e-300) / _SPOT_CHECK_SAMPLES)
@@ -187,6 +184,14 @@ class GradientFamily(_IndexedFamily):
             raise ConfigurationError(
                 f"zero-variance family deviates from mean gradient by {dev:.3e}"
             )
+
+    def _sample_mean(self, ks: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Mean of grad g_k(x) over the drawn indices ``ks``."""
+        acc = np.zeros_like(x)
+        for k in ks.tolist():
+            acc += self.gradient(k, x)
+        return acc / ks.size
+
 
 class _QuadraticFamily(GradientFamily):
     """The family of :func:`quadratic_family`, held as arrays: ``center`` c
@@ -204,6 +209,11 @@ class _QuadraticFamily(GradientFamily):
 
     def mean_gradient(self, x: np.ndarray) -> np.ndarray:
         return x - self.center
+
+    def _sample_mean(self, ks: np.ndarray, x: np.ndarray) -> np.ndarray:
+        # one mean over the gathered rows, not one gradient call per draw
+        return x - self.center - self.offsets[ks].mean(axis=0)
+
 
 def quadratic_family(center, offsets) -> GradientFamily:
     """Built-in family for f(x) = ||x - c||^2 / 2 with grad g_k(x) = x - c - w_k.

@@ -8,6 +8,7 @@ from stochfeas.fixedpoint import (
     GradientFamily,
     KmConfig,
     SgdConfig,
+    _QuadraticFamily,
     quadratic_family,
     run_km,
     run_sgd,
@@ -181,6 +182,19 @@ class TestSgd:
             acc /= m
             target = fam.mean_gradient(x)
             assert np.linalg.norm(acc - target) <= 4.0 / np.sqrt(m) * sigma
+
+    def test_array_form_spot_check_mean_matches_the_loop(self, rng):
+        fam = quadratic_family(rng.normal(size=5), rng.uniform(-0.3, 0.3, size=(12, 5)))
+        ks = sample_indices(fam, rng, 10_000)
+        x = rng.normal(size=5)
+        np.testing.assert_allclose(fam._sample_mean(ks, x),
+                                   GradientFamily._sample_mean(fam, ks, x), rtol=0, atol=1e-12)
+
+    def test_array_form_spot_check_rejects_offsets_not_recentred(self):
+        fam = _QuadraticFamily(np.zeros(2), np.array([[5.0, 0.0], [5.5, 0.0]]))
+        cfg = SgdConfig(beta=1.0, nu=0.75, max_iters=10, seed=0, gradient_family=fam)
+        with pytest.raises(ConfigurationError, match="unbiasedness spot-check failed"):
+            run_sgd(cfg, [0.0, 0.0])
 
     def test_stochastic_quadratic_gradient_norm_decreases(self):
         rng = np.random.default_rng(0)
