@@ -29,6 +29,10 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _as_list(col) -> list:
+    return col.tolist() if isinstance(col, np.ndarray) else col
+
+
 @dataclass
 class ConvergenceTrace:
     """Append-only record of a single run.
@@ -90,14 +94,24 @@ class ConvergenceTrace:
         return self.columns["residual"][-1]
 
     def write_csv(self, path) -> None:
-        # format whole columns first: faster than formatting row by row
-        iters, *floats = self.columns.values()
-        cells = [[int(i) for i in iters]]
-        cells += [["" if c is None else format_float(c) for c in col] for col in floats]
+        # one %-template per row; rows end in "\r\n" like the csv module's
+        # writer (which reads them back), footer lines in "\n"
+        specs, cols = ["%d"], [_as_list(self.columns["iter"])]
+        for col in list(self.columns.values())[1:]:
+            col = _as_list(col)
+            nones = col.count(None)
+            if nones == len(col):
+                specs.append("")
+            elif nones:
+                specs.append("%s")
+                cols.append(["" if c is None else format_float(c) for c in col])
+            else:
+                specs.append("%.17g")
+                cols.append(col)
+        row = ",".join(specs) + "\r\n"
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.columns)
-            writer.writerows(zip(*cells))
+            fh.write(",".join(self.columns) + "\r\n")
+            fh.writelines([row % cells for cells in zip(*cols)])
             for key in sorted(self.footer):
                 fh.write(f"# {key}={self.footer[key]}\n")
 

@@ -90,3 +90,32 @@ def test_averaged_trace_without_db_writes_empty_db_cells(tmp_path):
     for row in rows:
         assert [row[3], row[6], row[7]] == ["", "", ""]
         assert all(row[i] for i in (0, 1, 2, 4, 5))
+
+
+def csv_module_write(trace, path):
+    """The csv-module writer, kept as the oracle of ``write_csv``'s bytes."""
+    iters, *floats = trace.columns.values()
+    cells = [[int(i) for i in iters]]
+    cells += [["" if c is None else format(float(c), ".17g") for c in col] for col in floats]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(trace.columns)
+        writer.writerows(zip(*cells))
+        for key in sorted(trace.footer):
+            fh.write(f"# {key}={trace.footer[key]}\n")
+
+
+@pytest.mark.parametrize("kind", ["with-db", "without-db", "averaged", "mixed-db", "empty"])
+def test_write_csv_bytes_match_the_csv_module(tmp_path, kind):
+    if kind == "averaged":
+        trace = aggregate_runs([make_trace(50), make_trace(50)])
+    elif kind == "empty":
+        trace = ConvergenceTrace()
+    else:
+        trace = make_trace(50, db=kind != "without-db")
+        if kind == "mixed-db":
+            trace.columns["norm_err_db"][7] = None
+    trace.footer.update(stop_reason="max_iters", atol=1e-10, iterations_run=99)
+    trace.write_csv(tmp_path / "fast.csv")
+    csv_module_write(trace, tmp_path / "oracle.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
