@@ -5,7 +5,8 @@ One iteration over a family (T_k) of firmly quasinonexpansive operators:
 1. draw M indices k_1..k_M i.i.d. from the family's index distribution;
 2. evaluate the steps p_i - x = T_{k_i} x - x (plus an error term e_i in
    the error-tolerant variant) and the residual norms r_i = ||p_i - x||,
-   all M at once through the family's ``evaluate``;
+   all M at once through the family's ``evaluate``, which reports a batch
+   whose members all fix x by returning None;
 3. form weights beta_i summing to 1 with beta_i >= delta on every index
    attaining the maximal residual;
 4. average p = sum_i beta_i p_i and extrapolate,
@@ -13,9 +14,11 @@ One iteration over a family (T_k) of firmly quasinonexpansive operators:
        a = x + L (p - x);
 5. draw the relaxation lam and update x <- x + lam (a - x).
 
-An iteration whose drawn steps are all zero leaves x unchanged (p = x,
-so L = 1 and a = x): it consumes its relaxation draw and skips the
-arithmetic of steps 3-5, unless records are collected or errors added.
+An iteration whose drawn members all fix x leaves x unchanged (p = x,
+so L = 1 and a = x).  The family reports such a batch, so the iteration
+neither builds nor scans zero rows: it consumes its relaxation draw and
+skips the arithmetic of steps 3-5, unless records are collected or errors
+added, in which case it runs them on M zero rows.
 The run starts from x0 + 0.0: the full update turns a -0.0 coordinate
 into +0.0, so with none in x0 both paths give the same bits.
 
@@ -227,11 +230,14 @@ def run_block(
         # the averaged point enters only through p - x; working with the
         # steps directly keeps the indicator branch [p = x] exact when every
         # drawn operator fixes x
-        steps, r = family.evaluate(ks, x)
-        # the norms are the cheap test; the rows confirm it, because the
-        # norm of a nonzero row can underflow to 0
-        if skips_noops and not r.any() and not steps.any():
+        evaluated = family.evaluate(ks, x)
+        if evaluated is not None:
+            steps, r = evaluated
+        elif skips_noops:
             return x, 0.0, next(lams), 1.0
+        else:
+            # fresh arrays: the error-tolerant variant adds noise to the rows in place
+            steps, r = np.zeros((m, x.shape[0])), np.zeros(m)
         if noise_rng is not None:
             for d in steps:
                 d += cfg.error_schedule.sample(n, x.shape[0], noise_rng)

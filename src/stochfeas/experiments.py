@@ -149,7 +149,9 @@ class _SlabFamily(_IndexedFamily):
     the length-n window at offset 2nk + n - j of the base rows laid out
     twice each, [b_0 b_0 b_1 b_1 ...] (2pn floats).  Evaluating M members
     gathers their M windows and takes all inner products in one
-    matrix-vector product.
+    matrix-vector product.  The batch is all-fixed when every signed
+    distance s back into the slabs is 0, which needs no scan of the rows;
+    a NaN counts as nonzero and takes the full path.
     """
 
     def __init__(self, bases, observations, eta):
@@ -171,9 +173,8 @@ class _SlabFamily(_IndexedFamily):
         # the step is s a with s the signed distance back into the slab over
         # ||a||^2; a member whose slab holds x gets s = v - v = 0, a zero row
         s = np.minimum(np.maximum(v, self._lo[ks]), self._hi[ks]) - v
-        if not s.any():
-            # fresh arrays: the error-tolerant variant adds noise to the rows in place
-            return np.zeros((len(ks), x.shape[0])), np.zeros(len(ks))
+        if np.count_nonzero(s) == 0:   # cheaper than s.any() on a short array
+            return None
         s /= self._norm_sq[ks]
         return s[:, None] * rows, np.abs(s) * self._norm[ks]
 
@@ -357,7 +358,8 @@ class _ImageFamily(_IndexedFamily):
     when a ball or the Fourier member is drawn: each ball forms its residual
     spectrum from the shared transform, and the Fourier member overwrites a
     copy of it on the mask.  A member drawn twice is evaluated once and its
-    row copied.
+    row copied.  The batch is all-fixed, as in ``OperatorFamily``, when
+    every norm is 0 and then every row is 0.
     """
 
     def __init__(self, problem: ImageProblem, weights=None):
@@ -396,6 +398,8 @@ class _ImageFamily(_IndexedFamily):
                     p = self._problem._project_ball(k, x, spectrum)
             d = np.subtract(p, x, out=steps[i])
             norms[i] = math.sqrt(float(d @ d))
+        if not norms.any() and not steps.any():
+            return None
         return steps, norms
 
 

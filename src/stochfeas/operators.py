@@ -10,13 +10,14 @@ quasinonexpansiveness inequality
     ||T x - z||^2 + ||T x - x||^2 <= ||x - z||^2   for all z in Fix T.
 
 A family applies its operators through ``evaluate``, which returns the
-steps T_k x - x of the drawn members at one point.  ``OperatorFamily``
-holds plain callables; the signal and image experiments define families
-whose ``evaluate`` works on the problem's arrays directly.  Families are
-immutable after construction and safe to evaluate concurrently;
-index-sampling generators are single-owner.  The demiclosedness of Id - T
-at 0, assumed by the convergence theory, is an analytic property of the
-supplied maps and is not checked at runtime.
+steps T_k x - x of the drawn members at one point, or None when every
+drawn member fixes that point, so that each step is an exact zero row.
+``OperatorFamily`` holds plain callables; the signal and image
+experiments define families whose ``evaluate`` works on the problem's
+arrays directly.  Families are immutable after construction and safe to
+evaluate concurrently; index-sampling generators are single-owner.  The
+demiclosedness of Id - T at 0, assumed by the convergence theory, is an
+analytic property of the supplied maps and is not checked at runtime.
 """
 
 from __future__ import annotations
@@ -203,7 +204,9 @@ class _IndexedFamily:
     within 1e-12.  ``evaluate(ks, x)`` is the batched entry point of the
     block iteration: it returns the steps T_k x - x of the members ``ks``
     at one point x, one row each, and their Euclidean norms.  A member that
-    fixes x must give an exact zero row.
+    fixes x must give an exact zero row.  When every member of ``ks`` fixes
+    x, so that every row would be zero, it returns None instead; the block
+    iteration then leaves x unchanged without further arithmetic.
     """
 
     def __init__(self, count: int, weights=None):
@@ -242,19 +245,22 @@ class _IndexedFamily:
             yield from (ks.tolist() if m is None else ks.reshape(size, m))
             size = min(2 * size, 1024)
 
-    def evaluate(self, ks, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Steps ``T_k x - x`` for each k in ``ks`` (shape (M, n)) and their norms (M,)."""
+    def evaluate(self, ks, x: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """Steps ``T_k x - x`` for each k in ``ks`` (shape (M, n)) and their
+        norms (M,), or None when every step is zero."""
         raise NotImplementedError
 
 
 class OperatorFamily(_IndexedFamily):
     """A finite indexed family of callables x -> T x, with an index distribution.
 
-    ``evaluate`` applies the drawn members one by one.  The signal and image
-    experiments use their own families instead, whose ``evaluate`` works on
-    the problem's arrays (``experiments._SlabFamily``, one matrix-vector
-    product per batch, and ``experiments._ImageFamily``, one shared
-    ``fft2`` per batch).
+    ``evaluate`` applies the drawn members one by one.  The batch is
+    all-fixed when every norm is 0 and then every row is 0: the norms are
+    the cheap test, and the rows confirm it, because the norm of a nonzero
+    row can underflow to 0.  The signal and image experiments use their
+    own families instead, whose ``evaluate`` works on the problem's arrays
+    (``experiments._SlabFamily``, one matrix-vector product per batch, and
+    ``experiments._ImageFamily``, one shared ``fft2`` per batch).
     """
 
     def __init__(self, members: Sequence, weights=None):
@@ -268,6 +274,8 @@ class OperatorFamily(_IndexedFamily):
         for i, k in enumerate(ks):
             d = np.subtract(self.members[k](x), x, out=steps[i])
             norms[i] = math.sqrt(float(d @ d))
+        if not norms.any() and not steps.any():
+            return None
         return steps, norms
 
 

@@ -27,17 +27,25 @@ def halfspace_proj_oracle(a, b, x):
 
 
 def dykstra_distance(normals, offsets, x, iters=4000):
-    """Distance from x to the intersection of {<a_i, z> <= b_i} via Dykstra."""
+    """Distance from x to the intersection of {<a_i, z> <= b_i} via Dykstra.
+
+    Runs ``iters`` sweeps, but returns as soon as one sweep leaves y and
+    every correction bit-unchanged: every later sweep would repeat it, so
+    the value equals that of all ``iters`` sweeps exactly.
+    """
     x = np.asarray(x, dtype=float)
     m = len(offsets)
     y = x.copy()
     corrections = [np.zeros_like(x) for _ in range(m)]
     for _ in range(iters):
+        state = [y.tobytes()] + [c.tobytes() for c in corrections]
         for i in range(m):
             w = y + corrections[i]
             proj = halfspace_proj_oracle(normals[i], offsets[i], w)
             corrections[i] = w - proj
             y = proj
+        if state == [y.tobytes()] + [c.tobytes() for c in corrections]:
+            break
     return float(np.linalg.norm(y - x))
 
 

@@ -178,6 +178,24 @@ class TestRunBlock:
                 failures += 1
         assert failures == 0
 
+    def test_dz_oracle_early_exit_equals_full_sweeps(self):
+        prng = np.random.default_rng(19)
+        normals, offsets, _, center, _ = random_halfspace_problem(prng, dim=4, count=5)
+        x = center + prng.normal(size=4)
+        # x lies outside one half-space, and its projection onto that one
+        # leaves another, so the oracle runs several sweeps before it exits
+        assert np.count_nonzero(normals @ x > offsets) == 1
+        # the 4,000 sweeps transcribed without the early exit
+        y = x.copy()
+        corrections = np.zeros((5, 4))
+        for _ in range(4000):
+            for i in range(5):
+                w = y + corrections[i]
+                y = halfspace_proj_oracle(normals[i], offsets[i], w)
+                corrections[i] = w - y
+        d = dykstra_distance(normals, offsets, x)
+        assert d > 0.0 and d == float(np.linalg.norm(y - x))
+
     def test_lambda_stream_independent_of_batch_size(self, rng):
         normals, offsets, family, center, margin = random_halfspace_problem(rng)
         lam_seqs = []

@@ -39,9 +39,16 @@ from stochfeas.rngstreams import substream
 from conftest import reference_block_step, scalar_relaxation
 
 
+def rows_of(family, ks, x):
+    """The steps of one ``evaluate`` call; an all-fixed batch (None) reads as
+    M exact zero rows."""
+    out = family.evaluate(ks, x)
+    return np.zeros((len(ks), np.size(x))) if out is None else out[0]
+
+
 def step_of(family, k, x):
     """The step T_k x - x of one member, from a one-index ``evaluate`` call."""
-    return family.evaluate([k], x)[0][0]
+    return rows_of(family, [k], x)[0]
 
 
 def count_fft2(monkeypatch):
@@ -108,7 +115,7 @@ class TestSignalProblem:
         # member (k, j) projects onto the slab with normal = row j of L_k
         k, j = 1, 17
         member = k * prob.n + j
-        assert not np.any(step_of(family, member, prob.ground_truth))
+        assert family.evaluate([member], prob.ground_truth) is None
         assert np.any(step_of(family, member, prob.ground_truth + 5.0))
         out = x + step_of(family, member, x)
         a, lo, hi = prob.slab_bounds(k, j)
@@ -129,19 +136,33 @@ class TestSignalProblem:
         points = [(truth, len(family)), (truth + 5.0, 0), (truth - 5.0, 0),
                   (np.zeros(32), None), (rng.normal(size=32), None)]
         for x, expected_held in points:
-            steps, norms = family.evaluate(ks, x)
-            held = 0
-            for k in ks:
-                p = project_hyperslab(*prob.slab_bounds(*divmod(int(k), prob.n)), x)
+            ps = [project_hyperslab(*prob.slab_bounds(*divmod(int(k), prob.n)), x) for k in ks]
+            held = sum(p is x for p in ps)
+            if expected_held is not None:
+                assert held == expected_held
+            out = family.evaluate(ks, x)
+            # None exactly when every public projection holds x
+            assert (out is None) == (held == len(ks))
+            if out is None:
+                continue
+            steps, norms = out
+            for k, p in zip(ks, ps):
                 if p is x:
-                    held += 1
                     assert np.all(steps[k] == 0.0) and norms[k] == 0.0
                 else:
                     np.testing.assert_allclose(x + steps[k], p, rtol=1e-12,
                                                atol=1e-12 * np.abs(p).max())
                     assert norms[k] == pytest.approx(np.linalg.norm(p - x), rel=1e-12)
-            if expected_held is not None:
-                assert held == expected_held
+
+    def test_all_fixed_batch_is_reported_as_none(self):
+        prob = experiments.desk_signal_problem(seed=3)
+        family = prob.build_family()
+        ks = np.arange(len(family))
+        assert family.evaluate(ks, prob.ground_truth) is None
+        steps, norms = family.evaluate(ks, np.zeros(prob.n))
+        fixed = norms == 0.0
+        assert fixed.any() and not fixed.all()
+        assert not steps[fixed].any() and steps[~fixed].any(axis=1).all()
 
     def test_run_block_matches_member_replay(self):
         prob = generate_signal_problem(n=48, p=3, eta=0.1, std_range=(2.0, 5.0), seed=6)
@@ -269,13 +290,21 @@ class TestImageFamilyEvaluate:
         # the Fourier member first, so a ball drawn after it must still see
         # the untouched spectrum
         batches = [list(range(6)), [5, 0, 5, 1], [4, 3], [2]]
+        all_fixed = 0
         for x in points:
             for ks in batches:
-                steps, norms = fam.evaluate(ks, x)
-                for i, k in enumerate(ks):
-                    d = step_of(fam, k, x)
+                out = fam.evaluate(ks, x)
+                rows = [step_of(fam, k, x) for k in ks]
+                # None exactly when every member call gives a zero step
+                assert (out is None) == (not np.any(rows))
+                if out is None:
+                    all_fixed += 1
+                    continue
+                steps, norms = out
+                for i, d in enumerate(rows):
                     assert np.array_equal(steps[i], d)
                     assert norms[i] == math.sqrt(float(d @ d))
+        assert all_fixed
 
     def test_rows_match_public_oracles(self, rng):
         prob, fam = self.family()
@@ -335,8 +364,18 @@ class TestImageFamilyEvaluate:
 
     def test_all_fixed_batch_gives_exact_zero_rows(self):
         prob, fam = self.family()
-        steps, norms = fam.evaluate([0, 1, 2, 3, 4, 4, 0], prob.ground_truth.ravel())
-        assert not np.any(steps) and not np.any(norms)
+        truth = prob.ground_truth.ravel()
+        # the truth lies in every ball and in the box
+        assert all(prob.ball_value(k, truth) <= 0.0 for k in range(4))
+        assert np.array_equal(project_box(0.0, 255.0, truth), truth)
+        assert fam.evaluate([0, 1, 2, 3, 4, 4, 0], truth) is None
+        # a mixed batch keeps exact zero rows for its fixed members
+        x = truth.copy()
+        x[0] = -1.0   # outside the box, still inside balls 0 and 1
+        assert prob.ball_value(0, x) <= 0.0 and prob.ball_value(1, x) <= 0.0
+        steps, norms = fam.evaluate([4, 0, 1, 4], x)
+        assert not np.any(steps[1:3]) and not np.any(norms[1:3])
+        assert norms[0] == norms[3] == 1.0
 
     def test_one_forward_transform_per_evaluate(self, monkeypatch, rng):
         prob, fam = self.family()
@@ -423,13 +462,25 @@ class TestNoOpIterations:
             ratio_db(dist[n], dist[0]) for n in plain.trace.columns["iter"]]
 
     def test_all_held_batch_gives_fresh_zero_rows(self):
+        # every slab holds the truth with a margin of 0.4 eta, far above this
+        # noise, so every batch of the run is all-fixed; the run adds its
+        # noise to the zero rows in place, so they must be fresh each time
         prob = experiments.desk_signal_problem(seed=3)
         fam = prob.build_family()
-        ks = np.arange(0, len(fam), 97)
-        for _ in range(2):
-            steps, norms = fam.evaluate(ks, prob.ground_truth)
-            assert steps.shape == (ks.size, prob.n) and not steps.any() and not norms.any()
-            steps += 1.0   # the error-tolerant variant adds its noise in place
+        schedule = DecayingNoise(c=1e-6, q=1.5)
+        cfg = BlockConfig(batch_size=4, delta=0.1, relaxation=rx.UniformInterval(0.5, 1.5),
+                          max_iters=10, seed=9, atol=0.0, error_schedule=schedule)
+        res = run_block(fam, cfg, prob.ground_truth)
+        idx_rng = substream(9, "index")
+        noise_rng = substream(9, "noise")
+        lam_rng = substream(9, "relaxation")
+        x = prob.ground_truth.copy()
+        for n in range(10):
+            assert fam.evaluate(sample_indices(fam, idx_rng, 4), x) is None
+            steps = np.array([schedule.sample(n, prob.n, noise_rng) for _ in range(4)])
+            a = x + np.full(4, 0.25) @ steps
+            x = x + scalar_relaxation(cfg.relaxation, lam_rng) * (a - x)
+        assert np.array_equal(res.final, x)
 
     def test_error_tolerant_signal_run_matches_replay(self):
         # batched and one-row evaluations differ in the last bit, so the
@@ -446,7 +497,7 @@ class TestNoOpIterations:
         x = np.zeros(prob.n)
         residuals, held = [], 0
         for n in range(40):
-            steps = fam.evaluate(sample_indices(fam, idx_rng, 4), x)[0]
+            steps = rows_of(fam, sample_indices(fam, idx_rng, 4), x)
             held += not steps.any()
             steps = steps + [schedule.sample(n, prob.n, noise_rng) for _ in range(4)]
             residuals.append(max(math.sqrt(float(d @ d)) for d in steps))

@@ -307,5 +307,14 @@ class TestEvaluate:
         np.testing.assert_array_equal(steps, expected)
         np.testing.assert_array_equal(norms, [np.sqrt(d @ d) for d in expected])
         inside = np.zeros(3)
-        steps, norms = fam.evaluate([0, 0], inside)
-        assert not np.any(steps) and not np.any(norms)
+        assert fam.evaluate([0, 0], inside) is None
+        # a mixed batch keeps an exact zero row for its fixed member
+        steps, norms = fam.evaluate([0, 1], inside)
+        assert not np.any(steps[0]) and norms[0] == 0.0
+        np.testing.assert_array_equal(steps[1], -0.3 * normals[0])
+
+    def test_underflowing_norm_is_not_all_fixed(self):
+        # ||d||^2 = 1e-400 underflows, so the norm reads 0 while the row does not
+        fam = OperatorFamily([lambda x: x + np.array([1e-200, 0.0])])
+        steps, norms = fam.evaluate([0], np.zeros(2))
+        assert norms[0] == 0.0 and steps[0, 0] == 1e-200
