@@ -19,6 +19,16 @@ so L = 1 and a = x).  The family reports such a batch, so the iteration
 neither builds nor scans zero rows: it consumes its relaxation draw and
 skips the arithmetic of steps 3-5, unless records are collected or errors
 added, in which case it runs them on M zero rows.
+
+Without records and errors, a family with a ``clearance`` lets the
+iteration skip ``evaluate`` as well.  The run keeps an anchor z, the radii
+rho = clearance(z) and ||x - z||, recomputed only when x is a new array.
+When min_i rho_{k_i} > ||x - z||, every drawn member fixes x, so the
+iteration is a no-op that ``evaluate`` would have reported: it consumes
+the relaxation draw and returns x unchanged, the same bits either way.
+There is no anchor until ``evaluate`` first reports an all-fixed batch;
+each time it reports one at an x other than the anchor, the run anchors
+there.
 The run starts from x0 + 0.0: the full update turns a -0.0 coordinate
 into +0.0, so with none in x0 both paths give the same bits.
 
@@ -219,14 +229,24 @@ def run_block(
     records: Optional[list] = [] if cfg.collect_records else None
     # records and errors need the full arithmetic of every iteration
     skips_noops = records is None and noise_rng is None
+    clearance = family.clearance if skips_noops else None
+    # the screen's anchor z, its radii, and ||x - z|| for the last x seen
+    anchor = radii = seen = None
+    distance = 0.0
     violations = 0
     worst = 0.0
     # weights under the uniform rule do not depend on the residuals
     uniform_beta = np.full(m, 1.0 / m) if cfg.weight_rule == UNIFORM_OVER_BATCH else None
 
     def step(n, x, want):
-        nonlocal violations, worst
+        nonlocal violations, worst, anchor, radii, seen, distance
         ks = next(batches)
+        if radii is not None:
+            if x is not seen:
+                d = x - anchor
+                distance, seen = math.sqrt(float(d.dot(d))), x
+            if radii[ks].min() > distance:   # every drawn slab holds x
+                return x, 0.0, next(lams), 1.0
         # the averaged point enters only through p - x; working with the
         # steps directly keeps the indicator branch [p = x] exact when every
         # drawn operator fixes x
@@ -234,6 +254,9 @@ def run_block(
         if evaluated is not None:
             steps, r = evaluated
         elif skips_noops:
+            if clearance is not None and x is not anchor:
+                anchor = seen = x
+                radii, distance = clearance(x), 0.0
             return x, 0.0, next(lams), 1.0
         else:
             # fresh arrays: the error-tolerant variant adds noise to the rows in place

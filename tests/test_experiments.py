@@ -180,6 +180,45 @@ class TestSignalProblem:
                                         scalar_relaxation(cfg.relaxation, lam_rng))
         np.testing.assert_allclose(res.final, x, rtol=1e-12, atol=1e-12 * np.abs(x).max())
 
+    def test_clearance_radii_keep_every_member_fixed(self):
+        # the desk kernels are symmetric, so the random family's bases are
+        # not: a reversed kernel spectrum would go unseen on symmetric ones
+        rng = np.random.default_rng(17)
+        desk = experiments.desk_signal_problem(seed=3)
+        desk_rows = np.stack([circulant_row(kernel, j) for kernel in desk.kernels
+                              for j in range(desk.n)])
+        n, p, eta = 32, 3, 0.15
+        bases = rng.uniform(-1.0, 1.0, size=(p, n))
+        truth = rng.uniform(-1.0, 1.0, size=n)
+        rows = np.stack([np.roll(b, j) for b in bases for j in range(n)])   # b[(m - j) mod n]
+        observations = rows @ truth + rng.uniform(-0.6 * eta, 0.6 * eta, size=p * n)
+        family = experiments._SlabFamily(bases, observations.reshape(p, n), eta)
+        assert np.array_equal(family._windows[family._offsets], rows)
+        mid_run = BlockConfig(batch_size=4, delta=0.1, relaxation=rx.Constant(1.9),
+                              max_iters=40, seed=2, atol=0.0)
+        for fam, a, xbar in [(desk.build_family(), desk_rows, desk.ground_truth),
+                             (family, rows, truth)]:
+            norms = np.linalg.norm(a, axis=1)
+            anchors = [xbar, xbar + 1e-3 * rng.normal(size=xbar.size), np.zeros(xbar.size),
+                       run_block(fam, mid_run, np.zeros(xbar.size)).final]
+            for z in anchors:
+                np.testing.assert_allclose(fam._sweep(z), a @ z, rtol=0.0, atol=1e-15 * max(
+                    1.0, float(norms.max() * np.linalg.norm(z))))
+                radii = fam.clearance(z)
+                if z is xbar:
+                    # the truth holds every slab with a margin of 0.4 eta
+                    assert np.all(radii >= (0.4 * eta - 1e-8) / norms)
+                held = np.flatnonzero(radii > 0.0)
+                assert held.size > 0
+                directions = rng.normal(size=(held.size, 2, xbar.size))
+                failed = []
+                for k, random_pair in zip(held, directions):
+                    for u in [a[k], -a[k], *random_pair]:
+                        x = z + (1.0 - 1e-12) * radii[k] * (u / np.linalg.norm(u))
+                        if fam.evaluate([k], x) is not None:
+                            failed.append(int(k))
+                assert failed == []
+
     def test_invalid_ranges_rejected(self):
         with pytest.raises(UsageError):
             generate_signal_problem(n=64, p=0, seed=0)
@@ -460,6 +499,35 @@ class TestNoOpIterations:
         dist = [math.sqrt(float((x - truth) @ (x - truth))) for x in xs]
         assert plain.trace.columns["norm_err_db"] == [
             ratio_db(dist[n], dist[0]) for n in plain.trace.columns["iter"]]
+
+    @pytest.mark.parametrize("m", [1, 4, 16])
+    def test_screened_runs_equal_the_full_path(self, m):
+        # a run that collects records takes the full path with no screen
+        prob = experiments.desk_signal_problem(seed=3)
+        fam = prob.build_family()
+        calls = []
+        evaluate = fam.evaluate
+        fam.evaluate = lambda ks, x: calls.append(1) or evaluate(ks, x)
+        recording = BlockConfig(batch_size=m, delta=0.5 / m,
+                                relaxation=rx.UniformInterval(1.5, 2.3),
+                                max_iters=400, seed=5, atol=0.0)
+        # an extended reference pass stops on its own atol rule
+        reference = replace(recording, max_iters=4000, atol=1e-10)
+        for cfg, truth in [(recording, prob.ground_truth), (reference, None)]:
+            calls.clear()
+            screened = run_block(fam, cfg, np.zeros(prob.n), reference_solution=truth)
+            iterations = screened.trace.footer["iterations_run"]
+            assert len(calls) < iterations / 2   # the screen answered most iterations
+            calls.clear()
+            full = run_block(fam, replace(cfg, collect_records=True), np.zeros(prob.n),
+                             reference_solution=truth)
+            assert len(calls) == iterations
+            assert full.trace.footer["stop_reason"] == ("atol" if cfg.atol > 0.0 else "max_iters")
+            assert screened.final.tobytes() == full.final.tobytes()
+            assert screened.trace.footer == full.trace.footer
+            for name, column in screened.trace.columns.items():
+                if name != "elapsed_s":
+                    assert column == full.trace.columns[name], name
 
     def test_all_held_batch_gives_fresh_zero_rows(self):
         # every slab holds the truth with a margin of 0.4 eta, far above this

@@ -276,6 +276,31 @@ class TestIndexSampling:
             ks = next(chunked)
             assert (ks if m is None else ks.tolist()) == (scalar[0] if m is None else scalar)
 
+    @pytest.mark.parametrize("weights", [
+        None,
+        np.array([1, 1, 1, 1, 1, 2]) / 7.0,
+        np.random.default_rng(21).dirichlet(np.full(500, 0.05)),
+        np.concatenate([np.full(40, 1.0), np.zeros(300), np.full(60, 1.0), np.zeros(7)]) / 100.0,
+    ], ids=["uniform-2560", "image", "dirichlet", "zero-run"])
+    def test_guided_draws_equal_binary_search(self, weights):
+        fam = OperatorFamily([lambda x: x] * (2560 if weights is None else len(weights)), weights)
+        cum = fam._cum
+        expected = np.searchsorted(cum, np.random.default_rng(8).random(10 ** 6), side="right")
+        assert np.array_equal(sample_indices(fam, np.random.default_rng(8), 10 ** 6), expected)
+        # uniforms on the cumulative weights and on the bucket edges, and
+        # one step either side of each
+        edges = np.concatenate([cum[cum < 1.0], np.arange(fam._buckets) / fam._buckets])
+        us = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+        us = us[(us >= 0.0) & (us < 1.0)]
+
+        class Fixed:
+            def random(self, m):
+                assert m == us.size
+                return us.copy()
+
+        assert np.array_equal(sample_indices(fam, Fixed(), us.size),
+                              np.searchsorted(cum, us, side="right"))
+
     def test_single_member_bulk_draws_consume_nothing(self):
         fam = OperatorFamily([lambda x: x])
         rng = np.random.default_rng(3)
