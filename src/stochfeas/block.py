@@ -245,7 +245,7 @@ def run_block(
             if x is not seen:
                 d = x - anchor
                 distance, seen = math.sqrt(float(d.dot(d))), x
-            if radii[ks].min() > distance:   # every drawn slab holds x
+            if radii[ks].min() > distance:   # every drawn member fixes x
                 return x, 0.0, next(lams), 1.0
         # the averaged point enters only through p - x; working with the
         # steps directly keeps the indicator branch [p = x] exact when every
