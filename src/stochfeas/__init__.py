@@ -17,7 +17,6 @@ from .block import (
     BlockIterationRecord,
     BlockResult,
     compute_weights,
-    extrapolation_parameter,
     run_block,
 )
 from .diagnostics import aggregate_runs, normalized_error_db
@@ -55,7 +54,6 @@ from .operators import (
     InequalityConstraint,
     OperatorFamily,
     halfspace_projector,
-    hyperslab_projector,
     project_box,
     project_fourier_support,
     project_hyperslab,

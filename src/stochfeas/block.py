@@ -53,7 +53,7 @@ from . import relaxation as rx
 from .diagnostics import audit_fejer_step
 from .exceptions import ConfigurationError, InvariantViolationError, UsageError
 from .fixedpoint import DecayingNoise, _check_schedule_certificate, _iterate
-from .geometry import as_point
+from .geometry import as_point, require_same_dim
 from .operators import _IndexedFamily
 from .rngstreams import substream
 from .trace import ConvergenceTrace
@@ -91,17 +91,6 @@ def compute_weights(residual_norms, delta: float, rule: str) -> np.ndarray:
         beta[ties] += delta
         return beta
     raise UsageError(f"unknown weight rule {rule!r}")
-
-
-def extrapolation_parameter(residual_norms, weights, p_minus_x_norm: float) -> float:
-    """The extrapolation quotient with exact indicator branch on p = x."""
-    r = np.asarray(residual_norms, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    if r.shape != w.shape:
-        raise UsageError("residuals and weights must have equal length")
-    if p_minus_x_norm < 0.0:
-        raise UsageError("p_minus_x_norm must be nonnegative")
-    return _extrapolation(r, w, p_minus_x_norm)
 
 
 def _extrapolation(r: np.ndarray, w: np.ndarray, pmx: float) -> float:
@@ -225,7 +214,10 @@ def run_block(
     batches = family.draws(substream(cfg.seed, "index"), m)
     lams = cfg.relaxation.draws(substream(cfg.seed, "relaxation"))
     noise_rng = substream(cfg.seed, "noise") if cfg.error_schedule is not None else None
+    x0 = as_point(x0, "x0") + 0.0   # -0.0 -> +0.0, see the module docstring
     zs = [as_point(z, "fejer point") for z in fejer_points] if fejer_points else []
+    for z in zs:
+        require_same_dim(z, x0, "fejer point")
     records: Optional[list] = [] if cfg.collect_records else None
     # records and errors need the full arithmetic of every iteration
     skips_noops = records is None and noise_rng is None
@@ -293,7 +285,6 @@ def run_block(
             records.append(rec)
         return x_next, float(r.max()) if want else None, lam, extrap
 
-    x0 = as_point(x0, "x0") + 0.0   # -0.0 -> +0.0, see the module docstring
     # the residual only samples M random operators, so a single quiet
     # iteration proves nothing; require stop_patience consecutive ones
     x, trace = _iterate(step, x0, cfg.max_iters, cfg.atol, cfg.record_every,

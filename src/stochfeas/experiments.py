@@ -35,14 +35,14 @@ from . import relaxation as rx
 from .block import BlockConfig, run_block
 from .diagnostics import AveragedTrace, aggregate_runs
 from .exceptions import ReferenceSolutionError, UsageError
-from .geometry import as_point
+from .geometry import as_point, require_same_dim
 from .operators import (
     _IndexedFamily,
     _fourier_from_spectrum,
+    _member_steps,
     _subgradient_step,
     _validate_fourier_target,
     project_box,
-    project_fourier_support,
     symmetrize_fourier_mask,
     validate_fourier_mask,
 )
@@ -109,12 +109,8 @@ class SignalProblem:
     ground_truth: np.ndarray         # (n,) used for reporting only
     seed: int
 
-    @property
-    def constraint_count(self) -> int:
-        return self.n * self.p
-
-    def blur(self, k: int, x: np.ndarray) -> np.ndarray:
-        return circ_conv(x, self.kernels[k])
+    def __post_init__(self):
+        self._spectra = np.fft.rfft(self.kernels, axis=1)
 
     def slab_bounds(self, k: int, j: int) -> tuple[np.ndarray, float, float]:
         """Normal and bounds of the constraint -eta <= (L_k x - r_k)_j <= eta."""
@@ -135,11 +131,16 @@ class SignalProblem:
     def max_violation(self, x) -> float:
         """max_{k,j} of dist((L_k x - r_k)_j, [-eta, eta]); <= 0 means feasible."""
         x = as_point(x, "x")
-        worst = -np.inf
-        for k in range(self.p):
-            res = self.blur(k, x) - self.observations[k]
-            worst = max(worst, float(np.max(np.abs(res) - self.eta)))
-        return worst
+        require_same_dim(x, self.ground_truth, "max_violation")
+        residual = _slab_values(self._spectra, x) - self.observations.ravel()
+        return float(np.max(np.abs(residual) - self.eta))
+
+
+def _slab_values(spectra: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """All p n slab values (L_k z)_j of a point z, in member order k n + j,
+    by one batched real FFT convolution; row k of ``spectra`` is the real
+    FFT of filter k's convolution kernel."""
+    return np.fft.irfft(spectra * np.fft.rfft(z), z.shape[0], axis=1).ravel()
 
 
 _CLEARANCE_HEADROOM = 1e3   # factor between a slab clearance's allowance and its rounding bound
@@ -177,11 +178,6 @@ class _SlabFamily(_IndexedFamily):
             * np.finfo(np.float64).eps / 2.0
         self._allowance = (cu * float(self._norm.max()),
                            cu * float(np.max(self._hi - self._lo)) / 2.0)
-
-    def _sweep(self, z):
-        """Every member's inner product a_k . z, in member order, by one
-        batched real FFT convolution over the p filters."""
-        return np.fft.irfft(self._spectra * np.fft.rfft(z), self._windows.shape[1], axis=1).ravel()
 
     def clearance(self, z):
         """Radii rho_k such that every x with ||x - z|| < rho_k lies in slab
@@ -221,7 +217,7 @@ class _SlabFamily(_IndexedFamily):
         """
         per_norm, floor = self._allowance
         eps = per_norm * math.sqrt(float(z.dot(z))) + floor
-        v = self._sweep(z)
+        v = _slab_values(self._spectra, z)
         margin = np.minimum(v - self._lo, self._hi - v, out=v)
         margin -= eps
         margin /= self._norm
@@ -335,6 +331,12 @@ class ImageProblem:
     seed: int
 
     def __post_init__(self):
+        # the Fourier data are checked once, here; the family, finalize and
+        # the report read these read-only private copies
+        mask = validate_fourier_mask(self.mask).copy()
+        values = _validate_fourier_target(self.target_spectrum, mask)[mask]
+        mask.flags.writeable = values.flags.writeable = False
+        self._mask, self._target_values = mask, values
         self._kernel_fft = np.fft.fft2(self.kernel)
         self._kernel_fft_conj = np.conj(self._kernel_fft)
         self._obs_fft = np.stack([np.fft.fft2(self.observations[k]) for k in range(4)])
@@ -389,15 +391,15 @@ class ImageProblem:
         The box projection is last, so it holds exactly; the Fourier
         constraint is preserved only up to the drift the clamp introduces.
         """
-        grid = project_fourier_support(self.target_spectrum, self.mask,
-                                       x.reshape(self.n, self.n))
+        x = as_point(x, "x")
+        grid = _fourier_from_spectrum(self._target_values, self._mask, self._spectrum(x))
         return project_box(0.0, PIXEL_MAX, grid.ravel())
 
     def feasibility_report(self, x: np.ndarray) -> dict:
         x = as_point(x, "x")
         spec = self._spectrum(x)
-        target_norm = float(np.linalg.norm(self.target_spectrum[self.mask]))
-        fourier_dev = float(np.linalg.norm(spec[self.mask] - self.target_spectrum[self.mask]))
+        target_norm = float(np.linalg.norm(self._target_values))
+        fourier_dev = float(np.linalg.norm(spec[self._mask] - self._target_values))
         return {
             "ball_values": [self._ball_value(self._ball_residual(k, spec)) for k in range(4)],
             "box_violation": float(np.max(np.maximum(x - PIXEL_MAX, 0.0)
@@ -413,55 +415,34 @@ class _ImageFamily(_IndexedFamily):
     """The image problem's six members, with one forward FFT per batch.
 
     Members 0-3 are the ball subgradient projectors, 4 the pixel box and 5
-    the Fourier-support projector.  The Fourier mask and target are
-    validated once, here, and kept as read-only private copies.
-    ``evaluate`` checks x once and transforms it at most once, and only
-    when a ball or the Fourier member is drawn: each ball forms its residual
-    spectrum from the shared transform, and the Fourier member overwrites a
-    copy of it on the mask.  A member drawn twice is evaluated once and its
-    row copied.  The batch is all-fixed, as in ``OperatorFamily``, when
-    every norm is 0 and then every row is 0.
+    the Fourier-support projector.  ``evaluate`` checks x once and runs the
+    per-member loop that ``OperatorFamily`` shares.  It transforms x at most
+    once, and only when a ball or the Fourier member is drawn: each ball
+    forms its residual spectrum from the shared transform, and the Fourier
+    member overwrites a copy of it on the problem's validated mask.
     """
 
     def __init__(self, problem: ImageProblem, weights=None):
         super().__init__(6, weights)
-        mask = validate_fourier_mask(problem.mask).copy()
-        values = _validate_fourier_target(problem.target_spectrum, mask)[mask]
-        mask.flags.writeable = False
-        values.flags.writeable = False
         self._problem = problem
-        self._mask = mask
-        self._values = values
 
     def evaluate(self, ks, x):
         x = as_point(x, "x")
-        ks = np.asarray(ks).tolist()
-        steps = np.empty((len(ks), x.shape[0]))
-        norms = np.empty(len(ks))
-        first = {}
+        problem = self._problem
         spectrum = None
-        for i, k in enumerate(ks):
-            if k in first:
-                # rows must stay independent: the error-tolerant variant
-                # adds noise to each row in place
-                steps[i] = steps[first[k]]
-                norms[i] = norms[first[k]]
-                continue
-            first[k] = i
+
+        def project(k):
+            nonlocal spectrum
             if k == _BOX:
-                p = np.minimum(np.maximum(x, 0.0), PIXEL_MAX)
-            else:
-                if spectrum is None:
-                    spectrum = self._problem._spectrum(x)
-                if k == _FOURIER:
-                    p = _fourier_from_spectrum(self._values, self._mask, spectrum.copy()).ravel()
-                else:
-                    p = self._problem._project_ball(k, x, spectrum)
-            d = np.subtract(p, x, out=steps[i])
-            norms[i] = math.sqrt(float(d @ d))
-        if not norms.any() and not steps.any():
-            return None
-        return steps, norms
+                return np.minimum(np.maximum(x, 0.0), PIXEL_MAX)
+            if spectrum is None:
+                spectrum = problem._spectrum(x)
+            if k == _FOURIER:
+                return _fourier_from_spectrum(problem._target_values, problem._mask,
+                                              spectrum.copy()).ravel()
+            return problem._project_ball(k, x, spectrum)
+
+        return _member_steps(ks, x, project)
 
 
 def confidence_radius(n: int) -> float:

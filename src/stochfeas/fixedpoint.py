@@ -30,7 +30,7 @@ import numpy as np
 from . import relaxation as rx
 from .diagnostics import ratio_db
 from .exceptions import ConfigurationError, NumericError, UsageError
-from .geometry import as_point
+from .geometry import as_point, require_same_dim
 from .operators import _IndexedFamily, sample_indices
 from .rngstreams import substream
 from .trace import ConvergenceTrace
@@ -225,6 +225,8 @@ def quadratic_family(center, offsets) -> GradientFamily:
     offsets = np.asarray(offsets, dtype=np.float64)
     if offsets.ndim != 2 or offsets.shape[1] != center.shape[0]:
         raise UsageError("offsets must be a (K, dim) array matching the center")
+    if not np.all(np.isfinite(offsets)):
+        raise UsageError("offsets contain non-finite entries")
     return _QuadraticFamily(center, offsets - offsets.mean(axis=0))
 
 
@@ -252,6 +254,7 @@ def _iterate(step, x0, max_iters: int, atol: float, record_every: int,
     ref = db_x = None
     if reference is not None:
         ref = as_point(reference, "reference solution")
+        require_same_dim(ref, x, "reference solution")
         ref_denom = float(np.linalg.norm(x - ref))
         if ref_denom == 0.0:
             raise UsageError("x0 equals the reference solution; dB column undefined")

@@ -78,8 +78,8 @@ def project_box(lo, hi, x) -> np.ndarray:
     x = as_point(x, "x")
     lo = np.broadcast_to(np.asarray(lo, dtype=np.float64), x.shape)
     hi = np.broadcast_to(np.asarray(hi, dtype=np.float64), x.shape)
-    if np.any(lo > hi):
-        raise UsageError("box bounds require lo <= hi componentwise")
+    if not np.all(lo <= hi):   # a NaN bound fails the comparison too
+        raise UsageError("box bounds require lo <= hi componentwise, without NaN")
     return np.minimum(np.maximum(x, lo), hi)
 
 
@@ -91,7 +91,7 @@ def project_hyperslab(a, lo: float, hi: float, x) -> np.ndarray:
     a = as_point(a, "a")
     x = as_point(x, "x")
     require_same_dim(a, x, "project_hyperslab")
-    if lo > hi:
+    if not lo <= hi:   # a NaN bound fails the comparison too
         raise UsageError(f"hyperslab requires lo <= hi, got [{lo}, {hi}]")
     norm_sq = float(a @ a)
     if norm_sq == 0.0:
@@ -104,15 +104,10 @@ def project_hyperslab(a, lo: float, hi: float, x) -> np.ndarray:
     return x
 
 
-def hyperslab_projector(a, lo: float, hi: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Projector onto {z : lo <= <a, z> <= hi}."""
-    a = as_point(a, "a")
-    return lambda x: project_hyperslab(a, lo, hi, x)
-
-
 def halfspace_projector(a, b: float) -> Callable[[np.ndarray], np.ndarray]:
     """Projector onto {z : <a, z> <= b}."""
-    return hyperslab_projector(a, -np.inf, b)
+    a = as_point(a, "a")
+    return lambda x: project_hyperslab(a, -np.inf, b, x)
 
 
 # ---------------------------------------------------------------------------
@@ -268,16 +263,42 @@ class _IndexedFamily:
     clearance = None   # optional certificate z -> radii, see the class docstring
 
 
+def _member_steps(ks, x: np.ndarray, project: Callable[[int], np.ndarray]):
+    """The per-member loop of ``evaluate``: the steps T_k x - x of the
+    members ``ks`` (shape (M, n)) and their norms (M,), or None when every
+    step is zero; ``project(k)`` returns T_k x.
+
+    Each distinct member is applied once, and a repeated one gets a copy of
+    its first row: rows stay independent, because the error-tolerant
+    variant adds noise to each row in place.  The batch is all-fixed when
+    every norm is 0 and then every row is 0: the norms are the cheap test,
+    and the rows confirm it, because the norm of a nonzero row can
+    underflow to 0.
+    """
+    ks = np.asarray(ks).tolist()
+    steps = np.empty((len(ks), x.shape[0]))
+    norms = np.empty(len(ks))
+    first = {}
+    for i, k in enumerate(ks):
+        j = first.setdefault(k, i)
+        if j < i:
+            steps[i] = steps[j]
+            norms[i] = norms[j]
+            continue
+        d = np.subtract(project(k), x, out=steps[i])
+        norms[i] = math.sqrt(float(d @ d))
+    if not norms.any() and not steps.any():
+        return None
+    return steps, norms
+
+
 class OperatorFamily(_IndexedFamily):
     """A finite indexed family of callables x -> T x, with an index distribution.
 
-    ``evaluate`` applies the drawn members one by one.  The batch is
-    all-fixed when every norm is 0 and then every row is 0: the norms are
-    the cheap test, and the rows confirm it, because the norm of a nonzero
-    row can underflow to 0.  The signal and image experiments use their
-    own families instead, whose ``evaluate`` works on the problem's arrays
-    (``experiments._SlabFamily``, one matrix-vector product per batch, and
-    ``experiments._ImageFamily``, one shared ``fft2`` per batch).
+    ``evaluate`` calls each distinct drawn member once, through the
+    per-member loop that the image experiment's family shares.  The signal
+    experiment's family takes all its rows in one matrix-vector product
+    instead (``experiments._SlabFamily``).
     """
 
     def __init__(self, members: Sequence, weights=None):
@@ -286,14 +307,7 @@ class OperatorFamily(_IndexedFamily):
         self.members = members
 
     def evaluate(self, ks, x):
-        steps = np.empty((len(ks), x.shape[0]))
-        norms = np.empty(len(ks))
-        for i, k in enumerate(ks):
-            d = np.subtract(self.members[k](x), x, out=steps[i])
-            norms[i] = math.sqrt(float(d @ d))
-        if not norms.any() and not steps.any():
-            return None
-        return steps, norms
+        return _member_steps(ks, x, lambda k: self.members[k](x))
 
 
 def sample_indices(family: _IndexedFamily, rng: np.random.Generator, m: int) -> np.ndarray:

@@ -9,8 +9,8 @@ from stochfeas.block import (
     UNIFORM_OVER_BATCH,
     BlockConfig,
     BlockIterationRecord,
+    _extrapolation,
     compute_weights,
-    extrapolation_parameter,
     run_block,
 )
 from stochfeas.exceptions import (
@@ -83,15 +83,15 @@ class TestWeights:
 
 class TestExtrapolation:
     def test_indicator_branch(self):
-        assert extrapolation_parameter([0.0, 0.0], [0.5, 0.5], 0.0) == 1.0
+        assert _extrapolation(np.zeros(2), np.array([0.5, 0.5]), 0.0) == 1.0
 
     def test_single_member_is_one(self):
         r = 3.7
-        assert extrapolation_parameter([r], [1.0], r) == 1.0
+        assert _extrapolation(np.array([r]), np.array([1.0]), r) == 1.0
 
     def test_two_halfspace_hand_value(self):
         # x=(1,1), p1=(0,1), p2=(1,0): sum beta r^2 = 1, ||p - x||^2 = 1/2
-        L = extrapolation_parameter([1.0, 1.0], [0.5, 0.5], np.sqrt(0.5))
+        L = _extrapolation(np.ones(2), np.array([0.5, 0.5]), np.sqrt(0.5))
         assert L == pytest.approx(2.0, rel=1e-15)
 
     def test_convexity_lower_bound(self, rng):
@@ -102,7 +102,7 @@ class TestExtrapolation:
             x = rng.normal(size=4)
             p_bar = beta @ ps
             r = np.linalg.norm(ps - x, axis=1)
-            L = extrapolation_parameter(r, beta, float(np.linalg.norm(p_bar - x)))
+            L = _extrapolation(r, beta, float(np.linalg.norm(p_bar - x)))
             assert L >= 1.0 - 1e-12
 
     def test_record_check_matches_the_loop_slack(self):
@@ -259,6 +259,22 @@ class TestRunBlock:
         assert db is not None
         assert db[0] == 0.0           # at x0
         assert db[1] == -300.0        # x1 is exactly the reference
+
+    @pytest.mark.parametrize("point", ["reference_solution", "fejer_points"])
+    def test_length_one_point_does_not_broadcast(self, point):
+        cfg = BlockConfig(batch_size=2, delta=0.4, relaxation=rx.Constant(1.0),
+                          max_iters=5, seed=0, atol=0.0)
+        value = [0.5] if point == "reference_solution" else [[0.5]]
+        with pytest.raises(UsageError, match="dimension mismatch"):
+            run_block(two_halfspace_family(), cfg, [1.0, 1.0], **{point: value})
+
+    @pytest.mark.parametrize("point", ["reference_solution", "fejer_points"])
+    def test_wrong_length_point_is_a_usage_error(self, point):
+        cfg = BlockConfig(batch_size=2, delta=0.4, relaxation=rx.Constant(1.0),
+                          max_iters=5, seed=0, atol=0.0)
+        value = np.zeros(3) if point == "reference_solution" else [np.zeros(3)]
+        with pytest.raises(UsageError, match="dimension mismatch"):
+            run_block(two_halfspace_family(), cfg, [1.0, 1.0], **{point: value})
 
 
 class TestNoOpIterations:

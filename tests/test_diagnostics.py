@@ -6,7 +6,7 @@ from stochfeas.block import BlockConfig, run_block
 from stochfeas.diagnostics import aggregate_runs, audit_fejer_step, normalized_error_db
 from stochfeas.exceptions import ReferenceSolutionError, UsageError
 from stochfeas.experiments import estimate_reference_solution
-from stochfeas.operators import OperatorFamily, halfspace_projector, hyperslab_projector
+from stochfeas.operators import OperatorFamily, halfspace_projector, project_hyperslab
 from stochfeas.trace import ConvergenceTrace
 
 from conftest import random_halfspace_problem, sample_solution_points
@@ -108,7 +108,7 @@ class TestEstimateReferenceSolution:
         x_true = rng.normal(size=4)
         b = a @ x_true
         family = OperatorFamily([
-            hyperslab_projector(a[i], b[i], b[i]) for i in range(4)
+            lambda x, a=a[i], b=b[i]: project_hyperslab(a, b, b, x) for i in range(4)
         ])
         ref = estimate_reference_solution(family, _toy_config(4000, seed=11), np.zeros(4))
         np.testing.assert_allclose(ref, np.linalg.solve(a, b), atol=1e-8)
@@ -116,8 +116,8 @@ class TestEstimateReferenceSolution:
     def test_infeasible_configuration_raises(self):
         # two parallel hyperplanes: no common point, residual never vanishes
         family = OperatorFamily([
-            hyperslab_projector(np.array([1.0, 0.0]), 0.0, 0.0),
-            hyperslab_projector(np.array([1.0, 0.0]), 1.0, 1.0),
+            lambda x: project_hyperslab(np.array([1.0, 0.0]), 0.0, 0.0, x),
+            lambda x: project_hyperslab(np.array([1.0, 0.0]), 1.0, 1.0, x),
         ])
         with pytest.raises(ReferenceSolutionError):
             estimate_reference_solution(family, _toy_config(50, seed=5), [0.3, 0.0])

@@ -93,7 +93,7 @@ class TestSignalProblem:
         assert prob.n == 1024 and prob.p == 20
         assert prob.eta == 0.15
         assert prob.stds.min() >= 10.0 and prob.stds.max() <= 30.0
-        assert prob.constraint_count == 20480
+        assert len(prob.build_family()) == 20480
 
     def test_desk_scale_invariants(self):
         prob = generate_signal_problem(n=256, p=10, seed=2)
@@ -104,8 +104,20 @@ class TestSignalProblem:
     def test_feasibility_is_exact_per_constraint(self):
         prob = generate_signal_problem(n=64, p=3, seed=3)
         for k in range(prob.p):
-            res = prob.blur(k, prob.ground_truth) - prob.observations[k]
+            res = circ_conv(prob.ground_truth, prob.kernels[k]) - prob.observations[k]
             assert np.all(np.abs(res) <= prob.eta)
+
+    def test_max_violation_equals_per_filter_convolutions(self, rng):
+        prob = experiments.desk_signal_problem(seed=3)
+
+        def oracle(x):
+            return max(float(np.max(np.abs(circ_conv(x, kernel) - r) - prob.eta))
+                       for kernel, r in zip(prob.kernels, prob.observations))
+
+        for x in (np.zeros(prob.n), prob.ground_truth, rng.uniform(-1.0, 1.0, size=prob.n)):
+            assert abs(prob.max_violation(x) - oracle(x)) <= 1e-15
+        with pytest.raises(UsageError, match="dimension mismatch"):
+            prob.max_violation(np.zeros(prob.n + 1))
 
     def test_family_members_match_slab_definition(self, rng):
         prob = generate_signal_problem(n=32, p=2, seed=4)
@@ -202,7 +214,8 @@ class TestSignalProblem:
             anchors = [xbar, xbar + 1e-3 * rng.normal(size=xbar.size), np.zeros(xbar.size),
                        run_block(fam, mid_run, np.zeros(xbar.size)).final]
             for z in anchors:
-                np.testing.assert_allclose(fam._sweep(z), a @ z, rtol=0.0, atol=1e-15 * max(
+                np.testing.assert_allclose(experiments._slab_values(fam._spectra, z), a @ z,
+                                           rtol=0.0, atol=1e-15 * max(
                     1.0, float(norms.max() * np.linalg.norm(z))))
                 radii = fam.clearance(z)
                 if z is xbar:
@@ -379,15 +392,23 @@ class TestImageFamilyEvaluate:
 
     def test_validates_once_and_keeps_private_copies(self, rng):
         prob, fam = self.family()
-        bad = replace(prob, target_spectrum=prob.target_spectrum.copy())
-        bad.target_spectrum[1, 1] += 1000.0j  # breaks conjugate symmetry on the mask
-        with pytest.raises(UsageError):
-            bad.build_family()
+        bad = prob.target_spectrum.copy()
+        bad[1, 1] += 1000.0j  # breaks conjugate symmetry on the mask
+        with pytest.raises(UsageError, match="target spectrum"):
+            replace(prob, target_spectrum=bad)
+        lopsided = prob.mask.copy()
+        lopsided[1, 1] = not lopsided[1, 1]
+        with pytest.raises(UsageError, match="Fourier mask"):
+            replace(prob, mask=lopsided)
         x = rng.uniform(0.0, 255.0, size=prob.dim)
-        before = step_of(fam, 5, x)
-        prob.target_spectrum[:] = 0.0  # the problem's arrays no longer reach the family
+        before, finalized = step_of(fam, 5, x), prob.finalize(x)
+        report = prob.feasibility_report(x)
+        # the problem's public arrays no longer reach the family, finalize or the report
+        prob.target_spectrum[:] = 0.0
         prob.mask[:] = False
         np.testing.assert_array_equal(step_of(fam, 5, x), before)
+        np.testing.assert_array_equal(prob.finalize(x), finalized)
+        assert prob.feasibility_report(x) == report
         with pytest.raises(UsageError):
             fam.evaluate([5], np.full(prob.dim, np.nan))
 

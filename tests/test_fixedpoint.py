@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stochfeas import relaxation as rx
-from stochfeas.exceptions import ConfigurationError, NumericError
+from stochfeas.exceptions import ConfigurationError, NumericError, UsageError
 from stochfeas.fixedpoint import (
     DecayingNoise,
     GradientFamily,
@@ -182,6 +182,11 @@ class TestSgd:
             acc /= m
             target = fam.mean_gradient(x)
             assert np.linalg.norm(acc - target) <= 4.0 / np.sqrt(m) * sigma
+
+    def test_non_finite_offsets_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(UsageError, match="non-finite"):
+                quadratic_family(np.zeros(2), np.array([[1.0, 0.0], [bad, 0.0]]))
 
     def test_array_form_spot_check_mean_matches_the_loop(self, rng):
         fam = quadratic_family(rng.normal(size=5), rng.uniform(-0.3, 0.3, size=(12, 5)))

@@ -100,6 +100,10 @@ class TestBoxProjector:
         with pytest.raises(UsageError):
             project_box([0.0, 2.0], [1.0, 1.0], [0.5, 0.5])
 
+    def test_nan_bound_rejected(self):
+        with pytest.raises(UsageError):
+            project_box(np.nan, 1.0, [0.5, 0.5])
+
 
 class TestHyperslabProjector:
     def test_above_band(self):
@@ -132,6 +136,10 @@ class TestHyperslabProjector:
     def test_zero_normal_rejected(self):
         with pytest.raises(UsageError):
             project_hyperslab([0.0, 0.0], -1.0, 1.0, [1.0, 1.0])
+
+    def test_nan_bounds_rejected(self):
+        with pytest.raises(UsageError):
+            project_hyperslab([1.0, 0.0], np.nan, np.nan, [1.0, 1.0])
 
 
 def projector_zoo(rng):
@@ -337,6 +345,29 @@ class TestEvaluate:
         steps, norms = fam.evaluate([0, 1], inside)
         assert not np.any(steps[0]) and norms[0] == 0.0
         np.testing.assert_array_equal(steps[1], -0.3 * normals[0])
+
+    def test_repeated_index_gives_equal_independent_rows(self, rng):
+        calls = []
+
+        def counting(a):
+            def member(x):
+                calls.append(a)
+                return x - a
+            return member
+
+        normals = rng.normal(size=(3, 4))
+        fam = OperatorFamily([counting(a) for a in normals])
+        x = rng.normal(size=4)
+        for k in range(3):
+            calls.clear()
+            steps, norms = fam.evaluate([k, k], x)
+            assert len(calls) == 1
+            assert np.array_equal(steps[0], steps[1]) and norms[0] == norms[1]
+            steps[0] += 1.0
+            np.testing.assert_array_equal(steps[1], (x - normals[k]) - x)
+        calls.clear()
+        fam.evaluate(np.array([2, 0, 2, 2, 0]), x)
+        assert len(calls) == 2
 
     def test_underflowing_norm_is_not_all_fixed(self):
         # ||d||^2 = 1e-400 underflows, so the norm reads 0 while the row does not
