@@ -32,6 +32,13 @@ there.
 The run starts from x0 + 0.0: the full update turns a -0.0 coordinate
 into +0.0, so with none in x0 both paths give the same bits.
 
+Without errors, a family with a ``run_state`` (the image family keeps
+X = fft2(x) this way) gets its state with every ``evaluate`` call, and the
+run advances it after each update by an evaluated batch, with the
+coefficients lam L beta_i it applied to the rows in space.  No-op
+iterations leave it alone, so runs with and without records, and passes
+that replay the same draws, keep the same state.
+
 The error-tolerant variant skips the extrapolation (a = p) and requires
 relaxations supported inside ]0, 2[.  Indices, errors and relaxations each
 come from their own substream of the run's seed; indices and relaxations
@@ -45,6 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -215,6 +223,8 @@ def run_block(
     lams = cfg.relaxation.draws(substream(cfg.seed, "relaxation"))
     noise_rng = substream(cfg.seed, "noise") if cfg.error_schedule is not None else None
     x0 = as_point(x0, "x0") + 0.0   # -0.0 -> +0.0, see the module docstring
+    state = family.run_state(x0) if noise_rng is None else None
+    evaluate = family.evaluate if state is None else partial(family.evaluate, state=state)
     zs = [as_point(z, "fejer point") for z in fejer_points] if fejer_points else []
     for z in zs:
         require_same_dim(z, x0, "fejer point")
@@ -242,7 +252,7 @@ def run_block(
         # the averaged point enters only through p - x; working with the
         # steps directly keeps the indicator branch [p = x] exact when every
         # drawn operator fixes x
-        evaluated = family.evaluate(ks, x)
+        evaluated = evaluate(ks, x)
         if evaluated is not None:
             steps, r = evaluated
         elif skips_noops:
@@ -275,6 +285,8 @@ def run_block(
             a = x + avg_step
         lam = next(lams)
         x_next = x + lam * (a - x)
+        if state is not None and evaluated is not None:
+            state.advance((lam * extrap) * beta, x_next)
         if zs:
             count, deficit = audit_fejer_step(x, x_next, lam, x - a, zs)
             violations += count

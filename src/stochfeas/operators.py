@@ -53,16 +53,22 @@ def subgradient_projector(constraint: InequalityConstraint, x) -> np.ndarray:
     respect to that set follows.
     """
     x = as_point(x, "x")
-    return _subgradient_step(x, float(constraint.value(x)),
-                             lambda: constraint.subgradient(x), constraint.name)
+    scale, s = _subgradient_scale(x, float(constraint.value(x)),
+                                  lambda: constraint.subgradient(x), constraint.name)
+    return x if s is None else x - scale * s
 
 
-def _subgradient_step(x: np.ndarray, fx: float, subgradient: Callable[[], np.ndarray],
-                      name: str = "") -> np.ndarray:
+def _subgradient_scale(x: np.ndarray, fx: float, subgradient: Callable[[], np.ndarray],
+                       name: str = "") -> tuple[float, Optional[np.ndarray]]:
     """The subgradient projector at a validated ``x`` whose value f(x) = ``fx``
-    is known; ``subgradient()`` gives s(x) and is called only when fx > 0."""
+    is known, as (t, s) with T x = x - t s: (0.0, None) when fx <= 0, else
+    t = f(x) / ||s(x)||^2.  ``subgradient()`` gives s(x) and is called only
+    when fx > 0; a NaN or infinite fx raises NumericError, because no step
+    of the projector is defined there."""
     if fx <= 0.0:
-        return x
+        return 0.0, None
+    if not math.isfinite(fx):
+        raise NumericError(f"constraint {name or '?'}: f(x) = {fx} is not finite")
     s = as_point(subgradient(), "subgradient")
     require_same_dim(s, x, "subgradient_projector")
     norm_sq = float(s @ s)
@@ -70,7 +76,7 @@ def _subgradient_step(x: np.ndarray, fx: float, subgradient: Callable[[], np.nda
         raise DegenerateConstraintError(
             f"constraint {name or '?'}: f(x) = {fx} > 0 but s(x) = 0"
         )
-    return x - (fx / norm_sq) * s
+    return fx / norm_sq, s
 
 
 def project_box(lo, hi, x) -> np.ndarray:
@@ -163,6 +169,12 @@ def _fourier_from_spectrum(values, mask, spectrum) -> np.ndarray:
     (relative to the grid scale) before being discarded.
     """
     spectrum[mask] = values
+    return _real_inverse(spectrum)
+
+
+def _real_inverse(spectrum) -> np.ndarray:
+    """The real part of ``ifft2(spectrum)``, once its imaginary residue is
+    verified against 1e-9 (relative to the grid scale)."""
     out = np.fft.ifft2(spectrum)
     residue = float(np.max(np.abs(out.imag)))
     tol = 1e-9 * max(1.0, float(np.max(np.abs(out.real))))
@@ -195,7 +207,7 @@ def project_fourier_support(target_spectrum, mask, x) -> np.ndarray:
 class _IndexedFamily:
     """The index law of a family of ``count`` operators, and its ``evaluate``.
 
-    Weights default to uniform; they must be finite, nonnegative and sum to 1
+    Weights default to uniform; they must be finite, positive and sum to 1
     within 1e-12.  ``evaluate(ks, x)`` is the batched entry point of the
     block iteration: it returns the steps T_k x - x of the members ``ks``
     at one point x, one row each, and their Euclidean norms.  A member that
@@ -209,6 +221,13 @@ class _IndexedFamily:
     included; rho_k <= 0 or NaN certifies nothing.  The block iteration
     then skips ``evaluate`` on batches that the radii prove all-fixed.
     Families without a certificate leave ``clearance`` None.
+
+    A family may also keep a per-run state beside the iterate: ``run_state(x0)``
+    returns an object for one run, or None.  The block iteration then calls
+    ``evaluate(ks, x, state)``, and after each update by an evaluated batch
+    ``state.advance(c, x_next)``, with c_i the coefficient of row i in
+    x_next - x = sum_i c_i (T_{k_i} x - x).  The state belongs to the run:
+    the family stays immutable, and a bare ``evaluate(ks, x)`` reads none.
     """
 
     def __init__(self, count: int, weights=None):
@@ -220,8 +239,9 @@ class _IndexedFamily:
             weights = np.asarray(weights, dtype=np.float64)
             if weights.shape != (count,):
                 raise UsageError("index weights must match the number of members")
-            if not np.all(np.isfinite(weights) & (weights >= 0.0)):
-                raise UsageError(f"index weights must be finite and nonnegative, got {weights}")
+            # random activation needs every member drawn with positive probability
+            if not np.all(np.isfinite(weights) & (weights > 0.0)):
+                raise UsageError(f"index weights must be finite and positive, got {weights}")
             if abs(float(weights.sum()) - 1.0) > 1e-12:
                 raise UsageError(f"index weights sum to {weights.sum()!r}, not 1")
         self._count = count
@@ -261,6 +281,10 @@ class _IndexedFamily:
         raise NotImplementedError
 
     clearance = None   # optional certificate z -> radii, see the class docstring
+
+    def run_state(self, x0: np.ndarray):
+        """The state one run keeps beside its iterate, see the class docstring."""
+        return None
 
 
 def _member_steps(ks, x: np.ndarray, project: Callable[[int], np.ndarray]):
@@ -321,7 +345,7 @@ def sample_indices(family: _IndexedFamily, rng: np.random.Generator, m: int) -> 
     answer for the left edge of u's bucket, which is never past the answer
     for u, and advance while cum[k] <= u.  With at least two buckets per
     member one advance settles a uniform family; draws still unsettled
-    after two passes, such as those behind a run of zero-weight members,
+    after two passes, such as those behind a run of tiny-weight members,
     take the binary search.
     """
     if len(family) == 1:

@@ -321,6 +321,14 @@ class TestImageProblem:
         with pytest.raises(UsageError):
             generate_image_problem(n=60, seed=0)
 
+    def test_wrong_length_point_is_rejected(self):
+        prob = generate_image_problem(n=16, seed=2)
+        fam = prob.build_family()
+        for check in (prob.finalize, prob.feasibility_report, lambda x: prob.ball_value(0, x),
+                      lambda x: fam.evaluate([4], x), fam.run_state):
+            with pytest.raises(UsageError, match="dimension mismatch in image point"):
+                check(np.zeros(17))
+
 
 class TestImageFamilyEvaluate:
     """The batched ``evaluate`` of the image family against one-member calls
@@ -466,6 +474,16 @@ class TestImageFamilyEvaluate:
         with pytest.raises(DegenerateConstraintError):
             fam.evaluate([0], np.zeros(prob.dim))
 
+    def test_non_finite_ball_value_names_the_ball(self, monkeypatch):
+        prob, fam = self.family()
+        obs_fft = prob._obs_fft.copy()
+        obs_fft[2, 3, 3] = np.nan
+        monkeypatch.setattr(prob, "_obs_fft", obs_fft)
+        x = np.zeros(prob.dim)
+        for state in (None, fam.run_state(x)):
+            with pytest.raises(NumericError, match=r"constraint ball\[2\]: f\(x\) = nan"):
+                fam.evaluate([0, 2], x, state)
+
     def test_error_tolerant_run_matches_member_replay(self):
         prob, fam = self.family()
         schedule = DecayingNoise(c=100.0, q=1.5)
@@ -486,6 +504,114 @@ class TestImageFamilyEvaluate:
             x = x + scalar_relaxation(cfg.relaxation, lam_rng) * (a - x)
         assert np.array_equal(res.final, x)
         assert np.array_equal(res.trace.residuals(), residuals)
+
+
+class TestSpectralState:
+    """The spectrum X ~ fft2(x) that a block run of the image family keeps
+    beside x, advanced by linearity."""
+
+    @staticmethod
+    def desk():
+        prob = experiments.desk_image_problem(seed=4)
+        return prob, prob.build_family(fourier_weight=experiments.DESK_IMAGE_FOURIER_WEIGHT)
+
+    def test_step_spectra_are_the_transforms_of_the_rows(self, rng):
+        prob, fam = TestImageFamilyEvaluate.family()
+        truth = prob.ground_truth.ravel()
+        for x in (truth + rng.uniform(-0.5, 0.5, size=prob.dim), np.zeros(prob.dim),
+                  rng.uniform(-20.0, 280.0, size=prob.dim)):
+            for ks in ([0, 1, 2, 3, 4, 5], [5, 0, 5], [4, 4], [3]):
+                state = fam.run_state(x)
+                out = fam.evaluate(ks, x, state)
+                bare = fam.evaluate(ks, x)
+                if out is None:
+                    assert bare is None and not state._pending
+                    continue
+                steps, norms = out
+                # |fft2(v)| <= dim max|v|: rounding is measured against that
+                scale = prob.dim * max(np.abs(x).max(), np.abs(steps).max())
+                for i, k in enumerate(ks):
+                    if k == 5:
+                        # the row is the inverse transform of target - X on the mask
+                        np.testing.assert_allclose(steps[i], bare[0][i], rtol=0,
+                                                   atol=1e-14 * max(1.0, np.abs(x).max()))
+                    else:   # the same formula as a bare evaluate at X = fft2(x)
+                        assert np.array_equal(steps[i], bare[0][i]) and norms[i] == bare[1][i]
+                    if np.any(steps[i]):
+                        np.testing.assert_allclose(
+                            state._pending[k], np.fft.fft2(steps[i].reshape(prob.n, prob.n)),
+                            rtol=0, atol=1e-15 * scale)
+                    else:
+                        assert k not in state._pending
+                # advancing by the applied coefficients tracks fft2 of the new point
+                c = rng.uniform(0.1, 2.0, size=len(ks))
+                x_next = x + c @ steps
+                state.advance(c, x_next)
+                np.testing.assert_allclose(state.spectrum,
+                                           np.fft.fft2(x_next.reshape(prob.n, prob.n)),
+                                           rtol=0, atol=1e-15 * scale)
+
+    def test_run_transforms_forward_once_plus_box_moves_and_resyncs(self, monkeypatch):
+        prob, fam = self.desk()
+        states, box_moves = [], []
+        run_state, evaluate = fam.run_state, fam.evaluate
+
+        def counted_state(x0):
+            states.append(run_state(x0))
+            return states[-1]
+
+        def counted_evaluate(ks, x, state=None):
+            out = evaluate(ks, x, state)
+            box_moves.append(out is not None and bool(np.any(out[0][np.asarray(ks) == 4])))
+            return out
+
+        monkeypatch.setattr(fam, "run_state", counted_state)
+        monkeypatch.setattr(fam, "evaluate", counted_evaluate)
+        cfg = BlockConfig(batch_size=2, delta=0.25, relaxation=canonical_strategies()["uniform"],
+                          max_iters=2500, seed=3, atol=0.0)
+        calls = count_fft2(monkeypatch)
+        run_block(fam, cfg, np.zeros(prob.dim))
+        (state,) = states
+        resyncs = state._advances // experiments._RESYNC_PERIOD
+        assert sum(box_moves) > 0 and resyncs >= 1
+        assert len(calls) == 1 + sum(box_moves) + resyncs
+
+    def test_drift_stays_under_the_bound_on_a_criterion_8_run(self, monkeypatch):
+        # criterion 8's const1 run, the one that uses its whole budget; the
+        # drift peaks just before a resync, so it is read one advance before
+        # each, and every 64 advances
+        prob, fam = self.desk()
+        drifts = []
+        advance = experiments._SpectralState.advance
+
+        def measured(state, c, x_next):
+            advance(state, c, x_next)
+            if state._advances % 64 == 63:
+                exact = np.fft.fft2(x_next.reshape(prob.n, prob.n))
+                drifts.append(float(np.abs(state.spectrum - exact).max() / np.abs(exact).max()))
+
+        monkeypatch.setattr(experiments._SpectralState, "advance", measured)
+        cfg = BlockConfig(batch_size=2, delta=0.25, relaxation=canonical_strategies()["const1"],
+                          max_iters=20_000, seed=11, atol=1e-9, stop_patience=50,
+                          record_every=100)
+        res = run_block(fam, cfg, np.zeros(prob.dim))
+        assert res.trace.footer["iterations_run"] == 20_000
+        assert len(drifts) > 200
+        assert max(drifts) <= 1e-14
+
+    def test_family_keeps_no_run_state(self, rng):
+        prob, fam = self.desk()
+        x = rng.uniform(0.0, 255.0, size=prob.dim)
+        before = fam.evaluate([0, 5], x)
+        cfgs = [BlockConfig(batch_size=2, delta=0.25, relaxation=strategy, max_iters=300,
+                            seed=7, atol=0.0) for strategy in canonical_strategies().values()]
+        alone = [run_block(fam, cfg, np.zeros(prob.dim)).final for cfg in cfgs]
+        # the same runs in another order, and a bare evaluate, are unmoved
+        again = [run_block(fam, cfg, np.zeros(prob.dim)).final for cfg in reversed(cfgs)]
+        for a, b in zip(alone, reversed(again)):
+            assert a.tobytes() == b.tobytes()
+        after = fam.evaluate([0, 5], x)
+        assert all(np.array_equal(u, v) for u, v in zip(before, after))
 
 
 class TestNoOpIterations:

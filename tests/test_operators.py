@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from stochfeas.exceptions import DegenerateConstraintError, UsageError
+from stochfeas.exceptions import DegenerateConstraintError, NumericError, UsageError
 from stochfeas.operators import (
     InequalityConstraint,
     OperatorFamily,
@@ -77,6 +77,16 @@ class TestSubgradientProjector:
                                  subgradient=lambda x: np.zeros_like(x))
         with pytest.raises(DegenerateConstraintError):
             subgradient_projector(c, [1.0, 2.0])
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_value_raises_naming_the_constraint(self, value):
+        c = InequalityConstraint(value=lambda x: value, subgradient=lambda x: 2.0 * x,
+                                 name="broken")
+        with pytest.raises(NumericError, match=r"constraint broken: f\(x\) = (nan|inf)"):
+            subgradient_projector(c, [1.0, 2.0])
+        # f = -inf lies in the level set
+        satisfied = InequalityConstraint(value=lambda x: -np.inf, subgradient=lambda x: 2.0 * x)
+        np.testing.assert_array_equal(subgradient_projector(satisfied, [1.0, 2.0]), [1.0, 2.0])
 
 
 class TestBoxProjector:
@@ -288,7 +298,10 @@ class TestIndexSampling:
         None,
         np.array([1, 1, 1, 1, 1, 2]) / 7.0,
         np.random.default_rng(21).dirichlet(np.full(500, 0.05)),
-        np.concatenate([np.full(40, 1.0), np.zeros(300), np.full(60, 1.0), np.zeros(7)]) / 100.0,
+        # runs of members with tiny weights, which draws on their cumulative
+        # weights cross only after more than two passes of the guide table
+        np.concatenate([np.full(40, 1.0), np.full(300, 1e-12), np.full(60, 1.0),
+                        np.full(7, 1e-12)]) / (100.0 + 307e-12),
     ], ids=["uniform-2560", "image", "dirichlet", "zero-run"])
     def test_guided_draws_equal_binary_search(self, weights):
         fam = OperatorFamily([lambda x: x] * (2560 if weights is None else len(weights)), weights)
@@ -326,6 +339,16 @@ class TestIndexSampling:
             OperatorFamily([lambda x: x] * 2, weights=[1.2, -0.2])
         with pytest.raises(UsageError, match="finite"):
             OperatorFamily([lambda x: x] * 2, weights=[float("nan"), 1.0])
+
+    def test_zero_weight_is_rejected(self):
+        # a member drawn with probability 0 is never enforced: over x1 <= 0
+        # and x2 <= 0 with weights [1, 0], a run from (1, 1) would stop at (0, 1)
+        halfspaces = [lambda x: np.array([min(x[0], 0.0), x[1]]),
+                      lambda x: np.array([x[0], min(x[1], 0.0)])]
+        with pytest.raises(UsageError, match="positive"):
+            OperatorFamily(halfspaces, weights=[1.0, 0.0])
+        with pytest.raises(UsageError, match="positive"):
+            OperatorFamily(halfspaces, weights=[1.0, -0.0])
 
 
 class TestEvaluate:
