@@ -32,6 +32,20 @@ there.
 The run starts from x0 + 0.0: the full update turns a -0.0 coordinate
 into +0.0, so with none in x0 both paths give the same bits.
 
+A screened run also skips whole stretches of no-op iterations.  Once a
+step has left x unchanged, the run screens the next batches of the
+current index chunk in growing windows (4, 16, 64, ... batches) with one
+gather of radii each, up to the first batch the screen cannot clear, and
+hands the loop the relaxations drawn for the cleared ones.  The loop
+(``fixedpoint._iterate``) takes those iterations at once.  A stretch ends
+before the budget's last iteration and before the iteration at which
+``stop_patience`` quiet iterations would stop the run, so that the last
+row, the stop row and the stop reason always come from a step.  Its
+recorded rows enter the trace in one call, with residual 0, L = 1, the dB
+value of x and one shared ``elapsed_s`` stamp.  A stretch consumes the
+same index and relaxation draws as its iterations would one at a time, so
+seeded outputs are the same bits as without it.
+
 Without errors, a family with a ``run_state`` (the image family keeps
 X = fft2(x) this way) gets its state with every ``evaluate`` call, and the
 run advances it after each update by an evaluated batch, with the
@@ -221,6 +235,9 @@ def run_block(
     m = cfg.batch_size
     batches = family.draws(substream(cfg.seed, "index"), m)
     lams = cfg.relaxation.draws(substream(cfg.seed, "relaxation"))
+    # the current chunk of each stream, and the position of its next draw
+    ks_chunk = lam_chunk = ()
+    ks_at = lam_at = 0
     noise_rng = substream(cfg.seed, "noise") if cfg.error_schedule is not None else None
     x0 = as_point(x0, "x0") + 0.0   # -0.0 -> +0.0, see the module docstring
     state = family.run_state(x0) if noise_rng is None else None
@@ -242,13 +259,20 @@ def run_block(
 
     def step(n, x, want):
         nonlocal violations, worst, anchor, radii, seen, distance
-        ks = next(batches)
+        nonlocal ks_chunk, ks_at, lam_chunk, lam_at
+        if ks_at == len(ks_chunk):
+            ks_chunk, ks_at = next(batches), 0
+        if lam_at == len(lam_chunk):
+            lam_chunk, lam_at = next(lams), 0
+        ks, lam = ks_chunk[ks_at], lam_chunk[lam_at]
+        ks_at += 1
+        lam_at += 1
         if radii is not None:
             if x is not seen:
                 d = x - anchor
                 distance, seen = math.sqrt(float(d.dot(d))), x
             if radii[ks].min() > distance:   # every drawn member fixes x
-                return x, 0.0, next(lams), 1.0
+                return x, 0.0, lam, 1.0
         # the averaged point enters only through p - x; working with the
         # steps directly keeps the indicator branch [p = x] exact when every
         # drawn operator fixes x
@@ -259,7 +283,7 @@ def run_block(
             if clearance is not None and x is not anchor:
                 anchor = seen = x
                 radii, distance = clearance(x), 0.0
-            return x, 0.0, next(lams), 1.0
+            return x, 0.0, lam, 1.0
         else:
             # fresh arrays: the error-tolerant variant adds noise to the rows in place
             steps, r = np.zeros((m, x.shape[0])), np.zeros(m)
@@ -283,7 +307,6 @@ def run_block(
         else:
             extrap = 1.0
             a = x + avg_step
-        lam = next(lams)
         x_next = x + lam * (a - x)
         if state is not None and evaluated is not None:
             state.advance((lam * extrap) * beta, x_next)
@@ -297,8 +320,29 @@ def run_block(
             records.append(rec)
         return x_next, float(r.max()) if want else None, lam, extrap
 
+    def skip(x, limit):
+        """The relaxations of the next j <= limit iterations that the screen
+        proves no-ops at x, the step's own screen over the current chunks."""
+        nonlocal ks_at, lam_at
+        if radii is None or x is not seen:   # no anchor, or no distance for this x
+            return ()
+        limit = min(limit, len(ks_chunk) - ks_at, len(lam_chunk) - lam_at)
+        j, width = 0, 4
+        while j < limit:
+            width = min(width, limit - j)
+            held = radii[ks_chunk[ks_at + j:ks_at + j + width]].min(axis=1) > distance
+            if not held.all():
+                j += int(held.argmin())   # the first batch that the screen cannot clear
+                break
+            j += width
+            width *= 4
+        ks_at += j
+        lam_at += j
+        return lam_chunk[lam_at - j:lam_at]
+
     # the residual only samples M random operators, so a single quiet
     # iteration proves nothing; require stop_patience consecutive ones
     x, trace = _iterate(step, x0, cfg.max_iters, cfg.atol, cfg.record_every,
-                        patience=cfg.stop_patience, reference=reference_solution)
+                        patience=cfg.stop_patience, reference=reference_solution,
+                        skip=None if clearance is None else skip)
     return BlockResult(x, trace, records, violations, worst)

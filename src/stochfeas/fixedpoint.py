@@ -20,6 +20,7 @@ single-threaded and owns its streams; distinct runs never share state.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -234,8 +235,14 @@ def quadratic_family(center, offsets) -> GradientFamily:
 # Drivers.
 # ---------------------------------------------------------------------------
 
+def _distance_db(x: np.ndarray, ref: np.ndarray, ref_denom: float) -> float:
+    """The dB distance of x to the reference point, over ``ref_denom``."""
+    d = x - ref
+    return ratio_db(math.sqrt(float(d @ d)), ref_denom)
+
+
 def _iterate(step, x0, max_iters: int, atol: float, record_every: int,
-             patience: int = 1, reference=None) -> tuple[np.ndarray, ConvergenceTrace]:
+             patience: int = 1, reference=None, skip=None) -> tuple[np.ndarray, ConvergenceTrace]:
     """The loop every driver runs: ``x_{n+1}, residual, lam, L = step(n, x_n, want)``.
 
     The step computes its residual only when ``want`` is true, and may
@@ -249,9 +256,19 @@ def _iterate(step, x0, max_iters: int, atol: float, record_every: int,
     itself: the loop then skips the divergence guard, which x passed one
     iteration earlier (the guard still checks x0 at n = 0), and reuses the
     dB value last computed for x.
+
+    After a step has returned x itself, the loop asks ``skip(x, limit)``, if
+    given, for a stretch: the relaxations of the next j <= limit iterations,
+    each certified to leave x unchanged with residual 0 and L = 1.  The
+    loop takes the j iterations at once.  A stretch ends before the
+    budget's last iteration and before the iteration at which ``patience``
+    quiet iterations would stop the run, so the last row, the stop row and
+    the stop reason come from a step.  The rows of the stretch that
+    ``record_every`` selects enter the trace in one call, with residual 0,
+    L = 1, the dB value of x and one shared ``elapsed_s`` stamp.
     """
     x = as_point(x0, "x0").copy()
-    ref = db_x = None
+    ref = db = db_x = None
     if reference is not None:
         ref = as_point(reference, "reference solution")
         require_same_dim(ref, x, "reference solution")
@@ -266,7 +283,8 @@ def _iterate(step, x0, max_iters: int, atol: float, record_every: int,
     start = time.perf_counter()
     n = -1
     last = max_iters - 1
-    for n in range(max_iters):
+    iterations = iter(range(max_iters))
+    for n in iterations:
         record = n % record_every == 0 or n == last
         x_next, residual, lam, extrap = step(n, x, record or checks_atol)
         if x_next is not x or n == 0:
@@ -279,12 +297,27 @@ def _iterate(step, x0, max_iters: int, atol: float, record_every: int,
             quiet = quiet + 1 if residual < atol else 0
         stopping = quiet >= patience
         if record or stopping:
-            if ref is None:
-                db = None
-            elif x is not db_x:
-                d = x - ref
-                db, db_x = ratio_db(math.sqrt(float(d @ d)), ref_denom), x
+            if ref is not None and x is not db_x:
+                db, db_x = _distance_db(x, ref, ref_denom), x
             trace.append(n, time.perf_counter() - start, residual, db, lam, extrap)
+        if skip is not None and x_next is x:
+            # a stretch never reaches the last iteration nor the stop rule
+            limit = last - 1 - n if not checks_atol else min(last - 1 - n, patience - 1 - quiet)
+            lams = skip(x, limit) if limit > 0 else ()
+            if lams:
+                # the stretch is iterations n + 1 .. n + j; row i is recorded
+                # when i % record_every == 0, its relaxation is lams[i - n - 1]
+                j = len(lams)
+                first = n + 1 + (-(n + 1)) % record_every
+                rows = range(first, n + j + 1, record_every)
+                if rows:
+                    if ref is not None and x is not db_x:
+                        db, db_x = _distance_db(x, ref, ref_denom), x
+                    trace._extend(rows, time.perf_counter() - start, 0.0, db,
+                                  lams[first - n - 1::record_every], 1.0)
+                if checks_atol:
+                    quiet += j
+                n = next(itertools.islice(iterations, j - 1, None))
         x = x_next
         if stopping:
             stop_reason = "atol"
@@ -298,7 +331,7 @@ def run_km(T, cfg: KmConfig, x0) -> tuple[np.ndarray, ConvergenceTrace]:
     ``cfg.alpha``-averaged T, with mu_n supported inside ]0, 1/alpha[."""
     errors = cfg.error_schedule
     noise_rng = substream(cfg.seed, "noise")
-    mus = cfg.mu_strategy.draws(substream(cfg.seed, "relaxation"))
+    mus = itertools.chain.from_iterable(cfg.mu_strategy.draws(substream(cfg.seed, "relaxation")))
 
     def step(n, x, want):
         # run_km records every row, so the residual is always wanted
@@ -323,7 +356,8 @@ def run_sgd(cfg: SgdConfig, x0) -> tuple[np.ndarray, ConvergenceTrace]:
     x0 = as_point(x0, "x0")
     family = cfg.gradient_family
     family.spot_check_unbiased(x0, substream(cfg.seed, "validation"))
-    indices = family.draws(substream(cfg.seed, "index"))
+    indices = itertools.chain.from_iterable(
+        map(np.ndarray.tolist, family.draws(substream(cfg.seed, "index"))))
     gradient = family.gradient
     mean_grad = family.mean_gradient
     step_size = cfg.step_size

@@ -22,6 +22,7 @@ analytic property of the supplied maps and is not checked at runtime.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -208,12 +209,14 @@ class _IndexedFamily:
     """The index law of a family of ``count`` operators, and its ``evaluate``.
 
     Weights default to uniform; they must be finite, positive and sum to 1
-    within 1e-12.  ``evaluate(ks, x)`` is the batched entry point of the
-    block iteration: it returns the steps T_k x - x of the members ``ks``
-    at one point x, one row each, and their Euclidean norms.  A member that
-    fixes x must give an exact zero row.  When every member of ``ks`` fixes
-    x, so that every row would be zero, it returns None instead; the block
-    iteration then leaves x unchanged without further arithmetic.
+    within 1e-12.  Uniform families of one size share one read-only index
+    law (weights, cumulative weights and guide table).  ``evaluate(ks, x)``
+    is the batched entry point of the block iteration: it returns the steps
+    T_k x - x of the members ``ks`` at one point x, one row each, and their
+    Euclidean norms.  A member that fixes x must give an exact zero row.
+    When every member of ``ks`` fixes x, so that every row would be zero,
+    it returns None instead; the block iteration then leaves x unchanged
+    without further arithmetic.
 
     A family may also define ``clearance(z)``, which returns radii rho of
     shape (count,) such that ``evaluate`` would report member k as fixing
@@ -234,7 +237,7 @@ class _IndexedFamily:
         if count < 1:
             raise UsageError("operator family needs at least one member")
         if weights is None:
-            weights = np.full(count, 1.0 / count)
+            law = _uniform_law(count)
         else:
             weights = np.asarray(weights, dtype=np.float64)
             if weights.shape != (count,):
@@ -244,34 +247,27 @@ class _IndexedFamily:
                 raise UsageError(f"index weights must be finite and positive, got {weights}")
             if abs(float(weights.sum()) - 1.0) > 1e-12:
                 raise UsageError(f"index weights sum to {weights.sum()!r}, not 1")
+            law = _index_law(weights)
         self._count = count
-        self.weights = weights
-        self._cum = np.cumsum(weights)
-        self._cum[-1] = 1.0
-        # guide table of sample_indices: bucket b of [0, 1) is [b/B, (b+1)/B),
-        # B = 2^q >= 2 count, and its first candidate is the answer at b/B;
-        # u B and b/B are exact because B is a power of two
-        self._buckets = float(2 ** max(1, (2 * count - 1).bit_length()))
-        self._guide = np.searchsorted(self._cum, np.arange(self._buckets) / self._buckets,
-                                      side="right")
+        self.weights, self._cum, self._buckets, self._guide = law
 
     def __len__(self):
         return self._count
 
     def draws(self, rng: np.random.Generator, m: Optional[int] = None):
-        """Endless i.i.d. index draws from ``rng``: single indices when ``m``
-        is None, else batches of shape (m,).
+        """Endless i.i.d. index draws from ``rng``, in chunks: arrays of
+        single indices when ``m`` is None, else of batches, shape (size, m).
 
-        Yields the same sequence as one ``sample_indices(self, rng, m or 1)``
-        call per draw.  Chunks double from 16 to 1024 draws: an index costs
-        about 0.015 us in bulk at 2,560 members, so one first chunk of 1024
-        batches of 16 would cost a short run 0.25 ms for indices it never
-        uses.
+        Read in order, the draws are the same sequence as one
+        ``sample_indices(self, rng, m or 1)`` call per draw.  Chunks double
+        from 16 to 1024 draws: an index costs about 0.015 us in bulk at 2,560
+        members, so one first chunk of 1024 batches of 16 would cost a short
+        run 0.25 ms for indices it never uses.
         """
         size = 16
         while True:
             ks = sample_indices(self, rng, size * (m or 1))
-            yield from (ks.tolist() if m is None else ks.reshape(size, m))
+            yield ks if m is None else ks.reshape(size, m)
             del ks   # let the spent chunk go before the next one is drawn
             size = min(2 * size, 1024)
 
@@ -285,6 +281,31 @@ class _IndexedFamily:
     def run_state(self, x0: np.ndarray):
         """The state one run keeps beside its iterate, see the class docstring."""
         return None
+
+
+def _index_law(weights: np.ndarray) -> tuple:
+    """(weights, cum, buckets, guide) of index weights that passed the checks.
+
+    ``cum`` is the cumulative weights, with the last set to exactly 1.  The
+    guide table of ``sample_indices``: bucket b of [0, 1) is [b/B, (b+1)/B),
+    B = 2^q >= 2 count, and its first candidate is the answer at b/B; u B and
+    b/B are exact because B is a power of two.
+    """
+    cum = np.cumsum(weights)
+    cum[-1] = 1.0
+    buckets = float(2 ** max(1, (2 * weights.size - 1).bit_length()))
+    guide = np.searchsorted(cum, np.arange(buckets) / buckets, side="right")
+    return weights, cum, buckets, guide
+
+
+@functools.lru_cache(maxsize=16)
+def _uniform_law(count: int) -> tuple:
+    """The index law of every uniform family of ``count`` members, built once
+    and shared read-only: at 2,560 members its guide table alone is 64 KB."""
+    law = _index_law(np.full(count, 1.0 / count))
+    for array in (law[0], law[1], law[3]):
+        array.flags.writeable = False
+    return law
 
 
 def _member_steps(ks, x: np.ndarray, project: Callable[[int], np.ndarray]):

@@ -55,9 +55,9 @@ class RelaxationStrategy:
         raise NotImplementedError
 
     def draws(self, rng: np.random.Generator):
-        """Endless i.i.d. draws from ``rng``, sampled 1024 at a time."""
+        """Endless i.i.d. draws from ``rng``, in chunks: lists of 1024 floats."""
         while True:
-            yield from self.sample(rng, 1024).tolist()
+            yield self.sample(rng, 1024).tolist()
 
     def _check_cap(self, cap: Optional[float]) -> float:
         lo, hi = self.support_bounds()

@@ -62,6 +62,29 @@ class ConvergenceTrace:
         cols["lambda"].append(float(lam))
         cols["extrapolation"].append(float(extrapolation))
 
+    def _extend(self, iterations: range, elapsed, residual, norm_err_db, lams, extrapolation):
+        """Append one row per iteration of the increasing range ``iterations``,
+        with relaxation ``lams[i]`` on row i and every other cell shared: the
+        recorded rows of a stretch of no-op iterations, checked like ``append``."""
+        cols = self.columns
+        its = cols["iter"]
+        if its and iterations[0] <= its[-1]:
+            raise UsageError(f"trace iterations must increase: {iterations[0]} after {its[-1]}")
+        if len(lams) != len(iterations):
+            raise UsageError(f"{len(lams)} relaxations for {len(iterations)} rows")
+        finite = (math.isfinite(elapsed) and math.isfinite(residual)
+                  and math.isfinite(extrapolation) and all(map(math.isfinite, lams))
+                  and (norm_err_db is None or math.isfinite(norm_err_db)))
+        if not finite:
+            raise UsageError(f"non-finite trace value in iterations {iterations}")
+        rows = len(iterations)
+        its.extend(iterations)
+        cols["elapsed_s"].extend([float(elapsed)] * rows)
+        cols["residual"].extend([float(residual)] * rows)
+        cols["norm_err_db"].extend([None if norm_err_db is None else float(norm_err_db)] * rows)
+        cols["lambda"].extend(map(float, lams))
+        cols["extrapolation"].extend([float(extrapolation)] * rows)
+
     def __len__(self):
         return len(self.columns["iter"])
 
@@ -94,26 +117,32 @@ class ConvergenceTrace:
         return self.columns["residual"][-1]
 
     def write_csv(self, path) -> None:
-        # one %-template per row; rows end in "\r\n" like the csv module's
-        # writer (which reads them back), footer lines in "\n"
-        specs, cols = ["%d"], [_as_list(self.columns["iter"])]
-        for col in list(self.columns.values())[1:]:
-            col = _as_list(col)
-            nones = col.count(None)
-            if nones == len(col):
-                specs.append("")
-            elif nones:
-                specs.append("%s")
-                cols.append(["" if c is None else format_float(c) for c in col])
-            else:
-                specs.append("%.17g")
-                cols.append(col)
-        row = ",".join(specs) + "\r\n"
+        # rows end in "\r\n" like the csv module's writer (which reads them
+        # back), footer lines in "\n"
+        cols = [map(str, _as_list(self.columns["iter"]))]
+        cols += [_float_cells(col) for col in list(self.columns.values())[1:]]
         with open(path, "w", newline="") as fh:
             fh.write(",".join(self.columns) + "\r\n")
-            fh.writelines([row % cells for cells in zip(*cols)])
+            fh.writelines([",".join(cells) + "\r\n" for cells in zip(*cols)])
             for key in sorted(self.footer):
                 fh.write(f"# {key}={self.footer[key]}\n")
+
+
+def _float_cells(col) -> list:
+    """The CSV cells of one float column: ``format_float`` of each value,
+    and "" for None.
+
+    Each distinct value is formatted once, through a memo keyed by the
+    value's bits: 0.0 and -0.0 compare equal and hash alike, but are
+    written "0" and "-0".  The rows of a stretch of no-op iterations repeat
+    every cell but ``iter`` and ``lambda``.
+    """
+    values = np.asarray(col, dtype=np.float64)   # a None cell becomes NaN
+    if np.isnan(values).any():   # a None cell, since appended values are finite
+        return ["" if c is None else format_float(c) for c in col]
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array([format_float(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    return texts[inverse].tolist()
 
 
 def read_trace_csv(path) -> ConvergenceTrace:

@@ -90,8 +90,10 @@ def scalar_relaxation(strategy, rng):
 
 
 def force_indices(monkeypatch, family, ks):
-    """Make every index batch that ``run_block`` draws from ``family`` equal ``ks``."""
-    monkeypatch.setattr(family, "draws", lambda rng, m=None: itertools.repeat(np.asarray(ks)))
+    """Make every index batch that ``run_block`` draws from ``family`` equal ``ks``:
+    the family's index chunks become 16 copies of ``ks`` each."""
+    chunk = np.tile(np.asarray(ks), (16, 1))
+    monkeypatch.setattr(family, "draws", lambda rng, m=None: itertools.repeat(chunk))
 
 
 def reference_block_step(x, ps, beta, lam):

@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from stochfeas import block, experiments, fixedpoint
 from stochfeas import relaxation as rx
-from stochfeas import experiments
 from stochfeas.block import BlockConfig, run_block
 from stochfeas.diagnostics import ratio_db
 from stochfeas.exceptions import (
@@ -28,6 +28,7 @@ from stochfeas.experiments import (
 from stochfeas.fixedpoint import DecayingNoise
 from stochfeas.operators import (
     InequalityConstraint,
+    OperatorFamily,
     project_box,
     project_fourier_support,
     project_hyperslab,
@@ -94,6 +95,28 @@ class TestSignalProblem:
         assert prob.eta == 0.15
         assert prob.stds.min() >= 10.0 and prob.stds.max() <= 30.0
         assert len(prob.build_family()) == 20480
+
+    def test_equal_uniform_families_share_one_read_only_index_law(self):
+        first = experiments.desk_signal_problem(seed=1).build_family()
+        second = experiments.desk_signal_problem(seed=2).build_family()
+        law = ("weights", "_cum", "_guide")
+        for name in law:
+            shared = getattr(first, name)
+            assert shared is getattr(second, name), name
+            assert not shared.flags.writeable, name
+            with pytest.raises(ValueError):
+                shared[0] = 0.5
+        # an explicitly uniform family builds its own law, and draws the same
+        own = OperatorFamily([lambda x: x] * len(first), weights=np.full(len(first), 1.0 / 2560))
+        assert own._guide is not first._guide
+        for name in law:
+            assert np.array_equal(getattr(own, name), getattr(first, name)), name
+        uniforms = np.random.default_rng(6).random(10 ** 5)
+        cum = np.cumsum(np.full(2560, 1.0 / 2560))
+        cum[-1] = 1.0
+        expected = np.searchsorted(cum, uniforms, side="right")
+        for fam in (first, second, own):
+            assert np.array_equal(sample_indices(fam, np.random.default_rng(6), 10 ** 5), expected)
 
     def test_desk_scale_invariants(self):
         prob = generate_signal_problem(n=256, p=10, seed=2)
@@ -647,34 +670,91 @@ class TestNoOpIterations:
         assert plain.trace.columns["norm_err_db"] == [
             ratio_db(dist[n], dist[0]) for n in plain.trace.columns["iter"]]
 
+    @staticmethod
+    def observed_run(monkeypatch, fam, cfg, x0, truth):
+        """``run_block`` with the iterations its steps took and its stretches,
+        each as (first iteration, length, limit)."""
+        steps, stretches = [], []
+
+        def observed(step, *args, skip=None, **kwargs):
+            def counted_step(n, x, want):
+                steps.append(n)
+                return step(n, x, want)
+
+            def counted_skip(x, limit):
+                lams = skip(x, limit)
+                if lams:
+                    stretches.append((steps[-1] + 1, len(lams), limit))
+                return lams
+
+            return fixedpoint._iterate(counted_step, *args,
+                                       skip=None if skip is None else counted_skip, **kwargs)
+
+        monkeypatch.setattr(block, "_iterate", observed)
+        res = run_block(fam, cfg, x0, reference_solution=truth)
+        monkeypatch.setattr(block, "_iterate", fixedpoint._iterate)
+        return res, steps, stretches
+
     @pytest.mark.parametrize("m", [1, 4, 16])
-    def test_screened_runs_equal_the_full_path(self, m):
-        # a run that collects records takes the full path with no screen
+    def test_screened_runs_equal_the_full_path(self, monkeypatch, m):
+        # a run that collects records takes the full path, with no screen and
+        # no stretch
         prob = experiments.desk_signal_problem(seed=3)
         fam = prob.build_family()
-        calls = []
+        moved = []
         evaluate = fam.evaluate
-        fam.evaluate = lambda ks, x: calls.append(1) or evaluate(ks, x)
+
+        def counted(ks, x):
+            out = evaluate(ks, x)
+            moved.append(out is not None)
+            return out
+
+        fam.evaluate = counted
+        x0 = np.zeros(prob.n)
         recording = BlockConfig(batch_size=m, delta=0.5 / m,
                                 relaxation=rx.UniformInterval(1.5, 2.3),
                                 max_iters=400, seed=5, atol=0.0)
-        # an extended reference pass stops on its own atol rule
-        reference = replace(recording, max_iters=4000, atol=1e-10)
-        for cfg, truth in [(recording, prob.ground_truth), (reference, None)]:
-            calls.clear()
-            screened = run_block(fam, cfg, np.zeros(prob.n), reference_solution=truth)
+        _, _, stretches = self.observed_run(monkeypatch, fam, recording, x0, prob.ground_truth)
+        # a budget whose last iteration falls inside the longest stretch of the full budget
+        start, length, _ = max(stretches, key=lambda s: s[1])
+        cases = {
+            "recording": (recording, prob.ground_truth),
+            "record_every_7": (replace(recording, record_every=7), prob.ground_truth),
+            "budget_in_stretch": (replace(recording, max_iters=start + length // 2 + 1),
+                                  prob.ground_truth),
+            # an extended reference pass stops on its own atol rule
+            "atol": (replace(recording, max_iters=4000, atol=1e-10), None),
+        }
+        for case, (cfg, truth) in cases.items():
+            moved.clear()
+            screened, steps, stretches = self.observed_run(monkeypatch, fam, cfg, x0, truth)
             iterations = screened.trace.footer["iterations_run"]
-            assert len(calls) < iterations / 2   # the screen answered most iterations
-            calls.clear()
-            full = run_block(fam, replace(cfg, collect_records=True), np.zeros(prob.n),
+            assert len(moved) < iterations / 2, case   # the screen answered most iterations
+            skipped = sum(length for _, length, _ in stretches)
+            assert len(steps) + skipped == iterations, case
+            moved.clear()
+            full = run_block(fam, replace(cfg, collect_records=True), x0,
                              reference_solution=truth)
-            assert len(calls) == iterations
+            assert len(moved) == iterations, case
+            noops = iterations - sum(moved)
+            assert skipped > noops / 2, case   # and the stretches most no-op iterations
             assert full.trace.footer["stop_reason"] == ("atol" if cfg.atol > 0.0 else "max_iters")
-            assert screened.final.tobytes() == full.final.tobytes()
-            assert screened.trace.footer == full.trace.footer
+            assert screened.final.tobytes() == full.final.tobytes(), case
+            assert screened.trace.footer == full.trace.footer, case
             for name, column in screened.trace.columns.items():
                 if name != "elapsed_s":
-                    assert column == full.trace.columns[name], name
+                    assert column == full.trace.columns[name], (case, name)
+            # the last iteration and the stop iteration are steps, never in a stretch
+            assert steps[-1] == iterations - 1, case
+            if case == "budget_in_stretch":
+                assert stretches[-1][2] == stretches[-1][1] == iterations - 1 - stretches[-1][0]
+            if case == "atol":
+                # the stop fires right after a stretch that the quiet count cut
+                # short, and the quiet iterations behind it reach back past the
+                # stretch to the step before it
+                first, length, limit = stretches[-1]
+                assert length == limit and first + length == iterations - 1
+                assert steps[-2] == first - 1 > iterations - 1 - cfg.stop_patience
 
     def test_all_held_batch_gives_fresh_zero_rows(self):
         # every slab holds the truth with a margin of 0.4 eta, far above this

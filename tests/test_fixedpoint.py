@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -173,7 +175,7 @@ class TestSgd:
         m = 10_000
         sigma = np.sqrt(fam.variance_bound)
         from stochfeas.rngstreams import substream
-        indices = fam.draws(substream(123, "validation"))
+        indices = itertools.chain.from_iterable(fam.draws(substream(123, "validation")))
         for _ in range(10):
             x = rng.normal(size=5) * 2
             acc = np.zeros(5)

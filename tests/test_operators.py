@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -285,9 +287,11 @@ class TestIndexSampling:
 
     @pytest.mark.parametrize("m", [None, 3])
     def test_chunked_draws_equal_scalar_draws(self, m):
-        # 1100 draws cross the first 1024-draw chunk
+        # 1100 draws cross the first five chunks, of 16, 32, 64, 128 and 256 draws
         fam = OperatorFamily([lambda x: x] * 7, weights=np.arange(1, 8) / 28.0)
-        chunked = fam.draws(np.random.default_rng(5), m)
+        chunks = fam.draws(np.random.default_rng(5), m)
+        assert [len(next(chunks)) for _ in range(8)] == [16, 32, 64, 128, 256, 512, 1024, 1024]
+        chunked = itertools.chain.from_iterable(fam.draws(np.random.default_rng(5), m))
         scalar_rng = np.random.default_rng(5)
         for _ in range(1100):
             scalar = [sample_indices(fam, scalar_rng, 1).item() for _ in range(m or 1)]

@@ -73,7 +73,8 @@ def test_constant_sampling():
 ], ids=["constant", "two_point", "uniform"])
 def test_draws_equal_scalar_transcription(strategy):
     # 2500 draws cross two chunk boundaries of draws()
-    chunked = list(itertools.islice(strategy.draws(np.random.default_rng(8)), 2500))
+    chunks = strategy.draws(np.random.default_rng(8))
+    chunked = list(itertools.islice(itertools.chain.from_iterable(chunks), 2500))
     rng = np.random.default_rng(8)
     assert chunked == [scalar_relaxation(strategy, rng) for _ in range(2500)]
 

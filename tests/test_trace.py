@@ -119,3 +119,47 @@ def test_write_csv_bytes_match_the_csv_module(tmp_path, kind):
     trace.write_csv(tmp_path / "fast.csv")
     csv_module_write(trace, tmp_path / "oracle.csv")
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+def straight_transcription(trace) -> str:
+    """Every cell through "%d" or "%.17g", one row at a time."""
+    lines = [",".join(trace.columns)]
+    for it, *values in zip(*trace.columns.values()):
+        lines.append(",".join(["%d" % it] + ["" if v is None else "%.17g" % v for v in values]))
+    footer = [f"# {key}={trace.footer[key]}\n" for key in sorted(trace.footer)]
+    return "".join(line + "\r\n" for line in lines) + "".join(footer)
+
+
+@pytest.mark.parametrize("db", ["signed-zeros", "partly-none", "all-none"])
+def test_write_csv_keeps_signed_zeros_apart(tmp_path, db):
+    # 0.0 and -0.0 compare equal and hash alike, but are written "0" and "-0"
+    zeros = [0.0, -0.0, 0.0, 2.5, -0.0, -0.0, 0.0, 2.5]
+    t = ConvergenceTrace()
+    for i, z in enumerate(zeros):
+        cell = {"signed-zeros": -z, "partly-none": None if i % 3 else -z, "all-none": None}[db]
+        t.append(i, 0.5, z, cell, 1.5 + (i % 2), 1.0)
+    t.footer.update(stop_reason="max_iters", iterations_run=len(zeros))
+    t.write_csv(tmp_path / "t.csv")
+    text = (tmp_path / "t.csv").read_bytes().decode()
+    assert text == straight_transcription(t)
+    assert "-0," in text and ",0," in text
+    back = read_trace_csv(tmp_path / "t.csv")
+
+    def bits(column):
+        return [None if v is None else float(v).hex() for v in column]
+
+    for name, column in t.columns.items():
+        assert bits(back.columns[name]) == bits(column), name
+
+
+def test_extend_equals_one_append_per_row():
+    bulk, rows = make_trace(), make_trace()
+    bulk._extend(range(7, 20, 4), 0.25, 0.0, -3.0, [1.5, 2.0, 1.75, 2.25], 1.0)
+    for it, lam in zip(range(7, 20, 4), [1.5, 2.0, 1.75, 2.25]):
+        rows.append(it, 0.25, 0.0, -3.0, lam, 1.0)
+    assert bulk.columns == rows.columns
+    with pytest.raises(UsageError, match="must increase"):
+        bulk._extend(range(19, 21), 0.25, 0.0, None, [1.5, 1.5], 1.0)
+    with pytest.raises(UsageError, match="non-finite"):
+        bulk._extend(range(20, 22), 0.25, 0.0, None, [1.5, math.nan], 1.0)
+    assert bulk.columns == rows.columns
