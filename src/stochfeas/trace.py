@@ -137,11 +137,11 @@ def _float_cells(col) -> list:
     written "0" and "-0".  The rows of a stretch of no-op iterations repeat
     every cell but ``iter`` and ``lambda``.
     """
-    values = np.asarray(col, dtype=np.float64)   # a None cell becomes NaN
-    if np.isnan(values).any():   # a None cell, since appended values are finite
-        return ["" if c is None else format_float(c) for c in col]
+    # a None cell becomes the one canonical NaN; stored values are finite
+    values = np.asarray(col, dtype=np.float64)
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    texts = np.array([format_float(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    texts = np.array(["" if v != v else format_float(v)
+                      for v in bits.view(np.float64).tolist()], dtype=object)
     return texts[inverse].tolist()
 
 
