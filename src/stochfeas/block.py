@@ -17,10 +17,11 @@ One iteration over a family (T_k) of firmly quasinonexpansive operators:
 An iteration whose drawn members all fix x leaves x unchanged (p = x,
 so L = 1 and a = x).  The family reports such a batch, so the iteration
 neither builds nor scans zero rows: it consumes its relaxation draw and
-skips the arithmetic of steps 3-5, unless records are collected or errors
-added, in which case it runs them on M zero rows.
+skips the arithmetic of steps 3-5 (the error-tolerant variant runs them on
+M fresh zero rows, which take its noise).  Its record needs none either:
+p = a = x, L = 1, the drawn lam and the weights of M zero residuals.
 
-Without records and errors, a family with a ``clearance`` lets the
+Without errors, a family with a ``clearance`` lets the
 iteration skip ``evaluate`` as well.  The run keeps an anchor z, the radii
 rho = clearance(z) and ||x - z||, recomputed only when x is a new array.
 When min_i rho_{k_i} > ||x - z||, every drawn member fixes x, so the
@@ -42,16 +43,15 @@ before the budget's last iteration and before the iteration at which
 ``stop_patience`` quiet iterations would stop the run, so that the last
 row, the stop row and the stop reason always come from a step.  Its
 recorded rows enter the trace in one call, with residual 0, L = 1, the dB
-value of x and one shared ``elapsed_s`` stamp.  A stretch consumes the
-same index and relaxation draws as its iterations would one at a time, so
-seeded outputs are the same bits as without it.
+value of x and one shared ``elapsed_s`` stamp, and each iteration gets its
+no-op record.  A stretch consumes the same draws as its iterations would
+one at a time, so seeded outputs are the same bits as without it.
 
 Without errors, a family with a ``run_state`` (the image family keeps
 X = fft2(x) this way) gets its state with every ``evaluate`` call, and the
 run advances it after each update by an evaluated batch, with the
-coefficients lam L beta_i it applied to the rows in space.  No-op
-iterations leave it alone, so runs with and without records, and passes
-that replay the same draws, keep the same state.
+coefficients lam L beta_i it applied to the rows in space; no-op
+iterations leave it alone.
 
 The error-tolerant variant skips the extrapolation (a = p) and requires
 relaxations supported inside ]0, 2[.  Indices, errors and relaxations each
@@ -129,6 +129,7 @@ class BlockConfig:
     ]0, 1/M[.  ``error_schedule`` switches to the error-tolerant variant,
     which uses the averaged point directly (no extrapolation), restricts the
     relaxation support to ]0, 2[ and needs summable errors.
+    ``collect_records`` observes the run and leaves its bits unchanged.
     """
 
     batch_size: int
@@ -148,6 +149,8 @@ class BlockConfig:
             raise ConfigurationError("batch size M must be >= 1")
         if self.stop_patience < 1:
             raise ConfigurationError("stop_patience must be >= 1")
+        if math.isnan(self.atol):
+            raise ConfigurationError("atol must be a number, got nan")
         if not (0.0 < self.delta < 1.0 / self.batch_size):
             raise ConfigurationError(
                 f"delta in ]0, 1/M[ violated: delta={self.delta}, M={self.batch_size}"
@@ -169,7 +172,8 @@ class BlockConfig:
 
 @dataclass
 class BlockIterationRecord:
-    """Audit record of one iteration (emitted when collect_records is set)."""
+    """Audit record of one iteration (emitted when collect_records is set);
+    a no-op iteration's shares x as ``p`` and ``a``, with L = 1."""
 
     iteration: int
     indices: tuple
@@ -246,16 +250,22 @@ def run_block(
     for z in zs:
         require_same_dim(z, x0, "fejer point")
     records: Optional[list] = [] if cfg.collect_records else None
-    # records and errors need the full arithmetic of every iteration
-    skips_noops = records is None and noise_rng is None
-    clearance = family.clearance if skips_noops else None
+    # the weights of M zero residuals, for no-op records and the uniform rule
+    noop_r = np.zeros(m)
+    noop_beta = compute_weights(noop_r, cfg.delta, cfg.weight_rule)
+    uniform = cfg.weight_rule == UNIFORM_OVER_BATCH
+
+    def record(n, ks, beta, p, extrap, a, lam, r):
+        rec = BlockIterationRecord(n, tuple(ks.tolist()), beta, p, extrap, a, lam)
+        rec.validate(cfg.delta, r)
+        records.append(rec)
+
+    clearance = family.clearance if noise_rng is None else None
     # the screen's anchor z, its radii, and ||x - z|| for the last x seen
     anchor = radii = seen = None
     distance = 0.0
     violations = 0
     worst = 0.0
-    # weights under the uniform rule do not depend on the residuals
-    uniform_beta = np.full(m, 1.0 / m) if cfg.weight_rule == UNIFORM_OVER_BATCH else None
 
     def step(n, x, want):
         nonlocal violations, worst, anchor, radii, seen, distance
@@ -272,6 +282,8 @@ def run_block(
                 d = x - anchor
                 distance, seen = math.sqrt(float(d.dot(d))), x
             if radii[ks].min() > distance:   # every drawn member fixes x
+                if records is not None:
+                    record(n, ks, noop_beta, x, 1.0, x, lam, noop_r)
                 return x, 0.0, lam, 1.0
         # the averaged point enters only through p - x; working with the
         # steps directly keeps the indicator branch [p = x] exact when every
@@ -279,10 +291,12 @@ def run_block(
         evaluated = evaluate(ks, x)
         if evaluated is not None:
             steps, r = evaluated
-        elif skips_noops:
+        elif noise_rng is None:
             if clearance is not None and x is not anchor:
                 anchor = seen = x
                 radii, distance = clearance(x), 0.0
+            if records is not None:
+                record(n, ks, noop_beta, x, 1.0, x, lam, noop_r)
             return x, 0.0, lam, 1.0
         else:
             # fresh arrays: the error-tolerant variant adds noise to the rows in place
@@ -291,10 +305,7 @@ def run_block(
             for d in steps:
                 d += cfg.error_schedule.sample(n, x.shape[0], noise_rng)
             r = np.array([math.sqrt(float(d @ d)) for d in steps])
-        if uniform_beta is not None:
-            beta = uniform_beta
-        else:
-            beta = compute_weights(r, cfg.delta, cfg.weight_rule)
+        beta = noop_beta if uniform else compute_weights(r, cfg.delta, cfg.weight_rule)
         avg_step = beta @ steps
         pmx = math.sqrt(float(avg_step.dot(avg_step)))
         if cfg.error_schedule is None:
@@ -308,21 +319,19 @@ def run_block(
             extrap = 1.0
             a = x + avg_step
         x_next = x + lam * (a - x)
-        if state is not None and evaluated is not None:
+        if state is not None:
             state.advance((lam * extrap) * beta, x_next)
         if zs:
             count, deficit = audit_fejer_step(x, x_next, lam, x - a, zs)
             violations += count
             worst = max(worst, deficit)
         if records is not None:
-            rec = BlockIterationRecord(n, tuple(ks.tolist()), beta, x + avg_step, extrap, a, lam)
-            rec.validate(cfg.delta, r)
-            records.append(rec)
+            record(n, ks, beta, x + avg_step, extrap, a, lam, r)
         return x_next, float(r.max()) if want else None, lam, extrap
 
-    def skip(x, limit):
-        """The relaxations of the next j <= limit iterations that the screen
-        proves no-ops at x, the step's own screen over the current chunks."""
+    def skip(n, x, limit):
+        """The relaxations of iterations n + 1 .. n + j, j <= limit, that the
+        screen proves no-ops at x, the step's own screen over the current chunks."""
         nonlocal ks_at, lam_at
         if radii is None or x is not seen:   # no anchor, or no distance for this x
             return ()
@@ -336,6 +345,10 @@ def run_block(
                 break
             j += width
             width *= 4
+        if records is not None:
+            for i in range(j):
+                record(n + 1 + i, ks_chunk[ks_at + i], noop_beta, x, 1.0, x,
+                       lam_chunk[lam_at + i], noop_r)
         ks_at += j
         lam_at += j
         return lam_chunk[lam_at - j:lam_at]

@@ -607,9 +607,11 @@ def estimate_reference_solution(family: _IndexedFamily, cfg: BlockConfig, x0) ->
 
     The returned point is run-specific: it is the limit of this seed's own
     trajectory, which is what normalized-error plots are measured against.
+    The extended run collects no records: nothing reads them.
     """
     tol = max(1e-12, cfg.atol)
-    res = run_block(family, replace(cfg, max_iters=10 * cfg.max_iters, atol=tol), x0)
+    res = run_block(family, replace(cfg, max_iters=10 * cfg.max_iters, atol=tol,
+                                    collect_records=False), x0)
     if res.trace.final_residual() >= tol:
         raise ReferenceSolutionError(
             f"extended run kept residual {res.trace.final_residual():.3e} "

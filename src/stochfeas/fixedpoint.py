@@ -112,6 +112,8 @@ class KmConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ConfigurationError("max_iters must be >= 1")
+        if math.isnan(self.atol):
+            raise ConfigurationError("atol must be a number, got nan")
         if not (0.0 < self.alpha <= 1.0):
             raise ConfigurationError(f"alpha in ]0, 1] violated: got {self.alpha}")
         rx.require_support_inside(self.mu_strategy, 0.0, 1.0 / self.alpha,
@@ -211,6 +213,11 @@ class _QuadraticFamily(GradientFamily):
     def mean_gradient(self, x: np.ndarray) -> np.ndarray:
         return x - self.center
 
+    def spot_check_unbiased(self, x0: np.ndarray, rng) -> None:
+        # the family's dimension is known here, before any gradient broadcasts
+        require_same_dim(x0, self.center, "x0 and the quadratic family")
+        super().spot_check_unbiased(x0, rng)
+
     def _sample_mean(self, ks: np.ndarray, x: np.ndarray) -> np.ndarray:
         # one mean over the gathered rows, not one gradient call per draw
         return x - self.center - self.offsets[ks].mean(axis=0)
@@ -257,9 +264,9 @@ def _iterate(step, x0, max_iters: int, atol: float, record_every: int,
     iteration earlier (the guard still checks x0 at n = 0), and reuses the
     dB value last computed for x.
 
-    After a step has returned x itself, the loop asks ``skip(x, limit)``, if
-    given, for a stretch: the relaxations of the next j <= limit iterations,
-    each certified to leave x unchanged with residual 0 and L = 1.  The
+    After step n has returned x itself, the loop asks ``skip(n, x, limit)``, if
+    given, for a stretch: the relaxations of iterations n + 1 .. n + j <= n +
+    limit, each certified to leave x unchanged with residual 0 and L = 1.  The
     loop takes the j iterations at once.  A stretch ends before the
     budget's last iteration and before the iteration at which ``patience``
     quiet iterations would stop the run, so the last row, the stop row and
@@ -284,9 +291,19 @@ def _iterate(step, x0, max_iters: int, atol: float, record_every: int,
     n = -1
     last = max_iters - 1
     iterations = iter(range(max_iters))
+
+    def first_step(n, x, want):
+        out = step(n, x, want)
+        require_same_dim(out[0], x, "the point of step 0 and x0")
+        return out
+
+    # only step 0 has its shape checked: a point of another length would
+    # broadcast silently, and later steps keep the shape of step 0
+    take = first_step
     for n in iterations:
         record = n % record_every == 0 or n == last
-        x_next, residual, lam, extrap = step(n, x, record or checks_atol)
+        x_next, residual, lam, extrap = take(n, x, record or checks_atol)
+        take = step
         if x_next is not x or n == 0:
             # NaN/Inf propagate into the squared norm, so one reduction covers
             # both; ndarray.dot is bit-equal to @ on 1-D float64 and cheaper
@@ -303,7 +320,7 @@ def _iterate(step, x0, max_iters: int, atol: float, record_every: int,
         if skip is not None and x_next is x:
             # a stretch never reaches the last iteration nor the stop rule
             limit = last - 1 - n if not checks_atol else min(last - 1 - n, patience - 1 - quiet)
-            lams = skip(x, limit) if limit > 0 else ()
+            lams = skip(n, x, limit) if limit > 0 else ()
             if lams:
                 # the stretch is iterations n + 1 .. n + j; row i is recorded
                 # when i % record_every == 0, its relaxation is lams[i - n - 1]

@@ -318,7 +318,7 @@ def _member_steps(ks, x: np.ndarray, project: Callable[[int], np.ndarray]):
     variant adds noise to each row in place.  The batch is all-fixed when
     every norm is 0 and then every row is 0: the norms are the cheap test,
     and the rows confirm it, because the norm of a nonzero row can
-    underflow to 0.
+    underflow to 0.  A point T_k x of another shape than x raises UsageError.
     """
     ks = np.asarray(ks).tolist()
     steps = np.empty((len(ks), x.shape[0]))
@@ -330,7 +330,10 @@ def _member_steps(ks, x: np.ndarray, project: Callable[[int], np.ndarray]):
             steps[i] = steps[j]
             norms[i] = norms[j]
             continue
-        d = np.subtract(project(k), x, out=steps[i])
+        p = project(k)
+        if np.shape(p) != x.shape:   # would broadcast into the row, or fail inside numpy
+            raise UsageError(f"member {k} maps a point of shape {x.shape} to {np.shape(p)}")
+        d = np.subtract(p, x, out=steps[i])
         norms[i] = math.sqrt(float(d @ d))
     if not norms.any() and not steps.any():
         return None

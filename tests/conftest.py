@@ -2,18 +2,23 @@
 
 The oracles here deliberately avoid the library's own code paths: distance
 to an intersection of half-spaces comes from Dykstra's alternating scheme,
-the reference block update is a straight-line transcription kept free
-of the solver's bookkeeping, and relaxation draws are transcribed one
-``rng.random()`` at a time rather than taken from the solvers' chunks.
+relaxation draws are transcribed one ``rng.random()`` at a time rather than
+taken from the solvers' chunks, and ``replay_block`` is the block iteration
+as the paper states it, every iteration in full: the one reference that
+every block replay test compares ``run_block`` against.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+from stochfeas import fixedpoint
 from stochfeas import relaxation as rx
-from stochfeas.operators import OperatorFamily, halfspace_projector
+from stochfeas.block import UNIFORM_OVER_BATCH, BlockIterationRecord
+from stochfeas.operators import OperatorFamily, halfspace_projector, sample_indices
+from stochfeas.rngstreams import substream
 
 
 def halfspace_proj_oracle(a, b, x):
@@ -96,19 +101,68 @@ def force_indices(monkeypatch, family, ks):
     monkeypatch.setattr(family, "draws", lambda rng, m=None: itertools.repeat(chunk))
 
 
-def reference_block_step(x, ps, beta, lam):
-    """Straight-line transcription of one extrapolated block update."""
-    x = np.asarray(x, dtype=float)
-    diffs = [p - x for p in ps]
-    p_bar = sum(b * p for b, p in zip(beta, ps))
-    num = sum(b * (d @ d) for b, d in zip(beta, diffs))
-    den = (p_bar - x) @ (p_bar - x)
-    if den == 0.0:
-        L = (num + 1.0) / 1.0
-    else:
-        L = num / den
-    a = x + L * (p_bar - x)
-    return x + lam * (a - x), L
+def replay_block(family, cfg, x0, reference=None, evaluate=None):
+    """The block iteration of ``cfg`` from ``x0``, every iteration in full:
+    no no-op shortcut, screen or stretch.  Draws are scalar, one index per
+    member.  The rows T_k x - x come from ``evaluate(k, x)`` one member at a
+    time if given, else from the family's whole-batch ``evaluate`` (M fresh
+    zero rows for an all-fixed batch) with the run state when the run adds
+    no errors.  Returns the final point, the trace and every record."""
+    m = cfg.batch_size
+    idx_rng, lam_rng, err_rng = (substream(cfg.seed, s) for s in ("index", "relaxation", "noise"))
+    errors = cfg.error_schedule
+    state = family.run_state(x0) if errors is None and evaluate is None else None
+    records = []
+
+    def step(n, x, want):
+        ks = [sample_indices(family, idx_rng, 1).item() for _ in range(m)]
+        lam = scalar_relaxation(cfg.relaxation, lam_rng)
+        if evaluate is not None:
+            rows = np.array([evaluate(k, x) for k in ks])
+            out = rows, np.array([math.sqrt(float(d @ d)) for d in rows])
+        else:
+            out = family.evaluate(ks, x) if state is None else family.evaluate(ks, x, state)
+        rows, r = (np.zeros((m, x.size)), np.zeros(m)) if out is None else out
+        if errors is not None:
+            for d in rows:
+                d += errors.sample(n, x.size, err_rng)
+            r = np.array([math.sqrt(float(d @ d)) for d in rows])
+        # weights: 1/M each, or delta on each near-max index plus an even share of the rest
+        if cfg.weight_rule == UNIFORM_OVER_BATCH:
+            beta = np.full(m, 1.0 / m)
+        else:
+            ties = r >= float(r.max()) * (1.0 - 1e-12)
+            beta = np.full(m, (1.0 - cfg.delta * int(ties.sum())) / m)
+            beta[ties] += cfg.delta
+        d = beta @ rows   # p - x
+        pmx = math.sqrt(float(d @ d))
+        # L = (sum_i beta_i r_i^2 + [p = x]) / (||p - x||^2 + [p = x]), or 1 with errors
+        indicator = 1.0 if pmx == 0.0 else 0.0
+        L = 1.0 if errors else (float(beta @ (r * r)) + indicator) / (pmx * pmx + indicator)
+        a = x + L * d
+        x_next = x + lam * (a - x)
+        if state is not None and out is not None:
+            state.advance((lam * L) * beta, x_next)
+        records.append(BlockIterationRecord(n, tuple(ks), beta, x + d, L, a, lam))
+        return x_next, float(r.max()), lam, L
+
+    # x0 as given, not + 0.0: a -0.0 coordinate meets the full arithmetic; and
+    # every step returns a new array, so the loop needs no stretches
+    x, trace = fixedpoint._iterate(step, x0, cfg.max_iters, cfg.atol, cfg.record_every,
+                                   patience=cfg.stop_patience, reference=reference)
+    return x, trace, records
+
+
+def assert_same_run(res, final, trace, records=None):
+    """``run_block``'s result equals a replay's bit for bit: the final point,
+    the trace but its ``elapsed_s`` column and, when given, every record."""
+    assert res.final.tobytes() == final.tobytes() and res.trace.footer == trace.footer
+    assert {**res.trace.columns, "elapsed_s": None} == {**trace.columns, "elapsed_s": None}
+    if records is not None:
+        def bits(rec):
+            return (rec.iteration, rec.indices, rec.extrapolation, rec.lam,
+                    rec.weights.tobytes(), rec.p.tobytes(), rec.a.tobytes())
+        assert list(map(bits, res.records)) == list(map(bits, records))
 
 
 @pytest.fixture

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -24,13 +22,13 @@ from stochfeas.operators import OperatorFamily, halfspace_projector, sample_indi
 from stochfeas.rngstreams import substream
 
 from conftest import (
+    assert_same_run,
     dykstra_distance,
     force_indices,
     halfspace_proj_oracle,
     random_halfspace_problem,
-    reference_block_step,
+    replay_block,
     sample_solution_points,
-    scalar_relaxation,
 )
 
 
@@ -133,17 +131,8 @@ class TestRunBlock:
         cfg = BlockConfig(batch_size=3, delta=0.2, relaxation=rx.TwoPoint(2.3, 0.5, 1.5),
                           max_iters=40, seed=99, atol=0.0)
         res = run_block(family, cfg, np.zeros(6))
-
-        # replay with the same substreams and the straight-line step
-        idx_rng = substream(99, "index")
-        lam_rng = substream(99, "relaxation")
-        x = np.zeros(6)
-        for n in range(40):
-            ks = [sample_indices(family, idx_rng, 1).item() for _ in range(3)]
-            ps = [halfspace_proj_oracle(normals[k], offsets[k], x) for k in ks]
-            beta = np.full(3, 1.0 / 3.0)
-            lam = scalar_relaxation(cfg.relaxation, lam_rng)
-            x, L = reference_block_step(x, ps, beta, lam)
+        x, _, _ = replay_block(family, cfg, np.zeros(6), evaluate=lambda k, x: (
+            halfspace_proj_oracle(normals[k], offsets[k], x) - x))
         np.testing.assert_allclose(res.final, x, rtol=1e-12, atol=1e-12)
 
     def test_example1_reduction_single_projection(self, rng):
@@ -219,15 +208,9 @@ class TestRunBlock:
         cfg = BlockConfig(batch_size=3, delta=0.2, relaxation=rx.Constant(1.0),
                           max_iters=200, seed=6, atol=0.0, collect_records=True)
         res = run_block(family, cfg, np.zeros(10))
-        assert res.records is not None and len(res.records) == 200
-        # convexity: sum_i beta_i ||p_i - x||^2 >= ||p - x||^2, via records
-        x = np.zeros(10)
-        for rec in res.records:
-            if rec.extrapolation > 0:
-                # L = num/den >= 1 encodes exactly the convexity inequality
-                assert rec.extrapolation >= 1.0 - 1e-12
-            x = x + rec.lam * (rec.a - x)
-        np.testing.assert_allclose(x, res.final, rtol=1e-12, atol=1e-14)
+        assert_same_run(res, *replay_block(family, cfg, np.zeros(10)))
+        # convexity: sum_i beta_i ||p_i - x||^2 >= ||p - x||^2 is exactly L >= 1
+        assert min(rec.extrapolation for rec in res.records) >= 1.0 - 1e-12
 
     def test_determinism_bitwise(self, rng):
         normals, offsets, family, center, margin = random_halfspace_problem(rng)
@@ -277,31 +260,37 @@ class TestRunBlock:
             run_block(two_halfspace_family(), cfg, [1.0, 1.0], **{point: value})
 
 
+    @pytest.mark.parametrize("length", [1, 4])
+    def test_member_point_of_another_length_is_a_usage_error(self, length):
+        # a length-1 point would broadcast into the row, a length-4 one fail inside numpy
+        family = OperatorFamily([lambda x: np.full(length, 5.0)])
+        cfg = BlockConfig(batch_size=1, delta=0.5, relaxation=rx.Constant(1.0),
+                          max_iters=5, seed=0)
+        with pytest.raises(UsageError, match=rf"shape \(3,\) to \({length},\)"):
+            run_block(family, cfg, np.zeros(3))
+
+
 class TestNoOpIterations:
     """An iteration whose drawn steps are all zero returns x itself; the
-    same run with records takes the full arithmetic on every iteration."""
+    replay takes the full arithmetic on every iteration."""
 
     @staticmethod
-    def both_paths(family, x0, **fields):
+    def both_paths(family, x0):
         cfg = BlockConfig(batch_size=1, delta=0.5, relaxation=rx.Constant(1.5),
-                          max_iters=6, seed=4, atol=0.0, **fields)
-        plain = run_block(family, cfg, x0)
-        full = run_block(family, replace(cfg, collect_records=True), x0)
-        return plain, full
+                          max_iters=6, seed=4, atol=0.0, collect_records=True)
+        res = run_block(family, cfg, x0)
+        assert_same_run(res, *replay_block(family, cfg, x0))
+        return res
 
     @pytest.mark.parametrize("x0", [[-0.0, -1.0], [-0.0, 1.0]], ids=["all-noop", "mixed"])
     def test_negative_zero_x0_matches_full_path(self, x0):
-        plain, full = self.both_paths(two_halfspace_family(), np.array(x0))
-        assert plain.final.tobytes() == full.final.tobytes()
-        assert not np.signbit(plain.final[0])
-        assert plain.trace.columns["residual"] == full.trace.columns["residual"]
+        res = self.both_paths(two_halfspace_family(), np.array(x0))
+        assert not np.signbit(res.final[0])
 
     def test_nonzero_step_with_underflowing_norm_is_applied(self):
         # ||d||^2 = 1e-400 underflows, so the norm reads 0 while the row does not
         family = OperatorFamily([lambda x: x + np.array([1e-200, 0.0])])
-        plain, full = self.both_paths(family, np.zeros(2))
-        assert plain.final[0] > 0.0
-        assert plain.final.tobytes() == full.final.tobytes()
+        assert self.both_paths(family, np.zeros(2)).final[0] > 0.0
 
     def test_noop_iteration_zero_beyond_divergence_limit_raises(self):
         # (-1e13, -1e13) lies in both half-spaces, so iteration 0 leaves x0 as is
@@ -368,8 +357,9 @@ class TestConfigValidation:
         (dict(error_schedule=DecayingNoise(0.1, 1.0)), "summability certificate"),
         (dict(delta=0.5), r"delta in \]0, 1/M\[ violated"),
         (dict(delta=0.0), r"delta in \]0, 1/M\[ violated"),
+        (dict(atol=float("nan")), "atol must be a number"),
     ], ids=["damping-zero", "damping-negative", "error-tolerant-damping",
-            "error-tolerant-sup-2", "errors-not-summable", "delta-1/M", "delta-0"])
+            "error-tolerant-sup-2", "errors-not-summable", "delta-1/M", "delta-0", "atol-nan"])
     def test_violation_names_hypothesis_at_construction(self, kwargs, hypothesis):
         kwargs = {"relaxation": rx.Constant(1.0), "delta": 0.3, **kwargs}
         with pytest.raises(ConfigurationError, match=hypothesis):
@@ -384,11 +374,8 @@ def test_records_correct_with_simultaneous_fejer_points(rng):
     cfg = BlockConfig(batch_size=3, delta=0.2, relaxation=rx.Constant(1.0),
                       max_iters=50, seed=61, atol=0.0, collect_records=True)
     with_audit = run_block(family, cfg, np.zeros(10), fejer_points=zs)
-    without = run_block(family, cfg, np.zeros(10))
     assert with_audit.fejer_violations == 0
-    for ra, rb in zip(with_audit.records, without.records):
-        np.testing.assert_array_equal(ra.p, rb.p)
-        np.testing.assert_array_equal(ra.a, rb.a)
+    assert_same_run(with_audit, *replay_block(family, cfg, np.zeros(10)))
 
 
 from hypothesis import given, settings

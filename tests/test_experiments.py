@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from stochfeas import block, experiments, fixedpoint
 from stochfeas import relaxation as rx
 from stochfeas.block import BlockConfig, run_block
-from stochfeas.diagnostics import ratio_db
 from stochfeas.exceptions import (
     DegenerateConstraintError,
     NumericError,
@@ -37,19 +37,13 @@ from stochfeas.operators import (
 )
 from stochfeas.rngstreams import substream
 
-from conftest import reference_block_step, scalar_relaxation
-
-
-def rows_of(family, ks, x):
-    """The steps of one ``evaluate`` call; an all-fixed batch (None) reads as
-    M exact zero rows."""
-    out = family.evaluate(ks, x)
-    return np.zeros((len(ks), np.size(x))) if out is None else out[0]
+from conftest import assert_same_run, replay_block
 
 
 def step_of(family, k, x):
     """The step T_k x - x of one member, from a one-index ``evaluate`` call."""
-    return rows_of(family, [k], x)[0]
+    out = family.evaluate([k], x)
+    return np.zeros(np.size(x)) if out is None else out[0][0]
 
 
 def count_fft2(monkeypatch):
@@ -205,14 +199,7 @@ class TestSignalProblem:
         cfg = BlockConfig(batch_size=4, delta=0.1, relaxation=rx.TwoPoint(2.3, 0.5, 1.5),
                           max_iters=60, seed=21, atol=0.0)
         res = run_block(family, cfg, np.zeros(48))
-        idx_rng = substream(21, "index")
-        lam_rng = substream(21, "relaxation")
-        x = np.zeros(48)
-        for n in range(60):
-            ks = [sample_indices(family, idx_rng, 1).item() for _ in range(4)]
-            ps = [x + step_of(family, k, x) for k in ks]
-            x, _ = reference_block_step(x, ps, np.full(4, 0.25),
-                                        scalar_relaxation(cfg.relaxation, lam_rng))
+        x, _, _ = replay_block(family, cfg, np.zeros(48), evaluate=partial(step_of, family))
         np.testing.assert_allclose(res.final, x, rtol=1e-12, atol=1e-12 * np.abs(x).max())
 
     def test_clearance_radii_keep_every_member_fixed(self):
@@ -513,20 +500,9 @@ class TestImageFamilyEvaluate:
         cfg = BlockConfig(batch_size=3, delta=0.1, relaxation=rx.UniformInterval(0.5, 1.5),
                           max_iters=30, seed=17, atol=0.0, error_schedule=schedule)
         res = run_block(fam, cfg, np.zeros(prob.dim))
-        idx_rng = substream(17, "index")
-        noise_rng = substream(17, "noise")
-        lam_rng = substream(17, "relaxation")
-        x = np.zeros(prob.dim)
-        residuals = []
-        for n in range(30):
-            ks = [sample_indices(fam, idx_rng, 1).item() for _ in range(3)]
-            steps = np.array([step_of(fam, k, x) + schedule.sample(n, prob.dim, noise_rng)
-                              for k in ks])
-            residuals.append(max(math.sqrt(float(d @ d)) for d in steps))
-            a = x + np.full(3, 1.0 / 3.0) @ steps
-            x = x + scalar_relaxation(cfg.relaxation, lam_rng) * (a - x)
-        assert np.array_equal(res.final, x)
-        assert np.array_equal(res.trace.residuals(), residuals)
+        final, trace, _ = replay_block(fam, cfg, np.zeros(prob.dim),
+                                       evaluate=partial(step_of, fam))
+        assert_same_run(res, final, trace)
 
 
 class TestSpectralState:
@@ -638,9 +614,16 @@ class TestSpectralState:
 
 
 class TestNoOpIterations:
-    @pytest.mark.parametrize("kind, m, label, record_every", [
-        ("signal", 1, "twopoint", 1), ("signal", 16, "const1.9", 3), ("image", 2, "uniform", 2)])
-    def test_records_take_the_full_path_bit_equal(self, kind, m, label, record_every):
+    @pytest.mark.parametrize("kind, m, delta, rule, label, record_every", [
+        ("signal", 1, 0.5, block.UNIFORM_OVER_BATCH, "twopoint", 1),
+        ("signal", 16, 1 / 32, block.UNIFORM_OVER_BATCH, "const1.9", 3),
+        # the weights of M zero residuals are not 1/M in the last bit here
+        ("signal", 3, 0.15, block.MAX_RESIDUAL_CONCENTRATED, "uniform", 1),
+        ("image", 2, 0.25, block.UNIFORM_OVER_BATCH, "uniform", 2),
+    ], ids=["signal-1", "signal-16", "concentrated-3", "image-2"])
+    def test_records_and_traces_equal_the_full_replay(self, kind, m, delta, rule, label,
+                                                      record_every):
+        # run_block takes its no-op shortcut, screen and stretches; the replay does not
         if kind == "signal":
             prob = experiments.desk_signal_problem(seed=3)
             fam = prob.build_family()
@@ -648,27 +631,19 @@ class TestNoOpIterations:
             prob = experiments.desk_image_problem(seed=3)
             fam = prob.build_family(fourier_weight=experiments.DESK_IMAGE_FOURIER_WEIGHT)
         truth = np.ravel(prob.ground_truth)
-        cfg = BlockConfig(batch_size=m, delta=0.5 / m, relaxation=canonical_strategies()[label],
+        x0 = np.zeros(truth.size)
+        cfg = BlockConfig(batch_size=m, delta=delta, weight_rule=rule,
+                          relaxation=canonical_strategies()[label],
                           max_iters=300 if kind == "signal" else 100, seed=5, atol=0.0,
                           record_every=record_every)
-        plain = run_block(fam, cfg, np.zeros(truth.size), reference_solution=truth)
-        full = run_block(fam, replace(cfg, collect_records=True), np.zeros(truth.size),
-                         reference_solution=truth)
-        assert len(full.records) == cfg.max_iters   # one record per iteration, no-ops too
+        plain = run_block(fam, cfg, x0, reference_solution=truth)
+        observed = run_block(fam, replace(cfg, collect_records=True), x0,
+                             reference_solution=truth)
+        final, trace, records = replay_block(fam, cfg, x0, reference=truth)
         residuals = plain.trace.residuals()
         assert np.any(residuals == 0.0) and np.any(residuals > 0.0)
-        assert plain.final.tobytes() == full.final.tobytes()
-        for name, column in plain.trace.columns.items():
-            if name != "elapsed_s":
-                assert column == full.trace.columns[name], name
-        # the dB cells of no-op rows are reused, so replay x_n from the records
-        xs = [np.zeros(truth.size)]
-        for rec in full.records:
-            xs.append(xs[-1] + rec.lam * (rec.a - xs[-1]))
-        assert xs[-1].tobytes() == plain.final.tobytes()
-        dist = [math.sqrt(float((x - truth) @ (x - truth))) for x in xs]
-        assert plain.trace.columns["norm_err_db"] == [
-            ratio_db(dist[n], dist[0]) for n in plain.trace.columns["iter"]]
+        assert_same_run(plain, final, trace)
+        assert_same_run(observed, final, trace, records)
 
     @staticmethod
     def observed_run(monkeypatch, fam, cfg, x0, truth):
@@ -681,10 +656,10 @@ class TestNoOpIterations:
                 steps.append(n)
                 return step(n, x, want)
 
-            def counted_skip(x, limit):
-                lams = skip(x, limit)
+            def counted_skip(n, x, limit):
+                lams = skip(n, x, limit)
                 if lams:
-                    stretches.append((steps[-1] + 1, len(lams), limit))
+                    stretches.append((n + 1, len(lams), limit))
                 return lams
 
             return fixedpoint._iterate(counted_step, *args,
@@ -697,8 +672,8 @@ class TestNoOpIterations:
 
     @pytest.mark.parametrize("m", [1, 4, 16])
     def test_screened_runs_equal_the_full_path(self, monkeypatch, m):
-        # a run that collects records takes the full path, with no screen and
-        # no stretch
+        # runs that collect records take the screen and the stretches too;
+        # the replay takes neither
         prob = experiments.desk_signal_problem(seed=3)
         fam = prob.build_family()
         moved = []
@@ -713,7 +688,7 @@ class TestNoOpIterations:
         x0 = np.zeros(prob.n)
         recording = BlockConfig(batch_size=m, delta=0.5 / m,
                                 relaxation=rx.UniformInterval(1.5, 2.3),
-                                max_iters=400, seed=5, atol=0.0)
+                                max_iters=400, seed=5, atol=0.0, collect_records=True)
         _, _, stretches = self.observed_run(monkeypatch, fam, recording, x0, prob.ground_truth)
         # a budget whose last iteration falls inside the longest stretch of the full budget
         start, length, _ = max(stretches, key=lambda s: s[1])
@@ -733,17 +708,12 @@ class TestNoOpIterations:
             skipped = sum(length for _, length, _ in stretches)
             assert len(steps) + skipped == iterations, case
             moved.clear()
-            full = run_block(fam, replace(cfg, collect_records=True), x0,
-                             reference_solution=truth)
+            final, trace, records = replay_block(fam, cfg, x0, reference=truth)
             assert len(moved) == iterations, case
             noops = iterations - sum(moved)
             assert skipped > noops / 2, case   # and the stretches most no-op iterations
-            assert full.trace.footer["stop_reason"] == ("atol" if cfg.atol > 0.0 else "max_iters")
-            assert screened.final.tobytes() == full.final.tobytes(), case
-            assert screened.trace.footer == full.trace.footer, case
-            for name, column in screened.trace.columns.items():
-                if name != "elapsed_s":
-                    assert column == full.trace.columns[name], (case, name)
+            assert trace.footer["stop_reason"] == ("atol" if cfg.atol > 0.0 else "max_iters")
+            assert_same_run(screened, final, trace, records)
             # the last iteration and the stop iteration are steps, never in a stretch
             assert steps[-1] == iterations - 1, case
             if case == "budget_in_stretch":
@@ -756,51 +726,39 @@ class TestNoOpIterations:
                 assert length == limit and first + length == iterations - 1
                 assert steps[-2] == first - 1 > iterations - 1 - cfg.stop_patience
 
+    @staticmethod
+    def held(fam, x0, records):
+        """Whether each replayed batch held its x_n, x_n replayed from the records."""
+        x, out = x0, []
+        for rec in records:
+            out.append(fam.evaluate(rec.indices, x) is None)
+            x = x + rec.lam * (rec.a - x)
+        return out
+
     def test_all_held_batch_gives_fresh_zero_rows(self):
         # every slab holds the truth with a margin of 0.4 eta, far above this
         # noise, so every batch of the run is all-fixed; the run adds its
         # noise to the zero rows in place, so they must be fresh each time
         prob = experiments.desk_signal_problem(seed=3)
         fam = prob.build_family()
-        schedule = DecayingNoise(c=1e-6, q=1.5)
         cfg = BlockConfig(batch_size=4, delta=0.1, relaxation=rx.UniformInterval(0.5, 1.5),
-                          max_iters=10, seed=9, atol=0.0, error_schedule=schedule)
-        res = run_block(fam, cfg, prob.ground_truth)
-        idx_rng = substream(9, "index")
-        noise_rng = substream(9, "noise")
-        lam_rng = substream(9, "relaxation")
-        x = prob.ground_truth.copy()
-        for n in range(10):
-            assert fam.evaluate(sample_indices(fam, idx_rng, 4), x) is None
-            steps = np.array([schedule.sample(n, prob.n, noise_rng) for _ in range(4)])
-            a = x + np.full(4, 0.25) @ steps
-            x = x + scalar_relaxation(cfg.relaxation, lam_rng) * (a - x)
-        assert np.array_equal(res.final, x)
+                          max_iters=10, seed=9, atol=0.0,
+                          error_schedule=DecayingNoise(c=1e-6, q=1.5), collect_records=True)
+        final, trace, records = replay_block(fam, cfg, prob.ground_truth)
+        assert_same_run(run_block(fam, cfg, prob.ground_truth), final, trace, records)
+        assert all(self.held(fam, prob.ground_truth, records))
 
     def test_error_tolerant_signal_run_matches_replay(self):
         # batched and one-row evaluations differ in the last bit, so the
-        # replay evaluates whole batches and only redoes the update
+        # replay evaluates whole batches
         prob = experiments.desk_signal_problem(seed=3)
         fam = prob.build_family()
-        schedule = DecayingNoise(c=0.5, q=1.5)
         cfg = BlockConfig(batch_size=4, delta=0.1, relaxation=rx.UniformInterval(0.5, 1.5),
-                          max_iters=40, seed=9, atol=0.0, error_schedule=schedule)
-        res = run_block(fam, cfg, np.zeros(prob.n))
-        idx_rng = substream(9, "index")
-        noise_rng = substream(9, "noise")
-        lam_rng = substream(9, "relaxation")
-        x = np.zeros(prob.n)
-        residuals, held = [], 0
-        for n in range(40):
-            steps = rows_of(fam, sample_indices(fam, idx_rng, 4), x)
-            held += not steps.any()
-            steps = steps + [schedule.sample(n, prob.n, noise_rng) for _ in range(4)]
-            residuals.append(max(math.sqrt(float(d @ d)) for d in steps))
-            a = x + np.full(4, 0.25) @ steps
-            x = x + scalar_relaxation(cfg.relaxation, lam_rng) * (a - x)
-        assert np.array_equal(res.final, x)
-        assert np.array_equal(res.trace.residuals(), residuals)
-        assert held > 0   # some batches held x before their noise
+                          max_iters=40, seed=9, atol=0.0,
+                          error_schedule=DecayingNoise(c=0.5, q=1.5), collect_records=True)
+        final, trace, records = replay_block(fam, cfg, np.zeros(prob.n))
+        assert_same_run(run_block(fam, cfg, np.zeros(prob.n)), final, trace, records)
+        assert any(self.held(fam, np.zeros(prob.n), records))   # some held x before noise
 
 
 class TestRunExperiment:
@@ -853,6 +811,22 @@ class TestRunExperiment:
         assert result.averaged.db_column() is None
         assert result.averaged.column("db_min") is None
         assert result.averaged.column("db_max") is None
+
+    def test_reference_pass_collects_no_records(self, monkeypatch):
+        prob = generate_signal_problem(n=64, p=3, seed=10)
+        cfg = BlockConfig(batch_size=4, delta=0.1, relaxation=rx.Constant(1.0),
+                          max_iters=60, seed=10, collect_records=True)
+        passes = []
+
+        def recorded(*args, **kwargs):
+            passes.append(run_block(*args, **kwargs))
+            return passes[-1]
+
+        monkeypatch.setattr(experiments, "run_block", recorded)
+        result = run_experiment(prob, prob.build_family(), cfg, "const1")
+        reference_pass, recording_pass = passes
+        assert reference_pass.records is None
+        assert recording_pass is result.results[0] and len(recording_pass.records) == 60
 
     @pytest.mark.parametrize("max_iters, record_every, stops_early",
                              [(60, 1, False), (400, 7, True)])

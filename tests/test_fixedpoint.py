@@ -67,8 +67,9 @@ class TestKm:
         (dict(alpha=1.5), r"alpha in \]0, 1\]"),
         (dict(alpha=float("nan")), r"alpha in \]0, 1\]"),
         (dict(error_schedule=DecayingNoise(1.0, 1.0)), "summability certificate"),
+        (dict(atol=float("nan")), "atol must be a number"),
     ], ids=["mu-sup-1", "mu-sup-1/alpha", "alpha-0", "alpha-above-1", "alpha-nan",
-            "errors-not-summable"])
+            "errors-not-summable", "atol-nan"])
     def test_violation_names_hypothesis_at_construction(self, kwargs, hypothesis):
         kwargs = {"mu_strategy": rx.Constant(0.5), **kwargs}
         with pytest.raises(ConfigurationError, match=hypothesis):
@@ -113,6 +114,12 @@ class TestKm:
         cfg = KmConfig(rx.Constant(0.9, cap=2.0), max_iters=500, seed=0, atol=0.0)
         with pytest.raises(NumericError):
             run_km(lambda x: 3.0 * x, cfg, [1.0, 1.0])  # expansive map blows up
+
+    def test_wrong_length_point_of_T_is_a_usage_error(self):
+        # x + mu (T x - x) would broadcast x0 = [0] to length 2
+        cfg = KmConfig(rx.Constant(0.5), max_iters=5, seed=0)
+        with pytest.raises(UsageError, match=r"step 0 and x0: \(2,\) vs \(1,\)"):
+            run_km(lambda x: np.ones(2), cfg, np.zeros(1))
 
 
 class TestKmAveraged:
@@ -214,6 +221,15 @@ class TestSgd:
         res = trace.residuals()
         assert res[-1] < 0.05
         assert res[-1] < res[0]
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_x0_of_another_dimension_is_a_usage_error(self, dim):
+        # from zeros(1) the gradients would broadcast x to length 8; from
+        # zeros(3) numpy would fail on the shapes
+        fam = quadratic_family(np.zeros(8), np.eye(8))
+        cfg = SgdConfig(beta=1.0, nu=0.75, max_iters=5, seed=0, gradient_family=fam)
+        with pytest.raises(UsageError, match=rf"quadratic family: \({dim},\) vs \(8,\)"):
+            run_sgd(cfg, np.zeros(dim))
 
     def test_determinism(self):
         fam = quadratic_family(np.zeros(3), np.array([[0.1, 0, 0], [-0.1, 0, 0]]))
