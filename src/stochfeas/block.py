@@ -19,7 +19,8 @@ so L = 1 and a = x).  The family reports such a batch, so the iteration
 neither builds nor scans zero rows: it consumes its relaxation draw and
 skips the arithmetic of steps 3-5 (the error-tolerant variant runs them on
 M fresh zero rows, which take its noise).  Its record needs none either:
-p = a = x, L = 1, the drawn lam and the weights of M zero residuals.
+p = a = x, L = 1, the drawn lam and the weights of M zero residuals, which
+the run checks once rather than on every such record.
 
 Without errors, a family with a ``clearance`` lets the
 iteration skip ``evaluate`` as well.  The run keeps an anchor z, the radii
@@ -48,10 +49,13 @@ no-op record.  A stretch consumes the same draws as its iterations would
 one at a time, so seeded outputs are the same bits as without it.
 
 Without errors, a family with a ``run_state`` (the image family keeps
-X = fft2(x) this way) gets its state with every ``evaluate`` call, and the
-run advances it after each update by an evaluated batch, with the
-coefficients lam L beta_i it applied to the rows in space; no-op
-iterations leave it alone.
+X = fft2(x) this way) gets its state with every ``evaluate`` call, which
+then returns the residuals and keeps the steps: the run asks the state for
+p - x given the weights (the image state combines its members' step
+spectra and takes one inverse transform), and after the update advances it
+by the coefficient lam L it applied to p - x; no-op iterations leave it
+alone.  A run with errors adds its noise to the rows, so it takes them
+from a bare ``evaluate``.
 
 The error-tolerant variant skips the extrapolation (a = p) and requires
 relaxations supported inside ]0, 2[.  Indices, errors and relaxations each
@@ -254,10 +258,16 @@ def run_block(
     noop_r = np.zeros(m)
     noop_beta = compute_weights(noop_r, cfg.delta, cfg.weight_rule)
     uniform = cfg.weight_rule == UNIFORM_OVER_BATCH
+    if records is not None:
+        # every no-op record holds these weights and L = 1: one check covers them all
+        BlockIterationRecord(-1, (), noop_beta, x0, 1.0, x0, 1.0).validate(cfg.delta, noop_r)
 
-    def record(n, ks, beta, p, extrap, a, lam, r):
+    def record(n, ks, beta, p, extrap, a, lam, r=None):
+        """Append the record of iteration n, validated against the residuals
+        ``r``; a no-op record passes none, its check was made once."""
         rec = BlockIterationRecord(n, tuple(ks.tolist()), beta, p, extrap, a, lam)
-        rec.validate(cfg.delta, r)
+        if r is not None:
+            rec.validate(cfg.delta, r)
         records.append(rec)
 
     clearance = family.clearance if noise_rng is None else None
@@ -283,7 +293,7 @@ def run_block(
                 distance, seen = math.sqrt(float(d.dot(d))), x
             if radii[ks].min() > distance:   # every drawn member fixes x
                 if records is not None:
-                    record(n, ks, noop_beta, x, 1.0, x, lam, noop_r)
+                    record(n, ks, noop_beta, x, 1.0, x, lam)
                 return x, 0.0, lam, 1.0
         # the averaged point enters only through p - x; working with the
         # steps directly keeps the indicator branch [p = x] exact when every
@@ -296,7 +306,7 @@ def run_block(
                 anchor = seen = x
                 radii, distance = clearance(x), 0.0
             if records is not None:
-                record(n, ks, noop_beta, x, 1.0, x, lam, noop_r)
+                record(n, ks, noop_beta, x, 1.0, x, lam)
             return x, 0.0, lam, 1.0
         else:
             # fresh arrays: the error-tolerant variant adds noise to the rows in place
@@ -306,7 +316,7 @@ def run_block(
                 d += cfg.error_schedule.sample(n, x.shape[0], noise_rng)
             r = np.array([math.sqrt(float(d @ d)) for d in steps])
         beta = noop_beta if uniform else compute_weights(r, cfg.delta, cfg.weight_rule)
-        avg_step = beta @ steps
+        avg_step = beta @ steps if state is None else state.step(beta)
         pmx = math.sqrt(float(avg_step.dot(avg_step)))
         if cfg.error_schedule is None:
             extrap = _extrapolation(r, beta, pmx)
@@ -320,7 +330,7 @@ def run_block(
             a = x + avg_step
         x_next = x + lam * (a - x)
         if state is not None:
-            state.advance((lam * extrap) * beta, x_next)
+            state.advance(lam * extrap, x_next)
         if zs:
             count, deficit = audit_fejer_step(x, x_next, lam, x - a, zs)
             violations += count
@@ -348,7 +358,7 @@ def run_block(
         if records is not None:
             for i in range(j):
                 record(n + 1 + i, ks_chunk[ks_at + i], noop_beta, x, 1.0, x,
-                       lam_chunk[lam_at + i], noop_r)
+                       lam_chunk[lam_at + i])
         ks_at += j
         lam_at += j
         return lam_chunk[lam_at - j:lam_at]

@@ -19,19 +19,22 @@ the true image with 95% confidence (generation records whether it actually
 does on this noise draw).
 
 A block run over the image family keeps the spectrum X ~ fft2(x) beside x
-(``_SpectralState``).  Every member's step is linear in X, or for the box
-cheap to transform, so the run advances X by the same combination of step
-spectra as x, and an iteration needs no forward transform unless the box
-moves x.  The two copies round differently and drift apart.  The resync
-rule is fixed: every 1024 evaluated updates, X is recomputed as fft2(x).
-Measured over 12 runs of 20,000 iterations (the four strategies at
-criterion 8's configuration and on two more instances), the drift
+(``_SpectralState``).  The steps of the balls and the Fourier member are
+linear in X, so the state combines them in the frequency domain and an
+evaluated iteration takes one inverse transform for p - x, and no forward
+transform unless the box moves x.  The run advances X by the same
+combination as x.  The two copies round differently and drift apart.  The
+resync rule is fixed: every 1024 evaluated updates, X is recomputed as
+fft2(x).  Measured over 12 runs of 20,000 iterations (the four strategies
+at criterion 8's configuration and on two more instances), the drift
 max|X - fft2(x)| stayed within 3.4e-15 of max|fft2(x)| with this rule.
 Without any resync it reached 7.3e-15, and its norm relative to
 ||fft2(x)|| kept growing, to 2e-14 after 17,000 updates.  The tests hold
-the drift to 1e-14.  The schedule counts only evaluated updates, so it is
-a function of the iterate sequence: passes that replay the same draws,
-with or without records, keep the same X.
+the drift to 1e-14, and each resync checks it against 1e-12, 300 times
+the measured worst, so that a corrupted X raises NumericError there.  The
+schedule counts only evaluated updates, so it is a function of the
+iterate sequence: passes that replay the same draws, with or without
+records, keep the same X.
 
 Ground truths are deterministic seeded built-ins (a piecewise-polynomial
 signal, a synthetic grayscale image).  Convolution boundary handling is
@@ -49,15 +52,18 @@ import numpy as np
 from . import relaxation as rx
 from .block import BlockConfig, run_block
 from .diagnostics import AveragedTrace, aggregate_runs
-from .exceptions import ReferenceSolutionError, UsageError
+from .exceptions import NumericError, ReferenceSolutionError, UsageError
 from .geometry import as_point, require_same_dim
 from .operators import (
     _IndexedFamily,
     _fourier_from_spectrum,
     _member_steps,
+    _mirror_indices,
+    _projector_scale,
     _real_inverse,
     _subgradient_scale,
     _validate_fourier_target,
+    _violated,
     project_box,
     symmetrize_fourier_mask,
     validate_fourier_mask,
@@ -353,6 +359,13 @@ class ImageProblem:
         values = _validate_fourier_target(self.target_spectrum, mask)[mask]
         mask.flags.writeable = values.flags.writeable = False
         self._mask, self._target_values = mask, values
+        # the flat positions of the masked entries, and for each the position
+        # in that list of its mirror (-u, -v): x -> conj(x[mirror]) maps the
+        # masked values of a spectrum to those of its conjugate mirror image
+        self._mask_flat = np.flatnonzero(mask)
+        mu, mv = _mirror_indices(*mask.shape)
+        self._mask_mirror = np.searchsorted(self._mask_flat,
+                                            (mu * mask.shape[1] + mv)[mask])
         self._kernel_fft = np.fft.fft2(self.kernel)
         self._kernel_fft_conj = np.conj(self._kernel_fft)
         self._obs_fft = np.stack([np.fft.fft2(self.observations[k]) for k in range(4)])
@@ -381,29 +394,37 @@ class ImageProblem:
         """f_k(x) = ||r_k - L x||^2 - xi on flattened points (via Parseval)."""
         return self._ball_value(self._ball_residual(k, self._spectrum(self._point(x))))
 
-    def _project_ball(self, k: int, x: np.ndarray, spectrum: np.ndarray,
-                      spectra: Optional[dict] = None) -> np.ndarray:
+    def _project_ball(self, k: int, x: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
         """Subgradient projection onto ball k at a validated ``x`` whose
-        ``fft2`` is ``spectrum`` (read only).  When the ball moves x and
-        ``spectra`` is given, its step spectrum goes to ``spectra[k]``."""
+        ``fft2`` is ``spectrum`` (read only)."""
         res_hat = self._ball_residual(k, spectrum)
-        grad_hat = None
 
         def subgradient():
             # the subgradient 2 L^T (L x - r_k), fused in the frequency domain;
             # its spectrum is that of a real image, conjugate-symmetric up to
             # rounding, so the real inverse reads the first n/2 + 1 columns
-            nonlocal grad_hat
             grad_hat = self._kernel_fft_conj * res_hat
             return 2.0 * np.fft.irfft2(grad_hat[:, :self.n // 2 + 1], s=grad_hat.shape).ravel()
 
         scale, s = _subgradient_scale(x, self._ball_value(res_hat), subgradient, f"ball[{k}]")
-        if s is None:
-            return x
-        if spectra is not None:
-            grad_hat *= -2.0 * scale
-            spectra[k] = grad_hat
-        return x - scale * s
+        return x if s is None else x - scale * s
+
+    def _ball_step(self, k: int, spectrum: np.ndarray):
+        """The step of ball k's subgradient projector at the point whose
+        ``fft2`` is ``spectrum`` (read only), as its spectrum
+        -(f_k / ||s_k||^2) 2 conj(K) (K X - Y_k) and its norm f_k / ||s_k||,
+        or None when the ball holds the point.  ||s_k||^2 comes by Parseval
+        from the spectrum 2 conj(K) (K X - Y_k) of the subgradient s_k."""
+        name = f"ball[{k}]"
+        res_hat = self._ball_residual(k, spectrum)
+        fx = self._ball_value(res_hat)
+        if not _violated(fx, name):
+            return None
+        grad_hat = self._kernel_fft_conj * res_hat
+        norm_sq = 4.0 * float(np.vdot(grad_hat, grad_hat).real) / self.dim
+        scale = _projector_scale(fx, norm_sq, name)
+        grad_hat *= -2.0 * scale
+        return grad_hat, scale * math.sqrt(norm_sq)
 
     def build_family(self, fourier_weight: float = 1.0) -> _IndexedFamily:
         """Four ball subgradient projectors, the pixel box, the Fourier mask.
@@ -451,22 +472,16 @@ class _ImageFamily(_IndexedFamily):
     """The image problem's six members, with at most one forward FFT per batch.
 
     Members 0-3 are the ball subgradient projectors, 4 the pixel box and 5
-    the Fourier-support projector.  ``evaluate`` checks x once and runs the
-    per-member loop that ``OperatorFamily`` shares.  Each ball forms its
-    residual spectrum K X - Y_k from the spectrum X of x, and a bare
-    ``evaluate(ks, x)`` transforms x for it at most once, only when a ball
-    or the Fourier member is drawn; the Fourier member then overwrites a
-    copy of X on the problem's validated mask.
+    the Fourier-support projector.  A bare ``evaluate(ks, x)`` checks x
+    once and runs the per-member loop that ``OperatorFamily`` shares.  Each
+    ball forms its residual spectrum K X - Y_k from the spectrum X of x,
+    which it transforms at most once, only when a ball or the Fourier member
+    is drawn; the Fourier member then overwrites a copy of X on the
+    problem's validated mask.
 
-    A block run keeps X in a ``_SpectralState`` instead (``run_state``), so
-    that ``evaluate(ks, x, state)`` transforms nothing forward unless the box
-    moves x.  It leaves in the state the step spectrum of each drawn member
-    that moved x: -(f_k / ||s_k||^2) 2 conj(K) (K X - Y_k) for a violated
-    ball k, the masked difference target - X for the Fourier member, whose
-    row is then the inverse transform of that difference, and the forward
-    transform of the box's row.  The run advances X with the coefficients it
-    applied in space, and the state recomputes X = fft2(x) every
-    ``_RESYNC_PERIOD`` advances.
+    A block run keeps X in a ``_SpectralState`` instead (``run_state``), and
+    ``evaluate(ks, x, state)`` builds no rows: the state keeps the steps of
+    the batch and combines them when the run asks for p - x.
     """
 
     def __init__(self, problem: ImageProblem, weights=None):
@@ -475,72 +490,143 @@ class _ImageFamily(_IndexedFamily):
 
     def run_state(self, x0):
         problem = self._problem
-        return _SpectralState(problem._spectrum(problem._point(x0)))
+        return _SpectralState(problem, problem._spectrum(problem._point(x0)))
 
     def evaluate(self, ks, x, state=None):
         problem = self._problem
         x = problem._point(x)
-        spectrum = spectra = None
         if state is not None:
-            spectrum, spectra = state.spectrum, state.begin(ks)
+            return state.evaluate(ks, x)
+        spectrum = None
 
         def project(k):
             nonlocal spectrum
             if k == _BOX:
-                p = np.minimum(np.maximum(x, 0.0), PIXEL_MAX)
-                if spectra is not None:
-                    d = p - x
-                    if d.any():
-                        spectra[k] = problem._spectrum(d)
-                return p
+                return np.minimum(np.maximum(x, 0.0), PIXEL_MAX)
             if spectrum is None:
                 spectrum = problem._spectrum(x)
             if k != _FOURIER:
-                return problem._project_ball(k, x, spectrum, spectra)
-            if spectra is None:
-                return _fourier_from_spectrum(problem._target_values, problem._mask,
-                                              spectrum.copy()).ravel()
-            diff = np.zeros_like(spectrum)
-            diff[problem._mask] = problem._target_values - spectrum[problem._mask]
-            spectra[k] = diff
-            return x + _real_inverse(diff).ravel()
+                return problem._project_ball(k, x, spectrum)
+            return _fourier_from_spectrum(problem._target_values, problem._mask,
+                                          spectrum.copy()).ravel()
 
         return _member_steps(ks, x, project)
 
 
 _RESYNC_PERIOD = 1024   # evaluated updates between fresh transforms, see the module docstring
+_RESYNC_TOLERANCE = 1e-12   # largest drift max|X - fft2(x)| / max|fft2(x)| a resync accepts
 
 
 class _SpectralState:
-    """X ~ fft2(x), kept by one block run of the image family beside x."""
+    """X ~ fft2(x), kept by one block run of the image family beside x, and
+    the steps of the batch it last evaluated.
 
-    def __init__(self, spectrum: np.ndarray):
+    ``evaluate`` leaves the step spectrum D_k of each distinct drawn member
+    that moves x: -(f_k / ||s_k||^2) 2 conj(K) (K X - Y_k) for a violated
+    ball k, and the difference target - X on the mask for the Fourier
+    member, kept as its masked values; the box, which is not linear in X,
+    leaves its row p - x.  ``step(beta)`` forms S = sum_i beta_i D_{k_i}
+    over the spectral members and returns the real part of one checked
+    ``ifft2(S)`` plus the box's share of its row in space; S is Hermitian
+    only to rounding, and the real part of the full inverse is its
+    Hermitian projection, the real step each member's norm measures.
+    ``advance(c, x_next)`` then adds c S, with the box row's transform, to X.
+    """
+
+    def __init__(self, problem: ImageProblem, spectrum: np.ndarray):
         self.spectrum = spectrum
-        self._pending: dict = {}
+        self._problem = problem
+        self._balls: dict = {}   # ball k -> D_k
+        self._fourier = None     # the Fourier member's D on the mask
+        self._box = None         # the box's row
         self._ks: list = []
+        self._combined = None    # S of the last step, the box's part included
         self._advances = 0
 
-    def begin(self, ks) -> dict:
-        """Start an ``evaluate`` of the members ``ks``: the returned dict
-        takes the step spectrum of each distinct member that moves x."""
-        self._pending.clear()
-        self._ks = ks
-        return self._pending
+    def evaluate(self, ks, x):
+        """(None, r) for the members ``ks`` at x, r their step norms, with the
+        steps kept here; None when every member fixes x.  The Fourier
+        member's norm is that of the Hermitian part of its masked values,
+        the part its real step keeps."""
+        problem = self._problem
+        balls = self._balls
+        balls.clear()
+        self._fourier = self._box = None
+        self._ks = ks = np.asarray(ks).tolist()
+        r = np.empty(len(ks))
+        first = {}
+        for i, k in enumerate(ks):
+            j = first.setdefault(k, i)
+            if j < i:
+                r[i] = r[j]
+            elif k == _BOX:
+                d = np.minimum(np.maximum(x, 0.0), PIXEL_MAX)
+                d -= x
+                r[i] = math.sqrt(float(d @ d))
+                if d.any():
+                    self._box = d
+            elif k == _FOURIER:
+                diff = problem._target_values - self.spectrum.ravel()[problem._mask_flat]
+                hermitian = diff + np.conj(diff[problem._mask_mirror])
+                r[i] = 0.5 * math.sqrt(float(np.vdot(hermitian, hermitian).real) / problem.dim)
+                if diff.any():
+                    self._fourier = diff
+            else:
+                out = problem._ball_step(k, self.spectrum)
+                if out is None:
+                    r[i] = 0.0
+                else:
+                    balls[k], r[i] = out
+        if not balls and self._fourier is None and self._box is None:
+            return None
+        return None, r
 
-    def advance(self, coefficients, x_next):
-        """X += sum_i c_i D_{k_i} over the last evaluated batch, then a fresh
-        transform of ``x_next`` every ``_RESYNC_PERIOD`` advances."""
-        totals = dict.fromkeys(self._pending, 0.0)
-        for k, c in zip(np.asarray(self._ks).tolist(), coefficients.tolist()):
-            if k in totals:
-                totals[k] += c
-        for k, step in self._pending.items():
-            step *= totals[k]
-            self.spectrum += step
-        self._pending.clear()
+    def step(self, beta) -> np.ndarray:
+        """p - x = sum_i beta_i (T_{k_i} x - x) of the last evaluated batch,
+        with one checked inverse transform when a spectral member moves x;
+        once per batch, since it scales the kept step spectra in place."""
+        totals = {}
+        for k, b in zip(self._ks, beta.tolist()):
+            totals[k] = totals.get(k, 0.0) + b
+        combined = None
+        for k, spectrum in self._balls.items():
+            spectrum *= totals[k]
+            if combined is None:
+                combined = spectrum
+            else:
+                combined += spectrum
+        if self._fourier is not None:
+            if combined is None:
+                combined = np.zeros_like(self.spectrum)
+            combined.ravel()[self._problem._mask_flat] += totals[_FOURIER] * self._fourier
+        d = None if combined is None else _real_inverse(combined).ravel()
+        if self._box is not None:
+            share = totals[_BOX] * self._box
+            box = np.fft.fft2(share.reshape(self.spectrum.shape))
+            if combined is None:
+                d, combined = share, box
+            else:
+                d += share
+                combined += box
+        self._combined = combined
+        return d
+
+    def advance(self, c: float, x_next: np.ndarray):
+        """X += c S for the last step, then every ``_RESYNC_PERIOD`` advances
+        X = fft2(x_next), once the drift of X from it is checked."""
+        combined = self._combined
+        combined *= c
+        self.spectrum += combined
+        self._combined = None
         self._advances += 1
         if self._advances % _RESYNC_PERIOD == 0:
-            self.spectrum = np.fft.fft2(x_next.reshape(self.spectrum.shape))
+            fresh = np.fft.fft2(x_next.reshape(self.spectrum.shape))
+            drift = float(np.abs(self.spectrum - fresh).max())
+            scale = float(np.abs(fresh).max())
+            if not drift <= _RESYNC_TOLERANCE * scale:   # NaN fails too
+                raise NumericError(f"spectrum drifted {drift:.3e} from fft2(x), above "
+                                   f"{_RESYNC_TOLERANCE:g} of its largest entry {scale:.3e}")
+            self.spectrum = fresh
 
 
 def confidence_radius(n: int) -> float:

@@ -166,7 +166,10 @@ class GradientFamily(_IndexedFamily):
         self.variance_bound = float(variance_bound)
 
     def gradient(self, k: int, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.gradients[k](x), dtype=np.float64)
+        g = np.asarray(self.gradients[k](x), dtype=np.float64)
+        if g.shape != x.shape:   # x - gamma g would broadcast, or fail inside numpy
+            require_same_dim(g, x, f"gradient {k} and x")
+        return g
 
     def spot_check_unbiased(self, x0: np.ndarray, rng) -> None:
         """Monte-Carlo check that the sample mean gradient at x0 is within
@@ -352,7 +355,10 @@ def run_km(T, cfg: KmConfig, x0) -> tuple[np.ndarray, ConvergenceTrace]:
 
     def step(n, x, want):
         # run_km records every row, so the residual is always wanted
-        d = np.asarray(T(x), dtype=np.float64) - x
+        t = np.asarray(T(x), dtype=np.float64)
+        if t.shape != x.shape:   # T x - x would broadcast, or fail inside numpy
+            require_same_dim(t, x, f"the point T x of step {n} and x0")
+        d = t - x
         residual = math.sqrt(float(d @ d))
         if errors is not None:
             d = d + errors.sample(n, x.shape[0], noise_rng)

@@ -64,20 +64,33 @@ def _subgradient_scale(x: np.ndarray, fx: float, subgradient: Callable[[], np.nd
     """The subgradient projector at a validated ``x`` whose value f(x) = ``fx``
     is known, as (t, s) with T x = x - t s: (0.0, None) when fx <= 0, else
     t = f(x) / ||s(x)||^2.  ``subgradient()`` gives s(x) and is called only
-    when fx > 0; a NaN or infinite fx raises NumericError, because no step
-    of the projector is defined there."""
-    if fx <= 0.0:
+    when fx > 0."""
+    if not _violated(fx, name):
         return 0.0, None
-    if not math.isfinite(fx):
-        raise NumericError(f"constraint {name or '?'}: f(x) = {fx} is not finite")
     s = as_point(subgradient(), "subgradient")
     require_same_dim(s, x, "subgradient_projector")
-    norm_sq = float(s @ s)
+    return _projector_scale(fx, float(s @ s), name), s
+
+
+def _violated(fx: float, name: str) -> bool:
+    """Whether f(x) = ``fx`` > 0, so that the subgradient projector moves x;
+    a NaN or infinite fx raises NumericError, because no step of the
+    projector is defined there."""
+    if fx <= 0.0:
+        return False
+    if not math.isfinite(fx):
+        raise NumericError(f"constraint {name or '?'}: f(x) = {fx} is not finite")
+    return True
+
+
+def _projector_scale(fx: float, norm_sq: float, name: str) -> float:
+    """t = f(x) / ||s(x)||^2 of a violated constraint, from ``norm_sq`` =
+    ||s(x)||^2; a zero subgradient raises DegenerateConstraintError."""
     if norm_sq == 0.0:
         raise DegenerateConstraintError(
             f"constraint {name or '?'}: f(x) = {fx} > 0 but s(x) = 0"
         )
-    return fx / norm_sq, s
+    return fx / norm_sq
 
 
 def project_box(lo, hi, x) -> np.ndarray:
@@ -227,10 +240,13 @@ class _IndexedFamily:
 
     A family may also keep a per-run state beside the iterate: ``run_state(x0)``
     returns an object for one run, or None.  The block iteration then calls
-    ``evaluate(ks, x, state)``, and after each update by an evaluated batch
-    ``state.advance(c, x_next)``, with c_i the coefficient of row i in
-    x_next - x = sum_i c_i (T_{k_i} x - x).  The state belongs to the run:
-    the family stays immutable, and a bare ``evaluate(ks, x)`` reads none.
+    ``evaluate(ks, x, state)``, which returns None for an all-fixed batch as
+    above, or (None, r): the norms r, while the steps stay in the state.
+    The iteration asks ``state.step(beta)`` for the averaged step p - x =
+    sum_i beta_i (T_{k_i} x - x) of that batch, and after the update
+    x_next = x + c (p - x) calls ``state.advance(c, x_next)``.  The state
+    belongs to the run: the family stays immutable, and a bare
+    ``evaluate(ks, x)`` reads none and returns rows.
     """
 
     def __init__(self, count: int, weights=None):

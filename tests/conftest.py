@@ -106,8 +106,9 @@ def replay_block(family, cfg, x0, reference=None, evaluate=None):
     no no-op shortcut, screen or stretch.  Draws are scalar, one index per
     member.  The rows T_k x - x come from ``evaluate(k, x)`` one member at a
     time if given, else from the family's whole-batch ``evaluate`` (M fresh
-    zero rows for an all-fixed batch) with the run state when the run adds
-    no errors.  Returns the final point, the trace and every record."""
+    zero rows for an all-fixed batch).  When the run adds no errors, that
+    ``evaluate`` gets the run state, which keeps the rows and gives the
+    averaged step p - x.  Returns the final point, the trace and every record."""
     m = cfg.batch_size
     idx_rng, lam_rng, err_rng = (substream(cfg.seed, s) for s in ("index", "relaxation", "noise"))
     errors = cfg.error_schedule
@@ -134,7 +135,7 @@ def replay_block(family, cfg, x0, reference=None, evaluate=None):
             ties = r >= float(r.max()) * (1.0 - 1e-12)
             beta = np.full(m, (1.0 - cfg.delta * int(ties.sum())) / m)
             beta[ties] += cfg.delta
-        d = beta @ rows   # p - x
+        d = beta @ rows if state is None or out is None else state.step(beta)   # p - x
         pmx = math.sqrt(float(d @ d))
         # L = (sum_i beta_i r_i^2 + [p = x]) / (||p - x||^2 + [p = x]), or 1 with errors
         indicator = 1.0 if pmx == 0.0 else 0.0
@@ -142,7 +143,7 @@ def replay_block(family, cfg, x0, reference=None, evaluate=None):
         a = x + L * d
         x_next = x + lam * (a - x)
         if state is not None and out is not None:
-            state.advance((lam * L) * beta, x_next)
+            state.advance(lam * L, x_next)
         records.append(BlockIterationRecord(n, tuple(ks), beta, x + d, L, a, lam))
         return x_next, float(r.max()), lam, L
 

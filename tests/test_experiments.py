@@ -59,6 +59,18 @@ def count_fft2(monkeypatch):
     return calls
 
 
+def count_inverses(monkeypatch):
+    """Patch ``np.fft.ifft2`` and ``irfft2`` to record their calls by name."""
+    calls = []
+    for name in ("ifft2", "irfft2"):
+        def counting(a, *args, _name=name, _inverse=getattr(np.fft, name), **kwargs):
+            calls.append(_name)
+            return _inverse(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counting)
+    return calls
+
+
 class TestCanonicalStrategies:
     def test_labels_and_means(self):
         strategies = canonical_strategies()
@@ -472,17 +484,24 @@ class TestImageFamilyEvaluate:
         for k in range(6):
             with pytest.raises(UsageError):
                 fam.evaluate([k], bad)
+        x = np.zeros(prob.dim)
         ifft2 = np.fft.ifft2
         with monkeypatch.context() as m:
             m.setattr(np.fft, "ifft2", lambda a, *args, **kwargs: ifft2(a, *args, **kwargs) + 1.0j)
-            with pytest.raises(NumericError):
-                fam.evaluate([0, 5], np.zeros(prob.dim))
-        # a violated ball whose subgradient vanishes
+            with pytest.raises(NumericError, match="imaginary residue"):
+                fam.evaluate([0, 5], x)
+            # the spectral path meets the check in its one inverse
+            for ks in ([0, 5], [1], [5]):
+                state = fam.run_state(x)
+                fam.evaluate(ks, x, state)
+                with pytest.raises(NumericError, match="imaginary residue"):
+                    state.step(np.full(len(ks), 1.0 / len(ks)))
+        # a violated ball whose subgradient vanishes, with and without the state
         monkeypatch.setattr(prob, "_kernel_fft_conj", np.zeros_like(prob._kernel_fft_conj))
-        with pytest.raises(DegenerateConstraintError):
-            fam.evaluate([4, 0], np.zeros(prob.dim))
-        with pytest.raises(DegenerateConstraintError):
-            fam.evaluate([0], np.zeros(prob.dim))
+        for state in (None, fam.run_state(x)):
+            for ks in ([4, 0], [0]):
+                with pytest.raises(DegenerateConstraintError, match=r"ball\[0\]"):
+                    fam.evaluate(ks, x, state)
 
     def test_non_finite_ball_value_names_the_ball(self, monkeypatch):
         prob, fam = self.family()
@@ -514,66 +533,128 @@ class TestSpectralState:
         prob = experiments.desk_image_problem(seed=4)
         return prob, prob.build_family(fourier_weight=experiments.DESK_IMAGE_FOURIER_WEIGHT)
 
-    def test_step_spectra_are_the_transforms_of_the_rows(self, rng):
+    def test_state_steps_equal_the_rows_of_a_bare_evaluate(self, rng):
         prob, fam = TestImageFamilyEvaluate.family()
         truth = prob.ground_truth.ravel()
+        moved = set()
         for x in (truth + rng.uniform(-0.5, 0.5, size=prob.dim), np.zeros(prob.dim),
                   rng.uniform(-20.0, 280.0, size=prob.dim)):
-            for ks in ([0, 1, 2, 3, 4, 5], [5, 0, 5], [4, 4], [3]):
+            for ks in ([0, 1, 2, 3, 4, 5], [5, 0, 5], [4, 4], [3], [5]):
                 state = fam.run_state(x)
                 out = fam.evaluate(ks, x, state)
                 bare = fam.evaluate(ks, x)
+                assert (out is None) == (bare is None)
                 if out is None:
-                    assert bare is None and not state._pending
                     continue
-                steps, norms = out
-                # |fft2(v)| <= dim max|v|: rounding is measured against that
-                scale = prob.dim * max(np.abs(x).max(), np.abs(steps).max())
+                rows, norms = out
+                steps, bare_norms = bare
+                assert rows is None   # the steps stay in the state
                 for i, k in enumerate(ks):
-                    if k == 5:
-                        # the row is the inverse transform of target - X on the mask
-                        np.testing.assert_allclose(steps[i], bare[0][i], rtol=0,
-                                                   atol=1e-14 * max(1.0, np.abs(x).max()))
-                    else:   # the same formula as a bare evaluate at X = fft2(x)
-                        assert np.array_equal(steps[i], bare[0][i]) and norms[i] == bare[1][i]
-                    if np.any(steps[i]):
-                        np.testing.assert_allclose(
-                            state._pending[k], np.fft.fft2(steps[i].reshape(prob.n, prob.n)),
-                            rtol=0, atol=1e-15 * scale)
-                    else:
-                        assert k not in state._pending
-                # advancing by the applied coefficients tracks fft2 of the new point
-                c = rng.uniform(0.1, 2.0, size=len(ks))
-                x_next = x + c @ steps
+                    if k == 4:
+                        assert norms[i] == bare_norms[i]
+                    else:   # by Parseval, the Fourier member's from its Hermitian part
+                        assert norms[i] == pytest.approx(bare_norms[i], rel=1e-12, abs=1e-13)
+                    moved.update([k] if bare_norms[i] else [])
+                # |fft2(v)| <= dim max|v|: rounding is measured against that
+                scale = max(1.0, np.abs(x).max(), np.abs(steps).max())
+                beta = rng.dirichlet(np.ones(len(ks)))
+                pmx = state.step(beta)
+                np.testing.assert_allclose(pmx, beta @ steps, rtol=0, atol=1e-13 * scale)
+                # advancing by the applied coefficient tracks fft2 of the new point
+                c = rng.uniform(0.1, 2.0)
+                x_next = x + c * pmx
                 state.advance(c, x_next)
                 np.testing.assert_allclose(state.spectrum,
                                            np.fft.fft2(x_next.reshape(prob.n, prob.n)),
-                                           rtol=0, atol=1e-15 * scale)
+                                           rtol=0, atol=1e-15 * prob.dim * scale)
+        assert moved == set(range(6))
+
+    def test_one_checked_inverse_per_step_with_a_spectral_member(self, monkeypatch, rng):
+        prob, fam = TestImageFamilyEvaluate.family()
+        x = rng.uniform(-20.0, 280.0, size=prob.dim)
+        forward, inverse = count_fft2(monkeypatch), count_inverses(monkeypatch)
+        for ks, transforms in (([0, 1, 2, 3, 4, 5], (1, 1)), ([5, 5], (0, 1)), ([0, 5], (0, 1)),
+                               ([3, 3], (0, 1)), ([4, 4], (1, 0)), ([4, 1], (1, 1))):
+            state = fam.run_state(x)
+            forward.clear()
+            assert fam.evaluate(ks, x, state) is not None
+            assert not forward and not inverse   # evaluate transforms nothing
+            state.step(np.full(len(ks), 1.0 / len(ks)))
+            assert (len(forward), len(inverse)) == transforms
+            assert set(inverse) <= {"ifft2"}
+            inverse.clear()
 
     def test_run_transforms_forward_once_plus_box_moves_and_resyncs(self, monkeypatch):
         prob, fam = self.desk()
-        states, box_moves = [], []
-        run_state, evaluate = fam.run_state, fam.evaluate
+        states, moves = [], []
+        run_state = fam.run_state
+        step = experiments._SpectralState.step
 
         def counted_state(x0):
             states.append(run_state(x0))
             return states[-1]
 
-        def counted_evaluate(ks, x, state=None):
-            out = evaluate(ks, x, state)
-            box_moves.append(out is not None and bool(np.any(out[0][np.asarray(ks) == 4])))
-            return out
+        def counted_step(state, beta):
+            moves.append((state._box is not None, bool(state._balls) or state._fourier is not None))
+            return step(state, beta)
 
         monkeypatch.setattr(fam, "run_state", counted_state)
-        monkeypatch.setattr(fam, "evaluate", counted_evaluate)
+        monkeypatch.setattr(experiments._SpectralState, "step", counted_step)
         cfg = BlockConfig(batch_size=2, delta=0.25, relaxation=canonical_strategies()["uniform"],
                           max_iters=2500, seed=3, atol=0.0)
-        calls = count_fft2(monkeypatch)
+        forward, inverse = count_fft2(monkeypatch), count_inverses(monkeypatch)
         run_block(fam, cfg, np.zeros(prob.dim))
         (state,) = states
         resyncs = state._advances // experiments._RESYNC_PERIOD
-        assert sum(box_moves) > 0 and resyncs >= 1
-        assert len(calls) == 1 + sum(box_moves) + resyncs
+        box_moves = sum(box for box, _ in moves)
+        spectral_moves = sum(spectral for _, spectral in moves)
+        assert box_moves > 0 and resyncs >= 1 and spectral_moves > 0
+        assert len(forward) == 1 + box_moves + resyncs
+        # each evaluated iteration makes at most one inverse, always the checked one
+        assert len(inverse) == spectral_moves <= len(moves) == state._advances
+        assert set(inverse) == {"ifft2"}
+
+    @pytest.mark.parametrize("kind", ["anti-Hermitian", "Hermitian"])
+    def test_corrupted_spectrum_is_caught(self, monkeypatch, rng, kind):
+        # an anti-Hermitian error leaves an imaginary residue in the next inverse;
+        # a Hermitian one passes it, and stays in X - fft2(x) until a resync sees it
+        prob, fam = self.desk()
+        error = 1e-3 * np.fft.fft2(rng.standard_normal((prob.n, prob.n)))
+        if kind == "anti-Hermitian":
+            error *= 1.0j
+        run_state = fam.run_state
+
+        def corrupted(x0):
+            state = run_state(x0)
+            state.spectrum += error
+            return state
+
+        monkeypatch.setattr(experiments, "_RESYNC_PERIOD", 16)
+        cfg = BlockConfig(batch_size=2, delta=0.25, relaxation=canonical_strategies()["uniform"],
+                          max_iters=100, seed=3, atol=0.0)
+        run_block(fam, cfg, np.zeros(prob.dim))   # the resyncs pass on a sound run
+        monkeypatch.setattr(fam, "run_state", corrupted)
+        match = "imaginary residue" if kind == "anti-Hermitian" else "drifted"
+        with pytest.raises(NumericError, match=match):
+            run_block(fam, cfg, np.zeros(prob.dim))
+
+    @pytest.mark.parametrize("m, rule", [(2, block.UNIFORM_OVER_BATCH),
+                                         (3, block.MAX_RESIDUAL_CONCENTRATED)])
+    def test_spectral_run_stays_near_the_stateless_member_replay(self, m, rule):
+        # the replay takes every row in space, one bare evaluate per member;
+        # measured over these runs: final points 6.2e-12 apart, residual
+        # columns 1.3e-14 of their largest value
+        prob, fam = self.desk()
+        for strategy in canonical_strategies().values():
+            cfg = BlockConfig(batch_size=m, delta=0.25 if m == 2 else 0.15, weight_rule=rule,
+                              relaxation=strategy, max_iters=300, seed=5, atol=0.0)
+            res = run_block(fam, cfg, np.zeros(prob.dim))
+            final, trace, _ = replay_block(fam, cfg, np.zeros(prob.dim),
+                                           evaluate=partial(step_of, fam))
+            np.testing.assert_allclose(res.final, final, rtol=0, atol=5e-11)
+            r, replayed = (np.asarray(t.columns["residual"]) for t in (res.trace, trace))
+            np.testing.assert_allclose(r, replayed, rtol=0, atol=2e-13 * replayed.max())
+            assert res.trace.columns["lambda"] == trace.columns["lambda"]
 
     def test_drift_stays_under_the_bound_on_a_criterion_8_run(self, monkeypatch):
         # criterion 8's const1 run, the one that uses its whole budget; the
@@ -734,6 +815,25 @@ class TestNoOpIterations:
             out.append(fam.evaluate(rec.indices, x) is None)
             x = x + rec.lam * (rec.a - x)
         return out
+
+    def test_noop_records_share_one_check(self, monkeypatch):
+        # a no-op record holds the weights of M zero residuals and L = 1; the
+        # run checks those once, and every evaluated record on its own
+        prob = experiments.desk_signal_problem(seed=3)
+        checked = []
+        validate = block.BlockIterationRecord.validate
+
+        def counted(rec, *args):
+            checked.append(rec.iteration)
+            validate(rec, *args)
+
+        monkeypatch.setattr(block.BlockIterationRecord, "validate", counted)
+        cfg = BlockConfig(batch_size=16, delta=1 / 32, relaxation=canonical_strategies()["uniform"],
+                          max_iters=300, seed=5, atol=0.0, collect_records=True)
+        res = run_block(prob.build_family(), cfg, np.zeros(prob.n))
+        evaluated = [rec.iteration for rec in res.records if rec.p is not rec.a]
+        assert len(evaluated) < len(res.records) == cfg.max_iters
+        assert checked == [-1] + evaluated
 
     def test_all_held_batch_gives_fresh_zero_rows(self):
         # every slab holds the truth with a margin of 0.4 eta, far above this

@@ -121,6 +121,13 @@ class TestKm:
         with pytest.raises(UsageError, match=r"step 0 and x0: \(2,\) vs \(1,\)"):
             run_km(lambda x: np.ones(2), cfg, np.zeros(1))
 
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_T_output_of_another_length_is_a_usage_error(self, length):
+        # length 1 would broadcast T x - x to x's length, length 3 would fail in numpy
+        cfg = KmConfig(rx.Constant(0.5), max_iters=5, seed=0)
+        with pytest.raises(UsageError, match=rf"step 0 and x0: \({length},\) vs \(2,\)"):
+            run_km(lambda x: np.ones(length), cfg, np.zeros(2))
+
 
 class TestKmAveraged:
     def test_firmly_nonexpansive_projection_with_large_mu(self):
@@ -230,6 +237,16 @@ class TestSgd:
         cfg = SgdConfig(beta=1.0, nu=0.75, max_iters=5, seed=0, gradient_family=fam)
         with pytest.raises(UsageError, match=rf"quadratic family: \({dim},\) vs \(8,\)"):
             run_sgd(cfg, np.zeros(dim))
+
+    @pytest.mark.parametrize("length", [1, 3])
+    @pytest.mark.parametrize("declares_mean", [True, False])
+    def test_callable_gradient_of_another_length_is_a_usage_error(self, length, declares_mean):
+        # with a declared mean the spot-check meets it first, else step 0 does
+        fam = GradientFamily([lambda x: np.ones(length)] * 2,
+                             (lambda x: np.zeros_like(x)) if declares_mean else None, 1.0)
+        cfg = SgdConfig(beta=1.0, nu=0.75, max_iters=5, seed=0, gradient_family=fam)
+        with pytest.raises(UsageError, match=rf"gradient [01] and x: \({length},\) vs \(2,\)"):
+            run_sgd(cfg, np.zeros(2))
 
     def test_determinism(self):
         fam = quadratic_family(np.zeros(3), np.array([[0.1, 0, 0], [-0.1, 0, 0]]))
