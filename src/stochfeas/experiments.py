@@ -61,7 +61,6 @@ from .operators import (
     _mirror_indices,
     _projector_scale,
     _real_inverse,
-    _subgradient_scale,
     _validate_fourier_target,
     _violated,
     project_box,
@@ -396,18 +395,10 @@ class ImageProblem:
 
     def _project_ball(self, k: int, x: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
         """Subgradient projection onto ball k at a validated ``x`` whose
-        ``fft2`` is ``spectrum`` (read only)."""
-        res_hat = self._ball_residual(k, spectrum)
-
-        def subgradient():
-            # the subgradient 2 L^T (L x - r_k), fused in the frequency domain;
-            # its spectrum is that of a real image, conjugate-symmetric up to
-            # rounding, so the real inverse reads the first n/2 + 1 columns
-            grad_hat = self._kernel_fft_conj * res_hat
-            return 2.0 * np.fft.irfft2(grad_hat[:, :self.n // 2 + 1], s=grad_hat.shape).ravel()
-
-        scale, s = _subgradient_scale(x, self._ball_value(res_hat), subgradient, f"ball[{k}]")
-        return x if s is None else x - scale * s
+        ``fft2`` is ``spectrum`` (read only): x plus the checked real
+        inverse of its step spectrum."""
+        step = self._ball_step(k, spectrum)
+        return x if step is None else x + _real_inverse(step[0]).ravel()
 
     def _ball_step(self, k: int, spectrum: np.ndarray):
         """The step of ball k's subgradient projector at the point whose

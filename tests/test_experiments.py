@@ -641,9 +641,12 @@ class TestSpectralState:
     @pytest.mark.parametrize("m, rule", [(2, block.UNIFORM_OVER_BATCH),
                                          (3, block.MAX_RESIDUAL_CONCENTRATED)])
     def test_spectral_run_stays_near_the_stateless_member_replay(self, m, rule):
-        # the replay takes every row in space, one bare evaluate per member;
-        # measured over these runs: final points 6.2e-12 apart, residual
-        # columns 1.3e-14 of their largest value
+        # the replay takes every row in space, one bare evaluate per member.
+        # Measured on these runs: final points 4.6e-12 apart, residual columns
+        # 1.8e-15 of their largest value; on desk instances 3, 4 and 6, 7.8e-12
+        # and 1.9e-14.  The bounds are about ten times the latter.  L is not
+        # compared: where a member sits on its set's boundary to rounding, one
+        # path may find the batch all-fixed (L = 1) and the other not.
         prob, fam = self.desk()
         for strategy in canonical_strategies().values():
             cfg = BlockConfig(batch_size=m, delta=0.25 if m == 2 else 0.15, weight_rule=rule,
