@@ -384,7 +384,9 @@ class ImageProblem:
 
     def _ball_residual(self, k: int, spectrum: np.ndarray) -> np.ndarray:
         """K X - Y_k, the spectrum of L x - r_k, from the spectrum X of x."""
-        return self._kernel_fft * spectrum - self._obs_fft[k]
+        res_hat = self._kernel_fft * spectrum
+        res_hat -= self._obs_fft[k]
+        return res_hat
 
     def _ball_value(self, res_hat: np.ndarray) -> float:
         return float(np.vdot(res_hat, res_hat).real) / self.dim - self.xi
@@ -411,7 +413,7 @@ class ImageProblem:
         fx = self._ball_value(res_hat)
         if not _violated(fx, name):
             return None
-        grad_hat = self._kernel_fft_conj * res_hat
+        grad_hat = np.multiply(self._kernel_fft_conj, res_hat, out=res_hat)
         norm_sq = 4.0 * float(np.vdot(grad_hat, grad_hat).real) / self.dim
         scale = _projector_scale(fx, norm_sq, name)
         grad_hat *= -2.0 * scale
