@@ -21,20 +21,22 @@ does on this noise draw).
 A block run over the image family keeps the spectrum X ~ fft2(x) beside x
 (``_SpectralState``).  The steps of the balls and the Fourier member are
 linear in X, so the state combines them in the frequency domain and an
-evaluated iteration takes one inverse transform for p - x, and no forward
-transform unless the box moves x.  The run advances X by the same
+evaluated iteration takes at most one inverse transform, for p - x, and no
+forward transform unless the box moves x.  The run advances X by the same
 combination as x.  The two copies round differently and drift apart.  The
 resync rule is fixed: every 1024 evaluated updates, X is recomputed as
 fft2(x).  Measured over 12 runs of 20,000 iterations (the four strategies
 at criterion 8's configuration and on two more instances), the drift
 max|X - fft2(x)| stayed within 3.4e-15 of max|fft2(x)| with this rule.
 Without any resync it reached 7.3e-15, and its norm relative to
-||fft2(x)|| kept growing, to 2e-14 after 17,000 updates.  The tests hold
-the drift to 1e-14, and each resync checks it against 1e-12, 300 times
-the measured worst, so that a corrupted X raises NumericError there.  The
-schedule counts only evaluated updates, so it is a function of the
-iterate sequence: passes that replay the same draws, with or without
-records, keep the same X.
+||fft2(x)|| kept growing, to 2e-14 after 17,000 updates.  With the
+combined steps, over 12 runs of 20,000 iterations (the four strategies on
+desk instances 4, 0 and 1, atol 0), it stayed within 2.2e-15.  The tests
+hold the drift to 1e-14, and each resync checks it against 1e-12, 300
+times the worst measured, so that a corrupted X raises NumericError
+there.  The schedule counts only evaluated updates, so it is a function
+of the iterate sequence: passes that replay the same draws, with or
+without records, keep the same X.
 
 Ground truths are deterministic seeded built-ins (a piecewise-polynomial
 signal, a synthetic grayscale image).  Convolution boundary handling is
@@ -516,14 +518,19 @@ class _SpectralState:
 
     ``evaluate`` leaves the step spectrum D_k of each distinct drawn member
     that moves x: -(f_k / ||s_k||^2) 2 conj(K) (K X - Y_k) for a violated
-    ball k, and the difference target - X on the mask for the Fourier
-    member, kept as its masked values; the box, which is not linear in X,
-    leaves its row p - x.  ``step(beta)`` forms S = sum_i beta_i D_{k_i}
-    over the spectral members and returns the real part of one checked
-    ``ifft2(S)`` plus the box's share of its row in space; S is Hermitian
-    only to rounding, and the real part of the full inverse is its
-    Hermitian projection, the real step each member's norm measures.
-    ``advance(c, x_next)`` then adds c S, with the box row's transform, to X.
+    ball k, and for the Fourier member the Hermitian part of the difference
+    target - X on the mask, kept as its masked values; the box, which is not
+    linear in X, leaves its row p - x.  ``step(beta)`` forms S = sum_i
+    beta_i D_{k_i} over the spectral members and returns the real part of
+    one checked ``ifft2(S)`` plus the box's share of its row in space.  S
+    is Hermitian only to rounding, and the real part of the full inverse is
+    its Hermitian projection, the real step each member's norm measures.
+    The Fourier member's difference is made Hermitian first because, unlike
+    a ball's step, its Hermitian part vanishes as x nears the Fourier set
+    while the anti-Hermitian part, drift of X and of the target, does not:
+    the inverse's rounding of that part would then dominate the real step
+    and break L >= 1.  ``advance(c, x_next)`` then adds c S, with the box
+    row's transform, to X.
     """
 
     def __init__(self, problem: ImageProblem, spectrum: np.ndarray):
@@ -538,9 +545,7 @@ class _SpectralState:
 
     def evaluate(self, ks, x):
         """(None, r) for the members ``ks`` at x, r their step norms, with the
-        steps kept here; None when every member fixes x.  The Fourier
-        member's norm is that of the Hermitian part of its masked values,
-        the part its real step keeps."""
+        steps kept here; None when every member fixes x."""
         problem = self._problem
         balls = self._balls
         balls.clear()
@@ -560,8 +565,9 @@ class _SpectralState:
                     self._box = d
             elif k == _FOURIER:
                 diff = problem._target_values - self.spectrum.ravel()[problem._mask_flat]
-                hermitian = diff + np.conj(diff[problem._mask_mirror])
-                r[i] = 0.5 * math.sqrt(float(np.vdot(hermitian, hermitian).real) / problem.dim)
+                diff += np.conj(diff[problem._mask_mirror])
+                diff *= 0.5
+                r[i] = math.sqrt(float(np.vdot(diff, diff).real) / problem.dim)
                 if diff.any():
                     self._fourier = diff
             else:

@@ -638,15 +638,50 @@ class TestSpectralState:
         with pytest.raises(NumericError, match=match):
             run_block(fam, cfg, np.zeros(prob.dim))
 
+    def test_fourier_step_keeps_only_the_hermitian_part_of_its_difference(self):
+        # X drifts off Hermitian symmetry, and the target is Hermitian only to
+        # 1e-9: near the Fourier set the anti-Hermitian part of target - X can
+        # dwarf the Hermitian part, whose real step is the whole step
+        prob, fam = self.desk()
+        x = prob.ground_truth.ravel()
+        flat, mirror = prob._mask_flat, prob._mask_mirror
+        u = int(np.flatnonzero(mirror != np.arange(mirror.size))[0])   # not its own mirror
+        for anti, herm, moves in ((1e3, 0.0, False), (1e3, 1e-6, True)):
+            state = fam.run_state(x)
+            spectrum = state.spectrum.ravel()
+            spectrum[flat] = prob._target_values
+            # X[u] = target[u] - (herm + i anti), X[-u] = target[-u] - (herm + i anti)
+            spectrum[flat[[u, mirror[u]]]] -= herm + 1j * anti
+            out = fam.evaluate([5, 5], x, state)
+            assert (out is not None) == moves
+            if moves:
+                r = out[1]
+                d = state.step(np.array([0.5, 0.5]))
+                # the real step of the Hermitian part herm at u and -u (herm is
+                # set to about 1e-5 relative, through X's entries of up to 1e5)
+                assert r[0] == r[1] == pytest.approx(herm * math.sqrt(2.0 / prob.dim), rel=1e-4)
+                # 1e9 times the Hermitian part, the anti-Hermitian one leaves no rounding
+                assert math.sqrt(float(d @ d)) == pytest.approx(r[0], rel=1e-12)
+
+    def test_run_near_the_fourier_set_keeps_l_at_least_one(self):
+        # a run that reached L = 0 when the Fourier step kept its
+        # anti-Hermitian part: a batch whose only moving member had a purely
+        # anti-Hermitian difference, residual 0, and a real step of 3e-32
+        prob = experiments.desk_image_problem(seed=1765827878)
+        fam = prob.build_family(fourier_weight=experiments.DESK_IMAGE_FOURIER_WEIGHT)
+        cfg = BlockConfig(batch_size=2, delta=0.25, relaxation=canonical_strategies()["const1"],
+                          max_iters=200, seed=1671239984, atol=0.0, collect_records=True)
+        res = run_block(fam, cfg, np.zeros(prob.dim))
+        assert min(rec.extrapolation for rec in res.records) >= 1.0 - 1e-9
+
     @pytest.mark.parametrize("m, rule", [(2, block.UNIFORM_OVER_BATCH),
                                          (3, block.MAX_RESIDUAL_CONCENTRATED)])
     def test_spectral_run_stays_near_the_stateless_member_replay(self, m, rule):
         # the replay takes every row in space, one bare evaluate per member.
         # Measured on these runs: final points 4.6e-12 apart, residual columns
-        # 1.8e-15 of their largest value; on desk instances 3, 4 and 6, 7.8e-12
-        # and 1.9e-14.  The bounds are about ten times the latter.  L is not
-        # compared: where a member sits on its set's boundary to rounding, one
-        # path may find the batch all-fixed (L = 1) and the other not.
+        # 1.8e-15 of their largest value, L 4.7e-11; on desk instances 3, 4
+        # and 6, 7.8e-12, 1.9e-14 and 2.4e-10.  The bounds are about ten and
+        # four times the latter.
         prob, fam = self.desk()
         for strategy in canonical_strategies().values():
             cfg = BlockConfig(batch_size=m, delta=0.25 if m == 2 else 0.15, weight_rule=rule,
@@ -657,6 +692,8 @@ class TestSpectralState:
             np.testing.assert_allclose(res.final, final, rtol=0, atol=5e-11)
             r, replayed = (np.asarray(t.columns["residual"]) for t in (res.trace, trace))
             np.testing.assert_allclose(r, replayed, rtol=0, atol=2e-13 * replayed.max())
+            np.testing.assert_allclose(res.trace.columns["extrapolation"],
+                                       trace.columns["extrapolation"], rtol=0, atol=1e-9)
             assert res.trace.columns["lambda"] == trace.columns["lambda"]
 
     def test_drift_stays_under_the_bound_on_a_criterion_8_run(self, monkeypatch):
