@@ -597,6 +597,7 @@ class _SpectralState:
         if self._fourier is not None:
             if combined is None:
                 combined = np.zeros_like(self.spectrum)
+            # combined is a fresh C-contiguous array, so ravel() is a view of it
             combined.ravel()[self._problem._mask_flat] += totals[_FOURIER] * self._fourier
         d = None if combined is None else _real_inverse(combined).ravel()
         if self._box is not None:
