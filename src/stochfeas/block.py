@@ -49,13 +49,13 @@ no-op record.  A stretch consumes the same draws as its iterations would
 one at a time, so seeded outputs are the same bits as without it.
 
 Without errors, a family with a ``run_state`` (the image family keeps
-X = fft2(x) this way) gets its state with every ``evaluate`` call, which
+X = rfft2(x) this way) gets its state with every ``evaluate`` call, which
 then returns the residuals and keeps the steps: the run asks the state for
 p - x given the weights (the image state combines its members' step
 spectra and takes one inverse transform), and after the update advances it
 by the coefficient lam L it applied to p - x; no-op iterations leave it
 alone.  A run with errors adds its noise to the rows, so it takes them
-from a bare ``evaluate``.
+from a bare ``evaluate``; it draws the M errors of an iteration at once.
 
 The error-tolerant variant skips the extrapolation (a = p) and requires
 relaxations supported inside ]0, 2[.  Indices, errors and relaxations each
@@ -312,8 +312,7 @@ def run_block(
             # fresh arrays: the error-tolerant variant adds noise to the rows in place
             steps, r = np.zeros((m, x.shape[0])), np.zeros(m)
         if noise_rng is not None:
-            for d in steps:
-                d += cfg.error_schedule.sample(n, x.shape[0], noise_rng)
+            steps += cfg.error_schedule.sample_rows(n, m, x.shape[0], noise_rng)
             r = np.array([math.sqrt(float(d @ d)) for d in steps])
         beta = noop_beta if uniform else compute_weights(r, cfg.delta, cfg.weight_rule)
         avg_step = beta @ steps if state is None else state.step(beta)

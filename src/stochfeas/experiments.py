@@ -18,25 +18,30 @@ with exact moments E|u|^2 = 25/3 and E|u|^4 = 125, so each ball contains
 the true image with 95% confidence (generation records whether it actually
 does on this noise draw).
 
-A block run over the image family keeps the spectrum X ~ fft2(x) beside x
-(``_SpectralState``).  The steps of the balls and the Fourier member are
-linear in X, so the state combines them in the frequency domain and an
-evaluated iteration takes at most one inverse transform, for p - x, and no
-forward transform unless the box moves x.  The run advances X by the same
-combination as x.  The two copies round differently and drift apart.  The
-resync rule is fixed: every 1024 evaluated updates, X is recomputed as
-fft2(x).  Measured over 12 runs of 20,000 iterations (the four strategies
-at criterion 8's configuration and on two more instances), the drift
-max|X - fft2(x)| stayed within 3.4e-15 of max|fft2(x)| with this rule.
-Without any resync it reached 7.3e-15, and its norm relative to
-||fft2(x)|| kept growing, to 2e-14 after 17,000 updates.  With the
-combined steps, over 12 runs of 20,000 iterations (the four strategies on
-desk instances 4, 0 and 1, atol 0), it stayed within 2.2e-15.  The tests
-hold the drift to 1e-14, and each resync checks it against 1e-12, 300
-times the worst measured, so that a corrupted X raises NumericError
-there.  The schedule counts only evaluated updates, so it is a function
-of the iterate sequence: passes that replay the same draws, with or
-without records, keep the same X.
+The image data are real, so the image problem keeps only half spectra,
+rfft2's n x (n/2 + 1) grid, and takes norms by Parseval with weight 1 on
+the self-conjugate columns and 2 on the others (see the Fourier section of
+``operators``).  Every inverse is one checked irfft2, which verifies the
+imaginary residue it drops.
+
+A block run over the image family keeps the half spectrum X ~ rfft2(x)
+beside x (``_SpectralState``).  The steps of the balls and the Fourier
+member are linear in X, so the state combines them in the frequency domain
+and an evaluated iteration takes at most one inverse transform, for p - x,
+and no forward transform unless the box moves x.  The run advances X by
+the same combination as x.  The two copies round differently and drift
+apart.  The resync rule is fixed: every 1024 evaluated updates, X is
+recomputed as rfft2(x).  Over 12 runs of 20,000 iterations (the four
+strategies on desk instances 4, 0 and 1, atol 0), the drift max|X -
+rfft2(x)|, read one advance before each resync, stayed within 3.8e-15 of
+max|rfft2(x)|; with full fft2 spectra it stayed within 2.2e-15, and
+without any resync it reached 7.3e-15, its norm relative to ||fft2(x)||
+still growing after 17,000 updates.  The tests hold the drift to 1e-14,
+and each resync checks it against 1e-12, 260 times the worst measured,
+so that a corrupted X raises NumericError there.  The schedule counts
+only evaluated updates, so it is a function of the iterate sequence:
+passes that replay the same draws, with or without records, keep the
+same X.
 
 Ground truths are deterministic seeded built-ins (a piecewise-polynomial
 signal, a synthetic grayscale image).  Convolution boundary handling is
@@ -59,10 +64,12 @@ from .geometry import as_point, require_same_dim
 from .operators import (
     _IndexedFamily,
     _fourier_from_spectrum,
+    _half,
+    _half_inverse,
+    _half_norm_sq,
     _member_steps,
-    _mirror_indices,
     _projector_scale,
-    _real_inverse,
+    _self_conjugate_entries,
     _validate_fourier_target,
     _violated,
     project_box,
@@ -355,21 +362,25 @@ class ImageProblem:
 
     def __post_init__(self):
         # the Fourier data are checked once, here; the family, finalize and
-        # the report read these read-only private copies
-        mask = validate_fourier_mask(self.mask).copy()
-        values = _validate_fourier_target(self.target_spectrum, mask)[mask]
+        # the report read these read-only private copies, on the half grid
+        # of rfft2 (see the Fourier section of ``operators``)
+        shape = (self.n, self.n)
+        mask = _half(validate_fourier_mask(self.mask)).copy()
+        values = _half(_validate_fourier_target(self.target_spectrum, self.mask))[mask]
         mask.flags.writeable = values.flags.writeable = False
-        self._mask, self._target_values = mask, values
-        # the flat positions of the masked entries, and for each the position
-        # in that list of its mirror (-u, -v): x -> conj(x[mirror]) maps the
-        # masked values of a spectrum to those of its conjugate mirror image
+        self._half_mask, self._target_values = mask, values
+        # the flat positions of the masked entries; in that list, the
+        # positions of the entries (u, c) of self-conjugate columns, and of
+        # their mirrors (-u, c), which are masked too
         self._mask_flat = np.flatnonzero(mask)
-        mu, mv = _mirror_indices(*mask.shape)
-        self._mask_mirror = np.searchsorted(self._mask_flat,
-                                            (mu * mask.shape[1] + mv)[mask])
-        self._kernel_fft = np.fft.fft2(self.kernel)
-        self._kernel_fft_conj = np.conj(self._kernel_fft)
-        self._obs_fft = np.stack([np.fft.fft2(self.observations[k]) for k in range(4)])
+        at, mirror = _self_conjugate_entries(shape)
+        held = mask.reshape(-1)[at]
+        self._mask_edge = np.searchsorted(self._mask_flat, at[held])
+        self._mask_mirror = np.searchsorted(self._mask_flat, mirror[held])
+        self._spectrum_edge = at
+        self._kernel_rfft = np.fft.rfft2(self.kernel)
+        self._kernel_rfft_conj = np.conj(self._kernel_rfft)
+        self._obs_rfft = np.fft.rfft2(self.observations)
 
     @property
     def dim(self) -> int:
@@ -382,31 +393,40 @@ class ImageProblem:
         return x
 
     def _spectrum(self, x: np.ndarray) -> np.ndarray:
-        return np.fft.fft2(x.reshape(self.n, self.n))
+        """The half spectrum rfft2 of a flattened image."""
+        return np.fft.rfft2(x.reshape(self.n, self.n))
+
+    def _inverse(self, spectrum: np.ndarray) -> np.ndarray:
+        """The flattened image whose half spectrum is ``spectrum``, checked."""
+        return _half_inverse(spectrum, (self.n, self.n)).reshape(-1)
+
+    def _norm_sq(self, spectrum: np.ndarray) -> float:
+        """||v||^2 of the image v whose half spectrum is ``spectrum`` (Parseval)."""
+        return _half_norm_sq(spectrum, self._spectrum_edge) / self.dim
 
     def _ball_residual(self, k: int, spectrum: np.ndarray) -> np.ndarray:
-        """K X - Y_k, the spectrum of L x - r_k, from the spectrum X of x."""
-        res_hat = self._kernel_fft * spectrum
-        res_hat -= self._obs_fft[k]
+        """K X - Y_k, the half spectrum of L x - r_k, from that X of x."""
+        res_hat = self._kernel_rfft * spectrum
+        res_hat -= self._obs_rfft[k]
         return res_hat
 
     def _ball_value(self, res_hat: np.ndarray) -> float:
-        return float(np.vdot(res_hat, res_hat).real) / self.dim - self.xi
+        return self._norm_sq(res_hat) - self.xi
 
     def ball_value(self, k: int, x: np.ndarray) -> float:
         """f_k(x) = ||r_k - L x||^2 - xi on flattened points (via Parseval)."""
         return self._ball_value(self._ball_residual(k, self._spectrum(self._point(x))))
 
     def _project_ball(self, k: int, x: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
-        """Subgradient projection onto ball k at a validated ``x`` whose
-        ``fft2`` is ``spectrum`` (read only): x plus the checked real
+        """Subgradient projection onto ball k at a validated ``x`` whose half
+        spectrum is ``spectrum`` (read only): x plus the checked real
         inverse of its step spectrum."""
         step = self._ball_step(k, spectrum)
-        return x if step is None else x + _real_inverse(step[0]).ravel()
+        return x if step is None else x + self._inverse(step[0])
 
     def _ball_step(self, k: int, spectrum: np.ndarray):
-        """The step of ball k's subgradient projector at the point whose
-        ``fft2`` is ``spectrum`` (read only), as its spectrum
+        """The step of ball k's subgradient projector at the point whose half
+        spectrum is ``spectrum`` (read only), as its half spectrum
         -(f_k / ||s_k||^2) 2 conj(K) (K X - Y_k) and its norm f_k / ||s_k||,
         or None when the ball holds the point.  ||s_k||^2 comes by Parseval
         from the spectrum 2 conj(K) (K X - Y_k) of the subgradient s_k."""
@@ -415,8 +435,8 @@ class ImageProblem:
         fx = self._ball_value(res_hat)
         if not _violated(fx, name):
             return None
-        grad_hat = np.multiply(self._kernel_fft_conj, res_hat, out=res_hat)
-        norm_sq = 4.0 * float(np.vdot(grad_hat, grad_hat).real) / self.dim
+        grad_hat = np.multiply(self._kernel_rfft_conj, res_hat, out=res_hat)
+        norm_sq = 4.0 * self._norm_sq(grad_hat)
         scale = _projector_scale(fx, norm_sq, name)
         grad_hat *= -2.0 * scale
         return grad_hat, scale * math.sqrt(norm_sq)
@@ -444,14 +464,16 @@ class ImageProblem:
         constraint is preserved only up to the drift the clamp introduces.
         """
         x = self._point(x)
-        grid = _fourier_from_spectrum(self._target_values, self._mask, self._spectrum(x))
+        grid = _fourier_from_spectrum(self._target_values, self._half_mask, self._spectrum(x),
+                                      (self.n, self.n))
         return project_box(0.0, PIXEL_MAX, grid.ravel())
 
     def feasibility_report(self, x: np.ndarray) -> dict:
         x = self._point(x)
         spec = self._spectrum(x)
-        target_norm = float(np.linalg.norm(self._target_values))
-        fourier_dev = float(np.linalg.norm(spec[self._mask] - self._target_values))
+        edge = self._mask_edge
+        target_norm = math.sqrt(_half_norm_sq(self._target_values, edge))
+        fourier_dev = math.sqrt(_half_norm_sq(spec[self._half_mask] - self._target_values, edge))
         return {
             "ball_values": [self._ball_value(self._ball_residual(k, spec)) for k in range(4)],
             "box_violation": float(np.max(np.maximum(x - PIXEL_MAX, 0.0)
@@ -469,14 +491,17 @@ class _ImageFamily(_IndexedFamily):
     Members 0-3 are the ball subgradient projectors, 4 the pixel box and 5
     the Fourier-support projector.  A bare ``evaluate(ks, x)`` checks x
     once and runs the per-member loop that ``OperatorFamily`` shares.  Each
-    ball forms its residual spectrum K X - Y_k from the spectrum X of x,
-    which it transforms at most once, only when a ball or the Fourier member
-    is drawn; the Fourier member then overwrites a copy of X on the
-    problem's validated mask.
+    ball forms its residual spectrum K X - Y_k from the half spectrum X =
+    rfft2(x), which it transforms at most once, only when a ball or the
+    Fourier member is drawn; the Fourier member then overwrites a copy of X
+    on the problem's validated half mask.  Every row comes from the checked
+    inverse ``irfft2``.
 
     A block run keeps X in a ``_SpectralState`` instead (``run_state``), and
     ``evaluate(ks, x, state)`` builds no rows: the state keeps the steps of
-    the batch and combines them when the run asks for p - x.
+    the batch and combines them when the run asks for p - x.  It does not
+    check x again: ``run_state`` checks x0, the run checks the shape of its
+    first step, and its divergence guard the finiteness of every iterate.
     """
 
     def __init__(self, problem: ImageProblem, weights=None):
@@ -488,10 +513,10 @@ class _ImageFamily(_IndexedFamily):
         return _SpectralState(problem, problem._spectrum(problem._point(x0)))
 
     def evaluate(self, ks, x, state=None):
-        problem = self._problem
-        x = problem._point(x)
         if state is not None:
             return state.evaluate(ks, x)
+        problem = self._problem
+        x = problem._point(x)
         spectrum = None
 
         def project(k):
@@ -502,40 +527,40 @@ class _ImageFamily(_IndexedFamily):
                 spectrum = problem._spectrum(x)
             if k != _FOURIER:
                 return problem._project_ball(k, x, spectrum)
-            return _fourier_from_spectrum(problem._target_values, problem._mask,
-                                          spectrum.copy()).ravel()
+            return _fourier_from_spectrum(problem._target_values, problem._half_mask,
+                                          spectrum.copy(), (problem.n, problem.n)).ravel()
 
         return _member_steps(ks, x, project)
 
 
 _RESYNC_PERIOD = 1024   # evaluated updates between fresh transforms, see the module docstring
-_RESYNC_TOLERANCE = 1e-12   # largest drift max|X - fft2(x)| / max|fft2(x)| a resync accepts
+_RESYNC_TOLERANCE = 1e-12   # largest drift max|X - rfft2(x)| / max|rfft2(x)| a resync accepts
 
 
 class _SpectralState:
-    """X ~ fft2(x), kept by one block run of the image family beside x, and
+    """X ~ rfft2(x), kept by one block run of the image family beside x, and
     the steps of the batch it last evaluated.
 
-    ``evaluate`` leaves the step spectrum D_k of each distinct drawn member
-    that moves x: -(f_k / ||s_k||^2) 2 conj(K) (K X - Y_k) for a violated
-    ball k, and for the Fourier member the Hermitian part of the difference
-    target - X on the mask, kept as its masked values; the box, which is not
-    linear in X, leaves its row p - x.  ``step(beta)`` forms S = sum_i
-    beta_i D_{k_i} over the spectral members and returns the real part of
-    one checked ``ifft2(S)`` plus the box's share of its row in space.  S
-    is Hermitian only to rounding, and the real part of the full inverse is
-    its Hermitian projection, the real step each member's norm measures.
-    The Fourier member's difference is made Hermitian first because, unlike
-    a ball's step, its Hermitian part vanishes as x nears the Fourier set
+    ``evaluate`` leaves the half step spectrum D_k of each distinct drawn
+    member that moves x: -(f_k / ||s_k||^2) 2 conj(K) (K X - Y_k) for a
+    violated ball k, and for the Fourier member the difference target - X
+    on the mask, kept as its masked values; the box, which is not linear in
+    X, leaves its row p - x.  ``step(beta)`` forms S = sum_i beta_i D_{k_i}
+    over the spectral members and returns one checked ``irfft2(S)`` plus
+    the box's share of its row in space.  irfft2 keeps only the Hermitian
+    part of S's self-conjugate columns, so there the Fourier member's
+    difference is made Hermitian first, and its norm by Parseval is that
+    of the real step the inverse makes of it.  Unlike a ball's step, the
+    Hermitian part of that difference vanishes as x nears the Fourier set
     while the anti-Hermitian part, drift of X and of the target, does not:
-    the inverse's rounding of that part would then dominate the real step
-    and break L >= 1.  ``advance(c, x_next)`` then adds c S, with the box
-    row's transform, to X.
+    a norm that counted it would break L >= 1.  ``advance(c, x_next)`` then
+    adds c S, with the box row's transform, to X.
     """
 
     def __init__(self, problem: ImageProblem, spectrum: np.ndarray):
         self.spectrum = spectrum
         self._problem = problem
+        self._shape = (problem.n, problem.n)
         self._balls: dict = {}   # ball k -> D_k
         self._fourier = None     # the Fourier member's D on the mask
         self._box = None         # the box's row
@@ -565,9 +590,12 @@ class _SpectralState:
                     self._box = d
             elif k == _FOURIER:
                 diff = problem._target_values - self.spectrum.ravel()[problem._mask_flat]
-                diff += np.conj(diff[problem._mask_mirror])
-                diff *= 0.5
-                r[i] = math.sqrt(float(np.vdot(diff, diff).real) / problem.dim)
+                edge = problem._mask_edge
+                herm = diff[edge]
+                herm += np.conj(diff[problem._mask_mirror])
+                herm *= 0.5
+                diff[edge] = herm
+                r[i] = math.sqrt(_half_norm_sq(diff, edge) / problem.dim)
                 if diff.any():
                     self._fourier = diff
             else:
@@ -599,10 +627,10 @@ class _SpectralState:
                 combined = np.zeros_like(self.spectrum)
             # combined is a fresh C-contiguous array, so ravel() is a view of it
             combined.ravel()[self._problem._mask_flat] += totals[_FOURIER] * self._fourier
-        d = None if combined is None else _real_inverse(combined).ravel()
+        d = None if combined is None else self._problem._inverse(combined)
         if self._box is not None:
             share = totals[_BOX] * self._box
-            box = np.fft.fft2(share.reshape(self.spectrum.shape))
+            box = np.fft.rfft2(share.reshape(self._shape))
             if combined is None:
                 d, combined = share, box
             else:
@@ -613,18 +641,18 @@ class _SpectralState:
 
     def advance(self, c: float, x_next: np.ndarray):
         """X += c S for the last step, then every ``_RESYNC_PERIOD`` advances
-        X = fft2(x_next), once the drift of X from it is checked."""
+        X = rfft2(x_next), once the drift of X from it is checked."""
         combined = self._combined
         combined *= c
         self.spectrum += combined
         self._combined = None
         self._advances += 1
         if self._advances % _RESYNC_PERIOD == 0:
-            fresh = np.fft.fft2(x_next.reshape(self.spectrum.shape))
+            fresh = np.fft.rfft2(x_next.reshape(self._shape))
             drift = float(np.abs(self.spectrum - fresh).max())
             scale = float(np.abs(fresh).max())
             if not drift <= _RESYNC_TOLERANCE * scale:   # NaN fails too
-                raise NumericError(f"spectrum drifted {drift:.3e} from fft2(x), above "
+                raise NumericError(f"spectrum drifted {drift:.3e} from rfft2(x), above "
                                    f"{_RESYNC_TOLERANCE:g} of its largest entry {scale:.3e}")
             self.spectrum = fresh
 

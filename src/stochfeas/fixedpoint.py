@@ -66,10 +66,22 @@ class DecayingNoise:
         return self.q > 1.0
 
     def sample(self, n, dim, rng):
-        g = rng.standard_normal(dim)
-        norm = float(np.linalg.norm(g))
-        if norm > 1.0:
-            g /= norm
+        """The error e_n of iteration n, of length ``dim``."""
+        return self.sample_rows(n, 1, dim, rng)[0]
+
+    def sample_rows(self, n, m, dim, rng):
+        """m errors of iteration n, shape (m, dim), from one draw: the same
+        bits, and the same state of ``rng`` after, as m ``sample`` calls.
+
+        ``standard_normal((m, dim))`` draws the m rows in turn.  Each row's
+        norm is sqrt(g_i . g_i), which is how ``np.linalg.norm`` takes it;
+        the batched matmul of a 1 x dim by a dim x 1 operand forms each dot
+        product the same way (einsum may sum in another order).
+        """
+        g = rng.standard_normal((m, dim))
+        norms = np.sqrt(np.matmul(g[:, None, :], g[:, :, None]).reshape(m))
+        capped = norms > 1.0
+        g[capped] /= norms[capped, None]
         try:
             bound = self.c / (n + 1.0) ** self.q
         except OverflowError:

@@ -133,10 +133,16 @@ def halfspace_projector(a, b: float) -> Callable[[np.ndarray], np.ndarray]:
 # ---------------------------------------------------------------------------
 # Fourier-support projector.
 #
-# DFT convention: unnormalized forward transform (numpy fft2) with 1/N^2 on
-# the inverse.  Real input forces the conjugate symmetry
-# F[u, v] = conj(F[(-u) mod n, (-v) mod n]); masks must be closed under the
-# index mirror (u, v) -> ((-u) mod n, (-v) mod n).
+# DFT convention: unnormalized forward transform (numpy fft2) with 1/N on
+# the inverse, N the number of grid points.  Real input forces the conjugate
+# symmetry F[u, v] = conj(F[(-u) mod n1, (-v) mod n2]); masks must be closed
+# under the index mirror (u, v) -> ((-u) mod n1, (-v) mod n2).  Real grids
+# are transformed to half spectra, rfft2's columns v = 0 .. n2 // 2; the
+# other columns are the conjugate mirrors of these.  Column 0, and column
+# n2 / 2 when n2 is even, are self-conjugate: they hold each entry's mirror
+# as well.  A half spectrum stands for the full one that extends it by
+# mirroring, so ||f||^2 = ||F||^2 / N (Parseval) weighs each entry of a
+# self-conjugate column once and every other entry twice.
 # ---------------------------------------------------------------------------
 
 def _mirror_indices(n_rows: int, n_cols: int):
@@ -176,34 +182,80 @@ def _validate_fourier_target(target_spectrum, mask) -> np.ndarray:
     return target
 
 
-def _fourier_from_spectrum(values, mask, spectrum) -> np.ndarray:
-    """Overwrite ``spectrum`` with ``values`` on ``mask`` and return the real inverse.
+def _half(full: np.ndarray) -> np.ndarray:
+    """The half of a full-grid array (spectrum or mask) that rfft2 keeps."""
+    return full[:, : full.shape[1] // 2 + 1]
 
-    The imaginary residue of the inverse transform is verified against 1e-9
-    (relative to the grid scale) before being discarded.
+
+@functools.lru_cache(maxsize=16)
+def _self_conjugate_entries(shape: tuple) -> tuple:
+    """The flat positions, in the half spectrum of a grid of ``shape``, of
+    the entries (u, c) of its self-conjugate columns c, and of their mirrors
+    ((-u) mod n1, c); two read-only arrays of shape (n1, 1 or 2)."""
+    n1, n2 = shape
+    width = n2 // 2 + 1
+    cols = np.array([0] if n2 % 2 else [0, n2 // 2])
+    u = np.arange(n1).reshape(-1, 1)
+    at, mirror = u * width + cols, (-u) % n1 * width + cols
+    at.flags.writeable = mirror.flags.writeable = False
+    return at, mirror
+
+
+def _half_norm_sq(values: np.ndarray, edge) -> float:
+    """||F||^2 of the full spectrum F that the half-spectrum entries
+    ``values`` stand for: twice theirs, less once those at the flat
+    positions ``edge``, the entries of self-conjugate columns."""
+    e = values.take(edge)
+    return 2.0 * float(np.vdot(values, values).real) - float(np.vdot(e, e).real)
+
+
+def _fourier_from_spectrum(values, mask, spectrum, shape) -> np.ndarray:
+    """Overwrite the half ``spectrum`` of a grid of ``shape`` with ``values``
+    on the half ``mask``, and return its checked real inverse.
+
+    In the self-conjugate columns the inverse keeps the Hermitian part of
+    the values, the nearest spectrum a real grid has; the anti-Hermitian
+    part, to which a validated target contributes at most 1e-9 of its
+    scale, is the imaginary residue that ``_half_inverse`` verifies.
     """
     spectrum[mask] = values
-    return _real_inverse(spectrum)
+    return _half_inverse(spectrum, shape)
 
 
-def _real_inverse(spectrum) -> np.ndarray:
-    """The real part of ``ifft2(spectrum)``, once its imaginary residue is
-    verified against 1e-9 (relative to the grid scale)."""
-    out = np.fft.ifft2(spectrum)
-    real = out.real.copy()   # contiguous, so its reduction is the cheaper one
-    residue = float(np.abs(out.imag).max())
-    tol = 1e-9 * max(1.0, float(np.abs(real).max()))
-    if residue > tol:
-        raise NumericError(f"imaginary residue {residue:.3e} exceeds {tol:.3e}")
-    return real
+def _half_inverse(spectrum: np.ndarray, shape: tuple) -> np.ndarray:
+    """The real grid ``irfft2(spectrum, s=shape)``, once the imaginary residue
+    that irfft2 drops is verified against 1e-9 (relative to the grid scale).
+
+    irfft2 returns the real part of ifft2 of the full spectrum F that
+    ``spectrum`` stands for.  Mirroring makes F Hermitian outside the
+    self-conjugate columns, so its anti-Hermitian part A = (F - conj(F
+    mirrored)) / 2 lies in those columns c, and the imaginary part that
+    ifft2(F) would carry is ifft2(A)[j, m] = (1/n2) sum_c e^{2 pi i c m / n2}
+    ifft(A_c)[j].  Its largest modulus is the residue
+    max_j sum_c |ifft(A_c)[j]| / n2, since c = n2 / 2 flips sign with m.
+    Each |ifft(A_c)[j]| is at most the mean of |A_c|, so sum |A| / N bounds
+    the residue; only when that bound exceeds 1e-9, the tolerance's floor,
+    is the residue itself computed and compared with 1e-9 max(1, max|out|).
+    """
+    out = np.fft.irfft2(spectrum, s=shape)
+    at, mirror = _self_conjugate_entries(shape)
+    flat = spectrum.reshape(-1)
+    anti = flat.take(at)   # 2 A
+    anti -= np.conj(flat.take(mirror))
+    if float(np.abs(anti).sum()) > 2e-9 * out.size:
+        residue = float(np.abs(np.fft.ifft(anti, axis=0)).sum(axis=1).max()) / (2 * shape[1])
+        tol = 1e-9 * max(1.0, float(np.abs(out).max()))
+        if residue > tol:
+            raise NumericError(f"imaginary residue {residue:.3e} exceeds {tol:.3e}")
+    return out
 
 
 def project_fourier_support(target_spectrum, mask, x) -> np.ndarray:
     """Replace the DFT of ``x`` on the masked frequencies by ``target_spectrum``.
 
-    ``x`` is a real 2-D grid.  The output is real; the imaginary residue of
-    the inverse transform is verified against 1e-9 (relative to the grid
-    scale) before being discarded.
+    ``x`` is a real 2-D grid.  The output is real: it is the checked real
+    inverse of the half spectrum, whose dropped imaginary residue is
+    verified against 1e-9 (relative to the grid scale).
     """
     mask = validate_fourier_mask(mask)
     target = _validate_fourier_target(target_spectrum, mask)
@@ -212,7 +264,8 @@ def project_fourier_support(target_spectrum, mask, x) -> np.ndarray:
         raise UsageError(f"grid shape {x.shape} does not match mask shape {mask.shape}")
     if not np.all(np.isfinite(x)):
         raise UsageError("grid contains non-finite entries")
-    return _fourier_from_spectrum(target[mask], mask, np.fft.fft2(x))
+    half = _half(mask)
+    return _fourier_from_spectrum(_half(target)[half], half, np.fft.rfft2(x), x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +300,11 @@ class _IndexedFamily:
     sum_i beta_i (T_{k_i} x - x) of that batch, and after the update
     x_next = x + c (p - x) calls ``state.advance(c, x_next)``.  The state
     belongs to the run: the family stays immutable, and a bare
-    ``evaluate(ks, x)`` reads none and returns rows.
+    ``evaluate(ks, x)`` reads none and returns rows.  With a state,
+    ``evaluate`` need not check x again: ``run_state`` checks x0, and the
+    run checks the shape of its first step and, in its divergence guard,
+    the finiteness of every iterate.  The image family's state keeps the
+    half spectrum rfft2(x) and combines its members' step spectra there.
     """
 
     def __init__(self, count: int, weights=None):

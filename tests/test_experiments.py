@@ -34,6 +34,7 @@ from stochfeas.operators import (
     project_hyperslab,
     sample_indices,
     subgradient_projector,
+    symmetrize_fourier_mask,
 )
 from stochfeas.rngstreams import substream
 
@@ -46,26 +47,14 @@ def step_of(family, k, x):
     return np.zeros(np.size(x)) if out is None else out[0][0]
 
 
-def count_fft2(monkeypatch):
-    """Patch ``np.fft.fft2`` to record its calls; returns the record."""
+def count_transforms(monkeypatch):
+    """Patch numpy's 2-D transforms to record their calls by name; returns
+    the record."""
     calls = []
-    fft2 = np.fft.fft2
-
-    def counting(a, *args, **kwargs):
-        calls.append(1)
-        return fft2(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "fft2", counting)
-    return calls
-
-
-def count_inverses(monkeypatch):
-    """Patch ``np.fft.ifft2`` and ``irfft2`` to record their calls by name."""
-    calls = []
-    for name in ("ifft2", "irfft2"):
-        def counting(a, *args, _name=name, _inverse=getattr(np.fft, name), **kwargs):
+    for name in ("fft2", "ifft2", "rfft2", "irfft2"):
+        def counting(a, *args, _name=name, _transform=getattr(np.fft, name), **kwargs):
             calls.append(_name)
-            return _inverse(a, *args, **kwargs)
+            return _transform(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counting)
     return calls
@@ -334,9 +323,9 @@ class TestImageProblem:
         prob = generate_image_problem(n=32, seed=9)
         x = rng.uniform(0.0, 255.0, size=prob.dim)
         ball_values = [prob.ball_value(k, x) for k in range(4)]
-        calls = count_fft2(monkeypatch)
+        calls = count_transforms(monkeypatch)
         report = prob.feasibility_report(x)
-        assert len(calls) == 1
+        assert calls == ["rfft2"]
         assert report["ball_values"] == ball_values
 
     def test_divisibility_validation(self):
@@ -350,6 +339,67 @@ class TestImageProblem:
                       lambda x: fam.evaluate([4], x), fam.run_state):
             with pytest.raises(UsageError, match="dimension mismatch in image point"):
                 check(np.zeros(17))
+
+
+class TestHalfSpectrumOracles:
+    """The half-spectrum norms weigh the self-conjugate columns once and the
+    others twice; these space-domain oracles do not use rfft2 at all."""
+
+    @staticmethod
+    def problem():
+        # n divisible by 8: both self-conjugate columns, 0 and n / 2, are present
+        return generate_image_problem(n=32, seed=3, blur_std=1.0)
+
+    def test_ball_value_step_and_norm(self, rng):
+        prob = self.problem()
+        n = prob.n
+        adjoint = np.roll(prob.kernel[::-1, ::-1], 1, axis=(0, 1))   # L^T
+        moved = 0
+        for x in (rng.uniform(-20.0, 280.0, size=prob.dim), np.zeros(prob.dim)):
+            for k in range(4):
+                residual = circ_conv(x.reshape(n, n), prob.kernel) - prob.observations[k]
+                value = float(np.sum(residual ** 2)) - prob.xi
+                assert prob.ball_value(k, x) == pytest.approx(value, rel=1e-12)
+                s = 2.0 * circ_conv(residual, adjoint).ravel()
+                step = prob._ball_step(k, prob._spectrum(x))
+                if value <= 0.0:
+                    assert step is None
+                    continue
+                moved += 1
+                spectrum, norm = step
+                expected = -(value / float(np.sum(s ** 2))) * s
+                np.testing.assert_allclose(prob._inverse(spectrum), expected, rtol=1e-12,
+                                           atol=1e-12 * np.abs(expected).max())
+                assert norm == pytest.approx(float(np.sqrt(np.sum(expected ** 2))), rel=1e-12)
+        assert moved
+
+    def test_fourier_residual(self, rng):
+        # the real step of the Fourier member, from the full spectrum: the
+        # masked difference made Hermitian, inverted by ifft2
+        prob = self.problem()
+        fam = prob.build_family()
+        mirror = np.ix_(*[(-np.arange(prob.n)) % prob.n] * 2)   # (u, v) -> (-u, -v)
+        for x in (rng.uniform(0.0, 255.0, size=prob.dim), prob.ground_truth.ravel() + 0.5):
+            diff = np.where(prob.mask, prob.target_spectrum - np.fft.fft2(x.reshape(prob.n, prob.n)),
+                            0.0)
+            step = np.fft.ifft2(0.5 * (diff + np.conj(diff[mirror]))).real
+            _, r = fam.evaluate([5], x, fam.run_state(x))
+            assert r[0] == pytest.approx(float(np.sqrt(np.sum(step ** 2))), rel=1e-12)
+
+    def test_fourier_support_on_an_odd_width_grid(self, rng):
+        # width 7: only column 0 of the half spectrum is self-conjugate
+        shape = (8, 7)
+        truth = rng.uniform(0.0, 10.0, size=shape)
+        low = np.zeros(shape, dtype=bool)
+        low[:3, :3] = True
+        mask = symmetrize_fourier_mask(low)
+        target = np.where(mask, np.fft.fft2(truth), 0.0)
+        for x in (rng.uniform(0.0, 10.0, size=shape), truth):
+            full = np.fft.fft2(x)
+            full[mask] = target[mask]
+            expected = np.fft.ifft2(full).real
+            np.testing.assert_allclose(project_fourier_support(target, mask, x), expected,
+                                       rtol=1e-12, atol=1e-12 * np.abs(expected).max())
 
 
 class TestImageFamilyEvaluate:
@@ -470,12 +520,13 @@ class TestImageFamilyEvaluate:
     def test_one_forward_transform_per_evaluate(self, monkeypatch, rng):
         prob, fam = self.family()
         x = rng.uniform(-20.0, 280.0, size=prob.dim)
-        calls = count_fft2(monkeypatch)
+        calls = count_transforms(monkeypatch)
         for ks, expected in (([0, 1, 2, 3, 4, 5], 1), ([5, 5], 1), ([0, 5], 1),
                              ([3, 3], 1), ([4, 4], 0)):
             calls.clear()
             fam.evaluate(ks, x)
-            assert len(calls) == expected
+            assert calls.count("rfft2") == expected
+            assert not {"fft2", "ifft2"} & set(calls)
 
     def test_checks_survive_batching(self, monkeypatch):
         prob, fam = self.family()
@@ -485,19 +536,29 @@ class TestImageFamilyEvaluate:
             with pytest.raises(UsageError):
                 fam.evaluate([k], bad)
         x = np.zeros(prob.dim)
-        ifft2 = np.fft.ifft2
+        rfft2 = np.fft.rfft2
+
+        def skewed(a, *args, **kwargs):
+            # an anti-Hermitian part in the self-conjugate column 0, off the
+            # mask, which irfft2 would drop without a word
+            out = rfft2(a, *args, **kwargs)
+            out[10, 0] += 1e3j
+            return out
+
         with monkeypatch.context() as m:
-            m.setattr(np.fft, "ifft2", lambda a, *args, **kwargs: ifft2(a, *args, **kwargs) + 1.0j)
-            with pytest.raises(NumericError, match="imaginary residue"):
-                fam.evaluate([0, 5], x)
-            # the spectral path meets the check in its one inverse
+            m.setattr(np.fft, "rfft2", skewed)
             for ks in ([0, 5], [1], [5]):
+                with pytest.raises(NumericError, match="imaginary residue"):
+                    fam.evaluate(ks, x)
+            # the spectral path meets the check in its one inverse, through
+            # the balls: the Fourier member's step lives on the mask
+            for ks in ([0, 5], [1]):
                 state = fam.run_state(x)
                 fam.evaluate(ks, x, state)
                 with pytest.raises(NumericError, match="imaginary residue"):
                     state.step(np.full(len(ks), 1.0 / len(ks)))
         # a violated ball whose subgradient vanishes, with and without the state
-        monkeypatch.setattr(prob, "_kernel_fft_conj", np.zeros_like(prob._kernel_fft_conj))
+        monkeypatch.setattr(prob, "_kernel_rfft_conj", np.zeros_like(prob._kernel_rfft_conj))
         for state in (None, fam.run_state(x)):
             for ks in ([4, 0], [0]):
                 with pytest.raises(DegenerateConstraintError, match=r"ball\[0\]"):
@@ -505,9 +566,9 @@ class TestImageFamilyEvaluate:
 
     def test_non_finite_ball_value_names_the_ball(self, monkeypatch):
         prob, fam = self.family()
-        obs_fft = prob._obs_fft.copy()
-        obs_fft[2, 3, 3] = np.nan
-        monkeypatch.setattr(prob, "_obs_fft", obs_fft)
+        obs_rfft = prob._obs_rfft.copy()
+        obs_rfft[2, 3, 3] = np.nan
+        monkeypatch.setattr(prob, "_obs_rfft", obs_rfft)
         x = np.zeros(prob.dim)
         for state in (None, fam.run_state(x)):
             with pytest.raises(NumericError, match=r"constraint ball\[2\]: f\(x\) = nan"):
@@ -525,8 +586,8 @@ class TestImageFamilyEvaluate:
 
 
 class TestSpectralState:
-    """The spectrum X ~ fft2(x) that a block run of the image family keeps
-    beside x, advanced by linearity."""
+    """The half spectrum X ~ rfft2(x) that a block run of the image family
+    keeps beside x, advanced by linearity."""
 
     @staticmethod
     def desk():
@@ -555,34 +616,33 @@ class TestSpectralState:
                     else:   # by Parseval, the Fourier member's from its Hermitian part
                         assert norms[i] == pytest.approx(bare_norms[i], rel=1e-12, abs=1e-13)
                     moved.update([k] if bare_norms[i] else [])
-                # |fft2(v)| <= dim max|v|: rounding is measured against that
+                # |rfft2(v)| <= dim max|v|: rounding is measured against that
                 scale = max(1.0, np.abs(x).max(), np.abs(steps).max())
                 beta = rng.dirichlet(np.ones(len(ks)))
                 pmx = state.step(beta)
                 np.testing.assert_allclose(pmx, beta @ steps, rtol=0, atol=1e-13 * scale)
-                # advancing by the applied coefficient tracks fft2 of the new point
+                # advancing by the applied coefficient tracks rfft2 of the new point
                 c = rng.uniform(0.1, 2.0)
                 x_next = x + c * pmx
                 state.advance(c, x_next)
                 np.testing.assert_allclose(state.spectrum,
-                                           np.fft.fft2(x_next.reshape(prob.n, prob.n)),
+                                           np.fft.rfft2(x_next.reshape(prob.n, prob.n)),
                                            rtol=0, atol=1e-15 * prob.dim * scale)
         assert moved == set(range(6))
 
     def test_one_checked_inverse_per_step_with_a_spectral_member(self, monkeypatch, rng):
         prob, fam = TestImageFamilyEvaluate.family()
         x = rng.uniform(-20.0, 280.0, size=prob.dim)
-        forward, inverse = count_fft2(monkeypatch), count_inverses(monkeypatch)
+        calls = count_transforms(monkeypatch)
         for ks, transforms in (([0, 1, 2, 3, 4, 5], (1, 1)), ([5, 5], (0, 1)), ([0, 5], (0, 1)),
                                ([3, 3], (0, 1)), ([4, 4], (1, 0)), ([4, 1], (1, 1))):
             state = fam.run_state(x)
-            forward.clear()
+            calls.clear()
             assert fam.evaluate(ks, x, state) is not None
-            assert not forward and not inverse   # evaluate transforms nothing
+            assert not calls   # evaluate transforms nothing
             state.step(np.full(len(ks), 1.0 / len(ks)))
-            assert (len(forward), len(inverse)) == transforms
-            assert set(inverse) <= {"ifft2"}
-            inverse.clear()
+            assert (calls.count("rfft2"), calls.count("irfft2")) == transforms
+            assert len(calls) == sum(transforms)
 
     def test_run_transforms_forward_once_plus_box_moves_and_resyncs(self, monkeypatch):
         prob, fam = self.desk()
@@ -602,26 +662,29 @@ class TestSpectralState:
         monkeypatch.setattr(experiments._SpectralState, "step", counted_step)
         cfg = BlockConfig(batch_size=2, delta=0.25, relaxation=canonical_strategies()["uniform"],
                           max_iters=2500, seed=3, atol=0.0)
-        forward, inverse = count_fft2(monkeypatch), count_inverses(monkeypatch)
+        calls = count_transforms(monkeypatch)
         run_block(fam, cfg, np.zeros(prob.dim))
         (state,) = states
         resyncs = state._advances // experiments._RESYNC_PERIOD
         box_moves = sum(box for box, _ in moves)
         spectral_moves = sum(spectral for _, spectral in moves)
         assert box_moves > 0 and resyncs >= 1 and spectral_moves > 0
-        assert len(forward) == 1 + box_moves + resyncs
+        assert calls.count("rfft2") == 1 + box_moves + resyncs
         # each evaluated iteration makes at most one inverse, always the checked one
-        assert len(inverse) == spectral_moves <= len(moves) == state._advances
-        assert set(inverse) == {"ifft2"}
+        assert calls.count("irfft2") == spectral_moves <= len(moves) == state._advances
+        assert not {"fft2", "ifft2"} & set(calls)
 
     @pytest.mark.parametrize("kind", ["anti-Hermitian", "Hermitian"])
     def test_corrupted_spectrum_is_caught(self, monkeypatch, rng, kind):
-        # an anti-Hermitian error leaves an imaginary residue in the next inverse;
-        # a Hermitian one passes it, and stays in X - fft2(x) until a resync sees it
+        # an anti-Hermitian error in the self-conjugate columns leaves an
+        # imaginary residue in the next inverse; any other error passes it,
+        # and stays in X - rfft2(x) until a resync sees it
         prob, fam = self.desk()
-        error = 1e-3 * np.fft.fft2(rng.standard_normal((prob.n, prob.n)))
+        error = 1e-3 * np.fft.rfft2(rng.standard_normal((prob.n, prob.n)))
         if kind == "anti-Hermitian":
-            error *= 1.0j
+            self_conjugate = error[:, ::prob.n // 2] * 1.0j
+            error[:] = 0.0
+            error[:, ::prob.n // 2] = self_conjugate
         run_state = fam.run_state
 
         def corrupted(x0):
@@ -639,19 +702,20 @@ class TestSpectralState:
             run_block(fam, cfg, np.zeros(prob.dim))
 
     def test_fourier_step_keeps_only_the_hermitian_part_of_its_difference(self):
-        # X drifts off Hermitian symmetry, and the target is Hermitian only to
-        # 1e-9: near the Fourier set the anti-Hermitian part of target - X can
-        # dwarf the Hermitian part, whose real step is the whole step
+        # in the self-conjugate columns X drifts off Hermitian symmetry, and
+        # the target is Hermitian only to 1e-9: near the Fourier set the
+        # anti-Hermitian part of target - X there can dwarf the Hermitian
+        # part, whose real step is the whole step
         prob, fam = self.desk()
         x = prob.ground_truth.ravel()
-        flat, mirror = prob._mask_flat, prob._mask_mirror
-        u = int(np.flatnonzero(mirror != np.arange(mirror.size))[0])   # not its own mirror
+        flat, edge, mirror = prob._mask_flat, prob._mask_edge, prob._mask_mirror
+        i = int(np.flatnonzero(mirror != edge)[0])   # an entry u that is not its own mirror
         for anti, herm, moves in ((1e3, 0.0, False), (1e3, 1e-6, True)):
             state = fam.run_state(x)
             spectrum = state.spectrum.ravel()
             spectrum[flat] = prob._target_values
             # X[u] = target[u] - (herm + i anti), X[-u] = target[-u] - (herm + i anti)
-            spectrum[flat[[u, mirror[u]]]] -= herm + 1j * anti
+            spectrum[flat[[edge[i], mirror[i]]]] -= herm + 1j * anti
             out = fam.evaluate([5, 5], x, state)
             assert (out is not None) == moves
             if moves:
@@ -707,7 +771,7 @@ class TestSpectralState:
         def measured(state, c, x_next):
             advance(state, c, x_next)
             if state._advances % 64 == 63:
-                exact = np.fft.fft2(x_next.reshape(prob.n, prob.n))
+                exact = np.fft.rfft2(x_next.reshape(prob.n, prob.n))
                 drifts.append(float(np.abs(state.spectrum - exact).max() / np.abs(exact).max()))
 
         monkeypatch.setattr(experiments._SpectralState, "advance", measured)
@@ -718,6 +782,32 @@ class TestSpectralState:
         assert res.trace.footer["iterations_run"] == 20_000
         assert len(drifts) > 200
         assert max(drifts) <= 1e-14
+
+    def test_non_finite_iterate_is_caught_by_the_run_guard(self, monkeypatch):
+        # with a run state, evaluate does not check x again: a NaN that enters
+        # an iterate stops the run at the divergence guard, before any
+        # evaluate sees it
+        prob, fam = self.desk()
+        step, evaluate = experiments._SpectralState.step, experiments._SpectralState.evaluate
+        seen = []
+
+        def poisoned(state, beta):
+            d = step(state, beta)
+            if state._advances == 5:
+                d[7] = np.nan
+            return d
+
+        def watched(state, ks, x):
+            seen.append(bool(np.all(np.isfinite(x))))
+            return evaluate(state, ks, x)
+
+        monkeypatch.setattr(experiments._SpectralState, "step", poisoned)
+        monkeypatch.setattr(experiments._SpectralState, "evaluate", watched)
+        cfg = BlockConfig(batch_size=2, delta=0.25, relaxation=canonical_strategies()["const1"],
+                          max_iters=100, seed=3, atol=0.0)
+        with pytest.raises(NumericError, match="iterate diverged at iteration"):
+            run_block(fam, cfg, np.zeros(prob.dim))
+        assert len(seen) > 5 and all(seen)
 
     def test_family_keeps_no_run_state(self, rng):
         prob, fam = self.desk()

@@ -290,3 +290,32 @@ class TestErrorSchedules:
         for n in range(200):
             e = sched.sample(n, 8, noise_rng)
             assert np.linalg.norm(e) <= 2.0 / (n + 1) ** 1.25 + 1e-15
+
+    @pytest.mark.parametrize("dim", [1, 7, 4096])
+    def test_rows_equal_successive_samples(self, dim):
+        # one (m, dim) draw per iteration against m draws of one row each,
+        # written out with np.linalg.norm: the same bits and stream state
+        sched = DecayingNoise(2.0, 1.25)
+
+        def one_row(n, rng):
+            g = rng.standard_normal(dim)
+            norm = float(np.linalg.norm(g))
+            if norm > 1.0:
+                g /= norm
+            return 2.0 / (n + 1.0) ** 1.25 * g
+
+        rows, ones, oracle = (np.random.default_rng(dim) for _ in range(3))
+        capped = held = 0
+        for n in range(300 if dim < 4096 else 20):
+            m = 1 + n % 4
+            block = sched.sample_rows(n, m, dim, rows)
+            expected = np.array([one_row(n, oracle) for _ in range(m)])
+            assert block.shape == (m, dim)
+            assert block.tobytes() == expected.tobytes()
+            assert block.tobytes() == np.array([sched.sample(n, dim, ones)
+                                                for _ in range(m)]).tobytes()
+            unit = np.linalg.norm(block, axis=1) * (n + 1.0) ** 1.25 / 2.0
+            capped += int(np.sum(np.isclose(unit, 1.0)))
+            held += int(np.sum(unit < 1.0 - 1e-9))
+        assert rows.bit_generator.state == oracle.bit_generator.state == ones.bit_generator.state
+        assert capped and (held or dim == 4096)

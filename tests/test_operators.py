@@ -6,6 +6,7 @@ from scipy.optimize import minimize
 
 from stochfeas.exceptions import DegenerateConstraintError, NumericError, UsageError
 from stochfeas.operators import (
+    _half_inverse,
     InequalityConstraint,
     OperatorFamily,
     project_box,
@@ -250,6 +251,31 @@ class TestFourierSupport:
         bad[1, 1] += 1000.0j  # breaks conjugate symmetry on the mask
         with pytest.raises(UsageError):
             project_fourier_support(bad, mask, truth)
+
+    @pytest.mark.parametrize("shape", [(8, 8), (6, 7)])
+    def test_half_inverse_checks_the_residue_it_drops(self, rng, shape):
+        # an anti-Hermitian part in the self-conjugate columns (0, and n2 / 2
+        # for an even width) is what irfft2 drops; the check compares the
+        # imaginary part that ifft2 of the full spectrum would carry with
+        # 1e-9 max(1, max|out|)
+        n1, n2 = shape
+        x = rng.uniform(0.0, 10.0, size=shape)
+        cols = [0] if n2 % 2 else [0, n2 // 2]
+        g = rng.standard_normal((n1, len(cols)))
+        g += g[(-np.arange(n1)) % n1]   # g[-u] = g[u], so i g is anti-Hermitian
+        anti = np.zeros(shape, dtype=complex)
+        anti[:, cols] = 1j * g
+        unit = float(np.abs(np.fft.ifft2(np.fft.fft2(x) + anti).imag).max())
+        half = np.fft.rfft2(x)
+        tol = 1e-9 * max(1.0, float(np.abs(np.fft.irfft2(half, s=shape)).max()))
+        for factor, raises in ((0.9, False), (1.1, True)):
+            skewed = half + factor * tol / unit * anti[:, : n2 // 2 + 1]
+            if raises:
+                with pytest.raises(NumericError, match="imaginary residue"):
+                    _half_inverse(skewed, shape)
+            else:
+                assert np.array_equal(_half_inverse(skewed, shape),
+                                      np.fft.irfft2(skewed, s=shape))
 
     def test_symmetrize_adds_mirrors(self):
         mask = np.zeros((8, 8), dtype=bool)
