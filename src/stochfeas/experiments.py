@@ -424,6 +424,12 @@ class ImageProblem:
         step = self._ball_step(k, spectrum)
         return x if step is None else x + self._inverse(step[0])
 
+    def _project_fourier(self, spectrum: np.ndarray) -> np.ndarray:
+        """Projection onto the Fourier set of the image whose half spectrum
+        is ``spectrum``, which it overwrites on the mask."""
+        return _fourier_from_spectrum(self._target_values, self._half_mask, spectrum,
+                                      (self.n, self.n)).reshape(-1)
+
     def _ball_step(self, k: int, spectrum: np.ndarray):
         """The step of ball k's subgradient projector at the point whose half
         spectrum is ``spectrum`` (read only), as its half spectrum
@@ -464,9 +470,7 @@ class ImageProblem:
         constraint is preserved only up to the drift the clamp introduces.
         """
         x = self._point(x)
-        grid = _fourier_from_spectrum(self._target_values, self._half_mask, self._spectrum(x),
-                                      (self.n, self.n))
-        return project_box(0.0, PIXEL_MAX, grid.ravel())
+        return project_box(0.0, PIXEL_MAX, self._project_fourier(self._spectrum(x)))
 
     def feasibility_report(self, x: np.ndarray) -> dict:
         x = self._point(x)
@@ -527,8 +531,7 @@ class _ImageFamily(_IndexedFamily):
                 spectrum = problem._spectrum(x)
             if k != _FOURIER:
                 return problem._project_ball(k, x, spectrum)
-            return _fourier_from_spectrum(problem._target_values, problem._half_mask,
-                                          spectrum.copy(), (problem.n, problem.n)).ravel()
+            return problem._project_fourier(spectrum.copy())
 
         return _member_steps(ks, x, project)
 
