@@ -29,7 +29,6 @@ from .experiments import (
     estimate_reference_solution,
     generate_image_problem,
     generate_signal_problem,
-    iterations_to_db,
     run_experiment,
 )
 from .exceptions import (
@@ -51,14 +50,11 @@ from .fixedpoint import (
 )
 from .geometry import fejer_decrement
 from .operators import (
-    InequalityConstraint,
     OperatorFamily,
     halfspace_projector,
     project_box,
-    project_fourier_support,
     project_hyperslab,
     sample_indices,
-    subgradient_projector,
     symmetrize_fourier_mask,
 )
 from .relaxation import (

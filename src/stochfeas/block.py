@@ -5,8 +5,7 @@ One iteration over a family (T_k) of firmly quasinonexpansive operators:
 1. draw M indices k_1..k_M i.i.d. from the family's index distribution;
 2. evaluate the steps p_i - x = T_{k_i} x - x (plus an error term e_i in
    the error-tolerant variant) and the residual norms r_i = ||p_i - x||,
-   all M at once through the family's ``evaluate``, which reports a batch
-   whose members all fix x by returning None;
+   all M at once;
 3. form weights beta_i summing to 1 with beta_i >= delta on every index
    attaining the maximal residual;
 4. average p = sum_i beta_i p_i and extrapolate,
@@ -14,31 +13,32 @@ One iteration over a family (T_k) of firmly quasinonexpansive operators:
        a = x + L (p - x);
 5. draw the relaxation lam and update x <- x + lam (a - x).
 
+A run applies the family through one state, ``family.run_state(x0)`` (see
+``operators._IndexedFamily``): ``evaluate(ks, x)`` gives the residuals of
+a batch and keeps its steps, ``step(beta)`` gives p - x, and ``advance(c,
+x_next)`` follows the update x_next = x + c (p - x), c = lam L.  The
+error-tolerant variant runs on a ``_RowState`` over the family's bare
+``evaluate`` instead, which adds the errors to the rows; it draws the M
+errors of an iteration at once.
+
 An iteration whose drawn members all fix x leaves x unchanged (p = x,
-so L = 1 and a = x).  The family reports such a batch, so the iteration
-neither builds nor scans zero rows: it consumes its relaxation draw and
-skips the arithmetic of steps 3-5 (the error-tolerant variant runs them on
-M fresh zero rows, which take its noise).  Its record needs none either:
-p = a = x, L = 1, the drawn lam and the weights of M zero residuals, which
-the run checks once rather than on every such record.
+so L = 1 and a = x).  The state reports such a batch by returning None,
+so the iteration neither builds nor scans zero rows: it consumes its
+relaxation draw and skips the arithmetic of steps 3-5 (the error-tolerant
+variant's state reports none, since its rows carry the errors).  Its
+record needs none either: p = a = x, L = 1, the drawn lam and the weights
+of M zero residuals, which the run checks once rather than on every such
+record.  A state may report a batch all-fixed without evaluating it, from
+a certificate (the signal experiment's screen); that is the answer an
+evaluation would give, so the bits are the same.  The run starts from
+x0 + 0.0: the full update turns a -0.0 coordinate into +0.0, so with none
+in x0 both paths give the same bits.
 
-Without errors, a family with a ``clearance`` lets the
-iteration skip ``evaluate`` as well.  The run keeps an anchor z, the radii
-rho = clearance(z) and ||x - z||, recomputed only when x is a new array.
-When min_i rho_{k_i} > ||x - z||, every drawn member fixes x, so the
-iteration is a no-op that ``evaluate`` would have reported: it consumes
-the relaxation draw and returns x unchanged, the same bits either way.
-There is no anchor until ``evaluate`` first reports an all-fixed batch;
-each time it reports one at an x other than the anchor, the run anchors
-there.
-The run starts from x0 + 0.0: the full update turns a -0.0 coordinate
-into +0.0, so with none in x0 both paths give the same bits.
-
-A screened run also skips whole stretches of no-op iterations.  Once a
-step has left x unchanged, the run screens the next batches of the
-current index chunk in growing windows (4, 16, 64, ... batches) with one
-gather of radii each, up to the first batch the screen cannot clear, and
-hands the loop the relaxations drawn for the cleared ones.  The loop
+A state with a ``screen`` also lets the run skip whole stretches of no-op
+iterations.  Once a step has left x unchanged, the run screens the next
+batches of the current index chunk in growing windows (4, 16, 64, ...
+batches), up to the first batch the screen cannot clear, and hands the
+loop the relaxations drawn for the cleared ones.  The loop
 (``fixedpoint._iterate``) takes those iterations at once.  A stretch ends
 before the budget's last iteration and before the iteration at which
 ``stop_patience`` quiet iterations would stop the run, so that the last
@@ -47,15 +47,6 @@ recorded rows enter the trace in one call, with residual 0, L = 1, the dB
 value of x and one shared ``elapsed_s`` stamp, and each iteration gets its
 no-op record.  A stretch consumes the same draws as its iterations would
 one at a time, so seeded outputs are the same bits as without it.
-
-Without errors, a family with a ``run_state`` (the image family keeps
-X = rfft2(x) this way) gets its state with every ``evaluate`` call, which
-then returns the residuals and keeps the steps: the run asks the state for
-p - x given the weights (the image state combines its members' step
-spectra and takes one inverse transform), and after the update advances it
-by the coefficient lam L it applied to p - x; no-op iterations leave it
-alone.  A run with errors adds its noise to the rows, so it takes them
-from a bare ``evaluate``; it draws the M errors of an iteration at once.
 
 The error-tolerant variant skips the extrapolation (a = p) and requires
 relaxations supported inside ]0, 2[.  Indices, errors and relaxations each
@@ -68,9 +59,9 @@ is drawn, lam stays independent of the sigma-algebra of the evaluations.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -80,7 +71,7 @@ from .diagnostics import audit_fejer_step
 from .exceptions import ConfigurationError, InvariantViolationError, UsageError
 from .fixedpoint import DecayingNoise, _check_schedule_certificate, _iterate
 from .geometry import as_point, require_same_dim
-from .operators import _IndexedFamily
+from .operators import _IndexedFamily, _RowState
 from .rngstreams import substream
 from .trace import ConvergenceTrace
 
@@ -246,10 +237,16 @@ def run_block(
     # the current chunk of each stream, and the position of its next draw
     ks_chunk = lam_chunk = ()
     ks_at = lam_at = 0
-    noise_rng = substream(cfg.seed, "noise") if cfg.error_schedule is not None else None
     x0 = as_point(x0, "x0") + 0.0   # -0.0 -> +0.0, see the module docstring
-    state = family.run_state(x0) if noise_rng is None else None
-    evaluate = family.evaluate if state is None else partial(family.evaluate, state=state)
+    state = family.run_state(x0)   # checks x0 against the family
+    errors = cfg.error_schedule
+    if errors is not None:
+        # the errors go on rows in space; this state neither screens nor
+        # reports a batch all-fixed, so iteration n makes the n-th draw
+        noise_rng = substream(cfg.seed, "noise")
+        state = _RowState(family.evaluate, (errors.sample_rows(n, m, x0.size, noise_rng)
+                                            for n in itertools.count()))
+    evaluate, mean_step, advance, screen = state.evaluate, state.step, state.advance, state.screen
     zs = [as_point(z, "fejer point") for z in fejer_points] if fejer_points else []
     for z in zs:
         require_same_dim(z, x0, "fejer point")
@@ -270,16 +267,11 @@ def run_block(
             rec.validate(cfg.delta, r)
         records.append(rec)
 
-    clearance = family.clearance if noise_rng is None else None
-    # the screen's anchor z, its radii, and ||x - z|| for the last x seen
-    anchor = radii = seen = None
-    distance = 0.0
     violations = 0
     worst = 0.0
 
     def step(n, x, want):
-        nonlocal violations, worst, anchor, radii, seen, distance
-        nonlocal ks_chunk, ks_at, lam_chunk, lam_at
+        nonlocal violations, worst, ks_chunk, ks_at, lam_chunk, lam_at
         if ks_at == len(ks_chunk):
             ks_chunk, ks_at = next(batches), 0
         if lam_at == len(lam_chunk):
@@ -287,37 +279,18 @@ def run_block(
         ks, lam = ks_chunk[ks_at], lam_chunk[lam_at]
         ks_at += 1
         lam_at += 1
-        if radii is not None:
-            if x is not seen:
-                d = x - anchor
-                distance, seen = math.sqrt(float(d.dot(d))), x
-            if radii[ks].min() > distance:   # every drawn member fixes x
-                if records is not None:
-                    record(n, ks, noop_beta, x, 1.0, x, lam)
-                return x, 0.0, lam, 1.0
-        # the averaged point enters only through p - x; working with the
-        # steps directly keeps the indicator branch [p = x] exact when every
-        # drawn operator fixes x
-        evaluated = evaluate(ks, x)
-        if evaluated is not None:
-            steps, r = evaluated
-        elif noise_rng is None:
-            if clearance is not None and x is not anchor:
-                anchor = seen = x
-                radii, distance = clearance(x), 0.0
+        r = evaluate(ks, x)
+        if r is None:   # every drawn member fixes x
             if records is not None:
                 record(n, ks, noop_beta, x, 1.0, x, lam)
             return x, 0.0, lam, 1.0
-        else:
-            # fresh arrays: the error-tolerant variant adds noise to the rows in place
-            steps, r = np.zeros((m, x.shape[0])), np.zeros(m)
-        if noise_rng is not None:
-            steps += cfg.error_schedule.sample_rows(n, m, x.shape[0], noise_rng)
-            r = np.array([math.sqrt(float(d @ d)) for d in steps])
         beta = noop_beta if uniform else compute_weights(r, cfg.delta, cfg.weight_rule)
-        avg_step = beta @ steps if state is None else state.step(beta)
+        # the averaged point enters only through p - x; working with the
+        # steps directly keeps the indicator branch [p = x] exact when every
+        # drawn operator fixes x
+        avg_step = mean_step(beta)
         pmx = math.sqrt(float(avg_step.dot(avg_step)))
-        if cfg.error_schedule is None:
+        if errors is None:
             extrap = _extrapolation(r, beta, pmx)
             if extrap < 1.0 - _EXTRAPOLATION_SLACK:
                 raise InvariantViolationError(
@@ -328,8 +301,7 @@ def run_block(
             extrap = 1.0
             a = x + avg_step
         x_next = x + lam * (a - x)
-        if state is not None:
-            state.advance(lam * extrap, x_next)
+        advance(lam * extrap, x_next)
         if zs:
             count, deficit = audit_fejer_step(x, x_next, lam, x - a, zs)
             violations += count
@@ -340,19 +312,16 @@ def run_block(
 
     def skip(n, x, limit):
         """The relaxations of iterations n + 1 .. n + j, j <= limit, that the
-        screen proves no-ops at x, the step's own screen over the current chunks."""
+        state's screen proves no-ops at x, over the current chunks."""
         nonlocal ks_at, lam_at
-        if radii is None or x is not seen:   # no anchor, or no distance for this x
-            return ()
         limit = min(limit, len(ks_chunk) - ks_at, len(lam_chunk) - lam_at)
         j, width = 0, 4
         while j < limit:
             width = min(width, limit - j)
-            held = radii[ks_chunk[ks_at + j:ks_at + j + width]].min(axis=1) > distance
-            if not held.all():
-                j += int(held.argmin())   # the first batch that the screen cannot clear
+            cleared = screen(ks_chunk[ks_at + j:ks_at + j + width], x)
+            j += cleared
+            if cleared < width:   # the first batch that the screen cannot clear
                 break
-            j += width
             width *= 4
         if records is not None:
             for i in range(j):
@@ -366,5 +335,5 @@ def run_block(
     # iteration proves nothing; require stop_patience consecutive ones
     x, trace = _iterate(step, x0, cfg.max_iters, cfg.atol, cfg.record_every,
                         patience=cfg.stop_patience, reference=reference_solution,
-                        skip=None if clearance is None else skip)
+                        skip=None if screen is None else skip)
     return BlockResult(x, trace, records, violations, worst)

@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -63,7 +62,7 @@ from .exceptions import NumericError, ReferenceSolutionError, UsageError
 from .geometry import as_point, require_same_dim
 from .operators import (
     _IndexedFamily,
-    _fourier_from_spectrum,
+    _RowState,
     _half,
     _half_inverse,
     _half_norm_sq,
@@ -77,7 +76,6 @@ from .operators import (
     validate_fourier_mask,
 )
 from .rngstreams import derive_seed, substream
-from .trace import ConvergenceTrace
 
 UNIFORM_NOISE_HIGH = 5.0
 PIXEL_MAX = 255.0
@@ -185,7 +183,9 @@ class _SlabFamily(_IndexedFamily):
     gathers their M windows and takes all inner products in one
     matrix-vector product.  The batch is all-fixed when every signed
     distance s back into the slabs is 0, which needs no scan of the rows;
-    a NaN counts as nonzero and takes the full path.
+    a NaN counts as nonzero and takes the full path.  A block run keeps
+    the rows in a ``_SlabState``, whose screen reads the radii of
+    ``clearance``.
     """
 
     def __init__(self, bases, observations, eta):
@@ -253,6 +253,11 @@ class _SlabFamily(_IndexedFamily):
         margin /= self._norm
         return margin
 
+    def run_state(self, x0):
+        if x0.shape != self._windows.shape[1:]:
+            raise UsageError(f"dimension mismatch in x0: {x0.shape} vs {self._windows.shape[1:]}")
+        return _SlabState(self)
+
     def evaluate(self, ks, x):
         ks = np.asarray(ks)
         rows = self._windows[self._offsets[ks]]
@@ -264,6 +269,54 @@ class _SlabFamily(_IndexedFamily):
             return None
         s /= self._norm_sq[ks]
         return s[:, None] * rows, np.abs(s) * self._norm[ks]
+
+
+class _SlabState(_RowState):
+    """The rows of a hyperslab family's last batch, and its screen: radii
+    that prove batches all-fixed without evaluating them.
+
+    The state keeps an anchor z, the radii rho = ``clearance(z)`` and the
+    distance ||x - z||, recomputed only when x is a new array.  When
+    min_i rho_{k_i} > ||x - z||, every member of the batch fixes x, and
+    ``evaluate`` reports it all-fixed without the slab arithmetic: the
+    answer that arithmetic would give, so the run's bits are the same.
+    There is no anchor until an evaluated batch is all-fixed; each time one
+    is, at an x other than the anchor, the state anchors there.
+    """
+
+    def __init__(self, family: _SlabFamily):
+        super().__init__(family.evaluate)
+        self._clearance = family.clearance
+        self._anchor = self._radii = self._seen = None
+        self._distance = 0.0
+
+    def evaluate(self, ks, x):
+        radii = self._radii
+        if radii is not None:
+            if x is not self._seen:
+                d = x - self._anchor
+                self._distance, self._seen = math.sqrt(float(d.dot(d))), x
+            # minimum.reduce is ndarray.min without its Python wrapper
+            if np.minimum.reduce(radii[ks]) > self._distance:
+                return None
+        out = self._evaluate(ks, x)
+        if out is None:
+            if x is not self._anchor:
+                self._anchor = self._seen = x
+                self._radii, self._distance = self._clearance(x), 0.0
+            return None
+        self._rows, r = out
+        return r
+
+    def screen(self, batches, x):
+        """How many leading batches of ``batches`` the radii prove all-fixed
+        at x; none without an anchor or before ``evaluate`` has seen x."""
+        radii = self._radii
+        if radii is None or x is not self._seen:
+            return 0
+        held = np.minimum.reduce(radii[batches], axis=1) > self._distance
+        first = int(held.argmin())   # the first batch not held, or 0 if all are
+        return first if not held[first] else len(held)
 
 
 _SIGNAL_SEGMENTS = 6
@@ -426,9 +479,15 @@ class ImageProblem:
 
     def _project_fourier(self, spectrum: np.ndarray) -> np.ndarray:
         """Projection onto the Fourier set of the image whose half spectrum
-        is ``spectrum``, which it overwrites on the mask."""
-        return _fourier_from_spectrum(self._target_values, self._half_mask, spectrum,
-                                      (self.n, self.n)).reshape(-1)
+        is ``spectrum``, which it overwrites on the mask with the target.
+
+        In the self-conjugate columns the checked inverse keeps the
+        Hermitian part of the target, the nearest spectrum a real grid has;
+        the anti-Hermitian part, at most 1e-9 of the target's scale once
+        validated, is the imaginary residue that ``_half_inverse`` verifies.
+        """
+        spectrum[self._half_mask] = self._target_values
+        return self._inverse(spectrum)
 
     def _ball_step(self, k: int, spectrum: np.ndarray):
         """The step of ball k's subgradient projector at the point whose half
@@ -501,11 +560,11 @@ class _ImageFamily(_IndexedFamily):
     on the problem's validated half mask.  Every row comes from the checked
     inverse ``irfft2``.
 
-    A block run keeps X in a ``_SpectralState`` instead (``run_state``), and
-    ``evaluate(ks, x, state)`` builds no rows: the state keeps the steps of
-    the batch and combines them when the run asks for p - x.  It does not
-    check x again: ``run_state`` checks x0, the run checks the shape of its
-    first step, and its divergence guard the finiteness of every iterate.
+    A block run keeps X in a ``_SpectralState`` instead (``run_state``),
+    which builds no rows: it keeps the step spectra of the batch and
+    combines them when the run asks for p - x.  The error-tolerant variant
+    adds its errors to rows in space, so it takes them from the bare
+    ``evaluate``.
     """
 
     def __init__(self, problem: ImageProblem, weights=None):
@@ -516,9 +575,7 @@ class _ImageFamily(_IndexedFamily):
         problem = self._problem
         return _SpectralState(problem, problem._spectrum(problem._point(x0)))
 
-    def evaluate(self, ks, x, state=None):
-        if state is not None:
-            return state.evaluate(ks, x)
+    def evaluate(self, ks, x):
         problem = self._problem
         x = problem._point(x)
         spectrum = None
@@ -557,8 +614,10 @@ class _SpectralState:
     Hermitian part of that difference vanishes as x nears the Fourier set
     while the anti-Hermitian part, drift of X and of the target, does not:
     a norm that counted it would break L >= 1.  ``advance(c, x_next)`` then
-    adds c S, with the box row's transform, to X.
+    adds c S, with the box row's transform, to X.  It has no screen.
     """
+
+    screen = None
 
     def __init__(self, problem: ImageProblem, spectrum: np.ndarray):
         self.spectrum = spectrum
@@ -572,8 +631,8 @@ class _SpectralState:
         self._advances = 0
 
     def evaluate(self, ks, x):
-        """(None, r) for the members ``ks`` at x, r their step norms, with the
-        steps kept here; None when every member fixes x."""
+        """The step norms r of the members ``ks`` at x, with the steps kept
+        here; None when every member fixes x."""
         problem = self._problem
         balls = self._balls
         balls.clear()
@@ -609,7 +668,7 @@ class _SpectralState:
                     balls[k], r[i] = out
         if not balls and self._fourier is None and self._box is None:
             return None
-        return None, r
+        return r
 
     def step(self, beta) -> np.ndarray:
         """p - x = sum_i beta_i (T_{k_i} x - x) of the last evaluated batch,
@@ -765,13 +824,3 @@ def run_experiment(problem, family: _IndexedFamily, cfg: BlockConfig, label: str
     averaged = aggregate_runs([res.trace for res in results])
     return ExperimentResult(label, seeds, references, results, averaged)
 
-
-def iterations_to_db(trace: ConvergenceTrace, threshold_db: float) -> Optional[int]:
-    """First recorded iteration at which the dB column crosses the threshold."""
-    db = trace.db_column()
-    if db is None:
-        return None
-    below = np.nonzero(db <= threshold_db)[0]
-    if below.size == 0:
-        return None
-    return int(trace.iterations()[below[0]])

@@ -1,8 +1,10 @@
 """Firmly quasinonexpansive operator toolbox.
 
-Exact projectors (box, hyperslab, Fourier support), subgradient projectors
-built from convex inequality functions, and indexed operator families with
-reproducible categorical index sampling.
+Exact box and hyperslab projectors, the shared parts of the image
+experiment's Fourier-support projector and ball subgradient projectors
+(mask and target checks, half spectra, the checked inverse, the projector
+scale), and indexed operator families with reproducible categorical index
+sampling.
 
 Every built-in projector P satisfies P(P(x)) = P(x) and the firm
 quasinonexpansiveness inequality
@@ -12,6 +14,8 @@ quasinonexpansiveness inequality
 A family applies its operators through ``evaluate``, which returns the
 steps T_k x - x of the drawn members at one point, or None when every
 drawn member fixes that point, so that each step is an exact zero row.
+A block run applies them through the state that ``run_state(x0)`` gives
+it, which keeps the steps of the batch (see ``_IndexedFamily``).
 ``OperatorFamily`` holds plain callables; the signal and image
 experiments define families whose ``evaluate`` works on the problem's
 arrays directly.  Families are immutable after construction and safe to
@@ -24,52 +28,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .exceptions import DegenerateConstraintError, NumericError, UsageError
 from .geometry import as_point, require_same_dim
-
-
-@dataclass(frozen=True)
-class InequalityConstraint:
-    """A convex inequality f(x) <= 0 with a subgradient selection s(x)."""
-
-    value: Callable[[np.ndarray], float]
-    subgradient: Callable[[np.ndarray], np.ndarray]
-    name: str = ""
-
-
-def subgradient_projector(constraint: InequalityConstraint, x) -> np.ndarray:
-    """Apply the subgradient projector of ``constraint`` at ``x``.
-
-    Returns ``x`` when f(x) <= 0, otherwise
-
-        x - f(x) / ||s(x)||^2 * s(x).
-
-    The output lands in the half-space {z : f(x) + <s(x), z - x> <= 0},
-    which contains the level set {f <= 0}; firm quasinonexpansiveness with
-    respect to that set follows.
-    """
-    x = as_point(x, "x")
-    scale, s = _subgradient_scale(x, float(constraint.value(x)),
-                                  lambda: constraint.subgradient(x), constraint.name)
-    return x if s is None else x - scale * s
-
-
-def _subgradient_scale(x: np.ndarray, fx: float, subgradient: Callable[[], np.ndarray],
-                       name: str = "") -> tuple[float, Optional[np.ndarray]]:
-    """The subgradient projector at a validated ``x`` whose value f(x) = ``fx``
-    is known, as (t, s) with T x = x - t s: (0.0, None) when fx <= 0, else
-    t = f(x) / ||s(x)||^2.  ``subgradient()`` gives s(x) and is called only
-    when fx > 0."""
-    if not _violated(fx, name):
-        return 0.0, None
-    s = as_point(subgradient(), "subgradient")
-    require_same_dim(s, x, "subgradient_projector")
-    return _projector_scale(fx, float(s @ s), name), s
 
 
 def _violated(fx: float, name: str) -> bool:
@@ -131,7 +95,7 @@ def halfspace_projector(a, b: float) -> Callable[[np.ndarray], np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Fourier-support projector.
+# Fourier support.
 #
 # DFT convention: unnormalized forward transform (numpy fft2) with 1/N on
 # the inverse, N the number of grid points.  Real input forces the conjugate
@@ -209,19 +173,6 @@ def _half_norm_sq(values: np.ndarray, edge) -> float:
     return 2.0 * float(np.vdot(values, values).real) - float(np.vdot(e, e).real)
 
 
-def _fourier_from_spectrum(values, mask, spectrum, shape) -> np.ndarray:
-    """Overwrite the half ``spectrum`` of a grid of ``shape`` with ``values``
-    on the half ``mask``, and return its checked real inverse.
-
-    In the self-conjugate columns the inverse keeps the Hermitian part of
-    the values, the nearest spectrum a real grid has; the anti-Hermitian
-    part, to which a validated target contributes at most 1e-9 of its
-    scale, is the imaginary residue that ``_half_inverse`` verifies.
-    """
-    spectrum[mask] = values
-    return _half_inverse(spectrum, shape)
-
-
 def _half_inverse(spectrum: np.ndarray, shape: tuple) -> np.ndarray:
     """The real grid ``irfft2(spectrum, s=shape)``, once the imaginary residue
     that irfft2 drops is verified against 1e-9 (relative to the grid scale).
@@ -250,61 +201,41 @@ def _half_inverse(spectrum: np.ndarray, shape: tuple) -> np.ndarray:
     return out
 
 
-def project_fourier_support(target_spectrum, mask, x) -> np.ndarray:
-    """Replace the DFT of ``x`` on the masked frequencies by ``target_spectrum``.
-
-    ``x`` is a real 2-D grid.  The output is real: it is the checked real
-    inverse of the half spectrum, whose dropped imaginary residue is
-    verified against 1e-9 (relative to the grid scale).
-    """
-    mask = validate_fourier_mask(mask)
-    target = _validate_fourier_target(target_spectrum, mask)
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != mask.shape:
-        raise UsageError(f"grid shape {x.shape} does not match mask shape {mask.shape}")
-    if not np.all(np.isfinite(x)):
-        raise UsageError("grid contains non-finite entries")
-    half = _half(mask)
-    return _fourier_from_spectrum(_half(target)[half], half, np.fft.rfft2(x), x.shape)
-
-
 # ---------------------------------------------------------------------------
 # Indexed operator families.
 # ---------------------------------------------------------------------------
 
 class _IndexedFamily:
-    """The index law of a family of ``count`` operators, and its ``evaluate``.
+    """The index law of a family of ``count`` operators, its ``evaluate``
+    and the run state of its block runs.
 
     Weights default to uniform; they must be finite, positive and sum to 1
     within 1e-12.  Uniform families of one size share one read-only index
     law (weights, cumulative weights and guide table).  ``evaluate(ks, x)``
-    is the batched entry point of the block iteration: it returns the steps
-    T_k x - x of the members ``ks`` at one point x, one row each, and their
-    Euclidean norms.  A member that fixes x must give an exact zero row.
-    When every member of ``ks`` fixes x, so that every row would be zero,
-    it returns None instead; the block iteration then leaves x unchanged
-    without further arithmetic.
+    returns the steps T_k x - x of the members ``ks`` at one point x, one
+    row each, and their Euclidean norms.  A member that fixes x must give
+    an exact zero row.  When every member of ``ks`` fixes x, so that every
+    row would be zero, it returns None instead.
 
-    A family may also define ``clearance(z)``, which returns radii rho of
-    shape (count,) such that ``evaluate`` would report member k as fixing
-    every x with ||x - z|| < rho_k, rounding of every computed quantity
-    included; rho_k <= 0 or NaN certifies nothing.  The block iteration
-    then skips ``evaluate`` on batches that the radii prove all-fixed.
-    Families without a certificate leave ``clearance`` None.
+    A block run applies the family through one state, ``run_state(x0)``,
+    which checks x0 and belongs to the run: the family stays immutable.
+    Every state has the same four members:
 
-    A family may also keep a per-run state beside the iterate: ``run_state(x0)``
-    returns an object for one run, or None.  The block iteration then calls
-    ``evaluate(ks, x, state)``, which returns None for an all-fixed batch as
-    above, or (None, r): the norms r, while the steps stay in the state.
-    The iteration asks ``state.step(beta)`` for the averaged step p - x =
-    sum_i beta_i (T_{k_i} x - x) of that batch, and after the update
-    x_next = x + c (p - x) calls ``state.advance(c, x_next)``.  The state
-    belongs to the run: the family stays immutable, and a bare
-    ``evaluate(ks, x)`` reads none and returns rows.  With a state,
-    ``evaluate`` need not check x again: ``run_state`` checks x0, and the
-    run checks the shape of its first step and, in its divergence guard,
-    the finiteness of every iterate.  The image family's state keeps the
-    half spectrum rfft2(x) and combines its members' step spectra there.
+    * ``evaluate(ks, x)``: the step norms r of the members ``ks`` at x, or
+      None when every member fixes x; the steps stay in the state;
+    * ``step(beta)``: the averaged step p - x = sum_i beta_i (T_{k_i} x - x)
+      of the batch last evaluated;
+    * ``advance(c, x_next)``, called after the update x_next = x + c (p - x);
+    * ``screen(batches, x)``: how many leading batches of ``batches`` (shape
+      (w, M)) it proves all-fixed at x without evaluating them; or ``screen
+      = None`` for a state without such a certificate.
+
+    The state's ``evaluate`` need not check x again: ``run_state`` checks x0,
+    and the run checks the shape of its first step and, in its divergence
+    guard, the finiteness of every iterate.  The default state keeps the
+    rows of a bare ``evaluate`` (``_RowState``); the signal experiment's
+    state adds a screen, and the image experiment's keeps the half spectrum
+    rfft2(x) and combines its members' step spectra there.
     """
 
     def __init__(self, count: int, weights=None):
@@ -350,11 +281,46 @@ class _IndexedFamily:
         norms (M,), or None when every step is zero."""
         raise NotImplementedError
 
-    clearance = None   # optional certificate z -> radii, see the class docstring
-
     def run_state(self, x0: np.ndarray):
-        """The state one run keeps beside its iterate, see the class docstring."""
-        return None
+        """The state one block run keeps beside its iterate x0, see the class docstring."""
+        return _RowState(self.evaluate)
+
+
+class _RowState:
+    """The run state of a family whose steps are rows in space: it keeps
+    the rows of the batch it last evaluated, and screens nothing.
+
+    With ``noise``, an iterator over the error rows (M, n) of each
+    evaluation in turn, it is the state of the error-tolerant variant: its
+    rows are the errors plus the steps, which are zero rows for an
+    all-fixed batch, so it reports no batch all-fixed.
+    """
+
+    screen = None
+
+    def __init__(self, evaluate: Callable, noise=None):
+        self._evaluate = evaluate
+        self._noise = noise
+        self._rows = None
+
+    def evaluate(self, ks, x: np.ndarray) -> Optional[np.ndarray]:
+        out = self._evaluate(ks, x)
+        if self._noise is not None:
+            rows = next(self._noise)
+            if out is not None:
+                rows += out[0]
+            self._rows = rows
+            return np.array([math.sqrt(float(d @ d)) for d in rows])
+        if out is None:
+            return None
+        self._rows, r = out
+        return r
+
+    def step(self, beta: np.ndarray) -> np.ndarray:
+        return beta @ self._rows
+
+    def advance(self, c: float, x_next: np.ndarray) -> None:
+        """Rows are formed afresh at every x: nothing to advance."""
 
 
 def _index_law(weights: np.ndarray) -> tuple:
@@ -388,8 +354,7 @@ def _member_steps(ks, x: np.ndarray, project: Callable[[int], np.ndarray]):
     step is zero; ``project(k)`` returns T_k x.
 
     Each distinct member is applied once, and a repeated one gets a copy of
-    its first row: rows stay independent, because the error-tolerant
-    variant adds noise to each row in place.  The batch is all-fixed when
+    its first row.  The batch is all-fixed when
     every norm is 0 and then every row is 0: the norms are the cheap test,
     and the rows confirm it, because the norm of a nonzero row can
     underflow to 0.  A point T_k x of another shape than x raises UsageError.

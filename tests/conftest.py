@@ -5,19 +5,35 @@ to an intersection of half-spaces comes from Dykstra's alternating scheme,
 relaxation draws are transcribed one ``rng.random()`` at a time rather than
 taken from the solvers' chunks, and ``replay_block`` is the block iteration
 as the paper states it, every iteration in full: the one reference that
-every block replay test compares ``run_block`` against.
+every block replay test compares ``run_block`` against.  The subgradient
+projector of a convex inequality and the Fourier-support projector of a
+grid are the general forms of the image experiment's members, and
+``iterations_to_db`` reads a trace's dB column.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 import pytest
 
-from stochfeas import fixedpoint
+from stochfeas import experiments, fixedpoint
 from stochfeas import relaxation as rx
 from stochfeas.block import UNIFORM_OVER_BATCH, BlockIterationRecord
-from stochfeas.operators import OperatorFamily, halfspace_projector, sample_indices
+from stochfeas.geometry import as_point, require_same_dim
+from stochfeas.operators import (
+    OperatorFamily,
+    _half,
+    _half_inverse,
+    _projector_scale,
+    _validate_fourier_target,
+    _violated,
+    halfspace_projector,
+    sample_indices,
+    validate_fourier_mask,
+)
 from stochfeas.rngstreams import substream
 
 
@@ -29,6 +45,56 @@ def halfspace_proj_oracle(a, b, x):
     if excess <= 0:
         return x.copy()
     return x - excess * a / (a @ a)
+
+
+@dataclass(frozen=True)
+class InequalityConstraint:
+    """A convex inequality f(x) <= 0 with a subgradient selection s(x)."""
+
+    value: Callable[[np.ndarray], float]
+    subgradient: Callable[[np.ndarray], np.ndarray]
+    name: str = ""
+
+
+def subgradient_projector(constraint: InequalityConstraint, x) -> np.ndarray:
+    """The subgradient projector of ``constraint`` at ``x``: ``x`` itself
+    when f(x) <= 0, otherwise x - f(x) / ||s(x)||^2 s(x).
+
+    The output lands in the half-space {z : f(x) + <s(x), z - x> <= 0},
+    which contains the level set {f <= 0}.  A non-finite f(x) or a zero
+    subgradient raises the package's errors, naming the constraint.
+    """
+    x = as_point(x, "x")
+    fx = float(constraint.value(x))
+    if not _violated(fx, constraint.name):
+        return x
+    s = as_point(constraint.subgradient(x), "subgradient")
+    require_same_dim(s, x, "subgradient_projector")
+    return x - _projector_scale(fx, float(s @ s), constraint.name) * s
+
+
+def project_fourier_support(target_spectrum, mask, x) -> np.ndarray:
+    """Replace the DFT of the real grid ``x`` on the masked frequencies by
+    ``target_spectrum``, once mask and target are validated; the output is
+    the checked real inverse of the half spectrum."""
+    mask = validate_fourier_mask(mask)
+    target = _validate_fourier_target(target_spectrum, mask)
+    x = np.asarray(x, dtype=np.float64)
+    half = _half(mask)
+    spectrum = np.fft.rfft2(x)
+    spectrum[half] = _half(target)[half]
+    return _half_inverse(spectrum, x.shape)
+
+
+def iterations_to_db(trace, threshold_db: float) -> Optional[int]:
+    """First recorded iteration at which the dB column crosses the threshold."""
+    db = trace.db_column()
+    if db is None:
+        return None
+    below = np.nonzero(db <= threshold_db)[0]
+    if below.size == 0:
+        return None
+    return int(trace.iterations()[below[0]])
 
 
 def dykstra_distance(normals, offsets, x, iters=4000):
@@ -105,14 +171,17 @@ def replay_block(family, cfg, x0, reference=None, evaluate=None):
     """The block iteration of ``cfg`` from ``x0``, every iteration in full:
     no no-op shortcut, screen or stretch.  Draws are scalar, one index per
     member.  The rows T_k x - x come from ``evaluate(k, x)`` one member at a
-    time if given, else from the family's whole-batch ``evaluate`` (M fresh
-    zero rows for an all-fixed batch).  When the run adds no errors, that
-    ``evaluate`` gets the run state, which keeps the rows and gives the
-    averaged step p - x.  Returns the final point, the trace and every record."""
+    time if given, else from the family's bare whole-batch ``evaluate`` (M
+    fresh zero rows for an all-fixed batch), never from a run state, whose
+    screen is code under test.  Only the image family's batches go through
+    its spectral run state when the run adds no errors, so that rounding
+    matches: the state keeps the steps and gives the averaged step p - x.
+    Returns the final point, the trace and every record."""
     m = cfg.batch_size
     idx_rng, lam_rng, err_rng = (substream(cfg.seed, s) for s in ("index", "relaxation", "noise"))
     errors = cfg.error_schedule
-    state = family.run_state(x0) if errors is None and evaluate is None else None
+    spectral = isinstance(family, experiments._ImageFamily) and errors is None and evaluate is None
+    state = family.run_state(x0) if spectral else None
     records = []
 
     def step(n, x, want):
@@ -121,8 +190,11 @@ def replay_block(family, cfg, x0, reference=None, evaluate=None):
         if evaluate is not None:
             rows = np.array([evaluate(k, x) for k in ks])
             out = rows, np.array([math.sqrt(float(d @ d)) for d in rows])
+        elif state is not None:
+            r = state.evaluate(ks, x)
+            out = None if r is None else (None, r)
         else:
-            out = family.evaluate(ks, x) if state is None else family.evaluate(ks, x, state)
+            out = family.evaluate(ks, x)
         rows, r = (np.zeros((m, x.size)), np.zeros(m)) if out is None else out
         if errors is not None:
             for d in rows:

@@ -20,13 +20,17 @@ from stochfeas.experiments import (
     canonical_strategies,
     desk_image_problem,
     desk_signal_problem,
-    iterations_to_db,
     run_experiment,
 )
 from stochfeas.fixedpoint import DecayingNoise, KmConfig, SgdConfig, quadratic_family, run_km, run_sgd
 from stochfeas.operators import OperatorFamily, halfspace_projector
 
-from conftest import force_indices, random_halfspace_problem, sample_solution_points
+from conftest import (
+    force_indices,
+    iterations_to_db,
+    random_halfspace_problem,
+    sample_solution_points,
+)
 
 ROT90 = np.array([[0.0, -1.0], [1.0, 0.0]])
 

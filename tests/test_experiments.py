@@ -22,23 +22,27 @@ from stochfeas.experiments import (
     gaussian_kernel_1d,
     generate_image_problem,
     generate_signal_problem,
-    iterations_to_db,
     run_experiment,
 )
 from stochfeas.fixedpoint import DecayingNoise
 from stochfeas.operators import (
-    InequalityConstraint,
     OperatorFamily,
     project_box,
-    project_fourier_support,
     project_hyperslab,
     sample_indices,
-    subgradient_projector,
     symmetrize_fourier_mask,
 )
 from stochfeas.rngstreams import substream
 
-from conftest import assert_same_run, replay_block
+from conftest import (
+    InequalityConstraint,
+    assert_same_run,
+    iterations_to_db,
+    project_fourier_support,
+    random_halfspace_problem,
+    replay_block,
+    subgradient_projector,
+)
 
 
 def step_of(family, k, x):
@@ -243,6 +247,16 @@ class TestSignalProblem:
                             failed.append(int(k))
                 assert failed == []
 
+    @pytest.mark.parametrize("errors", [None, DecayingNoise(c=0.5, q=1.5)], ids=["plain", "errors"])
+    @pytest.mark.parametrize("length", [1, 255, 512])
+    def test_wrong_length_x0_is_a_usage_error(self, length, errors):
+        # run_state checks x0 before any product with a slab normal
+        prob = experiments.desk_signal_problem(seed=3)
+        cfg = BlockConfig(batch_size=4, delta=0.1, relaxation=rx.Constant(1.0), max_iters=5,
+                          seed=0, error_schedule=errors)
+        with pytest.raises(UsageError, match="dimension mismatch"):
+            run_block(prob.build_family(), cfg, np.zeros(length))
+
     def test_invalid_ranges_rejected(self):
         with pytest.raises(UsageError):
             generate_signal_problem(n=64, p=0, seed=0)
@@ -383,7 +397,7 @@ class TestHalfSpectrumOracles:
             diff = np.where(prob.mask, prob.target_spectrum - np.fft.fft2(x.reshape(prob.n, prob.n)),
                             0.0)
             step = np.fft.ifft2(0.5 * (diff + np.conj(diff[mirror]))).real
-            _, r = fam.evaluate([5], x, fam.run_state(x))
+            r = fam.run_state(x).evaluate([5], x)
             assert r[0] == pytest.approx(float(np.sqrt(np.sum(step ** 2))), rel=1e-12)
 
     def test_fourier_support_on_an_odd_width_grid(self, rng):
@@ -554,15 +568,15 @@ class TestImageFamilyEvaluate:
             # the balls: the Fourier member's step lives on the mask
             for ks in ([0, 5], [1]):
                 state = fam.run_state(x)
-                fam.evaluate(ks, x, state)
+                state.evaluate(ks, x)
                 with pytest.raises(NumericError, match="imaginary residue"):
                     state.step(np.full(len(ks), 1.0 / len(ks)))
         # a violated ball whose subgradient vanishes, with and without the state
         monkeypatch.setattr(prob, "_kernel_rfft_conj", np.zeros_like(prob._kernel_rfft_conj))
-        for state in (None, fam.run_state(x)):
+        for evaluate in (fam.evaluate, fam.run_state(x).evaluate):
             for ks in ([4, 0], [0]):
                 with pytest.raises(DegenerateConstraintError, match=r"ball\[0\]"):
-                    fam.evaluate(ks, x, state)
+                    evaluate(ks, x)
 
     def test_non_finite_ball_value_names_the_ball(self, monkeypatch):
         prob, fam = self.family()
@@ -570,9 +584,9 @@ class TestImageFamilyEvaluate:
         obs_rfft[2, 3, 3] = np.nan
         monkeypatch.setattr(prob, "_obs_rfft", obs_rfft)
         x = np.zeros(prob.dim)
-        for state in (None, fam.run_state(x)):
+        for evaluate in (fam.evaluate, fam.run_state(x).evaluate):
             with pytest.raises(NumericError, match=r"constraint ball\[2\]: f\(x\) = nan"):
-                fam.evaluate([0, 2], x, state)
+                evaluate([0, 2], x)
 
     def test_error_tolerant_run_matches_member_replay(self):
         prob, fam = self.family()
@@ -594,28 +608,52 @@ class TestSpectralState:
         prob = experiments.desk_image_problem(seed=4)
         return prob, prob.build_family(fourier_weight=experiments.DESK_IMAGE_FOURIER_WEIGHT)
 
-    def test_state_steps_equal_the_rows_of_a_bare_evaluate(self, rng):
-        prob, fam = TestImageFamilyEvaluate.family()
-        truth = prob.ground_truth.ravel()
-        moved = set()
-        for x in (truth + rng.uniform(-0.5, 0.5, size=prob.dim), np.zeros(prob.dim),
-                  rng.uniform(-20.0, 280.0, size=prob.dim)):
-            for ks in ([0, 1, 2, 3, 4, 5], [5, 0, 5], [4, 4], [3], [5]):
+    @staticmethod
+    def cases(kind, rng):
+        """A family, its points and its batches, for each kind of run state."""
+        if kind == "spectral":
+            prob, fam = TestImageFamilyEvaluate.family()
+            truth = prob.ground_truth.ravel()
+            points = (truth + rng.uniform(-0.5, 0.5, size=prob.dim), np.zeros(prob.dim),
+                      rng.uniform(-20.0, 280.0, size=prob.dim))
+            return fam, points, ([0, 1, 2, 3, 4, 5], [5, 0, 5], [4, 4], [3], [5])
+        if kind == "slab":
+            prob = generate_signal_problem(n=32, p=3, seed=5)
+            truth = prob.ground_truth
+            points = (truth, np.zeros(32), truth + rng.uniform(-0.5, 0.5, size=32))
+            return prob.build_family(), points, (list(range(96)), [7, 40, 7, 95], [3], [64, 1])
+        _, _, fam, center, _ = random_halfspace_problem(rng)
+        points = (center, center + 3.0 * rng.normal(size=10), np.zeros(10))
+        return fam, points, (list(range(20)), [4, 11, 4], [0], [19, 2])
+
+    @pytest.mark.parametrize("kind", ["spectral", "slab", "operator"])
+    def test_state_steps_equal_the_rows_of_a_bare_evaluate(self, rng, kind):
+        # every state gives the bare rows' norms and their average; only the
+        # spectral state rounds differently, through its transforms
+        fam, points, batches = self.cases(kind, rng)
+        moved, held = set(), 0
+        for x in points:
+            for ks in batches:
                 state = fam.run_state(x)
-                out = fam.evaluate(ks, x, state)
+                norms = state.evaluate(ks, x)
                 bare = fam.evaluate(ks, x)
-                assert (out is None) == (bare is None)
-                if out is None:
+                assert (norms is None) == (bare is None)
+                if norms is None:
+                    held += 1
                     continue
-                rows, norms = out
                 steps, bare_norms = bare
-                assert rows is None   # the steps stay in the state
+                moved.update(k for k, r in zip(ks, bare_norms) if r)
+                if kind != "spectral":
+                    assert norms.tobytes() == bare_norms.tobytes()
+                    beta = rng.dirichlet(np.ones(len(ks)))
+                    assert state.step(beta).tobytes() == (beta @ steps).tobytes()
+                    continue
+                prob = fam._problem
                 for i, k in enumerate(ks):
                     if k == 4:
                         assert norms[i] == bare_norms[i]
                     else:   # by Parseval, the Fourier member's from its Hermitian part
                         assert norms[i] == pytest.approx(bare_norms[i], rel=1e-12, abs=1e-13)
-                    moved.update([k] if bare_norms[i] else [])
                 # |rfft2(v)| <= dim max|v|: rounding is measured against that
                 scale = max(1.0, np.abs(x).max(), np.abs(steps).max())
                 beta = rng.dirichlet(np.ones(len(ks)))
@@ -628,7 +666,9 @@ class TestSpectralState:
                 np.testing.assert_allclose(state.spectrum,
                                            np.fft.rfft2(x_next.reshape(prob.n, prob.n)),
                                            rtol=0, atol=1e-15 * prob.dim * scale)
-        assert moved == set(range(6))
+        assert held and moved
+        if kind == "spectral":
+            assert moved == set(range(6))
 
     def test_one_checked_inverse_per_step_with_a_spectral_member(self, monkeypatch, rng):
         prob, fam = TestImageFamilyEvaluate.family()
@@ -638,7 +678,7 @@ class TestSpectralState:
                                ([3, 3], (0, 1)), ([4, 4], (1, 0)), ([4, 1], (1, 1))):
             state = fam.run_state(x)
             calls.clear()
-            assert fam.evaluate(ks, x, state) is not None
+            assert state.evaluate(ks, x) is not None
             assert not calls   # evaluate transforms nothing
             state.step(np.full(len(ks), 1.0 / len(ks)))
             assert (calls.count("rfft2"), calls.count("irfft2")) == transforms
@@ -716,10 +756,9 @@ class TestSpectralState:
             spectrum[flat] = prob._target_values
             # X[u] = target[u] - (herm + i anti), X[-u] = target[-u] - (herm + i anti)
             spectrum[flat[[edge[i], mirror[i]]]] -= herm + 1j * anti
-            out = fam.evaluate([5, 5], x, state)
-            assert (out is not None) == moves
+            r = state.evaluate([5, 5], x)
+            assert (r is not None) == moves
             if moves:
-                r = out[1]
                 d = state.step(np.array([0.5, 0.5]))
                 # the real step of the Hermitian part herm at u and -u (herm is
                 # set to about 1e-5 relative, through X's entries of up to 1e5)
@@ -936,6 +975,25 @@ class TestNoOpIterations:
                 first, length, limit = stretches[-1]
                 assert length == limit and first + length == iterations - 1
                 assert steps[-2] == first - 1 > iterations - 1 - cfg.stop_patience
+
+    def test_replay_evaluates_every_batch_in_full(self):
+        # the oracle shares no screen with the run: one bare evaluate per
+        # iteration, no-op iterations included
+        prob = experiments.desk_signal_problem(seed=3)
+        fam = prob.build_family()
+        calls = []
+        evaluate = fam.evaluate
+
+        def counted(ks, x):
+            calls.append(len(ks))
+            return evaluate(ks, x)
+
+        fam.evaluate = counted
+        cfg = BlockConfig(batch_size=16, delta=1 / 32, relaxation=canonical_strategies()["uniform"],
+                          max_iters=300, seed=5, atol=0.0)
+        _, trace, _ = replay_block(fam, cfg, np.zeros(prob.n))
+        assert np.any(trace.residuals() == 0.0)
+        assert calls == [16] * trace.footer["iterations_run"] == [16] * 300
 
     @staticmethod
     def held(fam, x0, records):

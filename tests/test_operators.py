@@ -7,18 +7,20 @@ from scipy.optimize import minimize
 from stochfeas.exceptions import DegenerateConstraintError, NumericError, UsageError
 from stochfeas.operators import (
     _half_inverse,
-    InequalityConstraint,
     OperatorFamily,
     project_box,
-    project_fourier_support,
     project_hyperslab,
     sample_indices,
-    subgradient_projector,
     symmetrize_fourier_mask,
     validate_fourier_mask,
 )
 
-from conftest import halfspace_proj_oracle
+from conftest import (
+    InequalityConstraint,
+    halfspace_proj_oracle,
+    project_fourier_support,
+    subgradient_projector,
+)
 
 
 def unit_ball_constraint():
