@@ -610,8 +610,9 @@ class TestSpectralState:
 
     @staticmethod
     def cases(kind, rng):
-        """A family, its points and its batches, for each kind of run state."""
-        if kind == "spectral":
+        """A family, its points and its batches, for each kind of run state:
+        the image family's spectral state, the slab state and a row state."""
+        if kind == "image":
             prob, fam = TestImageFamilyEvaluate.family()
             truth = prob.ground_truth.ravel()
             points = (truth + rng.uniform(-0.5, 0.5, size=prob.dim), np.zeros(prob.dim),
@@ -626,7 +627,7 @@ class TestSpectralState:
         points = (center, center + 3.0 * rng.normal(size=10), np.zeros(10))
         return fam, points, (list(range(20)), [4, 11, 4], [0], [19, 2])
 
-    @pytest.mark.parametrize("kind", ["spectral", "slab", "operator"])
+    @pytest.mark.parametrize("kind", ["image", "slab", "row"])
     def test_state_steps_equal_the_rows_of_a_bare_evaluate(self, rng, kind):
         # every state gives the bare rows' norms and their average; only the
         # spectral state rounds differently, through its transforms
@@ -643,7 +644,7 @@ class TestSpectralState:
                     continue
                 steps, bare_norms = bare
                 moved.update(k for k, r in zip(ks, bare_norms) if r)
-                if kind != "spectral":
+                if kind != "image":
                     assert norms.tobytes() == bare_norms.tobytes()
                     beta = rng.dirichlet(np.ones(len(ks)))
                     assert state.step(beta).tobytes() == (beta @ steps).tobytes()
@@ -667,7 +668,7 @@ class TestSpectralState:
                                            np.fft.rfft2(x_next.reshape(prob.n, prob.n)),
                                            rtol=0, atol=1e-15 * prob.dim * scale)
         assert held and moved
-        if kind == "spectral":
+        if kind == "image":
             assert moved == set(range(6))
 
     def test_one_checked_inverse_per_step_with_a_spectral_member(self, monkeypatch, rng):
