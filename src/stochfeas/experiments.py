@@ -150,11 +150,11 @@ class SignalProblem:
         """All n*p hyperslab projectors, uniform index distribution.
 
         Member k*n + j is the slab of filter k at coordinate j.  The family
-        keeps only the p base rows (rolled per coordinate when evaluated)
-        and the per-member bounds and squared norms.
+        keeps only the p base rows (rolled per coordinate when evaluated),
+        the per-member bounds and squared norms, and the problem's kernel
+        spectra.
         """
-        bases = np.stack([np.roll(self.kernels[k][::-1], 1) for k in range(self.p)])
-        return _SlabFamily(bases, self.observations, self.eta)
+        return _SlabFamily(self)
 
     def max_violation(self, x) -> float:
         """max_{k,j} of dist((L_k x - r_k)_j, [-eta, eta]); <= 0 means feasible."""
@@ -188,21 +188,23 @@ class _SlabFamily(_IndexedFamily):
     ``clearance``.
     """
 
-    def __init__(self, bases, observations, eta):
-        p, n = bases.shape
+    def __init__(self, problem: SignalProblem):
+        p, n = problem.kernels.shape
         super().__init__(p * n)
+        # row j of filter k is b_k[(m - j) mod n], b_k the kernel reversed
+        # and rolled once: circulant_row(kernel_k, j)
+        bases = np.roll(problem.kernels[:, ::-1], 1, axis=1)
         doubled = np.concatenate([bases, bases], axis=1).ravel()
         self._windows = np.lib.stride_tricks.sliding_window_view(doubled, n)
         k, j = np.divmod(np.arange(p * n), n)
         self._offsets = 2 * n * k + n - j
         self._norm_sq = np.repeat([float(b @ b) for b in bases], n)
         self._norm = np.sqrt(self._norm_sq)
-        self._lo = (observations - eta).ravel()
-        self._hi = (observations + eta).ravel()
-        # row j of filter k is b_k[(m - j) mod n], so (L_k z)_j is the
-        # circular convolution of z with b_k reversed, whose spectrum is
-        # conj(rfft(b_k)) for a real b_k
-        self._spectra = np.conj(np.fft.rfft(bases, axis=1))
+        self._lo = (problem.observations - problem.eta).ravel()
+        self._hi = (problem.observations + problem.eta).ravel()
+        # (L_k z)_j is the circular convolution of z with kernel k, so the
+        # sweep of clearance reads the problem's spectra, as max_violation does
+        self._spectra = problem._spectra
         # eps = 10^3 c_n u (max ||a|| ||z|| + max w), see clearance
         cu = _CLEARANCE_HEADROOM * (3.0 * (n + 3) + 32.0 * math.sqrt(n) * math.log2(2 * n)) \
             * np.finfo(np.float64).eps / 2.0
@@ -741,9 +743,12 @@ def synthetic_image(n: int) -> np.ndarray:
 
 
 def generate_image_problem(n: int = 256, seed: int = 0, blur_std: float = 8.0) -> ImageProblem:
-    """Build a seeded image restoration instance (n must be divisible by 8)."""
-    if n % 8 != 0:
-        raise UsageError(f"image side must be divisible by 8, got {n}")
+    """Build a seeded image restoration instance (n must be a positive
+    multiple of 8, blur_std finite and positive)."""
+    if n <= 0 or n % 8 != 0:
+        raise UsageError(f"image side must be a positive multiple of 8, got {n}")
+    if not (blur_std > 0.0 and math.isfinite(blur_std)):
+        raise UsageError(f"blur_std must be finite and positive, got {blur_std}")
     xbar = synthetic_image(n)
     kernel = gaussian_kernel_2d(n, blur_std)
     blurred = circ_conv(xbar, kernel)

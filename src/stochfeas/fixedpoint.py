@@ -24,7 +24,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -159,65 +159,17 @@ class SgdConfig:
 
 
 class GradientFamily(_IndexedFamily):
-    """Indexed stochastic gradients with a uniform index law and declared variance bound.
+    """Stochastic gradients of f(x) = ||x - c||^2 / 2 under a uniform index
+    law, grad g_k(x) = x - c - w_k, held as arrays: ``center`` c and the
+    ``offsets`` w_k, one row each.
 
-    ``gradients`` maps an index to the callable grad g_k.  ``mean_gradient``
-    is the deterministic grad f when available (used for trace residuals and
-    the unbiasedness spot-check).  ``variance_bound`` is the declared xi with
-    E||grad g_k(x) - grad f(x)||^2 <= xi.  :func:`quadratic_family` builds
-    the array form of one family, without callables.
+    The family is unbiased when the offsets have zero mean, which
+    :func:`quadratic_family` ensures.  ``variance_bound`` is the declared
+    xi = max_k ||w_k||^2 >= E||grad g_k(x) - grad f(x)||^2.
     """
 
-    def __init__(self, gradients: Sequence[Callable], mean_gradient: Optional[Callable],
-                 variance_bound: float):
-        super().__init__(len(gradients))
-        if not (variance_bound >= 0.0 and math.isfinite(variance_bound)):
-            raise UsageError(f"variance bound must be finite and >= 0, got {variance_bound}")
-        self.gradients = list(gradients)
-        self.mean_gradient = mean_gradient
-        self.variance_bound = float(variance_bound)
-
-    def gradient(self, k: int, x: np.ndarray) -> np.ndarray:
-        g = np.asarray(self.gradients[k](x), dtype=np.float64)
-        if g.shape != x.shape:   # x - gamma g would broadcast, or fail inside numpy
-            require_same_dim(g, x, f"gradient {k} and x")
-        return g
-
-    def spot_check_unbiased(self, x0: np.ndarray, rng) -> None:
-        """Monte-Carlo check that the sample mean gradient at x0 is within
-        3 sigma of the declared mean gradient, sigma = sqrt(xi / m), over
-        m = 10,000 draws."""
-        if self.mean_gradient is None:
-            return
-        acc = self._sample_mean(sample_indices(self, rng, _SPOT_CHECK_SAMPLES), x0)
-        target = np.asarray(self.mean_gradient(x0), dtype=np.float64)
-        dev = float(np.linalg.norm(acc - target))
-        bound = 3.0 * math.sqrt(max(self.variance_bound, 1e-300) / _SPOT_CHECK_SAMPLES)
-        if dev > bound and self.variance_bound > 0.0:
-            raise ConfigurationError(
-                f"unbiasedness spot-check failed at x0: |mean - grad f| = {dev:.3e} "
-                f"> 3 sqrt(xi/m) = {bound:.3e}"
-            )
-        if self.variance_bound == 0.0 and dev > 1e-9 * (1.0 + float(np.linalg.norm(target))):
-            raise ConfigurationError(
-                f"zero-variance family deviates from mean gradient by {dev:.3e}"
-            )
-
-    def _sample_mean(self, ks: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Mean of grad g_k(x) over the drawn indices ``ks``."""
-        acc = np.zeros_like(x)
-        for k in ks.tolist():
-            acc += self.gradient(k, x)
-        return acc / ks.size
-
-
-class _QuadraticFamily(GradientFamily):
-    """The family of :func:`quadratic_family`, held as arrays: ``center`` c
-    and the recentred ``offsets`` w_k, one row each."""
-
     def __init__(self, center: np.ndarray, offsets: np.ndarray):
-        # no callables to hold: gradient and mean_gradient are methods here
-        _IndexedFamily.__init__(self, offsets.shape[0])
+        super().__init__(offsets.shape[0])
         self.center = center
         self.offsets = offsets
         self.variance_bound = float(np.max(np.sum(offsets ** 2, axis=1)))
@@ -229,13 +181,21 @@ class _QuadraticFamily(GradientFamily):
         return x - self.center
 
     def spot_check_unbiased(self, x0: np.ndarray, rng) -> None:
+        """Monte-Carlo check that the sample mean gradient at x0 is within
+        3 sigma of the mean gradient, sigma = sqrt(xi / m), over m = 10,000
+        draws.  With xi = 0 it admits no deviation at all."""
         # the family's dimension is known here, before any gradient broadcasts
         require_same_dim(x0, self.center, "x0 and the quadratic family")
-        super().spot_check_unbiased(x0, rng)
-
-    def _sample_mean(self, ks: np.ndarray, x: np.ndarray) -> np.ndarray:
+        ks = sample_indices(self, rng, _SPOT_CHECK_SAMPLES)
         # one mean over the gathered rows, not one gradient call per draw
-        return x - self.center - self.offsets[ks].mean(axis=0)
+        acc = x0 - self.center - self.offsets[ks].mean(axis=0)
+        dev = float(np.linalg.norm(acc - self.mean_gradient(x0)))
+        bound = 3.0 * math.sqrt(self.variance_bound / _SPOT_CHECK_SAMPLES)
+        if dev > bound:
+            raise ConfigurationError(
+                f"unbiasedness spot-check failed at x0: |mean - grad f| = {dev:.3e} "
+                f"> 3 sqrt(xi/m) = {bound:.3e}"
+            )
 
 
 def quadratic_family(center, offsets) -> GradientFamily:
@@ -250,7 +210,7 @@ def quadratic_family(center, offsets) -> GradientFamily:
         raise UsageError("offsets must be a (K, dim) array matching the center")
     if not np.all(np.isfinite(offsets)):
         raise UsageError("offsets contain non-finite entries")
-    return _QuadraticFamily(center, offsets - offsets.mean(axis=0))
+    return GradientFamily(center, offsets - offsets.mean(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +345,7 @@ def run_km(T, cfg: KmConfig, x0) -> tuple[np.ndarray, ConvergenceTrace]:
 def run_sgd(cfg: SgdConfig, x0) -> tuple[np.ndarray, ConvergenceTrace]:
     """Stochastic gradient descent with steps gamma_n = 2 beta / (n + 1)^nu.
 
-    The trace residual column holds ||grad f(x_n)|| when the family declares
-    its mean gradient, else the norm of the sampled gradient.
+    The trace residual column holds ||grad f(x_n)||.
     """
     x0 = as_point(x0, "x0")
     family = cfg.gradient_family
@@ -402,7 +361,7 @@ def run_sgd(cfg: SgdConfig, x0) -> tuple[np.ndarray, ConvergenceTrace]:
         g = gradient(next(indices), x)
         residual = None
         if want:
-            gf = g if mean_grad is None else np.asarray(mean_grad(x), dtype=np.float64)
+            gf = mean_grad(x)
             residual = math.sqrt(float(gf.dot(gf)))
         return x - gamma * g, residual, gamma, 1.0
 

@@ -208,18 +208,19 @@ class TestSignalProblem:
         np.testing.assert_allclose(res.final, x, rtol=1e-12, atol=1e-12 * np.abs(x).max())
 
     def test_clearance_radii_keep_every_member_fixed(self):
-        # the desk kernels are symmetric, so the random family's bases are
-        # not: a reversed kernel spectrum would go unseen on symmetric ones
+        # the desk kernels are symmetric, so the random problem's are not: a
+        # reversed kernel spectrum would go unseen on symmetric ones
         rng = np.random.default_rng(17)
         desk = experiments.desk_signal_problem(seed=3)
         desk_rows = np.stack([circulant_row(kernel, j) for kernel in desk.kernels
                               for j in range(desk.n)])
         n, p, eta = 32, 3, 0.15
-        bases = rng.uniform(-1.0, 1.0, size=(p, n))
+        kernels = rng.uniform(-1.0, 1.0, size=(p, n))
         truth = rng.uniform(-1.0, 1.0, size=n)
-        rows = np.stack([np.roll(b, j) for b in bases for j in range(n)])   # b[(m - j) mod n]
+        rows = np.stack([circulant_row(kernel, j) for kernel in kernels for j in range(n)])
         observations = rows @ truth + rng.uniform(-0.6 * eta, 0.6 * eta, size=p * n)
-        family = experiments._SlabFamily(bases, observations.reshape(p, n), eta)
+        family = experiments.SignalProblem(n, p, eta, np.ones(p), kernels,
+                                           observations.reshape(p, n), truth, 0).build_family()
         assert np.array_equal(family._windows[family._offsets], rows)
         mid_run = BlockConfig(batch_size=4, delta=0.1, relaxation=rx.Constant(1.9),
                               max_iters=40, seed=2, atol=0.0)
@@ -345,6 +346,19 @@ class TestImageProblem:
     def test_divisibility_validation(self):
         with pytest.raises(UsageError):
             generate_image_problem(n=60, seed=0)
+
+    @pytest.mark.parametrize("n, blur_std, match", [
+        (0, 1.0, "positive multiple of 8"),
+        (-8, 1.0, "positive multiple of 8"),
+        (16, 0.0, "blur_std must be finite and positive"),
+        (16, -1.0, "blur_std must be finite and positive"),
+        (16, math.nan, "blur_std must be finite and positive"),
+        (16, math.inf, "blur_std must be finite and positive"),
+    ])
+    def test_bad_side_or_blur_is_a_usage_error(self, n, blur_std, match):
+        # each passed the side check before and failed inside numpy, or built a NaN kernel
+        with pytest.raises(UsageError, match=match):
+            generate_image_problem(n=n, seed=0, blur_std=blur_std)
 
     def test_wrong_length_point_is_rejected(self):
         prob = generate_image_problem(n=16, seed=2)
