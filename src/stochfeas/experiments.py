@@ -24,24 +24,35 @@ the self-conjugate columns and 2 on the others (see the Fourier section of
 ``operators``).  Every inverse is one checked irfft2, which verifies the
 imaginary residue it drops.
 
-A block run over the image family keeps the half spectrum X ~ rfft2(x)
-beside x (``_SpectralState``).  The steps of the balls and the Fourier
-member are linear in X, so the state combines them in the frequency domain
-and an evaluated iteration takes at most one inverse transform, for p - x,
-and no forward transform unless the box moves x.  The run advances X by
-the same combination as x.  The two copies round differently and drift
-apart.  The resync rule is fixed: every 1024 evaluated updates, X is
-recomputed as rfft2(x).  Over 12 runs of 20,000 iterations (the four
-strategies on desk instances 4, 0 and 1, atol 0), the drift max|X -
-rfft2(x)|, read one advance before each resync, stayed within 3.8e-15 of
-max|rfft2(x)|; with full fft2 spectra it stayed within 2.2e-15, and
-without any resync it reached 7.3e-15, its norm relative to ||fft2(x)||
-still growing after 17,000 updates.  The tests hold the drift to 1e-14,
-and each resync checks it against 1e-12, 260 times the worst measured,
-so that a corrupted X raises NumericError there.  The schedule counts
-only evaluated updates, so it is a function of the iterate sequence:
-passes that replay the same draws, with or without records, keep the
-same X.
+A block run over the image family iterates in the half spectrum X =
+rfft2(x) (``_SpectralState``): rfft2 with the Parseval weights is an
+isometry onto the half spectra, so the run's update arithmetic, a = X + L
+S and X+ = X + lam (a - X), is the same as in space, and its divergence
+guard, its dB column and ||p - x|| take the Parseval norm.  The dB column
+is measured against rfft2 of the reference, taken once per run.  The
+steps of the balls and the Fourier member are linear in X; the box's is
+not, so the run maps X back to space, by one checked irfft2 kept while X
+is unchanged, only when the box is drawn, when it writes records or
+audits Fejer points, and once for the final point.  When the box moves x,
+the step spectrum S takes rfft2 of the box's share.
+
+There is no second copy of x to drift from.  What rounding leaves in X
+that no real image has is an anti-Hermitian part in the self-conjugate
+columns, which irfft2 drops and each checked inverse measures as its
+imaginary residue.  Over criterion 8's const1 run (20,000 iterations,
+4,853 inverses) that residue stayed at most 3.0e-17 of max(1, max|x|),
+with no growth over the run.  The image tolerances, each relative to the
+scale named:
+
+    check                           tolerance    relative to
+    target validation (mirror)      1e-9         max(1, max|target| on the mask)
+    inverse residue (_half_inverse) 1e-9         max(1, max|x|)
+    residue over a long run (test)  1e-15        max(1, max|x|)
+    criterion 8, each ball value    1e-6 xi      (xi, the confidence radius)
+    criterion 8, Fourier deviation  1e-6         max(1, ||target||)
+
+The problem keeps the Hermitian part of its validated target, so the
+target adds nothing to a residue.
 
 Ground truths are deterministic seeded built-ins (a piecewise-polynomial
 signal, a synthetic grayscale image).  Convolution boundary handling is
@@ -58,7 +69,7 @@ import numpy as np
 from . import relaxation as rx
 from .block import BlockConfig, run_block
 from .diagnostics import AveragedTrace, aggregate_runs
-from .exceptions import NumericError, ReferenceSolutionError, UsageError
+from .exceptions import ReferenceSolutionError, UsageError
 from .geometry import as_point, require_same_dim
 from .operators import (
     _IndexedFamily,
@@ -255,10 +266,10 @@ class _SlabFamily(_IndexedFamily):
         margin /= self._norm
         return margin
 
-    def run_state(self, x0):
+    def run_state(self, x0, noise=None):
         if x0.shape != self._windows.shape[1:]:
             raise UsageError(f"dimension mismatch in x0: {x0.shape} vs {self._windows.shape[1:]}")
-        return _SlabState(self)
+        return _SlabState(self) if noise is None else _RowState(self.evaluate, noise)
 
     def evaluate(self, ks, x):
         ks = np.asarray(ks)
@@ -422,8 +433,6 @@ class ImageProblem:
         shape = (self.n, self.n)
         mask = _half(validate_fourier_mask(self.mask)).copy()
         values = _half(_validate_fourier_target(self.target_spectrum, self.mask))[mask]
-        mask.flags.writeable = values.flags.writeable = False
-        self._half_mask, self._target_values = mask, values
         # the flat positions of the masked entries; in that list, the
         # positions of the entries (u, c) of self-conjugate columns, and of
         # their mirrors (-u, c), which are masked too
@@ -433,6 +442,15 @@ class ImageProblem:
         self._mask_edge = np.searchsorted(self._mask_flat, at[held])
         self._mask_mirror = np.searchsorted(self._mask_flat, mirror[held])
         self._spectrum_edge = at
+        # the target's Hermitian part, which a real grid can have: validation
+        # lets the self-conjugate columns be anti-Hermitian up to 1e-9 of the
+        # target's scale, and the checked inverse would meet that as residue
+        herm = values[self._mask_edge]
+        herm += np.conj(values[self._mask_mirror])
+        herm *= 0.5
+        values[self._mask_edge] = herm
+        mask.flags.writeable = values.flags.writeable = False
+        self._half_mask, self._target_values = mask, values
         self._kernel_rfft = np.fft.rfft2(self.kernel)
         self._kernel_rfft_conj = np.conj(self._kernel_rfft)
         self._obs_rfft = np.fft.rfft2(self.observations)
@@ -483,10 +501,8 @@ class ImageProblem:
         """Projection onto the Fourier set of the image whose half spectrum
         is ``spectrum``, which it overwrites on the mask with the target.
 
-        In the self-conjugate columns the checked inverse keeps the
-        Hermitian part of the target, the nearest spectrum a real grid has;
-        the anti-Hermitian part, at most 1e-9 of the target's scale once
-        validated, is the imaginary residue that ``_half_inverse`` verifies.
+        The stored target is Hermitian, so what the checked inverse verifies
+        as imaginary residue is only that of ``spectrum`` off the mask.
         """
         spectrum[self._half_mask] = self._target_values
         return self._inverse(spectrum)
@@ -562,20 +578,20 @@ class _ImageFamily(_IndexedFamily):
     on the problem's validated half mask.  Every row comes from the checked
     inverse ``irfft2``.
 
-    A block run keeps X in a ``_SpectralState`` instead (``run_state``),
-    which builds no rows: it keeps the step spectra of the batch and
-    combines them when the run asks for p - x.  The error-tolerant variant
-    adds its errors to rows in space, so it takes them from the bare
-    ``evaluate``.
+    A block run iterates in X through a ``_SpectralState`` instead
+    (``run_state``), which builds no rows: it keeps the step spectra of the
+    batch and combines them when the run asks for p - x.  The error-tolerant
+    variant adds its errors to rows in space, so its state keeps the rows of
+    the bare ``evaluate``.
     """
 
     def __init__(self, problem: ImageProblem, weights=None):
         super().__init__(6, weights)
         self._problem = problem
 
-    def run_state(self, x0):
-        problem = self._problem
-        return _SpectralState(problem, problem._spectrum(problem._point(x0)))
+    def run_state(self, x0, noise=None):
+        self._problem._point(x0)
+        return _SpectralState(self._problem) if noise is None else _RowState(self.evaluate, noise)
 
     def evaluate(self, ks, x):
         problem = self._problem
@@ -595,46 +611,54 @@ class _ImageFamily(_IndexedFamily):
         return _member_steps(ks, x, project)
 
 
-_RESYNC_PERIOD = 1024   # evaluated updates between fresh transforms, see the module docstring
-_RESYNC_TOLERANCE = 1e-12   # largest drift max|X - rfft2(x)| / max|rfft2(x)| a resync accepts
-
-
 class _SpectralState:
-    """X ~ rfft2(x), kept by one block run of the image family beside x, and
-    the steps of the batch it last evaluated.
+    """The state of a block run of the image family, which iterates in the
+    half spectrum X = rfft2(x), and the steps of the batch it last evaluated.
 
-    ``evaluate`` leaves the half step spectrum D_k of each distinct drawn
-    member that moves x: -(f_k / ||s_k||^2) 2 conj(K) (K X - Y_k) for a
-    violated ball k, and for the Fourier member the difference target - X
+    ``evaluate(ks, X)`` leaves the half step spectrum D_k of each distinct
+    drawn member that moves x: -(f_k / ||s_k||^2) 2 conj(K) (K X - Y_k) for
+    a violated ball k, and for the Fourier member the difference target - X
     on the mask, kept as its masked values; the box, which is not linear in
-    X, leaves its row p - x.  ``step(beta)`` forms S = sum_i beta_i D_{k_i}
-    over the spectral members and returns one checked ``irfft2(S)`` plus
-    the box's share of its row in space.  irfft2 keeps only the Hermitian
-    part of S's self-conjugate columns, so there the Fourier member's
-    difference is made Hermitian first, and its norm by Parseval is that
-    of the real step the inverse makes of it.  Unlike a ball's step, the
-    Hermitian part of that difference vanishes as x nears the Fourier set
-    while the anti-Hermitian part, drift of X and of the target, does not:
-    a norm that counted it would break L >= 1.  ``advance(c, x_next)`` then
-    adds c S, with the box row's transform, to X.  It has no screen.
+    X, leaves its row p - x, taken at ``point(X)``.  ``step(beta)`` returns S
+    = sum_i beta_i D_{k_i}, with rfft2 of the box's share of its row when
+    the box moves x, and takes no inverse.
+
+    X picks up an anti-Hermitian part in its self-conjugate columns from
+    rounding, which irfft2 drops, so there the Fourier member's difference
+    is made Hermitian first, and its norm by Parseval is that of the real
+    step the inverse makes of it.  Unlike a ball's step, the Hermitian part
+    of that difference vanishes as x nears the Fourier set while the
+    anti-Hermitian part would not: a norm that counted it would break L >= 1.
+
+    ``norm_sq`` is Parseval's, and ``point(X)`` is one checked irfft2,
+    cached for the last X it was asked for.  It has no screen.
     """
 
     screen = None
 
-    def __init__(self, problem: ImageProblem, spectrum: np.ndarray):
-        self.spectrum = spectrum
+    def __init__(self, problem: ImageProblem):
         self._problem = problem
-        self._shape = (problem.n, problem.n)
         self._balls: dict = {}   # ball k -> D_k
         self._fourier = None     # the Fourier member's D on the mask
         self._box = None         # the box's row
         self._ks: list = []
-        self._combined = None    # S of the last step, the box's part included
-        self._advances = 0
+        self._seen = self._point = None   # the last X mapped back, and its point
+        self.norm_sq = problem._norm_sq
 
-    def evaluate(self, ks, x):
-        """The step norms r of the members ``ks`` at x, with the steps kept
-        here; None when every member fixes x."""
+    def coordinates(self, x) -> np.ndarray:
+        """The half spectrum of the point ``x``, once x is checked."""
+        return self._problem._spectrum(self._problem._point(x))
+
+    def point(self, spectrum: np.ndarray) -> np.ndarray:
+        """The point in space whose half spectrum is ``spectrum``, checked."""
+        if spectrum is not self._seen:
+            self._point, self._seen = self._problem._inverse(spectrum), spectrum
+        return self._point
+
+    def evaluate(self, ks, spectrum):
+        """The step norms r of the members ``ks`` at the point whose half
+        spectrum is ``spectrum``, with the steps kept here; None when every
+        member fixes it."""
         problem = self._problem
         balls = self._balls
         balls.clear()
@@ -647,13 +671,14 @@ class _SpectralState:
             if j < i:
                 r[i] = r[j]
             elif k == _BOX:
+                x = self.point(spectrum)
                 d = np.minimum(np.maximum(x, 0.0), PIXEL_MAX)
                 d -= x
                 r[i] = math.sqrt(float(d @ d))
                 if d.any():
                     self._box = d
             elif k == _FOURIER:
-                diff = problem._target_values - self.spectrum.ravel()[problem._mask_flat]
+                diff = problem._target_values - spectrum.ravel()[problem._mask_flat]
                 edge = problem._mask_edge
                 herm = diff[edge]
                 herm += np.conj(diff[problem._mask_mirror])
@@ -663,7 +688,7 @@ class _SpectralState:
                 if diff.any():
                     self._fourier = diff
             else:
-                out = problem._ball_step(k, self.spectrum)
+                out = problem._ball_step(k, spectrum)
                 if out is None:
                     r[i] = 0.0
                 else:
@@ -673,9 +698,9 @@ class _SpectralState:
         return r
 
     def step(self, beta) -> np.ndarray:
-        """p - x = sum_i beta_i (T_{k_i} x - x) of the last evaluated batch,
-        with one checked inverse transform when a spectral member moves x;
-        once per batch, since it scales the kept step spectra in place."""
+        """The half spectrum S of p - x = sum_i beta_i (T_{k_i} x - x) of
+        the last evaluated batch; once per batch, since it scales the kept
+        step spectra in place."""
         totals = {}
         for k, b in zip(self._ks, beta.tolist()):
             totals[k] = totals.get(k, 0.0) + b
@@ -688,37 +713,17 @@ class _SpectralState:
                 combined += spectrum
         if self._fourier is not None:
             if combined is None:
-                combined = np.zeros_like(self.spectrum)
+                combined = np.zeros_like(self._problem._kernel_rfft)
             # combined is a fresh C-contiguous array, so ravel() is a view of it
             combined.ravel()[self._problem._mask_flat] += totals[_FOURIER] * self._fourier
-        d = None if combined is None else self._problem._inverse(combined)
         if self._box is not None:
             share = totals[_BOX] * self._box
-            box = np.fft.rfft2(share.reshape(self._shape))
+            box = np.fft.rfft2(share.reshape(self._problem.n, self._problem.n))
             if combined is None:
-                d, combined = share, box
+                combined = box
             else:
-                d += share
                 combined += box
-        self._combined = combined
-        return d
-
-    def advance(self, c: float, x_next: np.ndarray):
-        """X += c S for the last step, then every ``_RESYNC_PERIOD`` advances
-        X = rfft2(x_next), once the drift of X from it is checked."""
-        combined = self._combined
-        combined *= c
-        self.spectrum += combined
-        self._combined = None
-        self._advances += 1
-        if self._advances % _RESYNC_PERIOD == 0:
-            fresh = np.fft.rfft2(x_next.reshape(self._shape))
-            drift = float(np.abs(self.spectrum - fresh).max())
-            scale = float(np.abs(fresh).max())
-            if not drift <= _RESYNC_TOLERANCE * scale:   # NaN fails too
-                raise NumericError(f"spectrum drifted {drift:.3e} from rfft2(x), above "
-                                   f"{_RESYNC_TOLERANCE:g} of its largest entry {scale:.3e}")
-            self.spectrum = fresh
+        return combined
 
 
 def confidence_radius(n: int) -> float:

@@ -14,8 +14,8 @@ quasinonexpansiveness inequality
 A family applies its operators through ``evaluate``, which returns the
 steps T_k x - x of the drawn members at one point, or None when every
 drawn member fixes that point, so that each step is an exact zero row.
-A block run applies them through the state that ``run_state(x0)`` gives
-it, which keeps the steps of the batch (see ``_IndexedFamily``).
+A block run applies them through the state that ``run_state(x0, noise)``
+gives it, which keeps the steps of the batch (see ``_IndexedFamily``).
 ``OperatorFamily`` holds plain callables; the signal and image
 experiments define families whose ``evaluate`` works on the problem's
 arrays directly.  Families are immutable after construction and safe to
@@ -217,25 +217,34 @@ class _IndexedFamily:
     an exact zero row.  When every member of ``ks`` fixes x, so that every
     row would be zero, it returns None instead.
 
-    A block run applies the family through one state, ``run_state(x0)``,
-    which checks x0 and belongs to the run: the family stays immutable.
-    Every state has the same four members:
+    A block run applies the family through one state, ``run_state(x0,
+    noise)``, which checks x0 and belongs to the run: the family stays
+    immutable.  Every state has the same three members:
 
-    * ``evaluate(ks, x)``: the step norms r of the members ``ks`` at x, or
-      None when every member fixes x; the steps stay in the state;
+    * ``evaluate(ks, x)``: the step norms r of the members ``ks`` at the
+      iterate x, or None when every member fixes x; the steps stay in the
+      state;
     * ``step(beta)``: the averaged step p - x = sum_i beta_i (T_{k_i} x - x)
       of the batch last evaluated;
-    * ``advance(c, x_next)``, called after the update x_next = x + c (p - x);
     * ``screen(batches, x)``: how many leading batches of ``batches`` (shape
       (w, M)) it proves all-fixed at x without evaluating them; or ``screen
       = None`` for a state without such a certificate.
 
+    The run's iterate lives in the state's coordinates.  A state in space
+    sets ``norm_sq = None``: its iterate is the point itself, with the norm
+    ``v.dot(v)``.  A state in other coordinates gives ``coordinates(x)``, a
+    point's coordinates, ``norm_sq(v)``, the squared norm of the point that
+    v stands for, and ``point(v)``, that point.  The run's update arithmetic
+    is the same in either.
+
     The state's ``evaluate`` need not check x again: ``run_state`` checks x0,
     and the run checks the shape of its first step and, in its divergence
     guard, the finiteness of every iterate.  The default state keeps the
-    rows of a bare ``evaluate`` (``_RowState``); the signal experiment's
-    state adds a screen, and the image experiment's keeps the half spectrum
-    rfft2(x) and combines its members' step spectra there.
+    rows of a bare ``evaluate`` (``_RowState``), and so does every family's
+    state of the error-tolerant variant, which adds the ``noise`` rows to
+    them.  Without noise, the signal experiment's state adds a screen, and
+    the image experiment's iterates in the half spectrum rfft2(x) and
+    combines its members' step spectra there.
     """
 
     def __init__(self, count: int, weights=None):
@@ -281,9 +290,10 @@ class _IndexedFamily:
         norms (M,), or None when every step is zero."""
         raise NotImplementedError
 
-    def run_state(self, x0: np.ndarray):
-        """The state one block run keeps beside its iterate x0, see the class docstring."""
-        return _RowState(self.evaluate)
+    def run_state(self, x0: np.ndarray, noise=None):
+        """The state of one block run from x0, see the class docstring; with
+        ``noise``, the error-tolerant variant's (see ``_RowState``)."""
+        return _RowState(self.evaluate, noise)
 
 
 class _RowState:
@@ -297,6 +307,7 @@ class _RowState:
     """
 
     screen = None
+    norm_sq = None   # the iterate is the point in space
 
     def __init__(self, evaluate: Callable, noise=None):
         self._evaluate = evaluate
@@ -318,9 +329,6 @@ class _RowState:
 
     def step(self, beta: np.ndarray) -> np.ndarray:
         return beta @ self._rows
-
-    def advance(self, c: float, x_next: np.ndarray) -> None:
-        """Rows are formed afresh at every x: nothing to advance."""
 
 
 def _index_law(weights: np.ndarray) -> tuple:

@@ -75,14 +75,20 @@ def subgradient_projector(constraint: InequalityConstraint, x) -> np.ndarray:
 
 def project_fourier_support(target_spectrum, mask, x) -> np.ndarray:
     """Replace the DFT of the real grid ``x`` on the masked frequencies by
-    ``target_spectrum``, once mask and target are validated; the output is
-    the checked real inverse of the half spectrum."""
+    the Hermitian part of ``target_spectrum``, once mask and target are
+    validated; the output is the checked real inverse of the half spectrum.
+    In the half spectrum the target's anti-Hermitian part lies in the
+    self-conjugate columns: column 0, and column n2 / 2 when n2 is even."""
     mask = validate_fourier_mask(mask)
-    target = _validate_fourier_target(target_spectrum, mask)
+    target = _half(_validate_fourier_target(target_spectrum, mask)).copy()
+    n1, n2 = mask.shape
+    mirror = (-np.arange(n1)) % n1
+    for c in [0, n2 // 2] if n2 % 2 == 0 else [0]:
+        target[:, c] = (target[:, c] + np.conj(target[mirror, c])) * 0.5
     x = np.asarray(x, dtype=np.float64)
     half = _half(mask)
     spectrum = np.fft.rfft2(x)
-    spectrum[half] = _half(target)[half]
+    spectrum[half] = target[half]
     return _half_inverse(spectrum, x.shape)
 
 
@@ -174,9 +180,10 @@ def replay_block(family, cfg, x0, reference=None, evaluate=None):
     time if given, else from the family's bare whole-batch ``evaluate`` (M
     fresh zero rows for an all-fixed batch), never from a run state, whose
     screen is code under test.  Only the image family's batches go through
-    its spectral run state when the run adds no errors, so that rounding
-    matches: the state keeps the steps and gives the averaged step p - x.
-    Returns the final point, the trace and every record."""
+    its run state when the run adds no errors, so that rounding matches:
+    the replay then iterates in the state's half spectrum, with its norm,
+    and maps the iterate and the step back to space for the records and
+    the final point.  Returns the final point, the trace and every record."""
     m = cfg.batch_size
     idx_rng, lam_rng, err_rng = (substream(cfg.seed, s) for s in ("index", "relaxation", "noise"))
     errors = cfg.error_schedule
@@ -207,23 +214,35 @@ def replay_block(family, cfg, x0, reference=None, evaluate=None):
             ties = r >= float(r.max()) * (1.0 - 1e-12)
             beta = np.full(m, (1.0 - cfg.delta * int(ties.sum())) / m)
             beta[ties] += cfg.delta
-        d = beta @ rows if state is None or out is None else state.step(beta)   # p - x
-        pmx = math.sqrt(float(d @ d))
+        if state is None:
+            d = beta @ rows   # p - x
+            pmx = math.sqrt(float(d @ d))
+        else:
+            d = np.zeros_like(x) if out is None else state.step(beta)
+            pmx = math.sqrt(state.norm_sq(d))
         # L = (sum_i beta_i r_i^2 + [p = x]) / (||p - x||^2 + [p = x]), or 1 with errors
         indicator = 1.0 if pmx == 0.0 else 0.0
         L = 1.0 if errors else (float(beta @ (r * r)) + indicator) / (pmx * pmx + indicator)
         a = x + L * d
         x_next = x + lam * (a - x)
-        if state is not None and out is not None:
-            state.advance(lam * L, x_next)
+        if state is not None:   # the record, in space
+            x, d = state.point(x), state.point(d)
+            a = x + L * d
         records.append(BlockIterationRecord(n, tuple(ks), beta, x + d, L, a, lam))
         return x_next, float(r.max()), lam, L
 
     # x0 as given, not + 0.0: a -0.0 coordinate meets the full arithmetic; and
     # every step returns a new array, so the loop needs no stretches
-    x, trace = fixedpoint._iterate(step, x0, cfg.max_iters, cfg.atol, cfg.record_every,
-                                   patience=cfg.stop_patience, reference=reference)
-    return x, trace, records
+    if state is None:
+        x, trace = fixedpoint._iterate(step, x0, cfg.max_iters, cfg.atol, cfg.record_every,
+                                       patience=cfg.stop_patience, reference=reference)
+        return x, trace, records
+    if reference is not None:
+        reference = state.coordinates(reference)
+    x, trace = fixedpoint._iterate(step, state.coordinates(x0), cfg.max_iters, cfg.atol,
+                                   cfg.record_every, patience=cfg.stop_patience,
+                                   reference=reference, norm_sq=state.norm_sq)
+    return state.point(x), trace, records
 
 
 def assert_same_run(res, final, trace, records=None):
