@@ -8,6 +8,7 @@ import pytest
 from stochfeas import block, experiments, fixedpoint, operators
 from stochfeas import relaxation as rx
 from stochfeas.block import BlockConfig, run_block
+from stochfeas.diagnostics import audit_fejer_step
 from stochfeas.exceptions import (
     DegenerateConstraintError,
     NumericError,
@@ -24,7 +25,6 @@ from stochfeas.experiments import (
     generate_signal_problem,
     run_experiment,
 )
-from stochfeas.diagnostics import audit_fejer_step
 from stochfeas.fixedpoint import DecayingNoise
 from stochfeas.operators import (
     OperatorFamily,
@@ -67,7 +67,7 @@ def count_transforms(monkeypatch):
     return calls
 
 
-def spectral_and_bare(family, x):
+def bare_and_spectral(family, x):
     """(evaluate, the point it takes) for the image family's bare evaluate
     at x and for its run state's, which takes x in the state's coordinates."""
     state = family.run_state(x)
@@ -624,7 +624,7 @@ class TestImageFamilyEvaluate:
                 run_block(fam, cfg, x)
         # a violated ball whose subgradient vanishes, with and without the state
         monkeypatch.setattr(prob, "_kernel_rfft_conj", np.zeros_like(prob._kernel_rfft_conj))
-        for evaluate, point in spectral_and_bare(fam, x):
+        for evaluate, point in bare_and_spectral(fam, x):
             for ks in ([4, 0], [0]):
                 with pytest.raises(DegenerateConstraintError, match=r"ball\[0\]"):
                     evaluate(ks, point)
@@ -634,7 +634,7 @@ class TestImageFamilyEvaluate:
         obs_rfft = prob._obs_rfft.copy()
         obs_rfft[2, 3, 3] = np.nan
         monkeypatch.setattr(prob, "_obs_rfft", obs_rfft)
-        for evaluate, point in spectral_and_bare(fam, np.zeros(prob.dim)):
+        for evaluate, point in bare_and_spectral(fam, np.zeros(prob.dim)):
             with pytest.raises(NumericError, match=r"constraint ball\[2\]: f\(x\) = nan"):
                 evaluate([0, 2], point)
 
