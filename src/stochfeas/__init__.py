@@ -50,10 +50,9 @@ from .fixedpoint import (
 )
 from .geometry import fejer_decrement
 from .operators import (
+    LinearFamily,
     OperatorFamily,
-    halfspace_projector,
     project_box,
-    project_hyperslab,
     sample_indices,
     symmetrize_fourier_mask,
 )

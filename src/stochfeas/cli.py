@@ -43,7 +43,7 @@ from .experiments import (
     run_experiment,
 )
 from .fixedpoint import DecayingNoise, KmConfig, SgdConfig, quadratic_family, run_km, run_sgd
-from .operators import OperatorFamily, halfspace_projector
+from .operators import LinearFamily
 from .rngstreams import derive_seed
 
 EXIT_OK = 0
@@ -261,10 +261,7 @@ def _sgd_family():
 def _toy_problem():
     """Two half-spaces x1 <= 0 and x2 <= 0 in R^2; the solution set is the
     nonpositive quadrant and the limit from (1, 1) is the origin."""
-    family = OperatorFamily([
-        halfspace_projector(np.array([1.0, 0.0]), 0.0),
-        halfspace_projector(np.array([0.0, 1.0]), 0.0),
-    ])
+    family = LinearFamily(np.eye(2), [-np.inf, -np.inf], [0.0, 0.0])
     zs = [np.zeros(2), np.array([-0.5, 0.0]), np.array([0.0, -0.5]),
           np.array([-1.0, -1.0]), np.array([-0.25, -0.75])]
     return family, np.array([1.0, 1.0]), zs

@@ -3,8 +3,11 @@
 Signal: recover a piecewise-polynomial signal of length n from p circularly
 blurred observations r_k = L_k xbar + w_k with ||w_k||_inf <= eta.  Each
 scalar bound -eta <= (L_k x - r_k)_j <= eta is one hyperslab constraint
-with an exact projector; the feasibility problem is solved by the
-block-iterative algorithm from x0 = 0.
+with an exact projector, and the p n of them are one ``LinearFamily``
+whose rows, the circulant rows of the filters, are windows of the p
+kernels; the feasibility problem is solved by the block-iterative
+algorithm from x0 = 0.  ``SignalProblem`` checks its data when it is
+built.
 
 Image: recover an n x n grayscale image from four observations blurred by
 one circular Gaussian kernel (std 8) plus uniform([0, 5]) noise.  The
@@ -72,6 +75,7 @@ from .diagnostics import AveragedTrace, aggregate_runs
 from .exceptions import ReferenceSolutionError, UsageError
 from .geometry import as_point, require_same_dim
 from .operators import (
+    LinearFamily,
     _IndexedFamily,
     _RowState,
     _half,
@@ -127,12 +131,6 @@ def circ_conv(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return np.real(np.fft.ifftn(np.fft.fftn(x) * np.fft.fftn(kernel)))
 
 
-def circulant_row(kernel: np.ndarray, j: int) -> np.ndarray:
-    """Row j of the circulant matrix of ``kernel``: row_j[m] = kernel[(j-m) % n]."""
-    base = np.roll(kernel[::-1], 1)
-    return np.roll(base, j)
-
-
 # ---------------------------------------------------------------------------
 # Signal problem.
 # ---------------------------------------------------------------------------
@@ -149,13 +147,20 @@ class SignalProblem:
     seed: int
 
     def __post_init__(self):
+        # the data are checked once, here: a negative eta would give slabs
+        # with lo > hi, and a NaN or a wrong shape fails only inside a run
+        if not (math.isfinite(self.eta) and self.eta > 0.0):
+            raise UsageError(f"eta must be finite and positive, got {self.eta}")
+        for name in ("kernels", "observations"):
+            data = np.asarray(getattr(self, name))
+            if data.shape != (self.p, self.n):
+                raise UsageError(f"{name} must have shape (p, n) = {(self.p, self.n)}, "
+                                 f"got {data.shape}")
+            if not np.all(np.isfinite(data)):
+                raise UsageError(f"{name} must be finite")
+        if not np.all(np.any(np.asarray(self.kernels) != 0.0, axis=1)):
+            raise UsageError("kernels must have no zero row")
         self._spectra = np.fft.rfft(self.kernels, axis=1)
-
-    def slab_bounds(self, k: int, j: int) -> tuple[np.ndarray, float, float]:
-        """Normal and bounds of the constraint -eta <= (L_k x - r_k)_j <= eta."""
-        a = circulant_row(self.kernels[k], j)
-        r = float(self.observations[k, j])
-        return a, r - self.eta, r + self.eta
 
     def build_family(self) -> _IndexedFamily:
         """All n*p hyperslab projectors, uniform index distribution.
@@ -185,34 +190,31 @@ def _slab_values(spectra: np.ndarray, z: np.ndarray) -> np.ndarray:
 _CLEARANCE_HEADROOM = 1e3   # factor between a slab clearance's allowance and its rounding bound
 
 
-class _SlabFamily(_IndexedFamily):
-    """The hyperslab family of a signal problem, with batched evaluation.
+class _SlabFamily(LinearFamily):
+    """The hyperslab family of a signal problem, a ``LinearFamily`` whose
+    rows are windows of its p base rows.
 
     The normal of member k*n + j, row j of filter k's circulant matrix, is
     the length-n window at offset 2nk + n - j of the base rows laid out
-    twice each, [b_0 b_0 b_1 b_1 ...] (2pn floats).  Evaluating M members
-    gathers their M windows and takes all inner products in one
-    matrix-vector product.  The batch is all-fixed when every signed
-    distance s back into the slabs is 0, which needs no scan of the rows;
-    a NaN counts as nonzero and takes the full path.  A block run keeps
-    the rows in a ``_SlabState``, whose screen reads the radii of
+    twice each, [b_0 b_0 b_1 b_1 ...] (2pn floats): the table of
+    ``LinearFamily`` is the strided view of those windows, which keeps the
+    2,560 rows of the desk signal in 40 KB instead of 5.2 MB.  A block run
+    keeps the rows in a ``_SlabState``, whose screen reads the radii of
     ``clearance``.
     """
 
     def __init__(self, problem: SignalProblem):
         p, n = problem.kernels.shape
-        super().__init__(p * n)
         # row j of filter k is b_k[(m - j) mod n], b_k the kernel reversed
-        # and rolled once: circulant_row(kernel_k, j)
+        # and rolled once: row_j[m] = kernel_k[(j - m) mod n]
         bases = np.roll(problem.kernels[:, ::-1], 1, axis=1)
         doubled = np.concatenate([bases, bases], axis=1).ravel()
-        self._windows = np.lib.stride_tricks.sliding_window_view(doubled, n)
         k, j = np.divmod(np.arange(p * n), n)
-        self._offsets = 2 * n * k + n - j
-        self._norm_sq = np.repeat([float(b @ b) for b in bases], n)
-        self._norm = np.sqrt(self._norm_sq)
-        self._lo = (problem.observations - problem.eta).ravel()
-        self._hi = (problem.observations + problem.eta).ravel()
+        norm_sq = np.repeat([float(b @ b) for b in bases], n)
+        self._norm = np.sqrt(norm_sq)
+        self._bind(np.lib.stride_tricks.sliding_window_view(doubled, n), 2 * n * k + n - j,
+                   norm_sq, (problem.observations - problem.eta).ravel(),
+                   (problem.observations + problem.eta).ravel())
         # (L_k z)_j is the circular convolution of z with kernel k, so the
         # sweep of clearance reads the problem's spectra, as max_violation does
         self._spectra = problem._spectra
@@ -267,21 +269,8 @@ class _SlabFamily(_IndexedFamily):
         return margin
 
     def run_state(self, x0, noise=None):
-        if x0.shape != self._windows.shape[1:]:
-            raise UsageError(f"dimension mismatch in x0: {x0.shape} vs {self._windows.shape[1:]}")
-        return _SlabState(self) if noise is None else _RowState(self.evaluate, noise)
-
-    def evaluate(self, ks, x):
-        ks = np.asarray(ks)
-        rows = self._windows[self._offsets[ks]]
-        v = rows @ x
-        # the step is s a with s the signed distance back into the slab over
-        # ||a||^2; a member whose slab holds x gets s = v - v = 0, a zero row
-        s = np.minimum(np.maximum(v, self._lo[ks]), self._hi[ks]) - v
-        if np.count_nonzero(s) == 0:   # cheaper than s.any() on a short array
-            return None
-        s /= self._norm_sq[ks]
-        return s[:, None] * rows, np.abs(s) * self._norm[ks]
+        state = super().run_state(x0, noise)   # checks x0
+        return _SlabState(self) if noise is None else state
 
 
 class _SlabState(_RowState):

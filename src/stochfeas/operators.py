@@ -1,10 +1,9 @@
 """Firmly quasinonexpansive operator toolbox.
 
-Exact box and hyperslab projectors, the shared parts of the image
-experiment's Fourier-support projector and ball subgradient projectors
-(mask and target checks, half spectra, the checked inverse, the projector
-scale), and indexed operator families with reproducible categorical index
-sampling.
+The exact box projector, the shared parts of the image experiment's
+Fourier-support projector and ball subgradient projectors (mask and target
+checks, half spectra, the checked inverse, the projector scale), and
+indexed operator families with reproducible categorical index sampling.
 
 Every built-in projector P satisfies P(P(x)) = P(x) and the firm
 quasinonexpansiveness inequality
@@ -16,9 +15,13 @@ steps T_k x - x of the drawn members at one point, or None when every
 drawn member fixes that point, so that each step is an exact zero row.
 A block run applies them through the state that ``run_state(x0, noise)``
 gives it, which keeps the steps of the batch (see ``_IndexedFamily``).
-``OperatorFamily`` holds plain callables; the signal and image
-experiments define families whose ``evaluate`` works on the problem's
-arrays directly.  Families are immutable after construction and safe to
+``OperatorFamily`` holds plain callables.  ``LinearFamily`` holds the
+projectors onto half-spaces, hyperslabs and hyperplanes {z : lo_k <= <a_k,
+z> <= hi_k} and evaluates a batch in one matrix-vector product; it is the
+one place the slab projection is written, and the signal experiment's
+family is a ``LinearFamily`` over circulant rows.  The image experiment
+defines a family whose ``evaluate`` works on the problem's arrays
+directly.  Families are immutable after construction and safe to
 evaluate concurrently; index-sampling generators are single-owner.  The
 demiclosedness of Id - T at 0, assumed by the convergence theory, is an
 analytic property of the supplied maps and is not checked at runtime.
@@ -33,7 +36,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .exceptions import DegenerateConstraintError, NumericError, UsageError
-from .geometry import as_point, require_same_dim
+from .geometry import as_point
 
 
 def _violated(fx: float, name: str) -> bool:
@@ -65,33 +68,6 @@ def project_box(lo, hi, x) -> np.ndarray:
     if not np.all(lo <= hi):   # a NaN bound fails the comparison too
         raise UsageError("box bounds require lo <= hi componentwise, without NaN")
     return np.minimum(np.maximum(x, lo), hi)
-
-
-def project_hyperslab(a, lo: float, hi: float, x) -> np.ndarray:
-    """Project ``x`` onto the hyperslab {z : lo <= <a, z> <= hi}.
-
-    With lo == hi this is the hyperplane projection.
-    """
-    a = as_point(a, "a")
-    x = as_point(x, "x")
-    require_same_dim(a, x, "project_hyperslab")
-    if not lo <= hi:   # a NaN bound fails the comparison too
-        raise UsageError(f"hyperslab requires lo <= hi, got [{lo}, {hi}]")
-    norm_sq = float(a @ a)
-    if norm_sq == 0.0:
-        raise UsageError("hyperslab normal must be nonzero")
-    v = float(a @ x)
-    if v > hi:
-        return x - ((v - hi) / norm_sq) * a
-    if v < lo:
-        return x - ((v - lo) / norm_sq) * a
-    return x
-
-
-def halfspace_projector(a, b: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Projector onto {z : <a, z> <= b}."""
-    a = as_point(a, "a")
-    return lambda x: project_hyperslab(a, -np.inf, b, x)
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +367,9 @@ class OperatorFamily(_IndexedFamily):
     """A finite indexed family of callables x -> T x, with an index distribution.
 
     ``evaluate`` calls each distinct drawn member once, through the
-    per-member loop that the image experiment's family shares.  The signal
-    experiment's family takes all its rows in one matrix-vector product
-    instead (``experiments._SlabFamily``).
+    per-member loop that the image experiment's family shares.  Linear
+    constraints take all their rows in one matrix-vector product instead
+    (``LinearFamily``).
     """
 
     def __init__(self, members: Sequence, weights=None):
@@ -403,6 +379,77 @@ class OperatorFamily(_IndexedFamily):
 
     def evaluate(self, ks, x):
         return _member_steps(ks, x, lambda k: self.members[k](x))
+
+
+class LinearFamily(_IndexedFamily):
+    """The projectors onto the hyperslabs {z : lo_k <= <a_k, z> <= hi_k},
+    a_k row k of ``rows``, with the uniform index law.
+
+    ``lo_k = -inf`` makes member k the half-space {z : <a_k, z> <= hi_k},
+    and ``lo_k = hi_k`` a hyperplane.  Rows must be finite, with finite
+    nonzero squared norms; bounds must satisfy lo_k <= hi_k, without NaN,
+    and leave each set nonempty (lo_k < inf, hi_k > -inf).
+
+    ``evaluate`` gathers the M drawn rows and takes their inner products
+    with x in one matrix-vector product.  Member k's step is s_k a_k, with
+    s_k = (clamp(v_k, lo_k, hi_k) - v_k) / ||a_k||^2 and v_k = <a_k, x>:
+    a member whose set holds x gets s_k = v_k - v_k = 0 and an exact zero
+    row.  The batch is all-fixed when every s_k is 0, which needs no scan of
+    the rows; a NaN counts as nonzero and takes the full path.  Each
+    reported norm is that of the row returned, summed as ``v.dot(v)`` sums
+    it, so a batch of one gives the extrapolation L = 1 exactly.
+
+    Member k's row is ``table[offsets[k]]``: here the rows themselves, and
+    for the signal experiment's family windows of a strided view of its
+    base rows (``experiments._SlabFamily``).
+    """
+
+    def __init__(self, rows, lo, hi):
+        rows = np.array(rows, dtype=np.float64)
+        if rows.ndim != 2:
+            raise UsageError(f"rows must be a 2-D array, got shape {rows.shape}")
+        lo = np.array(lo, dtype=np.float64)
+        hi = np.array(hi, dtype=np.float64)
+        if lo.shape != (len(rows),) or hi.shape != (len(rows),):
+            raise UsageError(f"bounds of shapes {lo.shape} and {hi.shape} do not match "
+                             f"{len(rows)} rows")
+        if not np.all(np.isfinite(rows)):
+            raise UsageError("rows must be finite")
+        norm_sq = np.einsum("ij,ij->i", rows, rows)
+        # a squared norm that underflows to 0 or overflows would give s = inf or 0
+        bad = np.flatnonzero(~((norm_sq > 0.0) & (norm_sq < np.inf)))
+        if bad.size:
+            raise UsageError(f"row {bad[0]} has squared norm {norm_sq[bad[0]]}, "
+                             "not finite and positive")
+        if not np.all(lo <= hi):   # a NaN bound fails the comparison too
+            raise UsageError("bounds require lo <= hi, without NaN")
+        if np.any(lo == np.inf) or np.any(hi == -np.inf):
+            raise UsageError("bounds lo = inf or hi = -inf leave a set empty")
+        self._bind(rows, np.arange(len(rows)), norm_sq, lo, hi)
+
+    def _bind(self, table, offsets, norm_sq, lo, hi):
+        """Member k: the normal ``table[offsets[k]]``, its squared norm
+        ``norm_sq[k]`` and the bounds ``lo[k] <= hi[k]``, all checked."""
+        super().__init__(len(offsets))
+        self._table, self._offsets = table, offsets
+        self._norm_sq, self._lo, self._hi = norm_sq, lo, hi
+
+    def run_state(self, x0, noise=None):
+        if x0.shape != self._table.shape[1:]:
+            raise UsageError(f"dimension mismatch in x0: {x0.shape} vs {self._table.shape[1:]}")
+        return _RowState(self.evaluate, noise)
+
+    def evaluate(self, ks, x):
+        ks = np.asarray(ks)
+        rows = self._table[self._offsets[ks]]
+        v = rows @ x
+        s = np.minimum(np.maximum(v, self._lo[ks]), self._hi[ks]) - v
+        if np.count_nonzero(s) == 0:   # cheaper than s.any() on a short array
+            return None
+        s /= self._norm_sq[ks]
+        rows *= s[:, None]
+        # one dot product per row, each the one run_block's v.dot(v) takes
+        return rows, np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]).ravel())
 
 
 def sample_indices(family: _IndexedFamily, rng: np.random.Generator, m: int) -> np.ndarray:

@@ -7,7 +7,9 @@ taken from the solvers' chunks, and ``replay_block`` is the block iteration
 as the paper states it, every iteration in full: the one reference that
 every block replay test compares ``run_block`` against.  The subgradient
 projector of a convex inequality and the Fourier-support projector of a
-grid are the general forms of the image experiment's members, and
+grid are the general forms of the image experiment's members, the
+hyperslab projector and the circulant rows are the scalar forms of
+``LinearFamily`` and the signal experiment's rows, and
 ``iterations_to_db`` reads a trace's dB column.
 """
 
@@ -24,13 +26,12 @@ from stochfeas import relaxation as rx
 from stochfeas.block import UNIFORM_OVER_BATCH, BlockIterationRecord
 from stochfeas.geometry import as_point, require_same_dim
 from stochfeas.operators import (
-    OperatorFamily,
+    LinearFamily,
     _half,
     _half_inverse,
     _projector_scale,
     _validate_fourier_target,
     _violated,
-    halfspace_projector,
     sample_indices,
     validate_fourier_mask,
 )
@@ -45,6 +46,32 @@ def halfspace_proj_oracle(a, b, x):
     if excess <= 0:
         return x.copy()
     return x - excess * a / (a @ a)
+
+
+def project_hyperslab(a, lo: float, hi: float, x) -> np.ndarray:
+    """Projection onto the hyperslab {z : lo <= <a, z> <= hi}, written
+    independently of ``LinearFamily``: ``x`` itself when the slab holds it."""
+    a = np.asarray(a, dtype=float)
+    x = np.asarray(x, dtype=float)
+    v = float(a @ x)
+    if v > hi:
+        return x - ((v - hi) / float(a @ a)) * a
+    if v < lo:
+        return x - ((v - lo) / float(a @ a)) * a
+    return x
+
+
+def circulant_row(kernel: np.ndarray, j: int) -> np.ndarray:
+    """Row j of the circulant matrix of ``kernel``: row_j[m] = kernel[(j-m) % n]."""
+    base = np.roll(kernel[::-1], 1)
+    return np.roll(base, j)
+
+
+def slab_bounds(problem, k: int, j: int) -> tuple:
+    """Normal and bounds of the signal problem's constraint
+    -eta <= (L_k x - r_k)_j <= eta."""
+    r = float(problem.observations[k, j])
+    return circulant_row(problem.kernels[k], j), r - problem.eta, r + problem.eta
 
 
 @dataclass(frozen=True)
@@ -138,9 +165,7 @@ def random_halfspace_problem(rng, dim=10, count=20, margin_lo=0.1, margin_hi=1.0
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     margins = rng.uniform(margin_lo, margin_hi, size=count)
     offsets = normals @ center + margins
-    family = OperatorFamily(
-        [halfspace_projector(normals[i], offsets[i]) for i in range(count)]
-    )
+    family = LinearFamily(normals, np.full(count, -np.inf), offsets)
     return normals, offsets, family, center, float(margins.min())
 
 

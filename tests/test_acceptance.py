@@ -23,7 +23,7 @@ from stochfeas.experiments import (
     run_experiment,
 )
 from stochfeas.fixedpoint import DecayingNoise, KmConfig, SgdConfig, quadratic_family, run_km, run_sgd
-from stochfeas.operators import OperatorFamily, halfspace_projector
+from stochfeas.operators import LinearFamily
 
 from conftest import (
     force_indices,
@@ -90,10 +90,7 @@ def test_criterion_02_extrapolation_bound(fejer_suite):
 def test_criterion_03_hand_oracle_one_step(monkeypatch):
     """Two half-spaces from (1, 1), both indices active, uniform weights,
     lam = 1: the extrapolated step lands on (0, 0) within 1e-15."""
-    family = OperatorFamily([
-        halfspace_projector(np.array([1.0, 0.0]), 0.0),
-        halfspace_projector(np.array([0.0, 1.0]), 0.0),
-    ])
+    family = LinearFamily(np.eye(2), [-np.inf, -np.inf], [0.0, 0.0])
     force_indices(monkeypatch, family, [0, 1])
     cfg = BlockConfig(batch_size=2, delta=0.4, relaxation=rx.Constant(1.0),
                       max_iters=1, seed=0, collect_records=True)
@@ -239,10 +236,7 @@ def test_criterion_09_linear_rate():
     """Orthogonal two-half-space problem (regularity constant nu = 2): the
     Monte-Carlo mean one-step contraction of d_Z^2 over 200 seeds stays
     below chi = 1 - mu delta zeta / (rho^2 nu) + 3 standard errors."""
-    family = OperatorFamily([
-        halfspace_projector(np.array([1.0, 0.0]), 0.0),
-        halfspace_projector(np.array([0.0, 1.0]), 0.0),
-    ])
+    family = LinearFamily(np.eye(2), [-np.inf, -np.inf], [0.0, 0.0])
 
     def dz_sq(x):
         return max(x[0], 0.0) ** 2 + max(x[1], 0.0) ** 2

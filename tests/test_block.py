@@ -18,7 +18,7 @@ from stochfeas.exceptions import (
     UsageError,
 )
 from stochfeas.fixedpoint import DecayingNoise
-from stochfeas.operators import OperatorFamily, halfspace_projector, sample_indices
+from stochfeas.operators import LinearFamily, OperatorFamily, sample_indices
 from stochfeas.rngstreams import substream
 
 from conftest import (
@@ -33,10 +33,7 @@ from conftest import (
 
 
 def two_halfspace_family():
-    return OperatorFamily([
-        halfspace_projector(np.array([1.0, 0.0]), 0.0),
-        halfspace_projector(np.array([0.0, 1.0]), 0.0),
-    ])
+    return LinearFamily(np.eye(2), [-np.inf, -np.inf], [0.0, 0.0])
 
 
 class TestWeights:

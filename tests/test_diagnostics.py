@@ -6,7 +6,7 @@ from stochfeas.block import BlockConfig, run_block
 from stochfeas.diagnostics import aggregate_runs, audit_fejer_step, normalized_error_db
 from stochfeas.exceptions import ReferenceSolutionError, UsageError
 from stochfeas.experiments import estimate_reference_solution
-from stochfeas.operators import OperatorFamily, halfspace_projector, project_hyperslab
+from stochfeas.operators import LinearFamily, OperatorFamily
 from stochfeas.trace import ConvergenceTrace
 
 from conftest import random_halfspace_problem, sample_solution_points
@@ -94,10 +94,7 @@ def _toy_config(max_iters, seed):
 
 class TestEstimateReferenceSolution:
     def test_two_halfspace_toy(self):
-        family = OperatorFamily([
-            halfspace_projector(np.array([1.0, 0.0]), 0.0),
-            halfspace_projector(np.array([0.0, 1.0]), 0.0),
-        ])
+        family = LinearFamily(np.eye(2), [-np.inf, -np.inf], [0.0, 0.0])
         ref = estimate_reference_solution(family, _toy_config(100, seed=3), [1.0, 1.0])
         np.testing.assert_allclose(ref, [0.0, 0.0], atol=1e-12)
 
@@ -107,18 +104,13 @@ class TestEstimateReferenceSolution:
         a = rng.normal(size=(4, 4)) + 4 * np.eye(4)
         x_true = rng.normal(size=4)
         b = a @ x_true
-        family = OperatorFamily([
-            lambda x, a=a[i], b=b[i]: project_hyperslab(a, b, b, x) for i in range(4)
-        ])
+        family = LinearFamily(a, b, b)
         ref = estimate_reference_solution(family, _toy_config(4000, seed=11), np.zeros(4))
         np.testing.assert_allclose(ref, np.linalg.solve(a, b), atol=1e-8)
 
     def test_infeasible_configuration_raises(self):
         # two parallel hyperplanes: no common point, residual never vanishes
-        family = OperatorFamily([
-            lambda x: project_hyperslab(np.array([1.0, 0.0]), 0.0, 0.0, x),
-            lambda x: project_hyperslab(np.array([1.0, 0.0]), 1.0, 1.0, x),
-        ])
+        family = LinearFamily([[1.0, 0.0], [1.0, 0.0]], [0.0, 1.0], [0.0, 1.0])
         with pytest.raises(ReferenceSolutionError):
             estimate_reference_solution(family, _toy_config(50, seed=5), [0.3, 0.0])
 

@@ -18,7 +18,6 @@ from stochfeas.exceptions import (
 from stochfeas.experiments import (
     canonical_strategies,
     circ_conv,
-    circulant_row,
     confidence_radius,
     gaussian_kernel_1d,
     generate_image_problem,
@@ -29,19 +28,21 @@ from stochfeas.fixedpoint import DecayingNoise
 from stochfeas.operators import (
     OperatorFamily,
     project_box,
-    project_hyperslab,
     sample_indices,
     symmetrize_fourier_mask,
 )
-from stochfeas.rngstreams import substream
+from stochfeas.rngstreams import derive_seed, substream
 
 from conftest import (
     InequalityConstraint,
     assert_same_run,
+    circulant_row,
     iterations_to_db,
     project_fourier_support,
+    project_hyperslab,
     random_halfspace_problem,
     replay_block,
+    slab_bounds,
     subgradient_projector,
 )
 
@@ -162,7 +163,7 @@ class TestSignalProblem:
         assert family.evaluate([member], prob.ground_truth) is None
         assert np.any(step_of(family, member, prob.ground_truth + 5.0))
         out = x + step_of(family, member, x)
-        a, lo, hi = prob.slab_bounds(k, j)
+        a, lo, hi = slab_bounds(prob, k, j)
         assert lo - 1e-12 <= float(a @ out) <= hi + 1e-12
         # projection moves along the normal only
         move = out - x
@@ -180,7 +181,7 @@ class TestSignalProblem:
         points = [(truth, len(family)), (truth + 5.0, 0), (truth - 5.0, 0),
                   (np.zeros(32), None), (rng.normal(size=32), None)]
         for x, expected_held in points:
-            ps = [project_hyperslab(*prob.slab_bounds(*divmod(int(k), prob.n)), x) for k in ks]
+            ps = [project_hyperslab(*slab_bounds(prob, *divmod(int(k), prob.n)), x) for k in ks]
             held = sum(p is x for p in ps)
             if expected_held is not None:
                 assert held == expected_held
@@ -231,7 +232,7 @@ class TestSignalProblem:
         observations = rows @ truth + rng.uniform(-0.6 * eta, 0.6 * eta, size=p * n)
         family = experiments.SignalProblem(n, p, eta, np.ones(p), kernels,
                                            observations.reshape(p, n), truth, 0).build_family()
-        assert np.array_equal(family._windows[family._offsets], rows)
+        assert np.array_equal(family._table[family._offsets], rows)
         mid_run = BlockConfig(batch_size=4, delta=0.1, relaxation=rx.Constant(1.9),
                               max_iters=40, seed=2, atol=0.0)
         for fam, a, xbar in [(desk.build_family(), desk_rows, desk.ground_truth),
@@ -267,6 +268,42 @@ class TestSignalProblem:
                           seed=0, error_schedule=errors)
         with pytest.raises(UsageError, match="dimension mismatch"):
             run_block(prob.build_family(), cfg, np.zeros(length))
+
+    @pytest.mark.parametrize("field, value, match", [
+        # eta < 0 gave slabs with lo > hi, and a run that ended infeasible
+        ("eta", -0.15, "eta must be finite and positive"),
+        # eta = NaN failed as "iterate diverged at iteration 0"
+        ("eta", math.nan, "eta must be finite and positive"),
+        ("eta", math.inf, "eta must be finite and positive"),
+        # a short observation array failed inside the family with an IndexError
+        ("observations", lambda prob: prob.observations[:, :-1],
+         r"observations must have shape \(p, n\) = \(10, 256\), got \(10, 255\)"),
+        ("observations", lambda prob: np.where(np.eye(10, 256) > 0, np.nan, prob.observations),
+         "observations must be finite"),
+        ("kernels", lambda prob: prob.kernels[:9], "kernels must have shape"),
+        ("kernels", lambda prob: np.where(np.eye(10, 256) > 0, np.inf, prob.kernels),
+         "kernels must be finite"),
+        ("kernels", lambda prob: prob.kernels * (np.arange(10) > 0)[:, None],
+         "kernels must have no zero row"),
+    ], ids=["eta-negative", "eta-nan", "eta-inf", "observations-short", "observations-nan",
+            "kernels-short", "kernels-inf", "kernels-zero-row"])
+    def test_problem_data_are_checked_when_built(self, field, value, match):
+        prob = experiments.desk_signal_problem(seed=3)
+        with pytest.raises(UsageError, match=match):
+            replace(prob, **{field: value(prob) if callable(value) else value})
+
+    def test_one_member_batches_extrapolate_by_exactly_one(self):
+        # each reported residual is the norm of its step row, summed as the
+        # run sums ||p - x||, so M = 1 gives L = r^2 / ||p - x||^2 = 1 exactly;
+        # residuals |s| ||a|| gave L != 1 on 546 of these 120,000 rows
+        prob = experiments.desk_signal_problem(seed=7)
+        family = prob.build_family()
+        for label, strategy in canonical_strategies().items():
+            for rep in range(5):
+                cfg = BlockConfig(batch_size=1, delta=0.5, relaxation=strategy, max_iters=6000,
+                                  seed=derive_seed(0, label, rep), atol=0.0)
+                res = run_block(family, cfg, np.zeros(prob.n))
+                assert np.all(res.trace.extrapolations() == 1.0), (label, rep)
 
     def test_invalid_ranges_rejected(self):
         with pytest.raises(UsageError):

@@ -4,20 +4,23 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stochfeas.geometry import fejer_decrement
-from stochfeas.operators import halfspace_projector
+from stochfeas.operators import LinearFamily
+
+from conftest import halfspace_proj_oracle
 
 
 def test_tie_gives_zero_step():
-    # <x, a> == b exactly: the comparison is strict with no tolerance, so the
-    # projector returns x itself and the step d = x - P(x) is exactly zero
+    # <x, a> == b exactly: the clamp leaves <x, a> as it is, with no
+    # tolerance, so the member fixes x and the batch is all-fixed
     x = np.array([1.0, 0.0])
-    np.testing.assert_array_equal(x - halfspace_projector(np.array([1.0, 0.0]), 1.0)(x), [0.0, 0.0])
+    assert LinearFamily([[1.0, 0.0]], [-np.inf], [1.0]).evaluate([0], x) is None
+    np.testing.assert_array_equal(x - halfspace_proj_oracle(np.array([1.0, 0.0]), 1.0, x), [0.0, 0.0])
 
 
 def test_fejer_decrement_examples():
     z = np.zeros(2)
     x = np.array([2.0, 0.0])
-    d = x - halfspace_projector(np.array([1.0, 0.0]), 0.0)(x)
+    d = x - halfspace_proj_oracle(np.array([1.0, 0.0]), 0.0, x)
     np.testing.assert_array_equal(d, [2.0, 0.0])
     x_next = x - 1.0 * d
     np.testing.assert_allclose(x_next, [0.0, 0.0], atol=0)
@@ -47,7 +50,7 @@ def test_pathwise_fejer_property(data, dim, lam):
     eta = float(z @ t) + eta_slack  # guarantees <z, t> <= eta
     # a half-space needs a normal whose squared norm does not underflow
     assume(float(t @ t) > 1e-300)
-    d = x - halfspace_projector(t, eta)(x)
+    d = x - halfspace_proj_oracle(t, eta, x)
     x_next = x - lam * d
     dec = fejer_decrement(x, x_next, z, lam, d)
     dist_sq = float((x - z) @ (x - z))
@@ -66,7 +69,7 @@ def test_update_identity_with_cross_term(data, dim, lam):
     z = np.array(data.draw(st.lists(finite, min_size=dim, max_size=dim)))
     eta = data.draw(finite)
     assume(float(t @ t) > 1e-300)
-    d = x - halfspace_projector(t, eta)(x)
+    d = x - halfspace_proj_oracle(t, eta, x)
     x_next = x - lam * d
     lhs = float((x_next - z) @ (x_next - z))
     rhs = float((x - z) @ (x - z)) - lam * (2 - lam) * float(d @ d) \

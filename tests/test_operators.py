@@ -1,15 +1,19 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from stochfeas import relaxation as rx
+from stochfeas.block import BlockConfig, run_block
 from stochfeas.exceptions import DegenerateConstraintError, NumericError, UsageError
+from stochfeas.fixedpoint import DecayingNoise
 from stochfeas.operators import (
     _half_inverse,
+    LinearFamily,
     OperatorFamily,
     project_box,
-    project_hyperslab,
     sample_indices,
     symmetrize_fourier_mask,
     validate_fourier_mask,
@@ -17,8 +21,11 @@ from stochfeas.operators import (
 
 from conftest import (
     InequalityConstraint,
+    assert_same_run,
     halfspace_proj_oracle,
     project_fourier_support,
+    project_hyperslab,
+    replay_block,
     subgradient_projector,
 )
 
@@ -120,16 +127,30 @@ class TestBoxProjector:
             project_box(np.nan, 1.0, [0.5, 0.5])
 
 
+def slab_projection(a, lo, hi):
+    """The map x -> P x of the one-member ``LinearFamily`` of the hyperslab
+    {z : lo <= <a, z> <= hi}, through its ``evaluate``."""
+    fam = LinearFamily([a], [lo], [hi])
+
+    def project(x):
+        x = np.asarray(x, dtype=float)
+        out = fam.evaluate([0], x)
+        return x if out is None else x + out[0][0]
+    return project
+
+
 class TestHyperslabProjector:
+    """The one-member ``LinearFamily`` as the projector onto one hyperslab."""
+
     def test_above_band(self):
-        out = project_hyperslab([1.0, 0.0], -1.0, 1.0, [2.0, 5.0])
+        out = slab_projection([1.0, 0.0], -1.0, 1.0)([2.0, 5.0])
         np.testing.assert_allclose(out, [1.0, 5.0], atol=0)
 
     def test_numeric_minimization_cross_check(self, rng):
         a = np.array([1.0, -2.0, 0.5])
         lo, hi = -0.3, 0.9
         x = rng.normal(size=3) * 4
-        proj = project_hyperslab(a, lo, hi, x)
+        proj = slab_projection(a, lo, hi)(x)
         res = minimize(lambda z: np.sum((z - x) ** 2), np.zeros(3), method="SLSQP",
                        constraints=[{"type": "ineq", "fun": lambda z: hi - a @ z},
                                     {"type": "ineq", "fun": lambda z: a @ z - lo}],
@@ -137,33 +158,110 @@ class TestHyperslabProjector:
         np.testing.assert_allclose(proj, res.x, atol=1e-6)
 
     def test_inside_band_identity(self, rng):
-        a = np.array([0.0, 1.0])
+        fam = LinearFamily([[0.0, 1.0]], [-1.0], [1.0])
         for _ in range(20):
             x = rng.normal(size=2)
-            v = float(a @ x)
+            v = float(x[1])
             if -1.0 <= v <= 1.0:
-                np.testing.assert_array_equal(project_hyperslab(a, -1.0, 1.0, x), x)
+                assert fam.evaluate([0], x) is None
 
     def test_hyperplane_case(self):
-        out = project_hyperslab([0.0, 1.0], 0.0, 0.0, [3.0, -2.0])
+        out = slab_projection([0.0, 1.0], 0.0, 0.0)([3.0, -2.0])
         np.testing.assert_allclose(out, [3.0, 0.0], atol=0)
 
     def test_zero_normal_rejected(self):
-        with pytest.raises(UsageError):
-            project_hyperslab([0.0, 0.0], -1.0, 1.0, [1.0, 1.0])
+        with pytest.raises(UsageError, match="squared norm 0"):
+            slab_projection([0.0, 0.0], -1.0, 1.0)
 
     def test_nan_bounds_rejected(self):
-        with pytest.raises(UsageError):
-            project_hyperslab([1.0, 0.0], np.nan, np.nan, [1.0, 1.0])
+        with pytest.raises(UsageError, match="lo <= hi"):
+            slab_projection([1.0, 0.0], np.nan, np.nan)
+
+
+class TestLinearFamily:
+    def test_batch_matches_the_independent_projections(self, rng):
+        # half-spaces, slabs and a hyperplane; repeated members get equal rows
+        rows = rng.normal(size=(6, 4))
+        lo = np.array([-np.inf, -0.5, -1.0, 0.3, -np.inf, -2.0])
+        hi = np.array([0.2, 0.5, 1.0, 0.3, 1.5, -1.0])
+        fam = LinearFamily(rows, lo, hi)
+        ks = [0, 1, 2, 3, 4, 5, 3, 0]
+        fixed = 0
+        for _ in range(30):
+            x = rng.normal(size=4) * 2
+            ps = [project_hyperslab(rows[k], lo[k], hi[k], x) for k in ks]
+            steps, norms = fam.evaluate(ks, x)   # the hyperplane never holds x
+            for d, r, p in zip(steps, norms, ps):
+                if p is x:
+                    fixed += 1
+                    assert not d.any() and r == 0.0
+                else:
+                    np.testing.assert_allclose(x + d, p, rtol=1e-13, atol=1e-13)
+                # each norm is that of its row, summed as run_block sums it
+                assert r == math.sqrt(float(d.dot(d)))
+        assert fixed
+
+    @pytest.mark.parametrize("rows, lo, hi, match", [
+        ([[1.0, 0.0], [0.0, 0.0]], [-1.0, -1.0], [1.0, 1.0], "row 1 has squared norm 0"),
+        ([[1e-200, 0.0]], [-1.0], [1.0], "row 0 has squared norm 0"),
+        ([[1e200, 0.0]], [-1.0], [1.0], "row 0 has squared norm inf"),
+        ([[1.0, np.nan]], [-1.0], [1.0], "rows must be finite"),
+        ([[1.0, np.inf]], [-1.0], [1.0], "rows must be finite"),
+        ([[1.0, 0.0]], [2.0], [1.0], "lo <= hi"),
+        ([[1.0, 0.0]], [-np.inf], [np.nan], "lo <= hi"),
+        ([[1.0, 0.0]], [np.inf], [np.inf], "empty"),
+        ([[1.0, 0.0]], [-np.inf], [-np.inf], "empty"),
+        ([[1.0, 0.0]], [-1.0, -1.0], [1.0, 1.0], "do not match"),
+        ([[1.0, 0.0]], -1.0, 1.0, "do not match"),
+        ([1.0, 0.0], [-1.0, -1.0], [1.0, 1.0], "2-D"),
+        (np.zeros((0, 2)), [], [], "at least one member"),
+    ], ids=["zero-row", "underflowing-row", "overflowing-row", "nan-row", "inf-row",
+            "lo-above-hi", "nan-hi", "lo-inf", "hi-minus-inf", "lo-too-long",
+            "scalar-bounds", "1-D-rows", "no-rows"])
+    def test_constructor_rejects(self, rows, lo, hi, match):
+        with pytest.raises(UsageError, match=match):
+            LinearFamily(rows, lo, hi)
+
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_wrong_length_x0_is_a_usage_error(self, length):
+        fam = LinearFamily(np.eye(2), [-np.inf, -1.0], [0.0, 1.0])
+        for errors in (None, DecayingNoise(0.1, 1.5)):
+            cfg = BlockConfig(batch_size=2, delta=0.3, relaxation=rx.Constant(1.0),
+                              max_iters=5, seed=0, error_schedule=errors)
+            with pytest.raises(UsageError, match="dimension mismatch in x0"):
+                run_block(fam, cfg, np.zeros(length))
+
+    @pytest.mark.parametrize("m", [1, 4])
+    @pytest.mark.parametrize("errors", [None, DecayingNoise(0.5, 1.5)], ids=["exact", "errors"])
+    def test_run_equals_the_replay(self, m, errors):
+        rng = np.random.default_rng(41)
+        rows = rng.normal(size=(12, 5))
+        center = rng.normal(size=5)
+        v = rows @ center
+        lo = np.where(np.arange(12) % 3 == 0, -np.inf, v - rng.uniform(0.1, 1.0, size=12))
+        fam = LinearFamily(rows, lo, v + rng.uniform(0.1, 1.0, size=12))
+        cfg = BlockConfig(batch_size=m, delta=0.5 / m, relaxation=rx.UniformInterval(0.5, 1.5),
+                          max_iters=300, seed=7, atol=0.0, error_schedule=errors,
+                          collect_records=True)
+        x0 = 4.0 * rng.normal(size=5)
+        res = run_block(fam, cfg, x0, reference_solution=center)
+        assert_same_run(res, *replay_block(fam, cfg, x0, reference=center))
+        if m == 1 and errors is None:
+            assert np.all(res.trace.extrapolations() == 1.0)
 
 
 def projector_zoo(rng):
-    ball = unit_ball_constraint()
     return [
         (lambda x: project_box(-1.0, 1.5, x), lambda: rng.uniform(-1.0, 1.5, size=4), 4),
-        (lambda x: project_hyperslab(np.array([1.0, 2.0, -1.0, 0.5]), -0.5, 0.5, x),
+        (slab_projection(np.array([1.0, 2.0, -1.0, 0.5]), -0.5, 0.5),
          lambda: _slab_point(rng), 4),
+        (slab_projection(np.array([0.5, -1.0, 0.0, 2.0]), -np.inf, 0.7),
+         lambda: _halfspace_point(rng), 4),
     ]
+
+
+def _halfspace_point(rng):
+    return halfspace_proj_oracle(np.array([0.5, -1.0, 0.0, 2.0]), 0.7, rng.normal(size=4))
 
 
 def _slab_point(rng):
