@@ -13,16 +13,17 @@ One iteration over a family (T_k) of firmly quasinonexpansive operators:
        a = x + L (p - x);
 5. draw the relaxation lam and update x <- x + lam (a - x).
 
-A run applies the family through one state, ``family.run_state(x0,
-noise)`` (see ``operators._IndexedFamily``): ``evaluate(ks, x)`` gives the
+A run applies the family through one state, ``family.run_state(x0)``
+(see ``operators._IndexedFamily``): ``evaluate(ks, x)`` gives the
 residuals of a batch and keeps its steps, ``step(beta)`` gives p - x, and
 ``screen`` may clear batches unevaluated.  The run's iterate lives in the
-state's coordinates, with the state's norm: the point itself for a state
-in space, the half spectrum for the image family's, which the run maps
-back to space only for its records, its Fejer audit and its final point.
-The error-tolerant variant runs on the row state over the family's bare
-``evaluate``, which adds the errors to the rows; it draws the M errors of
-an iteration at once.
+state's coordinates, an isometric image of space, so that every norm is
+v.dot(v): the point itself for a state in space, the weighted half
+spectrum for the image family's.  The run maps them back to space, by the
+state's ``point``, only for its records, its Fejer audit and its final
+point.  The error-tolerant variant runs on a row state over the family's
+bare ``evaluate``, which adds the errors to the rows; it draws the M
+errors of an iteration at once.
 
 An iteration whose drawn members all fix x leaves x unchanged (p = x,
 so L = 1 and a = x).  The state reports such a batch by returning None,
@@ -74,7 +75,7 @@ from .diagnostics import audit_fejer_step
 from .exceptions import ConfigurationError, InvariantViolationError, UsageError
 from .fixedpoint import DecayingNoise, _check_schedule_certificate, _iterate
 from .geometry import as_point, require_same_dim
-from .operators import _IndexedFamily
+from .operators import _IndexedFamily, _RowState
 from .rngstreams import substream
 from .trace import ConvergenceTrace
 
@@ -241,23 +242,17 @@ def run_block(
     ks_chunk = lam_chunk = ()
     ks_at = lam_at = 0
     x0 = as_point(x0, "x0") + 0.0   # -0.0 -> +0.0, see the module docstring
-    errors = noise = None
-    if cfg.error_schedule is not None:
+    state = family.run_state(x0)   # checks x0 against the family
+    errors = cfg.error_schedule
+    if errors is not None:
         # the errors go on rows in space; that state neither screens nor
         # reports a batch all-fixed, so iteration n makes the n-th draw
-        errors, noise_rng = cfg.error_schedule, substream(cfg.seed, "noise")
-        noise = (errors.sample_rows(n, m, x0.size, noise_rng) for n in itertools.count())
-    state = family.run_state(x0, noise)   # checks x0 against the family
-    evaluate, mean_step, screen = state.evaluate, state.step, state.screen
-    # the iterate lives in the state's coordinates: the point itself when
-    # norm_sq is None, otherwise mapped back to space only where needed
-    norm_sq = point = None
-    start, reference = x0, reference_solution
-    if state.norm_sq is not None:
-        norm_sq, point = state.norm_sq, state.point
-        start = state.coordinates(x0)
-        if reference is not None:
-            reference = state.coordinates(reference)
+        noise_rng = substream(cfg.seed, "noise")
+        state = _RowState(family.evaluate, (errors.sample_rows(n, m, x0.size, noise_rng)
+                                            for n in itertools.count()))
+    evaluate, mean_step, screen, point = state.evaluate, state.step, state.screen, state.point
+    if reference_solution is not None:
+        reference_solution = state.coordinates(reference_solution)
     zs = [as_point(z, "fejer point") for z in fejer_points] if fejer_points else []
     for z in zs:
         require_same_dim(z, x0, "fejer point")
@@ -293,7 +288,7 @@ def run_block(
         r = evaluate(ks, x)
         if r is None:   # every drawn member fixes x
             if records is not None:
-                xs = x if point is None else point(x)
+                xs = point(x)
                 record(n, ks, noop_beta, xs, 1.0, xs, lam)
             return x, 0.0, lam, 1.0
         beta = noop_beta if uniform else compute_weights(r, cfg.delta, cfg.weight_rule)
@@ -301,7 +296,7 @@ def run_block(
         # steps directly keeps the indicator branch [p = x] exact when every
         # drawn operator fixes x
         avg_step = mean_step(beta)
-        pmx = math.sqrt(float(avg_step.dot(avg_step)) if norm_sq is None else norm_sq(avg_step))
+        pmx = math.sqrt(float(avg_step.dot(avg_step)))
         if errors is None:
             extrap = _extrapolation(r, beta, pmx)
             if extrap < 1.0 - _EXTRAPOLATION_SLACK:
@@ -314,20 +309,18 @@ def run_block(
             a = x + avg_step
         x_next = x + lam * (a - x)
         if zs or records is not None:
-            observe(n, ks, beta, r, x, avg_step, a, x_next, extrap, lam)
+            observe(n, ks, beta, r, x, avg_step, x_next, extrap, lam)
         return x_next, float(r.max()) if want else None, lam, extrap
 
-    def observe(n, ks, beta, r, x, d, a, x_next, extrap, lam):
+    def observe(n, ks, beta, r, x, d, x_next, extrap, lam):
         """The Fejer audit and the record of an evaluated step, in space."""
         nonlocal violations, worst
-        if point is not None:
-            # x first: the box or the last audit may have mapped it back already
-            x = point(x)
-            d = point(d)
-            a = x + extrap * d
+        # x first: the box or the last audit may have mapped it back already
+        x = point(x)
+        d = point(d)
+        a = x + extrap * d
         if zs:
-            x_next = x_next if point is None else point(x_next)
-            count, deficit = audit_fejer_step(x, x_next, lam, x - a, zs)
+            count, deficit = audit_fejer_step(x, point(x_next), lam, x - a, zs)
             violations += count
             worst = max(worst, deficit)
         if records is not None:
@@ -347,8 +340,9 @@ def run_block(
                 break
             width *= 4
         if records is not None:
+            xs = point(x)
             for i in range(j):
-                record(n + 1 + i, ks_chunk[ks_at + i], noop_beta, x, 1.0, x,
+                record(n + 1 + i, ks_chunk[ks_at + i], noop_beta, xs, 1.0, xs,
                        lam_chunk[lam_at + i])
         ks_at += j
         lam_at += j
@@ -356,7 +350,7 @@ def run_block(
 
     # the residual only samples M random operators, so a single quiet
     # iteration proves nothing; require stop_patience consecutive ones
-    x, trace = _iterate(step, start, cfg.max_iters, cfg.atol, cfg.record_every,
-                        patience=cfg.stop_patience, reference=reference,
-                        skip=None if screen is None else skip, norm_sq=norm_sq)
-    return BlockResult(x if point is None else point(x), trace, records, violations, worst)
+    x, trace = _iterate(step, state.coordinates(x0), cfg.max_iters, cfg.atol, cfg.record_every,
+                        patience=cfg.stop_patience, reference=reference_solution,
+                        skip=None if screen is None else skip)
+    return BlockResult(point(x), trace, records, violations, worst)

@@ -22,22 +22,26 @@ the true image with 95% confidence (generation records whether it actually
 does on this noise draw).
 
 The image data are real, so the image problem keeps only half spectra,
-rfft2's n x (n/2 + 1) grid, and takes norms by Parseval with weight 1 on
-the self-conjugate columns and 2 on the others (see the Fourier section of
-``operators``).  Every inverse is one checked irfft2, which verifies the
-imaginary residue it drops.
+rfft2's n x (n/2 + 1) grid, weighted column by column: X = w rfft2(x), with
+w = sqrt(1/N) on the self-conjugate columns and sqrt(2/N) on the others, N
+= n^2 (see the Fourier section of ``operators``).  By Parseval the plain
+sum of squares of X's real and imaginary parts is then ||x||^2, so every
+norm the problem takes is that sum.  The weights commute with the blur's
+pointwise product, so the kernel spectrum K stays unweighted while the
+observation spectra and the Fourier target are stored weighted.  Every
+inverse removes w and is one checked irfft2, which verifies the imaginary
+residue it drops.
 
-A block run over the image family iterates in the half spectrum X =
-rfft2(x) (``_SpectralState``): rfft2 with the Parseval weights is an
-isometry onto the half spectra, so the run's update arithmetic, a = X + L
-S and X+ = X + lam (a - X), is the same as in space, and its divergence
-guard, its dB column and ||p - x|| take the Parseval norm.  The dB column
-is measured against rfft2 of the reference, taken once per run.  The
-steps of the balls and the Fourier member are linear in X; the box's is
-not, so the run maps X back to space, by one checked irfft2 kept while X
-is unchanged, only when the box is drawn, when it writes records or
-audits Fejer points, and once for the final point.  When the box moves x,
-the step spectrum S takes rfft2 of the box's share.
+A block run over the image family iterates in the real view of X
+(``_SpectralState``), a linear isometry of space, so the run's update
+arithmetic, a = X + L S and X+ = X + lam (a - X), and each of its norms,
+v.dot(v), are the same as in space.  The dB column is measured against
+the coordinates of the reference, taken once per run.  The steps of the
+balls and the Fourier member are linear in X; the box's is not, so the run
+maps X back to space, by one checked irfft2 kept while X is unchanged,
+only when the box is drawn, when it writes records or audits Fejer
+points, and once for the final point.  When the box moves x, the step
+spectrum S takes the weighted rfft2 of the box's share.
 
 There is no second copy of x to drift from.  What rounding leaves in X
 that no real image has is an anti-Hermitian part in the self-conjugate
@@ -52,7 +56,7 @@ scale named:
     inverse residue (_half_inverse) 1e-9         max(1, max|x|)
     residue over a long run (test)  1e-15        max(1, max|x|)
     criterion 8, each ball value    1e-6 xi      (xi, the confidence radius)
-    criterion 8, Fourier deviation  1e-6         max(1, ||target||)
+    criterion 8, Fourier deviation  1e-6         max(1, ||target||), full DFT
 
 The problem keeps the Hermitian part of its validated target, so the
 target adds nothing to a residue.
@@ -80,7 +84,7 @@ from .operators import (
     _RowState,
     _half,
     _half_inverse,
-    _half_norm_sq,
+    _half_weights,
     _member_steps,
     _projector_scale,
     _self_conjugate_entries,
@@ -268,9 +272,9 @@ class _SlabFamily(LinearFamily):
         margin /= self._norm
         return margin
 
-    def run_state(self, x0, noise=None):
-        state = super().run_state(x0, noise)   # checks x0
-        return _SlabState(self) if noise is None else state
+    def run_state(self, x0):
+        super().run_state(x0)   # checks x0
+        return _SlabState(self)
 
 
 class _SlabState(_RowState):
@@ -416,12 +420,25 @@ class ImageProblem:
     seed: int
 
     def __post_init__(self):
-        # the Fourier data are checked once, here; the family, finalize and
-        # the report read these read-only private copies, on the half grid
-        # of rfft2 (see the Fourier section of ``operators``)
-        shape = (self.n, self.n)
+        # the data are checked once, here: a negative xi would let no point
+        # in the balls, and a NaN or a wrong shape fails only inside a run
+        n = self.n
+        if not (math.isfinite(self.xi) and self.xi > 0.0):
+            raise UsageError(f"xi must be finite and positive, got {self.xi}")
+        for name, shape in (("kernel", (n, n)), ("observations", (4, n, n)),
+                            ("target_spectrum", (n, n)), ("mask", (n, n)),
+                            ("ground_truth", (n, n))):
+            data = np.asarray(getattr(self, name))
+            if data.shape != shape:
+                raise UsageError(f"{name} must have shape {shape}, got {data.shape}")
+            if name not in ("mask", "ground_truth") and not np.all(np.isfinite(data)):
+                raise UsageError(f"{name} must be finite")
+        # the Fourier data too; the family, finalize and the report read these
+        # read-only private copies, weighted half spectra (module docstring)
+        shape = (n, n)
+        w = self._weights = _half_weights(n, n)
         mask = _half(validate_fourier_mask(self.mask)).copy()
-        values = _half(_validate_fourier_target(self.target_spectrum, self.mask))[mask]
+        values = (_half(_validate_fourier_target(self.target_spectrum, self.mask)) * w)[mask]
         # the flat positions of the masked entries; in that list, the
         # positions of the entries (u, c) of self-conjugate columns, and of
         # their mirrors (-u, c), which are masked too
@@ -430,19 +447,15 @@ class ImageProblem:
         held = mask.reshape(-1)[at]
         self._mask_edge = np.searchsorted(self._mask_flat, at[held])
         self._mask_mirror = np.searchsorted(self._mask_flat, mirror[held])
-        self._spectrum_edge = at
         # the target's Hermitian part, which a real grid can have: validation
         # lets the self-conjugate columns be anti-Hermitian up to 1e-9 of the
         # target's scale, and the checked inverse would meet that as residue
-        herm = values[self._mask_edge]
-        herm += np.conj(values[self._mask_mirror])
-        herm *= 0.5
-        values[self._mask_edge] = herm
+        values = self._hermitian_part(values)
         mask.flags.writeable = values.flags.writeable = False
         self._half_mask, self._target_values = mask, values
         self._kernel_rfft = np.fft.rfft2(self.kernel)
         self._kernel_rfft_conj = np.conj(self._kernel_rfft)
-        self._obs_rfft = np.fft.rfft2(self.observations)
+        self._obs_rfft = np.fft.rfft2(self.observations) * w
 
     @property
     def dim(self) -> int:
@@ -454,20 +467,33 @@ class ImageProblem:
         require_same_dim(x, self.ground_truth.reshape(-1), "image point")
         return x
 
+    def _hermitian_part(self, values: np.ndarray) -> np.ndarray:
+        """``values``, entries of a half spectrum on the mask, with those of
+        the self-conjugate columns replaced by their Hermitian part, in place."""
+        herm = values[self._mask_edge]
+        herm += np.conj(values[self._mask_mirror])
+        herm *= 0.5
+        values[self._mask_edge] = herm
+        return values
+
     def _spectrum(self, x: np.ndarray) -> np.ndarray:
-        """The half spectrum rfft2 of a flattened image."""
-        return np.fft.rfft2(x.reshape(self.n, self.n))
+        """The weighted half spectrum w rfft2 of a flattened image."""
+        return np.fft.rfft2(x.reshape(self.n, self.n)) * self._weights
 
     def _inverse(self, spectrum: np.ndarray) -> np.ndarray:
-        """The flattened image whose half spectrum is ``spectrum``, checked."""
-        return _half_inverse(spectrum, (self.n, self.n)).reshape(-1)
+        """The flattened image whose weighted half spectrum is ``spectrum``,
+        checked."""
+        return _half_inverse(spectrum / self._weights, (self.n, self.n)).reshape(-1)
 
     def _norm_sq(self, spectrum: np.ndarray) -> float:
-        """||v||^2 of the image v whose half spectrum is ``spectrum`` (Parseval)."""
-        return _half_norm_sq(spectrum, self._spectrum_edge) / self.dim
+        """||v||^2 of the image v whose weighted half spectrum is ``spectrum``
+        (or, on a mask, ||v's part there||^2): the plain sum of squares of its
+        real and imaginary parts."""
+        parts = spectrum.reshape(-1).view(np.float64)
+        return float(parts.dot(parts))
 
     def _ball_residual(self, k: int, spectrum: np.ndarray) -> np.ndarray:
-        """K X - Y_k, the half spectrum of L x - r_k, from that X of x."""
+        """K X - Y_k, the weighted half spectrum of L x - r_k, from that X of x."""
         res_hat = self._kernel_rfft * spectrum
         res_hat -= self._obs_rfft[k]
         return res_hat
@@ -475,20 +501,17 @@ class ImageProblem:
     def _ball_value(self, res_hat: np.ndarray) -> float:
         return self._norm_sq(res_hat) - self.xi
 
-    def ball_value(self, k: int, x: np.ndarray) -> float:
-        """f_k(x) = ||r_k - L x||^2 - xi on flattened points (via Parseval)."""
-        return self._ball_value(self._ball_residual(k, self._spectrum(self._point(x))))
-
     def _project_ball(self, k: int, x: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
-        """Subgradient projection onto ball k at a validated ``x`` whose half
-        spectrum is ``spectrum`` (read only): x plus the checked real
-        inverse of its step spectrum."""
+        """Subgradient projection onto ball k at a validated ``x`` whose
+        weighted half spectrum is ``spectrum`` (read only): x plus the checked
+        real inverse of its step spectrum."""
         step = self._ball_step(k, spectrum)
         return x if step is None else x + self._inverse(step[0])
 
     def _project_fourier(self, spectrum: np.ndarray) -> np.ndarray:
-        """Projection onto the Fourier set of the image whose half spectrum
-        is ``spectrum``, which it overwrites on the mask with the target.
+        """Projection onto the Fourier set of the image whose weighted half
+        spectrum is ``spectrum``, which it overwrites on the mask with the
+        target.
 
         The stored target is Hermitian, so what the checked inverse verifies
         as imaginary residue is only that of ``spectrum`` off the mask.
@@ -497,11 +520,11 @@ class ImageProblem:
         return self._inverse(spectrum)
 
     def _ball_step(self, k: int, spectrum: np.ndarray):
-        """The step of ball k's subgradient projector at the point whose half
-        spectrum is ``spectrum`` (read only), as its half spectrum
-        -(f_k / ||s_k||^2) 2 conj(K) (K X - Y_k) and its norm f_k / ||s_k||,
-        or None when the ball holds the point.  ||s_k||^2 comes by Parseval
-        from the spectrum 2 conj(K) (K X - Y_k) of the subgradient s_k."""
+        """The step of ball k's subgradient projector at the point whose
+        weighted half spectrum is ``spectrum`` (read only), as its weighted
+        half spectrum -(f_k / ||s_k||^2) 2 conj(K) (K X - Y_k) and its norm
+        f_k / ||s_k||, or None when the ball holds the point.  ||s_k||^2 is
+        the sum of squares of 2 conj(K) (K X - Y_k), the subgradient's."""
         name = f"ball[{k}]"
         res_hat = self._ball_residual(k, spectrum)
         fx = self._ball_value(res_hat)
@@ -541,9 +564,11 @@ class ImageProblem:
     def feasibility_report(self, x: np.ndarray) -> dict:
         x = self._point(x)
         spec = self._spectrum(x)
-        edge = self._mask_edge
-        target_norm = math.sqrt(_half_norm_sq(self._target_values, edge))
-        fourier_dev = math.sqrt(_half_norm_sq(spec[self._half_mask] - self._target_values, edge))
+        # the Fourier deviation relative to the target, both full DFT norms
+        # ||F|| = sqrt(N) ||v|| as the tolerance table states them
+        target_norm = math.sqrt(self.dim * self._norm_sq(self._target_values))
+        fourier_dev = math.sqrt(self.dim * self._norm_sq(spec[self._half_mask]
+                                                         - self._target_values))
         return {
             "ball_values": [self._ball_value(self._ball_residual(k, spec)) for k in range(4)],
             "box_violation": float(np.max(np.maximum(x - PIXEL_MAX, 0.0)
@@ -561,26 +586,24 @@ class _ImageFamily(_IndexedFamily):
     Members 0-3 are the ball subgradient projectors, 4 the pixel box and 5
     the Fourier-support projector.  A bare ``evaluate(ks, x)`` checks x
     once and runs the per-member loop that ``OperatorFamily`` shares.  Each
-    ball forms its residual spectrum K X - Y_k from the half spectrum X =
-    rfft2(x), which it transforms at most once, only when a ball or the
-    Fourier member is drawn; the Fourier member then overwrites a copy of X
-    on the problem's validated half mask.  Every row comes from the checked
-    inverse ``irfft2``.
+    ball forms its residual spectrum K X - Y_k from the weighted half
+    spectrum X = w rfft2(x), which it transforms at most once, only when a
+    ball or the Fourier member is drawn; the Fourier member then overwrites
+    a copy of X on the problem's validated half mask.  Every row comes from
+    the checked inverse ``irfft2``.
 
     A block run iterates in X through a ``_SpectralState`` instead
     (``run_state``), which builds no rows: it keeps the step spectra of the
-    batch and combines them when the run asks for p - x.  The error-tolerant
-    variant adds its errors to rows in space, so its state keeps the rows of
-    the bare ``evaluate``.
+    batch and combines them when the run asks for p - x.
     """
 
     def __init__(self, problem: ImageProblem, weights=None):
         super().__init__(6, weights)
         self._problem = problem
 
-    def run_state(self, x0, noise=None):
+    def run_state(self, x0):
         self._problem._point(x0)
-        return _SpectralState(self._problem) if noise is None else _RowState(self.evaluate, noise)
+        return _SpectralState(self._problem)
 
     def evaluate(self, ks, x):
         problem = self._problem
@@ -602,53 +625,56 @@ class _ImageFamily(_IndexedFamily):
 
 class _SpectralState:
     """The state of a block run of the image family, which iterates in the
-    half spectrum X = rfft2(x), and the steps of the batch it last evaluated.
+    real view v of the weighted half spectrum X = w rfft2(x), and the steps
+    of the batch it last evaluated.
 
-    ``evaluate(ks, X)`` leaves the half step spectrum D_k of each distinct
-    drawn member that moves x: -(f_k / ||s_k||^2) 2 conj(K) (K X - Y_k) for
-    a violated ball k, and for the Fourier member the difference target - X
-    on the mask, kept as its masked values; the box, which is not linear in
-    X, leaves its row p - x, taken at ``point(X)``.  ``step(beta)`` returns S
-    = sum_i beta_i D_{k_i}, with rfft2 of the box's share of its row when
-    the box moves x, and takes no inverse.
+    ``evaluate(ks, v)`` leaves the step spectrum D_k of each distinct drawn
+    member that moves x: -(f_k / ||s_k||^2) 2 conj(K) (K X - Y_k) for a
+    violated ball k, and for the Fourier member the difference target - X on
+    the mask, kept as its masked values; the box, which is not linear in X,
+    leaves its row p - x, taken at ``point(v)``.  ``step(beta)`` returns the
+    real view of S = sum_i beta_i D_{k_i}, with the weighted rfft2 of the
+    box's share of its row when the box moves x, and takes no inverse.
 
     X picks up an anti-Hermitian part in its self-conjugate columns from
     rounding, which irfft2 drops, so there the Fourier member's difference
-    is made Hermitian first, and its norm by Parseval is that of the real
-    step the inverse makes of it.  Unlike a ball's step, the Hermitian part
-    of that difference vanishes as x nears the Fourier set while the
-    anti-Hermitian part would not: a norm that counted it would break L >= 1.
+    is made Hermitian first, and its norm is that of the real step the
+    inverse makes of it.  Unlike a ball's step, the Hermitian part of that
+    difference vanishes as x nears the Fourier set while the anti-Hermitian
+    part would not: a norm that counted it would break L >= 1.
 
-    ``norm_sq`` is Parseval's, and ``point(X)`` is one checked irfft2,
-    cached for the last X it was asked for.  It has no screen.
+    ``coordinates(x)`` is v, and ``point(v)`` is one checked irfft2, cached
+    for the last v it was asked for.  It has no screen.
     """
 
     screen = None
 
     def __init__(self, problem: ImageProblem):
         self._problem = problem
+        self._shape = (problem.n, problem.n // 2 + 1)   # of X
         self._balls: dict = {}   # ball k -> D_k
         self._fourier = None     # the Fourier member's D on the mask
         self._box = None         # the box's row
         self._ks: list = []
-        self._seen = self._point = None   # the last X mapped back, and its point
-        self.norm_sq = problem._norm_sq
+        self._seen = self._point = None   # the last v mapped back, and its point
 
     def coordinates(self, x) -> np.ndarray:
-        """The half spectrum of the point ``x``, once x is checked."""
-        return self._problem._spectrum(self._problem._point(x))
+        """The coordinates v of the point ``x``, once x is checked."""
+        return self._problem._spectrum(self._problem._point(x)).reshape(-1).view(np.float64)
 
-    def point(self, spectrum: np.ndarray) -> np.ndarray:
-        """The point in space whose half spectrum is ``spectrum``, checked."""
-        if spectrum is not self._seen:
-            self._point, self._seen = self._problem._inverse(spectrum), spectrum
+    def point(self, v: np.ndarray) -> np.ndarray:
+        """The point in space whose coordinates are ``v``, checked."""
+        if v is not self._seen:
+            self._point = self._problem._inverse(v.view(np.complex128).reshape(self._shape))
+            self._seen = v
         return self._point
 
-    def evaluate(self, ks, spectrum):
-        """The step norms r of the members ``ks`` at the point whose half
-        spectrum is ``spectrum``, with the steps kept here; None when every
+    def evaluate(self, ks, v):
+        """The step norms r of the members ``ks`` at the point whose
+        coordinates are ``v``, with the steps kept here; None when every
         member fixes it."""
         problem = self._problem
+        spectrum = v.view(np.complex128).reshape(self._shape)
         balls = self._balls
         balls.clear()
         self._fourier = self._box = None
@@ -660,20 +686,16 @@ class _SpectralState:
             if j < i:
                 r[i] = r[j]
             elif k == _BOX:
-                x = self.point(spectrum)
+                x = self.point(v)
                 d = np.minimum(np.maximum(x, 0.0), PIXEL_MAX)
                 d -= x
                 r[i] = math.sqrt(float(d @ d))
                 if d.any():
                     self._box = d
             elif k == _FOURIER:
-                diff = problem._target_values - spectrum.ravel()[problem._mask_flat]
-                edge = problem._mask_edge
-                herm = diff[edge]
-                herm += np.conj(diff[problem._mask_mirror])
-                herm *= 0.5
-                diff[edge] = herm
-                r[i] = math.sqrt(_half_norm_sq(diff, edge) / problem.dim)
+                diff = problem._hermitian_part(
+                    problem._target_values - spectrum.ravel()[problem._mask_flat])
+                r[i] = math.sqrt(problem._norm_sq(diff))
                 if diff.any():
                     self._fourier = diff
             else:
@@ -687,9 +709,9 @@ class _SpectralState:
         return r
 
     def step(self, beta) -> np.ndarray:
-        """The half spectrum S of p - x = sum_i beta_i (T_{k_i} x - x) of
-        the last evaluated batch; once per batch, since it scales the kept
-        step spectra in place."""
+        """The real view of the weighted half spectrum S of p - x = sum_i
+        beta_i (T_{k_i} x - x) of the last evaluated batch; once per batch,
+        since it scales the kept step spectra in place."""
         totals = {}
         for k, b in zip(self._ks, beta.tolist()):
             totals[k] = totals.get(k, 0.0) + b
@@ -706,13 +728,12 @@ class _SpectralState:
             # combined is a fresh C-contiguous array, so ravel() is a view of it
             combined.ravel()[self._problem._mask_flat] += totals[_FOURIER] * self._fourier
         if self._box is not None:
-            share = totals[_BOX] * self._box
-            box = np.fft.rfft2(share.reshape(self._problem.n, self._problem.n))
+            box = self._problem._spectrum(totals[_BOX] * self._box)
             if combined is None:
                 combined = box
             else:
                 combined += box
-        return combined
+        return combined.reshape(-1).view(np.float64)
 
 
 def confidence_radius(n: int) -> float:

@@ -217,20 +217,20 @@ def quadratic_family(center, offsets) -> GradientFamily:
 # Drivers.
 # ---------------------------------------------------------------------------
 
-def _norm(v: np.ndarray, norm_sq=None) -> float:
-    """||v||, by ``norm_sq`` if given, else sqrt(v . v), which is how
-    ``np.linalg.norm`` takes it on a 1-D array."""
-    return math.sqrt(float(v @ v) if norm_sq is None else norm_sq(v))
+def _norm(v: np.ndarray) -> float:
+    """||v|| = sqrt(v . v), which is how ``np.linalg.norm`` takes it on a
+    1-D array."""
+    return math.sqrt(float(v @ v))
 
 
-def _distance_db(x: np.ndarray, ref: np.ndarray, ref_denom: float, norm_sq=None) -> float:
+def _distance_db(x: np.ndarray, ref: np.ndarray, ref_denom: float) -> float:
     """The dB distance of x to the reference point, over ``ref_denom``."""
-    return ratio_db(_norm(x - ref, norm_sq), ref_denom)
+    return ratio_db(_norm(x - ref), ref_denom)
 
 
 def _iterate(step, x0, max_iters: int, atol: float, record_every: int,
-             patience: int = 1, reference=None, skip=None,
-             norm_sq=None) -> tuple[np.ndarray, ConvergenceTrace]:
+             patience: int = 1, reference=None,
+             skip=None) -> tuple[np.ndarray, ConvergenceTrace]:
     """The loop every driver runs: ``x_{n+1}, residual, lam, L = step(n, x_n, want)``.
 
     The step computes its residual only when ``want`` is true, and may
@@ -255,18 +255,16 @@ def _iterate(step, x0, max_iters: int, atol: float, record_every: int,
     ``record_every`` selects enter the trace in one call, with residual 0,
     L = 1, the dB value of x and one shared ``elapsed_s`` stamp.
 
-    By default x0, the reference and the iterates are points in space, with
-    the norm v.dot(v).  Given ``norm_sq``, the squared norm of other
-    coordinates (a block run's half spectrum), x0 and the reference are
-    given in those coordinates, and the divergence guard and the dB column
-    take that norm.
+    x0, the reference and the iterates are 1-D float64 vectors with the
+    norm v.dot(v): points in space, or a block run's isometric coordinates
+    of them (see ``operators._IndexedFamily``).
     """
-    x = as_point(x0, "x0").copy() if norm_sq is None else x0
+    x = as_point(x0, "x0").copy()
     ref = db = db_x = None
     if reference is not None:
-        ref = as_point(reference, "reference solution") if norm_sq is None else reference
+        ref = as_point(reference, "reference solution")
         require_same_dim(ref, x, "reference solution")
-        ref_denom = _norm(x - ref, norm_sq)
+        ref_denom = _norm(x - ref)
         if ref_denom == 0.0:
             raise UsageError("x0 equals the reference solution; dB column undefined")
     trace = ConvergenceTrace()
@@ -294,7 +292,7 @@ def _iterate(step, x0, max_iters: int, atol: float, record_every: int,
         if x_next is not x or n == 0:
             # NaN/Inf propagate into the squared norm, so one reduction covers
             # both; ndarray.dot is bit-equal to @ on 1-D float64 and cheaper
-            size_sq = float(x_next.dot(x_next)) if norm_sq is None else norm_sq(x_next)
+            size_sq = float(x_next.dot(x_next))
             if not math.isfinite(size_sq) or size_sq > limit_sq:
                 raise NumericError(f"iterate diverged at iteration {n}")
         if checks_atol:
@@ -302,7 +300,7 @@ def _iterate(step, x0, max_iters: int, atol: float, record_every: int,
         stopping = quiet >= patience
         if record or stopping:
             if ref is not None and x is not db_x:
-                db, db_x = _distance_db(x, ref, ref_denom, norm_sq), x
+                db, db_x = _distance_db(x, ref, ref_denom), x
             trace.append(n, time.perf_counter() - start, residual, db, lam, extrap)
         if skip is not None and x_next is x:
             # a stretch never reaches the last iteration nor the stop rule
@@ -316,7 +314,7 @@ def _iterate(step, x0, max_iters: int, atol: float, record_every: int,
                 rows = range(first, n + j + 1, record_every)
                 if rows:
                     if ref is not None and x is not db_x:
-                        db, db_x = _distance_db(x, ref, ref_denom, norm_sq), x
+                        db, db_x = _distance_db(x, ref, ref_denom), x
                     trace._extend(rows, time.perf_counter() - start, 0.0, db,
                                   lams[first - n - 1::record_every], 1.0)
                 if checks_atol:

@@ -13,8 +13,8 @@ quasinonexpansiveness inequality
 A family applies its operators through ``evaluate``, which returns the
 steps T_k x - x of the drawn members at one point, or None when every
 drawn member fixes that point, so that each step is an exact zero row.
-A block run applies them through the state that ``run_state(x0, noise)``
-gives it, which keeps the steps of the batch (see ``_IndexedFamily``).
+A block run applies them through the state that ``run_state(x0)`` gives
+it, which keeps the steps of the batch (see ``_IndexedFamily``).
 ``OperatorFamily`` holds plain callables.  ``LinearFamily`` holds the
 projectors onto half-spaces, hyperslabs and hyperplanes {z : lo_k <= <a_k,
 z> <= hi_k} and evaluates a batch in one matrix-vector product; it is the
@@ -50,14 +50,14 @@ def _violated(fx: float, name: str) -> bool:
     return True
 
 
-def _projector_scale(fx: float, norm_sq: float, name: str) -> float:
-    """t = f(x) / ||s(x)||^2 of a violated constraint, from ``norm_sq`` =
+def _projector_scale(fx: float, s_sq: float, name: str) -> float:
+    """t = f(x) / ||s(x)||^2 of a violated constraint, from ``s_sq`` =
     ||s(x)||^2; a zero subgradient raises DegenerateConstraintError."""
-    if norm_sq == 0.0:
+    if s_sq == 0.0:
         raise DegenerateConstraintError(
             f"constraint {name or '?'}: f(x) = {fx} > 0 but s(x) = 0"
         )
-    return fx / norm_sq
+    return fx / s_sq
 
 
 def project_box(lo, hi, x) -> np.ndarray:
@@ -82,7 +82,8 @@ def project_box(lo, hi, x) -> np.ndarray:
 # n2 / 2 when n2 is even, are self-conjugate: they hold each entry's mirror
 # as well.  A half spectrum stands for the full one that extends it by
 # mirroring, so ||f||^2 = ||F||^2 / N (Parseval) weighs each entry of a
-# self-conjugate column once and every other entry twice.
+# self-conjugate column once and every other entry twice: scaled by
+# ``_half_weights``, the real view of a half spectrum has the norm of f.
 # ---------------------------------------------------------------------------
 
 def _mirror_indices(n_rows: int, n_cols: int):
@@ -141,12 +142,13 @@ def _self_conjugate_entries(shape: tuple) -> tuple:
     return at, mirror
 
 
-def _half_norm_sq(values: np.ndarray, edge) -> float:
-    """||F||^2 of the full spectrum F that the half-spectrum entries
-    ``values`` stand for: twice theirs, less once those at the flat
-    positions ``edge``, the entries of self-conjugate columns."""
-    e = values.take(edge)
-    return 2.0 * float(np.vdot(values, values).real) - float(np.vdot(e, e).real)
+def _half_weights(n1: int, n2: int) -> np.ndarray:
+    """The column weights w of the half spectra of an n1 x n2 grid: sqrt(1 /
+    N) on the self-conjugate columns and sqrt(2 / N) on the others, N = n1
+    n2, so that the plain norm of the real view of w F is ||f||."""
+    w = np.full(n2 // 2 + 1, math.sqrt(2.0 / (n1 * n2)))
+    w[[0] if n2 % 2 else [0, n2 // 2]] = math.sqrt(1.0 / (n1 * n2))
+    return w
 
 
 def _half_inverse(spectrum: np.ndarray, shape: tuple) -> np.ndarray:
@@ -193,34 +195,34 @@ class _IndexedFamily:
     an exact zero row.  When every member of ``ks`` fixes x, so that every
     row would be zero, it returns None instead.
 
-    A block run applies the family through one state, ``run_state(x0,
-    noise)``, which checks x0 and belongs to the run: the family stays
-    immutable.  Every state has the same three members:
+    A block run applies the family through one state, ``run_state(x0)``,
+    which checks x0 and belongs to the run: the family stays immutable.
+    Every state has the same five members:
 
-    * ``evaluate(ks, x)``: the step norms r of the members ``ks`` at the
-      iterate x, or None when every member fixes x; the steps stay in the
+    * ``evaluate(ks, v)``: the step norms r of the members ``ks`` at the
+      iterate v, or None when every member fixes it; the steps stay in the
       state;
     * ``step(beta)``: the averaged step p - x = sum_i beta_i (T_{k_i} x - x)
       of the batch last evaluated;
-    * ``screen(batches, x)``: how many leading batches of ``batches`` (shape
-      (w, M)) it proves all-fixed at x without evaluating them; or ``screen
-      = None`` for a state without such a certificate.
+    * ``screen(batches, v)``: how many leading batches of ``batches`` (shape
+      (w, M)) it proves all-fixed at v without evaluating them; or ``screen
+      = None`` for a state without such a certificate;
+    * ``coordinates(x)``: the coordinates v of a point x, in which the run
+      iterates, and ``point(v)``, the point they stand for.
 
-    The run's iterate lives in the state's coordinates.  A state in space
-    sets ``norm_sq = None``: its iterate is the point itself, with the norm
-    ``v.dot(v)``.  A state in other coordinates gives ``coordinates(x)``, a
-    point's coordinates, ``norm_sq(v)``, the squared norm of the point that
-    v stands for, and ``point(v)``, that point.  The run's update arithmetic
-    is the same in either.
+    Coordinates are 1-D float64 vectors, and the map x -> v is a linear
+    isometry: the run's update arithmetic and every norm it takes, v.dot(v),
+    are the same in any state's coordinates.  A state in space takes the
+    point itself (``_RowState``); the image experiment's takes the weighted
+    half spectrum of x, seen as real numbers.
 
-    The state's ``evaluate`` need not check x again: ``run_state`` checks x0,
+    The state's ``evaluate`` need not check v again: ``run_state`` checks x0,
     and the run checks the shape of its first step and, in its divergence
     guard, the finiteness of every iterate.  The default state keeps the
-    rows of a bare ``evaluate`` (``_RowState``), and so does every family's
-    state of the error-tolerant variant, which adds the ``noise`` rows to
-    them.  Without noise, the signal experiment's state adds a screen, and
-    the image experiment's iterates in the half spectrum rfft2(x) and
-    combines its members' step spectra there.
+    rows of a bare ``evaluate`` (``_RowState``), and so does the state that
+    ``block.run_block`` builds for the error-tolerant variant, which adds its
+    error rows to them.  The signal experiment's state adds a screen, and
+    the image experiment's combines its members' step spectra.
     """
 
     def __init__(self, count: int, weights=None):
@@ -266,15 +268,15 @@ class _IndexedFamily:
         norms (M,), or None when every step is zero."""
         raise NotImplementedError
 
-    def run_state(self, x0: np.ndarray, noise=None):
-        """The state of one block run from x0, see the class docstring; with
-        ``noise``, the error-tolerant variant's (see ``_RowState``)."""
-        return _RowState(self.evaluate, noise)
+    def run_state(self, x0: np.ndarray):
+        """The state of one block run from x0, see the class docstring."""
+        return _RowState(self.evaluate)
 
 
 class _RowState:
     """The run state of a family whose steps are rows in space: it keeps
-    the rows of the batch it last evaluated, and screens nothing.
+    the rows of the batch it last evaluated, screens nothing, and iterates
+    on the point itself, its own coordinates.
 
     With ``noise``, an iterator over the error rows (M, n) of each
     evaluation in turn, it is the state of the error-tolerant variant: its
@@ -283,7 +285,7 @@ class _RowState:
     """
 
     screen = None
-    norm_sq = None   # the iterate is the point in space
+    coordinates = point = staticmethod(lambda v: v)
 
     def __init__(self, evaluate: Callable, noise=None):
         self._evaluate = evaluate
@@ -427,17 +429,17 @@ class LinearFamily(_IndexedFamily):
             raise UsageError("bounds lo = inf or hi = -inf leave a set empty")
         self._bind(rows, np.arange(len(rows)), norm_sq, lo, hi)
 
-    def _bind(self, table, offsets, norm_sq, lo, hi):
+    def _bind(self, table, offsets, row_sq, lo, hi):
         """Member k: the normal ``table[offsets[k]]``, its squared norm
-        ``norm_sq[k]`` and the bounds ``lo[k] <= hi[k]``, all checked."""
+        ``row_sq[k]`` and the bounds ``lo[k] <= hi[k]``, all checked."""
         super().__init__(len(offsets))
         self._table, self._offsets = table, offsets
-        self._norm_sq, self._lo, self._hi = norm_sq, lo, hi
+        self._norm_sq, self._lo, self._hi = row_sq, lo, hi
 
-    def run_state(self, x0, noise=None):
+    def run_state(self, x0):
         if x0.shape != self._table.shape[1:]:
             raise UsageError(f"dimension mismatch in x0: {x0.shape} vs {self._table.shape[1:]}")
-        return _RowState(self.evaluate, noise)
+        return _RowState(self.evaluate)
 
     def evaluate(self, ks, x):
         ks = np.asarray(ks)

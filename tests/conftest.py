@@ -7,10 +7,11 @@ taken from the solvers' chunks, and ``replay_block`` is the block iteration
 as the paper states it, every iteration in full: the one reference that
 every block replay test compares ``run_block`` against.  The subgradient
 projector of a convex inequality and the Fourier-support projector of a
-grid are the general forms of the image experiment's members, the
-hyperslab projector and the circulant rows are the scalar forms of
-``LinearFamily`` and the signal experiment's rows, and
-``iterations_to_db`` reads a trace's dB column.
+grid are the general forms of the image experiment's members, and
+``ball_value`` takes its ball values in space.  The hyperslab projector
+and the circulant rows are the scalar forms of ``LinearFamily`` and the
+signal experiment's rows, and ``iterations_to_db`` reads a trace's dB
+column.
 """
 
 import itertools
@@ -119,6 +120,15 @@ def project_fourier_support(target_spectrum, mask, x) -> np.ndarray:
     return _half_inverse(spectrum, x.shape)
 
 
+def ball_value(problem, k: int, x) -> float:
+    """f_k(x) = ||r_k - L x||^2 - xi of the image problem's ball k at the
+    flattened image ``x``, in space: no spectrum of the problem's enters."""
+    n = problem.n
+    residual = problem.observations[k] - experiments.circ_conv(np.reshape(x, (n, n)),
+                                                               problem.kernel)
+    return float(np.sum(residual ** 2)) - problem.xi
+
+
 def iterations_to_db(trace, threshold_db: float) -> Optional[int]:
     """First recorded iteration at which the dB column crosses the threshold."""
     db = trace.db_column()
@@ -206,9 +216,10 @@ def replay_block(family, cfg, x0, reference=None, evaluate=None):
     fresh zero rows for an all-fixed batch), never from a run state, whose
     screen is code under test.  Only the image family's batches go through
     its run state when the run adds no errors, so that rounding matches:
-    the replay then iterates in the state's half spectrum, with its norm,
-    and maps the iterate and the step back to space for the records and
-    the final point.  Returns the final point, the trace and every record."""
+    the replay then iterates in the state's coordinates, and maps the
+    iterate and the step back to space for the records and the final
+    point.  Every norm is v.dot(v).  Returns the final point, the trace and
+    every record."""
     m = cfg.batch_size
     idx_rng, lam_rng, err_rng = (substream(cfg.seed, s) for s in ("index", "relaxation", "noise"))
     errors = cfg.error_schedule
@@ -241,10 +252,9 @@ def replay_block(family, cfg, x0, reference=None, evaluate=None):
             beta[ties] += cfg.delta
         if state is None:
             d = beta @ rows   # p - x
-            pmx = math.sqrt(float(d @ d))
         else:
             d = np.zeros_like(x) if out is None else state.step(beta)
-            pmx = math.sqrt(state.norm_sq(d))
+        pmx = math.sqrt(float(d @ d))
         # L = (sum_i beta_i r_i^2 + [p = x]) / (||p - x||^2 + [p = x]), or 1 with errors
         indicator = 1.0 if pmx == 0.0 else 0.0
         L = 1.0 if errors else (float(beta @ (r * r)) + indicator) / (pmx * pmx + indicator)
@@ -258,16 +268,13 @@ def replay_block(family, cfg, x0, reference=None, evaluate=None):
 
     # x0 as given, not + 0.0: a -0.0 coordinate meets the full arithmetic; and
     # every step returns a new array, so the loop needs no stretches
-    if state is None:
-        x, trace = fixedpoint._iterate(step, x0, cfg.max_iters, cfg.atol, cfg.record_every,
-                                       patience=cfg.stop_patience, reference=reference)
-        return x, trace, records
-    if reference is not None:
-        reference = state.coordinates(reference)
-    x, trace = fixedpoint._iterate(step, state.coordinates(x0), cfg.max_iters, cfg.atol,
-                                   cfg.record_every, patience=cfg.stop_patience,
-                                   reference=reference, norm_sq=state.norm_sq)
-    return state.point(x), trace, records
+    if state is not None:
+        x0 = state.coordinates(x0)
+        if reference is not None:
+            reference = state.coordinates(reference)
+    x, trace = fixedpoint._iterate(step, x0, cfg.max_iters, cfg.atol, cfg.record_every,
+                                   patience=cfg.stop_patience, reference=reference)
+    return (x if state is None else state.point(x)), trace, records
 
 
 def assert_same_run(res, final, trace, records=None):
