@@ -196,8 +196,8 @@ class _IndexedFamily:
     row would be zero, it returns None instead.
 
     A block run applies the family through one state, ``run_state(x0)``,
-    which checks x0 and belongs to the run: the family stays immutable.
-    Every state has the same five members:
+    which belongs to the run: the family stays immutable.  Every state has
+    the same five members:
 
     * ``evaluate(ks, v)``: the step norms r of the members ``ks`` at the
       iterate v, or None when every member fixes it; the steps stay in the
@@ -216,13 +216,19 @@ class _IndexedFamily:
     point itself (``_RowState``); the image experiment's takes the weighted
     half spectrum of x, seen as real numbers.
 
-    The state's ``evaluate`` need not check v again: ``run_state`` checks x0,
-    and the run checks the shape of its first step and, in its divergence
-    guard, the finiteness of every iterate.  The default state keeps the
-    rows of a bare ``evaluate`` (``_RowState``), and so does the state that
-    ``block.run_block`` builds for the error-tolerant variant, which adds its
-    error rows to them.  The signal experiment's state adds a screen, and
-    the image experiment's combines its members' step spectra.
+    ``LinearFamily`` and the experiments' ``_SlabFamily`` and ``_ImageFamily``
+    check x0 in ``run_state``: a wrong length raises UsageError.  The default
+    ``run_state``, which ``OperatorFamily`` uses, checks nothing and cannot,
+    since its callables fix the dimension: a wrong-length x0 fails as the
+    member's own error (numpy's ValueError from ``a @ x``, say), and the
+    wrong-length property of tests/test_run_state.py does not apply to it.
+    The state's ``evaluate`` need not check v again: the run checks the shape
+    of its first step and, in its divergence guard, the finiteness of every
+    iterate.  The default state keeps the rows of a bare ``evaluate``
+    (``_RowState``), and so does the state that ``block.run_block`` builds
+    for the error-tolerant variant, which adds its error rows to them.  The
+    signal experiment's state adds a screen, and the image experiment's
+    combines its members' step spectra.
     """
 
     def __init__(self, count: int, weights=None):

@@ -1,7 +1,7 @@
 """Relaxation strategies: distributions for the per-iteration relaxation draw.
 
 A strategy is an immutable distribution with positive support, closed-form
-moments, and a declared cap ``rho >= 2`` bounding its support from above.
+moments, and a cap ``rho = max(2, sup of the support)``.
 The key derived quantity is the damping ``E[lam (2 - lam)]``.  Each run's
 config checks its own hypotheses on the strategy when it is built: the block
 iteration needs a positive damping, its error-tolerant variant also support
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -40,7 +39,10 @@ class RelaxationMoments:
 class RelaxationStrategy:
     """Base class; concrete strategies define support bounds, moments, draws."""
 
-    cap: float
+    @property
+    def cap(self) -> float:
+        """rho = max(2, sup of the support), which bounds every draw."""
+        return max(2.0, self.support_bounds()[1])
 
     def support_bounds(self) -> tuple[float, float]:
         """Return (inf, sup) of the support."""
@@ -59,29 +61,16 @@ class RelaxationStrategy:
         while True:
             yield self.sample(rng, 1024).tolist()
 
-    def _check_cap(self, cap: Optional[float]) -> float:
-        lo, hi = self.support_bounds()
-        if lo <= 0.0:
-            raise UsageError(f"relaxation support must be positive, got inf {lo}")
-        cap = max(2.0, hi) if cap is None else float(cap)
-        if not (np.isfinite(cap) and cap >= 2.0):
-            raise UsageError(f"declared cap rho must be finite and >= 2, got {cap}")
-        if hi > cap:
-            raise UsageError(f"support sup {hi} exceeds declared cap {cap}")
-        return cap
-
 
 @dataclass(frozen=True)
 class Constant(RelaxationStrategy):
     """Degenerate strategy lam = value on every draw."""
 
     value: float
-    cap: Optional[float] = None
 
     def __post_init__(self):
         if not (np.isfinite(self.value) and self.value > 0.0):
             raise UsageError(f"constant relaxation must be positive, got {self.value}")
-        object.__setattr__(self, "cap", self._check_cap(self.cap))
 
     def support_bounds(self):
         return (self.value, self.value)
@@ -100,7 +89,6 @@ class TwoPoint(RelaxationStrategy):
     value_a: float
     prob_a: float
     value_b: float
-    cap: Optional[float] = None
 
     def __post_init__(self):
         for name, v in (("value_a", self.value_a), ("value_b", self.value_b)):
@@ -108,7 +96,6 @@ class TwoPoint(RelaxationStrategy):
                 raise UsageError(f"{name} must be positive, got {v}")
         if not (0.0 <= self.prob_a <= 1.0):
             raise UsageError(f"prob_a must lie in [0, 1], got {self.prob_a}")
-        object.__setattr__(self, "cap", self._check_cap(self.cap))
 
     def support_bounds(self):
         return (min(self.value_a, self.value_b), max(self.value_a, self.value_b))
@@ -129,12 +116,10 @@ class UniformInterval(RelaxationStrategy):
 
     lo: float
     hi: float
-    cap: Optional[float] = None
 
     def __post_init__(self):
         if not (np.isfinite(self.lo) and np.isfinite(self.hi) and 0.0 < self.lo < self.hi):
             raise UsageError(f"uniform interval requires 0 < lo < hi, got [{self.lo}, {self.hi}]")
-        object.__setattr__(self, "cap", self._check_cap(self.cap))
 
     def support_bounds(self):
         return (self.lo, self.hi)
@@ -158,7 +143,7 @@ def require_support_inside(strategy: RelaxationStrategy, lo: float, hi: float, w
 
 
 # The tagged-object kinds: each one's class and its required fields, in
-# constructor order.  Every kind also takes an optional "cap".
+# constructor order.
 _CONFIG_KINDS = {
     "constant": (Constant, ("value",)),
     "two_point": (TwoPoint, ("a", "p_a", "b")),
@@ -184,17 +169,16 @@ def strategy_from_config(obj: dict) -> RelaxationStrategy:
     if not isinstance(kind, str) or kind not in _CONFIG_KINDS:
         raise UsageError(f"unknown relaxation kind {kind!r}")
     cls, fields = _CONFIG_KINDS[kind]
-    unknown = sorted(set(obj) - {"kind", "cap", *fields})
+    unknown = sorted(set(obj) - {"kind", *fields})
     if unknown:
         raise UsageError(f"relaxation config for kind {kind!r} has unknown fields {unknown}")
-    for name in fields + ("cap",):
+    for name in fields:
         if name not in obj:
-            if name != "cap":
-                raise UsageError(f"relaxation config for kind {kind!r} missing field {name!r}")
-        elif not _is_finite_number(obj[name]):
+            raise UsageError(f"relaxation config for kind {kind!r} missing field {name!r}")
+        if not _is_finite_number(obj[name]):
             raise UsageError(f"relaxation config field {name!r} must be a finite number, "
                              f"got {obj[name]!r}")
-    return cls(*(float(obj[name]) for name in fields), cap=obj.get("cap"))
+    return cls(*(float(obj[name]) for name in fields))
 
 
 def strategy_label(strategy: RelaxationStrategy) -> str:

@@ -55,7 +55,7 @@ def fejer_suite():
             for m in (1, 4):
                 cfg = BlockConfig(
                     batch_size=m, delta=0.5 / m if m == 1 else 0.1,
-                    relaxation=rx.Constant(lam, cap=2.0), max_iters=300,
+                    relaxation=rx.Constant(lam), max_iters=300,
                     seed=9000 + trial, atol=1e-13, stop_patience=25, record_every=1,
                 )
                 res = run_block(family, cfg, np.zeros(10), fejer_points=zs)
@@ -106,13 +106,13 @@ def test_criterion_04_km_residual():
     with the decaying error schedule, residual < 1e-4 within 2000
     iterations on 20/20 seeds."""
     T = lambda x: ROT90 @ x
-    cfg = KmConfig(rx.Constant(0.5, cap=2.0), max_iters=200, seed=1, atol=0.0)
+    cfg = KmConfig(rx.Constant(0.5), max_iters=200, seed=1, atol=0.0)
     _, trace = run_km(T, cfg, [1.0, 0.0])
     assert trace.residuals()[-1] < 1e-6
 
     passed = 0
     for seed in range(20):
-        noisy = KmConfig(rx.Constant(0.5, cap=2.0), max_iters=2000, seed=seed,
+        noisy = KmConfig(rx.Constant(0.5), max_iters=2000, seed=seed,
                          error_schedule=DecayingNoise(1.0, 1.5), atol=0.0)
         _, tr = run_km(T, noisy, [1.0, 0.0])
         if tr.residuals()[-1] < 1e-4:
@@ -244,7 +244,7 @@ def test_criterion_09_linear_rate():
     nu = 2.0  # d_Z^2(x) = 2 E ||T_k x - x||^2 for uniform k over the two sets
     x0 = np.array([1.0, 1.0])
     delta = 0.4
-    for strategy in (rx.Constant(1.0, cap=2.0), rx.TwoPoint(2.3, 0.5, 1.5)):
+    for strategy in (rx.Constant(1.0), rx.TwoPoint(2.3, 0.5, 1.5)):
         m = strategy.moments()
         chi = 1.0 - m.damping * delta * m.second_moment / (strategy.cap ** 2 * nu)
         assert 0.0 < chi < 1.0

@@ -24,7 +24,6 @@ from stochfeas.experiments import (
     generate_signal_problem,
     run_experiment,
 )
-from stochfeas.fixedpoint import DecayingNoise
 from stochfeas.operators import (
     OperatorFamily,
     project_box,
@@ -41,7 +40,6 @@ from conftest import (
     iterations_to_db,
     project_fourier_support,
     project_hyperslab,
-    random_halfspace_problem,
     replay_block,
     slab_bounds,
     subgradient_projector,
@@ -200,25 +198,6 @@ class TestSignalProblem:
                                                atol=1e-12 * np.abs(p).max())
                     assert norms[k] == pytest.approx(np.linalg.norm(p - x), rel=1e-12)
 
-    def test_all_fixed_batch_is_reported_as_none(self):
-        prob = experiments.desk_signal_problem(seed=3)
-        family = prob.build_family()
-        ks = np.arange(len(family))
-        assert family.evaluate(ks, prob.ground_truth) is None
-        steps, norms = family.evaluate(ks, np.zeros(prob.n))
-        fixed = norms == 0.0
-        assert fixed.any() and not fixed.all()
-        assert not steps[fixed].any() and steps[~fixed].any(axis=1).all()
-
-    def test_run_block_matches_member_replay(self):
-        prob = generate_signal_problem(n=48, p=3, eta=0.1, std_range=(2.0, 5.0), seed=6)
-        family = prob.build_family()
-        cfg = BlockConfig(batch_size=4, delta=0.1, relaxation=rx.TwoPoint(2.3, 0.5, 1.5),
-                          max_iters=60, seed=21, atol=0.0)
-        res = run_block(family, cfg, np.zeros(48))
-        x, _, _ = replay_block(family, cfg, np.zeros(48), evaluate=partial(step_of, family))
-        np.testing.assert_allclose(res.final, x, rtol=1e-12, atol=1e-12 * np.abs(x).max())
-
     def test_clearance_radii_keep_every_member_fixed(self):
         # the desk kernels are symmetric, so the random problem's are not: a
         # reversed kernel spectrum would go unseen on symmetric ones
@@ -259,16 +238,6 @@ class TestSignalProblem:
                         if fam.evaluate([k], x) is not None:
                             failed.append(int(k))
                 assert failed == []
-
-    @pytest.mark.parametrize("errors", [None, DecayingNoise(c=0.5, q=1.5)], ids=["plain", "errors"])
-    @pytest.mark.parametrize("length", [1, 255, 512])
-    def test_wrong_length_x0_is_a_usage_error(self, length, errors):
-        # run_state checks x0 before any product with a slab normal
-        prob = experiments.desk_signal_problem(seed=3)
-        cfg = BlockConfig(batch_size=4, delta=0.1, relaxation=rx.Constant(1.0), max_iters=5,
-                          seed=0, error_schedule=errors)
-        with pytest.raises(UsageError, match="dimension mismatch"):
-            run_block(prob.build_family(), cfg, np.zeros(length))
 
     @pytest.mark.parametrize("field, value, match", [
         # eta < 0 gave slabs with lo > hi, and a run that ended infeasible
@@ -448,8 +417,7 @@ class TestImageProblem:
     def test_wrong_length_point_is_rejected(self):
         prob = generate_image_problem(n=16, seed=2)
         fam = prob.build_family()
-        for check in (prob.finalize, prob.feasibility_report, lambda x: fam.evaluate([4], x),
-                      fam.run_state):
+        for check in (prob.finalize, prob.feasibility_report, lambda x: fam.evaluate([4], x)):
             with pytest.raises(UsageError, match="dimension mismatch in image point"):
                 check(np.zeros(17))
 
@@ -526,32 +494,6 @@ class TestImageFamilyEvaluate:
         prob = generate_image_problem(n=32, seed=1, blur_std=1.0)
         assert all(prob.ball_contains_truth)
         return prob, prob.build_family(fourier_weight=2.0)
-
-    def test_equals_member_replay(self, rng):
-        prob, fam = self.family()
-        truth = prob.ground_truth.ravel()
-        points = [truth, truth + rng.uniform(-0.5, 0.5, size=prob.dim),
-                  np.zeros(prob.dim), rng.uniform(-20.0, 280.0, size=prob.dim)]
-        inside = {ball_value(prob, k, x) <= 0.0 for x in points for k in range(4)}
-        assert inside == {True, False}
-        # the Fourier member first, so a ball drawn after it must still see
-        # the untouched spectrum
-        batches = [list(range(6)), [5, 0, 5, 1], [4, 3], [2]]
-        all_fixed = 0
-        for x in points:
-            for ks in batches:
-                out = fam.evaluate(ks, x)
-                rows = [step_of(fam, k, x) for k in ks]
-                # None exactly when every member call gives a zero step
-                assert (out is None) == (not np.any(rows))
-                if out is None:
-                    all_fixed += 1
-                    continue
-                steps, norms = out
-                for i, d in enumerate(rows):
-                    assert np.array_equal(steps[i], d)
-                    assert norms[i] == math.sqrt(float(d @ d))
-        assert all_fixed
 
     def test_rows_match_public_oracles(self, rng):
         prob, fam = self.family()
@@ -644,21 +586,6 @@ class TestImageFamilyEvaluate:
             steps[0] += 1.0
             assert np.array_equal(steps[1], step_of(fam, k, x))
 
-    def test_all_fixed_batch_gives_exact_zero_rows(self):
-        prob, fam = self.family()
-        truth = prob.ground_truth.ravel()
-        # the truth lies in every ball and in the box
-        assert all(ball_value(prob, k, truth) <= 0.0 for k in range(4))
-        assert np.array_equal(project_box(0.0, 255.0, truth), truth)
-        assert fam.evaluate([0, 1, 2, 3, 4, 4, 0], truth) is None
-        # a mixed batch keeps exact zero rows for its fixed members
-        x = truth.copy()
-        x[0] = -1.0   # outside the box, still inside balls 0 and 1
-        assert ball_value(prob, 0, x) <= 0.0 and ball_value(prob, 1, x) <= 0.0
-        steps, norms = fam.evaluate([4, 0, 1, 4], x)
-        assert not np.any(steps[1:3]) and not np.any(norms[1:3])
-        assert norms[0] == norms[3] == 1.0
-
     def test_one_forward_transform_per_evaluate(self, monkeypatch, rng):
         prob, fam = self.family()
         x = rng.uniform(-20.0, 280.0, size=prob.dim)
@@ -717,17 +644,6 @@ class TestImageFamilyEvaluate:
             with pytest.raises(NumericError, match=r"constraint ball\[2\]: f\(x\) = nan"):
                 evaluate([0, 2], point)
 
-    def test_error_tolerant_run_matches_member_replay(self):
-        prob, fam = self.family()
-        schedule = DecayingNoise(c=100.0, q=1.5)
-        cfg = BlockConfig(batch_size=3, delta=0.1, relaxation=rx.UniformInterval(0.5, 1.5),
-                          max_iters=30, seed=17, atol=0.0, error_schedule=schedule)
-        res = run_block(fam, cfg, np.zeros(prob.dim))
-        final, trace, _ = replay_block(fam, cfg, np.zeros(prob.dim),
-                                       evaluate=partial(step_of, fam))
-        assert_same_run(res, final, trace)
-
-
 class TestSpectralState:
     """The half spectrum X = rfft2(x) in which a block run of the image
     family iterates, and the point x that it maps back to where needed."""
@@ -736,93 +652,6 @@ class TestSpectralState:
     def desk():
         prob = experiments.desk_image_problem(seed=4)
         return prob, prob.build_family(fourier_weight=experiments.DESK_IMAGE_FOURIER_WEIGHT)
-
-    @staticmethod
-    def cases(kind, rng):
-        """A family, its points and its batches, for each kind of run state:
-        the image family's spectral state, the slab state and a row state."""
-        if kind == "image":
-            prob, fam = TestImageFamilyEvaluate.family()
-            truth = prob.ground_truth.ravel()
-            points = (truth + rng.uniform(-0.5, 0.5, size=prob.dim), np.zeros(prob.dim),
-                      rng.uniform(-20.0, 280.0, size=prob.dim))
-            return fam, points, ([0, 1, 2, 3, 4, 5], [5, 0, 5], [4, 4], [3], [5])
-        if kind == "slab":
-            prob = generate_signal_problem(n=32, p=3, seed=5)
-            truth = prob.ground_truth
-            points = (truth, np.zeros(32), truth + rng.uniform(-0.5, 0.5, size=32))
-            return prob.build_family(), points, (list(range(96)), [7, 40, 7, 95], [3], [64, 1])
-        _, _, fam, center, _ = random_halfspace_problem(rng)
-        points = (center, center + 3.0 * rng.normal(size=10), np.zeros(10))
-        return fam, points, (list(range(20)), [4, 11, 4], [0], [19, 2])
-
-    @pytest.mark.parametrize("kind", ["image", "slab", "row"])
-    def test_state_steps_equal_the_rows_of_a_bare_evaluate(self, rng, kind):
-        # every state gives the bare rows' norms and their average, in its
-        # coordinates; only the spectral state rounds differently, through
-        # its transforms
-        fam, points, batches = self.cases(kind, rng)
-        moved, held = set(), 0
-        for x in points:
-            for ks in batches:
-                state = fam.run_state(x)
-                at = state.coordinates(x)
-                assert at.dtype == np.float64 and at.ndim == 1
-                assert (at is x) == (kind != "image")
-                norms = state.evaluate(ks, at)
-                bare = fam.evaluate(ks, x)
-                assert (norms is None) == (bare is None)
-                if norms is None:
-                    held += 1
-                    continue
-                steps, bare_norms = bare
-                moved.update(k for k, r in zip(ks, bare_norms) if r)
-                beta = rng.dirichlet(np.ones(len(ks)))
-                if kind != "image":
-                    assert norms.tobytes() == bare_norms.tobytes()
-                    combined = state.step(beta)
-                    assert combined.tobytes() == (beta @ steps).tobytes()
-                    assert state.point(combined) is combined
-                    continue
-                # the Fourier member's from its Hermitian part, and the box's
-                # at point(v), x through rfft2 and back
-                np.testing.assert_allclose(norms, bare_norms, rtol=1e-12, atol=1e-13)
-                # |rfft2(v)| <= dim max|v|: rounding is measured against that
-                scale = max(1.0, np.abs(x).max(), np.abs(steps).max())
-                combined = state.step(beta)
-                d = beta @ steps
-                np.testing.assert_allclose(state.point(combined), d, rtol=0, atol=1e-13 * scale)
-                assert float(combined @ combined) == pytest.approx(float(d @ d), rel=1e-12,
-                                                                   abs=1e-26 * scale ** 2)
-                # the update in coordinates maps back to the update in space
-                c = rng.uniform(0.1, 2.0)
-                np.testing.assert_allclose(state.point(at + c * combined), x + c * d,
-                                           rtol=0, atol=1e-13 * scale)
-        assert held and moved
-        if kind == "image":
-            assert moved == set(range(6))
-
-    def test_coordinates_are_an_isometry(self, rng):
-        # the weighted half spectrum's real view keeps every norm: the run's
-        # v.dot(v) is the norm in space.  Measured at desk size: 7.5e-16
-        # relative on the norms, 6.1e-16 of max(1, max|x|) on the round trip
-        prob, fam = self.desk()
-        state = fam.run_state(np.zeros(prob.dim))
-        truth = prob.ground_truth.ravel()
-        points = [truth, np.zeros(prob.dim), rng.uniform(-20.0, 280.0, size=prob.dim),
-                  rng.standard_normal(prob.dim)]
-        for x in points:
-            c = state.coordinates(x)
-            assert c.shape == (prob.n * (prob.n // 2 + 1) * 2,) and c.dtype == np.float64
-            assert float(c @ c) == pytest.approx(float(x @ x), rel=1e-12, abs=0.0)
-            np.testing.assert_allclose(state.point(c), x, rtol=0,
-                                       atol=1e-12 * max(1.0, np.abs(x).max()))
-        x, y = points[2], points[3]
-        a, b = rng.uniform(-3.0, 3.0, size=2)
-        np.testing.assert_allclose(state.coordinates(a * x + b * y),
-                                   a * state.coordinates(x) + b * state.coordinates(y),
-                                   rtol=0, atol=1e-12 * (abs(a) * np.linalg.norm(x)
-                                                         + abs(b) * np.linalg.norm(y)))
 
     def test_db_column_is_the_db_of_the_records_points_in_space(self):
         # the run measures dB by v.dot(v) in coordinates; the records give
@@ -1222,15 +1051,6 @@ class TestNoOpIterations:
         assert np.any(trace.residuals() == 0.0)
         assert calls == [16] * trace.footer["iterations_run"] == [16] * 300
 
-    @staticmethod
-    def held(fam, x0, records):
-        """Whether each replayed batch held its x_n, x_n replayed from the records."""
-        x, out = x0, []
-        for rec in records:
-            out.append(fam.evaluate(rec.indices, x) is None)
-            x = x + rec.lam * (rec.a - x)
-        return out
-
     def test_noop_records_share_one_check(self, monkeypatch):
         # a no-op record holds the weights of M zero residuals and L = 1; the
         # run checks those once, and every evaluated record on its own
@@ -1249,32 +1069,6 @@ class TestNoOpIterations:
         evaluated = [rec.iteration for rec in res.records if rec.p is not rec.a]
         assert len(evaluated) < len(res.records) == cfg.max_iters
         assert checked == [-1] + evaluated
-
-    def test_all_held_batch_gives_fresh_zero_rows(self):
-        # every slab holds the truth with a margin of 0.4 eta, far above this
-        # noise, so every batch of the run is all-fixed; the run adds its
-        # noise to the zero rows in place, so they must be fresh each time
-        prob = experiments.desk_signal_problem(seed=3)
-        fam = prob.build_family()
-        cfg = BlockConfig(batch_size=4, delta=0.1, relaxation=rx.UniformInterval(0.5, 1.5),
-                          max_iters=10, seed=9, atol=0.0,
-                          error_schedule=DecayingNoise(c=1e-6, q=1.5), collect_records=True)
-        final, trace, records = replay_block(fam, cfg, prob.ground_truth)
-        assert_same_run(run_block(fam, cfg, prob.ground_truth), final, trace, records)
-        assert all(self.held(fam, prob.ground_truth, records))
-
-    def test_error_tolerant_signal_run_matches_replay(self):
-        # batched and one-row evaluations differ in the last bit, so the
-        # replay evaluates whole batches
-        prob = experiments.desk_signal_problem(seed=3)
-        fam = prob.build_family()
-        cfg = BlockConfig(batch_size=4, delta=0.1, relaxation=rx.UniformInterval(0.5, 1.5),
-                          max_iters=40, seed=9, atol=0.0,
-                          error_schedule=DecayingNoise(c=0.5, q=1.5), collect_records=True)
-        final, trace, records = replay_block(fam, cfg, np.zeros(prob.n))
-        assert_same_run(run_block(fam, cfg, np.zeros(prob.n)), final, trace, records)
-        assert any(self.held(fam, np.zeros(prob.n), records))   # some held x before noise
-
 
 class TestRunExperiment:
     def test_repeats_one_averaged_equals_single(self):

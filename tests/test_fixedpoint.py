@@ -34,7 +34,7 @@ class TestKm:
         assert trace.footer["errors"] == "zero"
 
     def test_rotation_converges(self):
-        cfg = KmConfig(rx.Constant(0.5, cap=2.0), max_iters=200, seed=7, atol=0.0)
+        cfg = KmConfig(rx.Constant(0.5), max_iters=200, seed=7, atol=0.0)
         final, trace = run_km(rotation, cfg, [1.0, 0.0])
         assert trace.residuals()[-1] < 1e-6
         # averaged rotation contracts by cos(45 deg) per step
@@ -51,13 +51,13 @@ class TestKm:
             y = halfspace_proj_oracle([0.0, 1.0], 0.0, x)
             return halfspace_proj_oracle([1.0, 0.0], 0.0, y)
 
-        cfg = KmConfig(rx.Constant(0.9, cap=2.0), max_iters=400, seed=3, atol=0.0)
+        cfg = KmConfig(rx.Constant(0.9), max_iters=400, seed=3, atol=0.0)
         final, _ = run_km(T, cfg, [1.0, 1.0])
         assert max(final[0], final[1], 0.0) < 1e-8  # membership in both half-spaces
 
     def test_support_bound_enforced(self):
         with pytest.raises(ConfigurationError, match=r"mu_n in \]0, 1/alpha\[ = \]0, 1\["):
-            KmConfig(rx.Constant(1.0, cap=2.0), max_iters=10, seed=0)
+            KmConfig(rx.Constant(1.0), max_iters=10, seed=0)
 
     @pytest.mark.parametrize("kwargs, hypothesis", [
         (dict(mu_strategy=rx.UniformInterval(0.5, 1.0)), r"mu_n in \]0, 1/alpha\[ = \]0, 1\["),
@@ -100,17 +100,17 @@ class TestKm:
 
     def test_noise_certificate_rejected_when_not_summable(self):
         with pytest.raises(ConfigurationError):
-            KmConfig(rx.Constant(0.5, cap=2.0), max_iters=10, seed=0,
+            KmConfig(rx.Constant(0.5), max_iters=10, seed=0,
                      error_schedule=DecayingNoise(1.0, 0.9))
 
     def test_noisy_rotation_still_converges(self):
-        cfg = KmConfig(rx.Constant(0.5, cap=2.0), max_iters=2000, seed=11,
+        cfg = KmConfig(rx.Constant(0.5), max_iters=2000, seed=11,
                        error_schedule=DecayingNoise(1.0, 1.5), atol=0.0)
         final, trace = run_km(rotation, cfg, [1.0, 0.0])
         assert trace.residuals()[-1] < 1e-4
 
     def test_divergence_guard(self):
-        cfg = KmConfig(rx.Constant(0.9, cap=2.0), max_iters=500, seed=0, atol=0.0)
+        cfg = KmConfig(rx.Constant(0.9), max_iters=500, seed=0, atol=0.0)
         with pytest.raises(NumericError):
             run_km(lambda x: 3.0 * x, cfg, [1.0, 1.0])  # expansive map blows up
 
@@ -131,7 +131,7 @@ class TestKm:
 class TestKmAveraged:
     def test_firmly_nonexpansive_projection_with_large_mu(self):
         T = lambda x: halfspace_proj_oracle([1.0, 0.0], 0.0, x)  # 1/2-averaged
-        cfg = KmConfig(rx.Constant(1.5, cap=2.0), max_iters=300, seed=2, alpha=0.5, atol=0.0)
+        cfg = KmConfig(rx.Constant(1.5), max_iters=300, seed=2, alpha=0.5, atol=0.0)
         final, _ = run_km(T, cfg, [2.0, 1.0])
         assert final[0] < 1e-8
 
@@ -140,7 +140,7 @@ class TestKmAveraged:
             KmConfig(rx.Constant(2.5), max_iters=10, seed=0, alpha=0.5)
 
     def test_identity_stationary(self):
-        cfg = KmConfig(rx.Constant(1.2, cap=2.0), max_iters=20, seed=0, alpha=0.7, atol=0.0)
+        cfg = KmConfig(rx.Constant(1.2), max_iters=20, seed=0, alpha=0.7, atol=0.0)
         final, _ = run_km(lambda x: x, cfg, [4.0, -1.0])
         np.testing.assert_array_equal(final, [4.0, -1.0])
 

@@ -5,10 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from stochfeas import relaxation as rx
-from stochfeas.block import BlockConfig, run_block
 from stochfeas.exceptions import DegenerateConstraintError, NumericError, UsageError
-from stochfeas.fixedpoint import DecayingNoise
 from stochfeas.operators import (
     _half_inverse,
     LinearFamily,
@@ -21,11 +18,9 @@ from stochfeas.operators import (
 
 from conftest import (
     InequalityConstraint,
-    assert_same_run,
     halfspace_proj_oracle,
     project_fourier_support,
     project_hyperslab,
-    replay_block,
     subgradient_projector,
 )
 
@@ -221,34 +216,6 @@ class TestLinearFamily:
     def test_constructor_rejects(self, rows, lo, hi, match):
         with pytest.raises(UsageError, match=match):
             LinearFamily(rows, lo, hi)
-
-    @pytest.mark.parametrize("length", [1, 3])
-    def test_wrong_length_x0_is_a_usage_error(self, length):
-        fam = LinearFamily(np.eye(2), [-np.inf, -1.0], [0.0, 1.0])
-        for errors in (None, DecayingNoise(0.1, 1.5)):
-            cfg = BlockConfig(batch_size=2, delta=0.3, relaxation=rx.Constant(1.0),
-                              max_iters=5, seed=0, error_schedule=errors)
-            with pytest.raises(UsageError, match="dimension mismatch in x0"):
-                run_block(fam, cfg, np.zeros(length))
-
-    @pytest.mark.parametrize("m", [1, 4])
-    @pytest.mark.parametrize("errors", [None, DecayingNoise(0.5, 1.5)], ids=["exact", "errors"])
-    def test_run_equals_the_replay(self, m, errors):
-        rng = np.random.default_rng(41)
-        rows = rng.normal(size=(12, 5))
-        center = rng.normal(size=5)
-        v = rows @ center
-        lo = np.where(np.arange(12) % 3 == 0, -np.inf, v - rng.uniform(0.1, 1.0, size=12))
-        fam = LinearFamily(rows, lo, v + rng.uniform(0.1, 1.0, size=12))
-        cfg = BlockConfig(batch_size=m, delta=0.5 / m, relaxation=rx.UniformInterval(0.5, 1.5),
-                          max_iters=300, seed=7, atol=0.0, error_schedule=errors,
-                          collect_records=True)
-        x0 = 4.0 * rng.normal(size=5)
-        res = run_block(fam, cfg, x0, reference_solution=center)
-        assert_same_run(res, *replay_block(fam, cfg, x0, reference=center))
-        if m == 1 and errors is None:
-            assert np.all(res.trace.extrapolations() == 1.0)
-
 
 def projector_zoo(rng):
     return [

@@ -59,7 +59,7 @@ def test_damping_identity_exact():
 @settings(max_examples=100, deadline=None)
 @given(a=st.floats(0.01, 3.0), p=st.floats(0.0, 1.0), b=st.floats(0.01, 3.0))
 def test_two_point_jensen(a, p, b):
-    m = rx.TwoPoint(a, p, b, cap=3.0).moments()
+    m = rx.TwoPoint(a, p, b).moments()
     assert m.second_moment >= m.mean ** 2 - 1e-12
 
 
@@ -105,22 +105,6 @@ def test_invalid_strategies_rejected():
         rx.UniformInterval(0.0, 1.0)
     with pytest.raises(UsageError):
         rx.TwoPoint(1.0, 1.5, 2.0)
-    with pytest.raises(UsageError):
-        rx.Constant(3.0, cap=2.5)  # support above declared cap
-    with pytest.raises(UsageError):
-        rx.Constant(1.0, cap=1.5)  # cap below 2
-
-
-@pytest.mark.parametrize("cap", [float("nan"), float("inf"), float("-inf")])
-@pytest.mark.parametrize("build", [
-    lambda cap: rx.Constant(1.0, cap=cap),
-    lambda cap: rx.TwoPoint(2.3, 0.5, 1.5, cap=cap),
-    lambda cap: rx.UniformInterval(1.5, 2.3, cap=cap),
-], ids=["constant", "two_point", "uniform"])
-def test_non_finite_cap_rejected(build, cap):
-    # criterion 9 bounds lambda^2 by cap^2, which needs a finite cap
-    with pytest.raises(UsageError, match="cap"):
-        build(cap)
 
 
 def test_cap_defaults_to_at_least_two():
@@ -132,8 +116,7 @@ def test_cap_defaults_to_at_least_two():
 def test_serialization_round_trip():
     for obj, s in (
         ({"kind": "constant", "value": 1.9}, rx.Constant(1.9)),
-        ({"kind": "two_point", "a": 2.3, "p_a": 0.5, "b": 1.5, "cap": 3.0},
-         rx.TwoPoint(2.3, 0.5, 1.5, cap=3.0)),
+        ({"kind": "two_point", "a": 2.3, "p_a": 0.5, "b": 1.5}, rx.TwoPoint(2.3, 0.5, 1.5)),
         ({"kind": "uniform", "lo": 1.5, "hi": 2.3}, rx.UniformInterval(1.5, 2.3)),
     ):
         back = rx.strategy_from_config(obj)
