@@ -6,8 +6,10 @@ scalar bound -eta <= (L_k x - r_k)_j <= eta is one hyperslab constraint
 with an exact projector, and the p n of them are one ``LinearFamily``
 whose rows, the circulant rows of the filters, are windows of the p
 kernels; the feasibility problem is solved by the block-iterative
-algorithm from x0 = 0.  ``SignalProblem`` checks its data when it is
-built.
+algorithm from x0 = 0.  ``SignalProblem`` checks its data and builds its
+family when it is built.  The family sweeps all p n slab values by one
+batched FFT convolution; the problem's ``max_violation`` is the family's
+``violation``, and its clearance radii and screen are ``LinearFamily``'s.
 
 Image: recover an n x n grayscale image from four observations blurred by
 one circular Gaussian kernel (std 8) plus uniform([0, 5]) noise.  The
@@ -81,7 +83,6 @@ from .geometry import as_point, require_same_dim
 from .operators import (
     LinearFamily,
     _IndexedFamily,
-    _RowState,
     _half,
     _half_inverse,
     _half_weights,
@@ -164,47 +165,40 @@ class SignalProblem:
                 raise UsageError(f"{name} must be finite")
         if not np.all(np.any(np.asarray(self.kernels) != 0.0, axis=1)):
             raise UsageError("kernels must have no zero row")
-        self._spectra = np.fft.rfft(self.kernels, axis=1)
+        if np.shape(self.ground_truth) != (self.n,):
+            raise UsageError(f"ground_truth must have shape (n,) = {(self.n,)}, "
+                             f"got {np.shape(self.ground_truth)}")
+        self._family = _SlabFamily(self)
 
     def build_family(self) -> _IndexedFamily:
         """All n*p hyperslab projectors, uniform index distribution.
 
-        Member k*n + j is the slab of filter k at coordinate j.  The family
-        keeps only the p base rows (rolled per coordinate when evaluated),
-        the per-member bounds and squared norms, and the problem's kernel
-        spectra.
+        Member k*n + j is the slab of filter k at coordinate j.  The problem
+        builds its family once, with its data, and every call returns that
+        family: p base rows laid out as one strided table of windows, the
+        per-member bounds and norms, and the kernel spectra of its sweep.
         """
-        return _SlabFamily(self)
+        return self._family
 
     def max_violation(self, x) -> float:
         """max_{k,j} of dist((L_k x - r_k)_j, [-eta, eta]); <= 0 means feasible."""
         x = as_point(x, "x")
         require_same_dim(x, self.ground_truth, "max_violation")
-        residual = _slab_values(self._spectra, x) - self.observations.ravel()
-        return float(np.max(np.abs(residual) - self.eta))
-
-
-def _slab_values(spectra: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """All p n slab values (L_k z)_j of a point z, in member order k n + j,
-    by one batched real FFT convolution; row k of ``spectra`` is the real
-    FFT of filter k's convolution kernel."""
-    return np.fft.irfft(spectra * np.fft.rfft(z), z.shape[0], axis=1).ravel()
-
-
-_CLEARANCE_HEADROOM = 1e3   # factor between a slab clearance's allowance and its rounding bound
+        return self._family.violation(x)
 
 
 class _SlabFamily(LinearFamily):
     """The hyperslab family of a signal problem, a ``LinearFamily`` whose
-    rows are windows of its p base rows.
+    rows are windows of its p base rows and whose sweep is one batched FFT
+    convolution.
 
     The normal of member k*n + j, row j of filter k's circulant matrix, is
     the length-n window at offset 2nk + n - j of the base rows laid out
     twice each, [b_0 b_0 b_1 b_1 ...] (2pn floats): the table of
     ``LinearFamily`` is the strided view of those windows, which keeps the
-    2,560 rows of the desk signal in 40 KB instead of 5.2 MB.  A block run
-    keeps the rows in a ``_SlabState``, whose screen reads the radii of
-    ``clearance``.
+    2,560 rows of the desk signal in 40 KB instead of 5.2 MB.  The
+    clearance, the violation and the screened run state are
+    ``LinearFamily``'s.
     """
 
     def __init__(self, problem: SignalProblem):
@@ -215,114 +209,15 @@ class _SlabFamily(LinearFamily):
         doubled = np.concatenate([bases, bases], axis=1).ravel()
         k, j = np.divmod(np.arange(p * n), n)
         norm_sq = np.repeat([float(b @ b) for b in bases], n)
-        self._norm = np.sqrt(norm_sq)
         self._bind(np.lib.stride_tricks.sliding_window_view(doubled, n), 2 * n * k + n - j,
                    norm_sq, (problem.observations - problem.eta).ravel(),
                    (problem.observations + problem.eta).ravel())
-        # (L_k z)_j is the circular convolution of z with kernel k, so the
-        # sweep of clearance reads the problem's spectra, as max_violation does
-        self._spectra = problem._spectra
-        # eps = 10^3 c_n u (max ||a|| ||z|| + max w), see clearance
-        cu = _CLEARANCE_HEADROOM * (3.0 * (n + 3) + 32.0 * math.sqrt(n) * math.log2(2 * n)) \
-            * np.finfo(np.float64).eps / 2.0
-        self._allowance = (cu * float(self._norm.max()),
-                           cu * float(np.max(self._hi - self._lo)) / 2.0)
+        self._spectra = np.fft.rfft(problem.kernels, axis=1)
 
-    def clearance(self, z):
-        """Radii rho_k such that every x with ||x - z|| < rho_k lies in slab
-        k to rounding: ``evaluate`` computes fl(a_k . x) in [lo_k, hi_k],
-        so member k gives s_k = 0 exactly.
-
-        rho_k = (min(v_k - lo_k, hi_k - v_k) - eps) / ||a_k||, with v_k the
-        swept value of a_k . z and u = 2^-53.  For ||x - z|| < rho_k the
-        exact a_k . x lies within ||a_k|| rho_k of a_k . z, and eps covers
-        every rounding between that and the computed values.  With w_k =
-        (hi_k - lo_k) / 2 >= ||a_k|| rho_k and S_k = ||a_k|| ||z|| + w_k >=
-        ||a_k|| ||x||:
-
-        * the gemv of ``evaluate``: |fl(a . x) - a . x| <= gamma_n |a|.|x|
-          <= gamma_n S_k for any summation order, gamma_n = n u / (1 - n u);
-        * the sweep: a radix-2 FFT has ||fl(F x) - F x|| <= 7 u log2(n)
-          ||F x|| to first order (Higham, Accuracy and Stability of
-          Numerical Algorithms, Thm 24.2, eta = mu + gamma_4 (sqrt 2 + mu)
-          with exact twiddles).  Two forward transforms, the spectral
-          product and the inverse then bound the error of every v_k by
-          (21 log2 n + 3) u sqrt(n) ||a_k|| ||z||, using ||b||_1 <= sqrt(n)
-          ||b||_2; log2(2n) in place of log2 n allows for the real-input
-          packing and other radices;
-        * the distance ||x - z|| as the screen computes it, gamma_{n+3}
-          relative and so at most gamma_{n+3} w_k through ||a_k||, and the
-          roundings of v_k - lo_k, the minimum, eps and the division, a few
-          u on quantities <= 2 w_k.
-
-        To first order these sum to below 1.01 (2n + 8 + 24 sqrt(n)
-        log2(2n)) u S_k <= c_n u S_k, c_n = 3 (n + 3) + 32 sqrt(n) log2(2n).
-        The allowance is eps = 10^3 c_n u (max_k ||a_k|| ||z|| + max_k w_k),
-        10^3 times that bound for every member; at the desk signal's truth
-        it is about 2e-9, against slab margins of at least 0.4 eta = 0.06.
-        A member whose slab does not hold z with that allowance gets rho_k
-        <= 0 and is never screened; a NaN in z gives NaN radii, which
-        screen nothing.
-        """
-        per_norm, floor = self._allowance
-        eps = per_norm * math.sqrt(float(z.dot(z))) + floor
-        v = _slab_values(self._spectra, z)
-        margin = np.minimum(v - self._lo, self._hi - v, out=v)
-        margin -= eps
-        margin /= self._norm
-        return margin
-
-    def run_state(self, x0):
-        super().run_state(x0)   # checks x0
-        return _SlabState(self)
-
-
-class _SlabState(_RowState):
-    """The rows of a hyperslab family's last batch, and its screen: radii
-    that prove batches all-fixed without evaluating them.
-
-    The state keeps an anchor z, the radii rho = ``clearance(z)`` and the
-    distance ||x - z||, recomputed only when x is a new array.  When
-    min_i rho_{k_i} > ||x - z||, every member of the batch fixes x, and
-    ``evaluate`` reports it all-fixed without the slab arithmetic: the
-    answer that arithmetic would give, so the run's bits are the same.
-    There is no anchor until an evaluated batch is all-fixed; each time one
-    is, at an x other than the anchor, the state anchors there.
-    """
-
-    def __init__(self, family: _SlabFamily):
-        super().__init__(family.evaluate)
-        self._clearance = family.clearance
-        self._anchor = self._radii = self._seen = None
-        self._distance = 0.0
-
-    def evaluate(self, ks, x):
-        radii = self._radii
-        if radii is not None:
-            if x is not self._seen:
-                d = x - self._anchor
-                self._distance, self._seen = math.sqrt(float(d.dot(d))), x
-            # minimum.reduce is ndarray.min without its Python wrapper
-            if np.minimum.reduce(radii[ks]) > self._distance:
-                return None
-        out = self._evaluate(ks, x)
-        if out is None:
-            if x is not self._anchor:
-                self._anchor = self._seen = x
-                self._radii, self._distance = self._clearance(x), 0.0
-            return None
-        self._rows, r = out
-        return r
-
-    def screen(self, batches, x):
-        """How many leading batches of ``batches`` the radii prove all-fixed
-        at x; none without an anchor or before ``evaluate`` has seen x."""
-        radii = self._radii
-        if radii is None or x is not self._seen:
-            return 0
-        held = np.minimum.reduce(radii[batches], axis=1) > self._distance
-        first = int(held.argmin())   # the first batch not held, or 0 if all are
-        return first if not held[first] else len(held)
+    def values(self, z):
+        """All p n slab values (L_k z)_j, in member order k n + j: the circular
+        convolutions of z with the p kernels, by one batched real FFT."""
+        return np.fft.irfft(self._spectra * np.fft.rfft(z), z.shape[0], axis=1).ravel()
 
 
 _SIGNAL_SEGMENTS = 6

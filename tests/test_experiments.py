@@ -25,6 +25,7 @@ from stochfeas.experiments import (
     run_experiment,
 )
 from stochfeas.operators import (
+    LinearFamily,
     OperatorFamily,
     project_box,
     sample_indices,
@@ -40,6 +41,7 @@ from conftest import (
     iterations_to_db,
     project_fourier_support,
     project_hyperslab,
+    random_halfspace_problem,
     replay_block,
     slab_bounds,
     subgradient_projector,
@@ -213,28 +215,37 @@ class TestSignalProblem:
         family = experiments.SignalProblem(n, p, eta, np.ones(p), kernels,
                                            observations.reshape(p, n), truth, 0).build_family()
         assert np.array_equal(family._table[family._offsets], rows)
+        # half-spaces around a center, and a last member whose bounds are both infinite
+        normals, offsets, _, center, margin = random_halfspace_problem(rng)
+        whole = rng.normal(size=(1, center.size))
+        halfspaces = LinearFamily(np.vstack([normals, whole]), np.full(len(normals) + 1, -np.inf),
+                                  np.append(offsets, np.inf))
         mid_run = BlockConfig(batch_size=4, delta=0.1, relaxation=rx.Constant(1.9),
                               max_iters=40, seed=2, atol=0.0)
-        for fam, a, xbar in [(desk.build_family(), desk_rows, desk.ground_truth),
-                             (family, rows, truth)]:
+        cases = [(desk.build_family(), desk_rows, desk.ground_truth, 0.4 * eta),
+                 (family, rows, truth, 0.4 * eta),
+                 (halfspaces, np.vstack([normals, whole]), center, margin)]
+        for fam, a, xbar, inner in cases:
             norms = np.linalg.norm(a, axis=1)
             anchors = [xbar, xbar + 1e-3 * rng.normal(size=xbar.size), np.zeros(xbar.size),
                        run_block(fam, mid_run, np.zeros(xbar.size)).final]
             for z in anchors:
-                np.testing.assert_allclose(experiments._slab_values(fam._spectra, z), a @ z,
-                                           rtol=0.0, atol=1e-15 * max(
+                np.testing.assert_allclose(fam.values(z), a @ z, rtol=0.0, atol=1e-15 * max(
                     1.0, float(norms.max() * np.linalg.norm(z))))
                 radii = fam.clearance(z)
+                assert not np.isnan(radii).any()
+                if fam is halfspaces:
+                    assert radii[-1] == np.inf and np.all(np.isfinite(radii[:-1]))
                 if z is xbar:
-                    # the truth holds every slab with a margin of 0.4 eta
-                    assert np.all(radii >= (0.4 * eta - 1e-8) / norms)
+                    # xbar holds every set with a margin of ``inner``
+                    assert np.all(radii >= (inner - 1e-8) / norms)
                 held = np.flatnonzero(radii > 0.0)
                 assert held.size > 0
                 directions = rng.normal(size=(held.size, 2, xbar.size))
                 failed = []
                 for k, random_pair in zip(held, directions):
                     for u in [a[k], -a[k], *random_pair]:
-                        x = z + (1.0 - 1e-12) * radii[k] * (u / np.linalg.norm(u))
+                        x = z + (1.0 - 1e-12) * min(radii[k], 1e6) * (u / np.linalg.norm(u))
                         if fam.evaluate([k], x) is not None:
                             failed.append(int(k))
                 assert failed == []
@@ -255,8 +266,12 @@ class TestSignalProblem:
          "kernels must be finite"),
         ("kernels", lambda prob: prob.kernels * (np.arange(10) > 0)[:, None],
          "kernels must have no zero row"),
+        # a short truth failed in max_violation and run_experiment as a
+        # dimension mismatch of the point, not of the truth
+        ("ground_truth", lambda prob: prob.ground_truth[:-1],
+         r"ground_truth must have shape \(n,\) = \(256,\), got \(255,\)"),
     ], ids=["eta-negative", "eta-nan", "eta-inf", "observations-short", "observations-nan",
-            "kernels-short", "kernels-inf", "kernels-zero-row"])
+            "kernels-short", "kernels-inf", "kernels-zero-row", "ground_truth-short"])
     def test_problem_data_are_checked_when_built(self, field, value, match):
         prob = experiments.desk_signal_problem(seed=3)
         with pytest.raises(UsageError, match=match):
@@ -976,12 +991,17 @@ class TestNoOpIterations:
         monkeypatch.setattr(block, "_iterate", fixedpoint._iterate)
         return res, steps, stretches
 
-    @pytest.mark.parametrize("m", [1, 4, 16])
-    def test_screened_runs_equal_the_full_path(self, monkeypatch, m):
+    @pytest.mark.parametrize("kind, m", [
+        *(pytest.param("signal", m, id=str(m)) for m in (1, 4, 16)),
+        *(pytest.param("halfspace", m, id=f"halfspace-{m}") for m in (1, 4, 16))])
+    def test_screened_runs_equal_the_full_path(self, monkeypatch, kind, m):
         # runs that collect records take the screen and the stretches too;
         # the replay takes neither
-        prob = experiments.desk_signal_problem(seed=3)
-        fam = prob.build_family()
+        if kind == "signal":
+            prob = experiments.desk_signal_problem(seed=3)
+            fam, truth = prob.build_family(), prob.ground_truth
+        else:
+            _, _, fam, truth, _ = random_halfspace_problem(np.random.default_rng(41))
         moved = []
         evaluate = fam.evaluate
 
@@ -991,30 +1011,29 @@ class TestNoOpIterations:
             return out
 
         fam.evaluate = counted
-        x0 = np.zeros(prob.n)
+        x0 = np.zeros(truth.size)
         recording = BlockConfig(batch_size=m, delta=0.5 / m,
                                 relaxation=rx.UniformInterval(1.5, 2.3),
                                 max_iters=400, seed=5, atol=0.0, collect_records=True)
-        _, _, stretches = self.observed_run(monkeypatch, fam, recording, x0, prob.ground_truth)
+        _, _, stretches = self.observed_run(monkeypatch, fam, recording, x0, truth)
         # a budget whose last iteration falls inside the longest stretch of the full budget
         start, length, _ = max(stretches, key=lambda s: s[1])
         cases = {
-            "recording": (recording, prob.ground_truth),
-            "record_every_7": (replace(recording, record_every=7), prob.ground_truth),
-            "budget_in_stretch": (replace(recording, max_iters=start + length // 2 + 1),
-                                  prob.ground_truth),
+            "recording": (recording, truth),
+            "record_every_7": (replace(recording, record_every=7), truth),
+            "budget_in_stretch": (replace(recording, max_iters=start + length // 2 + 1), truth),
             # an extended reference pass stops on its own atol rule
             "atol": (replace(recording, max_iters=4000, atol=1e-10), None),
         }
-        for case, (cfg, truth) in cases.items():
+        for case, (cfg, reference) in cases.items():
             moved.clear()
-            screened, steps, stretches = self.observed_run(monkeypatch, fam, cfg, x0, truth)
+            screened, steps, stretches = self.observed_run(monkeypatch, fam, cfg, x0, reference)
             iterations = screened.trace.footer["iterations_run"]
             assert len(moved) < iterations / 2, case   # the screen answered most iterations
             skipped = sum(length for _, length, _ in stretches)
             assert len(steps) + skipped == iterations, case
             moved.clear()
-            final, trace, records = replay_block(fam, cfg, x0, reference=truth)
+            final, trace, records = replay_block(fam, cfg, x0, reference=reference)
             assert len(moved) == iterations, case
             noops = iterations - sum(moved)
             assert skipped > noops / 2, case   # and the stretches most no-op iterations

@@ -21,6 +21,7 @@ from conftest import (
     halfspace_proj_oracle,
     project_fourier_support,
     project_hyperslab,
+    random_halfspace_problem,
     subgradient_projector,
 )
 
@@ -216,6 +217,31 @@ class TestLinearFamily:
     def test_constructor_rejects(self, rows, lo, hi, match):
         with pytest.raises(UsageError, match=match):
             LinearFamily(rows, lo, hi)
+
+    @pytest.mark.parametrize("kind", ["halfspace", "slab_hyperplane"])
+    def test_violation_is_the_largest_distance_of_a_value_to_its_bounds(self, rng, kind):
+        normals, offsets, fam, center, _ = random_halfspace_problem(rng)
+        lo, hi = np.full(len(normals), -np.inf), offsets
+        if kind == "slab_hyperplane":
+            # eight slabs around the center, and {z : z_0 = center_0}, exact at the center
+            normals = np.vstack([rng.normal(size=(8, center.size)), np.eye(1, center.size)])
+            v = normals[:8] @ center
+            lo = np.append(v - rng.uniform(0.1, 1.0, size=8), center[0])
+            hi = np.append(v + rng.uniform(0.1, 1.0, size=8), center[0])
+            fam = LinearFamily(normals, lo, hi)
+
+        def oracle(z):
+            # each value an exactly rounded sum, each distance on its own
+            values = [math.fsum(a_j * z_j for a_j, z_j in zip(a, z)) for a in normals]
+            return max(max(l - v, v - h) for v, l, h in zip(values, lo, hi))
+
+        points = [center, np.zeros(center.size), *(4.0 * rng.normal(size=(6, center.size)))]
+        for z in points:
+            tol = 1e-14 * max(1.0, float(np.max(np.abs(normals) @ np.abs(z))))
+            assert abs(fam.violation(z) - oracle(z)) <= tol
+        inside = fam.violation(center)   # the center lies in every set, on the hyperplane exactly
+        assert (inside == 0.0) if kind == "slab_hyperplane" else (inside < 0.0)
+        assert fam.violation(center + 10.0 * normals[-1]) > 0.0
 
 def projector_zoo(rng):
     return [
