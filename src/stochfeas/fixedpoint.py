@@ -8,7 +8,9 @@ Two iterations on top of one loop skeleton, which the block iteration of
   where alpha = 1 is the nonexpansive case, mu_n in ]0, 1[;
 * stochastic gradient descent for a 1/beta-Lipschitz-gradient objective,
       x_{n+1} = x_n - gamma_n grad g_{k_n}(x_n),    gamma_n = 2 beta / (n + 1)^nu,
-  with nu in ]2/3, 1] and an unbiased, bounded-variance gradient family.
+  with nu in ]2/3, 1] and an unbiased, bounded-variance gradient family
+  of quadratics centred at points t_k: a step is three array operations,
+  and the residual column is ||grad f(x_n)|| = ||x_n - c||.
 
 Relaxation draws come from the run's "relaxation" substream, noise draws
 from the "noise" substream and gradient indices from the "index" substream.
@@ -160,8 +162,10 @@ class SgdConfig:
 
 class GradientFamily(_IndexedFamily):
     """Stochastic gradients of f(x) = ||x - c||^2 / 2 under a uniform index
-    law, grad g_k(x) = x - c - w_k, held as arrays: ``center`` c and the
-    ``offsets`` w_k, one row each.
+    law.  Member k is the quadratic ||x - t_k||^2 / 2 centred at its minimizer
+    t_k = c + w_k, so grad g_k(x) = x - t_k is one subtraction.  The family
+    holds ``center`` c and ``offsets`` w_k as arrays and ``minimizers`` t_k as
+    a list of rows, formed once: a list lookup is cheaper than an array index.
 
     The family is unbiased when the offsets have zero mean, which
     :func:`quadratic_family` ensures.  ``variance_bound`` is the declared
@@ -172,13 +176,11 @@ class GradientFamily(_IndexedFamily):
         super().__init__(offsets.shape[0])
         self.center = center
         self.offsets = offsets
+        self.minimizers = list(center + offsets)
         self.variance_bound = float(np.max(np.sum(offsets ** 2, axis=1)))
 
     def gradient(self, k: int, x: np.ndarray) -> np.ndarray:
-        return x - self.center - self.offsets[k]
-
-    def mean_gradient(self, x: np.ndarray) -> np.ndarray:
-        return x - self.center
+        return x - self.minimizers[k]
 
     def spot_check_unbiased(self, x0: np.ndarray, rng) -> None:
         """Monte-Carlo check that the sample mean gradient at x0 is within
@@ -187,9 +189,8 @@ class GradientFamily(_IndexedFamily):
         # the family's dimension is known here, before any gradient broadcasts
         require_same_dim(x0, self.center, "x0 and the quadratic family")
         ks = sample_indices(self, rng, _SPOT_CHECK_SAMPLES)
-        # one mean over the gathered rows, not one gradient call per draw
-        acc = x0 - self.center - self.offsets[ks].mean(axis=0)
-        dev = float(np.linalg.norm(acc - self.mean_gradient(x0)))
+        # the drawn gradients x0 - c - w_k average to grad f(x0) less the offsets mean
+        dev = float(np.linalg.norm(self.offsets[ks].mean(axis=0)))
         bound = 3.0 * math.sqrt(self.variance_bound / _SPOT_CHECK_SAMPLES)
         if dev > bound:
             raise ConfigurationError(
@@ -199,7 +200,7 @@ class GradientFamily(_IndexedFamily):
 
 
 def quadratic_family(center, offsets) -> GradientFamily:
-    """Built-in family for f(x) = ||x - c||^2 / 2 with grad g_k(x) = x - c - w_k.
+    """Built-in family for f(x) = ||x - c||^2 / 2 of quadratics centred at c + w_k.
 
     Offsets are recentred to zero mean so the family is exactly unbiased;
     the variance bound is max_k ||w_k||^2.
@@ -290,10 +291,9 @@ def _iterate(step, x0, max_iters: int, atol: float, record_every: int,
         x_next, residual, lam, extrap = take(n, x, record or checks_atol)
         take = step
         if x_next is not x or n == 0:
-            # NaN/Inf propagate into the squared norm, so one reduction covers
-            # both; ndarray.dot is bit-equal to @ on 1-D float64 and cheaper
-            size_sq = float(x_next.dot(x_next))
-            if not math.isfinite(size_sq) or size_sq > limit_sq:
+            # NaN and inf fail the comparison; ndarray.dot is bit-equal to @
+            # on 1-D float64 and cheaper
+            if not x_next.dot(x_next) <= limit_sq:
                 raise NumericError(f"iterate diverged at iteration {n}")
         if checks_atol:
             quiet = quiet + 1 if residual < atol else 0
@@ -355,7 +355,9 @@ def run_km(T, cfg: KmConfig, x0) -> tuple[np.ndarray, ConvergenceTrace]:
 def run_sgd(cfg: SgdConfig, x0) -> tuple[np.ndarray, ConvergenceTrace]:
     """Stochastic gradient descent with steps gamma_n = 2 beta / (n + 1)^nu.
 
-    The trace residual column holds ||grad f(x_n)||.
+    A step is three array operations: the drawn member's gradient x_n - t_k,
+    scaled in place by gamma_n, and x_n minus it.  The residual column holds
+    ||grad f(x_n)|| = ||x_n - c||, formed only on the rows the trace records.
     """
     x0 = as_point(x0, "x0")
     family = cfg.gradient_family
@@ -363,17 +365,14 @@ def run_sgd(cfg: SgdConfig, x0) -> tuple[np.ndarray, ConvergenceTrace]:
     indices = itertools.chain.from_iterable(
         map(np.ndarray.tolist, family.draws(substream(cfg.seed, "index"))))
     gradient = family.gradient
-    mean_grad = family.mean_gradient
+    center = family.center
     step_size = cfg.step_size
 
     def step(n, x, want):
-        gamma = step_size(n)
         g = gradient(next(indices), x)
-        residual = None
-        if want:
-            gf = mean_grad(x)
-            residual = math.sqrt(float(gf.dot(gf)))
-        return x - gamma * g, residual, gamma, 1.0
+        gamma = step_size(n)
+        g *= gamma
+        return x - g, _norm(x - center) if want else None, gamma, 1.0
 
     # atol 0: an SGD run always takes its full budget
     return _iterate(step, x0, cfg.max_iters, 0.0, cfg.record_every)

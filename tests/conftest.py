@@ -11,7 +11,8 @@ grid are the general forms of the image experiment's members, and
 ``ball_value`` takes its ball values in space.  The hyperslab projector
 and the circulant rows are the scalar forms of ``LinearFamily`` and the
 signal experiment's rows, and ``iterations_to_db`` reads a trace's dB
-column.
+column.  ``replay_sgd`` is stochastic gradient descent on the quadratic
+family from plain arrays, outside ``fixedpoint._iterate``.
 """
 
 import itertools
@@ -28,6 +29,7 @@ from stochfeas.block import UNIFORM_OVER_BATCH, BlockIterationRecord
 from stochfeas.geometry import as_point, require_same_dim
 from stochfeas.operators import (
     LinearFamily,
+    _IndexedFamily,
     _half,
     _half_inverse,
     _projector_scale,
@@ -275,6 +277,30 @@ def replay_block(family, cfg, x0, reference=None, evaluate=None):
     x, trace = fixedpoint._iterate(step, x0, cfg.max_iters, cfg.atol, cfg.record_every,
                                    patience=cfg.stop_patience, reference=reference)
     return (x if state is None else state.point(x)), trace, records
+
+
+def replay_sgd(center, offsets, beta, nu, max_iters, seed, x0, record_every=1):
+    """Stochastic gradient descent from plain arrays, every step written
+    out: the minimizers t_k = c + w_k of the recentred ``offsets`` w_k, one
+    scalar index draw per step from the uniform law of len(w) members,
+    gamma_n = 2 beta / (n + 1)^nu from its formula, and x_{n+1} = x_n -
+    gamma_n (x_n - t_k).  Row n is recorded when n % record_every == 0 and
+    on the last step, with the residual ||x_n - c||.  Returns the final point
+    and the iter, residual and lambda columns."""
+    targets = center + offsets
+    law = _IndexedFamily(len(offsets))
+    idx_rng = substream(seed, "index")
+    x = np.array(x0, dtype=np.float64)
+    columns = {"iter": [], "residual": [], "lambda": []}
+    for n in range(max_iters):
+        k = sample_indices(law, idx_rng, 1).item()
+        gamma = 2.0 * beta / (n + 1.0) ** nu
+        if n % record_every == 0 or n == max_iters - 1:
+            d = x - center
+            for name, value in zip(columns, (n, math.sqrt(float(d @ d)), gamma)):
+                columns[name].append(value)
+        x = x - gamma * (x - targets[k])
+    return x, columns
 
 
 def assert_same_run(res, final, trace, records=None):

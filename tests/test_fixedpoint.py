@@ -6,6 +6,7 @@ import pytest
 from stochfeas import relaxation as rx
 from stochfeas.exceptions import ConfigurationError, NumericError, UsageError
 from stochfeas.fixedpoint import (
+    DIVERGENCE_NORM,
     DecayingNoise,
     GradientFamily,
     KmConfig,
@@ -16,7 +17,7 @@ from stochfeas.fixedpoint import (
 )
 from stochfeas.operators import sample_indices
 
-from conftest import halfspace_proj_oracle, scalar_relaxation
+from conftest import halfspace_proj_oracle, replay_sgd, scalar_relaxation
 
 ROT90 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -128,6 +129,39 @@ class TestKm:
             run_km(lambda x: np.ones(length), cfg, np.zeros(2))
 
 
+class TestDivergenceGuard:
+    """From x0 = 0 with mu = 1/2, run_km moves to T x / 2 exactly when T x is
+    twice a chosen point, so T can place a chosen iterate at iteration n."""
+
+    @staticmethod
+    def run_to(point, n):
+        targets = itertools.chain(itertools.repeat(np.zeros(2), n), [2.0 * np.asarray(point)])
+        cfg = KmConfig(rx.Constant(0.5), max_iters=n + 1, seed=0, atol=0.0)
+        return run_km(lambda x: next(targets), cfg, np.zeros(2))
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_squared_norm_at_the_limit_passes(self, n):
+        point = np.array([DIVERGENCE_NORM, 0.0])
+        assert point.dot(point) == DIVERGENCE_NORM ** 2
+        final, trace = self.run_to(point, n)
+        assert final.tobytes() == point.tobytes()
+        assert trace.footer["iterations_run"] == n + 1
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_next_float_above_the_limit_raises(self, n):
+        # 12000^2 = 1.44e8 is 1.07 units in the last place of 1e24, and exact
+        point = np.array([DIVERGENCE_NORM, 12000.0])
+        assert point.dot(point) == np.nextafter(DIVERGENCE_NORM ** 2, np.inf)
+        with pytest.raises(NumericError, match=rf"^iterate diverged at iteration {n}$"):
+            self.run_to(point, n)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_non_finite_iterate_raises_where_it_appears(self, bad, n):
+        with pytest.raises(NumericError, match=rf"^iterate diverged at iteration {n}$"):
+            self.run_to([bad, 1.0], n)
+
+
 class TestKmAveraged:
     def test_firmly_nonexpansive_projection_with_large_mu(self):
         T = lambda x: halfspace_proj_oracle([1.0, 0.0], 0.0, x)  # 1/2-averaged
@@ -186,7 +220,7 @@ class TestSgd:
             for _ in range(m):
                 acc += fam.gradient(next(indices), x)
             acc /= m
-            target = fam.mean_gradient(x)
+            target = x - fam.center
             assert np.linalg.norm(acc - target) <= 4.0 / np.sqrt(m) * sigma
 
     def test_non_finite_offsets_rejected(self):
@@ -253,6 +287,33 @@ class TestSgd:
             k = sample_indices(fam, idx_rng, 1).item()
             x = x - cfg.step_size(n) * fam.gradient(k, x)
         np.testing.assert_array_equal(final, x)
+
+
+    @pytest.mark.parametrize("dim, beta, nu", [(3, 0.7, 0.8), (8, 1.0, 0.75)])
+    @pytest.mark.parametrize("record_every", [1, 7, 10])
+    @pytest.mark.parametrize("budget", [17, 2033])
+    def test_run_equals_the_plain_array_replay(self, dim, beta, nu, record_every, budget):
+        # index chunks hold 16, 32, ..., 1024 draws: 17 steps cross the first
+        # refill, 2033 the refill after the first chunk of 1024
+        gen = np.random.default_rng(dim)
+        center = gen.uniform(-1.0, 1.0, size=dim)
+        offsets = gen.uniform(-0.25, 0.25, size=(10, dim))
+        cfg = SgdConfig(beta=beta, nu=nu, max_iters=budget, seed=5,
+                        gradient_family=quadratic_family(center, offsets), record_every=record_every)
+        final, trace = run_sgd(cfg, np.zeros(dim))
+        x, columns = replay_sgd(center, offsets - offsets.mean(axis=0), beta, nu, budget, 5,
+                                np.zeros(dim), record_every)
+        assert final.tobytes() == x.tobytes()
+        assert {name: trace.columns[name] for name in columns} == columns
+
+    def test_minimizers_are_the_center_plus_the_recentred_offsets(self, rng):
+        center = rng.normal(size=5)
+        offsets = rng.uniform(-0.3, 0.3, size=(12, 5))
+        fam = quadratic_family(center, offsets)
+        expected = center + (offsets - offsets.mean(axis=0))
+        assert len(fam.minimizers) == 12
+        for t, row, w in zip(fam.minimizers, expected, fam.offsets):
+            assert t.tobytes() == row.tobytes() == (fam.center + w).tobytes()
 
 
 class TestErrorSchedules:
