@@ -13,6 +13,11 @@ One iteration over a family (T_k) of firmly quasinonexpansive operators:
        a = x + L (p - x);
 5. draw the relaxation lam and update x <- x + lam (a - x).
 
+The update of steps 4 and 5 is made in one new buffer, L (p - x) + x - x,
+scaled by lam, plus x (with p - x + x first in the error-tolerant
+variant): the same operations in the same order as x + lam ((x + L (p -
+x)) - x), so the same bits, without the three temporaries.
+
 A run applies the family through one state, ``family.run_state(x0)``
 (see ``operators._IndexedFamily``): ``evaluate(ks, x)`` gives the
 residuals of a batch and keeps its steps, ``step(beta)`` gives p - x, and
@@ -297,17 +302,22 @@ def run_block(
         # drawn operator fixes x
         avg_step = mean_step(beta)
         pmx = math.sqrt(float(avg_step.dot(avg_step)))
+        # x_next = x + lam (a - x), a = x + L (p - x), in one new buffer;
+        # avg_step stays as it is, since observe reads it
         if errors is None:
             extrap = _extrapolation(r, beta, pmx)
             if extrap < 1.0 - _EXTRAPOLATION_SLACK:
                 raise InvariantViolationError(
                     f"extrapolation {extrap!r} below 1 at iteration {n}"
                 )
-            a = x + extrap * avg_step
+            x_next = avg_step * extrap
+            x_next += x
         else:
             extrap = 1.0
-            a = x + avg_step
-        x_next = x + lam * (a - x)
+            x_next = avg_step + x
+        x_next -= x
+        x_next *= lam
+        x_next += x
         if zs or records is not None:
             observe(n, ks, beta, r, x, avg_step, x_next, extrap, lam)
         return x_next, float(r.max()) if want else None, lam, extrap

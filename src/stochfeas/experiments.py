@@ -89,6 +89,7 @@ from .operators import (
     _member_steps,
     _projector_scale,
     _self_conjugate_entries,
+    _unsettled_residue,
     _validate_fourier_target,
     _violated,
     project_box,
@@ -527,9 +528,10 @@ class _SpectralState:
     member that moves x: -(f_k / ||s_k||^2) 2 conj(K) (K X - Y_k) for a
     violated ball k, and for the Fourier member the difference target - X on
     the mask, kept as its masked values; the box, which is not linear in X,
-    leaves its row p - x, taken at ``point(v)``.  ``step(beta)`` returns the
-    real view of S = sum_i beta_i D_{k_i}, with the weighted rfft2 of the
-    box's share of its row when the box moves x, and takes no inverse.
+    leaves its row p - x, taken at ``point(v)`` unless the box certificate
+    below proves the row zero.  ``step(beta)`` returns the real view of S =
+    sum_i beta_i D_{k_i}, with the weighted rfft2 of the box's share of its
+    row when the box moves x, and takes no inverse.
 
     X picks up an anti-Hermitian part in its self-conjugate columns from
     rounding, which irfft2 drops, so there the Fourier member's difference
@@ -540,18 +542,73 @@ class _SpectralState:
 
     ``coordinates(x)`` is v, and ``point(v)`` is one checked irfft2, cached
     for the last v it was asked for.  It has no screen.
+
+    The box certificate.  A box draw that maps X back and finds the box
+    holding the point x_a reads min and max first, skips the clamp, and
+    anchors there: X_a, ||v_a|| and the margin m_a = min(min x_a, 255 -
+    max x_a), all read from the computed x_a.  A later box draw at X, other
+    than the X last mapped back, bounds the pixel change by the weighted
+    l1 norm B = sum_e w_e |X_e - X_a,e| of the half-spectrum change: x is
+    the real part of ifft2 of the full spectrum that X / w stands for, an
+    entry of a self-conjugate column appears there once with weight 1 / N
+    = w_e / sqrt(N), every other entry twice, and so in exact arithmetic
+    ||x - x_a||_inf <= B <= ||v - v_a|| (Cauchy-Schwarz, the squared
+    weights summing to 1).  When
+
+        B (1 + delta) + cu (||v|| + ||v_a||) < m_a,
+
+    every pixel that the checked inverse would compute lies in ]0, 255[,
+    the clamp would give an exact zero row, and the draw takes no inverse.
+    With u = 2^-53, N = n^2 pixels and N_h = n (n/2 + 1) half-spectrum
+    entries:
+
+    * the computed B is within (N_h + 6) u B of the exact one: a rounding
+      of the subtraction, of the modulus, of each weight and of each
+      product, and the sum of N_h terms in any order (Higham, Accuracy and
+      Stability of Numerical Algorithms, eq. 3.4); delta = 10^3 (N_h + 8) u;
+    * the computed inverse of X is within c_N u ||v|| of the exact one in
+      the 2-norm, so in every pixel, with c_N = 7 log2(2N) + 5: the division
+      by w rounds each entry by at most 3 u, and each pass of a radix-2
+      FFT by at most 7 u log2 of its length to first order (Higham, Thm
+      24.2, eta = mu + gamma_4 (sqrt 2 + mu) with accurate twiddles), so
+      the two passes of the inverse by 7 u log2 N, log2(2N) allowing for
+      the real-output packing and 2 u for the scaling; the same holds for
+      x_a with ||v_a||, and cu = 10^3 c_N u leaves 10^3 times the bound for
+      other radices and for the computed norms;
+    * m_a is exact: min x_a is read, and 255 - max x_a is exact when max
+      x_a >= 127.5 (Sterbenz) and exceeds min x_a otherwise.
+
+    At the desk image (n = 64, ||v|| near 9e3) the allowance is about
+    2e-7 of a pixel.  Before it skips, the draw makes the cheap residue
+    test of the inverse it replaces (``operators._unsettled_residue``) on
+    the same divided entries; when that test cannot settle the residue,
+    the draw takes the full checked inverse instead, so a corrupted X
+    raises at the same draw either way.  A NaN in X fails the comparison
+    and takes the full path too.  The bound is read only for a decision
+    whose outcome is the row the full path would give, so the run's bits
+    do not depend on it.
     """
 
     screen = None
 
     def __init__(self, problem: ImageProblem):
         self._problem = problem
-        self._shape = (problem.n, problem.n // 2 + 1)   # of X
+        n = problem.n
+        self._grid = (n, n)
+        self._shape = (n, n // 2 + 1)   # of X
         self._balls: dict = {}   # ball k -> D_k
         self._fourier = None     # the Fourier member's D on the mask
         self._box = None         # the box's row
         self._ks: list = []
         self._seen = self._point = None   # the last v mapped back, and its point
+        # the box certificate: the weight of each entry of X, the relative
+        # headroom delta of B, cu, and the anchor X_a, ||v_a||, m_a
+        self._entry_weights = np.tile(problem._weights, n)
+        self._edge_weight = float(problem._weights[0])
+        self._delta = 1e3 * (n * (n // 2 + 1) + 8) * 2.0 ** -53
+        self._cu = 1e3 * (7.0 * math.log2(2 * n * n) + 5.0) * 2.0 ** -53
+        self._anchor = None
+        self._anchor_norm = self._margin = 0.0
 
     def coordinates(self, x) -> np.ndarray:
         """The coordinates v of the point ``x``, once x is checked."""
@@ -563,6 +620,36 @@ class _SpectralState:
             self._point = self._problem._inverse(v.view(np.complex128).reshape(self._shape))
             self._seen = v
         return self._point
+
+    def _box_certified(self, v: np.ndarray) -> bool:
+        """Whether the anchor's margin proves that the box holds the point
+        whose coordinates are ``v``, and the cheap residue test passes."""
+        anchor = self._anchor
+        if anchor is None:
+            return False
+        change = np.abs((v - anchor).view(np.complex128))
+        bound = float(change.dot(self._entry_weights))
+        allowance = self._cu * (math.sqrt(float(v.dot(v))) + self._anchor_norm)
+        if not bound * (1.0 + self._delta) + allowance < self._margin:
+            return False
+        return _unsettled_residue(v.view(np.complex128), self._grid, self._edge_weight) is None
+
+    def _box_row(self, v: np.ndarray):
+        """The box's row p - x at the point whose coordinates are ``v``, or
+        None when the box holds that point."""
+        if v is not self._seen and self._box_certified(v):
+            return None
+        x = self.point(v)
+        # minimum.reduce is ndarray.min without its Python wrapper
+        lo, hi = float(np.minimum.reduce(x)), float(np.maximum.reduce(x))
+        if 0.0 <= lo and hi <= PIXEL_MAX:   # NaN fails, and takes the clamp
+            if v is not self._anchor:
+                self._anchor, self._anchor_norm = v, math.sqrt(float(v.dot(v)))
+                self._margin = min(lo, PIXEL_MAX - hi)
+            return None
+        d = np.minimum(np.maximum(x, 0.0), PIXEL_MAX)
+        d -= x
+        return d
 
     def evaluate(self, ks, v):
         """The step norms r of the members ``ks`` at the point whose
@@ -581,12 +668,8 @@ class _SpectralState:
             if j < i:
                 r[i] = r[j]
             elif k == _BOX:
-                x = self.point(v)
-                d = np.minimum(np.maximum(x, 0.0), PIXEL_MAX)
-                d -= x
-                r[i] = math.sqrt(float(d @ d))
-                if d.any():
-                    self._box = d
+                d = self._box = self._box_row(v)
+                r[i] = 0.0 if d is None else math.sqrt(float(d @ d))
             elif k == _FOURIER:
                 diff = problem._hermitian_part(
                     problem._target_values - spectrum.ravel()[problem._mask_flat])

@@ -153,6 +153,27 @@ def _half_weights(n1: int, n2: int) -> np.ndarray:
     return w
 
 
+def _unsettled_residue(flat: np.ndarray, shape: tuple, scale: float = 1.0):
+    """2 A, twice the anti-Hermitian part of the self-conjugate columns of
+    the half spectrum ``flat / scale`` (flattened, of a grid of ``shape``;
+    ``scale`` is one weight shared by those columns), when the cheap bound
+    sum |A| / N of the residue that irfft2 drops exceeds 1e-9, the floor of
+    ``_half_inverse``'s tolerance; None when that bound settles the check.
+
+    Only the entries of those columns are divided, each as the whole
+    spectrum's division would divide it, so the test reads the same bits
+    whether or not the rest of the spectrum is divided.
+    """
+    at, mirror = _self_conjugate_entries(shape)
+    anti = flat.take(at)
+    mirrored = np.conj(flat.take(mirror))
+    if scale != 1.0:
+        anti /= scale
+        mirrored /= scale
+    anti -= mirrored
+    return anti if float(np.abs(anti).sum()) > 2e-9 * shape[0] * shape[1] else None
+
+
 def _half_inverse(spectrum: np.ndarray, shape: tuple) -> np.ndarray:
     """The real grid ``irfft2(spectrum, s=shape)``, once the imaginary residue
     that irfft2 drops is verified against 1e-9 (relative to the grid scale).
@@ -165,15 +186,13 @@ def _half_inverse(spectrum: np.ndarray, shape: tuple) -> np.ndarray:
     ifft(A_c)[j].  Its largest modulus is the residue
     max_j sum_c |ifft(A_c)[j]| / n2, since c = n2 / 2 flips sign with m.
     Each |ifft(A_c)[j]| is at most the mean of |A_c|, so sum |A| / N bounds
-    the residue; only when that bound exceeds 1e-9, the tolerance's floor,
-    is the residue itself computed and compared with 1e-9 max(1, max|out|).
+    the residue; only when that bound exceeds 1e-9, the tolerance's floor
+    (``_unsettled_residue``), is the residue itself computed and compared
+    with 1e-9 max(1, max|out|).
     """
     out = np.fft.irfft2(spectrum, s=shape)
-    at, mirror = _self_conjugate_entries(shape)
-    flat = spectrum.reshape(-1)
-    anti = flat.take(at)   # 2 A
-    anti -= np.conj(flat.take(mirror))
-    if float(np.abs(anti).sum()) > 2e-9 * out.size:
+    anti = _unsettled_residue(spectrum.reshape(-1), shape)
+    if anti is not None:
         residue = float(np.abs(np.fft.ifft(anti, axis=0)).sum(axis=1).max()) / (2 * shape[1])
         tol = 1e-9 * max(1.0, float(np.abs(out).max()))
         if residue > tol:

@@ -707,11 +707,14 @@ class TestSpectralState:
     def test_run_transforms_counted_by_box_draws_and_moves(self, monkeypatch):
         # rfft2: x0, the reference, and the box's share whenever the box
         # moves x; irfft2: once for each distinct X at which the box is
-        # drawn, and for the final point unless that X was one of them
+        # drawn and not certified, and for the final point unless that X was
+        # one of them.  The certificate spares most of the inverses: the
+        # parent of the certificate took 531 on this run, 0.21 per iteration
         prob, fam = self.desk()
-        drawn, box_moves, mapped = [], [], []
+        drawn, box_moves, mapped, certified = [], [], [], {}
         evaluate, step = experiments._SpectralState.evaluate, experiments._SpectralState.step
         point = experiments._SpectralState.point
+        certify = experiments._SpectralState._box_certified
 
         def counted_evaluate(state, ks, spectrum):
             if 4 in ks:
@@ -726,25 +729,41 @@ class TestSpectralState:
             mapped.append(spectrum)
             return point(state, spectrum)
 
+        def counted_certify(state, spectrum):
+            held = certify(state, spectrum)
+            certified.setdefault(id(spectrum), []).append(held)
+            return held
+
         monkeypatch.setattr(experiments._SpectralState, "evaluate", counted_evaluate)
         monkeypatch.setattr(experiments._SpectralState, "step", counted_step)
         monkeypatch.setattr(experiments._SpectralState, "point", counted_point)
+        monkeypatch.setattr(experiments._SpectralState, "_box_certified", counted_certify)
         cfg = BlockConfig(batch_size=2, delta=0.25, relaxation=canonical_strategies()["uniform"],
                           max_iters=2500, seed=3, atol=0.0, record_every=7)
         calls = count_transforms(monkeypatch)
         res = run_block(fam, cfg, np.zeros(prob.dim), reference_solution=prob.ground_truth)
         assert sum(box_moves) > 0 and len(box_moves) > sum(box_moves)
         assert calls.count("rfft2") == 1 + sum(box_moves) + 1
-        distinct = {id(spectrum) for spectrum in drawn} | {id(mapped[-1])}
-        assert calls.count("irfft2") == len(distinct) < len(drawn)
-        assert calls.count("irfft2") / res.trace.footer["iterations_run"] < 0.3
+        # without records or audits an X is mapped back before it is drawn
+        # again, so the certificate was asked at every distinct X drawn
+        assert {id(spectrum) for spectrum in drawn} == set(certified)
+        uncertified = {key for key, held in certified.items() if not all(held)}
+        assert calls.count("irfft2") == len(uncertified | {id(mapped[-1])}) < len(drawn)
+        assert sum(held.count(True) for held in certified.values()) > len(drawn) / 4
+        assert calls.count("irfft2") / res.trace.footer["iterations_run"] < 0.15
         assert set(calls) == {"rfft2", "irfft2"}
 
-    @pytest.mark.parametrize("kind", ["anti-Hermitian"])
-    def test_corrupted_spectrum_is_caught(self, monkeypatch, rng, kind):
+    @pytest.mark.parametrize("when", [pytest.param("from x0", id="anti-Hermitian"),
+                                      pytest.param("while certified",
+                                                   id="anti-Hermitian-while-certified")])
+    def test_corrupted_spectrum_is_caught(self, monkeypatch, rng, when):
         # an anti-Hermitian error in the self-conjugate columns of X leaves an
         # imaginary residue in the next inverse: the box's, or the final
         # point's.  (An error that keeps X Hermitian is just another iterate.)
+        # Entered by a step once the box certificate has an anchor, the error
+        # barely moves its bound, so the next box draw passes the bound, and
+        # the certificate's residue test sends it to the checked inverse: the
+        # run raises at the same iteration as with the certificate switched off
         prob, fam = self.desk()
         error = 1e-3 * np.fft.rfft2(rng.standard_normal((prob.n, prob.n)))
         self_conjugate = error[:, ::prob.n // 2] * 1.0j
@@ -752,19 +771,55 @@ class TestSpectralState:
         error[:, ::prob.n // 2] = self_conjugate
         error = error.reshape(-1).view(np.float64)   # in the state's real coordinates
         run_state = fam.run_state
+        evaluated, tests = [], []
 
         def corrupted(x0):
             state = run_state(x0)
-            coordinates = state.coordinates
-            state.coordinates = lambda x: coordinates(x) + error
+            if when == "from x0":
+                coordinates = state.coordinates
+                state.coordinates = lambda x: coordinates(x) + error
+                return state
+            evaluate, step = state.evaluate, state.step
+
+            def counted(ks, v):
+                evaluated.append(ks)
+                return evaluate(ks, v)
+
+            def corrupting(beta):
+                out = step(beta)
+                if len(evaluated) > 40 and not tests:
+                    tests.append(None)   # once, from the first step after iteration 40
+                    out = out + 1e-2 * error
+                return out
+
+            state.evaluate, state.step = counted, corrupting
             return state
+
+        unsettled = experiments._unsettled_residue
+
+        def residue_test(flat, shape, scale=1.0):
+            anti = unsettled(flat, shape, scale)
+            tests.append((len(evaluated), anti is None))
+            return anti
 
         cfg = BlockConfig(batch_size=2, delta=0.25, relaxation=canonical_strategies()["uniform"],
                           max_iters=100, seed=3, atol=0.0)
         run_block(fam, cfg, np.zeros(prob.dim))   # the checks pass on a sound run
         monkeypatch.setattr(fam, "run_state", corrupted)
+        monkeypatch.setattr(experiments, "_unsettled_residue", residue_test)
         with pytest.raises(NumericError, match="imaginary residue"):
             run_block(fam, cfg, np.zeros(prob.dim))
+        if when == "from x0":
+            return
+        # the raising box draw passed the bound, and the residue test failed
+        at = len(evaluated)
+        assert 40 < at < cfg.max_iters and tests[-1] == (at, False)
+        evaluated.clear()
+        tests.clear()
+        monkeypatch.setattr(experiments._SpectralState, "_box_certified", lambda state, v: False)
+        with pytest.raises(NumericError, match="imaginary residue"):
+            run_block(fam, cfg, np.zeros(prob.dim))
+        assert len(evaluated) == at and tests == [None]
 
     def test_fourier_step_keeps_only_the_hermitian_part_of_its_difference(self):
         # in the self-conjugate columns X drifts off Hermitian symmetry by

@@ -14,7 +14,10 @@ round against, and its norms also to 1e-12 relative.  The properties:
    to 1e-12 relative;
 2. ``evaluate`` gives None exactly when the bare ``evaluate`` does, which is
    when every member fixes x, and else the bare norms.  Each bare row is the
-   member's own, an exact zero where it fixes x, and v.dot(v) is its norm;
+   member's own, an exact zero where it fixes x, and v.dot(v) is its norm.
+   The state has evaluated all members at the kind's anchor point first, so
+   a screened state answers from its radii and the image state from its box
+   certificate wherever they hold;
 3. ``point(step(beta))`` is ``beta @`` the bare rows, for drawn beta;
 4. every batch that ``screen`` clears is all-fixed at that x, and it clears
    nothing at an x it has not seen;
@@ -180,9 +183,12 @@ def test_coordinates_are_a_linear_isometry(name, pick, shift, seed, other, a, b)
 @given(pick=PICKS, shift=SHIFTS, seed=SEEDS, batch=BATCHES)
 @example(pick=0, shift=0.0, seed=0, batch=[0, 1, 2, 3, 4])   # all-fixed, the image's too
 @example(pick=2, shift=0.0, seed=0, batch=[5, 0, 5, 1])   # a ball after the Fourier member
+@example(pick=0, shift=0.1, seed=0, batch=[4, 2, 4])   # near the anchor: radii, the certificate
 def test_evaluate_matches_the_bare_evaluate(name, pick, shift, seed, batch):
     kind, x, ks = drawn(name, pick, shift, seed, batch)
     state, reference = probe(kind, x, len(ks), seed)
+    if kind.errors is None:   # the error-tolerant state holds one batch of errors
+        state.evaluate(list(range(len(kind.family))), state.coordinates(kind.points[0]))
     r, out = state.evaluate(ks, state.coordinates(x)), reference(ks, x)
     assert (r is None) == (out is None)
     owns = [kind.family.evaluate([k], x) for k in ks]
@@ -209,6 +215,46 @@ def test_evaluate_matches_the_bare_evaluate(name, pick, shift, seed, batch):
             np.testing.assert_allclose(d, own[0][0], rtol=1e-12, atol=1e-12 * abs(d).max())
         else:
             assert d.tobytes() == own[0][0].tobytes()
+
+
+def test_box_certificate_holds_to_its_margin_and_allowance(monkeypatch):
+    # a constant shift c of the anchor x_a moves every pixel by c, and the
+    # certificate's bound B = sum_e w_e |X_e - X_a,e| is c too: it is tight
+    # there.  Toward the side of the margin m_a, the box draw takes no
+    # irfft2 while B (1 + delta) + cu (||v|| + ||v_a||) < m_a, and one just
+    # past that, where the box still holds; past m_a the box moves x
+    kind = kind_of("image")
+    state = kind.family.run_state(kind.start)
+    anchor = state.coordinates(kind.points[0])
+    assert state.evaluate([4], anchor) is None   # anchors there
+    x = state.point(anchor)
+    lo, hi = x.min(), 255.0 - x.max()
+    margin, sign = min(lo, hi), 1.0 if hi <= lo else -1.0
+    n = math.isqrt(x.size)
+    u = 2.0 ** -53
+    delta = 1e3 * (n * (n // 2 + 1) + 8) * u
+    allowance = 2e3 * (7.0 * math.log2(2 * x.size) + 5.0) * u * math.sqrt(float(anchor @ anchor))
+    assert allowance > 20.0 * delta * margin   # so the probes below sit within the allowance
+    inverses = []
+    irfft2 = np.fft.irfft2
+
+    def counted(*args, **kwargs):
+        inverses.append(args)
+        return irfft2(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft2", counted)
+    for c, transforms, holds in ((margin - 2.0 * allowance, 0, True),
+                                 (margin - 0.5 * allowance, 1, True),
+                                 (1.01 * margin, 1, False)):
+        v = anchor.copy()
+        v[0] += sign * c * n   # X[0, 0], the mean, is n x mean(x) with w = 1 / n there
+        inverses.clear()
+        r = state.evaluate([4], v)
+        assert len(inverses) == transforms and (r is None) == holds
+        out = kind.family.evaluate([4], state.point(v))
+        assert (out is None) == holds
+        if not holds:
+            assert r[0] == out[1][0] > 0.0
 
 
 @pytest.mark.parametrize("name", KINDS)
