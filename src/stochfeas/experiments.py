@@ -41,15 +41,18 @@ v.dot(v), are the same as in space.  The dB column is measured against
 the coordinates of the reference, taken once per run.  The steps of the
 balls and the Fourier member are linear in X; the box's is not, so the run
 maps X back to space, by one checked irfft2 kept while X is unchanged,
-only when the box is drawn, when it writes records or audits Fejer
-points, and once for the final point.  When the box moves x, the step
-spectrum S takes the weighted rfft2 of the box's share.
+only when the box is drawn and its certificate cannot prove the box
+holding, when it writes records or audits Fejer points, and once for the
+final point.  The certificate bounds the pixel change since the last X at
+which the box was seen holding by a weighted l1 norm of the spectrum
+change, and still makes the inverse's cheap residue test.  When the box
+moves x, the step spectrum S takes the weighted rfft2 of the box's share.
 
 There is no second copy of x to drift from.  What rounding leaves in X
 that no real image has is an anti-Hermitian part in the self-conjugate
 columns, which irfft2 drops and each checked inverse measures as its
 imaginary residue.  Over criterion 8's const1 run (20,000 iterations,
-4,853 inverses) that residue stayed at most 3.0e-17 of max(1, max|x|),
+4,616 inverses) that residue stayed at most 3.2e-17 of max(1, max|x|),
 with no growth over the run.  The image tolerances, each relative to the
 scale named:
 
@@ -549,11 +552,12 @@ class _SpectralState:
     max x_a), all read from the computed x_a.  A later box draw at X, other
     than the X last mapped back, bounds the pixel change by the weighted
     l1 norm B = sum_e w_e |X_e - X_a,e| of the half-spectrum change: x is
-    the real part of ifft2 of the full spectrum that X / w stands for, an
-    entry of a self-conjugate column appears there once with weight 1 / N
-    = w_e / sqrt(N), every other entry twice, and so in exact arithmetic
-    ||x - x_a||_inf <= B <= ||v - v_a|| (Cauchy-Schwarz, the squared
-    weights summing to 1).  When
+    the real part of ifft2 of the full spectrum that X / w stands for, in
+    which an entry of a self-conjugate column appears once and every other
+    entry twice, so X_e moves each pixel by at most |X_e| / (N w_e) or
+    twice that, w_e |X_e| either way (N w_e^2 is 1 or 2).  In exact
+    arithmetic ||x - x_a||_inf <= B <= ||v - v_a|| (Cauchy-Schwarz, the
+    squared weights summing to 1).  When
 
         B (1 + delta) + cu (||v|| + ||v_a||) < m_a,
 
