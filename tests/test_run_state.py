@@ -222,14 +222,16 @@ def test_box_certificate_holds_to_its_margin_and_allowance(monkeypatch):
     # certificate's bound B = sum_e w_e |X_e - X_a,e| is c too: it is tight
     # there.  Toward the side of the margin m_a, the box draw takes no
     # irfft2 while B (1 + delta) + cu (||v|| + ||v_a||) < m_a, and one just
-    # past that, where the box still holds; past m_a the box moves x
+    # past that, where the box still holds; past m_a the box moves x.  The
+    # allowance is taken as 2 cu ||v_a||: the probes' ||v|| is within 10% of
+    # ||v_a||, and the probes sit half and twice the allowance from m_a
     kind = kind_of("image")
     state = kind.family.run_state(kind.start)
     anchor = state.coordinates(kind.points[0])
     assert state.evaluate([4], anchor) is None   # anchors there
     x = state.point(anchor)
-    lo, hi = x.min(), 255.0 - x.max()
-    margin, sign = min(lo, hi), 1.0 if hi <= lo else -1.0
+    below, above = x.min(), 255.0 - x.max()
+    margin, sign = min(below, above), 1.0 if above <= below else -1.0
     n = math.isqrt(x.size)
     u = 2.0 ** -53
     delta = 1e3 * (n * (n // 2 + 1) + 8) * u
