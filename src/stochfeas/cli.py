@@ -1,9 +1,13 @@
 """Command line front end.
 
-Commands: toy | km | sgd | signal | image.  Each command takes only the
-flags and config-file keys it reads, validates its configuration against
-the hypotheses of the target method before running and names the first
-violated one on rejection.  Per-run traces go to
+Commands: toy | km | sgd | signal | image, each stated once in ``_COMMANDS``:
+the flags and config-file keys it reads beyond the common ones, and its
+defaults.  A command takes only its own keys.  ``parse_and_validate`` parses
+the flags and the config file and merges them over the defaults, and
+``RunConfig.__post_init__`` is the one place the result is checked against
+the hypotheses of the target method, before anything runs, naming the first
+violated one on rejection.  Relaxations are read through ``relaxation``'s
+one kind table.  Per-run traces go to
 ``<output_dir>/<command>_<strategy>_<seed>.csv``, averaged traces to
 ``<command>_<strategy>_avg.csv``, and a run summary array to
 ``summary.json``.
@@ -51,7 +55,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_INVARIANT = 4
 
-_COMMANDS = ("toy", "km", "sgd", "signal", "image")
 # The type a config-file value must have, by key; a float key also takes an integer.
 _CONFIG_TYPES = {
     "command": str, "seed": int, "M": int, "delta": float, "relaxation": (str, dict),
@@ -63,27 +66,33 @@ _CHOICES = {
     "scale": ("desk", "paper"),
     "weight_rule": (UNIFORM_OVER_BATCH, MAX_RESIDUAL_CONCENTRATED),
 }
-# The keys, as flags and config-file keys, that each command reads.
+# The keys, as flags and config-file keys, that every command reads.
 _COMMON_KEYS = ("seed", "iters", "repeats", "output_dir")
 _BLOCK_KEYS = ("M", "delta", "weight_rule", "dump_records", "relaxation")
-_COMMAND_KEYS = {
-    "toy": _BLOCK_KEYS,
-    "km": ("relaxation", "noise_c", "noise_q"),
-    "sgd": ("nu", "beta"),
-    "signal": _BLOCK_KEYS + ("scale",),
-    "image": _BLOCK_KEYS + ("scale",),
+# Each command: the keys it reads beyond the common ones, and its defaults.
+_COMMANDS = {
+    "toy": (_BLOCK_KEYS, {"M": 2, "iters": 200, "relaxation": "const:1"}),
+    "km": (("relaxation", "noise_c", "noise_q"), {"iters": 2000, "relaxation": "const:0.5"}),
+    "sgd": (("nu", "beta"), {"iters": 100_000}),
+    "signal": (_BLOCK_KEYS + ("scale",), {"M": 16, "iters": 4000}),
+    "image": (_BLOCK_KEYS + ("scale",), {"M": 2, "iters": 20_000}),
 }
-
-_DEFAULT_M = {"toy": 2, "signal": 16, "image": 2}
-_DEFAULT_ITERS = {"toy": 200, "km": 2000, "sgd": 100_000, "signal": 4000, "image": 20_000}
 
 
 @dataclass
 class RunConfig:
+    """One command's configuration; building it checks it and completes it.
+
+    ``delta`` defaults to 0.5 / M.  ``strategies`` maps each output label to
+    its relaxation strategy: the one ``relaxation`` names, else the four
+    canonical ones (``sgd``: its one label and None).  The solver config of
+    the first strategy checks the method's hypotheses.
+    """
+
     command: str
     seed: int = 0
     M: int = 1
-    delta: float = 0.25
+    delta: Optional[float] = None
     relaxation: Optional[object] = None
     iters: int = 1000
     repeats: int = 1
@@ -95,25 +104,43 @@ class RunConfig:
     noise_c: Optional[float] = None
     noise_q: Optional[float] = None
     dump_records: bool = False
-    strategies: dict = field(default_factory=dict)
+    strategies: dict = field(init=False)
+
+    def __post_init__(self):
+        if self.M < 1:
+            raise ConfigurationError(f"batch size M must be >= 1, got {self.M}")
+        if self.delta is None:
+            self.delta = 0.5 / self.M
+        if self.repeats < 1:
+            raise ConfigurationError("repeats must be >= 1")
+        if self.iters < 1:
+            raise ConfigurationError("iters must be >= 1")
+        if self.command == "sgd":
+            self.strategies = {f"nu{self.nu:g}": None}
+        elif self.relaxation is None:
+            self.strategies = dict(canonical_strategies())
+        else:
+            strategy = _parse_relaxation(self.relaxation)
+            self.strategies = {rx.strategy_label(strategy): strategy}
+        # the solver config raises on hypothesis violations, e.g. "nu in ]2/3, 1]"
+        _solver_config(self, next(iter(self.strategies.values())), self.seed)
 
 
 def parse_relaxation_shorthand(spec: str) -> rx.RelaxationStrategy:
-    """Grammar: const:<v> | two_point:<a>:<pa>:<b> | uniform:<lo>:<hi>."""
-    parts = spec.split(":")
-    try:
-        if parts[0] == "const" and len(parts) == 2:
-            return rx.Constant(float(parts[1]))
-        if parts[0] == "two_point" and len(parts) == 4:
-            return rx.TwoPoint(float(parts[1]), float(parts[2]), float(parts[3]))
-        if parts[0] == "uniform" and len(parts) == 3:
-            return rx.UniformInterval(float(parts[1]), float(parts[2]))
-    except (ValueError, UsageError) as exc:
-        raise ConfigurationError(f"bad relaxation shorthand {spec!r}: {exc}") from exc
-    raise ConfigurationError(
-        f"bad relaxation shorthand {spec!r}; expected const:<v>, "
-        "two_point:<a>:<pa>:<b>, or uniform:<lo>:<hi>"
-    )
+    """Grammar: const:<value> | two_point:<a>:<p_a>:<b> | uniform:<lo>:<hi>,
+    the tagged-object form's kind and fields in order; the fields get the
+    same checks as the tagged form's."""
+    name, *values = spec.split(":")
+    for kind, (_, fields, shorthand, _) in rx._CONFIG_KINDS.items():
+        if name == shorthand and len(values) == len(fields):
+            try:
+                return rx.strategy_from_config(
+                    {"kind": kind, **dict(zip(fields, map(float, values)))})
+            except (ValueError, UsageError) as exc:
+                raise ConfigurationError(f"bad relaxation shorthand {spec!r}: {exc}") from exc
+    grammar = ", ".join(":".join([shorthand, *(f"<{f}>" for f in fields)])
+                        for _, fields, shorthand, _ in rx._CONFIG_KINDS.values())
+    raise ConfigurationError(f"bad relaxation shorthand {spec!r}; expected one of {grammar}")
 
 
 def _parse_relaxation(value) -> rx.RelaxationStrategy:
@@ -138,10 +165,10 @@ class _ArgumentParser(argparse.ArgumentParser):
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(prog="stochfeas")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (keys, _) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None, help="JSON config file")
-        for key in _COMMON_KEYS + _COMMAND_KEYS[name]:
+        for key in _COMMON_KEYS + keys:
             flag = "--" + key.replace("_", "-")
             if key == "dump_records":
                 p.add_argument(flag, dest=key, action="store_const", const=True, default=None)
@@ -170,17 +197,17 @@ def _check_file_value(key: str, value):
 
 
 def parse_and_validate(argv) -> RunConfig:
-    """Parse flags (over an optional JSON config file) into a validated RunConfig.
+    """Parse flags (over an optional JSON config file) into a RunConfig,
+    which checks itself.
 
     Precedence: command-line flags override config-file values, which
     override per-command defaults.
     """
     args = _build_parser().parse_args(argv)
     command = args.command
-    keys = ("command",) + _COMMON_KEYS + _COMMAND_KEYS[command]
-    values = {"command": command, "iters": _DEFAULT_ITERS[command]}
-    if command in _DEFAULT_M:
-        values["M"] = _DEFAULT_M[command]
+    own_keys, defaults = _COMMANDS[command]
+    keys = ("command",) + _COMMON_KEYS + own_keys
+    values = {"command": command, **defaults}
     if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
@@ -201,32 +228,7 @@ def parse_and_validate(argv) -> RunConfig:
         flag = getattr(args, key)
         if flag is not None:
             values[key] = flag
-    if "M" in values:
-        if values["M"] < 1:
-            raise ConfigurationError(f"batch size M must be >= 1, got {values['M']}")
-        values.setdefault("delta", 0.5 / values["M"])
-    cfg = RunConfig(**values)
-    _validate(cfg)
-    return cfg
-
-
-def _validate(cfg: RunConfig) -> None:
-    if cfg.repeats < 1:
-        raise ConfigurationError("repeats must be >= 1")
-    if cfg.iters < 1:
-        raise ConfigurationError("iters must be >= 1")
-
-    if cfg.command == "sgd":
-        cfg.strategies = {f"nu{cfg.nu:g}": None}
-    elif cfg.relaxation is not None or cfg.command == "km":
-        strategy = _parse_relaxation("const:0.5" if cfg.relaxation is None else cfg.relaxation)
-        cfg.strategies = {rx.strategy_label(strategy): strategy}
-    elif cfg.command == "toy":
-        cfg.strategies = {"const1": rx.Constant(1.0)}
-    else:
-        cfg.strategies = dict(canonical_strategies())
-    # the config constructor raises on hypothesis violations, e.g. "nu in ]2/3, 1]"
-    _solver_config(cfg, next(iter(cfg.strategies.values())), cfg.seed)
+    return RunConfig(**values)
 
 
 def _solver_config(cfg: RunConfig, strategy, seed: int):
@@ -333,7 +335,7 @@ def execute(cfg: RunConfig) -> int:
                 _write_records(out_dir / f"{stem}_records.jsonl", res.records)
         for label, avg in averaged:
             avg.write_csv(out_dir / f"{cfg.command}_{label}_avg.csv")
-    except (ConfigurationError, UsageError) as exc:
+    except UsageError as exc:
         _emit_error("config", exc)
         return EXIT_CONFIG
     except NumericError as exc:
@@ -382,7 +384,7 @@ def main(argv=None) -> int:
     try:
         cfg = parse_and_validate(argv)
         Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
-    except (ConfigurationError, UsageError, OSError, json.JSONDecodeError) as exc:
+    except (UsageError, OSError, json.JSONDecodeError) as exc:
         _emit_error("config", exc)
         return EXIT_CONFIG
     return execute(cfg)

@@ -444,8 +444,6 @@ class ImageProblem:
         sampling the spectrum constraint more often speeds up unit-relaxation
         runs on small instances, where it is the binding constraint.
         """
-        if fourier_weight == 1.0:
-            return _ImageFamily(self)
         if fourier_weight <= 0.0:
             raise UsageError("fourier_weight must be positive")
         weights = np.array([1.0] * 5 + [float(fourier_weight)])

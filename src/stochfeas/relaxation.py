@@ -1,23 +1,28 @@
 """Relaxation strategies: distributions for the per-iteration relaxation draw.
 
-A strategy is an immutable distribution with positive support, closed-form
-moments, and a cap ``rho = max(2, sup of the support)``.
-The key derived quantity is the damping ``E[lam (2 - lam)]``.  Each run's
-config checks its own hypotheses on the strategy when it is built: the block
-iteration needs a positive damping, its error-tolerant variant also support
-inside ]0, 2[, and relaxed KM support inside ]0, 1/alpha[, all through
-:func:`require_support_inside` and :meth:`RelaxationStrategy.moments`.
+A strategy is an immutable distribution with positive support and
+closed-form moments.  The key derived quantity is the damping
+``E[lam (2 - lam)]``.  Each run's config checks its own hypotheses on the
+strategy when it is built: the block iteration needs a positive damping,
+its error-tolerant variant also support inside ]0, 2[, and relaxed KM
+support inside ]0, 1/alpha[, all through :func:`require_support_inside`
+and :meth:`RelaxationStrategy.moments`.
 
 Moments are always computed in closed form; sampling exists only to drive
 iterations, which take their draws from :meth:`RelaxationStrategy.draws`,
 1024 at a time.  Strategies are immutable and shareable across threads; the
 generators passed to their ``sample`` and ``draws`` methods are single-owner.
+
+Each kind is stated once, in ``_CONFIG_KINDS``: its class, the fields of its
+tagged-object form, its shorthand name and its label prefix, read by
+:func:`strategy_from_config`, :func:`strategy_label` and the command line's
+shorthand parser.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -38,11 +43,6 @@ class RelaxationMoments:
 
 class RelaxationStrategy:
     """Base class; concrete strategies define support bounds, moments, draws."""
-
-    @property
-    def cap(self) -> float:
-        """rho = max(2, sup of the support), which bounds every draw."""
-        return max(2.0, self.support_bounds()[1])
 
     def support_bounds(self) -> tuple[float, float]:
         """Return (inf, sup) of the support."""
@@ -142,12 +142,12 @@ def require_support_inside(strategy: RelaxationStrategy, lo: float, hi: float, w
         )
 
 
-# The tagged-object kinds: each one's class and its required fields, in
-# constructor order.
+# The kinds, by tagged-object name: each one's class, its required fields in
+# constructor order, its shorthand name and its label prefix.
 _CONFIG_KINDS = {
-    "constant": (Constant, ("value",)),
-    "two_point": (TwoPoint, ("a", "p_a", "b")),
-    "uniform": (UniformInterval, ("lo", "hi")),
+    "constant": (Constant, ("value",), "const", "const"),
+    "two_point": (TwoPoint, ("a", "p_a", "b"), "two_point", "twopoint"),
+    "uniform": (UniformInterval, ("lo", "hi"), "uniform", "uniform"),
 }
 
 
@@ -168,7 +168,7 @@ def strategy_from_config(obj: dict) -> RelaxationStrategy:
     kind = obj["kind"]
     if not isinstance(kind, str) or kind not in _CONFIG_KINDS:
         raise UsageError(f"unknown relaxation kind {kind!r}")
-    cls, fields = _CONFIG_KINDS[kind]
+    cls, fields = _CONFIG_KINDS[kind][:2]
     unknown = sorted(set(obj) - {"kind", *fields})
     if unknown:
         raise UsageError(f"relaxation config for kind {kind!r} has unknown fields {unknown}")
@@ -182,11 +182,9 @@ def strategy_from_config(obj: dict) -> RelaxationStrategy:
 
 
 def strategy_label(strategy: RelaxationStrategy) -> str:
-    """Short deterministic label used in output file names."""
-    if isinstance(strategy, Constant):
-        return f"const{strategy.value:g}"
-    if isinstance(strategy, TwoPoint):
-        return f"twopoint{strategy.value_a:g}-{strategy.prob_a:g}-{strategy.value_b:g}"
-    if isinstance(strategy, UniformInterval):
-        return f"uniform{strategy.lo:g}-{strategy.hi:g}"
-    return type(strategy).__name__.lower()
+    """Short deterministic label used in output file names: the kind's prefix
+    and its fields in constructor order, joined by '-', e.g. twopoint2.3-0.5-1.5."""
+    for cls, _, _, prefix in _CONFIG_KINDS.values():
+        if isinstance(strategy, cls):
+            return prefix + "-".join(f"{value:g}" for value in astuple(strategy))
+    raise UsageError(f"no label for relaxation {strategy!r}")

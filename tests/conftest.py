@@ -13,9 +13,12 @@ and the circulant rows are the scalar forms of ``LinearFamily`` and the
 signal experiment's rows, and ``iterations_to_db`` reads a trace's dB
 column.  ``replay_sgd`` is stochastic gradient descent on the quadratic
 family from plain arrays, outside ``fixedpoint._iterate``.
+``relaxation_cap`` is the cap rho of a relaxation law in criterion 9's rate,
+and ``timing_free_text`` reads a command's artefact without its timing.
 """
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -201,6 +204,33 @@ def scalar_relaxation(strategy, rng):
     if isinstance(strategy, rx.UniformInterval):
         return strategy.lo + (strategy.hi - strategy.lo) * rng.random()
     raise TypeError(f"no transcription for {strategy!r}")
+
+
+def relaxation_cap(strategy) -> float:
+    """rho = max(2, sup of the support), which bounds every draw."""
+    return max(2.0, strategy.support_bounds()[1])
+
+
+def timing_free_text(path) -> str:
+    """The text of a command's artefact without what timing writes into it:
+    a trace CSV without its ``elapsed_s`` column, ``summary.json`` without
+    ``wall_clock_s`` (as JSON with sorted keys), any other file as written."""
+    text = path.read_text()
+    if path.name == "summary.json":
+        payload = json.loads(text)
+        for run in payload["runs"]:
+            del run["wall_clock_s"]
+        return json.dumps(payload, sort_keys=True)
+    if path.suffix != ".csv":
+        return text
+    out = []
+    for line in text.splitlines(keepends=True):
+        if not line.startswith("#"):
+            parts = line.rstrip("\n").split(",")
+            del parts[1]
+            line = ",".join(parts) + "\n"
+        out.append(line)
+    return "".join(out)
 
 
 def force_indices(monkeypatch, family, ks):

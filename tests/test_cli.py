@@ -3,11 +3,14 @@ import json
 import numpy as np
 import pytest
 
+from stochfeas import cli
 from stochfeas import relaxation as rx
 from stochfeas.block import UNIFORM_OVER_BATCH
 from stochfeas.cli import (
     EXIT_CONFIG,
+    EXIT_INVARIANT,
     EXIT_OK,
+    RunConfig,
     _build_problem,
     _solver_config,
     main,
@@ -15,31 +18,11 @@ from stochfeas.cli import (
     parse_relaxation_shorthand,
 )
 from stochfeas.diagnostics import normalized_error_db
-from stochfeas.exceptions import ConfigurationError
+from stochfeas.exceptions import ConfigurationError, InvariantViolationError
 from stochfeas.experiments import run_experiment
 from stochfeas.trace import read_trace_csv
 
-
-def strip_timing(csv_path):
-    """CSV bytes with the elapsed column removed (timing is not deterministic)."""
-    out = []
-    with open(csv_path) as fh:
-        for line in fh:
-            if line.startswith("#"):
-                out.append(line)
-                continue
-            parts = line.rstrip("\n").split(",")
-            del parts[1]
-            out.append(",".join(parts) + "\n")
-    return "".join(out)
-
-
-def summary_without_timing(path):
-    with open(path) as fh:
-        payload = json.load(fh)
-    for run in payload["runs"]:
-        run.pop("wall_clock_s", None)
-    return payload
+from conftest import timing_free_text
 
 
 class TestParsing:
@@ -59,6 +42,9 @@ class TestParsing:
             parse_relaxation_shorthand("gauss:1.0")
         with pytest.raises(ConfigurationError):
             parse_relaxation_shorthand("uniform:2.3:1.5")
+        # the fields are checked like the tagged form's
+        with pytest.raises(ConfigurationError, match="field 'value' must be a finite number"):
+            parse_relaxation_shorthand("const:nan")
 
     def test_negative_damping_rejected_with_value_in_message(self):
         with pytest.raises(ConfigurationError) as err:
@@ -85,6 +71,19 @@ class TestParsing:
         with pytest.raises(ConfigurationError) as err:
             parse_and_validate(["toy", "--config", str(path)])
         assert "seeds" in str(err.value) and "seed" in str(err.value)
+
+    def test_run_config_checks_itself(self):
+        with pytest.raises(ConfigurationError, match="M must be >= 1"):
+            RunConfig(command="signal", M=0)
+        cfg = RunConfig(command="signal", M=4)
+        assert cfg.delta == 0.125 and len(cfg.strategies) == 4
+
+    def test_config_file_for_another_command_rejected(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"command": "signal", "seed": 3}))
+        with pytest.raises(ConfigurationError,
+                           match="config file is for command 'signal', invoked 'toy'"):
+            parse_and_validate(["toy", "--config", str(path)])
 
     def test_zero_batch_size_rejected(self, tmp_path, capsys):
         code = main(["signal", "--M", "0", "--output-dir", str(tmp_path)])
@@ -126,6 +125,9 @@ class TestParsing:
         (["sgd", "--M", "3"], "unrecognized arguments: --M 3"),
         (["signal", "--scale", "huge"], "argument --scale: invalid choice: 'huge'"),
         (["km", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+        (["toy", "--repeats", "0"], "repeats must be >= 1"),
+        (["toy", "--iters", "0"], "iters must be >= 1"),
+        (["km", "--noise-c", "1"], "noise_c and noise_q must be given together"),
     ])
     def test_usage_error_is_a_config_rejection(self, tmp_path, capsys, argv, fragment):
         code = main(argv + ["--output-dir", str(tmp_path / "out")])
@@ -228,13 +230,10 @@ class TestDeterminism:
         d1, d2 = tmp_path / "a", tmp_path / "b"
         assert main(args + ["--output-dir", str(d1)]) == EXIT_OK
         assert main(args + ["--output-dir", str(d2)]) == EXIT_OK
-        f1 = sorted(p.name for p in d1.glob("*.csv"))
-        f2 = sorted(p.name for p in d2.glob("*.csv"))
-        assert f1 == f2
-        for name in f1:
-            assert strip_timing(d1 / name) == strip_timing(d2 / name)
-        assert summary_without_timing(d1 / "summary.json") == \
-            summary_without_timing(d2 / "summary.json")
+        names = sorted(p.name for p in d1.iterdir())
+        assert names == sorted(p.name for p in d2.iterdir())
+        for name in names:
+            assert timing_free_text(d1 / name) == timing_free_text(d2 / name)
 
 
 class TestArtifactLayout:
@@ -316,6 +315,27 @@ class TestKmSgdCommands:
 
 
 class TestExitCodes:
+    def test_invariant_violation_exits_4(self, tmp_path, capsys, monkeypatch):
+        def violated(*args, **kwargs):
+            raise InvariantViolationError("iterate left the audit's bound")
+
+        monkeypatch.setattr(cli, "run_block", violated)
+        code = main(["toy", "--iters", "5", "--output-dir", str(tmp_path)])
+        assert code == EXIT_INVARIANT
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": "invariant",
+                                   "message": "iterate left the audit's bound"}
+
+    def test_fejer_violation_exits_4_with_a_summary(self, tmp_path, monkeypatch):
+        # (5, 5) lies outside the solution set: the run moves away from it
+        family, x0, _ = cli._toy_problem()
+        monkeypatch.setattr(cli, "_toy_problem", lambda: (family, x0, [np.array([5.0, 5.0])]))
+        code = main(["toy", "--iters", "20", "--output-dir", str(tmp_path)])
+        assert code == EXIT_INVARIANT
+        (run,) = json.load(open(tmp_path / "summary.json"))["runs"]
+        assert run["invariant_violations"] > 0 and run["worst_violation"] > 0.0
+
     def test_numeric_failure_exits_3(self, tmp_path):
         # a huge beta makes the first SGD step hit the divergence guard
         code = main(["sgd", "--beta", "1e12", "--iters", "50", "--seed", "2",

@@ -321,6 +321,15 @@ class TestImageProblem:
         assert acc2 / total == pytest.approx(25.0 / 3.0, rel=1e-3)
         assert acc4 / total == pytest.approx(125.0, rel=1e-3)
 
+    def test_paper_scale_family_takes_the_uniform_law(self):
+        """Weight 1 goes through the weighted law, and gives the uniform law
+        of six members bit for bit."""
+        fam = generate_image_problem(n=256, seed=0).build_family()
+        weights, cum, buckets, guide = operators._uniform_law(6)
+        assert fam.weights.tobytes() == weights.tobytes()
+        assert fam._cum.tobytes() == cum.tobytes()
+        assert fam._buckets == buckets and fam._guide.tobytes() == guide.tobytes()
+
     def test_mask_size_before_mirroring(self):
         prob = generate_image_problem(n=256, seed=0)
         assert int(np.count_nonzero(prob.mask[:32, :32])) == 1024  # (n/8)^2

@@ -94,11 +94,12 @@ runs' ``final_residual`` in ``summary.json`` moved in the last digit.
 """
 
 import hashlib
-import json
 
 import pytest
 
 from stochfeas.cli import EXIT_OK, main
+
+from conftest import timing_free_text
 
 CASES = {
     "toy": (["toy", "--dump-records"],
@@ -115,29 +116,10 @@ CASES = {
 }
 
 
-def _csv_without_elapsed(text: str) -> str:
-    out = []
-    for line in text.splitlines(keepends=True):
-        if not line.startswith("#"):
-            parts = line.rstrip("\n").split(",")
-            del parts[1]
-            line = ",".join(parts) + "\n"
-        out.append(line)
-    return "".join(out)
-
-
 def artefact_digest(out_dir) -> str:
     h = hashlib.sha256()
     for path in sorted(out_dir.iterdir()):
-        text = path.read_text()
-        if path.name == "summary.json":
-            payload = json.loads(text)
-            for run in payload["runs"]:
-                del run["wall_clock_s"]
-            text = json.dumps(payload, sort_keys=True)
-        elif path.suffix == ".csv":
-            text = _csv_without_elapsed(text)
-        h.update(path.name.encode() + b"\0" + text.encode() + b"\0")
+        h.update(path.name.encode() + b"\0" + timing_free_text(path).encode() + b"\0")
     return h.hexdigest()
 
 

@@ -9,7 +9,7 @@ from stochfeas import relaxation as rx
 from stochfeas.exceptions import UsageError
 from stochfeas.rngstreams import substream
 
-from conftest import scalar_relaxation
+from conftest import relaxation_cap, scalar_relaxation
 
 
 def test_constant_moments():
@@ -108,9 +108,19 @@ def test_invalid_strategies_rejected():
 
 
 def test_cap_defaults_to_at_least_two():
-    assert rx.Constant(1.0).cap == 2.0
-    assert rx.TwoPoint(2.3, 0.5, 1.5).cap == 2.3
-    assert rx.UniformInterval(1.5, 2.3).cap == 2.3
+    assert relaxation_cap(rx.Constant(1.0)) == 2.0
+    assert relaxation_cap(rx.TwoPoint(2.3, 0.5, 1.5)) == 2.3
+    assert relaxation_cap(rx.UniformInterval(1.5, 2.3)) == 2.3
+
+
+@pytest.mark.parametrize("strategy, label", [
+    (rx.Constant(1.0), "const1"),
+    (rx.Constant(0.5), "const0.5"),
+    (rx.TwoPoint(2.3, 0.5, 1.5), "twopoint2.3-0.5-1.5"),
+    (rx.UniformInterval(1.5, 2.3), "uniform1.5-2.3"),
+])
+def test_strategy_label(strategy, label):
+    assert rx.strategy_label(strategy) == label
 
 
 def test_serialization_round_trip():
