@@ -20,17 +20,7 @@ from .block import (
     run_block,
 )
 from .diagnostics import aggregate_runs, normalized_error_db
-from .experiments import (
-    ImageProblem,
-    SignalProblem,
-    canonical_strategies,
-    desk_image_problem,
-    desk_signal_problem,
-    estimate_reference_solution,
-    generate_image_problem,
-    generate_signal_problem,
-    run_experiment,
-)
+from .experiments import canonical_strategies, estimate_reference_solution, run_experiment
 from .exceptions import (
     ConfigurationError,
     DegenerateConstraintError,
@@ -49,13 +39,8 @@ from .fixedpoint import (
     run_sgd,
 )
 from .geometry import fejer_decrement
-from .operators import (
-    LinearFamily,
-    OperatorFamily,
-    project_box,
-    sample_indices,
-    symmetrize_fourier_mask,
-)
+from .image import ImageProblem, desk_image_problem, generate_image_problem, symmetrize_fourier_mask
+from .operators import LinearFamily, OperatorFamily, project_box, sample_indices
 from .relaxation import (
     Constant,
     RelaxationMoments,
@@ -65,6 +50,7 @@ from .relaxation import (
     strategy_from_config,
     strategy_label,
 )
+from .signal import SignalProblem, desk_signal_problem, generate_signal_problem
 from .trace import ConvergenceTrace, read_trace_csv
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -37,18 +37,12 @@ from .exceptions import (
     NumericError,
     UsageError,
 )
-from .experiments import (
-    DESK_IMAGE_FOURIER_WEIGHT,
-    canonical_strategies,
-    desk_image_problem,
-    desk_signal_problem,
-    generate_image_problem,
-    generate_signal_problem,
-    run_experiment,
-)
+from .experiments import canonical_strategies, run_experiment
 from .fixedpoint import DecayingNoise, KmConfig, SgdConfig, quadratic_family, run_km, run_sgd
+from .image import DESK_IMAGE_FOURIER_WEIGHT, desk_image_problem, generate_image_problem
 from .operators import LinearFamily
 from .rngstreams import derive_seed
+from .signal import desk_signal_problem, generate_signal_problem
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

@@ -1,9 +1,7 @@
 """Firmly quasinonexpansive operator toolbox.
 
-The exact box projector, the shared parts of the image experiment's
-Fourier-support projector and ball subgradient projectors (mask and target
-checks, half spectra, the checked inverse, the projector scale), and
-indexed operator families with reproducible categorical index sampling.
+The exact box projector and indexed operator families with reproducible
+categorical index sampling.
 
 Every built-in projector P satisfies P(P(x)) = P(x) and the firm
 quasinonexpansiveness inequality
@@ -20,13 +18,14 @@ projectors onto half-spaces, hyperslabs and hyperplanes {z : lo_k <= <a_k,
 z> <= hi_k} and evaluates a batch in one matrix-vector product; it is the
 one place the slab projection is written, and with it the one sweep over
 all members' values, the violation, the clearance radii and the screened
-run state.  The signal experiment's family is a ``LinearFamily`` over
-circulant rows that only lays out its rows and sweeps by FFT.  The image
-experiment defines a family whose ``evaluate`` works on the problem's
-arrays directly.  Families are immutable after construction and safe to
-evaluate concurrently; index-sampling generators are single-owner.  The
-demiclosedness of Id - T at 0, assumed by the convergence theory, is an
-analytic property of the supplied maps and is not checked at runtime.
+run state.  The signal problem's family (``signal._SlabFamily``) is a
+``LinearFamily`` over circulant rows that only lays out its rows and sweeps
+by FFT.  The image problem's family (``image._ImageFamily``) works on the
+problem's half spectra directly.  Families are immutable after
+construction and safe to evaluate concurrently; index-sampling generators
+are single-owner.  The demiclosedness of Id - T at 0, assumed by the
+convergence theory, is an analytic property of the supplied maps and is
+not checked at runtime.
 """
 
 from __future__ import annotations
@@ -37,29 +36,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .exceptions import DegenerateConstraintError, NumericError, UsageError
+from .exceptions import UsageError
 from .geometry import as_point
-
-
-def _violated(fx: float, name: str) -> bool:
-    """Whether f(x) = ``fx`` > 0, so that the subgradient projector moves x;
-    a NaN or infinite fx raises NumericError, because no step of the
-    projector is defined there."""
-    if fx <= 0.0:
-        return False
-    if not math.isfinite(fx):
-        raise NumericError(f"constraint {name or '?'}: f(x) = {fx} is not finite")
-    return True
-
-
-def _projector_scale(fx: float, s_sq: float, name: str) -> float:
-    """t = f(x) / ||s(x)||^2 of a violated constraint, from ``s_sq`` =
-    ||s(x)||^2; a zero subgradient raises DegenerateConstraintError."""
-    if s_sq == 0.0:
-        raise DegenerateConstraintError(
-            f"constraint {name or '?'}: f(x) = {fx} > 0 but s(x) = 0"
-        )
-    return fx / s_sq
 
 
 def project_box(lo, hi, x) -> np.ndarray:
@@ -70,134 +48,6 @@ def project_box(lo, hi, x) -> np.ndarray:
     if not np.all(lo <= hi):   # a NaN bound fails the comparison too
         raise UsageError("box bounds require lo <= hi componentwise, without NaN")
     return np.minimum(np.maximum(x, lo), hi)
-
-
-# ---------------------------------------------------------------------------
-# Fourier support.
-#
-# DFT convention: unnormalized forward transform (numpy fft2) with 1/N on
-# the inverse, N the number of grid points.  Real input forces the conjugate
-# symmetry F[u, v] = conj(F[(-u) mod n1, (-v) mod n2]); masks must be closed
-# under the index mirror (u, v) -> ((-u) mod n1, (-v) mod n2).  Real grids
-# are transformed to half spectra, rfft2's columns v = 0 .. n2 // 2; the
-# other columns are the conjugate mirrors of these.  Column 0, and column
-# n2 / 2 when n2 is even, are self-conjugate: they hold each entry's mirror
-# as well.  A half spectrum stands for the full one that extends it by
-# mirroring, so ||f||^2 = ||F||^2 / N (Parseval) weighs each entry of a
-# self-conjugate column once and every other entry twice: scaled by
-# ``_half_weights``, the real view of a half spectrum has the norm of f.
-# ---------------------------------------------------------------------------
-
-def _mirror_indices(n_rows: int, n_cols: int):
-    u = np.arange(n_rows).reshape(-1, 1)
-    v = np.arange(n_cols).reshape(1, -1)
-    return (-u) % n_rows, (-v) % n_cols
-
-
-def symmetrize_fourier_mask(mask) -> np.ndarray:
-    """Close a boolean frequency mask under the real-DFT conjugate mirror."""
-    mask = np.asarray(mask, dtype=bool)
-    if mask.ndim != 2:
-        raise UsageError("Fourier mask must be a 2-D boolean grid")
-    mu, mv = _mirror_indices(*mask.shape)
-    return mask | mask[mu, mv]
-
-
-def validate_fourier_mask(mask) -> np.ndarray:
-    mask = np.asarray(mask, dtype=bool)
-    if mask.ndim != 2:
-        raise UsageError("Fourier mask must be a 2-D boolean grid")
-    mu, mv = _mirror_indices(*mask.shape)
-    if not np.array_equal(mask, mask[mu, mv]):
-        raise UsageError("Fourier mask is not closed under conjugate symmetry")
-    return mask
-
-
-def _validate_fourier_target(target_spectrum, mask) -> np.ndarray:
-    target = np.asarray(target_spectrum, dtype=np.complex128)
-    if target.shape != mask.shape:
-        raise UsageError("target spectrum and mask shapes differ")
-    mu, mv = _mirror_indices(*mask.shape)
-    mirrored = np.conj(target[mu, mv])
-    scale = max(1.0, float(np.max(np.abs(target[mask]), initial=0.0)))
-    if np.max(np.abs((target - mirrored)[mask]), initial=0.0) > 1e-9 * scale:
-        raise UsageError("target spectrum is not conjugate-symmetric on the mask")
-    return target
-
-
-def _half(full: np.ndarray) -> np.ndarray:
-    """The half of a full-grid array (spectrum or mask) that rfft2 keeps."""
-    return full[:, : full.shape[1] // 2 + 1]
-
-
-@functools.lru_cache(maxsize=16)
-def _self_conjugate_entries(shape: tuple) -> tuple:
-    """The flat positions, in the half spectrum of a grid of ``shape``, of
-    the entries (u, c) of its self-conjugate columns c, and of their mirrors
-    ((-u) mod n1, c); two read-only arrays of shape (n1, 1 or 2)."""
-    n1, n2 = shape
-    width = n2 // 2 + 1
-    cols = np.array([0] if n2 % 2 else [0, n2 // 2])
-    u = np.arange(n1).reshape(-1, 1)
-    at, mirror = u * width + cols, (-u) % n1 * width + cols
-    at.flags.writeable = mirror.flags.writeable = False
-    return at, mirror
-
-
-def _half_weights(n1: int, n2: int) -> np.ndarray:
-    """The column weights w of the half spectra of an n1 x n2 grid: sqrt(1 /
-    N) on the self-conjugate columns and sqrt(2 / N) on the others, N = n1
-    n2, so that the plain norm of the real view of w F is ||f||."""
-    w = np.full(n2 // 2 + 1, math.sqrt(2.0 / (n1 * n2)))
-    w[[0] if n2 % 2 else [0, n2 // 2]] = math.sqrt(1.0 / (n1 * n2))
-    return w
-
-
-def _unsettled_residue(flat: np.ndarray, shape: tuple, scale: float = 1.0):
-    """2 A, twice the anti-Hermitian part of the self-conjugate columns of
-    the half spectrum ``flat / scale`` (flattened, of a grid of ``shape``;
-    ``scale`` is one weight shared by those columns), when the cheap bound
-    sum |A| / N of the residue that irfft2 drops exceeds 1e-9, the floor of
-    ``_half_inverse``'s tolerance; None when that bound settles the check.
-
-    Only the entries of those columns are divided, each as the whole
-    spectrum's division would divide it, so the test reads the same bits
-    whether or not the rest of the spectrum is divided.
-    """
-    at, mirror = _self_conjugate_entries(shape)
-    anti = flat.take(at)
-    mirrored = np.conj(flat.take(mirror))
-    if scale != 1.0:
-        anti /= scale
-        mirrored /= scale
-    anti -= mirrored
-    return anti if float(np.abs(anti).sum()) > 2e-9 * shape[0] * shape[1] else None
-
-
-def _half_inverse(spectrum: np.ndarray, shape: tuple) -> np.ndarray:
-    """The real grid ``irfft2(spectrum, s=shape)``, once the imaginary residue
-    that irfft2 drops is verified against 1e-9 (relative to the grid scale).
-
-    irfft2 returns the real part of ifft2 of the full spectrum F that
-    ``spectrum`` stands for.  Mirroring makes F Hermitian outside the
-    self-conjugate columns, so its anti-Hermitian part A = (F - conj(F
-    mirrored)) / 2 lies in those columns c, and the imaginary part that
-    ifft2(F) would carry is ifft2(A)[j, m] = (1/n2) sum_c e^{2 pi i c m / n2}
-    ifft(A_c)[j].  Its largest modulus is the residue
-    max_j sum_c |ifft(A_c)[j]| / n2, since c = n2 / 2 flips sign with m.
-    Each |ifft(A_c)[j]| is at most the mean of |A_c|, so sum |A| / N bounds
-    the residue; only when that bound exceeds 1e-9, the tolerance's floor
-    (``_unsettled_residue``), is the residue itself computed and compared
-    with 1e-9 max(1, max|out|).
-    """
-    out = np.fft.irfft2(spectrum, s=shape)
-    anti = _unsettled_residue(spectrum.reshape(-1), shape)
-    if anti is not None:
-        residue = float(np.abs(np.fft.ifft(anti, axis=0)).sum(axis=1).max()) / (2 * shape[1])
-        tol = 1e-9 * max(1.0, float(np.abs(out).max()))
-        if residue > tol:
-            raise NumericError(f"imaginary residue {residue:.3e} exceeds {tol:.3e}")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +87,8 @@ class _IndexedFamily:
     point itself (``_RowState``); the image experiment's takes the weighted
     half spectrum of x, seen as real numbers.
 
-    ``LinearFamily`` and the experiments' ``_SlabFamily`` and ``_ImageFamily``
-    check x0 in ``run_state``: a wrong length raises UsageError.  The default
+    ``LinearFamily``, ``signal._SlabFamily`` and ``image._ImageFamily`` check
+    x0 in ``run_state``: a wrong length raises UsageError.  The default
     ``run_state``, which ``OperatorFamily`` uses, checks nothing and cannot,
     since its callables fix the dimension: a wrong-length x0 fails as the
     member's own error (numpy's ValueError from ``a @ x``, say), and the
@@ -430,7 +280,7 @@ class LinearFamily(_IndexedFamily):
 
     Member k's row is ``table[offsets[k]]``: here the rows themselves, and
     for the signal experiment's family windows of a strided view of its
-    base rows (``experiments._SlabFamily``).
+    base rows (``signal._SlabFamily``).
 
     One sweep, ``values(z)``, gives <a_k, z> for every member k: here one
     matrix-vector product, for the signal family one batched FFT

@@ -181,10 +181,20 @@ def strategy_from_config(obj: dict) -> RelaxationStrategy:
     return cls(*(float(obj[name]) for name in fields))
 
 
+def _label_field(value) -> str:
+    """``value`` in six significant digits when that text reads back as the
+    same number, else as the shortest text that reads back as its float."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(float(value))
+
+
 def strategy_label(strategy: RelaxationStrategy) -> str:
-    """Short deterministic label used in output file names: the kind's prefix
-    and its fields in constructor order, joined by '-', e.g. twopoint2.3-0.5-1.5."""
+    """Short deterministic label used in output file names and run seeds: the
+    kind's prefix and its fields in constructor order, joined by '-', e.g.
+    twopoint2.3-0.5-1.5.  Each field's text reads back as the field, so two
+    strategies of one kind that differ in a field get different labels
+    (const1.0000001, not const1)."""
     for cls, _, _, prefix in _CONFIG_KINDS.values():
         if isinstance(strategy, cls):
-            return prefix + "-".join(f"{value:g}" for value in astuple(strategy))
+            return prefix + "-".join(_label_field(value) for value in astuple(strategy))
     raise UsageError(f"no label for relaxation {strategy!r}")

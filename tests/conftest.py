@@ -26,22 +26,21 @@ from typing import Callable, Optional
 import numpy as np
 import pytest
 
-from stochfeas import experiments, fixedpoint
+from stochfeas import fixedpoint, image
 from stochfeas import relaxation as rx
 from stochfeas.block import UNIFORM_OVER_BATCH, BlockIterationRecord
 from stochfeas.geometry import as_point, require_same_dim
-from stochfeas.operators import (
-    LinearFamily,
-    _IndexedFamily,
+from stochfeas.image import (
     _half,
     _half_inverse,
     _projector_scale,
     _validate_fourier_target,
     _violated,
-    sample_indices,
     validate_fourier_mask,
 )
+from stochfeas.operators import LinearFamily, _IndexedFamily, sample_indices
 from stochfeas.rngstreams import substream
+from stochfeas.signal import circ_conv
 
 
 def halfspace_proj_oracle(a, b, x):
@@ -129,8 +128,7 @@ def ball_value(problem, k: int, x) -> float:
     """f_k(x) = ||r_k - L x||^2 - xi of the image problem's ball k at the
     flattened image ``x``, in space: no spectrum of the problem's enters."""
     n = problem.n
-    residual = problem.observations[k] - experiments.circ_conv(np.reshape(x, (n, n)),
-                                                               problem.kernel)
+    residual = problem.observations[k] - circ_conv(np.reshape(x, (n, n)), problem.kernel)
     return float(np.sum(residual ** 2)) - problem.xi
 
 
@@ -255,7 +253,7 @@ def replay_block(family, cfg, x0, reference=None, evaluate=None):
     m = cfg.batch_size
     idx_rng, lam_rng, err_rng = (substream(cfg.seed, s) for s in ("index", "relaxation", "noise"))
     errors = cfg.error_schedule
-    spectral = isinstance(family, experiments._ImageFamily) and errors is None and evaluate is None
+    spectral = isinstance(family, image._ImageFamily) and errors is None and evaluate is None
     state = family.run_state(x0) if spectral else None
     records = []
 

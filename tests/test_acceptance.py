@@ -14,15 +14,11 @@ import pytest
 from stochfeas import relaxation as rx
 from stochfeas.block import BlockConfig, run_block
 from stochfeas.cli import main as cli_main
-from stochfeas.experiments import (
-    DESK_IMAGE_FOURIER_WEIGHT,
-    canonical_strategies,
-    desk_image_problem,
-    desk_signal_problem,
-    run_experiment,
-)
+from stochfeas.experiments import canonical_strategies, run_experiment
 from stochfeas.fixedpoint import DecayingNoise, KmConfig, SgdConfig, quadratic_family, run_km, run_sgd
+from stochfeas.image import DESK_IMAGE_FOURIER_WEIGHT, desk_image_problem
 from stochfeas.operators import LinearFamily
+from stochfeas.signal import desk_signal_problem
 
 from conftest import (
     force_indices,

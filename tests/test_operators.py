@@ -6,15 +6,8 @@ import pytest
 from scipy.optimize import minimize
 
 from stochfeas.exceptions import DegenerateConstraintError, NumericError, UsageError
-from stochfeas.operators import (
-    _half_inverse,
-    LinearFamily,
-    OperatorFamily,
-    project_box,
-    sample_indices,
-    symmetrize_fourier_mask,
-    validate_fourier_mask,
-)
+from stochfeas.image import _half_inverse, symmetrize_fourier_mask, validate_fourier_mask
+from stochfeas.operators import LinearFamily, OperatorFamily, project_box, sample_indices
 
 from conftest import (
     InequalityConstraint,

@@ -2,8 +2,10 @@
 through the stochfeas names it calls, so that a deleted or renamed name
 fails here rather than only when the benchmark runs."""
 
+import importlib
 import importlib.util
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -37,3 +39,28 @@ def test_workload_runs_its_first_operation(name, tmp_path, monkeypatch):
         workload.close()
     assert outcome.problems == []
     assert outcome.iterations > 0
+
+
+# the names perfbench reaches through ``stochfeas.experiments`` that live in
+# another module, by home module
+REIMPORTED = {"SignalProblem": "signal", "desk_signal_problem": "signal",
+              "ImageProblem": "image", "desk_image_problem": "image",
+              "DESK_IMAGE_FOURIER_WEIGHT": "image", "run_block": "block",
+              "aggregate_runs": "diagnostics"}
+
+
+def test_names_reached_through_experiments_are_the_objects_of_their_homes():
+    # the tracer patches experiments.SignalProblem.build_family on the class
+    # itself, and the cli_signal workload counts iterations by replacing
+    # experiments.run_block: through a copy or a subclass, a patch would
+    # measure nothing and no other test would notice
+    experiments = importlib.import_module("stochfeas.experiments")
+    code = "".join(path.read_text() for path in sorted(PERFBENCH.glob("*.py")))
+    used = set(re.findall(r'(?<!")\bexperiments\.(\w+)', code))
+    for name in sorted(used | set(REIMPORTED)):
+        reached = getattr(experiments, name)
+        if name in REIMPORTED:
+            home = importlib.import_module(f"stochfeas.{REIMPORTED[name]}")
+            assert reached is getattr(home, name), name
+        else:
+            assert reached.__module__ == "stochfeas.experiments", name

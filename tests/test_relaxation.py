@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from stochfeas import relaxation as rx
@@ -118,9 +118,40 @@ def test_cap_defaults_to_at_least_two():
     (rx.Constant(0.5), "const0.5"),
     (rx.TwoPoint(2.3, 0.5, 1.5), "twopoint2.3-0.5-1.5"),
     (rx.UniformInterval(1.5, 2.3), "uniform1.5-2.3"),
+    (rx.Constant(1.9), "const1.9"),
+    (rx.Constant(1.0000001), "const1.0000001"),
+    (rx.UniformInterval(1.5000004, 2.3), "uniform1.5000004-2.3"),
 ])
 def test_strategy_label(strategy, label):
     assert rx.strategy_label(strategy) == label
+
+
+_POSITIVE = st.sampled_from([0.5, 1.0, 1.5, 1.9, 2.3]) | st.floats(1e-300, 1e300)
+_PROBABILITY = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+_FIELDS = {"const": (rx.Constant, (_POSITIVE,)),
+           "twopoint": (rx.TwoPoint, (_POSITIVE, _PROBABILITY, _POSITIVE)),
+           "uniform": (rx.UniformInterval, (_POSITIVE, _POSITIVE))}
+# changes below six significant digits, which :g alone cannot tell apart
+_NUDGES = {"next": lambda v: float(np.nextafter(v, np.inf)),
+           "up": lambda v: v * (1.0 + 1e-7), "down": lambda v: v * (1.0 - 4e-7)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_strategies_of_one_kind_that_differ_get_different_labels(data):
+    # the label names a run's output files and seeds its draws
+    cls, fields = _FIELDS[data.draw(st.sampled_from(sorted(_FIELDS)))]
+    values = [data.draw(field) for field in fields]
+    i = data.draw(st.integers(0, len(values) - 1))
+    nudge = data.draw(st.sampled_from(sorted(_NUDGES) + ["redraw"]))
+    other = list(values)
+    other[i] = data.draw(fields[i]) if nudge == "redraw" else _NUDGES[nudge](values[i])
+    try:
+        first, second = cls(*values), cls(*other)
+    except UsageError:   # a nudge past a bound, or lo >= hi
+        reject()
+    if first != second:
+        assert rx.strategy_label(first) != rx.strategy_label(second)
 
 
 def test_serialization_round_trip():

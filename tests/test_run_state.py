@@ -46,9 +46,10 @@ from hypothesis import strategies as st
 from stochfeas import relaxation as rx
 from stochfeas.block import BlockConfig, run_block
 from stochfeas.exceptions import UsageError
-from stochfeas.experiments import generate_image_problem, generate_signal_problem
 from stochfeas.fixedpoint import DecayingNoise
+from stochfeas.image import generate_image_problem
 from stochfeas.operators import LinearFamily, OperatorFamily, _RowState, project_box
+from stochfeas.signal import generate_signal_problem
 
 from conftest import (
     InequalityConstraint,
