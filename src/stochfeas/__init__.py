@@ -10,6 +10,8 @@ its damping E[lam (2 - lam)] stays positive.  The signal and image
 restoration experiments are built on the block solver.
 """
 
+import types
+
 from .block import (
     MAX_RESIDUAL_CONCENTRATED,
     UNIFORM_OVER_BATCH,
@@ -53,5 +55,8 @@ from .relaxation import (
 from .signal import SignalProblem, desk_signal_problem, generate_signal_problem
 from .trace import ConvergenceTrace, read_trace_csv
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules are attributes too, and a star import would bind ``signal``
+# and ``trace`` over the standard library's modules of those names
+__all__ = [name for name in dir() if not name.startswith("_")
+           and not isinstance(globals()[name], types.ModuleType)]
 __version__ = "0.1.0"

@@ -7,8 +7,9 @@ taken from the solvers' chunks, and ``replay_block`` is the block iteration
 as the paper states it, every iteration in full: the one reference that
 every block replay test compares ``run_block`` against.  The subgradient
 projector of a convex inequality and the Fourier-support projector of a
-grid are the general forms of the image experiment's members, and
-``ball_value`` takes its ball values in space.  The hyperslab projector
+grid are the general forms of the image experiment's members;
+``ball_value`` takes its ball values in space, and ``ball_constraint`` is a
+ball as an inequality with its gradient.  The hyperslab projector
 and the circulant rows are the scalar forms of ``LinearFamily`` and the
 signal experiment's rows, and ``iterations_to_db`` reads a trace's dB
 column.  ``replay_sgd`` is stochastic gradient descent on the quadratic
@@ -130,6 +131,20 @@ def ball_value(problem, k: int, x) -> float:
     n = problem.n
     residual = problem.observations[k] - circ_conv(np.reshape(x, (n, n)), problem.kernel)
     return float(np.sum(residual ** 2)) - problem.xi
+
+
+def ball_constraint(problem, k: int) -> InequalityConstraint:
+    """Ball k of the image problem as an inequality: ``ball_value`` and its
+    gradient 2 L^T (L x - r_k), L^T being the circular convolution with the
+    index-reversed kernel."""
+    n = problem.n
+    adjoint = np.roll(problem.kernel[::-1, ::-1], 1, axis=(0, 1))
+
+    def subgradient(x):
+        residual = circ_conv(np.reshape(x, (n, n)), problem.kernel) - problem.observations[k]
+        return 2.0 * circ_conv(residual, adjoint).ravel()
+
+    return InequalityConstraint(lambda x: ball_value(problem, k, x), subgradient, f"ball {k}")
 
 
 def iterations_to_db(trace, threshold_db: float) -> Optional[int]:

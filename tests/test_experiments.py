@@ -17,22 +17,19 @@ from stochfeas.exceptions import (
 )
 from stochfeas.experiments import canonical_strategies, run_experiment
 from stochfeas.image import confidence_radius, generate_image_problem, symmetrize_fourier_mask
-from stochfeas.operators import LinearFamily, OperatorFamily, project_box, sample_indices
+from stochfeas.operators import LinearFamily, OperatorFamily, sample_indices
 from stochfeas.rngstreams import derive_seed, substream
 from stochfeas.signal import circ_conv, gaussian_kernel_1d, generate_signal_problem
 
 from conftest import (
-    InequalityConstraint,
     assert_same_run,
+    ball_constraint,
     ball_value,
     circulant_row,
     iterations_to_db,
     project_fourier_support,
-    project_hyperslab,
     random_halfspace_problem,
     replay_block,
-    slab_bounds,
-    subgradient_projector,
 )
 
 
@@ -140,53 +137,6 @@ class TestSignalProblem:
             assert abs(prob.max_violation(x) - oracle(x)) <= 1e-15
         with pytest.raises(UsageError, match="dimension mismatch"):
             prob.max_violation(np.zeros(prob.n + 1))
-
-    def test_family_members_match_slab_definition(self, rng):
-        prob = generate_signal_problem(n=32, p=2, seed=4)
-        family = prob.build_family()
-        assert len(family) == 64
-        x = rng.normal(size=32)
-        # member (k, j) projects onto the slab with normal = row j of L_k
-        k, j = 1, 17
-        member = k * prob.n + j
-        assert family.evaluate([member], prob.ground_truth) is None
-        assert np.any(step_of(family, member, prob.ground_truth + 5.0))
-        out = x + step_of(family, member, x)
-        a, lo, hi = slab_bounds(prob, k, j)
-        assert lo - 1e-12 <= float(a @ out) <= hi + 1e-12
-        # projection moves along the normal only
-        move = out - x
-        if np.linalg.norm(move) > 0:
-            cosine = float(move @ a) / (np.linalg.norm(move) * np.linalg.norm(a))
-            assert abs(abs(cosine) - 1.0) < 1e-10
-
-    def test_batched_evaluate_matches_members(self, rng):
-        prob = generate_signal_problem(n=32, p=3, seed=5)
-        family = prob.build_family()
-        ks = np.arange(len(family))
-        truth = prob.ground_truth
-        # the truth lies inside every slab; L_k has unit row sums, so a shift
-        # by 5 puts every inner product above (or below) its slab
-        points = [(truth, len(family)), (truth + 5.0, 0), (truth - 5.0, 0),
-                  (np.zeros(32), None), (rng.normal(size=32), None)]
-        for x, expected_held in points:
-            ps = [project_hyperslab(*slab_bounds(prob, *divmod(int(k), prob.n)), x) for k in ks]
-            held = sum(p is x for p in ps)
-            if expected_held is not None:
-                assert held == expected_held
-            out = family.evaluate(ks, x)
-            # None exactly when every public projection holds x
-            assert (out is None) == (held == len(ks))
-            if out is None:
-                continue
-            steps, norms = out
-            for k, p in zip(ks, ps):
-                if p is x:
-                    assert np.all(steps[k] == 0.0) and norms[k] == 0.0
-                else:
-                    np.testing.assert_allclose(x + steps[k], p, rtol=1e-12,
-                                               atol=1e-12 * np.abs(p).max())
-                    assert norms[k] == pytest.approx(np.linalg.norm(p - x), rel=1e-12)
 
     def test_clearance_radii_keep_every_member_fixed(self):
         # the desk kernels are symmetric, so the random problem's are not: a
@@ -444,16 +394,13 @@ class TestHalfSpectrumOracles:
 
     def test_ball_value_step_and_norm(self, rng):
         prob = self.problem()
-        n = prob.n
-        adjoint = np.roll(prob.kernel[::-1, ::-1], 1, axis=(0, 1))   # L^T
         moved = 0
         for x in (rng.uniform(-20.0, 280.0, size=prob.dim), np.zeros(prob.dim)):
             for k in range(4):
-                residual = circ_conv(x.reshape(n, n), prob.kernel) - prob.observations[k]
-                value = float(np.sum(residual ** 2)) - prob.xi
+                ball = ball_constraint(prob, k)
+                value, s = ball.value(x), ball.subgradient(x)
                 assert prob.feasibility_report(x)["ball_values"][k] == pytest.approx(value,
                                                                                       rel=1e-12)
-                s = 2.0 * circ_conv(residual, adjoint).ravel()
                 step = prob._ball_step(k, prob._spectrum(x))
                 if value <= 0.0:
                     assert step is None
@@ -497,49 +444,15 @@ class TestHalfSpectrumOracles:
 
 
 class TestImageFamilyEvaluate:
-    """The batched ``evaluate`` of the image family against one-member calls
-    and against the public projectors."""
+    """The image family's ``evaluate``: its checks, its private copies and
+    its transforms.  Its rows against the oracles are checked, with every
+    other family's, in tests/test_run_state.py."""
 
     @staticmethod
     def family():
         prob = generate_image_problem(n=32, seed=1, blur_std=1.0)
         assert all(prob.ball_contains_truth)
         return prob, prob.build_family(fourier_weight=2.0)
-
-    def test_rows_match_public_oracles(self, rng):
-        prob, fam = self.family()
-        n = prob.n
-        # L^T is the circular convolution with the index-reversed kernel
-        adjoint = np.roll(prob.kernel[::-1, ::-1], 1, axis=(0, 1))
-
-        def ball(k):
-            def subgradient(x):
-                residual = circ_conv(x.reshape(n, n), prob.kernel) - prob.observations[k]
-                return 2.0 * circ_conv(residual, adjoint).ravel()
-            return InequalityConstraint(lambda x: ball_value(prob, k, x), subgradient)
-
-        truth = prob.ground_truth.ravel()
-        points = [truth, truth + rng.uniform(-0.5, 0.5, size=prob.dim),
-                  np.zeros(prob.dim), rng.uniform(-20.0, 280.0, size=prob.dim)]
-        held = moved = 0
-        for x in points:
-            steps, _ = fam.evaluate(list(range(6)), x)
-            for k in range(4):
-                p = subgradient_projector(ball(k), x)
-                if p is x:
-                    held += 1
-                    assert not np.any(steps[k])
-                else:
-                    moved += 1
-                    np.testing.assert_allclose(x + steps[k], p, rtol=1e-12,
-                                               atol=1e-12 * np.abs(p).max())
-            assert np.array_equal(steps[4], project_box(0.0, 255.0, x) - x)
-            fourier = project_fourier_support(prob.target_spectrum, prob.mask, x.reshape(n, n))
-            # the member weights its half spectrum and the oracle does not:
-            # measured, the rows differ by at most 3.4e-16 of the largest pixel
-            np.testing.assert_allclose(steps[5], fourier.ravel() - x, rtol=0,
-                                       atol=1e-12 * np.abs(fourier).max())
-        assert held and moved
 
     def test_validates_once_and_keeps_private_copies(self, rng):
         prob, fam = self.family()
@@ -586,16 +499,6 @@ class TestImageFamilyEvaluate:
                           max_iters=300, seed=11, atol=0.0)
         res = run_block(fam, cfg, np.zeros(prob.dim))
         skewed.finalize(res.final)
-
-    def test_repeated_index_gives_equal_independent_rows(self, rng):
-        prob, fam = self.family()
-        x = rng.uniform(-20.0, 280.0, size=prob.dim)
-        for k in range(6):
-            steps, norms = fam.evaluate([k, k], x)
-            assert np.any(steps[0])
-            assert np.array_equal(steps[0], steps[1]) and norms[0] == norms[1]
-            steps[0] += 1.0
-            assert np.array_equal(steps[1], step_of(fam, k, x))
 
     def test_one_forward_transform_per_evaluate(self, monkeypatch, rng):
         prob, fam = self.family()

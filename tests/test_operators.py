@@ -13,7 +13,6 @@ from conftest import (
     InequalityConstraint,
     halfspace_proj_oracle,
     project_fourier_support,
-    project_hyperslab,
     random_halfspace_problem,
     subgradient_projector,
 )
@@ -168,28 +167,6 @@ class TestHyperslabProjector:
 
 
 class TestLinearFamily:
-    def test_batch_matches_the_independent_projections(self, rng):
-        # half-spaces, slabs and a hyperplane; repeated members get equal rows
-        rows = rng.normal(size=(6, 4))
-        lo = np.array([-np.inf, -0.5, -1.0, 0.3, -np.inf, -2.0])
-        hi = np.array([0.2, 0.5, 1.0, 0.3, 1.5, -1.0])
-        fam = LinearFamily(rows, lo, hi)
-        ks = [0, 1, 2, 3, 4, 5, 3, 0]
-        fixed = 0
-        for _ in range(30):
-            x = rng.normal(size=4) * 2
-            ps = [project_hyperslab(rows[k], lo[k], hi[k], x) for k in ks]
-            steps, norms = fam.evaluate(ks, x)   # the hyperplane never holds x
-            for d, r, p in zip(steps, norms, ps):
-                if p is x:
-                    fixed += 1
-                    assert not d.any() and r == 0.0
-                else:
-                    np.testing.assert_allclose(x + d, p, rtol=1e-13, atol=1e-13)
-                # each norm is that of its row, summed as run_block sums it
-                assert r == math.sqrt(float(d.dot(d)))
-        assert fixed
-
     @pytest.mark.parametrize("rows, lo, hi, match", [
         ([[1.0, 0.0], [0.0, 0.0]], [-1.0, -1.0], [1.0, 1.0], "row 1 has squared norm 0"),
         ([[1e-200, 0.0]], [-1.0], [1.0], "row 0 has squared norm 0"),
@@ -465,51 +442,3 @@ class TestIndexSampling:
             OperatorFamily(halfspaces, weights=[1.0, 0.0])
         with pytest.raises(UsageError, match="positive"):
             OperatorFamily(halfspaces, weights=[1.0, -0.0])
-
-
-class TestEvaluate:
-    def test_generic_evaluate_equals_member_steps(self, rng):
-        normals = rng.normal(size=(5, 3))
-        fam = OperatorFamily([lambda x: project_box(-0.5, 0.5, x)]
-                             + [lambda x, a=a: x - 0.3 * a for a in normals])
-        x = rng.normal(size=3)
-        ks = [0, 3, 3, 1, 5]
-        steps, norms = fam.evaluate(ks, x)
-        expected = np.array([fam.members[k](x) - x for k in ks])
-        np.testing.assert_array_equal(steps, expected)
-        np.testing.assert_array_equal(norms, [np.sqrt(d @ d) for d in expected])
-        inside = np.zeros(3)
-        assert fam.evaluate([0, 0], inside) is None
-        # a mixed batch keeps an exact zero row for its fixed member
-        steps, norms = fam.evaluate([0, 1], inside)
-        assert not np.any(steps[0]) and norms[0] == 0.0
-        np.testing.assert_array_equal(steps[1], -0.3 * normals[0])
-
-    def test_repeated_index_gives_equal_independent_rows(self, rng):
-        calls = []
-
-        def counting(a):
-            def member(x):
-                calls.append(a)
-                return x - a
-            return member
-
-        normals = rng.normal(size=(3, 4))
-        fam = OperatorFamily([counting(a) for a in normals])
-        x = rng.normal(size=4)
-        for k in range(3):
-            calls.clear()
-            steps, norms = fam.evaluate([k, k], x)
-            assert len(calls) == 1
-            assert np.array_equal(steps[0], steps[1]) and norms[0] == norms[1]
-            steps[0] += 1.0
-            np.testing.assert_array_equal(steps[1], (x - normals[k]) - x)
-        calls.clear()
-        fam.evaluate(np.array([2, 0, 2, 2, 0]), x)
-        assert len(calls) == 2
-
-    def test_underflowing_norm_is_not_all_fixed(self):
-        # ||d||^2 = 1e-400 underflows, so the norm reads 0 while the row does not
-        fam = OperatorFamily([lambda x: x + np.array([1e-200, 0.0])])
-        steps, norms = fam.evaluate([0], np.zeros(2))
-        assert norms[0] == 0.0 and steps[0, 0] == 1e-200

@@ -1,23 +1,41 @@
-"""One conformance suite for the run-state protocol (``operators._IndexedFamily``).
+"""One conformance suite for the family protocol (``operators._IndexedFamily``):
+a family's bare ``evaluate`` and the run state that ``run_block`` applies
+it through.
 
-Each kind of state is one entry of ``BUILDERS``, and a new state joins the
-suite by adding one there: ``OperatorFamily``'s row state, the screened
+Each kind is one entry of ``BUILDERS``, with its member oracle from
+``conftest``, and a new family or state joins the suite by adding one:
+``OperatorFamily``'s row state, its members their own oracles; the screened
 state of ``LinearFamily`` (``_ScreenedState``) over half-spaces, over slabs
-plus a hyperplane and over the signal family's circulant slabs, the image
-family's ``_SpectralState``, and the error-tolerant row state that
-``run_block`` builds.  Hypothesis draws the points, batches
-and weights, derandomized.  Row states are checked bit for bit, the image
-state to 1e-13 of the scale max(1, max|x|, max|rows|) that its transforms
-round against, and its norms also to 1e-12 relative.  The properties:
+plus a hyperplane and over the signal family's circulant slabs, against
+``project_hyperslab``; the image family's ``_SpectralState``, against its
+balls' subgradient projectors, ``project_box`` and
+``project_fourier_support``; and the error-tolerant row state that
+``run_block`` builds.  ``test_every_family_has_a_builder`` fails for a
+family class of the package that no entry builds.  Hypothesis draws the
+points, batches and weights, derandomized.  The bare ``evaluate`` of every
+kind but ``errors`` (the signal's family) has three properties:
+
+F1. each row of ``evaluate(ks, x)`` is ``oracle(k, x) - x``: bit for bit for
+    the operator members and the image box, to 1e-12 relative for the
+    linear members and the balls, to 1e-12 max|T_k x| for the Fourier
+    member; an exact zero with norm 0 where the oracle fixes x; and the
+    batch is None exactly when every oracle does;
+F2. every norm is sqrt(d.dot(d)) of its row d, also where it underflows: a
+    nonzero row whose norm reads 0 is not all-fixed;
+F3. a repeated index gives equal rows, each written independently of the
+    other, and ``OperatorFamily`` calls each distinct member once.
+
+Run states are checked bit for bit against the bare rows, the image state
+to 1e-13 of the scale max(1, max|x|, max|rows|) that its transforms round
+against, and its norms also to 1e-12 relative.  The properties:
 
 1. ``coordinates`` is a linear isometry, and ``point(coordinates(x))`` is x
    to 1e-12 relative;
 2. ``evaluate`` gives None exactly when the bare ``evaluate`` does, which is
-   when every member fixes x, and else the bare norms.  Each bare row is the
-   member's own, an exact zero where it fixes x, and v.dot(v) is its norm.
-   The state has evaluated all members at the kind's anchor point first, so
-   a screened state answers from its radii and the image state from its box
-   certificate wherever they hold;
+   when every member fixes x, and else the bare norms; each bare row is the
+   member's own.  The state has evaluated all members at the kind's anchor
+   point first, so a screened state answers from its radii and the image
+   state from its box certificate wherever they hold;
 3. ``point(step(beta))`` is ``beta @`` the bare rows, for drawn beta;
 4. every batch that ``screen`` clears is all-fixed at that x, and it clears
    nothing at an x it has not seen;
@@ -34,45 +52,66 @@ dimension.
 """
 
 import functools
+import importlib
 import math
+import pkgutil
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import stochfeas
 from stochfeas import relaxation as rx
 from stochfeas.block import BlockConfig, run_block
 from stochfeas.exceptions import UsageError
 from stochfeas.fixedpoint import DecayingNoise
 from stochfeas.image import generate_image_problem
-from stochfeas.operators import LinearFamily, OperatorFamily, _RowState, project_box
+from stochfeas.operators import (
+    LinearFamily,
+    OperatorFamily,
+    _IndexedFamily,
+    _RowState,
+    project_box,
+)
 from stochfeas.signal import generate_signal_problem
 
 from conftest import (
     InequalityConstraint,
     assert_same_run,
+    ball_constraint,
     halfspace_proj_oracle,
+    project_fourier_support,
     project_hyperslab,
     random_halfspace_problem,
     replay_block,
+    slab_bounds,
     subgradient_projector,
 )
 
 ERRORS = DecayingNoise(c=0.5, q=1.5)
+EXACT, CLOSE = (0.0, 0.0), (1e-12, 1e-12)   # (rtol, atol) of F1
 
 
 @dataclass(frozen=True)
 class Kind:
     """A family; anchor points, the first fixed by all members but the image's
-    Fourier one; the runs' x0; and the schedule of the error-tolerant state."""
+    Fourier one; the runs' x0; the member oracle ``oracle(k, x) -> T_k x``
+    and its F1 tolerance ``tolerance(k) -> (rtol, atol)``, atol in units of
+    max|T_k x|; and the schedule of the error-tolerant state."""
 
     family: object
     points: tuple
     start: np.ndarray
+    oracle: Callable
+    tolerance: Callable = lambda k: CLOSE
     errors: Optional[DecayingNoise] = None
+
+
+def _projections(rows, lo, hi) -> Callable:
+    return lambda k, x: project_hyperslab(rows[k], lo[k], hi[k], x)
 
 
 def _operator() -> Kind:
@@ -83,16 +122,18 @@ def _operator() -> Kind:
                              lambda x: halfspace_proj_oracle(a, 0.5, x),
                              lambda x: subgradient_projector(ball, x),
                              lambda x: project_hyperslab(c, -0.3, 0.3, x),
-                             lambda x: halfspace_proj_oracle(b, 0.3, x)])
+                             lambda x: halfspace_proj_oracle(b, 0.3, x),
+                             # {z : z_0 <= 0}: its step at x_0 = 1e-170 underflows its norm
+                             lambda x: halfspace_proj_oracle(np.eye(1, 5)[0], 0.0, x)])
     return Kind(family, (np.zeros(5), 0.1 * rng.normal(size=5), 3.0 * rng.normal(size=5)),
-                3.0 * rng.normal(size=5))
+                3.0 * rng.normal(size=5), lambda k, x: family.members[k](x), lambda k: EXACT)
 
 
 def _halfspaces() -> Kind:
     rng = np.random.default_rng(41)
-    _, _, family, center, _ = random_halfspace_problem(rng, dim=6, count=10)
+    normals, offsets, family, center, _ = random_halfspace_problem(rng, dim=6, count=10)
     return Kind(family, (center, center + 3.0 * rng.normal(size=6), np.zeros(6)),
-                4.0 * rng.normal(size=6))
+                4.0 * rng.normal(size=6), _projections(normals, np.full(10, -np.inf), offsets))
 
 
 def _slabs_and_hyperplane() -> Kind:
@@ -101,29 +142,39 @@ def _slabs_and_hyperplane() -> Kind:
     center = rng.normal(size=5)
     rows = np.vstack([rng.normal(size=(8, 5)), np.eye(1, 5)])
     v = rows[:8] @ center
-    family = LinearFamily(rows, np.append(v - rng.uniform(0.1, 1.0, size=8), center[0]),
-                          np.append(v + rng.uniform(0.1, 1.0, size=8), center[0]))
-    return Kind(family, (center, center + rng.normal(size=5), np.zeros(5)),
-                center + rng.normal(size=5))
+    lo = np.append(v - rng.uniform(0.1, 1.0, size=8), center[0])
+    hi = np.append(v + rng.uniform(0.1, 1.0, size=8), center[0])
+    return Kind(LinearFamily(rows, lo, hi), (center, center + rng.normal(size=5), np.zeros(5)),
+                center + rng.normal(size=5), _projections(rows, lo, hi))
 
 
 def _signal(errors=None) -> Kind:
+    # member k n + j is the slab of filter k at coordinate j
     prob = generate_signal_problem(n=32, p=3, std_range=(1.0, 3.0), seed=5, noise_fill=0.6)
     points = (prob.ground_truth, np.zeros(32), 2.0 * np.random.default_rng(5).normal(size=32))
-    return Kind(prob.build_family(), points, np.zeros(32), errors=errors)
+    return Kind(prob.build_family(), points, np.zeros(32),
+                lambda k, x: project_hyperslab(*slab_bounds(prob, *divmod(k, prob.n)), x),
+                errors=errors)
 
 
 def _image() -> Kind:
     prob = generate_image_problem(n=16)
     points = (prob.ground_truth.ravel(), np.zeros(prob.dim),
               np.random.default_rng(16).uniform(-20.0, 280.0, size=prob.dim))
-    return Kind(prob.build_family(), points, np.zeros(prob.dim))
+    members = [functools.partial(subgradient_projector, ball_constraint(prob, k))
+               for k in range(4)]
+    members += [functools.partial(project_box, 0.0, 255.0),
+                lambda x: project_fourier_support(prob.target_spectrum, prob.mask,
+                                                  x.reshape(prob.n, prob.n)).ravel()]
+    return Kind(prob.build_family(), points, np.zeros(prob.dim), lambda k, x: members[k](x),
+                lambda k: {4: EXACT, 5: (0.0, 1e-12)}.get(k, CLOSE))
 
 
 BUILDERS = {"operator": _operator, "halfspace": _halfspaces,
             "slab_hyperplane": _slabs_and_hyperplane, "signal": _signal, "image": _image,
             "errors": functools.partial(_signal, ERRORS)}
 KINDS = list(BUILDERS)
+FAMILIES = [name for name in KINDS if name != "errors"]
 
 
 @functools.lru_cache(maxsize=None)
@@ -160,6 +211,79 @@ PICKS = st.integers(0, 2)
 SHIFTS = st.sampled_from([0.0, 1e-3, 0.1, 1.0, 10.0])
 SEEDS = st.integers(0, 2 ** 32 - 1)
 BATCHES = st.lists(st.integers(0, 2 ** 16), min_size=1, max_size=5)
+
+
+def test_every_family_has_a_builder():
+    for module in pkgutil.iter_modules(stochfeas.__path__):
+        importlib.import_module(f"stochfeas.{module.name}")
+
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    families = {f"{c.__module__}.{c.__qualname__}": c for c in subclasses(_IndexedFamily)
+                if c.__module__.startswith("stochfeas.")}
+    # SGD's family draws indices and has no evaluate
+    assert families.pop("stochfeas.fixedpoint.GradientFamily").evaluate is _IndexedFamily.evaluate
+    assert set(families.values()) <= {type(kind_of(name).family) for name in FAMILIES}
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+@SETTINGS
+@given(pick=PICKS, shift=SHIFTS, seed=SEEDS, lift=st.sampled_from([0.0, 5.0]), batch=BATCHES)
+@example(pick=0, shift=0.0, seed=0, lift=0.0, batch=list(range(96)))   # all signal slabs hold
+@example(pick=0, shift=0.0, seed=0, lift=5.0, batch=list(range(96)))   # and none holds
+@example(pick=0, shift=1e-170, seed=0, lift=0.0, batch=[5, 0])   # a zero norm of a nonzero row
+def test_rows_are_the_oracle_steps_and_norms_their_norms(name, pick, shift, seed, lift, batch):
+    kind, x, ks = drawn(name, pick, shift, seed, batch)
+    x = x + lift
+    ps = [kind.oracle(k, x) for k in ks]
+    fixed = [not np.any(p - x) for p in ps]
+    out = kind.family.evaluate(ks, x)
+    assert (out is None) == all(fixed)
+    if out is None:
+        return
+    steps, norms = out
+    assert steps.shape == (len(ks), x.size) and norms.shape == (len(ks),)
+    for k, p, held, d, r in zip(ks, ps, fixed, steps, norms):
+        assert r == math.sqrt(float(d @ d))
+        rtol, atol = kind.tolerance(k)
+        if held:
+            assert not d.any() and r == 0.0
+        elif (rtol, atol) == EXACT:
+            assert d.tobytes() == (p - x).tobytes()
+        else:
+            np.testing.assert_allclose(x + d, p, rtol=rtol, atol=atol * abs(p).max())
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+@SETTINGS
+@given(pick=PICKS, shift=SHIFTS, seed=SEEDS, batch=BATCHES)
+@example(pick=2, shift=0.0, seed=0, batch=[3])   # one member, twice
+def test_repeated_index_gives_equal_independent_rows(name, pick, shift, seed, batch):
+    kind, x, ks = drawn(name, pick, shift, seed, batch)
+    family, calls = kind.family, []
+    if isinstance(family, OperatorFamily):   # the same members, counted
+        family = OperatorFamily([lambda x, k=k, f=f: calls.append(k) or f(x)
+                                 for k, f in enumerate(family.members)])
+    ks = ks + ks[::-1]
+    out = family.evaluate(np.array(ks), x)   # as a run passes its draws
+    assert sorted(calls) == (sorted(set(ks)) if family is not kind.family else [])
+    if out is None:
+        return
+    steps, norms = out
+    for i, k in enumerate(ks):
+        j = ks.index(k)
+        if isinstance(family, LinearFamily):   # a row of a matrix product rounds by its place
+            np.testing.assert_allclose(steps[i], steps[j], rtol=1e-12,
+                                       atol=1e-12 * abs(steps[j]).max())
+        else:
+            assert steps[i].tobytes() == steps[j].tobytes() and norms[i] == norms[j]
+    before = steps.copy()
+    steps[:] = np.arange(len(ks))[:, None]   # each row written on its own
+    assert all(np.all(row == i) for i, row in enumerate(steps))
+    assert family.evaluate(np.array(ks), x)[0].tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("name", KINDS)
@@ -207,15 +331,13 @@ def test_evaluate_matches_the_bare_evaluate(name, pick, shift, seed, batch):
         np.testing.assert_allclose(r, norms, rtol=1e-12, atol=1e-13 * scale)
     if kind.errors is not None:
         return
-    for own, d, norm in zip(owns, rows, norms):
-        assert norm == math.sqrt(float(d @ d))
-        if own is None:
-            assert not d.any() and norm == 0.0
-        elif isinstance(kind.family, LinearFamily):
+    for own, d in zip(owns, rows):
+        own = np.zeros_like(d) if own is None else own[0][0]
+        if isinstance(kind.family, LinearFamily):
             # a batch's matrix-vector product may round as one row's does not
-            np.testing.assert_allclose(d, own[0][0], rtol=1e-12, atol=1e-12 * abs(d).max())
+            np.testing.assert_allclose(d, own, rtol=1e-12, atol=1e-12 * abs(d).max())
         else:
-            assert d.tobytes() == own[0][0].tobytes()
+            assert d.tobytes() == own.tobytes()
 
 
 def test_box_certificate_holds_to_its_margin_and_allowance(monkeypatch):
@@ -304,7 +426,7 @@ def test_screen_clears_only_all_fixed_batches(name, pick, shift, seed, move, m, 
 
 @pytest.mark.parametrize("errors", [None, ERRORS], ids=["exact", "errors"])
 @pytest.mark.parametrize("m", [1, 4])
-@pytest.mark.parametrize("name", [name for name in KINDS if name != "errors"])
+@pytest.mark.parametrize("name", FAMILIES)
 def test_run_equals_the_replay(name, m, errors):
     kind = kind_of(name)
     relaxation = rx.TwoPoint(2.3, 0.5, 1.5) if errors is None else rx.UniformInterval(0.5, 1.5)
