@@ -101,6 +101,9 @@ class RunConfig:
     strategies: dict = field(init=False)
 
     def __post_init__(self):
+        # derive_seed reads a seed modulo 2^64, so one outside would alias another
+        if not 0 <= self.seed < 2 ** 64:
+            raise ConfigurationError(f"seed must lie in [0, 2^64), got {self.seed}")
         if self.M < 1:
             raise ConfigurationError(f"batch size M must be >= 1, got {self.M}")
         if self.delta is None:

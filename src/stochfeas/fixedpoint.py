@@ -12,8 +12,13 @@ Two iterations on top of one loop skeleton, which the block iteration of
   of quadratics centred at points t_k: a step is three array operations,
   and the residual column is ||grad f(x_n)|| = ||x_n - c||.
 
-Relaxation draws come from the run's "relaxation" substream, noise draws
-from the "noise" substream and gradient indices from the "index" substream.
+Each driver checks the shape of its points where they enter (x0 against
+the family, or every T x), so the loop checks no step's shape, and each
+config's ``__post_init__`` checks its run's hypotheses; for SGD that
+includes unbiasedness, exactly, from the family's offsets.  Relaxation
+draws come from the run's "relaxation" substream, noise draws from the
+"noise" substream and gradient indices from the "index" substream, the
+only one an SGD run draws from.
 Relaxations and indices are drawn in chunks of up to 1024 ahead of use;
 draws never cross streams, so mu_n is independent of the noise sigma-algebra
 by stream separation, however far ahead a stream is drawn.  A run is
@@ -34,12 +39,12 @@ from . import relaxation as rx
 from .diagnostics import ratio_db
 from .exceptions import ConfigurationError, NumericError, UsageError
 from .geometry import as_point, require_same_dim
-from .operators import _IndexedFamily, sample_indices
+from .operators import _IndexedFamily
 from .rngstreams import substream
 from .trace import ConvergenceTrace
 
 DIVERGENCE_NORM = 1e12
-_SPOT_CHECK_SAMPLES = 10_000   # Monte-Carlo draws of the unbiasedness spot-check
+_UNBIASED_TOL = 1e-9   # see SgdConfig
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +142,24 @@ class KmConfig:
 
 @dataclass
 class SgdConfig:
-    """Configuration of the stochastic gradient runs."""
+    """Configuration of the stochastic gradient runs.
+
+    The family must be unbiased, E grad g_k(x) = grad f(x), which for the
+    quadratic family is a zero mean of its offsets w_k.  It is checked
+    exactly: ||mean_k w_k|| <= tol sqrt(xi), where xi is the family's
+    variance bound, so xi = 0 admits only an exact zero mean.
+
+    tol = 1e-9, about 9e6 u with u = 2^-53, is rounding's room.  Recentring
+    K raw offsets that share a common shift s, by subtracting their mean,
+    leaves a mean within (K - 1) u max_k |w_k| per entry of zero, and the
+    subtractions and this check's own mean add (K + 1) u sqrt(xi): to first
+    order at most (2K + 1)(R + sqrt(dim)) u sqrt(xi) in all, for a shift
+    ||s|| = R sqrt(xi).  The tolerance covers K = 1000 members with R +
+    sqrt(dim) up to 4,500.  Any bias that matters is far above it: a mean b
+    moves the run's limit from c to c + b, and the iterates' own noise,
+    of order sqrt(gamma_n xi), stays above 1e-9 sqrt(xi) for any run
+    shorter than about 1e17 steps.
+    """
 
     beta: float
     nu: float
@@ -155,6 +177,15 @@ class SgdConfig:
             raise ConfigurationError("max_iters must be >= 1")
         if self.record_every < 1:
             raise ConfigurationError("record_every must be >= 1")
+        family = self.gradient_family
+        # hypot does not underflow, so a nonzero mean never reads 0
+        bias = math.hypot(*family.offsets.mean(axis=0))
+        bound = _UNBIASED_TOL * math.sqrt(family.variance_bound)
+        if not bias <= bound:
+            raise ConfigurationError(
+                f"unbiasedness E grad g_k(x) = grad f(x) violated: ||mean_k w_k|| = {bias:.3e} "
+                f"> {_UNBIASED_TOL:g} sqrt(xi) = {bound:.3e}"
+            )
 
     def step_size(self, n: int) -> float:
         return 2.0 * self.beta / (n + 1.0) ** self.nu
@@ -167,12 +198,20 @@ class GradientFamily(_IndexedFamily):
     holds ``center`` c and ``offsets`` w_k as arrays and ``minimizers`` t_k as
     a list of rows, formed once: a list lookup is cheaper than an array index.
 
-    The family is unbiased when the offsets have zero mean, which
-    :func:`quadratic_family` ensures.  ``variance_bound`` is the declared
-    xi = max_k ||w_k||^2 >= E||grad g_k(x) - grad f(x)||^2.
+    ``center`` must be a finite point and ``offsets`` a finite (K, dim)
+    array; the family is unbiased when the offsets have zero mean, which
+    :func:`quadratic_family` ensures and :class:`SgdConfig` checks.
+    ``variance_bound`` is the declared xi = max_k ||w_k||^2 >=
+    E||grad g_k(x) - grad f(x)||^2.
     """
 
-    def __init__(self, center: np.ndarray, offsets: np.ndarray):
+    def __init__(self, center, offsets):
+        center = as_point(center, "center")
+        offsets = np.asarray(offsets, dtype=np.float64)
+        if offsets.ndim != 2 or offsets.shape[1] != center.shape[0]:
+            raise UsageError("offsets must be a (K, dim) array matching the center")
+        if not np.all(np.isfinite(offsets)):
+            raise UsageError("offsets contain non-finite entries")
         super().__init__(offsets.shape[0])
         self.center = center
         self.offsets = offsets
@@ -182,36 +221,16 @@ class GradientFamily(_IndexedFamily):
     def gradient(self, k: int, x: np.ndarray) -> np.ndarray:
         return x - self.minimizers[k]
 
-    def spot_check_unbiased(self, x0: np.ndarray, rng) -> None:
-        """Monte-Carlo check that the sample mean gradient at x0 is within
-        3 sigma of the mean gradient, sigma = sqrt(xi / m), over m = 10,000
-        draws.  With xi = 0 it admits no deviation at all."""
-        # the family's dimension is known here, before any gradient broadcasts
-        require_same_dim(x0, self.center, "x0 and the quadratic family")
-        ks = sample_indices(self, rng, _SPOT_CHECK_SAMPLES)
-        # the drawn gradients x0 - c - w_k average to grad f(x0) less the offsets mean
-        dev = float(np.linalg.norm(self.offsets[ks].mean(axis=0)))
-        bound = 3.0 * math.sqrt(self.variance_bound / _SPOT_CHECK_SAMPLES)
-        if dev > bound:
-            raise ConfigurationError(
-                f"unbiasedness spot-check failed at x0: |mean - grad f| = {dev:.3e} "
-                f"> 3 sqrt(xi/m) = {bound:.3e}"
-            )
-
 
 def quadratic_family(center, offsets) -> GradientFamily:
     """Built-in family for f(x) = ||x - c||^2 / 2 of quadratics centred at c + w_k.
 
-    Offsets are recentred to zero mean so the family is exactly unbiased;
-    the variance bound is max_k ||w_k||^2.
+    Offsets are recentred to zero mean so the family is unbiased to
+    rounding; the variance bound is max_k ||w_k||^2.
     """
-    center = as_point(center, "center")
-    offsets = np.asarray(offsets, dtype=np.float64)
-    if offsets.ndim != 2 or offsets.shape[1] != center.shape[0]:
-        raise UsageError("offsets must be a (K, dim) array matching the center")
-    if not np.all(np.isfinite(offsets)):
-        raise UsageError("offsets contain non-finite entries")
-    return GradientFamily(center, offsets - offsets.mean(axis=0))
+    # the family checks the raw data before the recentring does arithmetic on it
+    raw = GradientFamily(center, offsets)
+    return GradientFamily(raw.center, raw.offsets - raw.offsets.mean(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -277,19 +296,9 @@ def _iterate(step, x0, max_iters: int, atol: float, record_every: int,
     n = -1
     last = max_iters - 1
     iterations = iter(range(max_iters))
-
-    def first_step(n, x, want):
-        out = step(n, x, want)
-        require_same_dim(out[0], x, "the point of step 0 and x0")
-        return out
-
-    # only step 0 has its shape checked: a point of another length would
-    # broadcast silently, and later steps keep the shape of step 0
-    take = first_step
     for n in iterations:
         record = n % record_every == 0 or n == last
-        x_next, residual, lam, extrap = take(n, x, record or checks_atol)
-        take = step
+        x_next, residual, lam, extrap = step(n, x, record or checks_atol)
         if x_next is not x or n == 0:
             # NaN and inf fail the comparison; ndarray.dot is bit-equal to @
             # on 1-D float64 and cheaper
@@ -361,7 +370,8 @@ def run_sgd(cfg: SgdConfig, x0) -> tuple[np.ndarray, ConvergenceTrace]:
     """
     x0 = as_point(x0, "x0")
     family = cfg.gradient_family
-    family.spot_check_unbiased(x0, substream(cfg.seed, "validation"))
+    # a gradient x - t_k of another length would broadcast, or fail inside numpy
+    require_same_dim(x0, family.center, "x0 and the quadratic family")
     indices = itertools.chain.from_iterable(
         map(np.ndarray.tolist, family.draws(substream(cfg.seed, "index"))))
     gradient = family.gradient

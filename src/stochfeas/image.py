@@ -80,31 +80,6 @@ DESK_IMAGE_FOURIER_WEIGHT = 2.0
 
 
 # ---------------------------------------------------------------------------
-# The subgradient projector's checks, which the residual balls use.
-# ---------------------------------------------------------------------------
-
-def _violated(fx: float, name: str) -> bool:
-    """Whether f(x) = ``fx`` > 0, so that the subgradient projector moves x;
-    a NaN or infinite fx raises NumericError, because no step of the
-    projector is defined there."""
-    if fx <= 0.0:
-        return False
-    if not math.isfinite(fx):
-        raise NumericError(f"constraint {name or '?'}: f(x) = {fx} is not finite")
-    return True
-
-
-def _projector_scale(fx: float, s_sq: float, name: str) -> float:
-    """t = f(x) / ||s(x)||^2 of a violated constraint, from ``s_sq`` =
-    ||s(x)||^2; a zero subgradient raises DegenerateConstraintError."""
-    if s_sq == 0.0:
-        raise DegenerateConstraintError(
-            f"constraint {name or '?'}: f(x) = {fx} > 0 but s(x) = 0"
-        )
-    return fx / s_sq
-
-
-# ---------------------------------------------------------------------------
 # Fourier support.
 #
 # DFT convention: unnormalized forward transform (numpy fft2) with 1/N on
@@ -346,15 +321,20 @@ class ImageProblem:
         weighted half spectrum is ``spectrum`` (read only), as its weighted
         half spectrum -(f_k / ||s_k||^2) 2 conj(K) (K X - Y_k) and its norm
         f_k / ||s_k||, or None when the ball holds the point.  ||s_k||^2 is
-        the sum of squares of 2 conj(K) (K X - Y_k), the subgradient's."""
-        name = f"ball[{k}]"
+        the sum of squares of 2 conj(K) (K X - Y_k), the subgradient's.  A
+        NaN or infinite f_k raises NumericError and a zero subgradient of a
+        violated ball DegenerateConstraintError: no step is defined there."""
         res_hat = self._ball_residual(k, spectrum)
         fx = self._ball_value(res_hat)
-        if not _violated(fx, name):
+        if fx <= 0.0:
             return None
+        if not math.isfinite(fx):
+            raise NumericError(f"constraint ball[{k}]: f(x) = {fx} is not finite")
         grad_hat = np.multiply(self._kernel_rfft_conj, res_hat, out=res_hat)
         norm_sq = 4.0 * self._norm_sq(grad_hat)
-        scale = _projector_scale(fx, norm_sq, name)
+        if norm_sq == 0.0:
+            raise DegenerateConstraintError(f"constraint ball[{k}]: f(x) = {fx} > 0 but s(x) = 0")
+        scale = fx / norm_sq
         grad_hat *= -2.0 * scale
         return grad_hat, scale * math.sqrt(norm_sq)
 

@@ -93,13 +93,15 @@ class _IndexedFamily:
     since its callables fix the dimension: a wrong-length x0 fails as the
     member's own error (numpy's ValueError from ``a @ x``, say), and the
     wrong-length property of tests/test_run_state.py does not apply to it.
-    The state's ``evaluate`` need not check v again: the run checks the shape
-    of its first step and, in its divergence guard, the finiteness of every
-    iterate.  The default state keeps the rows of a bare ``evaluate``
-    (``_RowState``), and so does the state that ``block.run_block`` builds
-    for the error-tolerant variant, which adds its error rows to them.  The
-    state of every ``LinearFamily`` adds a screen (``_ScreenedState``), and
-    the image experiment's combines its members' step spectra.
+    The state's ``evaluate`` need not check v again: every step keeps the
+    shape of x0, because the checked families form their steps in that
+    shape and ``_member_steps`` checks each member's point, and the run's
+    divergence guard checks the finiteness of every iterate.  The default
+    state keeps the rows of a bare ``evaluate`` (``_RowState``), and so does
+    the state that ``block.run_block`` builds for the error-tolerant
+    variant, which adds its error rows to them.  The state of every
+    ``LinearFamily`` adds a screen (``_ScreenedState``), and the image
+    experiment's combines its members' step spectra.
     """
 
     def __init__(self, count: int, weights=None):

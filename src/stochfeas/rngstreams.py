@@ -22,12 +22,12 @@ _MASK64 = (1 << 64) - 1
 
 # Fixed label table. New labels get fresh ids; existing ids never change,
 # otherwise seeded outputs would silently shift between versions.  Ids 2
-# ("weights") and 9 ("audit") are retired and are never reused.
+# ("weights"), 5 ("validation") and 9 ("audit") are retired and are never
+# reused.
 _STREAM_IDS = {
     "index": 1,
     "relaxation": 3,
     "noise": 4,
-    "validation": 5,
     "ground_truth": 6,
     "blur": 7,
     "observation_noise": 8,

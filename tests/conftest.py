@@ -30,15 +30,9 @@ import pytest
 from stochfeas import fixedpoint, image
 from stochfeas import relaxation as rx
 from stochfeas.block import UNIFORM_OVER_BATCH, BlockIterationRecord
+from stochfeas.exceptions import DegenerateConstraintError, NumericError
 from stochfeas.geometry import as_point, require_same_dim
-from stochfeas.image import (
-    _half,
-    _half_inverse,
-    _projector_scale,
-    _validate_fourier_target,
-    _violated,
-    validate_fourier_mask,
-)
+from stochfeas.image import _half, _half_inverse, _validate_fourier_target, validate_fourier_mask
 from stochfeas.operators import LinearFamily, _IndexedFamily, sample_indices
 from stochfeas.rngstreams import substream
 from stochfeas.signal import circ_conv
@@ -99,11 +93,17 @@ def subgradient_projector(constraint: InequalityConstraint, x) -> np.ndarray:
     """
     x = as_point(x, "x")
     fx = float(constraint.value(x))
-    if not _violated(fx, constraint.name):
+    name = constraint.name or "?"
+    if fx <= 0.0:
         return x
+    if not math.isfinite(fx):
+        raise NumericError(f"constraint {name}: f(x) = {fx} is not finite")
     s = as_point(constraint.subgradient(x), "subgradient")
     require_same_dim(s, x, "subgradient_projector")
-    return x - _projector_scale(fx, float(s @ s), constraint.name) * s
+    s_sq = float(s @ s)
+    if s_sq == 0.0:
+        raise DegenerateConstraintError(f"constraint {name}: f(x) = {fx} > 0 but s(x) = 0")
+    return x - (fx / s_sq) * s
 
 
 def project_fourier_support(target_spectrum, mask, x) -> np.ndarray:

@@ -209,16 +209,6 @@ class TestRunBlock:
         # convexity: sum_i beta_i ||p_i - x||^2 >= ||p - x||^2 is exactly L >= 1
         assert min(rec.extrapolation for rec in res.records) >= 1.0 - 1e-12
 
-    def test_determinism_bitwise(self, rng):
-        normals, offsets, family, center, margin = random_halfspace_problem(rng)
-        cfg = BlockConfig(batch_size=2, delta=0.3, relaxation=rx.UniformInterval(1.5, 2.3),
-                          max_iters=100, seed=123, atol=0.0)
-        r1 = run_block(family, cfg, np.zeros(10))
-        r2 = run_block(family, cfg, np.zeros(10))
-        np.testing.assert_array_equal(r1.final, r2.final)
-        assert r1.trace.columns["lambda"] == r2.trace.columns["lambda"]
-        assert r1.trace.columns["residual"] == r2.trace.columns["residual"]
-
     @pytest.mark.parametrize("budget", [7, 8])
     def test_last_row_is_the_last_iteration(self, rng, budget):
         normals, offsets, family, center, margin = random_halfspace_problem(rng)

@@ -90,6 +90,19 @@ class TestParsing:
         assert code == EXIT_CONFIG
         assert "M must be >= 1" in json.loads(capsys.readouterr().err)["message"]
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_outside_the_64_bit_range_rejected(self, tmp_path, capsys, seed):
+        # run seeds are derived from the seed modulo 2^64: -1 would run as 2^64 - 1
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seed": seed}))
+        for argv in (["--seed", str(seed)], ["--config", str(path)]):
+            code = main(["toy", *argv, "--output-dir", str(tmp_path / "out")])
+            assert code == EXIT_CONFIG
+            message = json.loads(capsys.readouterr().err)["message"]
+            assert message == f"seed must lie in [0, 2^64), got {seed}"
+        assert not (tmp_path / "out").exists()
+        assert parse_and_validate(["toy", "--seed", str(2 ** 64 - 1)]).seed == 2 ** 64 - 1
+
     @pytest.mark.parametrize("key, value", [
         ("iters", "100"),            # wrong type
         ("scale", "huge"),           # not one of the choices

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from stochfeas import fixedpoint
 from stochfeas import relaxation as rx
 from stochfeas.exceptions import ConfigurationError, NumericError, UsageError
 from stochfeas.fixedpoint import (
@@ -15,7 +16,7 @@ from stochfeas.fixedpoint import (
     run_km,
     run_sgd,
 )
-from stochfeas.operators import sample_indices
+from stochfeas.rngstreams import substream
 
 from conftest import halfspace_proj_oracle, replay_sgd, scalar_relaxation
 
@@ -80,7 +81,6 @@ class TestKm:
         z = np.zeros(2)
         cfg = KmConfig(rx.UniformInterval(0.05, 0.95), max_iters=300, seed=17, atol=0.0)
         x = np.array([1.0, 0.0])
-        from stochfeas.rngstreams import substream
         mu_rng = substream(17, "relaxation")
         prev = np.linalg.norm(x - z)
         for _ in range(300):
@@ -207,32 +207,83 @@ class TestSgd:
                 SgdConfig(beta=1.0, nu=nu, max_iters=10, seed=0, gradient_family=family)
 
     def test_builtin_family_unbiased_on_random_points(self, rng):
+        # the uniform law's mean gradient is the plain mean over all K members
         center = rng.normal(size=5)
         offsets = rng.uniform(-0.3, 0.3, size=(12, 5))
         fam = quadratic_family(center, offsets)
-        m = 10_000
-        sigma = np.sqrt(fam.variance_bound)
-        from stochfeas.rngstreams import substream
-        indices = itertools.chain.from_iterable(fam.draws(substream(123, "validation")))
         for _ in range(10):
             x = rng.normal(size=5) * 2
-            acc = np.zeros(5)
-            for _ in range(m):
-                acc += fam.gradient(next(indices), x)
-            acc /= m
-            target = x - fam.center
-            assert np.linalg.norm(acc - target) <= 4.0 / np.sqrt(m) * sigma
+            mean = np.mean([fam.gradient(k, x) for k in range(len(fam))], axis=0)
+            scale = np.max(np.abs(x) + np.abs(fam.minimizers))
+            np.testing.assert_allclose(mean, x - center, rtol=0,
+                                       atol=len(fam) * np.finfo(float).eps * scale)
 
     def test_non_finite_offsets_rejected(self):
+        # inf and -inf in one column: recentring them first would compute inf - inf
         for bad in (np.nan, np.inf):
             with pytest.raises(UsageError, match="non-finite"):
                 quadratic_family(np.zeros(2), np.array([[1.0, 0.0], [bad, 0.0]]))
+        with pytest.raises(UsageError, match="non-finite"):
+            quadratic_family(np.zeros(2), np.array([[np.inf, 0.0], [-np.inf, 0.0]]))
+
+    @pytest.mark.parametrize("center, offsets, message", [
+        pytest.param([0.0, 0.0], [[0.3, 0.0], [np.nan, 0.0]], "offsets contain non-finite",
+                     id="nan-offset"),
+        pytest.param([0.0, np.inf], [[0.3, 0.0], [-0.3, 0.0]], "center contains non-finite",
+                     id="inf-center"),
+        pytest.param([0.0, 0.0], [[0.3, 0.0, 0.0], [-0.3, 0.0, 0.0]], r"\(K, dim\) array",
+                     id="wrong-dim"),
+        pytest.param([0.0, 0.0], [0.3, -0.3], r"\(K, dim\) array", id="1-d-offsets"),
+        pytest.param([0.0, 0.0], np.zeros((0, 2)), "at least one member", id="no-member"),
+    ])
+    def test_malformed_family_is_a_usage_error_when_built(self, center, offsets, message):
+        with pytest.raises(UsageError, match=message):
+            GradientFamily(np.array(center), np.array(offsets))
 
     def test_array_form_spot_check_rejects_offsets_not_recentred(self):
-        fam = GradientFamily(np.zeros(2), np.array([[5.0, 0.0], [5.5, 0.0]]))
-        cfg = SgdConfig(beta=1.0, nu=0.75, max_iters=10, seed=0, gradient_family=fam)
-        with pytest.raises(ConfigurationError, match="unbiasedness spot-check failed"):
-            run_sgd(cfg, [0.0, 0.0])
+        # a family built directly is not recentred; its config is rejected
+        # before the run draws anything, also for the second's small mean,
+        # 0.005 = 1.7% of sqrt(xi) = 0.3
+        for offsets, mean in (([[5.0, 0.0], [5.5, 0.0]], r"5\.250e\+00"),
+                              ([[0.3, 0.0], [-0.29, 0.0]], r"5\.000e-03")):
+            fam = GradientFamily(np.zeros(2), np.array(offsets))
+            message = (r"^unbiasedness E grad g_k\(x\) = grad f\(x\) violated: "
+                       rf"\|\|mean_k w_k\|\| = {mean} > 1e-09 sqrt\(xi\)")
+            with pytest.raises(ConfigurationError, match=message):
+                SgdConfig(beta=1.0, nu=0.75, max_iters=10, seed=0, gradient_family=fam)
+
+    def test_zero_variance_admits_only_an_exact_zero_mean(self):
+        # xi = 1e-400 underflows to 0 while the mean 5e-201 is nonzero
+        SgdConfig(beta=1.0, nu=0.75, max_iters=10, seed=0,
+                  gradient_family=GradientFamily(np.zeros(2), np.zeros((3, 2))))
+        fam = GradientFamily(np.zeros(2), np.array([[1e-200, 0.0], [0.0, 0.0]]))
+        assert fam.variance_bound == 0.0
+        with pytest.raises(ConfigurationError, match="unbiasedness"):
+            SgdConfig(beta=1.0, nu=0.75, max_iters=10, seed=0, gradient_family=fam)
+
+    def test_recentred_offsets_with_a_large_common_shift_pass(self, rng):
+        # the shift's rounding in the raw mean is all the recentred mean keeps
+        for _ in range(50):
+            k, dim = rng.integers(1, 101), rng.integers(1, 65)
+            spread = 10.0 ** rng.uniform(-6.0, 6.0)
+            shift = rng.normal(size=dim)
+            shift *= 1e3 * spread / np.linalg.norm(shift)
+            fam = quadratic_family(rng.normal(size=dim),
+                                   shift + rng.uniform(-spread, spread, size=(k, dim)))
+            SgdConfig(beta=1.0, nu=0.75, max_iters=10, seed=0, gradient_family=fam)
+
+    def test_run_draws_only_from_the_index_stream(self, monkeypatch):
+        labels = []
+
+        def recording(seed, label):
+            labels.append(label)
+            return substream(seed, label)
+
+        monkeypatch.setattr(fixedpoint, "substream", recording)
+        fam = quadratic_family(np.zeros(3), np.array([[0.1, 0, 0], [-0.1, 0, 0]]))
+        cfg = SgdConfig(beta=1.0, nu=0.75, max_iters=50, seed=9, gradient_family=fam)
+        run_sgd(cfg, np.ones(3))
+        assert labels == ["index"]
 
     def test_stochastic_quadratic_gradient_norm_decreases(self):
         rng = np.random.default_rng(0)
@@ -255,14 +306,6 @@ class TestSgd:
         with pytest.raises(UsageError, match=rf"quadratic family: \({dim},\) vs \(8,\)"):
             run_sgd(cfg, np.zeros(dim))
 
-    def test_determinism(self):
-        fam = quadratic_family(np.zeros(3), np.array([[0.1, 0, 0], [-0.1, 0, 0]]))
-        cfg = SgdConfig(beta=1.0, nu=0.75, max_iters=500, seed=9, gradient_family=fam)
-        f1, t1 = run_sgd(cfg, np.ones(3))
-        f2, t2 = run_sgd(cfg, np.ones(3))
-        np.testing.assert_array_equal(f1, f2)
-        assert t1.columns["residual"] == t2.columns["residual"]
-
     @pytest.mark.parametrize("budget", [7, 8])
     def test_last_row_is_the_last_iteration(self, budget):
         # record_every=2: a budget of 7 ends on a recorded row anyway, one of
@@ -273,21 +316,6 @@ class TestSgd:
         _, trace = run_sgd(cfg, np.ones(3))
         assert trace.footer["iterations_run"] == budget
         assert trace.iterations().tolist() == sorted({*range(0, budget, 2), budget - 1})
-
-    def test_indices_equal_scalar_draw_replay(self):
-        rng = np.random.default_rng(3)
-        fam = quadratic_family(rng.uniform(-1, 1, size=3), rng.uniform(-0.3, 0.3, size=(7, 3)))
-        # 2500 steps cross two refills of the bulk index buffer
-        cfg = SgdConfig(beta=1.0, nu=0.75, max_iters=2500, seed=17, gradient_family=fam)
-        final, _ = run_sgd(cfg, np.zeros(3))
-        from stochfeas.rngstreams import substream
-        idx_rng = substream(17, "index")
-        x = np.zeros(3)
-        for n in range(2500):
-            k = sample_indices(fam, idx_rng, 1).item()
-            x = x - cfg.step_size(n) * fam.gradient(k, x)
-        np.testing.assert_array_equal(final, x)
-
 
     @pytest.mark.parametrize("dim, beta, nu", [(3, 0.7, 0.8), (8, 1.0, 0.75)])
     @pytest.mark.parametrize("record_every", [1, 7, 10])
@@ -319,7 +347,6 @@ class TestSgd:
 class TestErrorSchedules:
     def test_decaying_bound_honored(self, rng):
         sched = DecayingNoise(2.0, 1.25)
-        from stochfeas.rngstreams import substream
         noise_rng = substream(0, "noise")
         for n in range(200):
             e = sched.sample(n, 8, noise_rng)

@@ -28,7 +28,7 @@ def test_tracer_installs_and_removes_its_wrappers():
 
 
 def test_tracer_counts_one_gradient_call_per_sgd_step():
-    # the spot-check reads the offsets directly, so every counted call is a step's
+    # no check calls the gradient, so every counted call is a step's
     from stochfeas import fixedpoint
 
     fam = fixedpoint.quadratic_family(np.zeros(3), np.array([[0.1, 0, 0], [-0.1, 0, 0]]))
