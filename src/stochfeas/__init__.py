@@ -21,7 +21,7 @@ from .block import (
     compute_weights,
     run_block,
 )
-from .diagnostics import aggregate_runs, normalized_error_db
+from .diagnostics import aggregate_runs
 from .experiments import canonical_strategies, estimate_reference_solution, run_experiment
 from .exceptions import (
     ConfigurationError,

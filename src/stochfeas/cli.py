@@ -30,7 +30,6 @@ import numpy as np
 
 from . import relaxation as rx
 from .block import MAX_RESIDUAL_CONCENTRATED, UNIFORM_OVER_BATCH, BlockConfig, run_block
-from .diagnostics import normalized_error_db
 from .exceptions import (
     ConfigurationError,
     InvariantViolationError,
@@ -267,28 +266,28 @@ def _toy_problem():
 
 
 def _run_single(command: str, solver):
-    """One toy, km or sgd run: (trace, final error in dB or None, BlockResult or None)."""
+    """One toy, km or sgd run: (trace, BlockResult or None)."""
     if command == "sgd":
-        return run_sgd(solver, np.zeros(8))[1], None, None
+        return run_sgd(solver, np.zeros(8))[1], None
     if command == "km":
         rot = np.array([[0.0, -1.0], [1.0, 0.0]])
-        return run_km(lambda x: rot @ x, solver, np.array([1.0, 0.0]))[1], None, None
+        return run_km(lambda x: rot @ x, solver, np.array([1.0, 0.0]))[1], None
     family, x0, zs = _toy_problem()
     res = run_block(family, solver, x0, reference_solution=np.zeros(2), fejer_points=zs)
-    return res.trace, normalized_error_db(res.final, x0, np.zeros(2)), res
+    return res.trace, res
 
 
-def _summary(cfg: RunConfig, label: str, seed: int, trace, final_db, res,
-             wall: float) -> dict:
-    """The summary.json line of one run; ``res`` is its BlockResult, if any,
-    and ``final_db`` the final iterate's dB against the run's reference."""
+def _summary(cfg: RunConfig, label: str, seed: int, trace, res, wall: float) -> dict:
+    """The summary.json line of one run; ``res`` is its BlockResult, if any.
+    The final iterate's dB against the run's reference comes from the trace
+    footer, and is None for a run without a reference."""
     return {
         "command": cfg.command,
         "strategy": label,
         "seed": seed,
         "iterations_run": int(trace.footer["iterations_run"]),
         "final_residual": trace.final_residual(),
-        "final_norm_err_db": final_db,
+        "final_norm_err_db": trace.footer.get("final_norm_err_db"),
         "invariant_violations": 0 if res is None else res.fejer_violations,
         "worst_violation": 0.0 if res is None else res.worst_fejer_violation,
         "wall_clock_s": wall,
@@ -310,19 +309,16 @@ def execute(cfg: RunConfig) -> int:
                     seed = derive_seed(cfg.seed, "sgd" if cfg.command == "sgd" else label, rep)
                     solver = _solver_config(cfg, strategy, seed)
                     started = time.perf_counter()
-                    trace, final_db, res = _run_single(cfg.command, solver)
+                    trace, res = _run_single(cfg.command, solver)
                     wall = time.perf_counter() - started
-                    runs.append((_summary(cfg, label, seed, trace, final_db, res, wall), trace, res))
+                    runs.append((_summary(cfg, label, seed, trace, res, wall), trace, res))
             else:
                 started = time.perf_counter()
                 result = run_experiment(problem, family, _solver_config(cfg, strategy, cfg.seed),
                                         label, repeats=cfg.repeats)
                 wall = (time.perf_counter() - started) / len(result.seeds)
-                x0 = np.zeros(problem.ground_truth.size)
-                for seed, ref, res in zip(result.seeds, result.references, result.results):
-                    final_db = None if ref is None else normalized_error_db(res.final, x0, ref)
-                    runs.append((_summary(cfg, label, seed, res.trace, final_db, res, wall),
-                                 res.trace, res))
+                for seed, res in zip(result.seeds, result.results):
+                    runs.append((_summary(cfg, label, seed, res.trace, res, wall), res.trace, res))
                 averaged.append((label, result.averaged))
 
         for summary, trace, res in runs:

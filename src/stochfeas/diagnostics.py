@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .exceptions import UsageError
-from .geometry import as_point, fejer_decrement, require_same_dim
+from .geometry import fejer_decrement
 from .trace import ConvergenceTrace
 
 DB_FLOOR = -300.0
@@ -23,23 +23,6 @@ def ratio_db(num: float, den: float) -> float:
     if num == 0.0:
         return DB_FLOOR
     return float(max(20.0 * np.log10(num / den), DB_FLOOR))
-
-
-def normalized_error_db(x_n, x0, x_inf) -> float:
-    """20 log10(||x_n - x_inf|| / ||x0 - x_inf||), clamped at -300 dB.
-
-    The value is invariant under common translation and positive scaling of
-    the three points.  ``x0 == x_inf`` is a usage error.
-    """
-    x_n = as_point(x_n, "x_n")
-    x0 = as_point(x0, "x0")
-    x_inf = as_point(x_inf, "x_inf")
-    require_same_dim(x_n, x_inf, "normalized_error_db")
-    require_same_dim(x0, x_inf, "normalized_error_db")
-    den = float(np.linalg.norm(x0 - x_inf))
-    if den == 0.0:
-        raise UsageError("x0 equals x_inf; normalized error undefined")
-    return ratio_db(float(np.linalg.norm(x_n - x_inf)), den)
 
 
 class AveragedTrace(ConvergenceTrace):

@@ -4,13 +4,14 @@ against its own limit.
 ``run_experiment`` runs a strategy over ``repeats`` seeds derived from the
 config's seed and a label.  Each seeded run is made twice with identical
 draws.  The reference pass, ``estimate_reference_solution``, runs the same
-config with 10x the budget and no records, and stops once the residual
-stays below its tolerance; its final point is the run's own limit x_inf.
-The recording pass then runs the full budget with ``atol = 0`` and logs
-the normalized error against x_inf.  Since the step does not depend on
-``atol``, the recording pass is an exact prefix of the reference pass.  A
-seed whose reference pass does not converge keeps its residual trace
-without a dB column.  Both passes call ``run_block`` through this module's
+config with 10x the budget, no records and two trace rows, and stops once
+the residual stays below its tolerance; its final point is the run's own
+limit x_inf.  The recording pass then runs the full budget with ``atol =
+0`` and logs the normalized error against x_inf, and the dB of its final
+iterate in its trace footer.  Since the step does not depend on ``atol``,
+the recording pass is an exact prefix of the reference pass.  A seed whose
+reference pass does not converge keeps its residual trace without a dB
+column.  Both passes call ``run_block`` through this module's
 namespace, so that replacing ``experiments.run_block`` reaches both: the
 ``cli_signal`` benchmark workload counts its iterations that way.
 
@@ -66,10 +67,14 @@ def estimate_reference_solution(family: _IndexedFamily, cfg: BlockConfig, x0) ->
 
     The returned point is run-specific: it is the limit of this seed's own
     trajectory, which is what normalized-error plots are measured against.
-    The extended run collects no records: nothing reads them.
+    The extended run collects no records and keeps only the trace rows read
+    here: row 0 and the stop (or last) row, which every ``record_every``
+    keeps.  The step does not depend on ``record_every``, since the run
+    wants the residual of every step for its stop rule.
     """
     tol = max(1e-12, cfg.atol)
-    res = run_block(family, replace(cfg, max_iters=10 * cfg.max_iters, atol=tol,
+    budget = 10 * cfg.max_iters
+    res = run_block(family, replace(cfg, max_iters=budget, atol=tol, record_every=budget,
                                     collect_records=False), x0)
     if res.trace.final_residual() >= tol:
         raise ReferenceSolutionError(

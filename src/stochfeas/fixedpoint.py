@@ -147,14 +147,19 @@ class SgdConfig:
     The family must be unbiased, E grad g_k(x) = grad f(x), which for the
     quadratic family is a zero mean of its offsets w_k.  It is checked
     exactly: ||mean_k w_k|| <= tol sqrt(xi), where xi is the family's
-    variance bound, so xi = 0 admits only an exact zero mean.
+    variance bound, so zero offsets admit only an exact zero mean.  The
+    check is scale-free: both sides are formed from the offsets over s, the
+    largest |w| rounded down to a power of two.  That division is exact, so
+    no decision in the normal range changes, and offsets near 1e-200 or
+    1e200, whose xi underflows to 0 or overflows to inf, are judged as
+    offsets near 1 are.
 
     tol = 1e-9, about 9e6 u with u = 2^-53, is rounding's room.  Recentring
-    K raw offsets that share a common shift s, by subtracting their mean,
+    K raw offsets that share a common shift v, by subtracting their mean,
     leaves a mean within (K - 1) u max_k |w_k| per entry of zero, and the
     subtractions and this check's own mean add (K + 1) u sqrt(xi): to first
     order at most (2K + 1)(R + sqrt(dim)) u sqrt(xi) in all, for a shift
-    ||s|| = R sqrt(xi).  The tolerance covers K = 1000 members with R +
+    ||v|| = R sqrt(xi).  The tolerance covers K = 1000 members with R +
     sqrt(dim) up to 4,500.  Any bias that matters is far above it: a mean b
     moves the run's limit from c to c + b, and the iterates' own noise,
     of order sqrt(gamma_n xi), stays above 1e-9 sqrt(xi) for any run
@@ -177,14 +182,14 @@ class SgdConfig:
             raise ConfigurationError("max_iters must be >= 1")
         if self.record_every < 1:
             raise ConfigurationError("record_every must be >= 1")
-        family = self.gradient_family
+        s, w, spread = _scaled(self.gradient_family.offsets)
         # hypot does not underflow, so a nonzero mean never reads 0
-        bias = math.hypot(*family.offsets.mean(axis=0))
-        bound = _UNBIASED_TOL * math.sqrt(family.variance_bound)
+        bias = math.hypot(*w.mean(axis=0))
+        bound = _UNBIASED_TOL * math.sqrt(spread)
         if not bias <= bound:
             raise ConfigurationError(
-                f"unbiasedness E grad g_k(x) = grad f(x) violated: ||mean_k w_k|| = {bias:.3e} "
-                f"> {_UNBIASED_TOL:g} sqrt(xi) = {bound:.3e}"
+                f"unbiasedness E grad g_k(x) = grad f(x) violated: ||mean_k w_k|| = {s * bias:.3e} "
+                f"> {_UNBIASED_TOL:g} sqrt(xi) = {s * bound:.3e}"
             )
 
     def step_size(self, n: int) -> float:
@@ -202,7 +207,8 @@ class GradientFamily(_IndexedFamily):
     array; the family is unbiased when the offsets have zero mean, which
     :func:`quadratic_family` ensures and :class:`SgdConfig` checks.
     ``variance_bound`` is the declared xi = max_k ||w_k||^2 >=
-    E||grad g_k(x) - grad f(x)||^2.
+    E||grad g_k(x) - grad f(x)||^2; it reads 0 or inf where xi is below
+    or above the float range, which the unbiasedness check does not use.
     """
 
     def __init__(self, center, offsets):
@@ -216,10 +222,24 @@ class GradientFamily(_IndexedFamily):
         self.center = center
         self.offsets = offsets
         self.minimizers = list(center + offsets)
-        self.variance_bound = float(np.max(np.sum(offsets ** 2, axis=1)))
+        s, _, spread = _scaled(offsets)
+        # Python floats: s * s may underflow to 0 or overflow to inf, silently
+        self.variance_bound = s * s * spread
 
     def gradient(self, k: int, x: np.ndarray) -> np.ndarray:
         return x - self.minimizers[k]
+
+
+def _scaled(offsets: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """(s, w = offsets / s, max_k ||w_k||^2) for s the largest |offset|
+    rounded down to a power of two (1 for zero offsets).  The division is
+    exact for every entry above 2^-1022 s, and the largest |w| lies in
+    [1, 2[, so for nonzero offsets
+    max_k ||w_k||^2 lies in [1, 4 dim[: it neither overflows nor underflows."""
+    top = float(np.max(np.abs(offsets)))
+    s = math.ldexp(1.0, math.frexp(top)[1] - 1) if top > 0.0 else 1.0
+    w = offsets / s
+    return s, w, float(np.max(np.sum(w ** 2, axis=1)))
 
 
 def quadratic_family(center, offsets) -> GradientFamily:
@@ -274,6 +294,10 @@ def _iterate(step, x0, max_iters: int, atol: float, record_every: int,
     the stop reason come from a step.  The rows of the stretch that
     ``record_every`` selects enter the trace in one call, with residual 0,
     L = 1, the dB value of x and one shared ``elapsed_s`` stamp.
+
+    The trace footer holds ``stop_reason``, ``atol`` and ``iterations_run``
+    and, when a ``reference`` point is given, ``final_norm_err_db``: the dB
+    distance of the final iterate to it, over the dB column's denominator.
 
     x0, the reference and the iterates are 1-D float64 vectors with the
     norm v.dot(v): points in space, or a block run's isometric coordinates
@@ -334,6 +358,8 @@ def _iterate(step, x0, max_iters: int, atol: float, record_every: int,
             stop_reason = "atol"
             break
     trace.footer.update(stop_reason=stop_reason, atol=atol, iterations_run=n + 1)
+    if ref is not None:
+        trace.footer["final_norm_err_db"] = db if x is db_x else _distance_db(x, ref, ref_denom)
     return x, trace
 
 

@@ -5,10 +5,14 @@ A trace stores one sequence per CSV column in ``columns``, a dict keyed by
 the header names in header order; cell ``i`` of every column belongs to row
 ``i``.  A ``None`` cell is written empty: the dB column holds ``None`` when
 no reference solution was supplied.  Floats are serialized with 17
-significant digits so they round-trip exactly.  Footer metadata (stop
-reason, thresholds) is appended as ``#``-prefixed comment lines, which the
-reader skips.  An averaged trace (``diagnostics.AveragedTrace``) is a trace
-with two more columns and numpy arrays as columns; the same writer writes it.
+significant digits so they round-trip exactly.  Footer metadata is
+appended as ``#``-prefixed ``key=value`` lines in key order, which the
+reader collects into ``footer`` as strings: every run's ``stop_reason``,
+``atol`` and ``iterations_run``, a relaxed fixed point run's ``errors``,
+and, when the run has a reference point, ``final_norm_err_db``, the dB
+distance of its final iterate to it.  An averaged trace
+(``diagnostics.AveragedTrace``) is a trace with two more columns and numpy
+arrays as columns; the same writer writes it.
 """
 
 from __future__ import annotations

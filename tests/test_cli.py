@@ -17,7 +17,6 @@ from stochfeas.cli import (
     parse_and_validate,
     parse_relaxation_shorthand,
 )
-from stochfeas.diagnostics import normalized_error_db
 from stochfeas.exceptions import ConfigurationError, InvariantViolationError
 from stochfeas.experiments import run_experiment
 from stochfeas.trace import read_trace_csv
@@ -282,8 +281,12 @@ class TestArtifactLayout:
             result = run_experiment(problem, family, _solver_config(cfg, strategy, cfg.seed),
                                     label, repeats=2)
             for seed, ref, res in zip(result.seeds, result.references, result.results):
-                expected[label, seed] = normalized_error_db(res.final, x0, ref)
+                expected[label, seed] = float(20.0 * np.log10(
+                    np.linalg.norm(res.final - ref) / np.linalg.norm(x0 - ref)))
         assert {(r["strategy"], r["seed"]): r["final_norm_err_db"] for r in runs} == expected
+        for r in runs:   # the value the trace footer holds, written to round-trip
+            footer = read_trace_csv(tmp_path / f"signal_{r['strategy']}_{r['seed']}.csv").footer
+            assert float(footer["final_norm_err_db"]) == r["final_norm_err_db"]
 
     def test_dump_records_writes_jsonl(self, tmp_path):
         code = main(["toy", "--seed", "5", "--iters", "20", "--dump-records",

@@ -3,9 +3,10 @@ import pytest
 
 from stochfeas import relaxation as rx
 from stochfeas.block import BlockConfig, run_block
-from stochfeas.diagnostics import aggregate_runs, audit_fejer_step, normalized_error_db
+from stochfeas.diagnostics import aggregate_runs, audit_fejer_step
 from stochfeas.exceptions import ReferenceSolutionError, UsageError
 from stochfeas.experiments import estimate_reference_solution
+from stochfeas.fixedpoint import _iterate
 from stochfeas.operators import LinearFamily, OperatorFamily
 from stochfeas.trace import ConvergenceTrace
 
@@ -19,31 +20,46 @@ def make_trace(db_values, lam=1.0):
     return t
 
 
+def final_db(x0, x_inf, *points):
+    """The footer's ``final_norm_err_db`` of a loop whose step n moves to
+    ``points[n]``; with no points, every step leaves x0 in place."""
+    points = [np.asarray(p, dtype=float) for p in points]
+
+    def step(n, x, want):
+        return (points[n] if points else x), 0.0, 1.0, 1.0
+
+    _, trace = _iterate(step, x0, len(points) or 3, 0.0, 1, reference=x_inf)
+    return trace.footer["final_norm_err_db"]
+
+
 class TestNormalizedErrorDb:
+    """The normalized error of a run's final iterate, 20 log10(||x_N - x_inf||
+    / ||x0 - x_inf||) clamped at -300 dB: ``final_norm_err_db`` in the footer
+    of a trace with a reference point."""
+
     def test_at_start_zero_db(self):
-        assert normalized_error_db([1.0, 1.0], [1.0, 1.0], [0.0, 0.0]) == 0.0
+        # every step returns x itself, so the final value is the cached row's
+        assert final_db([1.0, 1.0], [0.0, 0.0]) == 0.0
 
     def test_log_identity(self):
-        x0 = np.array([1.0, 0.0])
-        x_inf = np.zeros(2)
-        x_n = np.array([1e-3, 0.0])
-        assert normalized_error_db(x_n, x0, x_inf) == pytest.approx(-60.0, abs=1e-12)
+        db = final_db([1.0, 0.0], [0.0, 0.0], [0.5, 0.0], [1e-3, 0.0])
+        assert db == pytest.approx(-60.0, abs=1e-12)
 
     def test_clamp_at_limit(self):
-        assert normalized_error_db([0.0, 0.0], [1.0, 1.0], [0.0, 0.0]) == -300.0
+        assert final_db([1.0, 1.0], [0.0, 0.0], [0.5, 0.0], [0.0, 0.0]) == -300.0
 
     def test_x0_equal_x_inf_rejected(self):
-        with pytest.raises(UsageError):
-            normalized_error_db([1.0], [2.0], [2.0])
+        with pytest.raises(UsageError, match="x0 equals the reference"):
+            final_db([2.0], [2.0], [1.0])
 
     def test_translation_and_scaling_covariance(self, rng):
         for _ in range(20):
             x_n, x0, x_inf = rng.normal(size=(3, 4))
-            base = normalized_error_db(x_n, x0, x_inf)
+            base = final_db(x0, x_inf, x_n)
             shift = rng.normal(size=4)
             gamma = rng.uniform(0.1, 10.0)
-            moved = normalized_error_db(gamma * (x_n + shift), gamma * (x0 + shift),
-                                        gamma * (x_inf + shift))
+            moved = final_db(gamma * (x0 + shift), gamma * (x_inf + shift),
+                             gamma * (x_n + shift))
             assert moved == pytest.approx(base, abs=1e-9)
 
 

@@ -1126,7 +1126,11 @@ class TestRunExperiment:
         passes = []
 
         def recorded(family, run_cfg, *args, **kwargs):
-            res = run_block(family, run_cfg, *args, **kwargs)
+            # the reference pass keeps two trace rows; the same pass at
+            # record_every=1 ends at the same point (see
+            # test_reference_pass_keeps_only_the_rows_it_reads) and keeps them all
+            full = run_cfg if run_cfg.atol == 0.0 else replace(run_cfg, record_every=1)
+            res = run_block(family, full, *args, **kwargs)
             passes.append((run_cfg, res.trace))
             return res
 
@@ -1136,7 +1140,8 @@ class TestRunExperiment:
         for rep in range(2):
             (ref_cfg, ref_trace), (rec_cfg, rec_trace) = passes[2 * rep: 2 * rep + 2]
             assert ref_cfg.seed == rec_cfg.seed == result.seeds[rep]
-            assert ref_cfg.max_iters == 10 * max_iters and rec_cfg.atol == 0.0
+            assert ref_cfg.max_iters == ref_cfg.record_every == 10 * max_iters
+            assert rec_cfg.atol == 0.0
             assert rec_trace is result.results[rep].trace
             common, ref_rows, rec_rows = np.intersect1d(
                 ref_trace.iterations(), rec_trace.iterations(), return_indices=True)
@@ -1146,6 +1151,103 @@ class TestRunExperiment:
                 rec_col = getattr(rec_trace, column)()[rec_rows]
                 assert np.array_equal(ref_col, rec_col), column
             assert (ref_trace.footer["iterations_run"] < max_iters) == stops_early
+
+    @pytest.mark.parametrize("instance", ["signal", "image"])
+    def test_reference_pass_keeps_only_the_rows_it_reads(self, monkeypatch, instance):
+        # row 0 and the stop (or last) row; the point, the stop iteration and
+        # the final residual are those of the same pass recording every row
+        if instance == "signal":
+            problem = experiments.desk_signal_problem(seed=3)
+            family, m = problem.build_family(), 16
+        else:
+            problem = experiments.desk_image_problem(seed=0)
+            family = problem.build_family(fourier_weight=experiments.DESK_IMAGE_FOURIER_WEIGHT)
+            m = 2
+        max_iters = 300
+        x0 = np.zeros(problem.ground_truth.size)
+        passes = []
+
+        def recorded(*args, **kwargs):
+            passes.append(run_block(*args, **kwargs))
+            return passes[-1]
+
+        monkeypatch.setattr(experiments, "run_block", recorded)
+        for label, strategy in canonical_strategies().items():
+            cfg = BlockConfig(batch_size=m, delta=0.5 / m, relaxation=strategy,
+                              max_iters=max_iters, seed=derive_seed(3, label, 0),
+                              atol=1e-12, stop_patience=50)
+            try:
+                ref = experiments.estimate_reference_solution(family, cfg, x0)
+            except ReferenceSolutionError:
+                ref = None
+            kept = passes.pop().trace
+            full = run_block(family, replace(cfg, max_iters=10 * max_iters, record_every=1), x0)
+            stop = full.trace.footer["iterations_run"]
+            assert kept.footer == full.trace.footer, label
+            assert kept.iterations().tolist() == [0, stop - 1], label
+            assert kept.final_residual() == full.trace.final_residual(), label
+            if full.trace.final_residual() >= 1e-12:
+                assert ref is None, label
+            else:
+                assert np.array_equal(ref, full.final), label
+
+
+class TestFinalNormErrDbFooter:
+    """A run with a reference point writes the dB of its final iterate into
+    the trace footer; the oracle measures it in space."""
+
+    @staticmethod
+    def oracle(final, x0, ref):
+        return 20.0 * np.log10(np.linalg.norm(final - ref) / np.linalg.norm(x0 - ref))
+
+    def test_toy_run(self):
+        family = LinearFamily(np.eye(2), [-np.inf, -np.inf], [0.0, 0.0])
+        x0, ref = np.array([1.0, 1.0]), np.zeros(2)
+        cfg = BlockConfig(batch_size=1, delta=0.5, relaxation=rx.Constant(0.5),
+                          max_iters=20, seed=3, atol=0.0)
+        res = run_block(family, cfg, x0, reference_solution=ref)
+        assert np.all(res.final != ref)
+        assert res.trace.footer["final_norm_err_db"] == self.oracle(res.final, x0, ref)
+
+    def test_desk_signal_run(self):
+        problem = experiments.desk_signal_problem(seed=3)
+        truth, x0 = problem.ground_truth, np.zeros(problem.ground_truth.size)
+        cfg = BlockConfig(batch_size=16, delta=0.5 / 16, relaxation=rx.Constant(1.9),
+                          max_iters=60, seed=0, atol=0.0, record_every=7)
+        res = run_block(problem.build_family(), cfg, x0, reference_solution=truth)
+        db = res.trace.footer["final_norm_err_db"]
+        assert db < res.trace.db_column()[-1]   # the last step moved x
+        assert db == self.oracle(res.final, x0, truth)
+
+    def test_desk_image_run(self):
+        # the run measures in the isometric coordinates of its state, the
+        # oracle in space: they agree to rounding
+        problem = experiments.desk_image_problem(seed=0)
+        family = problem.build_family(fourier_weight=experiments.DESK_IMAGE_FOURIER_WEIGHT)
+        truth = np.ravel(problem.ground_truth)
+        x0 = np.zeros(truth.size)
+        cfg = BlockConfig(batch_size=2, delta=0.25, relaxation=rx.TwoPoint(2.3, 0.5, 1.5),
+                          max_iters=200, seed=5, atol=0.0)
+        res = run_block(family, cfg, x0, reference_solution=truth)
+        db = res.trace.footer["final_norm_err_db"]
+        assert db < -1.0
+        assert db == pytest.approx(self.oracle(res.final, x0, truth), abs=1e-9)
+
+    def test_absent_without_a_reference(self):
+        rot = np.array([[0.0, -1.0], [1.0, 0.0]])
+        km_cfg = fixedpoint.KmConfig(rx.Constant(0.5), max_iters=50, seed=1)
+        sgd_cfg = fixedpoint.SgdConfig(
+            beta=1.0, nu=0.75, max_iters=50, seed=1,
+            gradient_family=fixedpoint.quadratic_family(np.zeros(2), [[0.1, 0.0], [-0.1, 0.0]]))
+        block_cfg = BlockConfig(batch_size=1, delta=0.5, relaxation=rx.Constant(1.0),
+                                max_iters=20, seed=3)
+        traces = [fixedpoint.run_km(lambda x: rot @ x, km_cfg, [1.0, 0.0])[1],
+                  fixedpoint.run_sgd(sgd_cfg, [1.0, 1.0])[1],
+                  run_block(LinearFamily(np.eye(2), [-np.inf, -np.inf], [0.0, 0.0]),
+                            block_cfg, [1.0, 1.0]).trace]
+        for trace in traces:
+            assert "final_norm_err_db" not in trace.footer
+            assert {"stop_reason", "atol", "iterations_run"} <= set(trace.footer)
 
 
 class TestIndexStreamCoverage:

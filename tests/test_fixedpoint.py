@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -260,6 +261,28 @@ class TestSgd:
         assert fam.variance_bound == 0.0
         with pytest.raises(ConfigurationError, match="unbiasedness"):
             SgdConfig(beta=1.0, nu=0.75, max_iters=10, seed=0, gradient_family=fam)
+
+    @pytest.mark.parametrize("scale, xi", [(1e-200, 0.0), (1e200, np.inf)])
+    def test_unbiasedness_check_is_scale_free(self, rng, scale, xi):
+        # xi underflows to 0 or overflows to inf, but the check divides the
+        # offsets by a power of two first: recentred families pass, raw
+        # biased ones fail, and no step warns
+        def config(fam):
+            return SgdConfig(beta=1.0, nu=0.75, max_iters=10, seed=0, gradient_family=fam)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(200):
+                k, dim = rng.integers(1, 21), rng.integers(1, 9)
+                fam = quadratic_family(rng.normal(size=dim),
+                                       scale * rng.uniform(-1.0, 1.0, size=(k, dim)))
+                config(fam)
+            for offsets in ([[1.0, 0.0], [0.0, 0.0]], rng.uniform(-1.0, 1.0, size=(10, 2)),
+                            rng.uniform(0.5, 1.0, size=(10, 2))):
+                fam = GradientFamily(np.zeros(2), scale * np.asarray(offsets))
+                assert fam.variance_bound == xi
+                with pytest.raises(ConfigurationError, match="unbiasedness"):
+                    config(fam)
 
     def test_recentred_offsets_with_a_large_common_shift_pass(self, rng):
         # the shift's rounding in the raw mean is all the recentred mean keeps
