@@ -336,10 +336,13 @@ def run_block(
         if records is not None:
             record(n, ks, beta, x + d, extrap, a, lam, r)
 
-    def skip(n, x, limit):
-        """The relaxations of iterations n + 1 .. n + j, j <= limit, that the
-        state's screen proves no-ops at x, over the current chunks."""
+    def stretch(n, x, x_next, limit):
+        """The no-op stretch of iterations n + 1 .. n + j, j <= limit, that the
+        state's screen proves no-ops at x, over the current chunks, once step
+        n has left x unchanged."""
         nonlocal ks_at, lam_at
+        if x_next is not x:
+            return None
         limit = min(limit, len(ks_chunk) - ks_at, len(lam_chunk) - lam_at)
         j, width = 0, 4
         while j < limit:
@@ -356,11 +359,11 @@ def run_block(
                        lam_chunk[lam_at + i])
         ks_at += j
         lam_at += j
-        return lam_chunk[lam_at - j:lam_at]
+        return (lam_chunk[lam_at - j:lam_at], 0.0, None) if j else None
 
     # the residual only samples M random operators, so a single quiet
     # iteration proves nothing; require stop_patience consecutive ones
     x, trace = _iterate(step, state.coordinates(x0), cfg.max_iters, cfg.atol, cfg.record_every,
                         patience=cfg.stop_patience, reference=reference_solution,
-                        skip=None if screen is None else skip)
+                        stretch=None if screen is None else stretch)
     return BlockResult(point(x), trace, records, violations, worst)

@@ -9,8 +9,10 @@ Two iterations on top of one loop skeleton, which the block iteration of
 * stochastic gradient descent for a 1/beta-Lipschitz-gradient objective,
       x_{n+1} = x_n - gamma_n grad g_{k_n}(x_n),    gamma_n = 2 beta / (n + 1)^nu,
   with nu in ]2/3, 1] and an unbiased, bounded-variance gradient family
-  of quadratics centred at points t_k: a step is three array operations,
-  and the residual column is ||grad f(x_n)|| = ||x_n - c||.
+  of quadratics centred at points t_k, grad g_k(x) = x - t_k; the residual
+  column is ||grad f(x_n)|| = ||x_n - c||.  SGD advances in stretches: the
+  rest of each index chunk at once, one Python-float recurrence per
+  coordinate, which the loop guards as one stack of iterates.
 
 Each driver checks the shape of its points where they enter (x0 against
 the family, or every T x), so the loop checks no step's shape, and each
@@ -82,11 +84,10 @@ class DecayingNoise:
 
         ``standard_normal((m, dim))`` draws the m rows in turn.  Each row's
         norm is sqrt(g_i . g_i), which is how ``np.linalg.norm`` takes it;
-        the batched matmul of a 1 x dim by a dim x 1 operand forms each dot
-        product the same way (einsum may sum in another order).
+        ``_squared_norms`` forms each dot product the same way.
         """
         g = rng.standard_normal((m, dim))
-        norms = np.sqrt(np.matmul(g[:, None, :], g[:, :, None]).reshape(m))
+        norms = np.sqrt(_squared_norms(g))
         capped = norms > 1.0
         g[capped] /= norms[capped, None]
         try:
@@ -192,16 +193,13 @@ class SgdConfig:
                 f"> {_UNBIASED_TOL:g} sqrt(xi) = {s * bound:.3e}"
             )
 
-    def step_size(self, n: int) -> float:
-        return 2.0 * self.beta / (n + 1.0) ** self.nu
-
 
 class GradientFamily(_IndexedFamily):
     """Stochastic gradients of f(x) = ||x - c||^2 / 2 under a uniform index
     law.  Member k is the quadratic ||x - t_k||^2 / 2 centred at its minimizer
-    t_k = c + w_k, so grad g_k(x) = x - t_k is one subtraction.  The family
-    holds ``center`` c and ``offsets`` w_k as arrays and ``minimizers`` t_k as
-    a list of rows, formed once: a list lookup is cheaper than an array index.
+    t_k = c + w_k, so grad g_k(x) = x - t_k.  The family holds ``center`` c,
+    ``offsets`` w_k and ``minimizers`` t_k as arrays, formed once; a run
+    reads the minimizers coordinate by coordinate (see :func:`run_sgd`).
 
     ``center`` must be a finite point and ``offsets`` a finite (K, dim)
     array; the family is unbiased when the offsets have zero mean, which
@@ -221,13 +219,10 @@ class GradientFamily(_IndexedFamily):
         super().__init__(offsets.shape[0])
         self.center = center
         self.offsets = offsets
-        self.minimizers = list(center + offsets)
+        self.minimizers = center + offsets
         s, _, spread = _scaled(offsets)
         # Python floats: s * s may underflow to 0 or overflow to inf, silently
         self.variance_bound = s * s * spread
-
-    def gradient(self, k: int, x: np.ndarray) -> np.ndarray:
-        return x - self.minimizers[k]
 
 
 def _scaled(offsets: np.ndarray) -> tuple[float, np.ndarray, float]:
@@ -263,6 +258,13 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(float(v @ v))
 
 
+def _squared_norms(rows: np.ndarray) -> np.ndarray:
+    """v . v for each row v of a C-contiguous 2-D array, as ``v.dot(v)`` forms
+    it: the batched matmul of a 1 x dim by a dim x 1 operand takes each row's
+    dot product the same way (einsum may sum in another order)."""
+    return np.matmul(rows[:, None, :], rows[:, :, None]).reshape(len(rows))
+
+
 def _distance_db(x: np.ndarray, ref: np.ndarray, ref_denom: float) -> float:
     """The dB distance of x to the reference point, over ``ref_denom``."""
     return ratio_db(_norm(x - ref), ref_denom)
@@ -270,7 +272,7 @@ def _distance_db(x: np.ndarray, ref: np.ndarray, ref_denom: float) -> float:
 
 def _iterate(step, x0, max_iters: int, atol: float, record_every: int,
              patience: int = 1, reference=None,
-             skip=None) -> tuple[np.ndarray, ConvergenceTrace]:
+             stretch=None) -> tuple[np.ndarray, ConvergenceTrace]:
     """The loop every driver runs: ``x_{n+1}, residual, lam, L = step(n, x_n, want)``.
 
     The step computes its residual only when ``want`` is true, and may
@@ -285,15 +287,29 @@ def _iterate(step, x0, max_iters: int, atol: float, record_every: int,
     iteration earlier (the guard still checks x0 at n = 0), and reuses the
     dB value last computed for x.
 
-    After step n has returned x itself, the loop asks ``skip(n, x, limit)``, if
-    given, for a stretch: the relaxations of iterations n + 1 .. n + j <= n +
-    limit, each certified to leave x unchanged with residual 0 and L = 1.  The
-    loop takes the j iterations at once.  A stretch ends before the
-    budget's last iteration and before the iteration at which ``patience``
-    quiet iterations would stop the run, so the last row, the stop row and
-    the stop reason come from a step.  The rows of the stretch that
-    ``record_every`` selects enter the trace in one call, with residual 0,
-    L = 1, the dB value of x and one shared ``elapsed_s`` stamp.
+    After step n, from x = x_n to x_next = x_{n+1}, the loop may ask
+    ``stretch(n, x, x_next, limit)``, if given, for a stretch: iterations
+    n + 1 .. n + j <= n + limit, taken at once, each with L = 1.  The driver
+    returns None, or ``(lams, residuals, path)`` with the j relaxations and
+    either of two kinds:
+
+    * a no-op stretch, which leaves x_next as it is: one residual shared by
+      every row, and ``path`` None.  The loop asks for one after a step
+      that returned x itself;
+    * a moving stretch: the j residuals of x_{n+1} .. x_{n+j}, and ``path``,
+      the C-contiguous (j, dim) stack of x_{n+2} .. x_{n+j+1}.  The loop
+      offers one only when ``atol <= 0`` and no reference is given, as for
+      SGD, since it cannot know the rows' residuals or dB values before
+      they are formed; it then asks after every step.  The divergence
+      guard takes every row of the stack by ``_squared_norms`` and names
+      the iteration of the first that fails.
+
+    A stretch ends before the budget's last iteration and before the
+    iteration at which ``patience`` quiet iterations would stop the run, so
+    the last row, the stop row and the stop reason come from a step.  The
+    rows of the stretch that ``record_every`` selects enter the trace in one
+    call, with L = 1, the dB value of x for a no-op stretch, and one
+    ``elapsed_s`` stamp that all of them share.
 
     The trace footer holds ``stop_reason``, ``atol`` and ``iterations_run``
     and, when a ``reference`` point is given, ``final_norm_err_db``: the dB
@@ -315,6 +331,7 @@ def _iterate(step, x0, max_iters: int, atol: float, record_every: int,
     stop_reason = "max_iters"
     quiet = 0
     checks_atol = atol > 0.0   # no residual falls below an atol <= 0
+    moves = not checks_atol and ref is None   # a stretch may move x
     limit_sq = DIVERGENCE_NORM ** 2
     start = time.perf_counter()
     n = -1
@@ -335,21 +352,32 @@ def _iterate(step, x0, max_iters: int, atol: float, record_every: int,
             if ref is not None and x is not db_x:
                 db, db_x = _distance_db(x, ref, ref_denom), x
             trace.append(n, time.perf_counter() - start, residual, db, lam, extrap)
-        if skip is not None and x_next is x:
+        if stretch is not None and (moves or x_next is x):
             # a stretch never reaches the last iteration nor the stop rule
             limit = last - 1 - n if not checks_atol else min(last - 1 - n, patience - 1 - quiet)
-            lams = skip(n, x, limit) if limit > 0 else ()
-            if lams:
+            got = stretch(n, x, x_next, limit) if limit > 0 else None
+            if got:
+                lams, residuals, path = got
+                j = len(lams)
+                if path is not None:
+                    # the first row that fails; NaN fails the comparison, and
+                    # a square that overflows fails it as inf
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        failed = np.flatnonzero(~(_squared_norms(path) <= limit_sq))
+                    if failed.size:
+                        raise NumericError(f"iterate diverged at iteration {n + 1 + int(failed[0])}")
+                    x_next = path[-1]
                 # the stretch is iterations n + 1 .. n + j; row i is recorded
                 # when i % record_every == 0, its relaxation is lams[i - n - 1]
-                j = len(lams)
                 first = n + 1 + (-(n + 1)) % record_every
                 rows = range(first, n + j + 1, record_every)
                 if rows:
                     if ref is not None and x is not db_x:
                         db, db_x = _distance_db(x, ref, ref_denom), x
-                    trace._extend(rows, time.perf_counter() - start, 0.0, db,
-                                  lams[first - n - 1::record_every], 1.0)
+                    picked = slice(first - n - 1, None, record_every)
+                    trace._extend(rows, time.perf_counter() - start,
+                                  residuals if path is None else residuals[picked], db,
+                                  lams[picked], 1.0)
                 if checks_atol:
                     quiet += j
                 n = next(itertools.islice(iterations, j - 1, None))
@@ -390,25 +418,53 @@ def run_km(T, cfg: KmConfig, x0) -> tuple[np.ndarray, ConvergenceTrace]:
 def run_sgd(cfg: SgdConfig, x0) -> tuple[np.ndarray, ConvergenceTrace]:
     """Stochastic gradient descent with steps gamma_n = 2 beta / (n + 1)^nu.
 
-    A step is three array operations: the drawn member's gradient x_n - t_k,
-    scaled in place by gamma_n, and x_n minus it.  The residual column holds
-    ||grad f(x_n)|| = ||x_n - c||, formed only on the rows the trace records.
+    The run advances by ``advance``: coordinate i of x_{m+1} is
+    ``xi - (xi - t_k[i]) * gamma_m`` in Python floats, the three IEEE
+    operations of the array step x_m - gamma_m (x_m - t_k), so the same bits,
+    at O(dim) interpreted float operations per step and none of numpy's
+    per-call cost.  Each recurrence runs over many steps at once: a step
+    takes one index, then a stretch (see ``_iterate``) the rest of the
+    current index chunk, up to 1023 steps.  The residual column holds
+    ||grad f(x_n)|| = ||x_n - c||.
     """
     x0 = as_point(x0, "x0")
     family = cfg.gradient_family
-    # a gradient x - t_k of another length would broadcast, or fail inside numpy
+    # a point of another length would pair its coordinates with the wrong t_k
     require_same_dim(x0, family.center, "x0 and the quadratic family")
-    indices = itertools.chain.from_iterable(
-        map(np.ndarray.tolist, family.draws(substream(cfg.seed, "index"))))
-    gradient = family.gradient
+    chunks = map(np.ndarray.tolist, family.draws(substream(cfg.seed, "index")))
+    ks, at = [], 0   # the current index chunk, and the position of its next draw
+    columns = family.minimizers.T.tolist()   # coordinate i of every t_k
     center = family.center
-    step_size = cfg.step_size
+    beta, nu = cfg.beta, cfg.nu
+
+    def advance(n, x, j):
+        """x_n .. x_{n+j} from x = x_n, as the rows of one (j + 1, dim)
+        array, and gamma_n .. gamma_{n+j-1}: the next j draws of the chunk."""
+        nonlocal at
+        drawn = ks[at:at + j]
+        at += j
+        gammas = [2.0 * beta / (m + 1.0) ** nu for m in range(n, n + j)]
+        path = np.empty((j + 1, x.size))
+        path[0] = x
+        for i, (xi, ti) in enumerate(zip(x.tolist(), columns)):
+            path[1:, i] = [xi := xi - (xi - ti[k]) * g for k, g in zip(drawn, gammas)]
+        return gammas, path
 
     def step(n, x, want):
-        g = gradient(next(indices), x)
-        gamma = step_size(n)
-        g *= gamma
-        return x - g, _norm(x - center) if want else None, gamma, 1.0
+        nonlocal ks, at
+        if at == len(ks):
+            ks, at = next(chunks), 0
+        gammas, path = advance(n, x, 1)
+        return path[1], _norm(x - center) if want else None, gammas[0], 1.0
+
+    def stretch(n, x, x_next, limit):
+        j = min(limit, len(ks) - at)
+        if not j:
+            return None
+        gammas, path = advance(n + 1, x_next, j)
+        with np.errstate(over="ignore", invalid="ignore"):   # a diverged path fails the guard
+            residuals = np.sqrt(_squared_norms(path[:-1] - center)).tolist()
+        return gammas, residuals, path[1:]
 
     # atol 0: an SGD run always takes its full budget
-    return _iterate(step, x0, cfg.max_iters, 0.0, cfg.record_every)
+    return _iterate(step, x0, cfg.max_iters, 0.0, cfg.record_every, stretch=stretch)

@@ -68,23 +68,27 @@ class ConvergenceTrace:
 
     def _extend(self, iterations: range, elapsed, residual, norm_err_db, lams, extrapolation):
         """Append one row per iteration of the increasing range ``iterations``,
-        with relaxation ``lams[i]`` on row i and every other cell shared: the
-        recorded rows of a stretch of no-op iterations, checked like ``append``."""
+        with relaxation ``lams[i]`` on row i and every other cell shared, but
+        the residual when ``residual`` is a sequence of one per row rather
+        than a float: the recorded rows of a stretch, checked like ``append``."""
         cols = self.columns
         its = cols["iter"]
         if its and iterations[0] <= its[-1]:
             raise UsageError(f"trace iterations must increase: {iterations[0]} after {its[-1]}")
-        if len(lams) != len(iterations):
-            raise UsageError(f"{len(lams)} relaxations for {len(iterations)} rows")
-        finite = (math.isfinite(elapsed) and math.isfinite(residual)
-                  and math.isfinite(extrapolation) and all(map(math.isfinite, lams))
+        rows = len(iterations)
+        residuals = ([float(residual)] * rows if isinstance(residual, float)
+                     else list(map(float, residual)))
+        if len(lams) != rows or len(residuals) != rows:
+            raise UsageError(f"{len(lams)} relaxations and {len(residuals)} residuals "
+                             f"for {rows} rows")
+        finite = (math.isfinite(elapsed) and math.isfinite(extrapolation)
+                  and all(map(math.isfinite, residuals)) and all(map(math.isfinite, lams))
                   and (norm_err_db is None or math.isfinite(norm_err_db)))
         if not finite:
             raise UsageError(f"non-finite trace value in iterations {iterations}")
-        rows = len(iterations)
         its.extend(iterations)
         cols["elapsed_s"].extend([float(elapsed)] * rows)
-        cols["residual"].extend([float(residual)] * rows)
+        cols["residual"].extend(residuals)
         cols["norm_err_db"].extend([None if norm_err_db is None else float(norm_err_db)] * rows)
         cols["lambda"].extend(map(float, lams))
         cols["extrapolation"].extend([float(extrapolation)] * rows)

@@ -929,19 +929,20 @@ class TestNoOpIterations:
         each as (first iteration, length, limit)."""
         steps, stretches = [], []
 
-        def observed(step, *args, skip=None, **kwargs):
+        def observed(step, *args, stretch=None, **kwargs):
             def counted_step(n, x, want):
                 steps.append(n)
                 return step(n, x, want)
 
-            def counted_skip(n, x, limit):
-                lams = skip(n, x, limit)
-                if lams:
-                    stretches.append((n + 1, len(lams), limit))
-                return lams
+            def counted_stretch(n, x, x_next, limit):
+                got = stretch(n, x, x_next, limit)
+                if got:
+                    stretches.append((n + 1, len(got[0]), limit))
+                return got
 
             return fixedpoint._iterate(counted_step, *args,
-                                       skip=None if skip is None else counted_skip, **kwargs)
+                                       stretch=None if stretch is None else counted_stretch,
+                                       **kwargs)
 
         monkeypatch.setattr(block, "_iterate", observed)
         res = run_block(fam, cfg, x0, reference_solution=truth)

@@ -130,9 +130,17 @@ class TestKm:
             run_km(lambda x: np.ones(length), cfg, np.zeros(2))
 
 
+# the guard's cases: iteration n's iterate placed by a step, or by a row
+# inside a moving stretch
+GUARD_RUNS = [pytest.param("run_to", 0, id="0"), pytest.param("run_to", 3, id="3"),
+              pytest.param("stretch_to", 1, id="stretch-1"),
+              pytest.param("stretch_to", 3, id="stretch-3")]
+
+
 class TestDivergenceGuard:
     """From x0 = 0 with mu = 1/2, run_km moves to T x / 2 exactly when T x is
-    twice a chosen point, so T can place a chosen iterate at iteration n."""
+    twice a chosen point, so T can place a chosen iterate at iteration n.
+    ``stretch_to`` places it on a row of a moving stretch instead."""
 
     @staticmethod
     def run_to(point, n):
@@ -140,27 +148,48 @@ class TestDivergenceGuard:
         cfg = KmConfig(rx.Constant(0.5), max_iters=n + 1, seed=0, atol=0.0)
         return run_km(lambda x: next(targets), cfg, np.zeros(2))
 
-    @pytest.mark.parametrize("n", [0, 3])
-    def test_squared_norm_at_the_limit_passes(self, n):
+    @staticmethod
+    def stretch_to(point, n):
+        """``_iterate`` over a stub driver, budget n + 4: step 0 leaves x0 = 0,
+        one moving stretch takes iterations 1 .. n + 2, of which iteration n
+        and every later one move to ``point``, and the last step leaves it."""
+        def step(m, x, want):
+            return x, 0.0, 1.0, 1.0
+
+        def stretch(m, x, x_next, limit):
+            path = np.zeros((limit, 2))   # row r is the iterate of iteration m + 1 + r
+            path[n - 1 - m:] = point
+            return [1.0] * limit, [0.0] * limit, path
+
+        return fixedpoint._iterate(step, np.zeros(2), n + 4, 0.0, 1, stretch=stretch)
+
+    @pytest.mark.parametrize("run, n", GUARD_RUNS)
+    def test_squared_norm_at_the_limit_passes(self, run, n):
         point = np.array([DIVERGENCE_NORM, 0.0])
         assert point.dot(point) == DIVERGENCE_NORM ** 2
-        final, trace = self.run_to(point, n)
+        final, trace = getattr(self, run)(point, n)
         assert final.tobytes() == point.tobytes()
-        assert trace.footer["iterations_run"] == n + 1
+        assert trace.footer["iterations_run"] == (n + 1 if run == "run_to" else n + 4)
 
-    @pytest.mark.parametrize("n", [0, 3])
-    def test_next_float_above_the_limit_raises(self, n):
+    @pytest.mark.parametrize("run, n", GUARD_RUNS)
+    def test_next_float_above_the_limit_raises(self, run, n):
         # 12000^2 = 1.44e8 is 1.07 units in the last place of 1e24, and exact
         point = np.array([DIVERGENCE_NORM, 12000.0])
         assert point.dot(point) == np.nextafter(DIVERGENCE_NORM ** 2, np.inf)
         with pytest.raises(NumericError, match=rf"^iterate diverged at iteration {n}$"):
-            self.run_to(point, n)
+            getattr(self, run)(point, n)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("n", [0, 3])
-    def test_non_finite_iterate_raises_where_it_appears(self, bad, n):
+    @pytest.mark.parametrize("run, n", GUARD_RUNS)
+    def test_non_finite_iterate_raises_where_it_appears(self, bad, run, n):
         with pytest.raises(NumericError, match=rf"^iterate diverged at iteration {n}$"):
-            self.run_to([bad, 1.0], n)
+            getattr(self, run)([bad, 1.0], n)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_stretch_row_whose_square_overflows_raises_without_a_warning(self, n):
+        # RuntimeWarnings are errors here: the stack's matmul overflows silently
+        with pytest.raises(NumericError, match=rf"^iterate diverged at iteration {n}$"):
+            self.stretch_to([1e200, 1.0], n)
 
 
 class TestKmAveraged:
@@ -214,7 +243,7 @@ class TestSgd:
         fam = quadratic_family(center, offsets)
         for _ in range(10):
             x = rng.normal(size=5) * 2
-            mean = np.mean([fam.gradient(k, x) for k in range(len(fam))], axis=0)
+            mean = np.mean([x - t for t in fam.minimizers], axis=0)
             scale = np.max(np.abs(x) + np.abs(fam.minimizers))
             np.testing.assert_allclose(mean, x - center, rtol=0,
                                        atol=len(fam) * np.finfo(float).eps * scale)
@@ -320,6 +349,18 @@ class TestSgd:
         assert res[-1] < 0.05
         assert res[-1] < res[0]
 
+    @pytest.mark.parametrize("beta, x0, n", [(40.0, np.ones(3), 8), (1e11, np.zeros(3), 1)])
+    def test_divergence_inside_a_stretch_names_its_iteration(self, beta, x0, n):
+        # gamma_n = 2 beta / (n + 1)^0.75 scales x - t_k up each step: the
+        # array step x_n - gamma_n (x_n - t_k) first leaves the guard at
+        # iteration n, inside the stretch of iterations 1 .. 15.  At beta =
+        # 1e11 later rows of that stretch pass 1e160, whose squares overflow
+        # without a warning
+        fam = quadratic_family(np.zeros(3), np.array([[0.1, 0, 0], [-0.1, 0, 0]]))
+        cfg = SgdConfig(beta=beta, nu=0.75, max_iters=1000, seed=0, gradient_family=fam)
+        with pytest.raises(NumericError, match=rf"^iterate diverged at iteration {n}$"):
+            run_sgd(cfg, x0)
+
     @pytest.mark.parametrize("dim", [1, 3])
     def test_x0_of_another_dimension_is_a_usage_error(self, dim):
         # from zeros(1) the gradients would broadcast x to length 8; from
@@ -340,20 +381,32 @@ class TestSgd:
         assert trace.footer["iterations_run"] == budget
         assert trace.iterations().tolist() == sorted({*range(0, budget, 2), budget - 1})
 
-    @pytest.mark.parametrize("dim, beta, nu", [(3, 0.7, 0.8), (8, 1.0, 0.75)])
+    @pytest.mark.parametrize("x0, beta, nu", [
+        pytest.param(np.zeros(3), 0.7, 0.8, id="3-0.7-0.8"),
+        pytest.param(np.zeros(8), 1.0, 0.75, id="8-1.0-0.75"),
+        pytest.param(np.zeros(1), 0.9, 1.0, id="1-0.9-1.0"),
+        pytest.param(np.array([0.5, -0.0, -0.0]), 0.7, 0.8, id="signed-zero")])
     @pytest.mark.parametrize("record_every", [1, 7, 10])
-    @pytest.mark.parametrize("budget", [17, 2033])
-    def test_run_equals_the_plain_array_replay(self, dim, beta, nu, record_every, budget):
-        # index chunks hold 16, 32, ..., 1024 draws: 17 steps cross the first
-        # refill, 2033 the refill after the first chunk of 1024
+    @pytest.mark.parametrize("budget", [17, 1008, 1009, 1010, 2033, 3073])
+    def test_run_equals_the_plain_array_replay(self, x0, beta, nu, record_every, budget):
+        # index chunks hold 16, 32, ..., 1024 draws.  A step takes the first
+        # draw of a chunk, at iterations 0, 16, 48, ..., 1008, 2032, 3056, and
+        # a stretch the rest: 17 steps cross the first refill; 1008, 1009 and
+        # 1010 end one before, at and one after the step at 1008; 2033 ends on
+        # the step after the first chunk of 1024, 3073 inside a later stretch
+        dim = x0.size
         gen = np.random.default_rng(dim)
         center = gen.uniform(-1.0, 1.0, size=dim)
         offsets = gen.uniform(-0.25, 0.25, size=(10, dim))
+        # where x0 holds -0.0 every t_k holds 0.0, so -0.0 - 0.0 is taken
+        signed = np.signbit(x0)
+        center[signed] = 0.0
+        offsets[:, signed] = 0.0
         cfg = SgdConfig(beta=beta, nu=nu, max_iters=budget, seed=5,
                         gradient_family=quadratic_family(center, offsets), record_every=record_every)
-        final, trace = run_sgd(cfg, np.zeros(dim))
+        final, trace = run_sgd(cfg, x0)
         x, columns = replay_sgd(center, offsets - offsets.mean(axis=0), beta, nu, budget, 5,
-                                np.zeros(dim), record_every)
+                                x0, record_every)
         assert final.tobytes() == x.tobytes()
         assert {name: trace.columns[name] for name in columns} == columns
 

@@ -1,7 +1,7 @@
 """The benchmark tracer patches stochfeas names by attribute lookup; a class
 or module it names that is deleted or renamed fails only when a traced run
-starts.  One test installs and removes every wrapper; another checks that a
-wrapped method is the one a run calls."""
+starts.  One test installs and removes every wrapper; another checks that
+the span an SGD run enters counts its iterations."""
 
 import importlib.util
 from pathlib import Path
@@ -27,8 +27,8 @@ def test_tracer_installs_and_removes_its_wrappers():
         assert vars(owner)[attr] is original
 
 
-def test_tracer_counts_one_gradient_call_per_sgd_step():
-    # no check calls the gradient, so every counted call is a step's
+def test_tracer_counts_the_iterations_of_an_sgd_run():
+    # the run_sgd span counts the iterations of the trace it returns
     from stochfeas import fixedpoint
 
     fam = fixedpoint.quadratic_family(np.zeros(3), np.array([[0.1, 0, 0], [-0.1, 0, 0]]))
@@ -36,5 +36,6 @@ def test_tracer_counts_one_gradient_call_per_sgd_step():
     tracer = load_tracing().Tracer()
     with tracer.installed():
         fixedpoint.run_sgd(cfg, np.ones(3))
-    agg, _, _ = tracer.totals()
-    assert agg.get("operators.grad", [0])[0] == 50
+    agg, counts, _ = tracer.totals()
+    assert agg["fixedpoint.run_sgd"][0] == 1
+    assert counts["sgd.iters"] == 50

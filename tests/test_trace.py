@@ -8,6 +8,8 @@ from stochfeas.diagnostics import aggregate_runs
 from stochfeas.exceptions import UsageError
 from stochfeas.trace import CSV_HEADER, ConvergenceTrace, read_trace_csv
 
+from conftest import timing_free_text
+
 
 def make_trace(rows=3, db=True):
     t = ConvergenceTrace()
@@ -162,4 +164,26 @@ def test_extend_equals_one_append_per_row():
         bulk._extend(range(19, 21), 0.25, 0.0, None, [1.5, 1.5], 1.0)
     with pytest.raises(UsageError, match="non-finite"):
         bulk._extend(range(20, 22), 0.25, 0.0, None, [1.5, math.nan], 1.0)
+    # residuals given one per row are checked like the relaxations
+    with pytest.raises(UsageError, match="non-finite"):
+        bulk._extend(range(20, 22), 0.25, [0.5, math.inf], None, [1.5, 1.5], 1.0)
+    with pytest.raises(UsageError, match="2 relaxations and 1 residuals for 2 rows"):
+        bulk._extend(range(20, 22), 0.25, [0.5], None, [1.5, 1.5], 1.0)
     assert bulk.columns == rows.columns
+
+
+def test_extend_with_per_row_residuals_writes_the_rows_append_writes(tmp_path):
+    # the rows a moving stretch writes, each with its own residual; only
+    # their shared elapsed_s stamp differs from rows appended one at a time
+    iterations = range(5, 40, 3)
+    residuals = [1.0 / (i + 1.0) for i in iterations]
+    lams = [0.5 + i / 64.0 for i in iterations]
+    bulk, rows = make_trace(db=False), make_trace(db=False)
+    bulk._extend(iterations, 0.25, residuals, None, lams, 1.0)
+    for i, (it, r, lam) in enumerate(zip(iterations, residuals, lams)):
+        rows.append(it, 0.25 + i / 8.0, r, None, lam, 1.0)
+    bulk.write_csv(tmp_path / "bulk.csv")
+    rows.write_csv(tmp_path / "rows.csv")
+    assert timing_free_text(tmp_path / "bulk.csv") == timing_free_text(tmp_path / "rows.csv")
+    assert (tmp_path / "bulk.csv").read_text() != (tmp_path / "rows.csv").read_text()
+
