@@ -1,12 +1,13 @@
 """Randomly relaxed projection methods for stochastic fixed point problems.
 
-Every method runs one loop skeleton, ``x_{n+1} = step(n, x_n)``, which owns
-the divergence guard, the stop rule, the trace and its optional dB column;
-each method supplies only its step.  The steps are a relaxed fixed point
-iteration with stochastic errors, a stochastic gradient method, and an
-extrapolated randomly activated block-iterative solver for common fixed
-point and feasibility problems, whose random relaxation may exceed 2 when
-its damping E[lam (2 - lam)] stays positive.  The signal and image
+Every method runs one loop skeleton, ``x_{n+j} = advance(n, x_n, limit)``,
+which owns the divergence guard, the stop rule, the trace and its optional
+dB column; each method supplies only ``advance``, which takes j iterations,
+1 <= j <= limit, and a run of one is one step.  The steps are a relaxed
+fixed point iteration with stochastic errors, a stochastic gradient method,
+and an extrapolated randomly activated block-iterative solver for common
+fixed point and feasibility problems, whose random relaxation may exceed 2
+when its damping E[lam (2 - lam)] stays positive.  The signal and image
 restoration experiments are built on the block solver.
 """
 

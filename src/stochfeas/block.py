@@ -43,19 +43,16 @@ evaluation would give, so the bits are the same.  The run starts from
 x0 + 0.0: the full update turns a -0.0 coordinate into +0.0, so with none
 in x0 both paths give the same bits.
 
-A state with a ``screen`` also lets the run skip whole stretches of no-op
-iterations.  Once a step has left x unchanged, the run screens the next
-batches of the current index chunk in growing windows (4, 16, 64, ...
-batches), up to the first batch the screen cannot clear, and hands the
-loop the relaxations drawn for the cleared ones.  The loop
-(``fixedpoint._iterate``) takes those iterations at once.  A stretch ends
-before the budget's last iteration and before the iteration at which
-``stop_patience`` quiet iterations would stop the run, so that the last
-row, the stop row and the stop reason always come from a step.  Its
-recorded rows enter the trace in one call, with residual 0, L = 1, the dB
-value of x and one shared ``elapsed_s`` stamp, and each iteration gets its
-no-op record.  A stretch consumes the same draws as its iterations would
-one at a time, so seeded outputs are the same bits as without it.
+A state with a ``screen`` also lets the run take whole runs of no-op
+iterations at once.  Once a batch has left x unchanged, the run screens the
+next batches of the current index chunk in growing windows (4, 16, 64, ...
+batches), up to the first batch the screen cannot clear or the ``limit``
+of the loop's call (``fixedpoint._iterate``), and returns the batch and the
+cleared ones as one no-op run: the relaxations drawn for them, residual 0
+and L = 1.  The loop writes its recorded rows with the dB value of x and
+one shared ``elapsed_s`` stamp, and each iteration gets its no-op record.
+A no-op run consumes the same draws as its iterations would one at a
+time, so seeded outputs are the same bits as without it.
 
 The error-tolerant variant skips the extrapolation (a = p) and requires
 relaxations supported inside ]0, 2[.  Indices, errors and relaxations each
@@ -236,7 +233,7 @@ def run_block(
     solution point z the per-iteration descent inequality
 
         ||x_next - z||^2 <= ||x - z||^2 - lam (2 - lam) ||x - a||^2
-                            + 1e-9 (1 + ||x - z||^2)
+                            + 1e-9 ||x - z||^2
 
     is checked and violations are counted into the result.
     """
@@ -281,7 +278,7 @@ def run_block(
     violations = 0
     worst = 0.0
 
-    def step(n, x, want):
+    def advance(n, x, limit):
         nonlocal ks_chunk, ks_at, lam_chunk, lam_at
         if ks_at == len(ks_chunk):
             ks_chunk, ks_at = next(batches), 0
@@ -291,11 +288,28 @@ def run_block(
         ks_at += 1
         lam_at += 1
         r = evaluate(ks, x)
-        if r is None:   # every drawn member fixes x
+        if r is None:
+            # every drawn member fixes x: a no-op run of this batch and the
+            # following batches of the current chunks that the screen clears
+            # at x, in growing windows, up to the first it cannot clear
+            end = 1 if screen is None else min(limit, len(ks_chunk) - ks_at + 1,
+                                                len(lam_chunk) - lam_at + 1)
+            j, width = 1, 4
+            while j < end:
+                width = min(width, end - j)
+                cleared = screen(ks_chunk[ks_at:ks_at + width], x)
+                ks_at += cleared
+                lam_at += cleared
+                j += cleared
+                if cleared < width:
+                    break
+                width *= 4
             if records is not None:
                 xs = point(x)
-                record(n, ks, noop_beta, xs, 1.0, xs, lam)
-            return x, 0.0, lam, 1.0
+                for i in range(j):
+                    record(n + i, ks_chunk[ks_at - j + i], noop_beta, xs, 1.0, xs,
+                           lam_chunk[lam_at - j + i])
+            return x, lam_chunk[lam_at - j:lam_at], 0.0, 1.0, None
         beta = noop_beta if uniform else compute_weights(r, cfg.delta, cfg.weight_rule)
         # the averaged point enters only through p - x; working with the
         # steps directly keeps the indicator branch [p = x] exact when every
@@ -320,7 +334,7 @@ def run_block(
         x_next += x
         if zs or records is not None:
             observe(n, ks, beta, r, x, avg_step, x_next, extrap, lam)
-        return x_next, float(r.max()) if want else None, lam, extrap
+        return x_next, (lam,), float(r.max()), extrap, None
 
     def observe(n, ks, beta, r, x, d, x_next, extrap, lam):
         """The Fejer audit and the record of an evaluated step, in space."""
@@ -336,34 +350,8 @@ def run_block(
         if records is not None:
             record(n, ks, beta, x + d, extrap, a, lam, r)
 
-    def stretch(n, x, x_next, limit):
-        """The no-op stretch of iterations n + 1 .. n + j, j <= limit, that the
-        state's screen proves no-ops at x, over the current chunks, once step
-        n has left x unchanged."""
-        nonlocal ks_at, lam_at
-        if x_next is not x:
-            return None
-        limit = min(limit, len(ks_chunk) - ks_at, len(lam_chunk) - lam_at)
-        j, width = 0, 4
-        while j < limit:
-            width = min(width, limit - j)
-            cleared = screen(ks_chunk[ks_at + j:ks_at + j + width], x)
-            j += cleared
-            if cleared < width:   # the first batch that the screen cannot clear
-                break
-            width *= 4
-        if records is not None:
-            xs = point(x)
-            for i in range(j):
-                record(n + 1 + i, ks_chunk[ks_at + i], noop_beta, xs, 1.0, xs,
-                       lam_chunk[lam_at + i])
-        ks_at += j
-        lam_at += j
-        return (lam_chunk[lam_at - j:lam_at], 0.0, None) if j else None
-
     # the residual only samples M random operators, so a single quiet
     # iteration proves nothing; require stop_patience consecutive ones
-    x, trace = _iterate(step, state.coordinates(x0), cfg.max_iters, cfg.atol, cfg.record_every,
-                        patience=cfg.stop_patience, reference=reference_solution,
-                        stretch=None if screen is None else stretch)
+    x, trace = _iterate(advance, state.coordinates(x0), cfg.max_iters, cfg.atol, cfg.record_every,
+                        patience=cfg.stop_patience, reference=reference_solution)
     return BlockResult(point(x), trace, records, violations, worst)

@@ -70,15 +70,16 @@ def audit_fejer_step(x, x_next, lam: float, d, zs) -> tuple[int, float]:
 
         ||x - z||^2 - ||x_next - z||^2 - lam (2 - lam) ||d||^2
 
-    must be >= -1e-9 (1 + ||x - z||^2).  Returns (violation count, worst
-    deficit beyond tolerance).  Points must already be validated float64
-    arrays of one shape.
+    must be >= -1e-9 ||x - z||^2, a tolerance relative to the squared
+    distance, so that the audit means the same at every scale.  Returns
+    (violation count, worst deficit beyond tolerance).  Points must already
+    be validated float64 arrays of one shape.
     """
     violations = 0
     worst = 0.0
     for z in zs:
         dec = fejer_decrement(x, x_next, z, lam, d)
-        tol = _FEJER_RTOL * (1.0 + float((x - z) @ (x - z)))
+        tol = _FEJER_RTOL * float((x - z) @ (x - z))
         if dec < -tol:
             violations += 1
             worst = max(worst, -dec - tol)

@@ -10,8 +10,8 @@ Two iterations on top of one loop skeleton, which the block iteration of
       x_{n+1} = x_n - gamma_n grad g_{k_n}(x_n),    gamma_n = 2 beta / (n + 1)^nu,
   with nu in ]2/3, 1] and an unbiased, bounded-variance gradient family
   of quadratics centred at points t_k, grad g_k(x) = x - t_k; the residual
-  column is ||grad f(x_n)|| = ||x_n - c||.  SGD advances in stretches: the
-  rest of each index chunk at once, one Python-float recurrence per
+  column is ||grad f(x_n)|| = ||x_n - c||.  SGD advances the rest of each
+  index chunk in one call of the loop, one Python-float recurrence per
   coordinate, which the loop guards as one stack of iterates.
 
 Each driver checks the shape of its points where they enter (x0 against
@@ -270,46 +270,37 @@ def _distance_db(x: np.ndarray, ref: np.ndarray, ref_denom: float) -> float:
     return ratio_db(_norm(x - ref), ref_denom)
 
 
-def _iterate(step, x0, max_iters: int, atol: float, record_every: int,
-             patience: int = 1, reference=None,
-             stretch=None) -> tuple[np.ndarray, ConvergenceTrace]:
-    """The loop every driver runs: ``x_{n+1}, residual, lam, L = step(n, x_n, want)``.
+def _iterate(advance, x0, max_iters: int, atol: float, record_every: int,
+             patience: int = 1, reference=None) -> tuple[np.ndarray, ConvergenceTrace]:
+    """The loop every driver runs: ``advance(n, x_n, limit)`` takes j
+    iterations from x_n, 1 <= j <= limit, and returns ``(x_next, lams,
+    residuals, extrap, path)``: x_{n+j}, the j relaxations, the residuals of
+    x_n .. x_{n+j-1}, one extrapolation L shared by every row, and ``path``.
 
-    The step computes its residual only when ``want`` is true, and may
-    return None for it otherwise; the loop wants it whenever ``atol > 0`` and
-    on every recorded row.  The run stops after ``patience`` consecutive
-    iterations with ``residual < atol``.  Row n of the trace is written when
-    ``n % record_every == 0`` and on the last iteration, whether the budget
-    ends there or the stop rule fires; it holds the residual, relaxation and
-    extrapolation of step n and, when a ``reference`` point is given, the
-    dB distance of x_n to it.  A step that leaves x unchanged may return x
-    itself: the loop then skips the divergence guard, which x passed one
-    iteration earlier (the guard still checks x0 at n = 0), and reuses the
-    dB value last computed for x.
+    ``path`` is None, or the C-contiguous (j, dim) stack of x_{n+1} ..
+    x_{n+j}, whose last row is x_next; ``residuals`` is then one per row, and
+    otherwise one float shared by every row.  A call of more than one
+    iteration without a path is a no-op run, which returns x itself; a
+    one-iteration call that leaves x unchanged may too, and the loop then
+    skips the divergence guard, which x passed one iteration earlier (the
+    guard still checks x0 at n = 0), and reuses the dB value last computed
+    for x.  The guard takes every row of a path by ``_squared_norms`` and
+    names the iteration of the first that fails.  A call of more than one
+    iteration may return a path only on a run with no reference and atol <=
+    0, since the loop can neither give its rows their dB values nor count
+    their quiet iterations; otherwise it raises ``UsageError``.
 
-    After step n, from x = x_n to x_next = x_{n+1}, the loop may ask
-    ``stretch(n, x, x_next, limit)``, if given, for a stretch: iterations
-    n + 1 .. n + j <= n + limit, taken at once, each with L = 1.  The driver
-    returns None, or ``(lams, residuals, path)`` with the j relaxations and
-    either of two kinds:
-
-    * a no-op stretch, which leaves x_next as it is: one residual shared by
-      every row, and ``path`` None.  The loop asks for one after a step
-      that returned x itself;
-    * a moving stretch: the j residuals of x_{n+1} .. x_{n+j}, and ``path``,
-      the C-contiguous (j, dim) stack of x_{n+2} .. x_{n+j+1}.  The loop
-      offers one only when ``atol <= 0`` and no reference is given, as for
-      SGD, since it cannot know the rows' residuals or dB values before
-      they are formed; it then asks after every step.  The divergence
-      guard takes every row of the stack by ``_squared_norms`` and names
-      the iteration of the first that fails.
-
-    A stretch ends before the budget's last iteration and before the
-    iteration at which ``patience`` quiet iterations would stop the run, so
-    the last row, the stop row and the stop reason come from a step.  The
-    rows of the stretch that ``record_every`` selects enter the trace in one
-    call, with L = 1, the dB value of x for a no-op stretch, and one
-    ``elapsed_s`` stamp that all of them share.
+    The run stops after ``patience`` consecutive iterations with ``residual
+    < atol``, and ``limit`` is the budget's remaining iterations and, when
+    ``atol > 0``, the quiet iterations still missing, so a stop, or the end
+    of the budget, falls on a call's last row.  Row n of the trace is
+    written when ``n % record_every == 0`` and on the last iteration,
+    whether the budget ends there or the stop rule fires; it holds the
+    residual, relaxation and extrapolation of iteration n and, when a
+    ``reference`` point is given, the dB distance of x_n to it.  A call
+    writes its last row through ``trace.append`` and the rows before it
+    through ``trace._extend``, with one ``elapsed_s`` stamp that all of them
+    share.
 
     The trace footer holds ``stop_reason``, ``atol`` and ``iterations_run``
     and, when a ``reference`` point is given, ``final_norm_err_db``: the dB
@@ -331,61 +322,56 @@ def _iterate(step, x0, max_iters: int, atol: float, record_every: int,
     stop_reason = "max_iters"
     quiet = 0
     checks_atol = atol > 0.0   # no residual falls below an atol <= 0
-    moves = not checks_atol and ref is None   # a stretch may move x
     limit_sq = DIVERGENCE_NORM ** 2
     start = time.perf_counter()
-    n = -1
-    last = max_iters - 1
-    iterations = iter(range(max_iters))
-    for n in iterations:
-        record = n % record_every == 0 or n == last
-        x_next, residual, lam, extrap = step(n, x, record or checks_atol)
-        if x_next is not x or n == 0:
-            # NaN and inf fail the comparison; ndarray.dot is bit-equal to @
-            # on 1-D float64 and cheaper
-            if not x_next.dot(x_next) <= limit_sq:
-                raise NumericError(f"iterate diverged at iteration {n}")
+    n = 0
+    while n < max_iters:
+        limit = max_iters - n if not checks_atol else min(max_iters - n, patience - quiet)
+        x_next, lams, residuals, extrap, path = advance(n, x, limit)
+        j = len(lams)
+        end = n + j   # the call took iterations n .. end - 1
+        if path is None:
+            if x_next is not x or n == 0:
+                # NaN and inf fail the comparison; ndarray.dot is bit-equal to @
+                # on 1-D float64 and cheaper
+                if not x_next.dot(x_next) <= limit_sq:
+                    raise NumericError(f"iterate diverged at iteration {n}")
+        else:
+            if j > 1 and (ref is not None or checks_atol):
+                raise UsageError(f"a call of {j} iterations returned a path on a run "
+                                 "with a reference or atol > 0")
+            # the first row that fails; NaN fails the comparison, and a
+            # square that overflows fails it as inf
+            with np.errstate(over="ignore", invalid="ignore"):
+                failed = np.flatnonzero(~(_squared_norms(path) <= limit_sq))
+            if failed.size:
+                raise NumericError(f"iterate diverged at iteration {n + int(failed[0])}")
         if checks_atol:
-            quiet = quiet + 1 if residual < atol else 0
+            quiet = quiet + j if (residuals if path is None else residuals[0]) < atol else 0
         stopping = quiet >= patience
-        if record or stopping:
+        last = (end - 1) % record_every == 0 or end == max_iters or stopping
+        if j > 1:
+            # the rows before the last that record_every selects; row i is
+            # iteration n + i
+            picked = slice((-n) % record_every, j - 1, record_every)
+            rows = range(n, end)[picked]
+        else:
+            rows = ()
+        if rows or last:
             if ref is not None and x is not db_x:
                 db, db_x = _distance_db(x, ref, ref_denom), x
-            trace.append(n, time.perf_counter() - start, residual, db, lam, extrap)
-        if stretch is not None and (moves or x_next is x):
-            # a stretch never reaches the last iteration nor the stop rule
-            limit = last - 1 - n if not checks_atol else min(last - 1 - n, patience - 1 - quiet)
-            got = stretch(n, x, x_next, limit) if limit > 0 else None
-            if got:
-                lams, residuals, path = got
-                j = len(lams)
-                if path is not None:
-                    # the first row that fails; NaN fails the comparison, and
-                    # a square that overflows fails it as inf
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        failed = np.flatnonzero(~(_squared_norms(path) <= limit_sq))
-                    if failed.size:
-                        raise NumericError(f"iterate diverged at iteration {n + 1 + int(failed[0])}")
-                    x_next = path[-1]
-                # the stretch is iterations n + 1 .. n + j; row i is recorded
-                # when i % record_every == 0, its relaxation is lams[i - n - 1]
-                first = n + 1 + (-(n + 1)) % record_every
-                rows = range(first, n + j + 1, record_every)
-                if rows:
-                    if ref is not None and x is not db_x:
-                        db, db_x = _distance_db(x, ref, ref_denom), x
-                    picked = slice(first - n - 1, None, record_every)
-                    trace._extend(rows, time.perf_counter() - start,
-                                  residuals if path is None else residuals[picked], db,
-                                  lams[picked], 1.0)
-                if checks_atol:
-                    quiet += j
-                n = next(itertools.islice(iterations, j - 1, None))
-        x = x_next
+            elapsed = time.perf_counter() - start
+            if rows:
+                trace._extend(rows, elapsed, residuals if path is None else residuals[picked],
+                              db, lams[picked], extrap)
+            if last:
+                trace.append(end - 1, elapsed, residuals if path is None else residuals[-1],
+                             db, lams[-1], extrap)
+        x, n = x_next, end
         if stopping:
             stop_reason = "atol"
             break
-    trace.footer.update(stop_reason=stop_reason, atol=atol, iterations_run=n + 1)
+    trace.footer.update(stop_reason=stop_reason, atol=atol, iterations_run=n)
     if ref is not None:
         trace.footer["final_norm_err_db"] = db if x is db_x else _distance_db(x, ref, ref_denom)
     return x, trace
@@ -398,8 +384,7 @@ def run_km(T, cfg: KmConfig, x0) -> tuple[np.ndarray, ConvergenceTrace]:
     noise_rng = substream(cfg.seed, "noise")
     mus = itertools.chain.from_iterable(cfg.mu_strategy.draws(substream(cfg.seed, "relaxation")))
 
-    def step(n, x, want):
-        # run_km records every row, so the residual is always wanted
+    def advance(n, x, limit):
         t = np.asarray(T(x), dtype=np.float64)
         if t.shape != x.shape:   # T x - x would broadcast, or fail inside numpy
             require_same_dim(t, x, f"the point T x of step {n} and x0")
@@ -408,9 +393,9 @@ def run_km(T, cfg: KmConfig, x0) -> tuple[np.ndarray, ConvergenceTrace]:
         if errors is not None:
             d = d + errors.sample(n, x.shape[0], noise_rng)
         mu = next(mus)
-        return x + mu * d, residual, mu, 1.0
+        return x + mu * d, (mu,), residual, 1.0, None
 
-    x, trace = _iterate(step, x0, cfg.max_iters, cfg.atol, 1)
+    x, trace = _iterate(advance, x0, cfg.max_iters, cfg.atol, 1)
     trace.footer["errors"] = "zero" if errors is None else errors.describe()
     return x, trace
 
@@ -418,14 +403,13 @@ def run_km(T, cfg: KmConfig, x0) -> tuple[np.ndarray, ConvergenceTrace]:
 def run_sgd(cfg: SgdConfig, x0) -> tuple[np.ndarray, ConvergenceTrace]:
     """Stochastic gradient descent with steps gamma_n = 2 beta / (n + 1)^nu.
 
-    The run advances by ``advance``: coordinate i of x_{m+1} is
-    ``xi - (xi - t_k[i]) * gamma_m`` in Python floats, the three IEEE
-    operations of the array step x_m - gamma_m (x_m - t_k), so the same bits,
-    at O(dim) interpreted float operations per step and none of numpy's
-    per-call cost.  Each recurrence runs over many steps at once: a step
-    takes one index, then a stretch (see ``_iterate``) the rest of the
-    current index chunk, up to 1023 steps.  The residual column holds
-    ||grad f(x_n)|| = ||x_n - c||.
+    Each call of ``advance`` (see ``_iterate``) takes the rest of the
+    current index chunk, up to 1024 steps, as one Python-float recurrence per
+    coordinate: coordinate i of x_{m+1} is ``xi - (xi - t_k[i]) * gamma_m``,
+    the three IEEE operations of the array step x_m - gamma_m (x_m - t_k),
+    so the same bits, at O(dim) interpreted float operations per step and
+    none of numpy's per-call cost.  The residual column holds ||grad f(x_n)||
+    = ||x_n - c||.
     """
     x0 = as_point(x0, "x0")
     family = cfg.gradient_family
@@ -437,34 +421,21 @@ def run_sgd(cfg: SgdConfig, x0) -> tuple[np.ndarray, ConvergenceTrace]:
     center = family.center
     beta, nu = cfg.beta, cfg.nu
 
-    def advance(n, x, j):
-        """x_n .. x_{n+j} from x = x_n, as the rows of one (j + 1, dim)
-        array, and gamma_n .. gamma_{n+j-1}: the next j draws of the chunk."""
-        nonlocal at
-        drawn = ks[at:at + j]
-        at += j
-        gammas = [2.0 * beta / (m + 1.0) ** nu for m in range(n, n + j)]
-        path = np.empty((j + 1, x.size))
-        path[0] = x
-        for i, (xi, ti) in enumerate(zip(x.tolist(), columns)):
-            path[1:, i] = [xi := xi - (xi - ti[k]) * g for k, g in zip(drawn, gammas)]
-        return gammas, path
-
-    def step(n, x, want):
+    def advance(n, x, limit):
         nonlocal ks, at
         if at == len(ks):
             ks, at = next(chunks), 0
-        gammas, path = advance(n, x, 1)
-        return path[1], _norm(x - center) if want else None, gammas[0], 1.0
-
-    def stretch(n, x, x_next, limit):
         j = min(limit, len(ks) - at)
-        if not j:
-            return None
-        gammas, path = advance(n + 1, x_next, j)
+        drawn = ks[at:at + j]
+        at += j
+        gammas = [2.0 * beta / (m + 1.0) ** nu for m in range(n, n + j)]
+        stack = np.empty((j + 1, x.size))   # x_n .. x_{n+j}
+        stack[0] = x
+        for i, (xi, ti) in enumerate(zip(x.tolist(), columns)):
+            stack[1:, i] = [xi := xi - (xi - ti[k]) * g for k, g in zip(drawn, gammas)]
         with np.errstate(over="ignore", invalid="ignore"):   # a diverged path fails the guard
-            residuals = np.sqrt(_squared_norms(path[:-1] - center)).tolist()
-        return gammas, residuals, path[1:]
+            residuals = np.sqrt(_squared_norms(stack[:-1] - center)).tolist()
+        return stack[-1], gammas, residuals, 1.0, stack[1:]
 
     # atol 0: an SGD run always takes its full budget
-    return _iterate(step, x0, cfg.max_iters, 0.0, cfg.record_every, stretch=stretch)
+    return _iterate(advance, x0, cfg.max_iters, 0.0, cfg.record_every)

@@ -70,7 +70,8 @@ class ConvergenceTrace:
         """Append one row per iteration of the increasing range ``iterations``,
         with relaxation ``lams[i]`` on row i and every other cell shared, but
         the residual when ``residual`` is a sequence of one per row rather
-        than a float: the recorded rows of a stretch, checked like ``append``."""
+        than a float: the recorded rows of one call of the loop, checked like
+        ``append``."""
         cols = self.columns
         its = cols["iter"]
         if its and iterations[0] <= its[-1]:
@@ -142,7 +143,7 @@ def _float_cells(col) -> list:
 
     Each distinct value is formatted once, through a memo keyed by the
     value's bits: 0.0 and -0.0 compare equal and hash alike, but are
-    written "0" and "-0".  The rows of a stretch of no-op iterations repeat
+    written "0" and "-0".  The rows of a run of no-op iterations repeat
     every cell but ``iter`` and ``lambda``.
     """
     # a None cell becomes the one canonical NaN; stored values are finite

@@ -255,11 +255,12 @@ def force_indices(monkeypatch, family, ks):
 
 def replay_block(family, cfg, x0, reference=None, evaluate=None):
     """The block iteration of ``cfg`` from ``x0``, every iteration in full:
-    no no-op shortcut, screen or stretch.  Draws are scalar, one index per
-    member.  The rows T_k x - x come from ``evaluate(k, x)`` one member at a
-    time if given, else from the family's bare whole-batch ``evaluate`` (M
-    fresh zero rows for an all-fixed batch), never from a run state, whose
-    screen is code under test.  Only the image family's batches go through
+    no no-op shortcut or screen, and each call of the loop a run of one
+    iteration.  Draws are scalar, one index per member.  The rows T_k x - x
+    come from ``evaluate(k, x)`` one member at a time if given, else from
+    the family's bare whole-batch ``evaluate`` (M fresh zero rows for an
+    all-fixed batch), never from a run state, whose screen is code under
+    test.  Only the image family's batches go through
     its run state when the run adds no errors, so that rounding matches:
     the replay then iterates in the state's coordinates, and maps the
     iterate and the step back to space for the records and the final
@@ -272,7 +273,7 @@ def replay_block(family, cfg, x0, reference=None, evaluate=None):
     state = family.run_state(x0) if spectral else None
     records = []
 
-    def step(n, x, want):
+    def advance(n, x, limit):
         ks = [sample_indices(family, idx_rng, 1).item() for _ in range(m)]
         lam = scalar_relaxation(cfg.relaxation, lam_rng)
         if evaluate is not None:
@@ -309,15 +310,14 @@ def replay_block(family, cfg, x0, reference=None, evaluate=None):
             x, d = state.point(x), state.point(d)
             a = x + L * d
         records.append(BlockIterationRecord(n, tuple(ks), beta, x + d, L, a, lam))
-        return x_next, float(r.max()), lam, L
+        return x_next, (lam,), float(r.max()), L, None
 
-    # x0 as given, not + 0.0: a -0.0 coordinate meets the full arithmetic; and
-    # every step returns a new array, so the loop needs no stretches
+    # x0 as given, not + 0.0: a -0.0 coordinate meets the full arithmetic
     if state is not None:
         x0 = state.coordinates(x0)
         if reference is not None:
             reference = state.coordinates(reference)
-    x, trace = fixedpoint._iterate(step, x0, cfg.max_iters, cfg.atol, cfg.record_every,
+    x, trace = fixedpoint._iterate(advance, x0, cfg.max_iters, cfg.atol, cfg.record_every,
                                    patience=cfg.stop_patience, reference=reference)
     return (x if state is None else state.point(x)), trace, records
 

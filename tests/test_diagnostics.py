@@ -21,14 +21,15 @@ def make_trace(db_values, lam=1.0):
 
 
 def final_db(x0, x_inf, *points):
-    """The footer's ``final_norm_err_db`` of a loop whose step n moves to
-    ``points[n]``; with no points, every step leaves x0 in place."""
+    """The footer's ``final_norm_err_db`` of a loop whose run of one
+    iteration n moves to ``points[n]``; with no points, every run leaves x0
+    in place."""
     points = [np.asarray(p, dtype=float) for p in points]
 
-    def step(n, x, want):
-        return (points[n] if points else x), 0.0, 1.0, 1.0
+    def advance(n, x, limit):
+        return (points[n] if points else x), (1.0,), 0.0, 1.0, None
 
-    _, trace = _iterate(step, x0, len(points) or 3, 0.0, 1, reference=x_inf)
+    _, trace = _iterate(advance, x0, len(points) or 3, 0.0, 1, reference=x_inf)
     return trace.footer["final_norm_err_db"]
 
 
@@ -156,3 +157,12 @@ class TestFejerAudit:
         res = run_block(OperatorFamily([lambda x: 2.0 * x]), cfg, x, fejer_points=[np.zeros(2)])
         assert res.fejer_violations == 3
         assert res.worst_fejer_violation > 0
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** -20, 2.0 ** -40], ids=["1", "2^-20", "2^-40"])
+    def test_flags_a_step_that_doubles_the_distance_at_every_scale(self, scale):
+        # from x = s (1, 0) to s (2, 0) with lam = 1: the decrement is -4 s^2,
+        # below any tolerance relative to ||x - z||^2 = s^2
+        x, x_next, z = np.array([scale, 0.0]), np.array([2.0 * scale, 0.0]), np.zeros(2)
+        count, worst = audit_fejer_step(x, x_next, 1.0, x - x_next, [z])
+        assert count == 1
+        assert worst == pytest.approx(4.0 * scale ** 2, rel=1e-8)

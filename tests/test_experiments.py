@@ -901,7 +901,7 @@ class TestNoOpIterations:
     ], ids=["signal-1", "signal-16", "concentrated-3", "image-2"])
     def test_records_and_traces_equal_the_full_replay(self, kind, m, delta, rule, label,
                                                       record_every):
-        # run_block takes its no-op shortcut, screen and stretches; the replay does not
+        # run_block takes its no-op shortcut, screen and no-op runs; the replay does not
         if kind == "signal":
             prob = signal.desk_signal_problem(seed=3)
             fam = prob.build_family()
@@ -925,35 +925,28 @@ class TestNoOpIterations:
 
     @staticmethod
     def observed_run(monkeypatch, fam, cfg, x0, truth):
-        """``run_block`` with the iterations its steps took and its stretches,
-        each as (first iteration, length, limit)."""
-        steps, stretches = [], []
+        """``run_block`` with the calls of its loop, each as (first iteration,
+        length, limit, whether it left x unchanged)."""
+        calls = []
 
-        def observed(step, *args, stretch=None, **kwargs):
-            def counted_step(n, x, want):
-                steps.append(n)
-                return step(n, x, want)
-
-            def counted_stretch(n, x, x_next, limit):
-                got = stretch(n, x, x_next, limit)
-                if got:
-                    stretches.append((n + 1, len(got[0]), limit))
+        def observed(advance, *args, **kwargs):
+            def counted(n, x, limit):
+                got = advance(n, x, limit)
+                calls.append((n, len(got[1]), limit, got[0] is x))
                 return got
 
-            return fixedpoint._iterate(counted_step, *args,
-                                       stretch=None if stretch is None else counted_stretch,
-                                       **kwargs)
+            return fixedpoint._iterate(counted, *args, **kwargs)
 
         monkeypatch.setattr(block, "_iterate", observed)
         res = run_block(fam, cfg, x0, reference_solution=truth)
         monkeypatch.setattr(block, "_iterate", fixedpoint._iterate)
-        return res, steps, stretches
+        return res, calls
 
     @pytest.mark.parametrize("kind, m", [
         *(pytest.param("signal", m, id=str(m)) for m in (1, 4, 16)),
         *(pytest.param("halfspace", m, id=f"halfspace-{m}") for m in (1, 4, 16))])
     def test_screened_runs_equal_the_full_path(self, monkeypatch, kind, m):
-        # runs that collect records take the screen and the stretches too;
+        # runs that collect records take the screen and the no-op runs too;
         # the replay takes neither
         if kind == "signal":
             prob = signal.desk_signal_problem(seed=3)
@@ -973,9 +966,9 @@ class TestNoOpIterations:
         recording = BlockConfig(batch_size=m, delta=0.5 / m,
                                 relaxation=rx.UniformInterval(1.5, 2.3),
                                 max_iters=400, seed=5, atol=0.0, collect_records=True)
-        _, _, stretches = self.observed_run(monkeypatch, fam, recording, x0, truth)
-        # a budget whose last iteration falls inside the longest stretch of the full budget
-        start, length, _ = max(stretches, key=lambda s: s[1])
+        _, calls = self.observed_run(monkeypatch, fam, recording, x0, truth)
+        # a budget whose last iteration falls inside the longest call of the full budget
+        start, length, _, _ = max(calls, key=lambda c: c[1])
         cases = {
             "recording": (recording, truth),
             "record_every_7": (replace(recording, record_every=7), truth),
@@ -985,29 +978,29 @@ class TestNoOpIterations:
         }
         for case, (cfg, reference) in cases.items():
             moved.clear()
-            screened, steps, stretches = self.observed_run(monkeypatch, fam, cfg, x0, reference)
+            screened, calls = self.observed_run(monkeypatch, fam, cfg, x0, reference)
             iterations = screened.trace.footer["iterations_run"]
             assert len(moved) < iterations / 2, case   # the screen answered most iterations
-            skipped = sum(length for _, length, _ in stretches)
-            assert len(steps) + skipped == iterations, case
+            assert sum(length for _, length, _, _ in calls) == iterations, case
+            assert all(noop for _, length, _, noop in calls if length > 1), case
+            skipped = sum(length - 1 for _, length, _, _ in calls)
             moved.clear()
             final, trace, records = replay_block(fam, cfg, x0, reference=reference)
             assert len(moved) == iterations, case
             noops = iterations - sum(moved)
-            assert skipped > noops / 2, case   # and the stretches most no-op iterations
+            assert skipped > noops / 2, case   # and the no-op runs most no-op iterations
             assert trace.footer["stop_reason"] == ("atol" if cfg.atol > 0.0 else "max_iters")
             assert_same_run(screened, final, trace, records)
-            # the last iteration and the stop iteration are steps, never in a stretch
-            assert steps[-1] == iterations - 1, case
-            if case == "budget_in_stretch":
-                assert stretches[-1][2] == stretches[-1][1] == iterations - 1 - stretches[-1][0]
-            if case == "atol":
-                # the stop fires right after a stretch that the quiet count cut
-                # short, and the quiet iterations behind it reach back past the
-                # stretch to the step before it
-                first, length, limit = stretches[-1]
-                assert length == limit and first + length == iterations - 1
-                assert steps[-2] == first - 1 > iterations - 1 - cfg.stop_patience
+            if case in ("budget_in_stretch", "atol"):
+                # the last call is a no-op run that its limit cut short, and
+                # it ends at the last iteration: the end of the budget, or the
+                # stop, at the patience-th quiet iteration
+                first, length, limit, noop = calls[-1]
+                assert noop and length == limit > 1 and first + length == iterations, case
+                if case == "budget_in_stretch":
+                    assert iterations == cfg.max_iters, case
+                else:
+                    assert limit <= cfg.stop_patience and iterations < cfg.max_iters, case
 
     def test_replay_evaluates_every_batch_in_full(self):
         # the oracle shares no screen with the run: one bare evaluate per

@@ -130,8 +130,8 @@ class TestKm:
             run_km(lambda x: np.ones(length), cfg, np.zeros(2))
 
 
-# the guard's cases: iteration n's iterate placed by a step, or by a row
-# inside a moving stretch
+# the guard's cases: iteration n's iterate placed by a run of one
+# iteration, or by a row inside a moving call of several
 GUARD_RUNS = [pytest.param("run_to", 0, id="0"), pytest.param("run_to", 3, id="3"),
               pytest.param("stretch_to", 1, id="stretch-1"),
               pytest.param("stretch_to", 3, id="stretch-3")]
@@ -140,7 +140,7 @@ GUARD_RUNS = [pytest.param("run_to", 0, id="0"), pytest.param("run_to", 3, id="3
 class TestDivergenceGuard:
     """From x0 = 0 with mu = 1/2, run_km moves to T x / 2 exactly when T x is
     twice a chosen point, so T can place a chosen iterate at iteration n.
-    ``stretch_to`` places it on a row of a moving stretch instead."""
+    ``stretch_to`` places it on a row of a moving call's path instead."""
 
     @staticmethod
     def run_to(point, n):
@@ -150,18 +150,18 @@ class TestDivergenceGuard:
 
     @staticmethod
     def stretch_to(point, n):
-        """``_iterate`` over a stub driver, budget n + 4: step 0 leaves x0 = 0,
-        one moving stretch takes iterations 1 .. n + 2, of which iteration n
-        and every later one move to ``point``, and the last step leaves it."""
-        def step(m, x, want):
-            return x, 0.0, 1.0, 1.0
+        """``_iterate`` over a stub driver, budget n + 4: the call at 0
+        leaves x0 = 0, one moving call takes iterations 1 .. n + 2, of which
+        iteration n and every later one move to ``point``, and the last call
+        leaves it."""
+        def advance(m, x, limit):
+            if m != 1:
+                return x, [1.0], 0.0, 1.0, None
+            path = np.zeros((n + 2, 2))   # row r is the iterate of iteration 1 + r
+            path[n - 1:] = point
+            return path[-1], [1.0] * (n + 2), [0.0] * (n + 2), 1.0, path
 
-        def stretch(m, x, x_next, limit):
-            path = np.zeros((limit, 2))   # row r is the iterate of iteration m + 1 + r
-            path[n - 1 - m:] = point
-            return [1.0] * limit, [0.0] * limit, path
-
-        return fixedpoint._iterate(step, np.zeros(2), n + 4, 0.0, 1, stretch=stretch)
+        return fixedpoint._iterate(advance, np.zeros(2), n + 4, 0.0, 1)
 
     @pytest.mark.parametrize("run, n", GUARD_RUNS)
     def test_squared_norm_at_the_limit_passes(self, run, n):
@@ -190,6 +190,31 @@ class TestDivergenceGuard:
         # RuntimeWarnings are errors here: the stack's matmul overflows silently
         with pytest.raises(NumericError, match=rf"^iterate diverged at iteration {n}$"):
             self.stretch_to([1e200, 1.0], n)
+
+
+@pytest.mark.parametrize("reference, atol, steps", [
+    pytest.param([1.0, 1.0], 0.0, 2, id="reference"),
+    pytest.param(None, 1e-3, 2, id="atol"),
+    pytest.param(None, 0.0, 2, id="neither"),
+    pytest.param([1.0, 1.0], 1e-3, 1, id="one-iteration"),
+])
+def test_a_path_of_several_iterations_needs_a_run_without_reference_or_atol(reference, atol,
+                                                                            steps):
+    # the loop could neither give the path's rows their dB values nor count
+    # their quiet iterations
+    def advance(n, x, limit):
+        path = np.full((steps, 2), n + 1.0)
+        return path[-1], [1.0] * steps, [1.0] * steps, 1.0, path
+
+    run = lambda: fixedpoint._iterate(advance, np.zeros(2), 4, atol, 1, patience=4,
+                                      reference=reference)
+    if steps > 1 and (reference is not None or atol > 0.0):
+        with pytest.raises(UsageError, match=rf"^a call of {steps} iterations returned a path"):
+            run()
+    else:
+        final, trace = run()
+        assert trace.footer["iterations_run"] == 4
+        assert trace.iterations().tolist() == [0, 1, 2, 3]
 
 
 class TestKmAveraged:
@@ -353,8 +378,8 @@ class TestSgd:
     def test_divergence_inside_a_stretch_names_its_iteration(self, beta, x0, n):
         # gamma_n = 2 beta / (n + 1)^0.75 scales x - t_k up each step: the
         # array step x_n - gamma_n (x_n - t_k) first leaves the guard at
-        # iteration n, inside the stretch of iterations 1 .. 15.  At beta =
-        # 1e11 later rows of that stretch pass 1e160, whose squares overflow
+        # iteration n, inside the first call, of iterations 0 .. 15.  At beta
+        # = 1e11 later rows of that call pass 1e160, whose squares overflow
         # without a warning
         fam = quadratic_family(np.zeros(3), np.array([[0.1, 0, 0], [-0.1, 0, 0]]))
         cfg = SgdConfig(beta=beta, nu=0.75, max_iters=1000, seed=0, gradient_family=fam)
@@ -389,11 +414,11 @@ class TestSgd:
     @pytest.mark.parametrize("record_every", [1, 7, 10])
     @pytest.mark.parametrize("budget", [17, 1008, 1009, 1010, 2033, 3073])
     def test_run_equals_the_plain_array_replay(self, x0, beta, nu, record_every, budget):
-        # index chunks hold 16, 32, ..., 1024 draws.  A step takes the first
-        # draw of a chunk, at iterations 0, 16, 48, ..., 1008, 2032, 3056, and
-        # a stretch the rest: 17 steps cross the first refill; 1008, 1009 and
-        # 1010 end one before, at and one after the step at 1008; 2033 ends on
-        # the step after the first chunk of 1024, 3073 inside a later stretch
+        # index chunks hold 16, 32, ..., 1024 draws, and each call takes the
+        # rest of one, from iterations 0, 16, 48, ..., 1008, 2032, 3056: 17
+        # steps cross the first refill; 1008 ends where a call ends, and 1009
+        # and 1010 cut the call from 1008 to one and two steps; 2033 cuts the
+        # call after the first chunk of 1024 to one step, 3073 a later call
         dim = x0.size
         gen = np.random.default_rng(dim)
         center = gen.uniform(-1.0, 1.0, size=dim)

@@ -173,7 +173,7 @@ def test_extend_equals_one_append_per_row():
 
 
 def test_extend_with_per_row_residuals_writes_the_rows_append_writes(tmp_path):
-    # the rows a moving stretch writes, each with its own residual; only
+    # the rows a moving call of the loop writes, each with its own residual; only
     # their shared elapsed_s stamp differs from rows appended one at a time
     iterations = range(5, 40, 3)
     residuals = [1.0 / (i + 1.0) for i in iterations]
