@@ -13,10 +13,11 @@ One iteration over a family (T_k) of firmly quasinonexpansive operators:
        a = x + L (p - x);
 5. draw the relaxation lam and update x <- x + lam (a - x).
 
-The update of steps 4 and 5 is made in one new buffer, L (p - x) + x - x,
-scaled by lam, plus x (with p - x + x first in the error-tolerant
-variant): the same operations in the same order as x + lam ((x + L (p -
-x)) - x), so the same bits, without the three temporaries.
+Both variants make the update of steps 4 and 5 in one new buffer, L (p -
+x) + x - x, scaled by lam, plus x: the same operations in the same order
+as x + lam ((x + L (p - x)) - x), so the same bits, without the three
+temporaries.  The error-tolerant variant takes it with L = 1.0, since
+(p - x) 1.0 is p - x bit for bit.
 
 A run applies the family through one state, ``family.run_state(x0)``
 (see ``operators._IndexedFamily``): ``evaluate(ks, x)`` gives the
@@ -45,7 +46,7 @@ in x0 both paths give the same bits.
 
 A state with a ``screen`` also lets the run take whole runs of no-op
 iterations at once.  Once a batch has left x unchanged, the run screens the
-next batches of the current index chunk in growing windows (4, 16, 64, ...
+next batches of the current chunk in growing windows (4, 16, 64, ...
 batches), up to the first batch the screen cannot clear or the ``limit``
 of the loop's call (``fixedpoint._iterate``), and returns the batch and the
 cleared ones as one no-op run: the relaxations drawn for them, residual 0
@@ -57,7 +58,8 @@ time, so seeded outputs are the same bits as without it.
 The error-tolerant variant skips the extrapolation (a = p) and requires
 relaxations supported inside ]0, 2[.  Indices, errors and relaxations each
 come from their own substream of the run's seed; indices and relaxations
-are drawn in chunks of up to 1024 iterations ahead of use.  Weights under the two
+are drawn ahead of use in the chunks of ``rngstreams.chunk_sizes``, which
+line up, so one position walks the two.  Weights under the two
 built-in rules are deterministic functions of the residuals, so no draw
 occurs for them.  Draws never cross streams, so however far ahead a stream
 is drawn, lam stays independent of the sigma-algebra of the evaluations.
@@ -238,11 +240,12 @@ def run_block(
     is checked and violations are counted into the result.
     """
     m = cfg.batch_size
-    batches = family.draws(substream(cfg.seed, "index"), m)
-    lams = cfg.relaxation.draws(substream(cfg.seed, "relaxation"))
-    # the current chunk of each stream, and the position of its next draw
+    # the two streams' chunks line up (see rngstreams.chunk_sizes), so one
+    # position walks both: the current chunks, and the position of their next draws
+    chunks = zip(family.draws(substream(cfg.seed, "index"), m),
+                 cfg.relaxation.draws(substream(cfg.seed, "relaxation")))
     ks_chunk = lam_chunk = ()
-    ks_at = lam_at = 0
+    at = 0
     x0 = as_point(x0, "x0") + 0.0   # -0.0 -> +0.0, see the module docstring
     state = family.run_state(x0)   # checks x0 against the family
     errors = cfg.error_schedule
@@ -279,27 +282,22 @@ def run_block(
     worst = 0.0
 
     def advance(n, x, limit):
-        nonlocal ks_chunk, ks_at, lam_chunk, lam_at
-        if ks_at == len(ks_chunk):
-            ks_chunk, ks_at = next(batches), 0
-        if lam_at == len(lam_chunk):
-            lam_chunk, lam_at = next(lams), 0
-        ks, lam = ks_chunk[ks_at], lam_chunk[lam_at]
-        ks_at += 1
-        lam_at += 1
+        nonlocal ks_chunk, lam_chunk, at
+        if at == len(lam_chunk):
+            (ks_chunk, lam_chunk), at = next(chunks), 0
+        ks, lam = ks_chunk[at], lam_chunk[at]
+        at += 1
         r = evaluate(ks, x)
         if r is None:
             # every drawn member fixes x: a no-op run of this batch and the
-            # following batches of the current chunks that the screen clears
+            # following batches of the current chunk that the screen clears
             # at x, in growing windows, up to the first it cannot clear
-            end = 1 if screen is None else min(limit, len(ks_chunk) - ks_at + 1,
-                                                len(lam_chunk) - lam_at + 1)
+            end = 1 if screen is None else min(limit, len(lam_chunk) - at + 1)
             j, width = 1, 4
             while j < end:
                 width = min(width, end - j)
-                cleared = screen(ks_chunk[ks_at:ks_at + width], x)
-                ks_at += cleared
-                lam_at += cleared
+                cleared = screen(ks_chunk[at:at + width], x)
+                at += cleared
                 j += cleared
                 if cleared < width:
                     break
@@ -307,28 +305,23 @@ def run_block(
             if records is not None:
                 xs = point(x)
                 for i in range(j):
-                    record(n + i, ks_chunk[ks_at - j + i], noop_beta, xs, 1.0, xs,
-                           lam_chunk[lam_at - j + i])
-            return x, lam_chunk[lam_at - j:lam_at], 0.0, 1.0, None
+                    record(n + i, ks_chunk[at - j + i], noop_beta, xs, 1.0, xs,
+                           lam_chunk[at - j + i])
+            return x, lam_chunk[at - j:at], 0.0, 1.0, None
         beta = noop_beta if uniform else compute_weights(r, cfg.delta, cfg.weight_rule)
         # the averaged point enters only through p - x; working with the
         # steps directly keeps the indicator branch [p = x] exact when every
         # drawn operator fixes x
         avg_step = mean_step(beta)
         pmx = math.sqrt(float(avg_step.dot(avg_step)))
+        # the error-tolerant variant does not extrapolate: a = p, L = 1
+        extrap = _extrapolation(r, beta, pmx) if errors is None else 1.0
+        if extrap < 1.0 - _EXTRAPOLATION_SLACK:
+            raise InvariantViolationError(f"extrapolation {extrap!r} below 1 at iteration {n}")
         # x_next = x + lam (a - x), a = x + L (p - x), in one new buffer;
         # avg_step stays as it is, since observe reads it
-        if errors is None:
-            extrap = _extrapolation(r, beta, pmx)
-            if extrap < 1.0 - _EXTRAPOLATION_SLACK:
-                raise InvariantViolationError(
-                    f"extrapolation {extrap!r} below 1 at iteration {n}"
-                )
-            x_next = avg_step * extrap
-            x_next += x
-        else:
-            extrap = 1.0
-            x_next = avg_step + x
+        x_next = avg_step * extrap
+        x_next += x
         x_next -= x
         x_next *= lam
         x_next += x

@@ -111,6 +111,10 @@ class RunConfig:
             raise ConfigurationError("repeats must be >= 1")
         if self.iters < 1:
             raise ConfigurationError("iters must be >= 1")
+        for key, choices in _CHOICES.items():
+            if getattr(self, key) not in choices:
+                raise ConfigurationError(f"config key {key!r} must be one of {list(choices)}, "
+                                         f"got {getattr(self, key)!r}")
         if self.command == "sgd":
             self.strategies = {f"nu{self.nu:g}": None}
         elif self.relaxation is None:
@@ -175,7 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_file_value(key: str, value):
-    """A config-file value as its flag would give it; rejects a wrong type or choice."""
+    """A config-file value as its flag would give it; rejects a wrong type."""
     kinds = _CONFIG_TYPES[key]
     if kinds is float and type(value) is int:
         try:
@@ -186,9 +190,6 @@ def _check_file_value(key: str, value):
     if not isinstance(value, kinds) or (isinstance(value, bool) and kinds is not bool):
         names = " or ".join(k.__name__ for k in (kinds if isinstance(kinds, tuple) else (kinds,)))
         raise ConfigurationError(f"config key {key!r} must be {names}, got {value!r}")
-    if key in _CHOICES and value not in _CHOICES[key]:
-        raise ConfigurationError(
-            f"config key {key!r} must be one of {list(_CHOICES[key])}, got {value!r}")
     return value
 
 

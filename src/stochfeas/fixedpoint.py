@@ -21,10 +21,11 @@ includes unbiasedness, exactly, from the family's offsets.  Relaxation
 draws come from the run's "relaxation" substream, noise draws from the
 "noise" substream and gradient indices from the "index" substream, the
 only one an SGD run draws from.
-Relaxations and indices are drawn in chunks of up to 1024 ahead of use;
-draws never cross streams, so mu_n is independent of the noise sigma-algebra
-by stream separation, however far ahead a stream is drawn.  A run is
-single-threaded and owns its streams; distinct runs never share state.
+Relaxations and indices are drawn ahead of use, in the chunks of
+``rngstreams.chunk_sizes``; draws never cross streams, so mu_n is
+independent of the noise sigma-algebra by stream separation, however far
+ahead a stream is drawn.  A run is single-threaded and owns its streams;
+distinct runs never share state.
 """
 
 from __future__ import annotations
@@ -325,52 +326,55 @@ def _iterate(advance, x0, max_iters: int, atol: float, record_every: int,
     limit_sq = DIVERGENCE_NORM ** 2
     start = time.perf_counter()
     n = 0
-    while n < max_iters:
-        limit = max_iters - n if not checks_atol else min(max_iters - n, patience - quiet)
-        x_next, lams, residuals, extrap, path = advance(n, x, limit)
-        j = len(lams)
-        end = n + j   # the call took iterations n .. end - 1
-        if path is None:
-            if x_next is not x or n == 0:
-                # NaN and inf fail the comparison; ndarray.dot is bit-equal to @
-                # on 1-D float64 and cheaper
-                if not x_next.dot(x_next) <= limit_sq:
-                    raise NumericError(f"iterate diverged at iteration {n}")
-        else:
-            if j > 1 and (ref is not None or checks_atol):
-                raise UsageError(f"a call of {j} iterations returned a path on a run "
-                                 "with a reference or atol > 0")
-            # the first row that fails; NaN fails the comparison, and a
-            # square that overflows fails it as inf
-            with np.errstate(over="ignore", invalid="ignore"):
+    # entered once per run: overflow and NaN are left to the divergence
+    # guard, which names their iteration, rather than raised as warnings in a
+    # step or in the guard's own squares
+    with np.errstate(over="ignore", invalid="ignore"):
+        while n < max_iters:
+            limit = max_iters - n if not checks_atol else min(max_iters - n, patience - quiet)
+            x_next, lams, residuals, extrap, path = advance(n, x, limit)
+            j = len(lams)
+            end = n + j   # the call took iterations n .. end - 1
+            if path is None:
+                if x_next is not x or n == 0:
+                    # NaN and inf fail the comparison; ndarray.dot is bit-equal to @
+                    # on 1-D float64 and cheaper
+                    if not x_next.dot(x_next) <= limit_sq:
+                        raise NumericError(f"iterate diverged at iteration {n}")
+            else:
+                if j > 1 and (ref is not None or checks_atol):
+                    raise UsageError(f"a call of {j} iterations returned a path on a run "
+                                     "with a reference or atol > 0")
+                # the first row that fails; NaN fails the comparison, and a
+                # square that overflows fails it as inf
                 failed = np.flatnonzero(~(_squared_norms(path) <= limit_sq))
-            if failed.size:
-                raise NumericError(f"iterate diverged at iteration {n + int(failed[0])}")
-        if checks_atol:
-            quiet = quiet + j if (residuals if path is None else residuals[0]) < atol else 0
-        stopping = quiet >= patience
-        last = (end - 1) % record_every == 0 or end == max_iters or stopping
-        if j > 1:
-            # the rows before the last that record_every selects; row i is
-            # iteration n + i
-            picked = slice((-n) % record_every, j - 1, record_every)
-            rows = range(n, end)[picked]
-        else:
-            rows = ()
-        if rows or last:
-            if ref is not None and x is not db_x:
-                db, db_x = _distance_db(x, ref, ref_denom), x
-            elapsed = time.perf_counter() - start
-            if rows:
-                trace._extend(rows, elapsed, residuals if path is None else residuals[picked],
-                              db, lams[picked], extrap)
-            if last:
-                trace.append(end - 1, elapsed, residuals if path is None else residuals[-1],
-                             db, lams[-1], extrap)
-        x, n = x_next, end
-        if stopping:
-            stop_reason = "atol"
-            break
+                if failed.size:
+                    raise NumericError(f"iterate diverged at iteration {n + int(failed[0])}")
+            if checks_atol:
+                quiet = quiet + j if (residuals if path is None else residuals[0]) < atol else 0
+            stopping = quiet >= patience
+            last = (end - 1) % record_every == 0 or end == max_iters or stopping
+            if j > 1:
+                # the rows before the last that record_every selects; row i is
+                # iteration n + i
+                picked = slice((-n) % record_every, j - 1, record_every)
+                rows = range(n, end)[picked]
+            else:
+                rows = ()
+            if rows or last:
+                if ref is not None and x is not db_x:
+                    db, db_x = _distance_db(x, ref, ref_denom), x
+                elapsed = time.perf_counter() - start
+                if rows:
+                    trace._extend(rows, elapsed, residuals if path is None else residuals[picked],
+                                  db, lams[picked], extrap)
+                if last:
+                    trace.append(end - 1, elapsed, residuals if path is None else residuals[-1],
+                                 db, lams[-1], extrap)
+            x, n = x_next, end
+            if stopping:
+                stop_reason = "atol"
+                break
     trace.footer.update(stop_reason=stop_reason, atol=atol, iterations_run=n)
     if ref is not None:
         trace.footer["final_norm_err_db"] = db if x is db_x else _distance_db(x, ref, ref_denom)
@@ -389,7 +393,7 @@ def run_km(T, cfg: KmConfig, x0) -> tuple[np.ndarray, ConvergenceTrace]:
         if t.shape != x.shape:   # T x - x would broadcast, or fail inside numpy
             require_same_dim(t, x, f"the point T x of step {n} and x0")
         d = t - x
-        residual = math.sqrt(float(d @ d))
+        residual = _norm(d)
         if errors is not None:
             d = d + errors.sample(n, x.shape[0], noise_rng)
         mu = next(mus)
@@ -404,12 +408,12 @@ def run_sgd(cfg: SgdConfig, x0) -> tuple[np.ndarray, ConvergenceTrace]:
     """Stochastic gradient descent with steps gamma_n = 2 beta / (n + 1)^nu.
 
     Each call of ``advance`` (see ``_iterate``) takes the rest of the
-    current index chunk, up to 1024 steps, as one Python-float recurrence per
-    coordinate: coordinate i of x_{m+1} is ``xi - (xi - t_k[i]) * gamma_m``,
-    the three IEEE operations of the array step x_m - gamma_m (x_m - t_k),
-    so the same bits, at O(dim) interpreted float operations per step and
-    none of numpy's per-call cost.  The residual column holds ||grad f(x_n)||
-    = ||x_n - c||.
+    current index chunk (see ``rngstreams.chunk_sizes``) as one Python-float
+    recurrence per coordinate: coordinate i of x_{m+1} is ``xi - (xi -
+    t_k[i]) * gamma_m``, the three IEEE operations of the array step x_m -
+    gamma_m (x_m - t_k), so the same bits, at O(dim) interpreted float
+    operations per step and none of numpy's per-call cost.  The residual
+    column holds ||grad f(x_n)|| = ||x_n - c||.
     """
     x0 = as_point(x0, "x0")
     family = cfg.gradient_family
@@ -433,8 +437,7 @@ def run_sgd(cfg: SgdConfig, x0) -> tuple[np.ndarray, ConvergenceTrace]:
         stack[0] = x
         for i, (xi, ti) in enumerate(zip(x.tolist(), columns)):
             stack[1:, i] = [xi := xi - (xi - ti[k]) * g for k, g in zip(drawn, gammas)]
-        with np.errstate(over="ignore", invalid="ignore"):   # a diverged path fails the guard
-            residuals = np.sqrt(_squared_norms(stack[:-1] - center)).tolist()
+        residuals = np.sqrt(_squared_norms(stack[:-1] - center)).tolist()
         return stack[-1], gammas, residuals, 1.0, stack[1:]
 
     # atol 0: an SGD run always takes its full budget

@@ -10,8 +10,9 @@ and :meth:`RelaxationStrategy.moments`.
 
 Moments are always computed in closed form; sampling exists only to drive
 iterations, which take their draws from :meth:`RelaxationStrategy.draws`,
-1024 at a time.  Strategies are immutable and shareable across threads; the
-generators passed to their ``sample`` and ``draws`` methods are single-owner.
+in the chunks of the one schedule, ``rngstreams.chunk_sizes``.  Strategies
+are immutable and shareable across threads; the generators passed to their
+``sample`` and ``draws`` methods are single-owner.
 
 Each kind is stated once, in ``_CONFIG_KINDS``: its class, the fields of its
 tagged-object form, its shorthand name and its label prefix, read by
@@ -22,11 +23,12 @@ shorthand parser.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .exceptions import ConfigurationError, UsageError
+from .rngstreams import chunk_sizes
 
 @dataclass(frozen=True)
 class RelaxationMoments:
@@ -34,11 +36,11 @@ class RelaxationMoments:
 
     mean: float
     second_moment: float
-    damping: float = field(init=False)
 
-    def __post_init__(self):
-        # damping is defined through the identity so it holds exactly
-        object.__setattr__(self, "damping", 2.0 * self.mean - self.second_moment)
+    @property
+    def damping(self) -> float:
+        # defined through the identity so that it holds exactly
+        return 2.0 * self.mean - self.second_moment
 
 
 class RelaxationStrategy:
@@ -57,9 +59,11 @@ class RelaxationStrategy:
         raise NotImplementedError
 
     def draws(self, rng: np.random.Generator):
-        """Endless i.i.d. draws from ``rng``, in chunks: lists of 1024 floats."""
-        while True:
-            yield self.sample(rng, 1024).tolist()
+        """Endless i.i.d. draws from ``rng``, in the chunks of
+        ``rngstreams.chunk_sizes``: lists of floats.  Read in order, they are
+        the draws of one ``sample`` call."""
+        for size in chunk_sizes():
+            yield self.sample(rng, size).tolist()
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ family from plain arrays, outside ``fixedpoint._iterate``.
 and ``timing_free_text`` reads a command's artefact without its timing.
 """
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -34,7 +33,7 @@ from stochfeas.exceptions import DegenerateConstraintError, NumericError
 from stochfeas.geometry import as_point, require_same_dim
 from stochfeas.image import _half, _half_inverse, _validate_fourier_target, validate_fourier_mask
 from stochfeas.operators import LinearFamily, _IndexedFamily, sample_indices
-from stochfeas.rngstreams import substream
+from stochfeas.rngstreams import chunk_sizes, substream
 from stochfeas.signal import circ_conv
 
 
@@ -248,9 +247,11 @@ def timing_free_text(path) -> str:
 
 def force_indices(monkeypatch, family, ks):
     """Make every index batch that ``run_block`` draws from ``family`` equal ``ks``:
-    the family's index chunks become 16 copies of ``ks`` each."""
-    chunk = np.tile(np.asarray(ks), (16, 1))
-    monkeypatch.setattr(family, "draws", lambda rng, m=None: itertools.repeat(chunk))
+    the family's index chunks, in the sizes of ``rngstreams.chunk_sizes``,
+    hold copies of ``ks``."""
+    ks = np.asarray(ks)
+    monkeypatch.setattr(family, "draws", lambda rng, m=None: (np.tile(ks, (size, 1))
+                                                              for size in chunk_sizes()))
 
 
 def replay_block(family, cfg, x0, reference=None, evaluate=None):

@@ -286,6 +286,18 @@ class TestNoOpIterations:
         with pytest.raises(NumericError, match="iteration 0"):
             run_block(two_halfspace_family(), cfg, [-1e13, -1e13])
 
+    def test_step_whose_squares_overflow_raises_without_a_warning(self):
+        # RuntimeWarnings are errors here.  Member 1 fixes 0, and member 0
+        # steps to (1e200, 0), whose squares in the step norm and in the
+        # guard overflow silently: the guard names the first iteration to draw it
+        family = LinearFamily(np.eye(2), [1e200, -np.inf], [1e200, 0.0])
+        cfg = BlockConfig(batch_size=1, delta=0.5, relaxation=rx.Constant(1.0),
+                          max_iters=50, seed=4, atol=0.0)
+        first = sample_indices(family, substream(cfg.seed, "index"), 50).tolist().index(0)
+        assert first > 0   # the run takes no-op iterations first
+        with pytest.raises(NumericError, match=rf"^iterate diverged at iteration {first}$"):
+            run_block(family, cfg, np.zeros(2))
+
 
 class TestErrorTolerantVariant:
     def test_update_uses_average_without_extrapolation(self, rng):

@@ -117,6 +117,12 @@ class TestParsing:
         assert repr(key) in json.loads(capsys.readouterr().err)["message"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, value", [("scale", "dsk"), ("weight_rule", "largest")])
+    def test_direct_config_outside_the_choices_names_the_key(self, key, value):
+        # a RunConfig built directly takes the check that config-file values take
+        with pytest.raises(ConfigurationError, match=rf"^config key {key!r} must be one of "):
+            RunConfig(command="signal", **{key: value})
+
     @pytest.mark.parametrize("argv", [
         ["sgd", "--relaxation", "const:9"],
         ["sgd", "--M", "3"],

@@ -19,7 +19,7 @@ from stochfeas.experiments import canonical_strategies, run_experiment
 from stochfeas.image import confidence_radius, generate_image_problem, symmetrize_fourier_mask
 from stochfeas.operators import LinearFamily, OperatorFamily, sample_indices
 from stochfeas.rngstreams import derive_seed, substream
-from stochfeas.signal import circ_conv, gaussian_kernel_1d, generate_signal_problem
+from stochfeas.signal import circ_conv, generate_signal_problem
 
 from conftest import (
     assert_same_run,
@@ -67,21 +67,6 @@ class TestCanonicalStrategies:
         assert set(strategies) == {"const1", "const1.9", "twopoint", "uniform"}
         for label in ("const1.9", "twopoint", "uniform"):
             assert strategies[label].moments().mean == pytest.approx(1.9, abs=1e-12)
-
-
-class TestConvolution:
-    def test_circulant_row_reproduces_operator(self, rng):
-        n = 16
-        kernel = gaussian_kernel_1d(n, 3.0)
-        x = rng.normal(size=n)
-        y = circ_conv(x, kernel)
-        for j in (0, 1, 7, 15):
-            assert float(circulant_row(kernel, j) @ x) == pytest.approx(y[j], rel=1e-12)
-
-    def test_kernel_normalized_and_symmetric(self):
-        k = gaussian_kernel_1d(32, 5.0)
-        assert k.sum() == pytest.approx(1.0, rel=1e-12)
-        np.testing.assert_allclose(k[1:], k[1:][::-1], rtol=1e-12)
 
 
 class TestSignalProblem:

@@ -185,6 +185,13 @@ class TestDivergenceGuard:
         with pytest.raises(NumericError, match=rf"^iterate diverged at iteration {n}$"):
             getattr(self, run)([bad, 1.0], n)
 
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_step_whose_squares_overflow_raises_without_a_warning(self, n):
+        # RuntimeWarnings are errors here: the residual's and the guard's
+        # squares of T x - x and of the iterate overflow silently
+        with pytest.raises(NumericError, match=rf"^iterate diverged at iteration {n}$"):
+            self.run_to([1e200, 1.0], n)
+
     @pytest.mark.parametrize("n", [1, 3])
     def test_stretch_row_whose_square_overflows_raises_without_a_warning(self, n):
         # RuntimeWarnings are errors here: the stack's matmul overflows silently

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from stochfeas import relaxation as rx
 from stochfeas.exceptions import UsageError
+from stochfeas.operators import OperatorFamily
 from stochfeas.rngstreams import substream
 
 from conftest import relaxation_cap, scalar_relaxation
@@ -77,6 +78,26 @@ def test_draws_equal_scalar_transcription(strategy):
     chunked = list(itertools.islice(itertools.chain.from_iterable(chunks), 2500))
     rng = np.random.default_rng(8)
     assert chunked == [scalar_relaxation(strategy, rng) for _ in range(2500)]
+
+
+# the chunk schedule, rngstreams.chunk_sizes, to the first chunk it repeats
+SCHEDULE = [16, 32, 64, 128, 256, 512, 1024, 1024]
+
+
+@pytest.mark.parametrize("m", [1, 16])
+@pytest.mark.parametrize("strategy", [
+    rx.Constant(1.9), rx.TwoPoint(2.3, 0.3, 1.5), rx.UniformInterval(1.5, 2.3),
+], ids=["constant", "two_point", "uniform"])
+def test_relaxation_chunks_line_up_with_index_chunks(strategy, m):
+    # run_block walks a chunk of relaxations and one of index batches with
+    # one position; read in order, the relaxations are one sample call
+    family = OperatorFamily([lambda x: x] * 3)
+    chunks = zip(strategy.draws(np.random.default_rng(8)),
+                 family.draws(np.random.default_rng(9), m))
+    lams, batches = zip(*itertools.islice(chunks, len(SCHEDULE)))
+    assert [len(c) for c in lams] == [len(c) for c in batches] == SCHEDULE
+    sampled = strategy.sample(np.random.default_rng(8), sum(SCHEDULE)).tolist()
+    assert list(itertools.chain.from_iterable(lams)) == sampled
 
 
 def test_two_point_sampling_frequency():
