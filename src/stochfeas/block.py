@@ -221,12 +221,74 @@ class BlockResult:
     worst_fejer_violation: float = 0.0
 
 
+class RunTape:
+    """The first ``budget`` iterations of one block run, call by call, and
+    that run's own driver, so that a later run of the same draws plays them
+    back and then goes on from where the first run stopped, instead of
+    making them again (see ``run_block``).
+
+    A call of the driver (see ``fixedpoint._iterate``) returns ``(x_next,
+    lams, residual, L, None)``.  The tape keeps that tuple for every call
+    that starts before ``budget``, holding the iterate arrays themselves,
+    which no run changes in place; a call that left x in place keeps None
+    for x_next, so that playback hands back the playing loop's own x.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self._calls = []
+        self._run = None       # what the taped run was, and its x0
+        self._advance = None   # its driver, once the run has returned
+
+    def _record(self, run, x0, advance):
+        """``advance``, keeping its calls: the driver of the run that fills
+        the tape."""
+        self._run = run, x0
+        calls, budget = self._calls, self.budget
+
+        def taping(n, x, limit):
+            out = advance(n, x, limit)
+            if n < budget:
+                calls.append(out if out[0] is not x else (None,) + out[1:])
+            return out
+        return taping
+
+    def _play(self, run, x0, max_iters):
+        """The driver of a run that takes the tape: the taped calls, then the
+        taped run's driver from where it stopped.  A tape plays once, since
+        that driver moves on."""
+        if self._advance is None:
+            raise UsageError("the tape holds no finished run that is not yet played")
+        taped, taped_x0 = self._run
+        if run != taped or not np.array_equal(x0, taped_x0) or max_iters > self.budget:
+            raise UsageError("a tape plays back only to a run of its family, x0, seed, batch "
+                             "size, delta, relaxation, weight rule and error schedule, "
+                             "within its budget")
+        calls, resume = self._calls, self._advance
+        self._calls = self._advance = None
+        count, at = len(calls), 0
+
+        def play(n, x, limit):
+            nonlocal at
+            if at == count:
+                return resume(n, x, limit)
+            out = calls[at]
+            at += 1
+            if out[0] is None:
+                # a no-op call, which may cross the end of this run's budget
+                return (x, out[1][:limit]) + out[2:]
+            return out
+        return play
+
+
 def run_block(
     family: _IndexedFamily,
     cfg: BlockConfig,
     x0,
     reference_solution=None,
     fejer_points: Optional[Sequence] = None,
+    *,
+    tape: Optional[RunTape] = None,
 ) -> BlockResult:
     """Run the block iteration from ``x0``.
 
@@ -238,6 +300,19 @@ def run_block(
                             + 1e-9 ||x - z||^2
 
     is checked and violations are counted into the result.
+
+    ``tape`` lets two runs with the same draws share them.  A run given an
+    empty ``RunTape`` fills it with its first ``tape.budget`` iterations.
+    A run given the filled tape plays them back and then goes on with the
+    taped run's driver, so its trace, footer and final point are those of a
+    run from ``x0`` bit for bit, but for ``elapsed_s``: the step does not
+    depend on ``atol``, ``stop_patience``, ``record_every`` or the
+    reference point, which may differ between the two runs.  The two runs
+    must agree in the family, x0, seed, batch size, delta, relaxation,
+    weight rule and error schedule, the playing run's budget must not
+    exceed the tape's, and neither may collect records or audit Fejer
+    points; otherwise the call raises ``UsageError``.  The playing run
+    holds both runs' state until it returns.
     """
     m = cfg.batch_size
     # the two streams' chunks line up (see rngstreams.chunk_sizes), so one
@@ -343,8 +418,18 @@ def run_block(
         if records is not None:
             record(n, ks, beta, x + d, extrap, a, lam, r)
 
+    drive = advance
+    filling = False
+    if tape is not None:
+        if zs or records is not None:
+            raise UsageError("a run with a tape neither collects records nor audits Fejer points")
+        run = (family, cfg.seed, m, cfg.delta, cfg.relaxation, cfg.weight_rule, errors)
+        filling = tape._run is None
+        drive = tape._record(run, x0, advance) if filling else tape._play(run, x0, cfg.max_iters)
     # the residual only samples M random operators, so a single quiet
     # iteration proves nothing; require stop_patience consecutive ones
-    x, trace = _iterate(advance, state.coordinates(x0), cfg.max_iters, cfg.atol, cfg.record_every,
+    x, trace = _iterate(drive, state.coordinates(x0), cfg.max_iters, cfg.atol, cfg.record_every,
                         patience=cfg.stop_patience, reference=reference_solution)
+    if filling:
+        tape._advance = advance
     return BlockResult(point(x), trace, records, violations, worst)

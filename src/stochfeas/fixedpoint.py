@@ -281,12 +281,14 @@ def _iterate(advance, x0, max_iters: int, atol: float, record_every: int,
     ``path`` is None, or the C-contiguous (j, dim) stack of x_{n+1} ..
     x_{n+j}, whose last row is x_next; ``residuals`` is then one per row, and
     otherwise one float shared by every row.  A call of more than one
-    iteration without a path is a no-op run, which returns x itself; a
-    one-iteration call that leaves x unchanged may too, and the loop then
-    skips the divergence guard, which x passed one iteration earlier (the
-    guard still checks x0 at n = 0), and reuses the dB value last computed
-    for x.  The guard takes every row of a path by ``_squared_norms`` and
-    names the iteration of the first that fails.  A call of more than one
+    iteration without a path is a no-op run, which returns x itself; the
+    loop raises ``UsageError`` otherwise, since it would give the moved
+    iterates x's dB value.  A one-iteration call that leaves x unchanged may
+    return x itself too, and the loop then skips the divergence guard, which
+    x passed one iteration earlier (the guard still checks x0 at n = 0), and
+    reuses the dB value last computed for x.  The guard takes every row of a
+    path by ``_squared_norms`` and names the iteration of the first that
+    fails.  A call of more than one
     iteration may return a path only on a run with no reference and atol <=
     0, since the loop can neither give its rows their dB values nor count
     their quiet iterations; otherwise it raises ``UsageError``.
@@ -355,6 +357,8 @@ def _iterate(advance, x0, max_iters: int, atol: float, record_every: int,
             stopping = quiet >= patience
             last = (end - 1) % record_every == 0 or end == max_iters or stopping
             if j > 1:
+                if path is None and x_next is not x:
+                    raise UsageError(f"a call of {j} iterations without a path moved x")
                 # the rows before the last that record_every selects; row i is
                 # iteration n + i
                 picked = slice((-n) % record_every, j - 1, record_every)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from stochfeas.block import (
     UNIFORM_OVER_BATCH,
     BlockConfig,
     BlockIterationRecord,
+    RunTape,
     _extrapolation,
     compute_weights,
     run_block,
@@ -363,6 +366,79 @@ class TestConfigValidation:
         kwargs = {"relaxation": rx.Constant(1.0), "delta": 0.3, **kwargs}
         with pytest.raises(ConfigurationError, match=hypothesis):
             BlockConfig(batch_size=2, max_iters=10, seed=0, **kwargs)
+
+
+class TestRunTape:
+    """A run given an empty tape fills it; a run given the filled tape plays
+    back the taped calls and goes on with the taped run's driver, with the
+    bits of a run from x0."""
+
+    X0 = np.array([-1.0, -1.0])
+
+    @staticmethod
+    def family():
+        # x0 lies in the first 15 half-spaces and not in the last, so a run
+        # starts with a no-op run of several iterations
+        rows = [[1.0, 0.0]] * 15 + [[1.0, 1.0]]
+        return LinearFamily(rows, [-np.inf] * 16, [0.0] * 15 + [-3.0])
+
+    @staticmethod
+    def config(variant):
+        if variant == "error-tolerant":
+            return BlockConfig(batch_size=1, delta=0.5, relaxation=rx.Constant(1.0),
+                               max_iters=40, seed=0, atol=0.0,
+                               error_schedule=DecayingNoise(0.1, 2.0))
+        return BlockConfig(batch_size=1, delta=0.5, relaxation=rx.UniformInterval(1.5, 2.3),
+                           max_iters=40, seed=0, atol=0.0)
+
+    @pytest.mark.parametrize("taped_iters", [1, 3, 25, 40, 100])
+    @pytest.mark.parametrize("variant", ["screened", "error-tolerant"])
+    def test_playback_equals_the_run_from_x0(self, variant, taped_iters, monkeypatch):
+        # the taped run stops before the playing run's budget (1, 3, 25),
+        # at it (40) or past it (100), with a no-op call that crosses it
+        family, cfg = self.family(), self.config(variant)
+        reference = [-2.0, -2.0]
+        plain = run_block(family, cfg, self.X0, reference_solution=reference)
+        if variant == "screened":
+            assert plain.trace.residuals()[:3].tolist() == [0.0, 0.0, 0.0]
+        tape = RunTape(cfg.max_iters)
+        run_block(family, replace(cfg, max_iters=taped_iters, record_every=taped_iters),
+                  self.X0, tape=tape)
+        evaluations = []
+        evaluate = family.evaluate
+        monkeypatch.setattr(family, "evaluate",
+                            lambda ks, x: evaluations.append(1) or evaluate(ks, x))
+        played = run_block(family, replace(cfg, record_every=3), self.X0,
+                           reference_solution=reference, tape=tape)
+        # the playing run evaluates nothing itself: the taped run's driver
+        # goes on in the taped run's state
+        assert evaluations == []
+        rerun = run_block(family, replace(cfg, record_every=3), self.X0,
+                          reference_solution=reference)
+        assert_same_run(played, rerun.final, rerun.trace)
+        assert played.final.tobytes() == plain.final.tobytes()
+
+    @pytest.mark.parametrize("change", ["seed", "x0", "fejer_points", "records", "budget",
+                                        "played"])
+    def test_a_tape_plays_once_and_only_to_its_own_run(self, change):
+        family, cfg = self.family(), self.config("screened")
+        x0, kwargs = self.X0, {}
+        tape = RunTape(cfg.max_iters)
+        run_block(family, cfg, x0, tape=tape)
+        if change == "seed":
+            cfg = replace(cfg, seed=5)
+        elif change == "x0":
+            x0 = x0 - 0.5
+        elif change == "fejer_points":
+            kwargs["fejer_points"] = [np.array([-2.0, -2.0])]
+        elif change == "records":
+            cfg = replace(cfg, collect_records=True)
+        elif change == "budget":
+            cfg = replace(cfg, max_iters=cfg.max_iters + 1)
+        else:
+            run_block(family, cfg, x0, tape=tape)
+        with pytest.raises(UsageError):
+            run_block(family, cfg, x0, tape=tape, **kwargs)
 
 
 def test_records_correct_with_simultaneous_fejer_points(rng):

@@ -1092,44 +1092,87 @@ class TestRunExperiment:
         assert reference_pass.records is None
         assert recording_pass is result.results[0] and len(recording_pass.records) == 60
 
-    @pytest.mark.parametrize("max_iters, record_every, stops_early",
-                             [(60, 1, False), (400, 7, True)])
-    def test_recording_pass_is_a_prefix_of_the_reference_pass(self, monkeypatch, max_iters,
-                                                               record_every, stops_early):
-        # the recording pass replays the reference pass's draws, so on their
-        # common rows the residual, lambda and extrapolation columns agree bit
-        # for bit, whether the reference pass stops before the budget or not
-        prob = generate_signal_problem(n=64, p=3, seed=10)
-        cfg = BlockConfig(batch_size=4, delta=0.1, relaxation=rx.UniformInterval(1.5, 2.3),
-                          max_iters=max_iters, seed=10, atol=1e-12, record_every=record_every)
-        passes = []
+    # (problem, M, strategy, seed, budget, record_every, case); ``case`` names how
+    # the reference pass ends against the budget: before it ("early"), past
+    # it ("past"), past it with a no-op call that crosses it ("crossing"),
+    # or past it with no reference ("failed"); "image" lets it end either way
+    @pytest.mark.parametrize("instance, m, label, seed, max_iters, record_every, case", [
+        pytest.param("small", 4, "uniform", 10, 60, 1, "past", id="60-1-False"),
+        pytest.param("small", 4, "uniform", 10, 400, 7, "early", id="400-7-True"),
+        pytest.param("desk", 16, "uniform", 5, 400, 7, "early", id="desk-M16-early"),
+        pytest.param("desk", 1, "const1.9", 5, 400, 1, "early", id="desk-M1-early"),
+        pytest.param("desk", 16, "const1.9", 5, 60, 1, "past", id="desk-past"),
+        pytest.param("desk", 16, "const1", 5, 60, 1, "crossing", id="desk-crossing"),
+        pytest.param("desk", 16, "const1", 5, 4, 1, "failed", id="desk-failed"),
+        pytest.param("image", 2, "const1.9", 3, 300, 7, "image", id="image-300"),
+    ])
+    def test_recording_pass_is_a_prefix_of_the_reference_pass(
+            self, monkeypatch, instance, m, label, seed, max_iters, record_every, case):
+        # the recording pass plays back the reference pass's tape and goes on
+        # from where that pass stopped; its trace but elapsed_s, its footer
+        # and its final point equal those of the rerun from x0 that it
+        # replaces, and both passes keep the rerun's atol and iterations_run
+        if instance == "small":
+            problem = generate_signal_problem(n=64, p=3, seed=10)
+            family = problem.build_family()
+        elif instance == "desk":
+            problem = experiments.desk_signal_problem(seed=3)
+            family = problem.build_family()
+        else:
+            problem = experiments.desk_image_problem(seed=0)
+            family = problem.build_family(fourier_weight=experiments.DESK_IMAGE_FOURIER_WEIGHT)
+        cfg = BlockConfig(batch_size=m, delta=0.5 / m, relaxation=canonical_strategies()[label],
+                          max_iters=max_iters, seed=seed, atol=1e-12, record_every=record_every)
+        x0 = np.zeros(problem.ground_truth.size)
+        passes, calls = [], []
 
-        def recorded(family, run_cfg, *args, **kwargs):
-            # the reference pass keeps two trace rows; the same pass at
-            # record_every=1 ends at the same point (see
-            # test_reference_pass_keeps_only_the_rows_it_reads) and keeps them all
-            full = run_cfg if run_cfg.atol == 0.0 else replace(run_cfg, record_every=1)
-            res = run_block(family, full, *args, **kwargs)
-            passes.append((run_cfg, res.trace))
+        def recorded(family, run_cfg, *args, tape, **kwargs):
+            assert tape is not None
+            res = run_block(family, run_cfg, *args, tape=tape, **kwargs)
+            passes.append((run_cfg, args, kwargs, res))
             return res
 
+        def observed(advance, *args, **kwargs):
+            # the calls of each pass's driver: (n, j, whether x stayed)
+            log = []
+            calls.append(log)
+
+            def drive(n, x, limit):
+                out = advance(n, x, limit)
+                log.append((n, len(out[1]), out[0] is x))
+                return out
+            return fixedpoint._iterate(drive, *args, **kwargs)
+
         monkeypatch.setattr(experiments, "run_block", recorded)
-        result = run_experiment(prob, prob.build_family(), cfg, "uniform", repeats=2)
+        monkeypatch.setattr(block, "_iterate", observed)
+        result = run_experiment(problem, family, cfg, label, repeats=2)
+        monkeypatch.undo()
         assert len(passes) == 4
         for rep in range(2):
-            (ref_cfg, ref_trace), (rec_cfg, rec_trace) = passes[2 * rep: 2 * rep + 2]
+            (ref_cfg, _, _, ref_res), (rec_cfg, args, kwargs, rec_res) = passes[2 * rep:2 * rep + 2]
             assert ref_cfg.seed == rec_cfg.seed == result.seeds[rep]
             assert ref_cfg.max_iters == ref_cfg.record_every == 10 * max_iters
-            assert rec_cfg.atol == 0.0
-            assert rec_trace is result.results[rep].trace
-            common, ref_rows, rec_rows = np.intersect1d(
-                ref_trace.iterations(), rec_trace.iterations(), return_indices=True)
-            assert common.size >= 2
-            for column in ("residuals", "lambdas", "extrapolations"):
-                ref_col = getattr(ref_trace, column)()[ref_rows]
-                rec_col = getattr(rec_trace, column)()[rec_rows]
-                assert np.array_equal(ref_col, rec_col), column
-            assert (ref_trace.footer["iterations_run"] < max_iters) == stops_early
+            assert rec_cfg.atol == 0.0 and rec_res is result.results[rep]
+            rerun_ref = run_block(family, ref_cfg, x0)
+            assert ref_res.trace.footer == rerun_ref.trace.footer
+            assert ref_res.trace.footer["atol"] == 1e-12
+            rerun = run_block(family, rec_cfg, *args, **kwargs)
+            assert_same_run(rec_res, rerun.final, rerun.trace)
+            assert rec_res.trace.footer["iterations_run"] == max_iters
+            stop = ref_res.trace.footer["iterations_run"]
+            found = result.references[rep] is not None
+            assert found == (ref_res.trace.final_residual() < 1e-12)
+            if case == "early":
+                assert stop < max_iters and found
+            elif case in ("past", "crossing"):
+                assert stop > max_iters and found
+            elif case == "failed":
+                assert stop == 10 * max_iters and not found
+            if case == "crossing":
+                assert any(n < max_iters < n + j and stayed for n, j, stayed in calls[2 * rep])
+        if case == "image":
+            # one seed finds a reference and one does not
+            assert [ref is None for ref in result.references] == [False, True]
 
     @pytest.mark.parametrize("instance", ["signal", "image"])
     def test_reference_pass_keeps_only_the_rows_it_reads(self, monkeypatch, instance):

@@ -488,3 +488,13 @@ class TestErrorSchedules:
             held += int(np.sum(unit < 1.0 - 1e-9))
         assert rows.bit_generator.state == oracle.bit_generator.state == ones.bit_generator.state
         assert capped and (held or dim == 4096)
+
+
+def test_a_call_of_several_iterations_without_a_path_must_leave_x():
+    # such a call is a no-op run: the loop gives its rows x's dB value, which
+    # would be wrong for the iterates of a call that moved x
+    def advance(n, x, limit):
+        return np.full(2, 0.9), [1.0] * 3, 0.0, 1.0, None
+
+    with pytest.raises(UsageError, match=r"^a call of 3 iterations without a path moved x$"):
+        fixedpoint._iterate(advance, np.ones(2), 6, 0.0, 1, reference=np.zeros(2))

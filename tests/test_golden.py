@@ -2,11 +2,27 @@
 
 Each case runs one quick desk configuration in process and hashes what it
 wrote: trace CSVs without the elapsed-time column, ``summary.json`` without
-``wall_clock_s``, and record dumps as written.  The digests were recorded
-with numpy 2.4.6.  A change meant to keep numerics bit-identical must leave
-them unchanged; a change meant to alter numerics regenerates them and says
-why.  The ``signal`` digest was regenerated when the slab family began
-evaluating its drawn members in one batch: the inner products sum in another
+``wall_clock_s``, and record dumps as written.  A change meant to keep
+numerics bit-identical must leave them unchanged; a change meant to alter
+numerics regenerates them and says why.
+
+The digests hold for one numpy build at one CPU dispatch level: they were
+recorded with numpy 2.4.6 on x86-64 dispatching to AVX-512
+(``numpy._core._multiarray_umath.__cpu_dispatch__`` lists X86_V4,
+AVX512_ICL and AVX512_SPR).  There ``np.exp`` differs from ``math.exp`` on
+4.6% of ``linspace(-700, 700, 200001)`` and ``np.log10`` from
+``math.log10`` on 7.1% of ``linspace(0.01, 100, 200001)``, and those two
+functions feed the blur kernels and the dB column, so another build or
+dispatch level may round them differently and move the digests.  Other
+dispatch levels are unverified.
+
+The ``signal-records`` case was added when the recording pass of an
+experiment began to play back its reference pass's tape: a config that
+collects records reruns its recording pass instead, and its digest was
+recorded on the code from before the tape.
+
+The ``signal`` digest was regenerated when the slab family began evaluating
+its drawn members in one batch: the inner products sum in another
 order, which moved its residuals by at most 5e-15 and its dB columns by at
 most 3e-14 dB.  It was regenerated again when ``final_norm_err_db`` in
 ``summary.json`` became the dB of the final iterate x_N for the experiment
@@ -105,6 +121,7 @@ import hashlib
 
 import pytest
 
+from stochfeas import experiments
 from stochfeas.cli import EXIT_OK, main
 
 from conftest import timing_free_text
@@ -119,6 +136,9 @@ CASES = {
             "3d44aa423e80dc595faaaa6799aaba8ca13a3a0cc4f10ae5500d5bab39e6ea0d"),
     "signal": (["signal", "--scale", "desk", "--M", "4", "--iters", "60", "--repeats", "2"],
                "35b240d4718414597ba91633967e916e40d4036fc41db2d2c2e436fc61128c6c"),
+    "signal-records": (["signal", "--scale", "desk", "--M", "4", "--iters", "60", "--repeats", "2",
+                        "--dump-records"],
+                       "1c16d1ad57e92f0304d06f13b4ac183740bdb4a4e729a3dbb6ec9202881d33e1"),
     "image": (["image", "--scale", "desk", "--iters", "40"],
               "3ef6d0ca87d92628038c79ce8f0bb0245a51c45803bf774e65451494fa994915"),
 }
@@ -137,3 +157,34 @@ def test_cli_artefacts_match_golden_digest(name, tmp_path):
     out_dir = tmp_path / name
     assert main(argv + ["--seed", "3", "--output-dir", str(out_dir)]) == EXIT_OK
     assert artefact_digest(out_dir) == expected
+
+
+# the desk signal problem has 256 coordinates, so the tape of a 60-iteration
+# recording pass takes 60 x 256 x 8 bytes
+@pytest.mark.parametrize("name, cap, taped", [
+    pytest.param("signal", 60 * 256 * 8, True, id="at-the-cap"),
+    pytest.param("signal", 60 * 256 * 8 - 1, False, id="over-the-cap"),
+    pytest.param("signal-records", None, False, id="records"),
+])
+def test_recording_pass_reruns_over_the_tape_cap_or_with_records(name, cap, taped, tmp_path,
+                                                                 monkeypatch):
+    # both sides of the fallback write the golden artefacts
+    if cap is not None:
+        monkeypatch.setattr(experiments, "_TAPE_BYTES", cap)
+    tapes = []
+    run_block = experiments.run_block
+
+    def observed(*args, tape=None, **kwargs):
+        tapes.append(tape)
+        return run_block(*args, tape=tape, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_block", observed)
+    argv, expected = CASES[name]
+    out_dir = tmp_path / name
+    assert main(argv + ["--seed", "3", "--output-dir", str(out_dir)]) == EXIT_OK
+    assert artefact_digest(out_dir) == expected
+    # two passes for each of two repeats of four strategies, each pair
+    # sharing one tape or none
+    assert len(tapes) == 16
+    assert all((tape is not None) == taped for tape in tapes)
+    assert all(tapes[i] is tapes[i + 1] for i in range(0, 16, 2))
